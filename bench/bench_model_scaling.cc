@@ -11,16 +11,16 @@
  * over the analytic hot-path workloads and writes
  * BENCH_model_eval.json for the perf-regression trajectory:
  *
- *  - evaluate_8ip: mutate-one-parameter + attainable() on a compiled
- *    8-IP evaluator — the steady-state sweep/advisor shape.
- *  - sweep_mixing_4096: a full Sweep::mixing grid, serial.
+ *  - evaluate_8ip: mutate-one-parameter + run() on a compiled 8-IP
+ *    single-point pack — the steady-state advisor-probe shape.
+ *  - mixing_4096_w8 / mixing_4096_w1: the 4096-point mixing grid
+ *    (paper Figure 8 shape) staged straight into a kGridWidth pack
+ *    and into a single-point pack, in interleaved reps, so the
+ *    "mixing_4096_w8_vs_w1" speedup is a same-run,
+ *    machine-independent measure of the lane width.
  *  - explorer_grid / explorer_grid_pruned: the 64x64 explorer cross
  *    product through exploreFrontier(), without and with subgrid
  *    bound pruning.
- *  - sweep_mixing_4096_scalar / explorer_grid_scalar: the same grid
- *    workloads forced onto the scalar reference path
- *    (simd::ScopedEnable), so the "*_simd_vs_scalar" speedups are a
- *    same-run, machine-independent measure of the packed lanes.
  *  - explorer_grid_reference: the same grid evaluated the pre-
  *    evaluator way (SocSpec rebuild + GablesModel::evaluate per
  *    design) — the denominator of the reported speedups, measured in
@@ -33,6 +33,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <sstream>
@@ -44,7 +45,6 @@
 #include "analysis/explorer.h"
 #include "analysis/optimal_split.h"
 #include "analysis/sensitivity.h"
-#include "analysis/sweep.h"
 #include "bench_util.h"
 #include "core/evaluator.h"
 #include "core/gables.h"
@@ -94,12 +94,13 @@ void
 BM_CompiledEvaluatorNIp(benchmark::State &state)
 {
     auto [soc, u] = synthetic(static_cast<size_t>(state.range(0)), 7);
-    GablesEvaluator ev(soc, u);
+    GablesPack<1> ev(soc, u);
     double vals[4] = {0.5, 2.0, 8.0, 32.0};
     size_t i = 0;
     for (auto _ : state) {
-        ev.setIntensity(1, vals[i++ & 3]);
-        benchmark::DoNotOptimize(ev.attainable());
+        ev.setIntensity(0, 1, vals[i++ & 3]);
+        ev.run();
+        benchmark::DoNotOptimize(ev.attainable(0));
     }
     state.SetComplexityN(state.range(0));
 }
@@ -208,13 +209,13 @@ class BestOf
     Measurement best_;
 };
 
-/** Single-parameter mutation + attainable() on a compiled 8-IP
- * evaluator: the steady-state shape of every sweep/advisor probe. */
+/** Single-parameter mutation + run() on a compiled 8-IP single-point
+ * pack: the steady-state shape of every advisor probe. */
 Measurement
 measureEvaluate8Ip(int reps)
 {
     auto [soc, u] = synthetic(8, 7);
-    GablesEvaluator ev(soc, u);
+    GablesPack<1> ev(soc, u);
     const uint64_t kEvals = 200000;
     double vals[4] = {0.5, 2.0, 8.0, 32.0};
     BestOf best;
@@ -222,8 +223,9 @@ measureEvaluate8Ip(int reps)
         double acc = 0.0;
         Clock::time_point t0 = Clock::now();
         for (uint64_t i = 0; i < kEvals; ++i) {
-            ev.setIntensity(3, vals[i & 3]);
-            acc += ev.attainable();
+            ev.setIntensity(0, 3, vals[i & 3]);
+            ev.run();
+            acc += ev.attainable(0);
         }
         double seconds = secondsSince(t0);
         benchmark::DoNotOptimize(acc);
@@ -232,15 +234,36 @@ measureEvaluate8Ip(int reps)
     return best.result();
 }
 
+/** The mixing grid through a pack of width W: stage W fractions per
+ * pass, run, read the lanes — the staging Sweep::mixing performs,
+ * without the driver around it. */
+template <size_t W>
+double
+mixingGrid(GablesPack<W> &pack, const std::vector<double> &fractions)
+{
+    double acc = 0.0;
+    for (size_t p0 = 0; p0 < fractions.size(); p0 += W) {
+        const size_t cnt = std::min(W, fractions.size() - p0);
+        double f0[W] = {};
+        for (size_t w = 0; w < cnt; ++w)
+            f0[w] = 1.0 - fractions[p0 + w];
+        pack.setFractionRow(0, f0, cnt);
+        pack.setFractionRow(1, fractions.data() + p0, cnt);
+        pack.run(cnt);
+        for (size_t w = 0; w < cnt; ++w)
+            acc += pack.attainable(w);
+    }
+    return acc;
+}
+
 /**
- * A full serial Sweep::mixing grid (paper Figure 8 shape), measured
- * on the packed and scalar paths in alternating reps. Interleaving
- * matters: the packed-vs-scalar ratio gates CI, and pairing the reps
- * inside one window keeps scheduler/frequency drift from landing on
- * only one side of the ratio.
+ * The 4096-point mixing grid through a kGridWidth pack and a
+ * single-point pack in alternating reps. Interleaving matters: the
+ * width ratio gates CI, and pairing the reps inside one window keeps
+ * scheduler/frequency drift from landing on only one side of it.
  */
 void
-measureSweepMixing(int reps, Measurement &packed, Measurement &scalar)
+measureMixingWidths(int reps, Measurement &wide, Measurement &single)
 {
     auto [soc, u] = synthetic(4, 31);
     const size_t kPoints = 4096;
@@ -248,23 +271,27 @@ measureSweepMixing(int reps, Measurement &packed, Measurement &scalar)
     fractions.reserve(kPoints);
     for (size_t i = 0; i < kPoints; ++i)
         fractions.push_back(static_cast<double>(i) / (kPoints - 1));
-    auto one = [&](BestOf &best) {
+    // The Sweep::mixing seed: all work on IP[0] and IP[1].
+    std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
+    work[0] = IpWork{1.0, 8.0};
+    work[1] = IpWork{0.0, 0.1};
+    Usecase seed("mixing", std::move(work));
+    GablesPack<kGridWidth> pack_wide(soc, seed);
+    GablesPack<1> pack_single(soc, seed);
+    auto one = [&](auto &pack, BestOf &best) {
         Clock::time_point t0 = Clock::now();
-        Series s = Sweep::mixing(soc, 8.0, 0.1, fractions, true, 1);
+        double acc = mixingGrid(pack, fractions);
         double seconds = secondsSince(t0);
-        benchmark::DoNotOptimize(s.y.back());
+        benchmark::DoNotOptimize(acc);
         best.sample(seconds, kPoints);
     };
-    BestOf best_packed, best_scalar;
+    BestOf best_wide, best_single;
     for (int r = 0; r < reps; ++r) {
-        one(best_packed);
-        {
-            simd::ScopedEnable off(false);
-            one(best_scalar);
-        }
+        one(pack_wide, best_wide);
+        one(pack_single, best_single);
     }
-    packed = best_packed.result();
-    scalar = best_scalar.result();
+    wide = best_wide.result();
+    single = best_single.result();
 }
 
 /** The 64x64 explorer grid shared by the explorer workloads. */
@@ -288,14 +315,11 @@ makeGridExplorer(std::vector<double> &bpeaks,
     return ex;
 }
 
-/** The explorer cross product through the compiled-evaluator engine,
- * with or without subgrid bound pruning. The rate is grid designs
- * per second of wall time, so pruning shows up as a higher rate.
- * When @p scalar is given, packed and scalar reps alternate inside
- * the same window (see measureSweepMixing). */
+/** The explorer cross product through the packed grid, with or
+ * without subgrid bound pruning. The rate is grid designs per second
+ * of wall time, so pruning shows up as a higher rate. */
 Measurement
-measureExplorerGrid(bool prune, int reps,
-                    Measurement *scalar = nullptr)
+measureExplorerGrid(bool prune, int reps)
 {
     std::vector<double> bpeaks, accels;
     DesignExplorer ex = makeGridExplorer(bpeaks, accels);
@@ -304,24 +328,15 @@ measureExplorerGrid(bool prune, int reps,
     opts.prune = prune;
     const uint64_t designs =
         static_cast<uint64_t>(bpeaks.size() * accels.size());
-    auto one = [&](BestOf &best) {
+    BestOf best;
+    for (int r = 0; r < reps; ++r) {
         Clock::time_point t0 = Clock::now();
         auto frontier = ex.exploreFrontier(opts);
         double seconds = secondsSince(t0);
         benchmark::DoNotOptimize(frontier.size());
         best.sample(seconds, designs);
-    };
-    BestOf best_packed, best_scalar;
-    for (int r = 0; r < reps; ++r) {
-        one(best_packed);
-        if (scalar) {
-            simd::ScopedEnable off(false);
-            one(best_scalar);
-        }
     }
-    if (scalar)
-        *scalar = best_scalar.result();
-    return best_packed.result();
+    return best.result();
 }
 
 /**
@@ -392,47 +407,32 @@ runManual(const std::string &json_path, int reps)
     // first-touch costs.
     measureEvaluate8Ip(1);
 
-    // The grid workloads run the packed path and the scalar
-    // reference path in alternating reps of the same window: the
-    // packed-vs-scalar ratio cancels machine speed the same way
-    // explorer_grid_reference does for the evaluator, and the
-    // interleave keeps drift off the ratio.
     Measurement eval8 = measureEvaluate8Ip(reps);
-    Measurement mixing, mixing_scalar;
-    measureSweepMixing(std::max(1, reps / 4), mixing, mixing_scalar);
-    Measurement grid_scalar;
-    Measurement grid = measureExplorerGrid(
-        false, std::max(1, reps / 4), &grid_scalar);
+    Measurement mixing, mixing_single;
+    measureMixingWidths(std::max(1, reps / 4), mixing, mixing_single);
+    Measurement grid = measureExplorerGrid(false, std::max(1, reps / 4));
     Measurement pruned = measureExplorerGrid(true,
                                              std::max(1, reps / 4));
     Measurement reference =
         measureExplorerReference(std::max(1, reps / 4));
 
     printMeasurement("evaluate_8ip", eval8);
-    printMeasurement("sweep_mixing_4096", mixing);
-    printMeasurement("sweep_mixing_4096_scalar", mixing_scalar);
+    printMeasurement("mixing_4096_w8", mixing);
+    printMeasurement("mixing_4096_w1", mixing_single);
     printMeasurement("explorer_grid", grid);
-    printMeasurement("explorer_grid_scalar", grid_scalar);
     printMeasurement("explorer_grid_pruned", pruned);
     printMeasurement("explorer_grid_reference", reference);
 
     double speedup_grid = grid.itemsPerSec / reference.itemsPerSec;
     double speedup_pruned =
         pruned.itemsPerSec / reference.itemsPerSec;
-    double speedup_mixing_simd =
-        mixing.itemsPerSec / mixing_scalar.itemsPerSec;
-    double speedup_grid_simd =
-        grid.itemsPerSec / grid_scalar.itemsPerSec;
+    double speedup_width =
+        mixing.itemsPerSec / mixing_single.itemsPerSec;
     std::cout << "  speedup vs reference: "
               << formatDouble(speedup_grid, 1) << "x unpruned, "
               << formatDouble(speedup_pruned, 1) << "x pruned\n";
-    std::cout << "  packed vs scalar lanes: "
-              << formatDouble(speedup_mixing_simd, 1)
-              << "x mixing sweep, "
-              << formatDouble(speedup_grid_simd, 1)
-              << "x explorer grid (lane width "
-              << (simd::enabled() ? GablesEvalPack::kWidth : 1)
-              << ")\n";
+    std::cout << "  lane width " << kGridWidth << " vs 1: "
+              << formatDouble(speedup_width, 2) << "x mixing grid\n";
 
     std::ostringstream out;
     JsonWriter json(out);
@@ -445,23 +445,14 @@ runManual(const std::string &json_path, int reps)
     json.kv("reps", reps);
     json.key("config");
     json.beginObject();
-    json.kv("lane_width",
-            simd::enabled()
-                ? static_cast<size_t>(GablesEvalPack::kWidth)
-                : static_cast<size_t>(1));
-    json.kv("simd_compiled",
-            static_cast<size_t>(simd::kCompiledIn ? 1 : 0));
-    json.kv("simd_enabled",
-            static_cast<size_t>(simd::enabled() ? 1 : 0));
+    json.kv("lane_width", kGridWidth);
     json.endObject();
     json.key("workloads");
     json.beginObject();
     writeMeasurement(json, "evaluate_8ip", eval8);
-    writeMeasurement(json, "sweep_mixing_4096", mixing);
-    writeMeasurement(json, "sweep_mixing_4096_scalar",
-                     mixing_scalar);
+    writeMeasurement(json, "mixing_4096_w8", mixing);
+    writeMeasurement(json, "mixing_4096_w1", mixing_single);
     writeMeasurement(json, "explorer_grid", grid);
-    writeMeasurement(json, "explorer_grid_scalar", grid_scalar);
     writeMeasurement(json, "explorer_grid_pruned", pruned);
     writeMeasurement(json, "explorer_grid_reference", reference);
     json.endObject();
@@ -469,9 +460,7 @@ runManual(const std::string &json_path, int reps)
     json.beginObject();
     json.kv("explorer_grid_vs_reference", speedup_grid);
     json.kv("explorer_grid_pruned_vs_reference", speedup_pruned);
-    json.kv("sweep_mixing_4096_simd_vs_scalar",
-            speedup_mixing_simd);
-    json.kv("explorer_grid_simd_vs_scalar", speedup_grid_simd);
+    json.kv("mixing_4096_w8_vs_w1", speedup_width);
     json.endObject();
     json.endObject();
     writeFileAtomic(json_path, out.str());

@@ -59,11 +59,12 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
     if (!(options.maxScale > 1.0))
         fatal("advisor maxScale must exceed 1");
 
-    // One compiled evaluator serves the base point and every probe of
-    // the minimalScale bisections: each probe sets the scaled
-    // parameter, evaluates, and restores the base value.
-    GablesEvaluator ev(soc, usecase);
-    const double base = ev.attainable();
+    // One compiled single-point pack serves the base point and every
+    // probe of the minimalScale bisections: each probe sets the
+    // scaled parameter, evaluates, and restores the base value.
+    GablesPack<1> ev(soc, usecase);
+    ev.run();
+    const double base = ev.attainable(0);
     std::vector<Advice> advice;
 
     auto consider = [&](AdviceKind kind, int ip, double before,
@@ -90,9 +91,10 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
     consider(
         AdviceKind::RaiseBpeak, -1, soc.bpeak(), options.maxScale,
         [&](double s) {
-            ev.setBpeak(soc.bpeak() * s);
-            double p = ev.attainable();
-            ev.setBpeak(soc.bpeak());
+            ev.setBpeak(0, soc.bpeak() * s);
+            ev.run();
+            double p = ev.attainable(0);
+            ev.setBpeak(0, soc.bpeak());
             return p;
         },
         [&](double after) {
@@ -113,9 +115,10 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
             AdviceKind::RaiseIpBandwidth, static_cast<int>(i),
             ip.bandwidth, options.maxScale,
             [&, i](double s) {
-                ev.setIpBandwidth(i, ip.bandwidth * s);
-                double p = ev.attainable();
-                ev.setIpBandwidth(i, ip.bandwidth);
+                ev.setIpBandwidth(0, i, ip.bandwidth * s);
+                ev.run();
+                double p = ev.attainable(0);
+                ev.setIpBandwidth(0, i, ip.bandwidth);
                 return p;
             },
             [&, who](double after) {
@@ -129,9 +132,10 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
                 AdviceKind::RaiseAcceleration, static_cast<int>(i),
                 ip.acceleration, options.maxScale,
                 [&, i](double s) {
-                    ev.setAcceleration(i, ip.acceleration * s);
-                    double p = ev.attainable();
-                    ev.setAcceleration(i, ip.acceleration);
+                    ev.setAcceleration(0, i, ip.acceleration * s);
+                    ev.run();
+                    double p = ev.attainable(0);
+                    ev.setAcceleration(0, i, ip.acceleration);
                     return p;
                 },
                 [&, who](double after) {
@@ -147,9 +151,10 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
                 AdviceKind::RaiseIntensity, static_cast<int>(i),
                 intensity, options.maxIntensityScale,
                 [&, i, intensity](double s) {
-                    ev.setIntensity(i, intensity * s);
-                    double p = ev.attainable();
-                    ev.setIntensity(i, intensity);
+                    ev.setIntensity(0, i, intensity * s);
+                    ev.run();
+                    double p = ev.attainable(0);
+                    ev.setIntensity(0, i, intensity);
                     return p;
                 },
                 [&, who](double after) {

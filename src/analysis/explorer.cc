@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/evaluator.h"
 #include "telemetry/span.h"
 #include "util/logging.h"
 
@@ -116,110 +117,137 @@ DesignExplorer::hasDuplicateKnobTargets() const
     return false;
 }
 
-DesignExplorer::WorkerState
-DesignExplorer::makeWorkerState() const
+/**
+ * Per-worker evaluation state for packs of W designs: one pack per
+ * usecase, the knob digits each lane last received (so consecutive
+ * packs only restage the knobs that changed — a lane moves W flat
+ * indices per pack, which typically changes only the low digits),
+ * and scratch IPs for materializing a lane's SocSpec.
+ */
+template <size_t W>
+struct DesignExplorer::Lanes {
+    std::vector<GablesPack<W>> packs;
+    /** Last digit staged per [lane][knob], flat. */
+    std::vector<size_t> digits;
+    /** Digits of the lane being staged. */
+    std::vector<size_t> cur;
+    std::vector<IpSpec> ips;
+    /** False when knobs share a model term: the term's value then
+     * depends on applying every knob in registration order (later
+     * wins), so the unchanged-digit skip would make a design's value
+     * depend on traversal history. */
+    bool incremental = true;
+};
+
+template <size_t W>
+DesignExplorer::Lanes<W>
+DesignExplorer::makeLanes() const
 {
-    WorkerState ws;
-    ws.evaluators.reserve(usecases_.size());
+    Lanes<W> ls;
+    ls.packs.reserve(usecases_.size());
     for (const Usecase &u : usecases_)
-        ws.evaluators.emplace_back(base_, u);
-    ws.bpeak = base_.bpeak();
-    ws.ips = base_.ips();
-    // "No digit applied yet": the first applyDigits() call applies
-    // every knob.
-    ws.digits.assign(knobs_.size(),
+        ls.packs.emplace_back(base_, u);
+    // "No digit applied yet": the first pack stages every knob on
+    // every lane.
+    ls.digits.assign(W * knobs_.size(),
                      std::numeric_limits<size_t>::max());
-    ws.incremental = !hasDuplicateKnobTargets();
-    return ws;
+    ls.cur.assign(knobs_.size(), 0);
+    ls.ips = base_.ips();
+    ls.incremental = !hasDuplicateKnobTargets();
+    return ls;
 }
 
+template <size_t W>
 void
-DesignExplorer::applyKnobHardware(WorkerState &ws, const Knob &knob,
-                                  double v)
+DesignExplorer::applyKnob(Lanes<W> &ls, size_t w, const Knob &knob,
+                          double v)
 {
-    switch (knob.kind) {
-    case Knob::Kind::Bpeak:
-        ws.bpeak = v;
-        break;
-    case Knob::Kind::Acceleration:
-        ws.ips[knob.ip].acceleration = v;
-        break;
-    case Knob::Kind::IpBandwidth:
-        ws.ips[knob.ip].bandwidth = v;
-        break;
-    }
-}
-
-void
-DesignExplorer::applyKnobLane(GablesEvalPack &pack, size_t lane,
-                              const Knob &knob, double v)
-{
-    switch (knob.kind) {
-    case Knob::Kind::Bpeak:
-        pack.setBpeak(lane, v);
-        break;
-    case Knob::Kind::Acceleration:
-        pack.setAcceleration(lane, knob.ip, v);
-        break;
-    case Knob::Kind::IpBandwidth:
-        pack.setIpBandwidth(lane, knob.ip, v);
-        break;
-    }
-}
-
-void
-DesignExplorer::applyKnob(WorkerState &ws, const Knob &knob,
-                          double v) const
-{
-    switch (knob.kind) {
-    case Knob::Kind::Bpeak:
-        for (GablesEvaluator &ev : ws.evaluators)
-            ev.setBpeak(v);
-        break;
-    case Knob::Kind::Acceleration:
-        for (GablesEvaluator &ev : ws.evaluators)
-            ev.setAcceleration(knob.ip, v);
-        break;
-    case Knob::Kind::IpBandwidth:
-        for (GablesEvaluator &ev : ws.evaluators)
-            ev.setIpBandwidth(knob.ip, v);
-        break;
-    }
-    applyKnobHardware(ws, knob, v);
-}
-
-void
-DesignExplorer::applyDigits(WorkerState &ws, size_t flat) const
-{
-    size_t rest = flat;
-    for (size_t k = 0; k < knobs_.size(); ++k) {
-        const Knob &knob = knobs_[k];
-        size_t digit = rest % knob.values.size();
-        rest /= knob.values.size();
-        if (!ws.incremental || ws.digits[k] != digit) {
-            applyKnob(ws, knob, knob.values[digit]);
-            ws.digits[k] = digit;
+    for (GablesPack<W> &pack : ls.packs) {
+        switch (knob.kind) {
+        case Knob::Kind::Bpeak:
+            pack.setBpeak(w, v);
+            break;
+        case Knob::Kind::Acceleration:
+            pack.setAcceleration(w, knob.ip, v);
+            break;
+        case Knob::Kind::IpBandwidth:
+            pack.setIpBandwidth(w, knob.ip, v);
+            break;
         }
     }
 }
 
+template <size_t W>
 void
-DesignExplorer::evaluateOne(size_t flat, WorkerState &ws,
+DesignExplorer::runLanes(Lanes<W> &ls, size_t p0, size_t cnt,
+                         Point *out) const
+{
+    const size_t n_knobs = knobs_.size();
+    // Decompose the first flat index once; the remaining lanes
+    // advance the digit odometer by one step each.
+    size_t rest = p0;
+    for (size_t k = 0; k < n_knobs; ++k) {
+        ls.cur[k] = rest % knobs_[k].values.size();
+        rest /= knobs_[k].values.size();
+    }
+    for (size_t w = 0; w < cnt; ++w) {
+        if (w != 0) {
+            for (size_t k = 0; k < n_knobs; ++k) {
+                if (++ls.cur[k] < knobs_[k].values.size())
+                    break;
+                ls.cur[k] = 0;
+            }
+        }
+        // Stage each knob in registration order, skipping digits the
+        // lane already carries.
+        size_t *lane_digits = ls.digits.data() + w * n_knobs;
+        for (size_t k = 0; k < n_knobs; ++k) {
+            const size_t digit = ls.cur[k];
+            if (!ls.incremental || lane_digits[k] != digit) {
+                applyKnob(ls, w, knobs_[k], knobs_[k].values[digit]);
+                lane_digits[k] = digit;
+            }
+        }
+    }
+    for (GablesPack<W> &pack : ls.packs)
+        pack.run(cnt);
+
+    // Linear cost from the pack's own parameter rows: the per-lane
+    // sums reduce in IP index order, so the bits match
+    // CostModel::cost() on the design's SocSpec.
+    double sum_a[W] = {};
+    double sum_b[W] = {};
+    const GablesPack<W> &hw = ls.packs.front();
+    hw.paramSums(sum_a, sum_b);
+    for (size_t w = 0; w < cnt; ++w) {
+        double min_perf = kInf;
+        for (const GablesPack<W> &pack : ls.packs)
+            min_perf = std::min(min_perf, pack.attainable(w));
+        out[w] = Point{p0 + w, min_perf,
+                       cost_.costPerAcceleration * sum_a[w] +
+                           cost_.costPerBpeak * hw.bpeak(w) +
+                           cost_.costPerIpBandwidth * sum_b[w]};
+    }
+}
+
+template <size_t W>
+void
+DesignExplorer::materialize(Lanes<W> &ls, size_t w, const Point &p,
                             Candidate &out) const
 {
-    applyDigits(ws, flat);
-    out.soc = SocSpec(base_.name(), base_.ppeak(), ws.bpeak, ws.ips);
-    out.cost = cost_.cost(ws.bpeak, ws.ips);
+    const GablesPack<W> &hw = ls.packs.front();
+    for (size_t i = 0; i < ls.ips.size(); ++i) {
+        ls.ips[i].acceleration = hw.acceleration(w, i);
+        ls.ips[i].bandwidth = hw.ipBandwidth(w, i);
+    }
+    out.soc = SocSpec(base_.name(), base_.ppeak(), hw.bpeak(w), ls.ips);
+    out.minPerf = p.minPerf;
+    out.cost = p.cost;
     out.pareto = false;
     out.perUsecase.clear();
-    out.perUsecase.reserve(usecases_.size());
-    double min_perf = kInf;
-    for (GablesEvaluator &ev : ws.evaluators) {
-        double p = ev.attainable();
-        out.perUsecase.push_back(p);
-        min_perf = std::min(min_perf, p);
-    }
-    out.minPerf = min_perf;
+    out.perUsecase.reserve(ls.packs.size());
+    for (const GablesPack<W> &pack : ls.packs)
+        out.perUsecase.push_back(pack.attainable(w));
 }
 
 std::vector<Candidate>
@@ -228,26 +256,34 @@ DesignExplorer::explore(int jobs, parallel::ForStats *stats) const
     // The cross product is enumerated odometer-style with knob 0
     // fastest-varying; flat index i decomposes into per-knob digits
     // so candidates land in pre-sized slots in enumeration order
-    // regardless of how many workers evaluate them.
+    // regardless of how many workers evaluate them. One loop index is
+    // one pack of consecutive flat indices.
     std::vector<Candidate> candidates(
         gridSize(), Candidate{base_, 0.0, {}, 0.0, false});
+    constexpr size_t W = kGridWidth;
+    const size_t packs = (candidates.size() + W - 1) / W;
 
     parallel::ForOptions opts;
     opts.jobs = jobs;
-    int workers = parallel::plannedWorkers(candidates.size(), opts);
-    std::vector<WorkerState> states;
+    int workers = parallel::plannedWorkers(packs, opts);
+    std::vector<Lanes<W>> states;
     states.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w)
-        states.push_back(makeWorkerState());
+        states.push_back(makeLanes<W>());
 
     parallel::ForStats st;
     {
         GABLES_SPAN("explore.grid");
         st = parallel::parallelFor(
-            candidates.size(),
-            [&](size_t i, int worker) {
-                evaluateOne(i, states[static_cast<size_t>(worker)],
-                            candidates[i]);
+            packs,
+            [&](size_t pi, int worker) {
+                Lanes<W> &ls = states[static_cast<size_t>(worker)];
+                const size_t p0 = pi * W;
+                const size_t cnt = std::min(W, candidates.size() - p0);
+                Point points[W] = {};
+                runLanes(ls, p0, cnt, points);
+                for (size_t w = 0; w < cnt; ++w)
+                    materialize(ls, w, points[w], candidates[p0 + w]);
             },
             opts);
     }
@@ -290,6 +326,7 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     const size_t total = gridSize();
     const size_t n_use = usecases_.size();
     const size_t n_knobs = knobs_.size();
+    constexpr size_t W = kGridWidth;
 
     parallel::ForOptions opts;
     opts.jobs = options.jobs;
@@ -305,31 +342,14 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     st.forStats.workers = workers;
     st.forStats.busySeconds.assign(static_cast<size_t>(workers), 0.0);
 
-    std::vector<WorkerState> states;
+    std::vector<Lanes<W>> states;
     states.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w)
-        states.push_back(makeWorkerState());
-    WorkerState probe = prune ? makeWorkerState() : WorkerState{};
-
-    // Packed grid path: each worker carries one pack per usecase and
-    // evaluates kWidth designs per pass. Each lane reproduces the
-    // scalar per-design mutation sequence bit-for-bit, and the
-    // min-across-usecases reduction visits usecases in the same
-    // order, so frontiers and eval counters are identical.
-    const bool packed = simd::enabled();
-    if (packed) {
-        for (WorkerState &ws : states) {
-            ws.packs.reserve(ws.evaluators.size());
-            for (const GablesEvaluator &ev : ws.evaluators)
-                ws.packs.emplace_back(ev);
-            // "No digit applied yet" sentinels, as in
-            // makeWorkerState(): the first pack stages every knob on
-            // every lane.
-            ws.laneDigits.assign(GablesEvalPack::kWidth * n_knobs,
-                                 std::numeric_limits<size_t>::max());
-            ws.curDigits.assign(n_knobs, 0);
-        }
-    }
+        states.push_back(makeLanes<W>());
+    // Single-point packs for the subgrid bound probes and for the
+    // final frontier materialization.
+    Lanes<1> probe = prune ? makeLanes<1>() : Lanes<1>{};
+    Lanes<1> single = makeLanes<1>();
 
     // Flat-index stride of each knob (knob 0 varies fastest).
     std::vector<size_t> stride(n_knobs, 1);
@@ -357,13 +377,6 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
         }
     };
 
-    // Light per-design record; full Candidates (SocSpec, perUsecase)
-    // are materialized only for the final frontier members.
-    struct Point {
-        size_t flat;
-        double minPerf;
-        double cost;
-    };
     // Pareto set of all designs evaluated so far, kept in
     // enumeration order.
     std::vector<Point> incumbents;
@@ -383,6 +396,8 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
         return false;
     };
 
+    double corner_bpeak = base_.bpeak();
+    std::vector<IpSpec> corner_ips = base_.ips();
     auto subgridBounds = [&](size_t lo, size_t hi, double &p_max,
                              double &c_min) {
         // Max-performance corner: largest covered value per knob,
@@ -392,18 +407,23 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
             forEachCoveredDigit(k, lo, hi, [&](size_t d) {
                 best = std::max(best, knobs_[k].values[d]);
             });
-            applyKnob(probe, knobs_[k], best);
+            applyKnob(probe, 0, knobs_[k], best);
         }
         double min_perf = kInf;
-        for (GablesEvaluator &ev : probe.evaluators)
-            min_perf = std::min(min_perf, ev.attainable());
+        for (GablesPack<1> &pack : probe.packs) {
+            pack.run();
+            min_perf = std::min(min_perf, pack.attainable(0));
+        }
         p_max = min_perf;
 
         // Min-cost corner: per knob, the covered value whose linear
         // cost contribution is smallest given the coefficient sign.
+        // Cost needs no model evaluation, so the corner goes onto
+        // bare hardware values.
         for (size_t k = 0; k < n_knobs; ++k) {
+            const Knob &knob = knobs_[k];
             double coeff = 0.0;
-            switch (knobs_[k].kind) {
+            switch (knob.kind) {
             case Knob::Kind::Bpeak:
                 coeff = cost_.costPerBpeak;
                 break;
@@ -417,13 +437,23 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
             bool want_min = coeff >= 0.0;
             double chosen = want_min ? kInf : -kInf;
             forEachCoveredDigit(k, lo, hi, [&](size_t d) {
-                double v = knobs_[k].values[d];
+                double v = knob.values[d];
                 chosen = want_min ? std::min(chosen, v)
                                   : std::max(chosen, v);
             });
-            applyKnobHardware(probe, knobs_[k], chosen);
+            switch (knob.kind) {
+            case Knob::Kind::Bpeak:
+                corner_bpeak = chosen;
+                break;
+            case Knob::Kind::Acceleration:
+                corner_ips[knob.ip].acceleration = chosen;
+                break;
+            case Knob::Kind::IpBandwidth:
+                corner_ips[knob.ip].bandwidth = chosen;
+                break;
+            }
         }
-        c_min = cost_.cost(probe.bpeak, probe.ips);
+        c_min = cost_.cost(corner_bpeak, corner_ips);
     };
 
     auto mergeIncumbent = [&](const Point &p) {
@@ -463,92 +493,13 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
 
         GABLES_SPAN("explore.grid");
         chunk_points.resize(hi - lo);
-        if (packed) {
-            // One loop index = one pack of consecutive flat indices.
-            constexpr size_t W = GablesEvalPack::kWidth;
-            const size_t npacks = (hi - lo + W - 1) / W;
-            pool.forEach(npacks, [&](size_t pi, int worker) {
-                WorkerState &ws =
-                    states[static_cast<size_t>(worker)];
-                const size_t p0 = lo + pi * W;
-                const size_t cnt = std::min(W, hi - p0);
-                // Decompose the pack's first flat index once; the
-                // remaining lanes advance the digit odometer by one
-                // step each instead of re-dividing per lane.
-                size_t rest = p0;
-                for (size_t k = 0; k < n_knobs; ++k) {
-                    ws.curDigits[k] = rest % knobs_[k].values.size();
-                    rest /= knobs_[k].values.size();
-                }
-                for (size_t w = 0; w < cnt; ++w) {
-                    if (w != 0) {
-                        for (size_t k = 0; k < n_knobs; ++k) {
-                            if (++ws.curDigits[k] <
-                                knobs_[k].values.size())
-                                break;
-                            ws.curDigits[k] = 0;
-                        }
-                    }
-                    // Stage each knob in registration order, skipping
-                    // digits the lane already carries — the same
-                    // unchanged-digit skip the scalar applyDigits()
-                    // performs, and gated off by the same
-                    // `incremental` flag when knobs share a model
-                    // term (later knobs must then win by
-                    // re-application, identically to the scalar
-                    // non-incremental path).
-                    size_t *lane_digits =
-                        ws.laneDigits.data() + w * n_knobs;
-                    for (size_t k = 0; k < n_knobs; ++k) {
-                        const Knob &knob = knobs_[k];
-                        const size_t digit = ws.curDigits[k];
-                        if (!ws.incremental ||
-                            lane_digits[k] != digit) {
-                            const double v = knob.values[digit];
-                            for (GablesEvalPack &pack : ws.packs)
-                                applyKnobLane(pack, w, knob, v);
-                            lane_digits[k] = digit;
-                        }
-                    }
-                }
-                for (GablesEvalPack &pack : ws.packs)
-                    pack.run(cnt);
-                // Linear cost from the pack's own parameter rows:
-                // the per-lane sums reduce in IP index order, so
-                // cost bits match CostModel::cost() on the scratch
-                // hardware arrays the scalar path maintains.
-                double sum_a[W];
-                double sum_b[W];
-                ws.packs.front().paramSums(sum_a, sum_b);
-                const GablesEvalPack &hw = ws.packs.front();
-                for (size_t w = 0; w < cnt; ++w) {
-                    double min_perf = kInf;
-                    for (GablesEvalPack &pack : ws.packs)
-                        min_perf =
-                            std::min(min_perf, pack.attainable(w));
-                    Point &p = chunk_points[p0 - lo + w];
-                    p.flat = p0 + w;
-                    p.minPerf = min_perf;
-                    p.cost =
-                        cost_.costPerAcceleration * sum_a[w] +
-                        cost_.costPerBpeak * hw.bpeak(w) +
-                        cost_.costPerIpBandwidth * sum_b[w];
-                }
-            });
-        } else {
-            pool.forEach(hi - lo, [&](size_t i, int worker) {
-                WorkerState &ws =
-                    states[static_cast<size_t>(worker)];
-                Point &p = chunk_points[i];
-                p.flat = lo + i;
-                applyDigits(ws, p.flat);
-                p.cost = cost_.cost(ws.bpeak, ws.ips);
-                double min_perf = kInf;
-                for (GablesEvaluator &ev : ws.evaluators)
-                    min_perf = std::min(min_perf, ev.attainable());
-                p.minPerf = min_perf;
-            });
-        }
+        // One loop index = one pack of consecutive flat indices.
+        const size_t npacks = (hi - lo + W - 1) / W;
+        pool.forEach(npacks, [&](size_t pi, int worker) {
+            const size_t p0 = lo + pi * W;
+            runLanes(states[static_cast<size_t>(worker)], p0,
+                     std::min(W, hi - p0), chunk_points.data() + (p0 - lo));
+        });
         const std::vector<double> &busy = pool.busySeconds();
         for (size_t w = 0;
              w < busy.size() && w < st.forStats.busySeconds.size(); ++w)
@@ -566,10 +517,11 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     GABLES_SPAN("explore.materialize");
     std::vector<Candidate> out;
     out.reserve(incumbents.size());
-    WorkerState &scratch = states.front();
     for (const Point &p : incumbents) {
         Candidate c{base_, 0.0, {}, 0.0, false};
-        evaluateOne(p.flat, scratch, c);
+        Point again{};
+        runLanes(single, p.flat, 1, &again);
+        materialize(single, 0, again, c);
         c.pareto = true;
         out.push_back(std::move(c));
     }
@@ -581,14 +533,14 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
                          return a.cost < b.cost;
                      });
 
-    for (const WorkerState &ws : states) {
-        for (const GablesEvaluator &ev : ws.evaluators)
-            st.evals += ev.evalCount();
-        for (const GablesEvalPack &pack : ws.packs)
+    for (const Lanes<W> &ls : states) {
+        for (const GablesPack<W> &pack : ls.packs)
             st.evals += pack.evalCount();
     }
-    for (const GablesEvaluator &ev : probe.evaluators)
-        st.evals += ev.evalCount();
+    for (const Lanes<1> *ls : {&probe, &single}) {
+        for (const GablesPack<1> &pack : ls->packs)
+            st.evals += pack.evalCount();
+    }
     if (stats)
         *stats = st;
     return out;

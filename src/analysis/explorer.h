@@ -8,8 +8,9 @@
  * MINIMUM attainable performance across usecases), attaches a simple
  * cost model, and extracts the Pareto frontier.
  *
- * Evaluation runs on per-worker compiled GablesEvaluator instances:
- * each knob digit updates one model term instead of rebuilding a
+ * Evaluation runs on per-worker GablesPack<kGridWidth> instances
+ * (one per usecase): each pass stages kGridWidth designs, and a lane
+ * only restages the knobs whose digit changed, instead of rebuilding a
  * SocSpec per knob per design. exploreFrontier() additionally prunes
  * with monotonicity bounds: Pattainable is nondecreasing in Ai, Bi,
  * and Bpeak, so one evaluation at a subgrid's max corner upper-bounds
@@ -28,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/evaluator.h"
 #include "core/gables.h"
 #include "parallel/parallel_for.h"
 
@@ -172,54 +172,32 @@ class DesignExplorer
         std::vector<double> values;
     };
 
-    /**
-     * Per-worker evaluation state: one compiled evaluator per
-     * usecase, scratch hardware arrays for materializing the
-     * candidate's SocSpec, and the last-applied knob digits so
-     * consecutive grid points only touch the knobs that changed.
-     */
-    struct WorkerState {
-        std::vector<GablesEvaluator> evaluators;
-        /** Packed mirrors of `evaluators` (one pack per usecase),
-         * populated only when exploreFrontier() runs the packed grid
-         * path; each pack lane holds one design of a pack. */
-        std::vector<GablesEvalPack> packs;
-        /** Last digits applied to each pack lane, [lane][knob] flat —
-         * the packed grid's analogue of `digits`, letting a lane skip
-         * knobs whose digit it already carries (consecutive packs
-         * move a lane by kWidth flat indices, which typically changes
-         * only the low knob digits). Packed path only. */
-        std::vector<size_t> laneDigits;
-        /** Packed-path scratch: the digits of the lane currently
-         * being staged (decomposed once per pack, then advanced
-         * odometer-style per lane). */
-        std::vector<size_t> curDigits;
-        double bpeak = 0.0;
-        std::vector<IpSpec> ips;
-        std::vector<size_t> digits;
-        /** False when knobs share a model term: the term's value then
-         * depends on applying every knob in registration order (later
-         * wins), so the unchanged-digit skip would make a design's
-         * value depend on traversal history. */
-        bool incremental = true;
+    /** Score of one design: its flat enumeration index, minimum
+     * attainable performance across the usecases, and cost. */
+    struct Point {
+        size_t flat;
+        double minPerf;
+        double cost;
     };
 
-    WorkerState makeWorkerState() const;
-    /** Apply knob value @p v to the worker's evaluators and scratch
-     * hardware arrays. */
-    void applyKnob(WorkerState &ws, const Knob &knob, double v) const;
-    /** Apply knob value @p v to the scratch hardware arrays only
-     * (bound probes that never evaluate the model). */
-    static void applyKnobHardware(WorkerState &ws, const Knob &knob,
-                                  double v);
-    /** Apply knob value @p v to lane @p lane of one pack. */
-    static void applyKnobLane(GablesEvalPack &pack, size_t lane,
-                              const Knob &knob, double v);
-    /** Decompose @p flat into per-knob digits and apply the ones
-     * that differ from the worker's last applied digits. */
-    void applyDigits(WorkerState &ws, size_t flat) const;
-    /** Evaluate flat enumeration index @p flat into @p out. */
-    void evaluateOne(size_t flat, WorkerState &ws, Candidate &out) const;
+    /** Per-worker state for packs of W designs (defined in
+     * explorer.cc). */
+    template <size_t W> struct Lanes;
+
+    template <size_t W> Lanes<W> makeLanes() const;
+    /** Stage flat indices [p0, p0 + cnt) onto lanes 0..cnt-1, run
+     * every pack, and score lane w into @p out[w]. */
+    template <size_t W>
+    void runLanes(Lanes<W> &ls, size_t p0, size_t cnt, Point *out) const;
+    /** Fill @p out with the design and per-usecase detail of lane
+     * @p w from the last runLanes(), scored @p p. */
+    template <size_t W>
+    void materialize(Lanes<W> &ls, size_t w, const Point &p,
+                     Candidate &out) const;
+    /** Apply knob value @p v to lane @p w of every pack. */
+    template <size_t W>
+    static void applyKnob(Lanes<W> &ls, size_t w, const Knob &knob,
+                          double v);
     /** @return True if two knobs drive the same model term (later
      * application overrides earlier; bounds would be wrong). */
     bool hasDuplicateKnobTargets() const;

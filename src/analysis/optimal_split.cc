@@ -82,7 +82,10 @@ OptimalSplitSolver::solve() const
     double byte_budget = soc_.bpeak() * t_star;
     double remaining = 1.0;
     for (size_t i : order_) {
-        if (remaining <= 0.0)
+        // Stop once the memory budget is spent, as placeableWork()
+        // does: the subtraction below can round it just below zero,
+        // and the next IP would then take a negative fraction.
+        if (remaining <= 0.0 || byte_budget <= 0.0)
             break;
         double cap = roofs_[i] * t_star;
         double take;
@@ -109,8 +112,9 @@ OptimalSplitSolver::solve() const
         work[i] = IpWork{fractions[i], intensities_[i]};
     Usecase usecase("optimal split", std::move(work));
 
-    GablesEvaluator ev(soc_, usecase);
-    OptimalSplit result{std::move(fractions), ev.attainable(),
+    GablesPack<1> ev(soc_, usecase);
+    ev.run();
+    OptimalSplit result{std::move(fractions), ev.attainable(0),
                         std::move(usecase)};
     return result;
 }

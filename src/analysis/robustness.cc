@@ -21,14 +21,15 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
         !(options.fractionJitter >= 1.0))
         fatal("jitter factors must be >= 1");
 
-    // One compiled evaluator serves the nominal point and every
-    // Monte-Carlo sample; each sample overwrites the per-IP work
-    // terms in place instead of constructing a Usecase.
-    GablesEvaluator ev(soc, usecase);
+    // The nominal point is compiled once; every Monte-Carlo sample
+    // then overwrites the per-IP work terms of a lane of a grid pack
+    // broadcast from it, instead of constructing a Usecase.
+    GablesPack<1> nominal(soc, usecase);
+    nominal.run();
 
     RobustnessReport report;
     report.samples = options.samples;
-    report.nominal = ev.attainable();
+    report.nominal = nominal.attainable(0);
 
     Rng rng(options.seed);
     std::vector<double> perf;
@@ -39,12 +40,9 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     const size_t n = usecase.numIps();
     std::vector<double> fractions(n, 0.0);
     std::vector<double> intensities(n, 1.0);
-    GablesResult scratch;
 
     // One perturbed sample's work terms, drawn in sample-major,
-    // IP-minor order — the packed path batches samples but consumes
-    // the RNG stream in exactly this order, so both paths see
-    // identical draws.
+    // IP-minor order.
     auto drawSample = [&]() {
         double sum = 0.0;
         for (size_t i = 0; i < n; ++i) {
@@ -80,35 +78,22 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
             ++meets;
     };
 
-    if (simd::enabled()) {
-        // Packed Monte-Carlo: kWidth samples per pass. Every lane's
-        // work terms are fully overwritten per sample (all n IPs),
-        // so lanes never leak state between passes.
-        constexpr size_t W = GablesEvalPack::kWidth;
-        GablesEvalPack pack(ev);
-        const size_t samples = static_cast<size_t>(options.samples);
-        for (size_t s0 = 0; s0 < samples; s0 += W) {
-            const size_t cnt = std::min(W, samples - s0);
-            for (size_t w = 0; w < cnt; ++w) {
-                double sum = drawSample();
-                for (size_t i = 0; i < n; ++i)
-                    pack.setWork(w, i, fractions[i] / sum,
-                                 intensities[i]);
-            }
-            pack.run(cnt);
-            for (size_t w = 0; w < cnt; ++w)
-                recordSample(pack.attainable(w),
-                             pack.bottleneckIp(w));
-        }
-    } else {
-        for (int s = 0; s < options.samples; ++s) {
+    // W samples per pass. Every lane's work terms are fully
+    // overwritten per sample (all n IPs), so lanes never leak state
+    // between passes.
+    constexpr size_t W = kGridWidth;
+    GablesPack<W> pack(nominal);
+    const size_t samples = static_cast<size_t>(options.samples);
+    for (size_t s0 = 0; s0 < samples; s0 += W) {
+        const size_t cnt = std::min(W, samples - s0);
+        for (size_t w = 0; w < cnt; ++w) {
             double sum = drawSample();
             for (size_t i = 0; i < n; ++i)
-                ev.setWork(i, fractions[i] / sum, intensities[i]);
-
-            ev.evaluate(scratch);
-            recordSample(scratch.attainable, scratch.bottleneckIp);
+                pack.setWork(w, i, fractions[i] / sum, intensities[i]);
         }
+        pack.run(cnt);
+        for (size_t w = 0; w < cnt; ++w)
+            recordSample(pack.attainable(w), pack.bottleneckIp(w));
     }
 
     std::sort(perf.begin(), perf.end());

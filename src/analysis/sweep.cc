@@ -33,79 +33,43 @@ Sweep::fill(std::string label, const std::vector<double> &xs,
 Series
 Sweep::fillWith(std::string label, const SocSpec &soc,
                 const Usecase &seed, const std::vector<double> &xs,
-                const std::function<double(GablesEvaluator &, double)>
-                    &point,
-                const std::function<void(GablesEvalPack &,
-                                         const double *, size_t)>
-                    &packStage,
+                const std::function<void(GablesPack<kGridWidth> &,
+                                         const double *, size_t)> &stage,
                 double divisor, int jobs, parallel::ForStats *stats)
 {
     Series series;
     series.label = std::move(label);
-    series.x.reserve(xs.size());
-    series.y.reserve(xs.size());
     series.x = xs;
     series.y.resize(xs.size());
 
+    // Each loop index is one pack of W points; lanes land in
+    // pre-sized slots, so the output is the same for any job count.
+    constexpr size_t W = kGridWidth;
+    const size_t packs = (xs.size() + W - 1) / W;
     parallel::ForOptions opts;
     opts.jobs = jobs;
-
-    if (packStage && simd::enabled() && !xs.empty()) {
-        // Packed grid: each loop index is one pack of kWidth points.
-        // Lanes land in the same pre-sized slots as the scalar path,
-        // and each lane's value is bit-identical, so the output is
-        // byte-for-byte the same for any job count.
-        constexpr size_t W = GablesEvalPack::kWidth;
-        const size_t packs = (xs.size() + W - 1) / W;
-        int workers = parallel::plannedWorkers(packs, opts);
-        std::vector<GablesEvalPack> lanes;
-        lanes.reserve(static_cast<size_t>(workers));
-        {
-            GABLES_SPAN("sweep.compile");
-            GablesEvaluator base(soc, seed);
-            for (int w = 0; w < workers; ++w)
-                lanes.emplace_back(base);
-        }
-
-        GABLES_SPAN("sweep.grid");
-        parallel::ForStats st = parallel::parallelFor(
-            packs,
-            [&](size_t pi, int worker) {
-                GablesEvalPack &pack =
-                    lanes[static_cast<size_t>(worker)];
-                const size_t p0 = pi * W;
-                const size_t cnt = std::min(W, xs.size() - p0);
-                packStage(pack, series.x.data() + p0, cnt);
-                pack.run(cnt);
-                for (size_t w = 0; w < cnt; ++w)
-                    series.y[p0 + w] = pack.attainable(w) / divisor;
-            },
-            opts);
-        if (stats)
-            *stats = st;
-        return series;
-    }
-
-    // One compiled evaluator per pool worker: mutators are stateful,
-    // and worker indices are stable for the duration of one loop.
-    // An empty grid never calls the body, so compile nothing.
-    int workers =
-        xs.empty() ? 0 : parallel::plannedWorkers(xs.size(), opts);
-    std::vector<GablesEvaluator> evaluators;
-    evaluators.reserve(static_cast<size_t>(workers));
-    {
+    // One pack per pool worker: mutators are stateful, and worker
+    // indices are stable for the duration of one loop. An empty grid
+    // never calls the body, so compile nothing.
+    std::vector<GablesPack<W>> lanes;
+    if (packs != 0) {
         GABLES_SPAN("sweep.compile");
-        for (int w = 0; w < workers; ++w)
-            evaluators.emplace_back(soc, seed);
+        lanes.assign(
+            static_cast<size_t>(parallel::plannedWorkers(packs, opts)),
+            GablesPack<W>(soc, seed));
     }
 
     GABLES_SPAN("sweep.grid");
     parallel::ForStats st = parallel::parallelFor(
-        xs.size(),
-        [&](size_t i, int worker) {
-            series.y[i] =
-                point(evaluators[static_cast<size_t>(worker)],
-                      series.x[i]);
+        packs,
+        [&](size_t pi, int worker) {
+            GablesPack<W> &pack = lanes[static_cast<size_t>(worker)];
+            const size_t p0 = pi * W;
+            const size_t cnt = std::min(W, xs.size() - p0);
+            stage(pack, series.x.data() + p0, cnt);
+            pack.run(cnt);
+            for (size_t w = 0; w < cnt; ++w)
+                series.y[p0 + w] = pack.attainable(w) / divisor;
         },
         opts);
     if (stats)
@@ -136,8 +100,9 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
 
     double base = 1.0;
     if (normalize) {
-        GablesEvaluator ev(soc, usecase_for(0.0));
-        base = ev.attainable();
+        GablesPack<1> ev(soc, usecase_for(0.0));
+        ev.run();
+        base = ev.attainable(0);
     }
 
     Usecase seed =
@@ -145,13 +110,8 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
     return fillWith(
         "I0=" + formatDouble(i0) + " I1=" + formatDouble(i1), soc, seed,
         fractions,
-        [base](GablesEvaluator &ev, double f) {
-            ev.setFraction(0, 1.0 - f);
-            ev.setFraction(1, f);
-            return ev.attainable() / base;
-        },
-        [](GablesEvalPack &pack, const double *fs, size_t cnt) {
-            double f0[GablesEvalPack::kWidth];
+        [](GablesPack<kGridWidth> &pack, const double *fs, size_t cnt) {
+            double f0[kGridWidth] = {};
             for (size_t w = 0; w < cnt; ++w)
                 f0[w] = 1.0 - fs[w];
             pack.setFractionRow(0, f0, cnt);
@@ -167,11 +127,7 @@ Sweep::bpeak(const SocSpec &soc, const Usecase &usecase,
 {
     return fillWith(
         "Bpeak sweep", soc, usecase, values,
-        [](GablesEvaluator &ev, double b) {
-            ev.setBpeak(b);
-            return ev.attainable();
-        },
-        [](GablesEvalPack &pack, const double *bs, size_t cnt) {
+        [](GablesPack<kGridWidth> &pack, const double *bs, size_t cnt) {
             pack.setBpeakLanes(bs, cnt);
         },
         1.0, jobs, stats);
@@ -184,13 +140,8 @@ Sweep::intensity(const SocSpec &soc, const Usecase &usecase, size_t ip,
 {
     return fillWith(
         "I[" + std::to_string(ip) + "] sweep", soc, usecase, values,
-        [ip](GablesEvaluator &ev, double i) {
-            ev.setIntensity(ip, i);
-            return ev.attainable();
-        },
-        [ip](GablesEvalPack &pack, const double *is, size_t cnt) {
-            pack.setIntensityRow(ip, is, cnt);
-        },
+        [ip](GablesPack<kGridWidth> &pack, const double *is,
+             size_t cnt) { pack.setIntensityRow(ip, is, cnt); },
         1.0, jobs, stats);
 }
 
@@ -203,13 +154,8 @@ Sweep::acceleration(const SocSpec &soc, const Usecase &usecase, size_t ip,
         fatal("cannot sweep A0: the paper fixes A0 = 1");
     return fillWith(
         "A[" + std::to_string(ip) + "] sweep", soc, usecase, values,
-        [ip](GablesEvaluator &ev, double a) {
-            ev.setAcceleration(ip, a);
-            return ev.attainable();
-        },
-        [ip](GablesEvalPack &pack, const double *as, size_t cnt) {
-            pack.setAccelerationRow(ip, as, cnt);
-        },
+        [ip](GablesPack<kGridWidth> &pack, const double *as,
+             size_t cnt) { pack.setAccelerationRow(ip, as, cnt); },
         1.0, jobs, stats);
 }
 
@@ -220,13 +166,8 @@ Sweep::ipBandwidth(const SocSpec &soc, const Usecase &usecase, size_t ip,
 {
     return fillWith(
         "B[" + std::to_string(ip) + "] sweep", soc, usecase, values,
-        [ip](GablesEvaluator &ev, double b) {
-            ev.setIpBandwidth(ip, b);
-            return ev.attainable();
-        },
-        [ip](GablesEvalPack &pack, const double *bs, size_t cnt) {
-            pack.setIpBandwidthRow(ip, bs, cnt);
-        },
+        [ip](GablesPack<kGridWidth> &pack, const double *bs,
+             size_t cnt) { pack.setIpBandwidthRow(ip, bs, cnt); },
         1.0, jobs, stats);
 }
 

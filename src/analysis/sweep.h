@@ -40,17 +40,12 @@ struct Series {
  * per-worker busy time for telemetry RunReports.
  *
  * The model drivers (mixing, bpeak, intensity, acceleration,
- * ipBandwidth) run on per-worker GablesEvaluator instances: the
- * (SoC, usecase) pair is compiled once per worker and each grid
- * point updates a single parameter, instead of rebuilding a spec
- * copy and re-deriving every term per point. Results are
- * bit-identical to the per-point GablesModel::evaluate() path.
- *
- * When the packed path is live (simd::enabled()), the same drivers
- * batch kPackWidth grid points into a per-worker GablesEvalPack and
- * evaluate a pack per pass; lanes are written back into the same
- * pre-sized slots, so output stays byte-identical to the scalar path
- * for any job count (the pack itself is bit-exact per lane).
+ * ipBandwidth) run on per-worker GablesPack<kGridWidth> instances:
+ * the (SoC, usecase) pair is compiled once, each worker's pack
+ * evaluates kGridWidth grid points per pass, and each pass stages one
+ * parameter row instead of rebuilding a spec copy per point. Lanes are
+ * written into pre-sized slots, so the output is bit-identical to the
+ * per-point GablesModel::evaluate() path for any job count.
  */
 class Sweep
 {
@@ -130,26 +125,19 @@ class Sweep
                        int jobs, parallel::ForStats *stats);
 
     /**
-     * Evaluator-backed grid driver: compiles (soc, seed) once per
-     * pool worker and runs y[i] = point(evaluator, xs[i]) with the
-     * worker's evaluator, so each point mutates one parameter
-     * instead of rebuilding the pair.
-     *
-     * When @p packStage is provided and the packed path is enabled,
-     * the grid runs GablesEvalPack::kWidth points per pass instead:
-     * packStage(pack, xs, cnt) bulk-stages one parameter batch (one
-     * indirect call and one row store per pack, not per point), the
-     * pack evaluates all lanes, and y[i] = attainable(lane) /
-     * divisor. @p divisor is 1.0 for raw sweeps (x / 1.0 is exact)
-     * and the normalization base for mixing, so packed output
-     * matches the scalar `point` lambda bit-for-bit.
+     * Pack-backed grid driver: compiles (soc, seed) once, copies it
+     * into one pack per pool worker, and evaluates the grid
+     * kGridWidth points per pass. stage(pack, xs, cnt) bulk-stages one
+     * batch of grid values (one indirect call and one row store per
+     * pack, not per point), the pack evaluates all lanes, and y[i] =
+     * attainable(lane) / divisor. @p divisor is 1.0 for raw sweeps
+     * (x / 1.0 is exact) and the normalization base for mixing.
      */
     static Series
     fillWith(std::string label, const SocSpec &soc, const Usecase &seed,
              const std::vector<double> &xs,
-             const std::function<double(GablesEvaluator &, double)> &point,
-             const std::function<void(GablesEvalPack &, const double *,
-                                      size_t)> &packStage,
+             const std::function<void(GablesPack<kGridWidth> &,
+                                      const double *, size_t)> &stage,
              double divisor, int jobs, parallel::ForStats *stats);
 };
 

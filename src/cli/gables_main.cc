@@ -2,9 +2,8 @@
  * @file
  * Thin entry point for the `gables` binary: strip the global
  * options valid anywhere on the command line (--log-level,
- * --profile, --record, --no-simd), set up the span tracer and the
- * replay recorder, and forward to the command dispatch in
- * cli/driver.cc.
+ * --profile, --record), set up the span tracer and the replay
+ * recorder, and forward to the command dispatch in cli/driver.cc.
  * Keeping main() this small lets `gables replay` re-enter the same
  * dispatch in-process through gables::cli::runCommand().
  */
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "cli/driver.h"
-#include "core/evaluator.h"
 #include "replay/recorder.h"
 #include "telemetry/span.h"
 #include "util/logging.h"
@@ -46,11 +44,6 @@ main(int argc, char **argv)
                     arg.substr(std::string("--log-level=").size())));
             } else if (arg == "--profile") {
                 profile = true;
-            } else if (arg == "--no-simd") {
-                // Force the scalar reference path. Safe to strip
-                // from recorded argv: both paths are bit-identical,
-                // so replays don't depend on it.
-                gables::simd::setEnabled(false);
             } else if (arg == "--record") {
                 if (i + 1 >= argc) {
                     std::cerr << "gables: --record needs a bundle "

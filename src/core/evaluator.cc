@@ -1,7 +1,6 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -16,15 +15,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 } // namespace
 
-GablesEvaluator::GablesEvaluator(const SocSpec &soc,
-                                 const Usecase &usecase)
+template <size_t W>
+GablesPack<W>::GablesPack(const SocSpec &soc, const Usecase &usecase)
 {
-    // Per-construction only; attainable() stays uninstrumented — at
-    // tens of millions of evals per second even a disabled span's
-    // atomic load would show up in the grid benchmarks.
+    // Per-construction only; run() stays uninstrumented — at tens of
+    // millions of evals per second even a disabled span's atomic load
+    // would show up in the grid benchmarks.
     GABLES_SPAN("evaluator.compile");
     // The same pair check every GablesModel entry point performs,
-    // paid once at compile time instead of per grid point.
+    // paid once at compile time instead of per point.
     soc.validate();
     usecase.validate();
     if (usecase.numIps() != soc.numIps())
@@ -33,292 +32,23 @@ GablesEvaluator::GablesEvaluator(const SocSpec &soc,
               " IP entries but SoC '" + soc.name() + "' has " +
               std::to_string(soc.numIps()) + " IPs");
 
-    n_ = soc.numIps();
-    ppeak_ = soc.ppeak();
-    bpeak_ = soc.bpeak();
-    accel_.resize(n_);
-    bandwidth_.resize(n_);
-    fraction_.resize(n_);
-    intensity_.resize(n_);
-    peak_.resize(n_);
-    computeTime_.resize(n_);
-    dataBytes_.resize(n_);
-    transferTime_.resize(n_);
-    time_.resize(n_);
-    perfBound_.resize(n_);
-
+    reset(soc.numIps());
+    ppeak_.fill(soc.ppeak());
+    bpeak_.fill(soc.bpeak());
     for (size_t i = 0; i < n_; ++i) {
         const IpSpec &ip = soc.ip(i);
         const IpWork &w = usecase.at(i);
-        accel_[i] = ip.acceleration;
-        bandwidth_[i] = ip.bandwidth;
-        fraction_[i] = w.fraction;
-        intensity_[i] = w.intensity;
-        peak_[i] = ip.acceleration * ppeak_;
-        recomputeLane(i);
+        fillRow(i, ip.acceleration, ip.bandwidth, w.fraction,
+                w.intensity);
     }
 }
 
+template <size_t W>
 void
-GablesEvaluator::checkIp(size_t i) const
+GablesPack<W>::reset(size_t n)
 {
-    if (i >= n_)
-        fatal("evaluator: IP index " + std::to_string(i) +
-              " out of range (N=" + std::to_string(n_) + ")");
-}
-
-void
-GablesEvaluator::recomputeLane(size_t i)
-{
-    // Exactly the arithmetic of GablesModel::evaluate(): same
-    // operands, same operations, so the cached lane is bit-identical
-    // to what a from-scratch evaluation would compute.
-    double f = fraction_[i];
-    if (f > 0.0) {
-        computeTime_[i] = f / peak_[i];
-        dataBytes_[i] =
-            std::isinf(intensity_[i]) ? 0.0 : f / intensity_[i];
-        transferTime_[i] = dataBytes_[i] / bandwidth_[i];
-        time_[i] = std::max(transferTime_[i], computeTime_[i]);
-        perfBound_[i] = 1.0 / time_[i];
-    } else {
-        // No work at this IP: no time, no traffic, unbounded scaled
-        // roofline.
-        computeTime_[i] = 0.0;
-        dataBytes_[i] = 0.0;
-        transferTime_[i] = 0.0;
-        time_[i] = 0.0;
-        perfBound_[i] = kInf;
-    }
-    totalsDirty_ = true;
-}
-
-void
-GablesEvaluator::refresh()
-{
-    if (!totalsDirty_)
-        return;
-    // Reduce in index order: the sum visits the same operands in the
-    // same order as the legacy loop, so the bits match.
-    double total = 0.0;
-    double max_time = 0.0;
-    for (size_t i = 0; i < n_; ++i) {
-        total += dataBytes_[i];
-        max_time = std::max(max_time, time_[i]);
-    }
-    totalBytes_ = total;
-    maxIpTime_ = max_time;
-    totalsDirty_ = false;
-}
-
-void
-GablesEvaluator::setPpeak(double ppeak)
-{
-    if (!(ppeak > 0.0) || std::isinf(ppeak))
-        fatal("evaluator: Ppeak must be positive and finite");
-    ppeak_ = ppeak;
-    for (size_t i = 0; i < n_; ++i) {
-        peak_[i] = accel_[i] * ppeak_;
-        recomputeLane(i);
-    }
-}
-
-void
-GablesEvaluator::setBpeak(double bpeak)
-{
-    if (!(bpeak > 0.0) || std::isinf(bpeak))
-        fatal("evaluator: Bpeak must be positive and finite");
-    // The memory time is derived from bpeak_ at evaluation, so no
-    // lane changes.
-    bpeak_ = bpeak;
-}
-
-void
-GablesEvaluator::setAcceleration(size_t i, double acceleration)
-{
-    checkIp(i);
-    if (!(acceleration > 0.0) || std::isinf(acceleration))
-        fatal("evaluator: IP[" + std::to_string(i) +
-              "] acceleration must be positive and finite");
-    if (i == 0 && acceleration != 1.0)
-        fatal("evaluator: IP[0] acceleration A0 must be 1 "
-              "(paper Section III-D)");
-    accel_[i] = acceleration;
-    peak_[i] = acceleration * ppeak_;
-    recomputeLane(i);
-}
-
-void
-GablesEvaluator::setIpBandwidth(size_t i, double bandwidth)
-{
-    checkIp(i);
-    if (!(bandwidth > 0.0) || std::isinf(bandwidth))
-        fatal("evaluator: IP[" + std::to_string(i) +
-              "] bandwidth must be positive and finite");
-    bandwidth_[i] = bandwidth;
-    recomputeLane(i);
-}
-
-void
-GablesEvaluator::setFraction(size_t i, double fraction)
-{
-    checkIp(i);
-    if (!(fraction >= 0.0) || std::isinf(fraction))
-        fatal("evaluator: fraction f[" + std::to_string(i) +
-              "] must be in [0, 1]");
-    if (fraction > 0.0 && !(intensity_[i] > 0.0))
-        fatal("evaluator: intensity I[" + std::to_string(i) +
-              "] must be > 0 where work is assigned");
-    fraction_[i] = fraction;
-    recomputeLane(i);
-}
-
-void
-GablesEvaluator::setIntensity(size_t i, double intensity)
-{
-    checkIp(i);
-    if (fraction_[i] > 0.0 && !(intensity > 0.0))
-        fatal("evaluator: intensity I[" + std::to_string(i) +
-              "] must be > 0 where work is assigned");
-    intensity_[i] = intensity;
-    recomputeLane(i);
-}
-
-void
-GablesEvaluator::setWork(size_t i, double fraction, double intensity)
-{
-    checkIp(i);
-    if (!(fraction >= 0.0) || std::isinf(fraction))
-        fatal("evaluator: fraction f[" + std::to_string(i) +
-              "] must be in [0, 1]");
-    if (fraction > 0.0 && !(intensity > 0.0))
-        fatal("evaluator: intensity I[" + std::to_string(i) +
-              "] must be > 0 where work is assigned");
-    fraction_[i] = fraction;
-    intensity_[i] = intensity;
-    recomputeLane(i);
-}
-
-double
-GablesEvaluator::criticalTime()
-{
-    refresh();
-    double max_time = std::max(maxIpTime_, totalBytes_ / bpeak_);
-    GABLES_ASSERT(max_time > 0.0,
-                  "usecase produced zero total time; Ppeak infinite?");
-    return max_time;
-}
-
-double
-GablesEvaluator::attainable()
-{
-    ++evals_;
-    return 1.0 / criticalTime();
-}
-
-void
-GablesEvaluator::evaluate(GablesResult &out)
-{
-    GABLES_SPAN("evaluator.evaluate");
-    ++evals_;
-    refresh();
-
-    out.ips.resize(n_);
-    for (size_t i = 0; i < n_; ++i) {
-        IpTiming &t = out.ips[i];
-        t.computeTime = computeTime_[i];
-        t.dataBytes = dataBytes_[i];
-        t.transferTime = transferTime_[i];
-        t.time = time_[i];
-        t.perfBound = perfBound_[i];
-    }
-
-    out.totalDataBytes = totalBytes_;
-    out.memoryTime = totalBytes_ / bpeak_;
-    // totalBytes_ carries the same bits as Usecase::bytesPerOp()
-    // (adding the +0.0 of inactive lanes is exact), so this matches
-    // usecase.averageIntensity().
-    out.averageIntensity = totalBytes_ == 0.0 ? kInf : 1.0 / totalBytes_;
-    out.memoryPerfBound =
-        out.memoryTime > 0.0 ? 1.0 / out.memoryTime : kInf;
-
-    double max_time = std::max(maxIpTime_, out.memoryTime);
-    GABLES_ASSERT(max_time > 0.0,
-                  "usecase produced zero total time; Ppeak infinite?");
-    out.attainable = 1.0 / max_time;
-
-    // Bottleneck attribution: memory wins ties, then lowest IP index
-    // — the same deterministic contract as GablesModel::evaluate().
-    if (out.memoryTime >= max_time) {
-        out.bottleneckIp = -1;
-        out.bottleneck = BottleneckKind::Memory;
-    } else {
-        for (size_t i = 0; i < n_; ++i) {
-            if (time_[i] >= max_time) {
-                out.bottleneckIp = static_cast<int>(i);
-                out.bottleneck = computeTime_[i] >= transferTime_[i]
-                                     ? BottleneckKind::IpCompute
-                                     : BottleneckKind::IpBandwidth;
-                break;
-            }
-        }
-    }
-}
-
-GablesResult
-GablesEvaluator::evaluate()
-{
-    GablesResult out;
-    evaluate(out);
-    return out;
-}
-
-namespace simd {
-
-namespace {
-
-#ifndef GABLES_DISABLE_SIMD
-// Relaxed is enough: the flag is set once at process startup (or by a
-// scoped guard on one thread); drivers only read it to pick a path,
-// and both paths produce identical bits anyway.
-std::atomic<bool> g_enabled{true};
-#endif
-
-} // namespace
-
-bool
-enabled()
-{
-#ifdef GABLES_DISABLE_SIMD
-    return false;
-#else
-    return g_enabled.load(std::memory_order_relaxed);
-#endif
-}
-
-bool
-setEnabled(bool on)
-{
-#ifdef GABLES_DISABLE_SIMD
-    (void)on;
-    return false;
-#else
-    return g_enabled.exchange(on, std::memory_order_relaxed);
-#endif
-}
-
-} // namespace simd
-
-GablesEvalPack::GablesEvalPack(const GablesEvaluator &base)
-{
-    broadcast(base);
-}
-
-void
-GablesEvalPack::broadcast(const GablesEvaluator &base)
-{
-    n_ = base.numIps();
-    const size_t rows = n_ * kWidth;
+    n_ = n;
+    const size_t rows = n * W;
     accel_.resize(rows);
     bandwidth_.resize(rows);
     fraction_.resize(rows);
@@ -326,29 +56,24 @@ GablesEvalPack::broadcast(const GablesEvaluator &base)
     intensityEff_.resize(rows);
     dataBytes_.resize(rows);
     time_.resize(rows);
-    rowDirty_.assign(n_, 1);
-    anyDirty_ = true;
+    dirtyLo_ = 0;
+    dirtyHi_ = n;
+}
 
-    ppeak_.fill(base.ppeak());
-    bpeak_.fill(base.bpeak());
-    for (size_t i = 0; i < n_; ++i) {
-        const size_t o = i * kWidth;
-        const double a = base.acceleration(i);
-        const double b = base.ipBandwidth(i);
-        const double f = base.fraction(i);
-        const double in = base.intensity(i);
-        const double eff = f > 0.0 ? in : 1.0;
-        for (size_t w = 0; w < kWidth; ++w) {
-            accel_[o + w] = a;
-            bandwidth_[o + w] = b;
-            fraction_[o + w] = f;
-            intensity_[o + w] = in;
-            intensityEff_[o + w] = eff;
-        }
+template <size_t W>
+void
+GablesPack<W>::fillRow(size_t i, double acceleration, double bandwidth,
+                       double fraction, double intensity)
+{
+    const size_t o = i * W;
+    const double eff = fraction > 0.0 ? intensity : 1.0;
+    for (size_t w = 0; w < W; ++w) {
+        accel_[o + w] = acceleration;
+        bandwidth_[o + w] = bandwidth;
+        fraction_[o + w] = fraction;
+        intensity_[o + w] = intensity;
+        intensityEff_[o + w] = eff;
     }
-    // evals_ deliberately survives broadcast(): a worker's pack is
-    // re-broadcast per chunk, and its lifetime count feeds the same
-    // model.evals totals a per-worker scalar evaluator would.
 }
 
 // The bulk row setters live here (not inline in the header) so they
@@ -356,22 +81,16 @@ GablesEvalPack::broadcast(const GablesEvaluator &base)
 // scalar lane-order loop (same first-failure message as the per-lane
 // mutators), then the stores vectorize.
 
+template <size_t W>
 void
-GablesEvalPack::setFractionRow(size_t i, const double *fractions,
-                               size_t cnt)
+GablesPack<W>::setFractionRow(size_t i, const double *fractions,
+                              size_t cnt)
 {
     checkIp(i);
     checkCount(cnt);
-    const size_t o = i * kWidth;
-    for (size_t w = 0; w < cnt; ++w) {
-        const double f = fractions[w];
-        if (!(f >= 0.0) || std::isinf(f))
-            fatal("evaluator: fraction f[" + std::to_string(i) +
-                  "] must be in [0, 1]");
-        if (f > 0.0 && !(intensity_[o + w] > 0.0))
-            fatal("evaluator: intensity I[" + std::to_string(i) +
-                  "] must be > 0 where work is assigned");
-    }
+    const size_t o = i * W;
+    for (size_t w = 0; w < cnt; ++w)
+        checkWork(i, fractions[w], intensity_[o + w]);
     double *__restrict__ fr = fraction_.data() + o;
     double *__restrict__ ie = intensityEff_.data() + o;
     const double *__restrict__ in = intensity_.data() + o;
@@ -380,22 +99,19 @@ GablesEvalPack::setFractionRow(size_t i, const double *fractions,
         fr[w] = fractions[w];
         ie[w] = fractions[w] > 0.0 ? in[w] : 1.0;
     }
-    rowDirty_[i] = 1;
-    anyDirty_ = true;
+    markDirty(i, i + 1);
 }
 
+template <size_t W>
 void
-GablesEvalPack::setIntensityRow(size_t i, const double *intensities,
-                                size_t cnt)
+GablesPack<W>::setIntensityRow(size_t i, const double *intensities,
+                               size_t cnt)
 {
     checkIp(i);
     checkCount(cnt);
-    const size_t o = i * kWidth;
-    for (size_t w = 0; w < cnt; ++w) {
-        if (fraction_[o + w] > 0.0 && !(intensities[w] > 0.0))
-            fatal("evaluator: intensity I[" + std::to_string(i) +
-                  "] must be > 0 where work is assigned");
-    }
+    const size_t o = i * W;
+    for (size_t w = 0; w < cnt; ++w)
+        checkIntensity(i, fraction_[o + w], intensities[w]);
     double *__restrict__ in = intensity_.data() + o;
     double *__restrict__ ie = intensityEff_.data() + o;
     const double *__restrict__ fr = fraction_.data() + o;
@@ -404,80 +120,67 @@ GablesEvalPack::setIntensityRow(size_t i, const double *intensities,
         in[w] = intensities[w];
         ie[w] = fr[w] > 0.0 ? intensities[w] : 1.0;
     }
-    rowDirty_[i] = 1;
-    anyDirty_ = true;
+    markDirty(i, i + 1);
 }
 
+template <size_t W>
 void
-GablesEvalPack::setAccelerationRow(size_t i,
-                                   const double *accelerations,
-                                   size_t cnt)
-{
-    checkIp(i);
-    checkCount(cnt);
-    for (size_t w = 0; w < cnt; ++w) {
-        const double a = accelerations[w];
-        if (!(a > 0.0) || std::isinf(a))
-            fatal("evaluator: IP[" + std::to_string(i) +
-                  "] acceleration must be positive and finite");
-        if (i == 0 && a != 1.0)
-            fatal("evaluator: IP[0] acceleration A0 must be 1 "
-                  "(paper Section III-D)");
-    }
-    double *__restrict__ ac = accel_.data() + i * kWidth;
-    for (size_t w = 0; w < cnt; ++w)
-        ac[w] = accelerations[w];
-    rowDirty_[i] = 1;
-    anyDirty_ = true;
-}
-
-void
-GablesEvalPack::setIpBandwidthRow(size_t i, const double *bandwidths,
+GablesPack<W>::setAccelerationRow(size_t i, const double *accelerations,
                                   size_t cnt)
 {
     checkIp(i);
     checkCount(cnt);
-    for (size_t w = 0; w < cnt; ++w) {
-        if (!(bandwidths[w] > 0.0) || std::isinf(bandwidths[w]))
-            fatal("evaluator: IP[" + std::to_string(i) +
-                  "] bandwidth must be positive and finite");
-    }
-    double *__restrict__ bw = bandwidth_.data() + i * kWidth;
     for (size_t w = 0; w < cnt; ++w)
-        bw[w] = bandwidths[w];
-    rowDirty_[i] = 1;
-    anyDirty_ = true;
+        checkAcceleration(i, accelerations[w]);
+    double *__restrict__ ac = accel_.data() + i * W;
+    for (size_t w = 0; w < cnt; ++w)
+        ac[w] = accelerations[w];
+    markDirty(i, i + 1);
 }
 
+template <size_t W>
 void
-GablesEvalPack::setBpeakLanes(const double *bpeaks, size_t cnt)
+GablesPack<W>::setIpBandwidthRow(size_t i, const double *bandwidths,
+                                 size_t cnt)
+{
+    checkIp(i);
+    checkCount(cnt);
+    for (size_t w = 0; w < cnt; ++w)
+        checkBandwidth(i, bandwidths[w]);
+    double *__restrict__ bw = bandwidth_.data() + i * W;
+    for (size_t w = 0; w < cnt; ++w)
+        bw[w] = bandwidths[w];
+    markDirty(i, i + 1);
+}
+
+template <size_t W>
+void
+GablesPack<W>::setBpeakLanes(const double *bpeaks, size_t cnt)
 {
     checkCount(cnt);
-    for (size_t w = 0; w < cnt; ++w) {
-        if (!(bpeaks[w] > 0.0) || std::isinf(bpeaks[w]))
-            fatal("evaluator: Bpeak must be positive and finite");
-    }
+    for (size_t w = 0; w < cnt; ++w)
+        checkBpeak(bpeaks[w]);
     // Memory time is derived at run(), so no row dirtying.
     for (size_t w = 0; w < cnt; ++w)
         bpeak_[w] = bpeaks[w];
 }
 
+template <size_t W>
 void
-GablesEvalPack::run(size_t activeLanes)
+GablesPack<W>::run(size_t activeLanes)
 {
-    GABLES_ASSERT(activeLanes <= kWidth,
+    GABLES_ASSERT(activeLanes <= W,
                   "pack run() with more active lanes than the width");
 
-    // Phase 1: recompute rows a mutation touched. Each row is the
-    // scalar recomputeLane() arithmetic replicated across lanes,
-    // with no branch or select at all — the mutators pre-sanitize
-    // the divisor (intensityEff_) so that plain division reproduces
-    // the scalar path's branches bit-for-bit:
+    // Phase 1: recompute the dirty rows, with no branch or select at
+    // all — the mutators pre-sanitize the divisor
+    // (intensityEff_) so that plain division reproduces the model's
+    // branches bit-for-bit:
     //  - f == 0: eff is pinned to 1.0, so db = 0/1 = +0.0, the
-    //    scalar path's literal 0.0 (dividing by a raw idle-lane
-    //    intensity <= 0 would give -0.0 or NaN); ct = 0/peak = +0,
-    //    tt = 0/b = +0, time = +0.
-    //  - Ii = inf with f > 0: db = f/inf = +0.0, exactly the scalar
+    //    model's literal 0.0 (dividing by a raw idle-lane intensity
+    //    <= 0 would give -0.0 or NaN); ct = 0/peak = +0, tt = 0/b =
+    //    +0, time = +0.
+    //  - Ii = inf with f > 0: db = f/inf = +0.0, exactly the model's
     //    isinf() special case.
     // Keeping the body straight-line arithmetic is what lets the
     // compiler turn a row into a handful of vector ops; a select
@@ -485,29 +188,28 @@ GablesEvalPack::run(size_t activeLanes)
     // fully-unrolled loop is never if-converted). The __restrict__
     // locals matter just as much: without them GCC cannot prove the
     // derived-row stores don't alias the parameter-row loads, and
-    // SLP on the unrolled body silently falls back to 8 scalar
-    // divisions per row.
-    if (anyDirty_) {
+    // SLP on the unrolled body silently falls back to scalar
+    // divisions.
+    if (dirtyLo_ < dirtyHi_) {
         const double *__restrict__ fr = fraction_.data();
         const double *__restrict__ ac = accel_.data();
         const double *__restrict__ ie = intensityEff_.data();
         const double *__restrict__ bw = bandwidth_.data();
         double *__restrict__ db_row = dataBytes_.data();
         double *__restrict__ t_row = time_.data();
-        for (size_t i = 0; i < n_; ++i) {
-            if (!rowDirty_[i])
-                continue;
-            rowDirty_[i] = 0;
-            const size_t o = i * kWidth;
+        const size_t n = n_;
+        const size_t hi = dirtyHi_;
+        for (size_t i = dirtyLo_; i < hi; ++i) {
+            const size_t o = i * W;
             // The pragma (a no-op unless built with -fopenmp-simd)
             // keeps the loop in loop form for the vectorizer; GCC's
             // early complete unrolling otherwise leaves straight-
             // line code the SLP pass refuses to vectorize.
 #pragma omp simd
-            for (size_t w = 0; w < kWidth; ++w) {
+            for (size_t w = 0; w < W; ++w) {
                 const double f = fr[o + w];
                 // Same product SocSpec::ipPeakPerf() evaluates, so
-                // the quotient matches the scalar peak_[i] path.
+                // the quotient matches the model's compute time.
                 const double ct = f / (ac[o + w] * ppeak_[w]);
                 const double db = f / ie[o + w];
                 const double tt = db / bw[o + w];
@@ -516,80 +218,135 @@ GablesEvalPack::run(size_t activeLanes)
             }
         }
 
-        // Phase 2: reductions, cached until the next row mutation —
-        // the pack analogue of the scalar totalsDirty_ cache, so a
-        // Bpeak-only grid (whose mutations dirty no row) skips both
-        // phases exactly like the scalar refresh() no-ops. i outer /
-        // w inner keeps every lane's chain in IP index order —
-        // identical operands in identical order to the scalar
-        // refresh(), vectorized across lanes only.
-        std::array<double, kWidth> total{};
-        std::array<double, kWidth> maxt{};
-        for (size_t i = 0; i < n_; ++i) {
-            const size_t o = i * kWidth;
+        // Phase 2: reductions, cached until the next row mutation, so
+        // a Bpeak-only grid (whose mutations dirty no row) skips both
+        // phases. i outer / w inner keeps every lane's chain in IP
+        // index order — the model's operands in the model's order,
+        // vectorized across lanes only.
+        std::array<double, W> total{};
+        std::array<double, W> maxt{};
+        for (size_t i = 0; i < n; ++i) {
+            const size_t o = i * W;
 #pragma omp simd
-            for (size_t w = 0; w < kWidth; ++w)
+            for (size_t w = 0; w < W; ++w)
                 total[w] += db_row[o + w];
 #pragma omp simd
-            for (size_t w = 0; w < kWidth; ++w)
+            for (size_t w = 0; w < W; ++w)
                 maxt[w] = std::max(maxt[w], t_row[o + w]);
         }
         totalBytes_ = total;
         maxIpTime_ = maxt;
-        anyDirty_ = false;
+        dirtyLo_ = n;
+        dirtyHi_ = 0;
     }
 
     // Finalization: the only terms that depend on Bpeak, recomputed
     // every run() from the cached reductions.
+    std::array<double, W> crit{};
 #pragma omp simd
-    for (size_t w = 0; w < kWidth; ++w) {
-        memTime_[w] = totalBytes_[w] / bpeak_[w];
-        att_[w] = 1.0 / std::max(maxIpTime_[w], memTime_[w]);
+    for (size_t w = 0; w < W; ++w) {
+        crit[w] = std::max(maxIpTime_[w], totalBytes_[w] / bpeak_[w]);
+        att_[w] = 1.0 / crit[w];
     }
     for (size_t w = 0; w < activeLanes; ++w)
-        GABLES_ASSERT(std::max(maxIpTime_[w], memTime_[w]) > 0.0,
-                      "usecase produced zero total time; "
-                      "Ppeak infinite?");
+        GABLES_ASSERT(crit[w] > 0.0, "usecase produced zero total time; "
+                                     "Ppeak infinite?");
 
     evals_ += activeLanes;
 }
 
+template <size_t W>
+int
+GablesPack<W>::bottleneckIp(size_t lane) const
+{
+    checkLane(lane);
+    GABLES_ASSERT(dirtyLo_ >= dirtyHi_, "pack read before run()");
+    const double mem = totalBytes_[lane] / bpeak_[lane];
+    const double max_time = std::max(maxIpTime_[lane], mem);
+    if (mem >= max_time)
+        return -1;
+    for (size_t i = 0; i < n_; ++i) {
+        if (time_[i * W + lane] >= max_time)
+            return static_cast<int>(i);
+    }
+    return -1; // Unreachable: max_time is one of the IP times.
+}
+
+template <size_t W>
 void
-GablesEvalPack::paramSums(double *accelSums, double *bwSums) const
+GablesPack<W>::evaluate(size_t lane, GablesResult &out) const
+{
+    GABLES_SPAN("evaluator.evaluate");
+    const int bottleneck = bottleneckIp(lane);
+
+    out.ips.resize(n_);
+    for (size_t i = 0; i < n_; ++i) {
+        const size_t r = i * W + lane;
+        const double f = fraction_[r];
+        IpTiming &t = out.ips[i];
+        if (f > 0.0) {
+            t.computeTime = f / (accel_[r] * ppeak_[lane]);
+            t.dataBytes = dataBytes_[r];
+            t.transferTime = t.dataBytes / bandwidth_[r];
+            t.time = time_[r];
+            t.perfBound = 1.0 / t.time;
+        } else {
+            // No work at this IP: no time, no traffic, unbounded
+            // scaled roofline.
+            t = IpTiming{};
+            t.perfBound = kInf;
+        }
+    }
+
+    const double total = totalBytes_[lane];
+    out.totalDataBytes = total;
+    out.memoryTime = total / bpeak_[lane];
+    // total carries the same bits as Usecase::bytesPerOp() (adding
+    // the +0.0 of idle IPs is exact), so this matches
+    // usecase.averageIntensity().
+    out.averageIntensity = total == 0.0 ? kInf : 1.0 / total;
+    out.memoryPerfBound =
+        out.memoryTime > 0.0 ? 1.0 / out.memoryTime : kInf;
+
+    const double max_time = std::max(maxIpTime_[lane], out.memoryTime);
+    GABLES_ASSERT(max_time > 0.0,
+                  "usecase produced zero total time; Ppeak infinite?");
+    out.attainable = 1.0 / max_time;
+    out.bottleneckIp = bottleneck;
+    if (bottleneck < 0) {
+        out.bottleneck = BottleneckKind::Memory;
+    } else {
+        const IpTiming &t = out.ips[static_cast<size_t>(bottleneck)];
+        out.bottleneck = t.computeTime >= t.transferTime
+                             ? BottleneckKind::IpCompute
+                             : BottleneckKind::IpBandwidth;
+    }
+}
+
+template <size_t W>
+void
+GablesPack<W>::paramSums(double *accelSums, double *bwSums) const
 {
     const double *__restrict__ ac = accel_.data();
     const double *__restrict__ bw = bandwidth_.data();
     double *__restrict__ sa = accelSums;
     double *__restrict__ sb = bwSums;
 #pragma omp simd
-    for (size_t w = 0; w < kWidth; ++w) {
+    for (size_t w = 0; w < W; ++w) {
         sa[w] = 0.0;
         sb[w] = 0.0;
     }
     for (size_t i = 0; i < n_; ++i) {
-        const size_t o = i * kWidth;
+        const size_t o = i * W;
 #pragma omp simd
-        for (size_t w = 0; w < kWidth; ++w) {
+        for (size_t w = 0; w < W; ++w) {
             sa[w] += ac[o + w];
             sb[w] += bw[o + w];
         }
     }
 }
 
-int
-GablesEvalPack::bottleneckIp(size_t lane) const
-{
-    checkLane(lane);
-    // Same deterministic contract as GablesEvaluator::evaluate():
-    // memory wins ties, then the lowest IP index.
-    const double max_time = std::max(maxIpTime_[lane], memTime_[lane]);
-    if (memTime_[lane] >= max_time)
-        return -1;
-    for (size_t i = 0; i < n_; ++i) {
-        if (time_[i * kWidth + lane] >= max_time)
-            return static_cast<int>(i);
-    }
-    return -1; // Unreachable: max_time is one of the IP times.
-}
+template class GablesPack<1>;
+template class GablesPack<kGridWidth>;
 
 } // namespace gables

@@ -1,29 +1,28 @@
 /**
  * @file
- * Compiled evaluation of the base Gables model for grid-scale
- * workloads (sweeps, design-space exploration, sensitivity and
- * robustness sampling, advisor bisection).
+ * Compiled evaluation of the base Gables model, for single points
+ * (advisor probes, the optimal split, the serve cache) and for grids
+ * (sweeps, design-space exploration, sensitivity and robustness
+ * sampling).
  *
  * GablesModel::evaluate() re-validates its inputs, re-derives every
- * per-IP term, and heap-allocates a GablesResult on every call; the
- * callers above additionally rebuild a SocSpec or Usecase copy per
- * grid point just to change one number. GablesEvaluator precompiles
- * a (SocSpec, Usecase) pair once into flat structure-of-arrays
- * state, caches the per-IP timing lanes, and exposes
- * single-parameter mutators so a grid axis updates one term instead
- * of rebuilding the pair. Evaluation then reduces the cached lanes
- * — zero allocations in steady state, and every number is
- * bit-identical to the legacy path because each lane is computed
- * with exactly the same expressions and the reductions run in the
- * same index order (verified exhaustively by property tests).
+ * per-IP term, and heap-allocates a GablesResult on every call.
+ * GablesPack<W> compiles a (SocSpec, Usecase) pair once into W
+ * independent lanes of structure-of-arrays state and exposes
+ * single-parameter mutators, so a grid point updates one term instead
+ * of rebuilding the pair. Evaluation is allocation-free in steady
+ * state, and every number is bit-identical to GablesModel::evaluate()
+ * (verified by property tests). W = 1 is the single-point evaluator;
+ * the grid drivers run W = kGridWidth points per pass.
  *
- * Thread-safety: an evaluator is mutable state; use one instance per
- * worker (the parallel drivers build one per pool worker).
+ * Thread-safety: a pack is mutable state; use one instance per worker
+ * (the parallel drivers build one per pool worker).
  */
 
 #ifndef GABLES_CORE_EVALUATOR_H
 #define GABLES_CORE_EVALUATOR_H
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -36,331 +35,191 @@
 
 namespace gables {
 
-/**
- * Build/runtime switches for the packed (SIMD-batched) evaluation
- * path. The packed path is bit-identical to the scalar path, so the
- * toggle exists for verification (A/B in tests and benches) and as an
- * escape hatch, not because results differ.
- */
-namespace simd {
-
-/** Lanes per evaluation pack (grid points evaluated per pass). */
-#ifdef GABLES_PACK_WIDTH
-inline constexpr size_t kPackWidth = GABLES_PACK_WIDTH;
-#else
-inline constexpr size_t kPackWidth = 8;
-#endif
-static_assert(kPackWidth >= 2 && (kPackWidth & (kPackWidth - 1)) == 0,
-              "pack width must be a power of two >= 2");
-
-/** False when built with -DGABLES_DISABLE_SIMD=ON. */
-#ifdef GABLES_DISABLE_SIMD
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
+/** Lanes per pack on the grid drivers. 8 keeps a row of doubles in
+ * one 64-byte cache line and gives the vectorizer several vectors per
+ * inner loop at any x86-64 ISA level. */
+inline constexpr size_t kGridWidth = 8;
 
 /**
- * @return Whether grid drivers should dispatch to the packed path.
- * Always false when the path is compiled out.
- */
-bool enabled();
-
-/**
- * Toggle the packed path at runtime (the `--no-simd` global CLI
- * flag). Ignored — pinned false — when compiled out.
+ * W independent model evaluations batched for auto-vectorization.
  *
- * @return The previous setting.
- */
-bool setEnabled(bool on);
-
-/** RAII toggle for A/B measurement in tests and benches. */
-class ScopedEnable
-{
-  public:
-    explicit ScopedEnable(bool on) : prev_(setEnabled(on)) {}
-    ~ScopedEnable() { setEnabled(prev_); }
-    ScopedEnable(const ScopedEnable &) = delete;
-    ScopedEnable &operator=(const ScopedEnable &) = delete;
-
-  private:
-    bool prev_;
-};
-
-} // namespace simd
-
-/**
- * A precompiled (SocSpec, Usecase) pair with cheap single-parameter
- * mutators and allocation-free evaluation.
- */
-class GablesEvaluator
-{
-  public:
-    /**
-     * Compile the pair. Validates both once (the same checks every
-     * GablesModel::evaluate() call performs) and caches all per-IP
-     * timing lanes.
-     *
-     * @throws FatalError on mismatched sizes or invalid specs.
-     */
-    GablesEvaluator(const SocSpec &soc, const Usecase &usecase);
-
-    /** @return Number of IPs N. */
-    size_t numIps() const { return n_; }
-
-    /** @name Current parameter values (for save/restore patterns). */
-    /** @{ */
-    double ppeak() const { return ppeak_; }
-    double bpeak() const { return bpeak_; }
-    double acceleration(size_t i) const { return accel_.at(i); }
-    double ipBandwidth(size_t i) const { return bandwidth_.at(i); }
-    double fraction(size_t i) const { return fraction_.at(i); }
-    double intensity(size_t i) const { return intensity_.at(i); }
-    /** @} */
-
-    /**
-     * @name Single-parameter mutators
-     *
-     * Each updates one model term and recomputes only the affected
-     * timing lane(s). Values are checked with the same invariants the
-     * SocSpec/Usecase constructors enforce (positive finite hardware
-     * parameters, non-negative fractions, positive intensity wherever
-     * work is assigned); the fractions-sum-to-one invariant is the
-     * caller's contract, since grid drivers set several fractions in
-     * sequence.
-     */
-    /** @{ */
-    /** Replace the baseline peak performance Ppeak (rescales every
-     * IP's compute roof). */
-    void setPpeak(double ppeak);
-    /** Replace the off-chip bandwidth Bpeak. */
-    void setBpeak(double bpeak);
-    /** Replace IP @p i's acceleration Ai (A0 must stay 1). */
-    void setAcceleration(size_t i, double acceleration);
-    /** Replace IP @p i's link bandwidth Bi. */
-    void setIpBandwidth(size_t i, double bandwidth);
-    /** Replace the work fraction fi at IP @p i. */
-    void setFraction(size_t i, double fraction);
-    /** Replace the operational intensity Ii at IP @p i. */
-    void setIntensity(size_t i, double intensity);
-    /** Replace both work terms of IP @p i in one lane recompute. */
-    void setWork(size_t i, double fraction, double intensity);
-    /** @} */
-
-    /**
-     * Scalar fast path: attainable performance only (paper Eq. 11),
-     * without bottleneck attribution or per-IP detail.
-     * Bit-identical to GablesModel::evaluate(...).attainable.
-     */
-    double attainable();
-
-    /**
-     * Full evaluation into a caller-owned scratch result. Reusing
-     * the same scratch across grid points performs no allocations
-     * after the first call. Every field matches
-     * GablesModel::evaluate() bit-for-bit.
-     */
-    void evaluate(GablesResult &out);
-
-    /** Convenience overload allocating a fresh result. */
-    GablesResult evaluate();
-
-    /**
-     * @return Number of attainable()/evaluate() calls served, for
-     * the model.evals telemetry counters (sum per-worker counts; the
-     * total is scheduling-independent).
-     */
-    uint64_t evalCount() const { return evals_; }
-
-  private:
-    /** Recompute the cached timing lane of IP @p i with the exact
-     * legacy expressions. */
-    void recomputeLane(size_t i);
-    /** Re-reduce totalBytes_ / maxIpTime_ if a lane changed. */
-    void refresh();
-    /** @return max over IP times and the memory time — the critical
-     * time 1/Pattainable. */
-    double criticalTime();
-    void checkIp(size_t i) const;
-
-    size_t n_ = 0;
-    double ppeak_ = 0.0;
-    double bpeak_ = 0.0;
-
-    // Hardware and software inputs, index-aligned with the IPs.
-    std::vector<double> accel_;
-    std::vector<double> bandwidth_;
-    std::vector<double> fraction_;
-    std::vector<double> intensity_;
-
-    // Hoisted invariants: peak_[i] = Ai * Ppeak, computed with the
-    // same product SocSpec::ipPeakPerf() evaluates.
-    std::vector<double> peak_;
-
-    // Cached per-IP timing lanes (the IpTiming fields).
-    std::vector<double> computeTime_;
-    std::vector<double> dataBytes_;
-    std::vector<double> transferTime_;
-    std::vector<double> time_;
-    std::vector<double> perfBound_;
-
-    // Cached reductions over the lanes.
-    double totalBytes_ = 0.0;
-    double maxIpTime_ = 0.0;
-    bool totalsDirty_ = true;
-
-    uint64_t evals_ = 0;
-};
-
-/**
- * A pack of simd::kPackWidth independent model evaluations batched
- * for auto-vectorization.
+ * The pack holds W points as structure-of-arrays rows of W lanes each
+ * (row-major [ip][lane]), so the per-IP recompute and the reductions
+ * of paper Eqs. 5-8 and 12-14 run as fixed-trip-count inner loops
+ * over contiguous doubles — the shape `-O3` auto-vectorizes with no
+ * intrinsics.
  *
- * Where GablesEvaluator lays out one grid point as per-IP arrays,
- * the pack transposes W points into structure-of-arrays rows of W
- * lanes each (row-major [ip][lane]), so the per-IP recompute and the
- * min/bottleneck reductions of paper Eqs. 5-8 and 12-14 run as plain
- * fixed-trip-count inner loops over contiguous doubles — exactly the
- * shape `-O3` auto-vectorizes with no intrinsics.
- *
- * Bit-identity contract: every lane produces the same bits as a
- * GablesEvaluator fed the same mutation sequence. Two rules make
- * that hold:
- *  - per-lane arithmetic uses the same expressions and operand order
- *    as GablesEvaluator::recomputeLane() (the one scalar branch,
- *    f > 0, is replaced by a select that is value- and bit-exact in
- *    all cases, including Ii = inf and idle lanes);
+ * Bit-identity contract: every lane produces the bits
+ * GablesModel::evaluate() produces for the same parameters. Two rules
+ * make that hold:
+ *  - per-lane arithmetic uses the model's expressions and operand
+ *    order (its one branch, fi > 0, is replaced by a divisor the
+ *    mutators pin, which is value- and bit-exact in all cases,
+ *    including Ii = inf and idle lanes);
  *  - reductions keep each lane's chain in IP index order — the
  *    vectorized loops batch *across* lanes (w) and never reassociate
  *    *within* a lane (i).
  * The property-fuzz suite enforces this bitwise.
- *
- * Thread-safety: mutable state; one pack per worker, like the scalar
- * evaluator.
  */
-class GablesEvalPack
+template <size_t W>
+class GablesPack
 {
+    static_assert(W >= 1, "a pack needs at least one lane");
+
   public:
     /** Lanes per pack. */
-    static constexpr size_t kWidth = simd::kPackWidth;
+    static constexpr size_t kWidth = W;
 
-    /** Compile a pack with every lane a copy of @p base. */
-    explicit GablesEvalPack(const GablesEvaluator &base);
+    /**
+     * Compile the pair into every lane. Validates both once (the same
+     * checks every GablesModel::evaluate() call performs).
+     *
+     * @throws FatalError on mismatched sizes or invalid specs.
+     */
+    GablesPack(const SocSpec &soc, const Usecase &usecase);
 
-    /** Reset every lane to a copy of @p base (no allocation when the
-     * IP count is unchanged). */
-    void broadcast(const GablesEvaluator &base);
+    /** A pack whose every lane is a copy of lane 0 of @p src. */
+    template <size_t V>
+        requires(V != W)
+    explicit GablesPack(const GablesPack<V> &src)
+    {
+        broadcast(src);
+    }
+
+    /**
+     * Reset every lane to a copy of lane 0 of @p src (no allocation
+     * when the IP count is unchanged). evalCount() carries over.
+     */
+    template <size_t V>
+    void broadcast(const GablesPack<V> &src)
+    {
+        reset(src.n_);
+        ppeak_.fill(src.ppeak_[0]);
+        bpeak_.fill(src.bpeak_[0]);
+        for (size_t i = 0; i < n_; ++i) {
+            const size_t s = i * V;
+            fillRow(i, src.accel_[s], src.bandwidth_[s],
+                    src.fraction_[s], src.intensity_[s]);
+        }
+    }
 
     /** @return Number of IPs N (identical in every lane). */
     size_t numIps() const { return n_; }
 
+    /** @name Current parameter values of one lane */
+    /** @{ */
+    double ppeak(size_t lane) const
+    {
+        checkLane(lane);
+        return ppeak_[lane];
+    }
+    double bpeak(size_t lane) const
+    {
+        checkLane(lane);
+        return bpeak_[lane];
+    }
+    double acceleration(size_t lane, size_t i) const
+    {
+        return accel_.at(row(lane, i));
+    }
+    double ipBandwidth(size_t lane, size_t i) const
+    {
+        return bandwidth_.at(row(lane, i));
+    }
+    double fraction(size_t lane, size_t i) const
+    {
+        return fraction_.at(row(lane, i));
+    }
+    double intensity(size_t lane, size_t i) const
+    {
+        return intensity_.at(row(lane, i));
+    }
+    /** @} */
+
     /**
      * @name Per-lane single-parameter mutators
      *
-     * Same contracts and validation messages as the scalar
-     * GablesEvaluator mutators; @p lane < kWidth selects the grid
-     * point. Mutations are buffered — run() recomputes only rows a
-     * mutation touched. Defined inline: drivers stage one mutation
-     * per lane per grid point, so the call itself is on the packed
-     * path's critical path.
+     * @p lane < W selects the point. Values are checked with the
+     * invariants the SocSpec/Usecase constructors enforce (positive
+     * finite hardware parameters, non-negative fractions, positive
+     * intensity wherever work is assigned); the fractions-sum-to-one
+     * invariant is the caller's contract, since drivers set several
+     * fractions in sequence. A rejected value leaves the pack
+     * untouched. Mutations are buffered — run() recomputes only rows
+     * a mutation touched. Defined inline: drivers stage one mutation
+     * per lane per point, so the call is on the critical path.
      */
     /** @{ */
+    /** Replace Ppeak (rescales every IP's compute roof). */
     void setPpeak(size_t lane, double ppeak)
     {
         checkLane(lane);
         if (!(ppeak > 0.0) || std::isinf(ppeak))
             fatal("evaluator: Ppeak must be positive and finite");
         ppeak_[lane] = ppeak;
-        // Ppeak scales every IP's compute roof.
-        for (size_t i = 0; i < n_; ++i)
-            rowDirty_[i] = 1;
-        anyDirty_ = true;
+        markDirty(0, n_);
     }
 
+    /** Replace the off-chip bandwidth Bpeak. */
     void setBpeak(size_t lane, double bpeak)
     {
         checkLane(lane);
-        if (!(bpeak > 0.0) || std::isinf(bpeak))
-            fatal("evaluator: Bpeak must be positive and finite");
+        checkBpeak(bpeak);
         // Memory time is derived at run(), so no row changes.
         bpeak_[lane] = bpeak;
     }
 
+    /** Replace IP @p i's acceleration Ai (A0 must stay 1). */
     void setAcceleration(size_t lane, size_t i, double acceleration)
     {
         checkLane(lane);
         checkIp(i);
-        if (!(acceleration > 0.0) || std::isinf(acceleration))
-            fatal("evaluator: IP[" + std::to_string(i) +
-                  "] acceleration must be positive and finite");
-        if (i == 0 && acceleration != 1.0)
-            fatal("evaluator: IP[0] acceleration A0 must be 1 "
-                  "(paper Section III-D)");
-        accel_[i * kWidth + lane] = acceleration;
-        rowDirty_[i] = 1;
-        anyDirty_ = true;
+        checkAcceleration(i, acceleration);
+        accel_[i * W + lane] = acceleration;
+        markDirty(i, i + 1);
     }
 
+    /** Replace IP @p i's link bandwidth Bi. */
     void setIpBandwidth(size_t lane, size_t i, double bandwidth)
     {
         checkLane(lane);
         checkIp(i);
-        if (!(bandwidth > 0.0) || std::isinf(bandwidth))
-            fatal("evaluator: IP[" + std::to_string(i) +
-                  "] bandwidth must be positive and finite");
-        bandwidth_[i * kWidth + lane] = bandwidth;
-        rowDirty_[i] = 1;
-        anyDirty_ = true;
+        checkBandwidth(i, bandwidth);
+        bandwidth_[i * W + lane] = bandwidth;
+        markDirty(i, i + 1);
     }
 
+    /** Replace the work fraction fi at IP @p i. */
     void setFraction(size_t lane, size_t i, double fraction)
     {
         checkLane(lane);
         checkIp(i);
-        if (!(fraction >= 0.0) || std::isinf(fraction))
-            fatal("evaluator: fraction f[" + std::to_string(i) +
-                  "] must be in [0, 1]");
-        const size_t r = i * kWidth + lane;
-        if (fraction > 0.0 && !(intensity_[r] > 0.0))
-            fatal("evaluator: intensity I[" + std::to_string(i) +
-                  "] must be > 0 where work is assigned");
-        fraction_[r] = fraction;
-        intensityEff_[r] = fraction > 0.0 ? intensity_[r] : 1.0;
-        rowDirty_[i] = 1;
-        anyDirty_ = true;
+        setWork(lane, i, fraction, intensity_[i * W + lane]);
     }
 
+    /** Replace the operational intensity Ii at IP @p i. */
     void setIntensity(size_t lane, size_t i, double intensity)
     {
         checkLane(lane);
         checkIp(i);
-        const size_t r = i * kWidth + lane;
-        if (fraction_[r] > 0.0 && !(intensity > 0.0))
-            fatal("evaluator: intensity I[" + std::to_string(i) +
-                  "] must be > 0 where work is assigned");
+        const size_t r = i * W + lane;
+        checkIntensity(i, fraction_[r], intensity);
         intensity_[r] = intensity;
         intensityEff_[r] = fraction_[r] > 0.0 ? intensity : 1.0;
-        rowDirty_[i] = 1;
-        anyDirty_ = true;
+        markDirty(i, i + 1);
     }
 
-    void setWork(size_t lane, size_t i, double fraction,
-                 double intensity)
+    /** Replace both work terms of IP @p i. */
+    void setWork(size_t lane, size_t i, double fraction, double intensity)
     {
         checkLane(lane);
         checkIp(i);
-        if (!(fraction >= 0.0) || std::isinf(fraction))
-            fatal("evaluator: fraction f[" + std::to_string(i) +
-                  "] must be in [0, 1]");
-        if (fraction > 0.0 && !(intensity > 0.0))
-            fatal("evaluator: intensity I[" + std::to_string(i) +
-                  "] must be > 0 where work is assigned");
-        const size_t r = i * kWidth + lane;
+        checkWork(i, fraction, intensity);
+        const size_t r = i * W + lane;
         fraction_[r] = fraction;
         intensity_[r] = intensity;
         intensityEff_[r] = fraction > 0.0 ? intensity : 1.0;
-        rowDirty_[i] = 1;
-        anyDirty_ = true;
+        markDirty(i, i + 1);
     }
     /** @} */
 
@@ -368,15 +227,13 @@ class GablesEvalPack
      * @name Bulk row staging
      *
      * Set one parameter across the first @p cnt lanes from an array
-     * — one call stages a whole grid-point batch, which is how the
-     * sweep drivers feed packs. Validation is identical to the
-     * per-lane mutators, applied in lane order (the first invalid
-     * lane produces the same fatal() the scalar sweep would hit at
-     * that grid point). Lanes >= cnt keep their previous values.
+     * — one call stages a whole batch of grid points. Validation is
+     * identical to the per-lane mutators, applied in lane order (the
+     * first invalid lane produces the same fatal()). Lanes >= cnt
+     * keep their previous values.
      */
     /** @{ */
-    void setFractionRow(size_t i, const double *fractions,
-                        size_t cnt);
+    void setFractionRow(size_t i, const double *fractions, size_t cnt);
     void setIntensityRow(size_t i, const double *intensities,
                          size_t cnt);
     void setAccelerationRow(size_t i, const double *accelerations,
@@ -393,47 +250,62 @@ class GablesEvalPack
      * still computed (they hold stale-but-valid parameters) but are
      * not counted.
      *
-     * @param activeLanes Number of lanes carrying real grid points;
-     *        added to evalCount() so telemetry totals match the
-     *        scalar path exactly.
+     * @param activeLanes Number of lanes carrying real points; added
+     *        to evalCount().
      */
-    void run(size_t activeLanes);
+    void run(size_t activeLanes = W);
 
-    /** @return Attainable performance of @p lane from the last
-     * run(); bit-identical to GablesEvaluator::attainable(). */
+    /** @return Attainable performance (paper Eq. 11) of @p lane from
+     * the last run(). */
     double attainable(size_t lane) const { return att_.at(lane); }
 
-    /** @return Lane @p lane's current off-chip bandwidth Bpeak. */
-    double bpeak(size_t lane) const { return bpeak_.at(lane); }
+    /** @return Bottleneck attribution of @p lane: -1 for memory, else
+     * the bottleneck IP. Memory wins ties, then the lowest IP index —
+     * the contract of GablesModel::evaluate(). Needs a run() after
+     * the last row mutation. */
+    int bottleneckIp(size_t lane) const;
+
+    /**
+     * Full result of @p lane, with per-IP detail, into a caller-owned
+     * scratch result (no allocation once the scratch is warm). Every
+     * field matches GablesModel::evaluate() bit-for-bit. Needs a
+     * run() after the last row mutation; not counted in evalCount().
+     */
+    void evaluate(size_t lane, GablesResult &out) const;
 
     /**
      * Per-lane sums of the acceleration and link-bandwidth rows,
      * each accumulated in IP index order — the order
      * CostModel::cost() visits the IPs, so a linear cost computed
-     * from these sums matches the scalar loop bit-for-bit. Reads the
-     * staged parameters directly (no run() required).
+     * from these sums matches it bit-for-bit. Reads the staged
+     * parameters directly (no run() required).
      *
-     * @param accelSums Out: kWidth sums of Ai per lane.
-     * @param bwSums    Out: kWidth sums of Bi per lane.
+     * @param accelSums Out: W sums of Ai per lane.
+     * @param bwSums    Out: W sums of Bi per lane.
      */
     void paramSums(double *accelSums, double *bwSums) const;
 
-    /** @return Bottleneck attribution of @p lane from the last
-     * run(): -1 for memory, else the lowest bottleneck IP index —
-     * the same tie-break contract as GablesEvaluator::evaluate(). */
-    int bottleneckIp(size_t lane) const;
-
-    /** @return Evaluations served (active lanes across run() calls),
-     * for the model.evals telemetry counters. */
+    /**
+     * @return Evaluations served (active lanes across run() calls),
+     * for the model.evals telemetry counters (sum per-worker counts;
+     * the total is scheduling-independent).
+     */
     uint64_t evalCount() const { return evals_; }
 
   private:
+    template <size_t> friend class GablesPack;
+
+    size_t row(size_t lane, size_t i) const
+    {
+        checkLane(lane);
+        return i * W + lane;
+    }
+
     void checkLane(size_t lane) const
     {
-        if (lane >= kWidth)
+        if (lane >= W)
             fatal("evaluator: pack lane " + std::to_string(lane) +
-                  " out of range (W=" + std::to_string(kWidth) +
-                  ")");
+                  " out of range (W=" + std::to_string(W) + ")");
     }
 
     void checkIp(size_t i) const
@@ -443,21 +315,73 @@ class GablesEvalPack
                   " out of range (N=" + std::to_string(n_) + ")");
     }
 
+    /** @name Value checks shared by the per-lane and row setters */
+    /** @{ */
+    static void checkBpeak(double bpeak)
+    {
+        if (!(bpeak > 0.0) || std::isinf(bpeak))
+            fatal("evaluator: Bpeak must be positive and finite");
+    }
+
+    static void checkAcceleration(size_t i, double acceleration)
+    {
+        if (!(acceleration > 0.0) || std::isinf(acceleration))
+            fatal("evaluator: IP[" + std::to_string(i) +
+                  "] acceleration must be positive and finite");
+        if (i == 0 && acceleration != 1.0)
+            fatal("evaluator: IP[0] acceleration A0 must be 1 "
+                  "(paper Section III-D)");
+    }
+
+    static void checkBandwidth(size_t i, double bandwidth)
+    {
+        if (!(bandwidth > 0.0) || std::isinf(bandwidth))
+            fatal("evaluator: IP[" + std::to_string(i) +
+                  "] bandwidth must be positive and finite");
+    }
+
+    static void checkIntensity(size_t i, double fraction, double intensity)
+    {
+        if (fraction > 0.0 && !(intensity > 0.0))
+            fatal("evaluator: intensity I[" + std::to_string(i) +
+                  "] must be > 0 where work is assigned");
+    }
+
+    static void checkWork(size_t i, double fraction, double intensity)
+    {
+        if (!(fraction >= 0.0) || std::isinf(fraction))
+            fatal("evaluator: fraction f[" + std::to_string(i) +
+                  "] must be in [0, 1]");
+        checkIntensity(i, fraction, intensity);
+    }
+    /** @} */
+
     static void checkCount(size_t cnt)
     {
-        if (cnt > kWidth)
-            fatal("evaluator: bulk lane count " +
-                  std::to_string(cnt) + " exceeds pack width W=" +
-                  std::to_string(kWidth));
+        if (cnt > W)
+            fatal("evaluator: bulk lane count " + std::to_string(cnt) +
+                  " exceeds pack width W=" + std::to_string(W));
     }
+
+    void markDirty(size_t lo, size_t hi)
+    {
+        dirtyLo_ = std::min(dirtyLo_, lo);
+        dirtyHi_ = std::max(dirtyHi_, hi);
+    }
+
+    /** Size the rows for @p n IPs and mark every row dirty. */
+    void reset(size_t n);
+    /** Set every lane of IP row @p i. */
+    void fillRow(size_t i, double acceleration, double bandwidth,
+                 double fraction, double intensity);
 
     size_t n_ = 0;
 
     // Per-lane scalars.
-    std::array<double, kWidth> ppeak_{};
-    std::array<double, kWidth> bpeak_{};
+    std::array<double, W> ppeak_{};
+    std::array<double, W> bpeak_{};
 
-    // SoA rows, row-major [i * kWidth + lane].
+    // Parameter rows, row-major [i * W + lane].
     std::vector<double> accel_;
     std::vector<double> bandwidth_;
     std::vector<double> fraction_;
@@ -465,36 +389,39 @@ class GablesEvalPack
     // The divisor run() actually uses for dataBytes: the raw
     // intensity where fraction > 0, and a harmless 1.0 on idle lanes
     // (where the raw value may legally be <= 0 and f/I would produce
-    // -0.0 or NaN instead of the scalar path's literal 0.0; 0/1
-    // yields the identical +0.0 bits). Maintained at mutation time
-    // so run()'s inner loop is pure branch-free arithmetic — the
-    // whole point of the pack — while intensity_ keeps the raw value
-    // for validation parity with the scalar mutators.
+    // -0.0 or NaN instead of the model's literal 0.0; 0/1 yields the
+    // identical +0.0 bits). Maintained at mutation time so run()'s
+    // inner loop is pure branch-free arithmetic, while intensity_
+    // keeps the raw value for validation.
     std::vector<double> intensityEff_;
 
-    // Derived rows (only the terms the reductions consume).
+    // Derived rows (the terms the reductions consume).
     std::vector<double> dataBytes_;
     std::vector<double> time_;
 
     // Per-lane reductions over the rows, cached across run() calls
-    // until a mutation dirties a row (the scalar totalsDirty_
-    // analogue — Bpeak-only grids never recompute them).
-    std::array<double, kWidth> totalBytes_{};
-    std::array<double, kWidth> maxIpTime_{};
+    // until a mutation dirties a row (Bpeak-only grids never
+    // recompute them).
+    std::array<double, W> totalBytes_{};
+    std::array<double, W> maxIpTime_{};
 
-    // Per-lane results of the last run().
-    std::array<double, kWidth> memTime_{};
-    std::array<double, kWidth> att_{};
+    // Per-lane attainable performance of the last run().
+    std::array<double, W> att_{};
 
-    // Rows touched by a mutation since the last run(). rowDirty_[i]
-    // covers all lanes of row i: recomputing a clean lane reproduces
-    // identical bits, so over-recompute is harmless and keeps the
-    // inner loops branch-free.
-    std::vector<uint8_t> rowDirty_;
-    bool anyDirty_ = true;
+    // Rows [dirtyLo_, dirtyHi_) may have changed since the last run()
+    // (none when dirtyLo_ >= dirtyHi_), in every lane. Recomputing a
+    // clean row reproduces identical bits, so over-recompute is
+    // harmless and keeps the inner loops branch-free.
+    size_t dirtyLo_ = 0;
+    size_t dirtyHi_ = 0;
 
     uint64_t evals_ = 0;
 };
+
+// run() and the row setters are compiled once, in evaluator.cc, under
+// the evaluator vectorization flags.
+extern template class GablesPack<1>;
+extern template class GablesPack<kGridWidth>;
 
 } // namespace gables
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * LRU cache of compiled GablesEvaluator instances for the daemon.
+ * LRU cache of compiled single-point GablesPack instances for the
+ * daemon.
  *
  * Compiling a (SocSpec, Usecase) pair validates both specs and
  * derives every per-IP timing lane; at serving rates that cost — and
@@ -11,8 +12,8 @@
  * as they parse to the same doubles), and evicts least-recently-used
  * entries beyond a fixed capacity.
  *
- * Thread-safety: acquire() is safe from any thread. A GablesEvaluator
- * is mutable per-evaluation state, so each entry carries its own
+ * Thread-safety: acquire() is safe from any thread. A pack is mutable
+ * per-evaluation state, so each entry carries its own
  * mutex; callers lock it for the duration of their evaluation
  * (Entry::lock()). Entries are handed out as shared_ptr so an evicted
  * entry stays alive for requests still using it.
@@ -53,7 +54,7 @@ class EvaluatorCache
 
         const SocSpec soc;
         const Usecase usecase;
-        GablesEvaluator evaluator;
+        GablesPack<1> evaluator;
 
         /** Serializes evaluations on this entry's mutable state. */
         std::mutex mutex;

@@ -238,12 +238,15 @@ ServeServer::run()
                   std::strerror(errno));
         if (ready <= 0)
             continue;
+        // Only the connections that existed when fds was built have
+        // an entry there; ones accepted below wait for the next poll.
+        const size_t polled = fds.size() - 1;
         if (fds[0].revents & POLLIN)
             acceptPending();
         std::vector<Connection> alive;
         alive.reserve(connections_.size());
         size_t visited = 0;
-        for (size_t i = 0; i < connections_.size(); ++i) {
+        for (size_t i = 0; i < polled; ++i) {
             Connection &conn = connections_[i];
             short revents = fds[i + 1].revents;
             bool keep = true;
@@ -266,7 +269,8 @@ ServeServer::run()
             if (service_.shutdownRequested())
                 break;
         }
-        // Preserve connections not visited before a shutdown break.
+        // Keep connections not visited before a shutdown break, and
+        // the ones accepted this round.
         for (size_t i = visited; i < connections_.size(); ++i)
             alive.push_back(std::move(connections_[i]));
         connections_ = std::move(alive);

@@ -231,7 +231,8 @@ handleEval(EvaluatorCache &cache, const JsonValue &req)
     std::ostringstream out;
     {
         std::lock_guard<std::mutex> lock(entry->mutex);
-        entry->evaluator.evaluate(scratch);
+        entry->evaluator.run();
+        entry->evaluator.evaluate(0, scratch);
         JsonWriter json(out, false);
         json.beginObject();
         json.kv("attainable_ops_per_sec", scratch.attainable);
@@ -265,18 +266,14 @@ handleEval(EvaluatorCache &cache, const JsonValue &req)
     return out.str();
 }
 
-/** Batch-dispatch one sweep axis onto a pack: kWidth values per
- * pass. The cached entry's evaluator is only read (broadcast), never
- * mutated, so no restore is needed and a mid-sweep error leaves the
- * entry untouched. Output bits match the scalar per-point loop. */
+/** Sweep one axis over @p values, kGridWidth values per pass. */
 void
-sweepPacked(const GablesEvaluator &base, const std::string &axis,
+sweepPacked(GablesPack<kGridWidth> &pack, const std::string &axis,
             size_t ip, const std::vector<double> &values,
             const Deadline &deadline, std::vector<double> &attainable)
 {
-    constexpr size_t W = GablesEvalPack::kWidth;
-    GablesEvalPack pack(base);
-    // Same ~1024-point cadence as the scalar loop's (i & 1023) test.
+    constexpr size_t W = kGridWidth;
+    // Check the deadline about every 1024 points.
     size_t next_check = 1023;
     for (size_t p0 = 0; p0 < values.size(); p0 += W) {
         if (p0 + W > next_check) {
@@ -325,49 +322,15 @@ handleSweep(EvaluatorCache &cache, const JsonValue &req,
     bool hit = false;
     std::shared_ptr<EvaluatorCache::Entry> entry =
         cache.acquire(soc, usecase, &hit);
+    // The cached entry is only read (broadcast into a grid pack),
+    // never mutated, so a mid-sweep error leaves it untouched.
+    GablesPack<kGridWidth> pack = [&] {
+        std::lock_guard<std::mutex> lock(entry->mutex);
+        return GablesPack<kGridWidth>(entry->evaluator);
+    }();
     std::vector<double> attainable;
     attainable.reserve(values.size());
-    if (simd::enabled()) {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        sweepPacked(entry->evaluator, axis, ip, values, deadline,
-                    attainable);
-    } else {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        GablesEvaluator &ev = entry->evaluator;
-        double saved = axis == "intensity" ? ev.intensity(ip)
-                       : axis == "fraction" ? ev.fraction(ip)
-                                            : ev.bpeak();
-        auto restore = [&] {
-            if (axis == "intensity")
-                ev.setIntensity(ip, saved);
-            else if (axis == "fraction")
-                ev.setFraction(ip, saved);
-            else
-                ev.setBpeak(saved);
-        };
-        try {
-            for (size_t i = 0; i < values.size(); ++i) {
-                if ((i & 1023) == 1023 && deadline.expired())
-                    throw RequestError{ServeError{
-                        ErrorKind::Deadline,
-                        "deadline expired mid-sweep after " +
-                            std::to_string(i + 1) + " points"}};
-                if (axis == "intensity")
-                    ev.setIntensity(ip, values[i]);
-                else if (axis == "fraction")
-                    ev.setFraction(ip, values[i]);
-                else
-                    ev.setBpeak(values[i]);
-                attainable.push_back(ev.attainable());
-            }
-        } catch (...) {
-            // Restore the cached entry for other requests even when
-            // a value is rejected or the deadline expires.
-            restore();
-            throw;
-        }
-        restore();
-    }
+    sweepPacked(pack, axis, ip, values, deadline, attainable);
     *sweep_points = attainable.size();
 
     std::ostringstream out;
@@ -736,14 +699,6 @@ ServeService::statsReportJson()
     report.addConfig("jobs", static_cast<long>(options_.jobs));
     report.addConfig("cache_capacity",
                      static_cast<long>(options_.cacheCapacity));
-    // Loadgen runs read these to confirm the packed path is live:
-    // lane width 1 means every handler evaluates scalar.
-    report.addConfig("simd_lane_width",
-                     static_cast<long>(simd::enabled()
-                                           ? GablesEvalPack::kWidth
-                                           : 1));
-    report.addConfig("simd_compiled",
-                     static_cast<long>(simd::kCompiledIn ? 1 : 0));
     report.setRegistry(&registry_);
     std::ostringstream out;
     report.write(out);

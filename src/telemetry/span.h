@@ -13,7 +13,7 @@
  * Cost discipline mirrors the stats registry: with no tracer active
  * a ScopedSpan is one relaxed atomic load and a branch — outputs are
  * bit-identical with profiling attached or detached, and the hot
- * analytic paths (GablesEvaluator::attainable(), the event queue
+ * analytic paths (GablesPack::run(), the event queue
  * drain) are deliberately left uninstrumented.
  *
  * Threading contract: begin/end touch only the calling thread's

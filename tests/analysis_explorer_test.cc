@@ -6,13 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/explorer.h"
-#include "core/evaluator.h"
 #include "soc/catalog.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -223,14 +224,46 @@ expectSameFrontier(const std::vector<Candidate> &fast,
     }
 }
 
+/**
+ * Every candidate's scores must match a from-scratch
+ * GablesModel::evaluate() of its own SocSpec (the oracle), and its
+ * cost CostModel::cost(), bit-for-bit.
+ */
+void
+expectMatchesOracle(const std::vector<Candidate> &candidates,
+                    const std::vector<Usecase> &usecases,
+                    const CostModel &cost, const std::string &what)
+{
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        const Candidate &c = candidates[i];
+        ASSERT_EQ(c.perUsecase.size(), usecases.size()) << what;
+        double min_perf = std::numeric_limits<double>::infinity();
+        for (size_t u = 0; u < usecases.size(); ++u) {
+            double p = GablesModel::evaluate(c.soc, usecases[u]).attainable;
+            EXPECT_EQ(bitsOf(c.perUsecase[u]), bitsOf(p))
+                << what << " candidate " << i << " usecase " << u;
+            min_perf = std::min(min_perf, p);
+        }
+        EXPECT_EQ(bitsOf(c.minPerf), bitsOf(min_perf))
+            << what << " candidate " << i;
+        EXPECT_EQ(bitsOf(c.cost), bitsOf(cost.cost(c.soc)))
+            << what << " candidate " << i;
+    }
+}
+
+std::vector<Usecase>
+gridUsecases()
+{
+    return {Usecase::twoIp("a", 0.75, 8.0, 0.5),
+            Usecase::twoIp("b", 0.25, 2.0, 16.0)};
+}
+
 /** A two-knob 64x64 grid over the paper SoC with two usecases. */
 DesignExplorer
 gridExplorer()
 {
     SocSpec base = SocCatalog::paperTwoIp();
-    Usecase a = Usecase::twoIp("a", 0.75, 8.0, 0.5);
-    Usecase b = Usecase::twoIp("b", 0.25, 2.0, 16.0);
-    DesignExplorer ex(base, {a, b}, simpleCost());
+    DesignExplorer ex(base, gridUsecases(), simpleCost());
     std::vector<double> bpeaks, accels;
     for (int i = 0; i < 64; ++i) {
         bpeaks.push_back((i + 1) * 1.5e9);
@@ -334,12 +367,15 @@ TEST(ExploreFrontier, RandomizedGridsMatchUnpruned)
         ex.sweepAcceleration(1, accels);
         ex.sweepIpBandwidth(0, bands);
 
-        auto reference = DesignExplorer::frontier(ex.explore());
+        const std::string what = "seed " + std::to_string(seed);
+        auto candidates = ex.explore();
+        expectMatchesOracle(candidates, {a, b}, cost, what);
+        auto reference = DesignExplorer::frontier(candidates);
         ExploreOptions opts;
         opts.subgridSize = static_cast<size_t>(rng.uniformInt(4, 96));
         auto fast = ex.exploreFrontier(opts);
-        expectSameFrontier(fast, reference,
-                           "seed " + std::to_string(seed));
+        expectSameFrontier(fast, reference, what);
+        expectMatchesOracle(fast, {a, b}, cost, what + " frontier");
     }
 }
 
@@ -367,28 +403,19 @@ TEST(ExploreFrontier, DuplicateKnobTargetsFallBack)
     EXPECT_EQ(stats.evalsPruned, 0u);
 }
 
-TEST(ExploreFrontier, PackedToggleIsByteIdentical)
+TEST(ExploreFrontier, CandidatesMatchModelOracle)
 {
-    // Direct A/B across the runtime toggle: the packed grid path
-    // (incremental lane digits + pack-side cost sums) and the scalar
-    // path must return identical frontiers, pruned and unpruned. The
-    // grid width (64) is not a multiple of the pack width times the
-    // subgrid stride, so partial packs are exercised too.
+    // Every design the packed grid scores — all of explore(), and the
+    // frontier pruned and unpruned, including the single-point bound
+    // probes' decisions and re-materialization — matches the oracle.
     DesignExplorer ex = gridExplorer();
+    expectMatchesOracle(ex.explore(), gridUsecases(), simpleCost(),
+                        "explore");
     for (bool prune : {true, false}) {
         ExploreOptions opts;
         opts.prune = prune;
-        auto packed = [&] {
-            simd::ScopedEnable on(true);
-            return ex.exploreFrontier(opts);
-        }();
-        auto scalar = [&] {
-            simd::ScopedEnable off(false);
-            return ex.exploreFrontier(opts);
-        }();
-        expectSameFrontier(packed, scalar,
-                           prune ? "toggle pruned"
-                                 : "toggle unpruned");
+        expectMatchesOracle(ex.exploreFrontier(opts), gridUsecases(),
+                            simpleCost(), prune ? "pruned" : "unpruned");
     }
 }
 

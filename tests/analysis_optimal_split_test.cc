@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "analysis/advisor.h"
 #include "analysis/optimal_split.h"
 #include "soc/catalog.h"
 #include "util/logging.h"
@@ -113,6 +114,40 @@ TEST(OptimalSplit, PlaceableWorkScalesLinearly)
     double w1 = solver.placeableWork(1.0);
     double w2 = solver.placeableWork(2.0);
     EXPECT_NEAR(w2, 2.0 * w1, w1 * 1e-9);
+}
+
+TEST(OptimalSplit, SpentByteBudgetStopsTheFill)
+{
+    // On this design the greedy fill's byte budget rounds to about
+    // -2.2e-19 after IP[2]; IP[1] must then get no work instead of a
+    // negative fraction that Usecase rejects.
+    SocSpec soc("rounding", 24683258831.514774, 37682766978.564636,
+                {IpSpec{"IP0", 1.0, 1045928716.5256444},
+                 IpSpec{"IP1", 5.6656804077768328, 34435322790.044731},
+                 IpSpec{"IP2", 26.53925047051797, 7777298401.2255363},
+                 IpSpec{"IP3", 15.071257742938997,
+                        36779480864.558899}});
+    std::vector<double> intensities = {
+        70.231649315171367, 0.43851963985861669, 4.9598842986810636,
+        6.9475045669684965};
+    OptimalSplit r = OptimalSplitSolver(soc, intensities).solve();
+    double sum = 0.0;
+    for (double f : r.fractions) {
+        EXPECT_GE(f, 0.0);
+        EXPECT_LE(f, 1.0);
+        sum += f;
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+    EXPECT_EQ(r.fractions[1], 0.0);
+    double model = GablesModel::evaluate(soc, r.usecase).attainable;
+    EXPECT_NEAR(r.attainable, model, model * 1e-12);
+
+    // The advisor's re-split move runs the same solver.
+    std::vector<IpWork> work;
+    for (double in : intensities)
+        work.push_back(IpWork{0.25, in});
+    EXPECT_FALSE(
+        Advisor::advise(soc, Usecase("even", std::move(work))).empty());
 }
 
 TEST(OptimalSplit, InvalidInputsRejected)

@@ -187,42 +187,39 @@ TEST(SweepBitIdentity, MixingMatchesLegacyLoop)
     }
 }
 
-// Direct A/B across the runtime toggle: the same driver call with
-// the packed path on and off must produce byte-identical series
-// (partial-pack tails included). This pins the `--no-simd` escape
-// hatch beyond the legacy-loop comparisons above.
-TEST(SweepBitIdentity, PackedToggleIsByteIdentical)
+// The drivers evaluate kGridWidth points per pack; a per-point loop
+// on a single-point pack must reproduce every lane, partial-pack
+// tails included.
+TEST(SweepBitIdentity, GridPacksMatchSinglePointPacks)
 {
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    // 11 points: one full pack plus a 3-lane tail at kWidth = 8.
+    // 11 points: one full pack plus a 3-lane tail at kGridWidth = 8.
     std::vector<double> intensities;
     for (int i = 0; i < 11; ++i)
         intensities.push_back(0.05 * (i + 1) * (i + 1));
 
-    Series packed = [&] {
-        simd::ScopedEnable on(true);
-        return Sweep::intensity(soc, u, 1, intensities);
-    }();
-    Series scalar = [&] {
-        simd::ScopedEnable off(false);
-        return Sweep::intensity(soc, u, 1, intensities);
-    }();
-    ASSERT_EQ(packed.y.size(), scalar.y.size());
-    for (size_t i = 0; i < packed.y.size(); ++i)
-        EXPECT_EQ(packed.y[i], scalar.y[i]) << "i " << i;
+    Series grid = Sweep::intensity(soc, u, 1, intensities);
+    GablesPack<1> single(soc, u);
+    ASSERT_EQ(grid.y.size(), intensities.size());
+    for (size_t i = 0; i < intensities.size(); ++i) {
+        single.setIntensity(0, 1, intensities[i]);
+        single.run();
+        EXPECT_EQ(grid.y[i], single.attainable(0)) << "i " << i;
+    }
 
-    Series packed_mix = [&] {
-        simd::ScopedEnable on(true);
-        return Sweep::mixing(soc, 4.0, 32.0, eighths());
-    }();
-    Series scalar_mix = [&] {
-        simd::ScopedEnable off(false);
-        return Sweep::mixing(soc, 4.0, 32.0, eighths());
-    }();
-    ASSERT_EQ(packed_mix.y.size(), scalar_mix.y.size());
-    for (size_t i = 0; i < packed_mix.y.size(); ++i)
-        EXPECT_EQ(packed_mix.y[i], scalar_mix.y[i]) << "i " << i;
+    std::vector<double> fractions = eighths();
+    Series mix = Sweep::mixing(soc, 4.0, 32.0, fractions);
+    GablesPack<1> point(soc, Usecase::twoIp("m", 0.0, 4.0, 32.0));
+    point.run();
+    const double base = point.attainable(0);
+    ASSERT_EQ(mix.y.size(), fractions.size());
+    for (size_t i = 0; i < fractions.size(); ++i) {
+        point.setFraction(0, 0, 1.0 - fractions[i]);
+        point.setFraction(0, 1, fractions[i]);
+        point.run();
+        EXPECT_EQ(mix.y[i], point.attainable(0) / base) << "i " << i;
+    }
 }
 
 TEST(CustomSweep, AppliesCallback)

@@ -1,16 +1,16 @@
 /**
  * @file
- * Property tests for GablesEvaluator: over randomized SoCs, usecases,
- * and mutation sequences, the compiled evaluator must stay
+ * Property tests for GablesPack: over randomized SoCs, usecases, and
+ * mutation sequences, the single-point pack (W = 1) must stay
  * bit-identical to a from-scratch GablesModel::evaluate() of the
- * equivalent (SocSpec, Usecase) pair — including idle (fi == 0) lanes
- * and infinite-intensity (no-traffic) lanes.
+ * equivalent (SocSpec, Usecase) pair — including idle (fi == 0) IPs
+ * and infinite-intensity (no-traffic) IPs.
  *
- * The same harness also pins the packed path: every GablesEvalPack
- * lane must stay bit-identical to a scalar GablesEvaluator fed the
- * same mutation sequence, across random mutations and the degenerate
- * cases (idle lanes, infinite intensity, denormal-small bandwidth)
- * mixed into one pack.
+ * The same harness pins the grid width: every lane of a
+ * GablesPack<kGridWidth> must stay bit-identical, full result
+ * included, to a GablesPack<1> fed the same mutation sequence, across
+ * random mutations and the degenerate cases (idle IPs, infinite
+ * intensity, denormal-small bandwidth) mixed into one pack.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -131,12 +132,13 @@ TEST(EvaluatorProperty, FreshCompileMatchesLegacy)
         Pair p = randomPair(rng);
         SocSpec soc = p.soc();
         Usecase u = p.usecase();
-        GablesEvaluator ev(soc, u);
+        GablesPack<1> ev(soc, u);
         GablesResult legacy = GablesModel::evaluate(soc, u);
         GablesResult fast;
-        ev.evaluate(fast);
+        ev.run();
+        ev.evaluate(0, fast);
         expectBitIdentical(fast, legacy, seed, -1);
-        EXPECT_EQ(bits(ev.attainable()), bits(legacy.attainable))
+        EXPECT_EQ(bits(ev.attainable(0)), bits(legacy.attainable))
             << "seed " << seed;
     }
 }
@@ -147,7 +149,7 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
     for (uint64_t seed = 1000; seed < 1100; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
-        GablesEvaluator ev(p.soc(), p.usecase());
+        GablesPack<1> ev(p.soc(), p.usecase());
         const size_t n = p.ips.size();
 
         for (int step = 0; step < 40; ++step) {
@@ -156,12 +158,12 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
             switch (rng.uniformInt(0, 5)) {
               case 0: {
                 p.ppeak = rng.logUniform(1e9, 1e12);
-                ev.setPpeak(p.ppeak);
+                ev.setPpeak(0, p.ppeak);
                 break;
               }
               case 1: {
                 p.bpeak = rng.logUniform(1e9, 1e11);
-                ev.setBpeak(p.bpeak);
+                ev.setBpeak(0, p.bpeak);
                 break;
               }
               case 2: {
@@ -170,14 +172,14 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
                 size_t i = static_cast<size_t>(
                     rng.uniformInt(1, static_cast<int64_t>(n) - 1));
                 p.ips[i].acceleration = rng.logUniform(0.1, 100.0);
-                ev.setAcceleration(i, p.ips[i].acceleration);
+                ev.setAcceleration(0, i, p.ips[i].acceleration);
                 break;
               }
               case 3: {
                 size_t i = static_cast<size_t>(
                     rng.uniformInt(0, static_cast<int64_t>(n) - 1));
                 p.ips[i].bandwidth = rng.logUniform(1e8, 1e11);
-                ev.setIpBandwidth(i, p.ips[i].bandwidth);
+                ev.setIpBandwidth(0, i, p.ips[i].bandwidth);
                 break;
               }
               case 4: {
@@ -189,7 +191,7 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
                     rng.uniformInt(0, 5) == 0
                         ? kInf
                         : rng.logUniform(0.01, 1000.0);
-                ev.setIntensity(i, p.work[i].intensity);
+                ev.setIntensity(0, i, p.work[i].intensity);
                 break;
               }
               default: {
@@ -208,47 +210,56 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
                 if (p.work[j].fraction > 0.0 &&
                     !(p.work[j].intensity > 0.0))
                     p.work[j].intensity = 1.0;
-                ev.setWork(i, p.work[i].fraction, p.work[i].intensity);
-                ev.setWork(j, p.work[j].fraction, p.work[j].intensity);
+                ev.setWork(0, i, p.work[i].fraction, p.work[i].intensity);
+                ev.setWork(0, j, p.work[j].fraction, p.work[j].intensity);
                 break;
               }
             }
             GablesResult legacy =
                 GablesModel::evaluate(p.soc(), p.usecase());
-            ev.evaluate(fast);
+            ev.run();
+            ev.evaluate(0, fast);
             expectBitIdentical(fast, legacy, seed, step);
-            EXPECT_EQ(bits(ev.attainable()), bits(legacy.attainable))
+            EXPECT_EQ(bits(ev.attainable(0)), bits(legacy.attainable))
                 << "seed " << seed << " step " << step;
         }
     }
 }
 
-/** Bottleneck attribution of a scalar evaluator via the full
- * evaluate() path, for comparison with GablesEvalPack. */
-int
-scalarBottleneck(GablesEvaluator &ev, GablesResult &scratch)
+/** Lane @p w of the run grid pack must match the single-point
+ * @p mirror fed the same mutations, full result included. */
+void
+expectLaneMatches(const GablesPack<kGridWidth> &pack, size_t w,
+                  GablesPack<1> &mirror, const std::string &where)
 {
-    ev.evaluate(scratch);
-    return scratch.bottleneckIp;
+    mirror.run();
+    EXPECT_EQ(bits(pack.attainable(w)), bits(mirror.attainable(0)))
+        << where << " lane " << w;
+    EXPECT_EQ(pack.bottleneckIp(w), mirror.bottleneckIp(0))
+        << where << " lane " << w;
+    GablesResult wide, single;
+    pack.evaluate(w, wide);
+    mirror.evaluate(0, single);
+    SCOPED_TRACE(where + " lane " + std::to_string(w));
+    expectBitIdentical(wide, single, 0, -1);
 }
 
 TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
 {
-    constexpr size_t W = GablesEvalPack::kWidth;
-    GablesResult scratch;
+    constexpr size_t W = kGridWidth;
     for (uint64_t seed = 2000; seed < 2060; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
-        GablesEvaluator base(p.soc(), p.usecase());
+        GablesPack<1> base(p.soc(), p.usecase());
         const size_t n = p.ips.size();
 
-        GablesEvalPack pack(base);
-        // One scalar mirror per lane; GablesEvaluator is copyable.
-        std::vector<GablesEvaluator> mirror(W, base);
+        GablesPack<W> pack(base);
+        // One single-point mirror per lane.
+        std::vector<GablesPack<1>> mirror(W, base);
 
         for (int round = 0; round < 6; ++round) {
             // A few random mutations per lane, applied identically
-            // to the pack lane and its scalar mirror. Lane 0's IP 0
+            // to the pack lane and its single-point mirror. Lane 0's IP 0
             // fraction stays positive so every lane keeps nonzero
             // critical time.
             for (size_t w = 0; w < W; ++w) {
@@ -258,13 +269,13 @@ TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
                       case 0: {
                         double v = rng.logUniform(1e9, 1e12);
                         pack.setPpeak(w, v);
-                        mirror[w].setPpeak(v);
+                        mirror[w].setPpeak(0, v);
                         break;
                       }
                       case 1: {
                         double v = rng.logUniform(1e9, 1e11);
                         pack.setBpeak(w, v);
-                        mirror[w].setBpeak(v);
+                        mirror[w].setBpeak(0, v);
                         break;
                       }
                       case 2: {
@@ -274,7 +285,7 @@ TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
                             1, static_cast<int64_t>(n) - 1));
                         double v = rng.logUniform(0.1, 100.0);
                         pack.setAcceleration(w, i, v);
-                        mirror[w].setAcceleration(i, v);
+                        mirror[w].setAcceleration(0, i, v);
                         break;
                       }
                       case 3: {
@@ -282,7 +293,7 @@ TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
                             0, static_cast<int64_t>(n) - 1));
                         double v = rng.logUniform(1e8, 1e11);
                         pack.setIpBandwidth(w, i, v);
-                        mirror[w].setIpBandwidth(i, v);
+                        mirror[w].setIpBandwidth(0, i, v);
                         break;
                       }
                       case 4: {
@@ -297,42 +308,36 @@ TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
                                        ? 0.0
                                        : rng.logUniform(0.01, 1.0);
                         pack.setWork(w, i, f, in);
-                        mirror[w].setWork(i, f, in);
+                        mirror[w].setWork(0, i, f, in);
                         break;
                       }
                       default: {
                         size_t i = static_cast<size_t>(rng.uniformInt(
                             0, static_cast<int64_t>(n) - 1));
-                        if (mirror[w].fraction(i) == 0.0)
+                        if (mirror[w].fraction(0, i) == 0.0)
                             continue;
                         double in = rng.uniformInt(0, 5) == 0
                                         ? kInf
                                         : rng.logUniform(0.01, 1000.0);
                         pack.setIntensity(w, i, in);
-                        mirror[w].setIntensity(i, in);
+                        mirror[w].setIntensity(0, i, in);
                         break;
                       }
                     }
                 }
             }
             pack.run(W);
-            for (size_t w = 0; w < W; ++w) {
-                EXPECT_EQ(bits(pack.attainable(w)),
-                          bits(mirror[w].attainable()))
-                    << "seed " << seed << " round " << round
-                    << " lane " << w;
-                EXPECT_EQ(pack.bottleneckIp(w),
-                          scalarBottleneck(mirror[w], scratch))
-                    << "seed " << seed << " round " << round
-                    << " lane " << w;
-            }
+            for (size_t w = 0; w < W; ++w)
+                expectLaneMatches(pack, w, mirror[w],
+                                  "seed " + std::to_string(seed) +
+                                      " round " + std::to_string(round));
         }
     }
 }
 
 TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
 {
-    constexpr size_t W = GablesEvalPack::kWidth;
+    constexpr size_t W = kGridWidth;
     // A 4-IP pair with work spread across all IPs.
     Pair p;
     p.ppeak = 1e11;
@@ -348,10 +353,9 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
         w.intensity = 2.0 * static_cast<double>(i + 1);
         p.work.push_back(w);
     }
-    GablesEvaluator base(p.soc(), p.usecase());
-    GablesEvalPack pack(base);
-    std::vector<GablesEvaluator> mirror(W, base);
-    GablesResult scratch;
+    GablesPack<1> base(p.soc(), p.usecase());
+    GablesPack<W> pack(base);
+    std::vector<GablesPack<1>> mirror(W, base);
 
     // The constructors reject a literal zero bandwidth on both paths,
     // so the closest reachable degenerate is the smallest positive
@@ -364,54 +368,48 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
     mutate(0, [&](size_t w) {
         for (size_t i = 0; i < 4; ++i) {
             pack.setIntensity(w, i, kInf);
-            mirror[w].setIntensity(i, kInf);
+            mirror[w].setIntensity(0, i, kInf);
         }
     });
     // Lane 1: idle tail IPs (fi = 0), mass moved to IP 0.
     mutate(1, [&](size_t w) {
         pack.setFraction(w, 0, 1.0);
-        mirror[w].setFraction(0, 1.0);
+        mirror[w].setFraction(0, 0, 1.0);
         for (size_t i = 1; i < 4; ++i) {
             pack.setFraction(w, i, 0.0);
-            mirror[w].setFraction(i, 0.0);
+            mirror[w].setFraction(0, i, 0.0);
         }
     });
     // Lane 2: denormal-small link bandwidth (transfer time -> inf).
     mutate(2, [&](size_t w) {
         pack.setIpBandwidth(w, 2, kTinyBw);
-        mirror[w].setIpBandwidth(2, kTinyBw);
+        mirror[w].setIpBandwidth(0, 2, kTinyBw);
     });
     // Lane 3: all three degeneracies mixed in one lane.
     mutate(3, [&](size_t w) {
         pack.setWork(w, 1, 0.0, 1.0);
-        mirror[w].setWork(1, 0.0, 1.0);
+        mirror[w].setWork(0, 1, 0.0, 1.0);
         pack.setIntensity(w, 3, kInf);
-        mirror[w].setIntensity(3, kInf);
+        mirror[w].setIntensity(0, 3, kInf);
         pack.setIpBandwidth(w, 0, kTinyBw);
-        mirror[w].setIpBandwidth(0, kTinyBw);
+        mirror[w].setIpBandwidth(0, 0, kTinyBw);
     });
     // Lane 4: idle IP whose leftover intensity is *invalid for work*
     // (zero) — legal while idle; the packed select must still pin its
-    // dataBytes to +0 like the scalar branch.
+    // dataBytes to +0 like the model's branch.
     if (W > 4) {
         pack.setWork(4, 3, 0.0, 0.0);
-        mirror[4].setWork(3, 0.0, 0.0);
+        mirror[4].setWork(0, 3, 0.0, 0.0);
         pack.setFraction(4, 0, 0.5);
-        mirror[4].setFraction(0, 0.5);
+        mirror[4].setFraction(0, 0, 0.5);
     }
     // Remaining lanes stay broadcast copies of the base.
 
     pack.run(W);
-    for (size_t w = 0; w < W; ++w) {
-        EXPECT_EQ(bits(pack.attainable(w)),
-                  bits(mirror[w].attainable()))
-            << "lane " << w;
-        EXPECT_EQ(pack.bottleneckIp(w),
-                  scalarBottleneck(mirror[w], scratch))
-            << "lane " << w;
-    }
+    for (size_t w = 0; w < W; ++w)
+        expectLaneMatches(pack, w, mirror[w], "degenerate");
 
-    // Mutators reject invalid values with the scalar path's checks.
+    // Mutators reject invalid values with the single-point checks.
     EXPECT_THROW(pack.setFraction(0, 1, -0.5), FatalError);
     EXPECT_THROW(pack.setIpBandwidth(0, 1, 0.0), FatalError);
     EXPECT_THROW(pack.setWork(0, 1, 0.5, 0.0), FatalError);
@@ -420,18 +418,18 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
 
 TEST(EvaluatorProperty, PackBulkRowsMatchPerLaneMutators)
 {
-    constexpr size_t W = GablesEvalPack::kWidth;
+    constexpr size_t W = kGridWidth;
     for (uint64_t seed = 3000; seed < 3040; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
-        GablesEvaluator base(p.soc(), p.usecase());
+        GablesPack<1> base(p.soc(), p.usecase());
         const size_t n = p.ips.size();
 
         // Two packs fed the same values: one through the bulk row
         // setters (the sweep drivers' staging path), one through the
-        // per-lane mutators already proven against the scalar path.
-        GablesEvalPack bulk(base);
-        GablesEvalPack lane(base);
+        // per-lane mutators already proven against W = 1.
+        GablesPack<kGridWidth> bulk(base);
+        GablesPack<kGridWidth> lane(base);
 
         for (int round = 0; round < 8; ++round) {
             // Partial-count staging exercises the grid-tail case.
@@ -522,9 +520,9 @@ TEST(EvaluatorProperty, PackBulkRowsValidateLikePerLane)
     // Guarantee IP 0 carries work so intensity validation can fire.
     p.work[0].fraction = std::max(p.work[0].fraction, 0.5);
     p.work[0].intensity = 2.0;
-    GablesEvaluator base(p.soc(), p.usecase());
-    GablesEvalPack pack(base);
-    constexpr size_t W = GablesEvalPack::kWidth;
+    GablesPack<1> base(p.soc(), p.usecase());
+    GablesPack<kGridWidth> pack(base);
+    constexpr size_t W = kGridWidth;
 
     double bad_frac[W];
     double bad_pos[W];
@@ -556,9 +554,9 @@ TEST(EvaluatorProperty, PackParamSumsMatchCostModelOrder)
     for (uint64_t seed = 4000; seed < 4010; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
-        GablesEvaluator base(p.soc(), p.usecase());
-        GablesEvalPack pack(base);
-        constexpr size_t W = GablesEvalPack::kWidth;
+        GablesPack<1> base(p.soc(), p.usecase());
+        GablesPack<kGridWidth> pack(base);
+        constexpr size_t W = kGridWidth;
         const size_t n = p.ips.size();
 
         // Give every lane its own hardware point.
@@ -599,10 +597,10 @@ TEST(EvaluatorProperty, PackCachedReductionsSurviveBpeakOnlyRuns)
 {
     Rng rng(11);
     Pair p = randomPair(rng);
-    GablesEvaluator base(p.soc(), p.usecase());
-    GablesEvalPack pack(base);
-    std::vector<GablesEvaluator> mirror(GablesEvalPack::kWidth, base);
-    constexpr size_t W = GablesEvalPack::kWidth;
+    GablesPack<1> base(p.soc(), p.usecase());
+    GablesPack<kGridWidth> pack(base);
+    std::vector<GablesPack<1>> mirror(kGridWidth, base);
+    constexpr size_t W = kGridWidth;
 
     // Alternate row-dirtying rounds with Bpeak-only rounds (which
     // leave every row clean and must reuse the cached reductions).
@@ -611,20 +609,19 @@ TEST(EvaluatorProperty, PackCachedReductionsSurviveBpeakOnlyRuns)
             for (size_t w = 0; w < W; ++w) {
                 double b = rng.logUniform(1e9, 1e11);
                 pack.setBpeak(w, b);
-                mirror[w].setBpeak(b);
+                mirror[w].setBpeak(0, b);
             }
         } else {
             for (size_t w = 0; w < W; ++w) {
                 double in = rng.logUniform(0.01, 1000.0);
                 pack.setIntensity(w, 0, in);
-                mirror[w].setIntensity(0, in);
+                mirror[w].setIntensity(0, 0, in);
             }
         }
         pack.run(W);
         for (size_t w = 0; w < W; ++w)
-            EXPECT_EQ(bits(pack.attainable(w)),
-                      bits(mirror[w].attainable()))
-                << "round " << round << " lane " << w;
+            expectLaneMatches(pack, w, mirror[w],
+                              "round " + std::to_string(round));
     }
 }
 
@@ -632,13 +629,13 @@ TEST(EvaluatorProperty, PackBroadcastPreservesEvalCount)
 {
     Rng rng(7);
     Pair p = randomPair(rng);
-    GablesEvaluator base(p.soc(), p.usecase());
-    GablesEvalPack pack(base);
+    GablesPack<1> base(p.soc(), p.usecase());
+    GablesPack<kGridWidth> pack(base);
     pack.run(3);
     EXPECT_EQ(pack.evalCount(), 3u);
     pack.broadcast(base);
-    pack.run(GablesEvalPack::kWidth);
-    EXPECT_EQ(pack.evalCount(), 3u + GablesEvalPack::kWidth);
+    pack.run(kGridWidth);
+    EXPECT_EQ(pack.evalCount(), 3u + kGridWidth);
 }
 
 } // namespace

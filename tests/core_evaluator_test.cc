@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for the compiled GablesEvaluator: bit-identity with the
- * legacy GablesModel::evaluate() path, the attainable() fast path,
+ * Unit tests for the compiled single-point GablesPack<1>: bit-identity
+ * with the GablesModel::evaluate() oracle, the attainable() fast path,
  * every single-parameter mutator against a from-scratch rebuild,
- * input validation, inactive and infinite-intensity lanes, and the
+ * input validation, inactive and infinite-intensity IPs, and the
  * evalCount telemetry hook.
  */
 
@@ -57,6 +57,24 @@ expectBitIdentical(const GablesResult &a, const GablesResult &b)
     }
 }
 
+/** Run the single-point pack and return its full result. */
+GablesResult
+evaluate(GablesPack<1> &ev)
+{
+    GablesResult out;
+    ev.run();
+    ev.evaluate(0, out);
+    return out;
+}
+
+/** Run the single-point pack and return its attainable performance. */
+double
+attainable(GablesPack<1> &ev)
+{
+    ev.run();
+    return ev.attainable(0);
+}
+
 SocSpec
 threeIp()
 {
@@ -84,11 +102,11 @@ TEST(Evaluator, MatchesLegacyOnCatalogSocs)
         {SocCatalog::snapdragon835Full(), Usecase("even", even)},
     };
     for (const Case &c : cases) {
-        GablesEvaluator ev(c.soc, c.usecase);
-        GablesResult fast = ev.evaluate();
+        GablesPack<1> ev(c.soc, c.usecase);
+        GablesResult fast = evaluate(ev);
         GablesResult legacy = GablesModel::evaluate(c.soc, c.usecase);
         expectBitIdentical(fast, legacy);
-        EXPECT_EQ(bits(ev.attainable()), bits(legacy.attainable));
+        EXPECT_EQ(bits(attainable(ev)), bits(legacy.attainable));
     }
 }
 
@@ -99,16 +117,18 @@ TEST(Evaluator, ScratchResultReuseIsIdentical)
                     IpWork{0.25, 1.0}});
     Usecase b("b", {IpWork{0.1, 0.5}, IpWork{0.9, 64.0},
                     IpWork{0.0, 1.0}});
-    GablesEvaluator ev(soc, a);
+    GablesPack<1> ev(soc, a);
     GablesResult scratch;
-    ev.evaluate(scratch);
+    ev.run();
+    ev.evaluate(0, scratch);
     expectBitIdentical(scratch, GablesModel::evaluate(soc, a));
 
     // Mutate to usecase b in place; the reused scratch must carry no
     // stale state.
     for (size_t i = 0; i < soc.numIps(); ++i)
-        ev.setWork(i, b.fraction(i), b.intensity(i));
-    ev.evaluate(scratch);
+        ev.setWork(0, i, b.fraction(i), b.intensity(i));
+    ev.run();
+    ev.evaluate(0, scratch);
     expectBitIdentical(scratch, GablesModel::evaluate(soc, b));
 }
 
@@ -117,54 +137,54 @@ TEST(Evaluator, EachMutatorMatchesRebuild)
     SocSpec soc = threeIp();
     Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
                     IpWork{0.2, 1.0}});
-    GablesEvaluator ev(soc, u);
+    GablesPack<1> ev(soc, u);
 
-    ev.setPpeak(17e9);
+    ev.setPpeak(0, 17e9);
     expectBitIdentical(
-        ev.evaluate(),
+        evaluate(ev),
         GablesModel::evaluate(SocSpec("s", 17e9, soc.bpeak(),
                                       {soc.ip(0), soc.ip(1),
                                        soc.ip(2)}),
                               u));
-    ev.setPpeak(soc.ppeak());
+    ev.setPpeak(0, soc.ppeak());
 
-    ev.setBpeak(7e9);
-    expectBitIdentical(ev.evaluate(),
+    ev.setBpeak(0, 7e9);
+    expectBitIdentical(evaluate(ev),
                        GablesModel::evaluate(soc.withBpeak(7e9), u));
-    ev.setBpeak(soc.bpeak());
+    ev.setBpeak(0, soc.bpeak());
 
-    ev.setAcceleration(1, 3.5);
+    ev.setAcceleration(0, 1, 3.5);
     expectBitIdentical(
-        ev.evaluate(),
+        evaluate(ev),
         GablesModel::evaluate(soc.withIpAcceleration(1, 3.5), u));
-    ev.setAcceleration(1, soc.ip(1).acceleration);
+    ev.setAcceleration(0, 1, soc.ip(1).acceleration);
 
-    ev.setIpBandwidth(2, 11e9);
+    ev.setIpBandwidth(0, 2, 11e9);
     expectBitIdentical(
-        ev.evaluate(),
+        evaluate(ev),
         GablesModel::evaluate(soc.withIpBandwidth(2, 11e9), u));
-    ev.setIpBandwidth(2, soc.ip(2).bandwidth);
+    ev.setIpBandwidth(0, 2, soc.ip(2).bandwidth);
 
-    ev.setIntensity(0, 0.125);
+    ev.setIntensity(0, 0, 0.125);
     expectBitIdentical(
-        ev.evaluate(),
+        evaluate(ev),
         GablesModel::evaluate(soc,
                               u.withWork(0, IpWork{0.5, 0.125})));
-    ev.setIntensity(0, u.intensity(0));
+    ev.setIntensity(0, 0, u.intensity(0));
 
-    ev.setFraction(1, 0.2);
-    ev.setFraction(2, 0.3);
+    ev.setFraction(0, 1, 0.2);
+    ev.setFraction(0, 2, 0.3);
     expectBitIdentical(
-        ev.evaluate(),
+        evaluate(ev),
         GablesModel::evaluate(
             soc, Usecase("v", {IpWork{0.5, 4.0}, IpWork{0.2, 16.0},
                                IpWork{0.3, 1.0}})));
 
     // After the full mutate-and-restore tour the original point must
     // reproduce exactly.
-    ev.setFraction(1, 0.3);
-    ev.setFraction(2, 0.2);
-    expectBitIdentical(ev.evaluate(), GablesModel::evaluate(soc, u));
+    ev.setFraction(0, 1, 0.3);
+    ev.setFraction(0, 2, 0.2);
+    expectBitIdentical(evaluate(ev), GablesModel::evaluate(soc, u));
 }
 
 TEST(Evaluator, InactiveAndInfiniteLanes)
@@ -172,17 +192,17 @@ TEST(Evaluator, InactiveAndInfiniteLanes)
     SocSpec soc = threeIp();
     Usecase u("edge", {IpWork{0.0, 1.0}, IpWork{0.5, kInf},
                        IpWork{0.5, 2.0}});
-    GablesEvaluator ev(soc, u);
+    GablesPack<1> ev(soc, u);
     GablesResult legacy = GablesModel::evaluate(soc, u);
-    expectBitIdentical(ev.evaluate(), legacy);
-    EXPECT_TRUE(std::isinf(ev.evaluate().ips[0].perfBound));
+    expectBitIdentical(evaluate(ev), legacy);
+    EXPECT_TRUE(std::isinf(evaluate(ev).ips[0].perfBound));
 
     // Activating the idle lane and idling an active one through the
     // mutators still matches a rebuild.
-    ev.setWork(0, 0.5, 3.0);
-    ev.setWork(1, 0.0, 1.0);
+    ev.setWork(0, 0, 0.5, 3.0);
+    ev.setWork(0, 1, 0.0, 1.0);
     expectBitIdentical(
-        ev.evaluate(),
+        evaluate(ev),
         GablesModel::evaluate(
             soc, Usecase("e2", {IpWork{0.5, 3.0}, IpWork{0.0, 1.0},
                                 IpWork{0.5, 2.0}})));
@@ -194,22 +214,22 @@ TEST(Evaluator, InvalidInputsRejected)
     Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
                     IpWork{0.2, 1.0}});
     Usecase two = Usecase::twoIp("two", 0.5, 1.0, 1.0);
-    EXPECT_THROW(GablesEvaluator(soc, two), FatalError);
+    EXPECT_THROW(GablesPack<1>(soc, two), FatalError);
 
-    GablesEvaluator ev(soc, u);
-    EXPECT_THROW(ev.setPpeak(0.0), FatalError);
-    EXPECT_THROW(ev.setPpeak(-1.0), FatalError);
-    EXPECT_THROW(ev.setBpeak(kInf), FatalError);
-    EXPECT_THROW(ev.setAcceleration(0, 2.0), FatalError); // A0 pinned
-    EXPECT_THROW(ev.setAcceleration(1, 0.0), FatalError);
-    EXPECT_THROW(ev.setAcceleration(7, 2.0), FatalError);
-    EXPECT_THROW(ev.setIpBandwidth(1, -3.0), FatalError);
-    EXPECT_THROW(ev.setFraction(2, -0.1), FatalError);
-    EXPECT_THROW(ev.setIntensity(2, 0.0), FatalError);
-    EXPECT_THROW(ev.setWork(9, 0.5, 1.0), FatalError);
+    GablesPack<1> ev(soc, u);
+    EXPECT_THROW(ev.setPpeak(0, 0.0), FatalError);
+    EXPECT_THROW(ev.setPpeak(0, -1.0), FatalError);
+    EXPECT_THROW(ev.setBpeak(0, kInf), FatalError);
+    EXPECT_THROW(ev.setAcceleration(0, 0, 2.0), FatalError); // A0 pinned
+    EXPECT_THROW(ev.setAcceleration(0, 1, 0.0), FatalError);
+    EXPECT_THROW(ev.setAcceleration(0, 7, 2.0), FatalError);
+    EXPECT_THROW(ev.setIpBandwidth(0, 1, -3.0), FatalError);
+    EXPECT_THROW(ev.setFraction(0, 2, -0.1), FatalError);
+    EXPECT_THROW(ev.setIntensity(0, 2, 0.0), FatalError);
+    EXPECT_THROW(ev.setWork(0, 9, 0.5, 1.0), FatalError);
 
     // A rejected mutation must leave the compiled state untouched.
-    expectBitIdentical(ev.evaluate(), GablesModel::evaluate(soc, u));
+    expectBitIdentical(evaluate(ev), GablesModel::evaluate(soc, u));
 }
 
 TEST(Evaluator, GettersReflectMutations)
@@ -217,19 +237,20 @@ TEST(Evaluator, GettersReflectMutations)
     SocSpec soc = threeIp();
     Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
                     IpWork{0.2, 1.0}});
-    GablesEvaluator ev(soc, u);
+    GablesPack<1> ev(soc, u);
     EXPECT_EQ(ev.numIps(), 3u);
-    EXPECT_DOUBLE_EQ(ev.ppeak(), 10e9);
-    EXPECT_DOUBLE_EQ(ev.bpeak(), 20e9);
-    EXPECT_DOUBLE_EQ(ev.acceleration(1), 20.0);
-    EXPECT_DOUBLE_EQ(ev.ipBandwidth(2), 5e9);
-    EXPECT_DOUBLE_EQ(ev.fraction(0), 0.5);
-    EXPECT_DOUBLE_EQ(ev.intensity(1), 16.0);
-    ev.setBpeak(9e9);
-    ev.setWork(0, 0.4, 2.0);
-    EXPECT_DOUBLE_EQ(ev.bpeak(), 9e9);
-    EXPECT_DOUBLE_EQ(ev.fraction(0), 0.4);
-    EXPECT_DOUBLE_EQ(ev.intensity(0), 2.0);
+    EXPECT_DOUBLE_EQ(ev.ppeak(0), 10e9);
+    EXPECT_DOUBLE_EQ(ev.bpeak(0), 20e9);
+    EXPECT_DOUBLE_EQ(ev.acceleration(0, 1), 20.0);
+    EXPECT_DOUBLE_EQ(ev.ipBandwidth(0, 2), 5e9);
+    EXPECT_DOUBLE_EQ(ev.fraction(0, 0), 0.5);
+    EXPECT_DOUBLE_EQ(ev.intensity(0, 1), 16.0);
+    ev.setBpeak(0, 9e9);
+    ev.setWork(0, 0, 0.4, 2.0);
+    EXPECT_DOUBLE_EQ(ev.bpeak(0), 9e9);
+    EXPECT_DOUBLE_EQ(ev.fraction(0, 0), 0.4);
+    EXPECT_DOUBLE_EQ(ev.intensity(0, 0), 2.0);
+    EXPECT_THROW(ev.bpeak(1), FatalError); // W = 1 has lane 0 only
 }
 
 TEST(Evaluator, EvalCountCountsBothPaths)
@@ -237,16 +258,23 @@ TEST(Evaluator, EvalCountCountsBothPaths)
     SocSpec soc = threeIp();
     Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
                     IpWork{0.2, 1.0}});
-    GablesEvaluator ev(soc, u);
+    // run() counts its active lanes at either width; reading a full
+    // result and mutating are not evaluations.
+    GablesPack<1> ev(soc, u);
     EXPECT_EQ(ev.evalCount(), 0u);
-    ev.attainable();
+    attainable(ev);
     EXPECT_EQ(ev.evalCount(), 1u);
     GablesResult scratch;
-    ev.evaluate(scratch);
-    ev.evaluate();
-    EXPECT_EQ(ev.evalCount(), 3u);
-    ev.setBpeak(9e9); // mutation alone is not an evaluation
-    EXPECT_EQ(ev.evalCount(), 3u);
+    ev.evaluate(0, scratch);
+    evaluate(ev);
+    EXPECT_EQ(ev.evalCount(), 2u);
+    ev.setBpeak(0, 9e9);
+    EXPECT_EQ(ev.evalCount(), 2u);
+
+    GablesPack<kGridWidth> grid(soc, u);
+    grid.run(3);
+    grid.run();
+    EXPECT_EQ(grid.evalCount(), 3u + kGridWidth);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/evaluator.h"
 #include "core/gables.h"
 #include "core/serialize.h"
 #include "serve/cache.h"
@@ -333,7 +332,7 @@ TEST(ServeProtocol, StatsReportParsesAsRunReport)
               "gables-run-report");
 }
 
-TEST(ServeProtocol, StatsExposeEvalCountCacheRateAndLaneWidth)
+TEST(ServeProtocol, StatsExposeEvalCountAndCacheRate)
 {
     serve::ServeService service{serve::ServeOptions{}};
     SocSpec soc = SocCatalog::paperTwoIp();
@@ -353,21 +352,6 @@ TEST(ServeProtocol, StatsExposeEvalCountCacheRateAndLaneWidth)
     EXPECT_GT(rate, 0.0);
     EXPECT_LE(rate, 1.0);
 
-    // The lane-width config field tracks the runtime toggle, so a
-    // loadgen reading the stats op can tell which path served it.
-    EXPECT_EQ(report.at("config").at("simd_compiled").asNumber(),
-              simd::kCompiledIn ? 1.0 : 0.0);
-    EXPECT_EQ(report.at("config").at("simd_lane_width").asNumber(),
-              simd::enabled()
-                  ? static_cast<double>(GablesEvalPack::kWidth)
-                  : 1.0);
-    {
-        simd::ScopedEnable off(false);
-        JsonValue scalar = statsDoc(service);
-        EXPECT_EQ(
-            scalar.at("config").at("simd_lane_width").asNumber(),
-            1.0);
-    }
 }
 
 TEST(ServeProtocol, BatchMatchesSerialByteForByte)

@@ -3,8 +3,9 @@
  * Transport tests for the `gables serve` daemon (serve/server.h):
  * a real unix-domain socket round trip with the server loop on a
  * background thread — request/response ordering across one
- * connection, multiple sequential connections, CRLF tolerance, the
- * stop flag, and the atomic stats snapshot written on shutdown.
+ * connection, many concurrent and sequential connections, CRLF
+ * tolerance, the stop flag, and the atomic stats snapshot written on
+ * shutdown.
  */
 
 #include <gtest/gtest.h>
@@ -191,6 +192,51 @@ TEST_F(ServeServerTest, SequentialConnectionsShareTheCache)
     loop.join();
     EXPECT_EQ(service.cache().hits(), 1u);
     EXPECT_EQ(service.cache().misses(), 1u);
+}
+
+TEST_F(ServeServerTest, ConcurrentAndSequentialConnectionsEachGetPong)
+{
+    serve::ServeService service{serve::ServeOptions{}};
+    serve::ServerOptions options;
+    options.socketPath = socketPath_;
+    serve::ServeServer server(service, options);
+    server.start();
+    std::thread loop([&server] { server.run(); });
+
+    auto ping = [this](int id) {
+        TestClient client(socketPath_);
+        client.send("{\"id\": " + std::to_string(id) +
+                    ", \"op\": \"ping\"}\n");
+        return client.recvLine();
+    };
+    auto expectPong = [](const std::string &line, int id) {
+        ASSERT_FALSE(line.empty()) << "connection " << id << " dropped";
+        JsonValue doc = parseJson(line);
+        EXPECT_EQ(doc.at("id").asNumber(), static_cast<double>(id));
+        EXPECT_TRUE(doc.at("result").at("pong").asBool());
+    };
+
+    // Connections that arrive while others are mid-request are
+    // accepted between polls; each must still get its own response.
+    constexpr int kConcurrent = 32;
+    std::vector<std::string> replies(kConcurrent);
+    std::vector<std::thread> clients;
+    for (int i = 0; i < kConcurrent; ++i)
+        clients.emplace_back([&, i] { replies[i] = ping(i); });
+    for (std::thread &t : clients)
+        t.join();
+    for (int i = 0; i < kConcurrent; ++i)
+        expectPong(replies[i], i);
+
+    for (int i = 0; i < 64; ++i)
+        expectPong(ping(kConcurrent + i), kConcurrent + i);
+
+    {
+        TestClient client(socketPath_);
+        client.send("{\"id\": 0, \"op\": \"shutdown\"}\n");
+        EXPECT_TRUE(parseJson(client.recvLine()).at("ok").asBool());
+    }
+    loop.join();
 }
 
 TEST_F(ServeServerTest, StopFlagEndsTheLoop)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,8 +26,12 @@ class AtomicFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // ctest runs each TEST as its own process, and two of them can
+        // start within the same millisecond (the gtest seed) with the
+        // counter at 0: the pid keeps their directories apart.
         dir_ = fs::temp_directory_path() /
-               ("gables_atomic_test_" +
+               ("gables_atomic_test_" + std::to_string(::getpid()) +
+                "_" +
                 std::to_string(::testing::UnitTest::GetInstance()
                                    ->random_seed()) +
                 "_" + std::to_string(counter_++));
