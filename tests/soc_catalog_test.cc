@@ -68,6 +68,14 @@ struct CalibrationCase {
     double peakBw;
 };
 
+// Without a printer gtest lists a case as its raw bytes, which include
+// the address of `engine`; ctest names built from that listing would
+// then change with code layout and ASLR.
+void PrintTo(const CalibrationCase &c, std::ostream *os)
+{
+    *os << c.engine;
+}
+
 class Sd835Calibration
     : public ::testing::TestWithParam<CalibrationCase>
 {
