@@ -45,9 +45,9 @@ reproduce()
 
     TextTable t({"topology", "Pattainable Gops/s", "bus bottleneck"});
     auto row = [&](const char *name, const InterconnectModel &model) {
-        InterconnectResult r = model.evaluate(soc, u);
+        GablesResult r = GablesModel::evaluate(soc, u, nullptr, &model);
         t.addRow({name,
-                  formatDouble(r.base.attainable / 1e9, 3),
+                  formatDouble(r.attainable / 1e9, 3),
                   r.bottleneckBus < 0
                       ? "-"
                       : model.buses()[static_cast<size_t>(
@@ -75,7 +75,7 @@ BM_InterconnectEvaluate(benchmark::State &state)
         {"hb", "sys"}, {128e9, 12.5e9}, {0, 0, 1}, 0.0);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            hier.evaluate(soc, u).base.attainable);
+            GablesModel::evaluate(soc, u, nullptr, &hier).attainable);
     }
 }
 BENCHMARK(BM_InterconnectEvaluate);

@@ -30,7 +30,8 @@ reproduce()
 
     TextTable t({"miss ratio m", "Pattainable Gops/s", "bottleneck"});
     for (double m : {1.0, 0.75, 0.5, 0.25, 0.1, 0.0}) {
-        GablesResult r = MemSideMemory::uniform(2, m).evaluate(soc, u);
+        MemSideMemory sram = MemSideMemory::uniform(2, m);
+        GablesResult r = GablesModel::evaluate(soc, u, &sram);
         t.addRow({formatDouble(m, 2),
                   formatDouble(r.attainable / 1e9, 3),
                   r.bottleneckLabel(soc)});
@@ -59,9 +60,8 @@ reproduce()
     for (double mib : {0.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0}) {
         double miss = fractionalFitMissRatio(working_set,
                                              mib * kMiB);
-        GablesResult r =
-            MemSideMemory::uniform(kNumFullSocIps, miss)
-                .evaluate(full, spread);
+        MemSideMemory sram = MemSideMemory::uniform(kNumFullSocIps, miss);
+        GablesResult r = GablesModel::evaluate(full, spread, &sram);
         t2.addRow({formatDouble(mib, 0), formatDouble(miss, 3),
                    formatDouble(r.attainable / 1e9, 2),
                    r.bottleneckLabel(full)});
@@ -80,7 +80,8 @@ BM_MemSideEvaluate(benchmark::State &state)
     Usecase u = Usecase::twoIp("6b", 0.75, 8.0, 0.1);
     MemSideMemory ext = MemSideMemory::uniform(2, 0.5);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ext.evaluate(soc, u).attainable);
+        benchmark::DoNotOptimize(
+            GablesModel::evaluate(soc, u, &ext).attainable);
     }
 }
 BENCHMARK(BM_MemSideEvaluate);

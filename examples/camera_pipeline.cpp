@@ -76,8 +76,8 @@ main()
     miss[soc.ipIndex("ISP")] =
         fractionalFitMissRatio(5.0 * UsecaseCatalog::k4kYuvBytes,
                                32.0 * kMiB);
-    GablesResult with_sram =
-        MemSideMemory(miss).evaluate(soc, lowered);
+    MemSideMemory sram(miss);
+    GablesResult with_sram = GablesModel::evaluate(soc, lowered, &sram);
     GablesResult without =
         GablesModel::evaluate(soc, lowered);
     std::cout << "\nGables view (per-op bound, unit-normalized):\n"

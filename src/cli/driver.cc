@@ -134,6 +134,18 @@ recordParallelStats(telemetry::StatsRegistry &reg,
 }
 
 /**
+ * Write one CLI artifact: atomically, under replay's --out-dir when
+ * one is installed, then announce it as "wrote PATH<note>".
+ */
+void
+writeArtifact(const std::string &path, const std::string &text,
+              const std::string &note = "")
+{
+    writeFileAtomic(path, text);
+    std::cout << "wrote " << path << note << '\n';
+}
+
+/**
  * Finish a run report: attach the active span tracer (nullptr when
  * --profile is off, so the bytes are unchanged) and write it to
  * @p path.
@@ -144,8 +156,7 @@ writeReport(telemetry::RunReport &report, const std::string &path)
     report.setProfile(telemetry::SpanTracer::active());
     std::ostringstream out;
     report.write(out);
-    writeFileAtomic(path, out.str());
-    std::cout << "wrote " << path << '\n';
+    writeArtifact(path, std::move(out).str());
 }
 
 /** Read a whole file, fataling with the path on failure. */
@@ -234,24 +245,15 @@ cmdEval(int argc, const char *const *argv)
     if (args.has("svg") || args.has("ascii")) {
         RooflinePlot plot("Gables: " + soc.name(), 0.01, 100.0);
         plot.addGables(soc, usecase);
-        if (args.has("svg")) {
-            std::string path = args.getString("svg");
-            std::ofstream out(path);
-            if (!out)
-                fatal("cannot open '" + path + "'");
-            out << plot.renderSvg();
-            std::cout << "wrote " << path << '\n';
-        }
+        if (args.has("svg"))
+            writeArtifact(args.getString("svg"), plot.renderSvg());
         if (args.has("ascii"))
             std::cout << plot.renderAscii();
     }
     if (args.has("viz-json")) {
-        std::string path = args.getString("viz-json");
-        std::ofstream out(path);
-        if (!out)
-            fatal("cannot open '" + path + "'");
+        std::ostringstream out;
         writeVisualizationJson(out, soc, usecase);
-        std::cout << "wrote " << path << '\n';
+        writeArtifact(args.getString("viz-json"), std::move(out).str());
     }
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
@@ -473,15 +475,13 @@ cmdSim(int argc, const char *const *argv)
                              ev.startSeconds, ev.durationSeconds,
                              ev.path);
         }
-        std::string path = args.getString("trace");
-        std::ofstream out(path);
-        if (!out)
-            fatal("cannot open '" + path + "'");
+        std::ostringstream out;
         trace.writeChromeTrace(out);
-        std::cout << "wrote " << path << " ("
-                  << trace.events().size() << " slices, "
-                  << trace.counterEvents().size()
-                  << " counter samples)\n";
+        writeArtifact(args.getString("trace"), std::move(out).str(),
+                      " (" + std::to_string(trace.events().size()) +
+                          " slices, " +
+                          std::to_string(trace.counterEvents().size()) +
+                          " counter samples)");
     }
     if (args.has("metrics")) {
         telemetry::RunReport report("gables sim", soc->name());
@@ -1078,13 +1078,11 @@ cmdPipeline(int argc, const char *const *argv)
     sim::PipelineStats stats =
         sim.run(static_cast<int>(frames), args.getDouble("fps", 0.0));
     if (args.has("trace")) {
-        std::string path = args.getString("trace");
-        std::ofstream out(path);
-        if (!out)
-            fatal("cannot open '" + path + "'");
+        std::ostringstream out;
         trace.writeChromeTrace(out);
-        std::cout << "wrote " << path << " ("
-                  << trace.events().size() << " events)\n";
+        writeArtifact(args.getString("trace"), std::move(out).str(),
+                      " (" + std::to_string(trace.events().size()) +
+                          " events)");
     }
     DataflowAnalysis a = entry.graph.analyze(soc);
     std::cout << entry.graph.name() << ": simulated "

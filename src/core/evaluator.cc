@@ -312,6 +312,9 @@ GablesPack<W>::evaluate(size_t lane, GablesResult &out) const
     GABLES_ASSERT(max_time > 0.0,
                   "usecase produced zero total time; Ppeak infinite?");
     out.attainable = 1.0 / max_time;
+    // The pack models no buses.
+    out.busTimes.clear();
+    out.bottleneckBus = -1;
     out.bottleneckIp = bottleneck;
     if (bottleneck < 0) {
         out.bottleneck = BottleneckKind::Memory;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/interconnect.h"
+#include "core/memside.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -40,13 +42,25 @@ toString(BottleneckKind kind)
         return "IP bandwidth";
       case BottleneckKind::Memory:
         return "memory interface";
+      case BottleneckKind::Bus:
+        return "bus";
     }
     return "unknown";
 }
 
 std::string
-GablesResult::bottleneckLabel(const SocSpec &soc) const
+GablesResult::bottleneckLabel(const SocSpec &soc,
+                              const InterconnectModel *interconnect) const
 {
+    if (bottleneck == BottleneckKind::Bus) {
+        if (interconnect == nullptr)
+            return "bus " + std::to_string(bottleneckBus);
+        return "bus '" +
+               interconnect->buses()
+                   .at(static_cast<size_t>(bottleneckBus))
+                   .name +
+               "'";
+    }
     if (bottleneckIp < 0)
         return "memory interface (Bpeak)";
     const IpSpec &ip = soc.ip(static_cast<size_t>(bottleneckIp));
@@ -59,16 +73,26 @@ GablesResult::bottleneckLabel(const SocSpec &soc) const
 }
 
 GablesResult
-GablesModel::evaluate(const SocSpec &soc, const Usecase &usecase)
+GablesModel::evaluate(const SocSpec &soc, const Usecase &usecase,
+                      const MemSideMemory *memside,
+                      const InterconnectModel *interconnect)
 {
     checkPair(soc, usecase);
+    const size_t n = soc.numIps();
+    if (memside != nullptr && memside->missRatios().size() != n)
+        fatal("memory-side extension has " +
+              std::to_string(memside->missRatios().size()) +
+              " miss ratios but SoC has " + std::to_string(n) + " IPs");
+    if (interconnect != nullptr && interconnect->numIps() != n)
+        fatal("interconnect use matrix has " +
+              std::to_string(interconnect->numIps()) +
+              " rows but SoC has " + std::to_string(n) + " IPs");
 
     GablesResult result;
-    const size_t n = soc.numIps();
     result.ips.resize(n);
 
     double max_time = 0.0;
-    double total_bytes = 0.0;
+    double dram_bytes = 0.0;
 
     for (size_t i = 0; i < n; ++i) {
         const IpWork &w = usecase.at(i);
@@ -85,36 +109,60 @@ GablesModel::evaluate(const SocSpec &soc, const Usecase &usecase)
             // traffic, and its scaled roofline is unbounded.
             t.perfBound = kInf;
         }
-        total_bytes += t.dataBytes;
+        // A memory-side SRAM filters only the DRAM traffic (Eq. 15).
+        dram_bytes += memside != nullptr
+                          ? memside->missRatios()[i] * t.dataBytes
+                          : t.dataBytes;
         max_time = std::max(max_time, t.time);
     }
 
-    result.totalDataBytes = total_bytes;
-    result.memoryTime = total_bytes / soc.bpeak();
-    result.averageIntensity = usecase.averageIntensity();
+    result.totalDataBytes = dram_bytes;
+    result.memoryTime = dram_bytes / soc.bpeak();
+    // The same bits as usecase.averageIntensity() when unfiltered:
+    // idle IPs add an exact +0.0 to the sum.
+    result.averageIntensity = dram_bytes > 0.0 ? 1.0 / dram_bytes : kInf;
     result.memoryPerfBound = result.memoryTime > 0.0
                                  ? 1.0 / result.memoryTime
                                  : kInf;
-
     max_time = std::max(max_time, result.memoryTime);
+
+    // Each bus carries the full Di of the IPs routed over it (Eq. 16).
+    if (interconnect != nullptr) {
+        result.busTimes.resize(interconnect->numBuses());
+        for (size_t j = 0; j < result.busTimes.size(); ++j) {
+            double bytes = 0.0;
+            for (size_t i = 0; i < n; ++i) {
+                if (interconnect->uses(i, j))
+                    bytes += result.ips[i].dataBytes;
+            }
+            result.busTimes[j] = bytes / interconnect->buses()[j].bandwidth;
+            max_time = std::max(max_time, result.busTimes[j]);
+        }
+    }
+
     GABLES_ASSERT(max_time > 0.0,
                   "usecase produced zero total time; Ppeak infinite?");
     result.attainable = 1.0 / max_time;
 
-    // Bottleneck attribution: memory wins ties, then lowest IP index.
-    if (result.memoryTime >= max_time) {
-        result.bottleneckIp = -1;
-        result.bottleneck = BottleneckKind::Memory;
-    } else {
-        for (size_t i = 0; i < n; ++i) {
-            if (result.ips[i].time >= max_time) {
-                result.bottleneckIp = static_cast<int>(i);
-                result.bottleneck =
-                    result.ips[i].computeTime >= result.ips[i].transferTime
-                        ? BottleneckKind::IpCompute
-                        : BottleneckKind::IpBandwidth;
-                break;
-            }
+    // Bottleneck attribution: memory wins ties, then the lowest IP
+    // index, then the lowest bus index.
+    if (result.memoryTime >= max_time)
+        return result; // bottleneck defaults to Memory
+    for (size_t i = 0; i < n; ++i) {
+        const IpTiming &t = result.ips[i];
+        if (t.time >= max_time) {
+            result.bottleneckIp = static_cast<int>(i);
+            result.bottleneck = t.computeTime >= t.transferTime
+                                    ? BottleneckKind::IpCompute
+                                    : BottleneckKind::IpBandwidth;
+            return result;
+        }
+    }
+    for (size_t j = 0; j < result.busTimes.size(); ++j) {
+        if (result.busTimes[j] >= max_time) {
+            result.bottleneckBus = static_cast<int>(j);
+            result.bottleneck = BottleneckKind::Bus;
+            break;
         }
     }
     return result;

@@ -9,6 +9,11 @@
  * Pattainable = 1 / max(times) is in ops/s (paper Eqs. 9-11). The
  * dual performance-form equations (Eqs. 12-14) are also provided and
  * are verified against the time form by property tests.
+ *
+ * The Section V-A and V-B extensions only add terms to the same max:
+ * a memory-side SRAM filters each IP's DRAM bytes by its miss ratio
+ * (Eq. 15) and each bus adds TBus[j] (Eqs. 16-17). They are optional
+ * arguments of the one reduction, GablesModel::evaluate().
  */
 
 #ifndef GABLES_CORE_GABLES_H
@@ -22,6 +27,9 @@
 
 namespace gables {
 
+class InterconnectModel;
+class MemSideMemory;
+
 /** Which resource bounds the usecase. */
 enum class BottleneckKind {
     /** An IP's computation rate (Ci dominates at the critical IP). */
@@ -30,6 +38,8 @@ enum class BottleneckKind {
     IpBandwidth,
     /** The shared off-chip memory interface (Tmemory dominates). */
     Memory,
+    /** An interconnect bus (TBus[j] dominates, paper Eq. 17). */
+    Bus,
 };
 
 /** @return A short display string for a bottleneck kind. */
@@ -52,7 +62,13 @@ struct IpTiming {
     double perfBound = 0.0;
 };
 
-/** Complete result of evaluating a usecase on a SoC. */
+/**
+ * Complete result of evaluating a usecase on a SoC.
+ *
+ * The memory fields describe DRAM traffic after any memory-side
+ * SRAM's miss ratios are applied (sum(mi * Di), Eq. 15); without an
+ * SRAM every mi is 1.
+ */
 struct GablesResult {
     /** Upper bound on SoC performance (ops/s), paper Eq. 11/14. */
     double attainable = 0.0;
@@ -62,46 +78,70 @@ struct GablesResult {
     double memoryPerfBound = 0.0;
     /** Weighted harmonic-mean intensity Iavg (ops/byte). */
     double averageIntensity = 0.0;
-    /** Total off-chip data demand sum(Di) (bytes per unit op). */
+    /** Total off-chip data demand sum(mi * Di) (bytes per unit op). */
     double totalDataBytes = 0.0;
     /** Per-IP timing details, index-aligned with the SoC's IPs. */
     std::vector<IpTiming> ips;
+    /** Per-bus times TBus[j] (s per unit op, Eq. 16); empty when no
+     * interconnect is modeled. */
+    std::vector<double> busTimes;
     /**
-     * Index of the bottleneck IP, or -1 when the memory interface is
-     * the bottleneck. Ties break toward the memory interface, then
-     * the lowest IP index (deterministic attribution).
+     * Index of the bottleneck IP, or -1 when the memory interface or
+     * a bus is the bottleneck. Ties break toward the memory
+     * interface, then the lowest IP index, then the lowest bus index
+     * (deterministic attribution).
      */
     int bottleneckIp = -1;
+    /** Index of the bottleneck bus, or -1 unless a bus binds. */
+    int bottleneckBus = -1;
     /** The kind of resource that limits performance. */
     BottleneckKind bottleneck = BottleneckKind::Memory;
 
-    /** @return A short, human-readable bottleneck description. */
-    std::string bottleneckLabel(const SocSpec &soc) const;
+    /**
+     * @param interconnect The model the result was evaluated with,
+     *        for bus names; without it a bus reads "bus <j>".
+     * @return A short, human-readable bottleneck description.
+     */
+    std::string
+    bottleneckLabel(const SocSpec &soc,
+                    const InterconnectModel *interconnect = nullptr) const;
 };
 
 /**
- * Evaluator for the base Gables model.
+ * Evaluator for the base Gables model and its concurrent extensions.
  *
- * Stateless; all methods are static. Extensions (memory-side cache,
- * interconnect, serialized work) live in their own headers and reuse
- * these primitives.
+ * Stateless; all methods are static. The memory-side SRAM and the
+ * interconnect are inputs to evaluate(); serialized work sums times
+ * instead of taking their max and lives in its own header.
  */
 class GablesModel
 {
   public:
     /**
      * Evaluate a usecase on a SoC with the time-form equations
-     * (Eqs. 9-11).
+     * (Eqs. 9-11): Pattainable = 1 / max(TIP[i], TBus[j],
+     * sum(mi * Di) / Bpeak).
      *
-     * @param soc     Hardware description; validated.
-     * @param usecase Software description; must have exactly as many
-     *                entries as the SoC has IPs.
-     * @return Full result with per-IP details and bottleneck
-     *         attribution.
+     * The SRAM sits on the memory side of the interconnect, so buses
+     * carry each IP's full Di and only the DRAM term is filtered.
+     * With neither extension (or all mi == 1 and no binding bus)
+     * every base field is bit-identical to the base model.
+     *
+     * @param soc          Hardware description; validated.
+     * @param usecase      Software description; must have exactly as
+     *                     many entries as the SoC has IPs.
+     * @param memside      Optional memory-side SRAM (Eq. 15); one
+     *                     miss ratio per IP.
+     * @param interconnect Optional bus topology (Eqs. 16-17); one Use
+     *                     row per IP.
+     * @return Full result with per-IP (and per-bus) details and
+     *         bottleneck attribution.
      * @throws FatalError on mismatched sizes or invalid specs.
      */
-    static GablesResult evaluate(const SocSpec &soc,
-                                 const Usecase &usecase);
+    static GablesResult
+    evaluate(const SocSpec &soc, const Usecase &usecase,
+             const MemSideMemory *memside = nullptr,
+             const InterconnectModel *interconnect = nullptr);
 
     /**
      * Attainable performance via the dual performance-form equations

@@ -1,8 +1,5 @@
 #include "core/interconnect.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace gables {
@@ -62,50 +59,6 @@ InterconnectModel::uses(size_t i, size_t j) const
     if (i >= use_.size() || j >= buses_.size())
         fatal("use matrix index out of range");
     return use_[i][j];
-}
-
-InterconnectResult
-InterconnectModel::evaluate(const SocSpec &soc,
-                            const Usecase &usecase) const
-{
-    if (use_.size() != soc.numIps())
-        fatal("interconnect use matrix has " +
-              std::to_string(use_.size()) + " rows but SoC has " +
-              std::to_string(soc.numIps()) + " IPs");
-
-    InterconnectResult result;
-    result.base = GablesModel::evaluate(soc, usecase);
-    result.busTimes.assign(buses_.size(), 0.0);
-
-    for (size_t j = 0; j < buses_.size(); ++j) {
-        double bytes = 0.0;
-        for (size_t i = 0; i < soc.numIps(); ++i) {
-            if (use_[i][j])
-                bytes += result.base.ips[i].dataBytes;
-        }
-        result.busTimes[j] = bytes / buses_[j].bandwidth;
-    }
-
-    double max_time = 1.0 / result.base.attainable;
-    double max_bus_time = 0.0;
-    int worst_bus = -1;
-    for (size_t j = 0; j < buses_.size(); ++j) {
-        if (result.busTimes[j] > max_bus_time) {
-            max_bus_time = result.busTimes[j];
-            worst_bus = static_cast<int>(j);
-        }
-    }
-
-    if (max_bus_time > max_time) {
-        // A bus is the new bottleneck (paper Eq. 17).
-        result.bottleneckBus = worst_bus;
-        result.base.attainable = 1.0 / max_bus_time;
-        result.base.bottleneckIp = -1;
-        // Classify as an interconnect-bandwidth bound; the nearest
-        // base-model category is IP bandwidth (a data-movement limit).
-        result.base.bottleneck = BottleneckKind::IpBandwidth;
-    }
-    return result;
 }
 
 } // namespace gables

@@ -5,6 +5,7 @@
  * matrix records which buses lie on IP[i]'s (single) path to memory.
  * Each bus adds a potential bottleneck term
  * TBus[j] = sum_i(Di * Use(i,j)) / Bbus[j] (paper Eqs. 16-17).
+ * Pass one to GablesModel::evaluate() to add those terms.
  */
 
 #ifndef GABLES_CORE_INTERCONNECT_H
@@ -23,19 +24,6 @@ struct BusSpec {
     std::string name;
     /** Bandwidth Bbus[j] (bytes/s). */
     double bandwidth = 0.0;
-};
-
-/** Result of an interconnect-extended evaluation. */
-struct InterconnectResult {
-    /** The base result (re-attributed if a bus is the bottleneck). */
-    GablesResult base;
-    /** Per-bus times TBus[j] (s per unit op). */
-    std::vector<double> busTimes;
-    /**
-     * Index of the bottleneck bus, or -1 if an IP or the memory
-     * interface limits performance instead.
-     */
-    int bottleneckBus = -1;
 };
 
 /**
@@ -72,19 +60,14 @@ class InterconnectModel
     /** @return Number of buses Q. */
     size_t numBuses() const { return buses_.size(); }
 
+    /** @return Number of Use-matrix rows, one per IP. */
+    size_t numIps() const { return use_.size(); }
+
     /** @return Bus descriptors. */
     const std::vector<BusSpec> &buses() const { return buses_; }
 
     /** @return True if IP @p i uses bus @p j. */
     bool uses(size_t i, size_t j) const;
-
-    /**
-     * Evaluate with bus bottlenecks added (Eq. 17). With a single bus
-     * used by every IP whose bandwidth is >= the total demand rate,
-     * the result reduces to the base model.
-     */
-    InterconnectResult evaluate(const SocSpec &soc,
-                                const Usecase &usecase) const;
 
   private:
     std::vector<BusSpec> buses_;

@@ -1,8 +1,6 @@
 #include "core/memside.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -23,67 +21,6 @@ MemSideMemory
 MemSideMemory::uniform(size_t n, double miss_ratio)
 {
     return MemSideMemory(std::vector<double>(n, miss_ratio));
-}
-
-double
-MemSideMemory::missRatio(size_t i) const
-{
-    if (i >= missRatios_.size())
-        fatal("miss ratio index out of range");
-    return missRatios_[i];
-}
-
-GablesResult
-MemSideMemory::evaluate(const SocSpec &soc, const Usecase &usecase) const
-{
-    if (missRatios_.size() != soc.numIps())
-        fatal("memory-side extension has " +
-              std::to_string(missRatios_.size()) +
-              " miss ratios but SoC has " + std::to_string(soc.numIps()) +
-              " IPs");
-
-    // Start from the base evaluation, then re-derive the memory term
-    // with filtered off-chip demand (paper Eq. 15) and re-attribute
-    // the bottleneck.
-    GablesResult result = GablesModel::evaluate(soc, usecase);
-
-    double filtered_bytes = 0.0;
-    for (size_t i = 0; i < soc.numIps(); ++i)
-        filtered_bytes += missRatios_[i] * result.ips[i].dataBytes;
-
-    result.totalDataBytes = filtered_bytes;
-    result.memoryTime = filtered_bytes / soc.bpeak();
-    result.memoryPerfBound =
-        result.memoryTime > 0.0 ? 1.0 / result.memoryTime
-                                : std::numeric_limits<double>::infinity();
-    // Iavg as seen by the memory interface after filtering.
-    result.averageIntensity = filtered_bytes > 0.0
-                                  ? 1.0 / filtered_bytes
-                                  : std::numeric_limits<double>::infinity();
-
-    double max_time = result.memoryTime;
-    for (const IpTiming &t : result.ips)
-        max_time = std::max(max_time, t.time);
-    GABLES_ASSERT(max_time > 0.0, "zero total time in memside evaluate");
-    result.attainable = 1.0 / max_time;
-
-    if (result.memoryTime >= max_time) {
-        result.bottleneckIp = -1;
-        result.bottleneck = BottleneckKind::Memory;
-    } else {
-        for (size_t i = 0; i < result.ips.size(); ++i) {
-            if (result.ips[i].time >= max_time) {
-                result.bottleneckIp = static_cast<int>(i);
-                result.bottleneck =
-                    result.ips[i].computeTime >=
-                            result.ips[i].transferTime
-                        ? BottleneckKind::IpCompute
-                        : BottleneckKind::IpBandwidth;
-                break;
-            }
-        }
-    }
-    return result;
 }
 
 double

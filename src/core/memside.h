@@ -6,6 +6,7 @@
  * with probability (1 - mi), shrinking off-chip demand to
  * D'i = mi * Di (paper Eq. 15). IP link traffic Di over Bi is
  * unchanged: the SRAM sits on the memory side of the interconnect.
+ * Pass one to GablesModel::evaluate() to apply it.
  */
 
 #ifndef GABLES_CORE_MEMSIDE_H
@@ -39,19 +40,6 @@ class MemSideMemory
 
     /** @return The per-IP miss ratios. */
     const std::vector<double> &missRatios() const { return missRatios_; }
-
-    /** @return mi for IP @p i (bounds-checked). */
-    double missRatio(size_t i) const;
-
-    /**
-     * Evaluate the usecase with off-chip demand filtered by this
-     * memory: identical to the base model except
-     * Tmemory = sum(mi * Di) / Bpeak.
-     *
-     * With all mi == 1 the result equals GablesModel::evaluate().
-     */
-    GablesResult evaluate(const SocSpec &soc,
-                          const Usecase &usecase) const;
 
   private:
     std::vector<double> missRatios_;

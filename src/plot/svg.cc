@@ -1,7 +1,6 @@
 #include "plot/svg.h"
 
-#include <fstream>
-
+#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -111,12 +110,7 @@ SvgCanvas::render() const
 void
 SvgCanvas::save(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '" + path + "' for writing");
-    out << render();
-    if (!out)
-        fatal("failed writing SVG to '" + path + "'");
+    writeFileAtomic(path, render());
 }
 
 } // namespace gables

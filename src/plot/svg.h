@@ -70,7 +70,7 @@ class SvgCanvas
     std::string render() const;
 
     /**
-     * Write the document to @p path.
+     * Write the document to @p path atomically (writeFileAtomic()).
      * @throws FatalError on I/O failure.
      */
     void save(const std::string &path) const;

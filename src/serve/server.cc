@@ -5,12 +5,12 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "util/atomic_file.h"
@@ -28,6 +28,27 @@ closeFd(int &fd)
         ::close(fd);
         fd = -1;
     }
+}
+
+/**
+ * Clear @p path for bind(): remove a stale socket file left by an
+ * earlier run, and refuse to touch anything else found there.
+ */
+void
+removeStaleSocket(const std::string &path)
+{
+    struct stat st{};
+    if (::lstat(path.c_str(), &st) != 0) {
+        if (errno == ENOENT)
+            return;
+        fatal("cannot inspect socket path '" + path +
+              "': " + std::strerror(errno));
+    }
+    if (!S_ISSOCK(st.st_mode))
+        fatal("refusing to replace '" + path + "': not a socket");
+    if (::unlink(path.c_str()) != 0)
+        fatal("cannot remove stale socket '" + path +
+              "': " + std::strerror(errno));
 }
 
 void
@@ -50,8 +71,14 @@ ServeServer::~ServeServer()
 {
     closeAll();
     closeFd(listenFd_);
-    if (!options_.socketPath.empty())
-        std::remove(options_.socketPath.c_str());
+    // Unlink only the socket this server bound, not whatever may
+    // have replaced it at the path since.
+    struct stat st{};
+    if (socketIno_ != 0 &&
+        ::lstat(options_.socketPath.c_str(), &st) == 0 &&
+        S_ISSOCK(st.st_mode) && st.st_dev == socketDev_ &&
+        st.st_ino == socketIno_)
+        ::unlink(options_.socketPath.c_str());
 }
 
 void
@@ -69,12 +96,17 @@ ServeServer::start()
             fatal(std::string("cannot create unix socket: ") +
                   std::strerror(errno));
         // A stale socket file from a previous run blocks bind().
-        std::remove(options_.socketPath.c_str());
+        removeStaleSocket(options_.socketPath);
         if (::bind(listenFd_,
                    reinterpret_cast<const sockaddr *>(&addr),
                    sizeof(addr)) != 0)
             fatal("cannot bind '" + options_.socketPath +
                   "': " + std::strerror(errno));
+        struct stat st{};
+        if (::lstat(options_.socketPath.c_str(), &st) == 0) {
+            socketDev_ = st.st_dev;
+            socketIno_ = st.st_ino;
+        }
     } else {
         listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd_ < 0)

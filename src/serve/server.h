@@ -16,6 +16,8 @@
 #ifndef GABLES_SERVE_SERVER_H
 #define GABLES_SERVE_SERVER_H
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstddef>
 #include <string>
@@ -55,15 +57,18 @@ class ServeServer
      */
     ServeServer(ServeService &service, const ServerOptions &options);
 
-    /** Closes the listener and any remaining connections. */
+    /** Closes the listener and any remaining connections, and
+     * removes the socket file start() bound (nothing else). */
     ~ServeServer();
 
     ServeServer(const ServeServer &) = delete;
     ServeServer &operator=(const ServeServer &) = delete;
 
     /**
-     * Bind and listen.
-     * @throws FatalError when the socket cannot be created or bound.
+     * Bind and listen. In unix mode a stale socket file at the path is
+     * replaced; any other file there is left alone and refused.
+     * @throws FatalError when the socket cannot be created or bound,
+     *         or the path holds something other than a socket.
      */
     void start();
 
@@ -101,6 +106,9 @@ class ServeServer
 
     int listenFd_ = -1;
     int port_ = 0;
+    /** Identity of the socket file start() bound; ino 0 = none. */
+    dev_t socketDev_ = 0;
+    ino_t socketIno_ = 0;
     std::vector<Connection> connections_;
     std::atomic<bool> stop_{false};
     size_t accepted_ = 0;

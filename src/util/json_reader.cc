@@ -91,7 +91,8 @@ JsonValue::members() const
     return members_;
 }
 
-/** Recursive-descent parser over an in-memory document. */
+/** Recursive-descent parser over an in-memory document; nesting is
+ * capped at kJsonMaxDepth so recursion depth is bounded. */
 class JsonParser
 {
   public:
@@ -157,10 +158,15 @@ class JsonParser
     {
         skipWs();
         char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth_ == kJsonMaxDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kJsonMaxDepth) + " levels");
+            ++depth_;
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"') {
             JsonValue v;
             v.type_ = JsonValue::Type::String;
@@ -331,6 +337,7 @@ class JsonParser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0;
 };
 
 JsonValue

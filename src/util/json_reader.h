@@ -10,6 +10,7 @@
 #ifndef GABLES_UTIL_JSON_READER_H
 #define GABLES_UTIL_JSON_READER_H
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -83,12 +84,20 @@ class JsonValue
 };
 
 /**
+ * Deepest array/object nesting parseJson() accepts. Our own documents
+ * nest a few dozen levels at most; the cap keeps a hostile document
+ * (say, a request line of 200 000 '[') from exhausting the stack.
+ */
+inline constexpr size_t kJsonMaxDepth = 256;
+
+/**
  * Parse a complete JSON document.
  *
  * @param text The document; trailing whitespace is allowed, trailing
  *             garbage is not.
  * @return The root value.
- * @throws FatalError with position info on malformed input.
+ * @throws FatalError with position info on malformed input, including
+ *         nesting deeper than kJsonMaxDepth.
  */
 JsonValue parseJson(const std::string &text);
 

@@ -110,6 +110,10 @@ expectBitIdentical(const GablesResult &a, const GablesResult &b,
         << "seed " << seed << " step " << step;
     EXPECT_EQ(a.bottleneck, b.bottleneck)
         << "seed " << seed << " step " << step;
+    EXPECT_EQ(a.bottleneckBus, b.bottleneckBus)
+        << "seed " << seed << " step " << step;
+    EXPECT_EQ(a.busTimes, b.busTimes)
+        << "seed " << seed << " step " << step;
     for (size_t i = 0; i < a.ips.size(); ++i) {
         EXPECT_EQ(bits(a.ips[i].computeTime), bits(b.ips[i].computeTime))
             << "seed " << seed << " step " << step << " ip " << i;

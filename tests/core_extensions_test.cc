@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit and property tests for the three paper extensions (memory-
- * side memory, interconnect topology, serialized work) and the
- * phased composition layer.
+ * side memory and interconnect topology, alone and together through
+ * GablesModel::evaluate(); serialized work) and the phased
+ * composition layer.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +31,8 @@ TEST(MemSide, AllMissesReducesToBase)
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
     GablesResult base = GablesModel::evaluate(soc, u);
-    GablesResult ext =
-        MemSideMemory::uniform(2, 1.0).evaluate(soc, u);
+    MemSideMemory all_miss = MemSideMemory::uniform(2, 1.0);
+    GablesResult ext = GablesModel::evaluate(soc, u, &all_miss);
     EXPECT_DOUBLE_EQ(ext.attainable, base.attainable);
     EXPECT_DOUBLE_EQ(ext.memoryTime, base.memoryTime);
     EXPECT_EQ(ext.bottleneckIp, base.bottleneckIp);
@@ -43,12 +44,13 @@ TEST(MemSide, PerfectReuseRemovesMemoryBound)
     // memory-side cache the bound moves to IP[1]'s link (2 Gops/s).
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    GablesResult ext =
-        MemSideMemory::uniform(2, 0.0).evaluate(soc, u);
+    MemSideMemory perfect = MemSideMemory::uniform(2, 0.0);
+    GablesResult ext = GablesModel::evaluate(soc, u, &perfect);
     EXPECT_DOUBLE_EQ(ext.attainable, 2e9);
     EXPECT_EQ(ext.bottleneckIp, 1);
     EXPECT_EQ(ext.bottleneck, BottleneckKind::IpBandwidth);
     EXPECT_DOUBLE_EQ(ext.memoryTime, 0.0);
+    EXPECT_EQ(ext.bottleneckLabel(soc), "GPU link bandwidth (Bi)");
 }
 
 TEST(MemSide, Eq15Arithmetic)
@@ -57,11 +59,13 @@ TEST(MemSide, Eq15Arithmetic)
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
     GablesResult base = GablesModel::evaluate(soc, u);
-    GablesResult half =
-        MemSideMemory::uniform(2, 0.5).evaluate(soc, u);
+    MemSideMemory half_miss = MemSideMemory::uniform(2, 0.5);
+    GablesResult half = GablesModel::evaluate(soc, u, &half_miss);
     EXPECT_NEAR(half.memoryPerfBound, 2.0 * base.memoryPerfBound,
                 1.0);
     EXPECT_DOUBLE_EQ(half.totalDataBytes, 0.5 * base.totalDataBytes);
+    EXPECT_DOUBLE_EQ(half.averageIntensity,
+                     2.0 * base.averageIntensity);
 }
 
 TEST(MemSide, PerIpRatios)
@@ -70,7 +74,7 @@ TEST(MemSide, PerIpRatios)
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
     // Only IP[1]'s traffic is filtered.
     MemSideMemory ext({1.0, 0.1});
-    GablesResult r = ext.evaluate(soc, u);
+    GablesResult r = GablesModel::evaluate(soc, u, &ext);
     GablesResult base = GablesModel::evaluate(soc, u);
     double expected = base.ips[0].dataBytes +
                       0.1 * base.ips[1].dataBytes;
@@ -83,8 +87,8 @@ TEST(MemSide, MonotoneInMissRatio)
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
     double prev = 0.0;
     for (double m : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-        double perf =
-            MemSideMemory::uniform(2, m).evaluate(soc, u).attainable;
+        MemSideMemory ext = MemSideMemory::uniform(2, m);
+        double perf = GablesModel::evaluate(soc, u, &ext).attainable;
         if (m > 0.0) {
             EXPECT_LE(perf, prev * (1.0 + 1e-12));
         }
@@ -98,8 +102,8 @@ TEST(MemSide, InvalidInputsRejected)
     EXPECT_THROW(MemSideMemory({1.5}), FatalError);
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
-    EXPECT_THROW(MemSideMemory::uniform(3, 0.5).evaluate(soc, u),
-                 FatalError);
+    MemSideMemory three = MemSideMemory::uniform(3, 0.5);
+    EXPECT_THROW(GablesModel::evaluate(soc, u, &three), FatalError);
 }
 
 TEST(MemSide, FractionalFitMissRatio)
@@ -121,10 +125,12 @@ TEST(Interconnect, WideSingleBusReducesToBase)
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
     InterconnectModel ic({BusSpec{"bus", 1e15}},
                          {{true}, {true}});
-    InterconnectResult r = ic.evaluate(soc, u);
-    EXPECT_DOUBLE_EQ(r.base.attainable,
-                     GablesModel::evaluate(soc, u).attainable);
+    GablesResult r = GablesModel::evaluate(soc, u, nullptr, &ic);
+    GablesResult base = GablesModel::evaluate(soc, u);
+    EXPECT_DOUBLE_EQ(r.attainable, base.attainable);
     EXPECT_EQ(r.bottleneckBus, -1);
+    EXPECT_EQ(r.bottleneck, base.bottleneck);
+    EXPECT_EQ(r.bottleneckLabel(soc, &ic), "memory interface (Bpeak)");
 }
 
 TEST(Interconnect, NarrowBusBecomesBottleneck)
@@ -134,9 +140,14 @@ TEST(Interconnect, NarrowBusBecomesBottleneck)
     // Total data per op = 1/8 byte; a 1 GB/s shared bus caps
     // performance at 8 Gops/s.
     InterconnectModel ic({BusSpec{"slow", 1e9}}, {{true}, {true}});
-    InterconnectResult r = ic.evaluate(soc, u);
+    GablesResult r = GablesModel::evaluate(soc, u, nullptr, &ic);
     EXPECT_EQ(r.bottleneckBus, 0);
-    EXPECT_DOUBLE_EQ(r.base.attainable, 8e9);
+    EXPECT_DOUBLE_EQ(r.attainable, 8e9);
+    // A bus is attributed as a bus, never as an IP or as memory.
+    EXPECT_EQ(r.bottleneck, BottleneckKind::Bus);
+    EXPECT_EQ(r.bottleneckIp, -1);
+    EXPECT_EQ(r.bottleneckLabel(soc, &ic), "bus 'slow'");
+    EXPECT_EQ(r.bottleneckLabel(soc), "bus 0");
 }
 
 TEST(Interconnect, Eq16OnlyCountsUsers)
@@ -147,12 +158,13 @@ TEST(Interconnect, Eq16OnlyCountsUsers)
     // (D1 = 0.09375 B).
     InterconnectModel ic({BusSpec{"b0", 2e9}, BusSpec{"b1", 4e9}},
                          {{true, false}, {false, true}});
-    InterconnectResult r = ic.evaluate(soc, u);
+    GablesResult r = GablesModel::evaluate(soc, u, nullptr, &ic);
+    ASSERT_EQ(r.busTimes.size(), 2u);
     EXPECT_NEAR(r.busTimes[0], 0.03125 / 2e9, 1e-18);
     EXPECT_NEAR(r.busTimes[1], 0.09375 / 4e9, 1e-18);
     // Worst bus: b1 at 0.09375/4e9 -> 42.7 Gops/s bound.
     EXPECT_EQ(r.bottleneckBus, 1);
-    EXPECT_NEAR(r.base.attainable, 4e9 / 0.09375, 1.0);
+    EXPECT_NEAR(r.attainable, 4e9 / 0.09375, 1.0);
 }
 
 TEST(Interconnect, HierarchyBuilder)
@@ -161,6 +173,7 @@ TEST(Interconnect, HierarchyBuilder)
     InterconnectModel ic = InterconnectModel::hierarchy(
         {"multimedia", "compute"}, {10e9, 20e9}, {0, 0, 1}, 40e9);
     EXPECT_EQ(ic.numBuses(), 3u);
+    EXPECT_EQ(ic.numIps(), 3u);
     EXPECT_TRUE(ic.uses(0, 0));
     EXPECT_FALSE(ic.uses(0, 1));
     EXPECT_TRUE(ic.uses(0, 2)); // all IPs cross the system fabric
@@ -187,7 +200,116 @@ TEST(Interconnect, InvalidInputsRejected)
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
     InterconnectModel one_row({BusSpec{"b", 1e9}}, {{true}});
-    EXPECT_THROW(one_row.evaluate(soc, u), FatalError);
+    EXPECT_THROW(GablesModel::evaluate(soc, u, nullptr, &one_row),
+                 FatalError);
+}
+
+// ---------------------------------------------------------------
+// Both extensions together (Figures 10-11): the SRAM sits between
+// the interconnect and DRAM, so buses carry the full Di while the
+// memory interface carries only mi * Di.
+// ---------------------------------------------------------------
+
+TEST(Combined, NoExtensionsReducesToBase)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase u = Usecase::twoIp("6b", 0.75, 8.0, 0.1);
+    GablesResult r = GablesModel::evaluate(soc, u, nullptr, nullptr);
+    EXPECT_DOUBLE_EQ(r.attainable, 1.0 / r.memoryTime);
+    EXPECT_EQ(r.bottleneck, BottleneckKind::Memory);
+    EXPECT_TRUE(r.busTimes.empty());
+    EXPECT_EQ(r.bottleneckBus, -1);
+}
+
+TEST(Combined, SramDoesNotRelieveBuses)
+{
+    // The SRAM is memory-side: a perfect cache removes the memory
+    // term but the narrow bus still binds at the same value.
+    SocSpec soc = SocCatalog::paperTwoIpBalanced();
+    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
+    InterconnectModel ic({BusSpec{"slow", 1e9}}, {{true}, {true}});
+    double with_bus =
+        GablesModel::evaluate(soc, u, nullptr, &ic).attainable;
+
+    MemSideMemory perfect = MemSideMemory::uniform(2, 0.0);
+    GablesResult r = GablesModel::evaluate(soc, u, &perfect, &ic);
+    EXPECT_DOUBLE_EQ(r.attainable, with_bus);
+    EXPECT_EQ(r.bottleneck, BottleneckKind::Bus);
+    EXPECT_DOUBLE_EQ(r.memoryTime, 0.0);
+}
+
+TEST(Combined, SramRelievesMemoryBehindWideBuses)
+{
+    // Figure 6b with wide buses: memory binds at 1.33; a half-miss
+    // SRAM doubles the memory bound and the GPU link takes over.
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase u = Usecase::twoIp("6b", 0.75, 8.0, 0.1);
+    InterconnectModel ic({BusSpec{"wide", 1e15}}, {{true}, {true}});
+    MemSideMemory half_miss = MemSideMemory::uniform(2, 0.5);
+    GablesResult r = GablesModel::evaluate(soc, u, &half_miss, &ic);
+    EXPECT_DOUBLE_EQ(r.attainable, 2e9);
+    EXPECT_EQ(r.bottleneck, BottleneckKind::IpBandwidth);
+    EXPECT_EQ(r.bottleneckIp, 1);
+    EXPECT_EQ(r.bottleneckBus, -1);
+}
+
+TEST(Combined, BottleneckLabels)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase u = Usecase::twoIp("6b", 0.75, 8.0, 0.1);
+    InterconnectModel ic({BusSpec{"skinny", 1e8}}, {{true}, {true}});
+    GablesResult r = GablesModel::evaluate(soc, u, nullptr, &ic);
+    EXPECT_EQ(r.bottleneck, BottleneckKind::Bus);
+    EXPECT_EQ(r.bottleneckLabel(soc, &ic), "bus 'skinny'");
+
+    // Memory reads the same with or without an SRAM.
+    MemSideMemory sram({1.0, 0.9});
+    GablesResult rb = GablesModel::evaluate(soc, u, &sram);
+    EXPECT_EQ(rb.bottleneck, BottleneckKind::Memory);
+    EXPECT_EQ(rb.bottleneckLabel(soc), "memory interface (Bpeak)");
+
+    // An unnamed IP falls back to its index, SRAM or not.
+    SocSpec unnamed("anon", 10e9, 100e9, {IpSpec{"", 1.0, 100e9}});
+    Usecase one("one", {IpWork{1.0, 8.0}});
+    MemSideMemory one_sram({0.5});
+    GablesResult ri = GablesModel::evaluate(unnamed, one, &one_sram);
+    EXPECT_EQ(ri.bottleneckLabel(unnamed), "IP[0] compute (Ai*Ppeak)");
+}
+
+TEST(Combined, NeverExceedsAnySingleExtension)
+{
+    // The combined bound is the min over all terms, so it can never
+    // beat either extension alone (property over random inputs).
+    Rng rng(321);
+    SocSpec soc = SocCatalog::snapdragon835();
+    InterconnectModel ic = InterconnectModel::hierarchy(
+        {"hb", "sys"}, {40e9, 10e9}, {0, 0, 1}, 0.0);
+    for (int trial = 0; trial < 20; ++trial) {
+        auto f = rng.simplex(3);
+        Usecase u("r", {IpWork{f[0], rng.logUniform(0.1, 64.0)},
+                        IpWork{f[1], rng.logUniform(0.1, 64.0)},
+                        IpWork{f[2], rng.logUniform(0.1, 64.0)}});
+        MemSideMemory memside({rng.uniform(), rng.uniform(),
+                               rng.uniform()});
+        double combined =
+            GablesModel::evaluate(soc, u, &memside, &ic).attainable;
+        EXPECT_LE(combined,
+                  GablesModel::evaluate(soc, u, &memside).attainable *
+                      (1 + 1e-12));
+        EXPECT_LE(combined,
+                  GablesModel::evaluate(soc, u, nullptr, &ic)
+                          .attainable *
+                      (1 + 1e-12));
+    }
+}
+
+TEST(Combined, MismatchedMemsideRejected)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
+    InterconnectModel ic({BusSpec{"b", 1e9}}, {{true}, {true}});
+    MemSideMemory three = MemSideMemory::uniform(3, 0.5);
+    EXPECT_THROW(GablesModel::evaluate(soc, u, &three, &ic), FatalError);
 }
 
 // ---------------------------------------------------------------

@@ -168,6 +168,7 @@ TEST(Gables, ToStringCoversKinds)
     EXPECT_EQ(toString(BottleneckKind::IpCompute), "IP compute");
     EXPECT_EQ(toString(BottleneckKind::IpBandwidth), "IP bandwidth");
     EXPECT_EQ(toString(BottleneckKind::Memory), "memory interface");
+    EXPECT_EQ(toString(BottleneckKind::Bus), "bus");
 }
 
 TEST(Gables, BottleneckLabelFallsBackToIndexForUnnamedIp)

@@ -12,6 +12,8 @@
  *    scaled rooflines evaluated at their operating intensities;
  *  - concurrency dominance: base (concurrent) Gables never loses to
  *    the serialized extension;
+ *  - extension reduction: an SRAM with every mi = 1 and a bus too wide
+ *    to bind leave every base-model field bit-equal;
  *  - explorer invariants: a candidate's minPerf is the minimum of
  *    its per-usecase scores, and Pareto extraction is independent of
  *    the order the grid is enumerated in.
@@ -26,6 +28,8 @@
 
 #include "analysis/explorer.h"
 #include "core/gables.h"
+#include "core/interconnect.h"
+#include "core/memside.h"
 #include "core/serialized.h"
 #include "util/rng.h"
 
@@ -175,6 +179,56 @@ TEST_P(GablesProperty, ConcurrentNeverLosesToSerialized)
         double serialized =
             SerializedModel::evaluate(soc, u).attainable;
         EXPECT_GE(concurrent, serialized * (1.0 - 1e-12));
+    }
+}
+
+/** Every field the base model sets must be equal in @p ext. */
+void
+expectBaseFieldsEqual(const GablesResult &ext, const GablesResult &base,
+                      const char *what)
+{
+    EXPECT_EQ(ext.attainable, base.attainable) << what;
+    EXPECT_EQ(ext.memoryTime, base.memoryTime) << what;
+    EXPECT_EQ(ext.memoryPerfBound, base.memoryPerfBound) << what;
+    EXPECT_EQ(ext.averageIntensity, base.averageIntensity) << what;
+    EXPECT_EQ(ext.totalDataBytes, base.totalDataBytes) << what;
+    EXPECT_EQ(ext.bottleneckIp, base.bottleneckIp) << what;
+    EXPECT_EQ(ext.bottleneck, base.bottleneck) << what;
+    EXPECT_EQ(ext.bottleneckBus, -1) << what;
+    ASSERT_EQ(ext.ips.size(), base.ips.size()) << what;
+    for (size_t i = 0; i < base.ips.size(); ++i) {
+        EXPECT_EQ(ext.ips[i].computeTime, base.ips[i].computeTime);
+        EXPECT_EQ(ext.ips[i].dataBytes, base.ips[i].dataBytes);
+        EXPECT_EQ(ext.ips[i].transferTime, base.ips[i].transferTime);
+        EXPECT_EQ(ext.ips[i].time, base.ips[i].time);
+        EXPECT_EQ(ext.ips[i].perfBound, base.ips[i].perfBound);
+    }
+}
+
+TEST_P(GablesProperty, NeutralExtensionsKeepBaseBits)
+{
+    // mi = 1 for every IP reduces Eq. 15 to the base model, and a
+    // bus far wider than Bpeak never binds (Eq. 17).
+    Rng rng(GetParam() ^ 0x8888);
+    for (int trial = 0; trial < 30; ++trial) {
+        SocSpec soc = randomSoc(rng);
+        Usecase u = randomUsecase(rng, soc.numIps());
+        GablesResult base = GablesModel::evaluate(soc, u);
+        EXPECT_TRUE(base.busTimes.empty());
+        EXPECT_EQ(base.bottleneckBus, -1);
+
+        MemSideMemory all_miss =
+            MemSideMemory::uniform(soc.numIps(), 1.0);
+        expectBaseFieldsEqual(GablesModel::evaluate(soc, u, &all_miss),
+                              base, "mi = 1");
+
+        InterconnectModel wide(
+            {BusSpec{"wide", 1e15}},
+            std::vector<std::vector<bool>>(soc.numIps(), {true}));
+        GablesResult with_bus =
+            GablesModel::evaluate(soc, u, nullptr, &wide);
+        expectBaseFieldsEqual(with_bus, base, "1e15 B/s bus");
+        EXPECT_EQ(with_bus.busTimes.size(), 1u);
     }
 }
 

@@ -8,7 +8,8 @@
  * must fail with the contract's exit codes: a spliced-in foreign
  * report exits 1, an unsupported schema version exits 2. Recording is
  * byte-transparent: stdout and the metrics file are identical with
- * and without --record's hooks installed.
+ * and without --record's hooks installed, and every artifact flag
+ * honors replay's --out-dir.
  */
 
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "replay/recorder.h"
 #include "replay/replayer.h"
 #include "soc/config.h"
+#include "util/atomic_file.h"
 #include "util/rng.h"
 
 namespace gables {
@@ -254,6 +256,38 @@ TEST(ReplayRoundTrip, RelativeArtifactsRedirectToOutDir)
     testing::internal::GetCapturedStdout();
     EXPECT_EQ(outcome.exitCode, 0) << outcome.detail;
     EXPECT_FALSE(readFile(metrics).empty());
+}
+
+// Every artifact flag writes through the same atomic path as
+// --metrics, so each lands under an installed artifact directory and
+// is still announced under the path the user gave.
+TEST(ReplayRoundTrip, EveryCliArtifactHonorsTheOutDir)
+{
+    const std::string dir = "replay_rt_artifacts";
+    const std::vector<std::string> names = {
+        "replay_rt_a.svg", "replay_rt_v.json", "replay_rt_s.trace",
+        "replay_rt_p.trace"};
+    const std::string *prev = setArtifactDirOverride(&dir);
+    testing::internal::CaptureStdout();
+    int eval = cli::runCommand({"gables", "eval", "--svg", names[0],
+                                "--viz-json", names[1]});
+    int sim = cli::runCommand({"gables", "sim", "--soc", "sd835",
+                               "--epochs", "5", "--trace", names[2]});
+    int pipeline =
+        cli::runCommand({"gables", "pipeline", "--usecase", "hdr",
+                         "--frames", "4", "--trace", names[3]});
+    std::string out = testing::internal::GetCapturedStdout();
+    setArtifactDirOverride(prev);
+
+    EXPECT_EQ(eval, 0);
+    EXPECT_EQ(sim, 0);
+    EXPECT_EQ(pipeline, 0);
+    for (const std::string &name : names) {
+        EXPECT_TRUE(readFile(name).empty())
+            << name << " leaked into the working directory";
+        EXPECT_FALSE(readFile(dir + "/" + name).empty()) << name;
+        EXPECT_NE(out.find("wrote " + name), std::string::npos) << name;
+    }
 }
 
 // Recording must be byte-transparent: the same invocation produces

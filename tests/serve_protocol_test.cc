@@ -111,6 +111,26 @@ TEST(ServeProtocol, MalformedJsonIsBadRequestWithNullId)
     EXPECT_EQ(doc.at("error").at("kind").asString(), "bad-request");
 }
 
+TEST(ServeProtocol, DeeplyNestedLineIsOneBadRequest)
+{
+    // 200 000 '[' sits well under the 1 MiB line limit; the parser's
+    // depth cap turns it into one located error, not a stack overflow.
+    serve::ServeService service{serve::ServeOptions{}};
+    std::string response =
+        service.handleLine(std::string(200000, '['));
+    EXPECT_EQ(response.find('\n'), response.find_last_of('\n'))
+        << "expected exactly one response line";
+    JsonValue doc = parseResponse(response);
+    EXPECT_FALSE(doc.at("ok").asBool());
+    EXPECT_EQ(doc.at("error").at("kind").asString(), "bad-request");
+    EXPECT_NE(doc.at("error").at("message").asString().find("nesting"),
+              std::string::npos);
+
+    JsonValue ping = parseResponse(
+        service.handleLine("{\"id\": 8, \"op\": \"ping\"}"));
+    EXPECT_TRUE(ping.at("result").at("pong").asBool());
+}
+
 TEST(ServeProtocol, UnknownOpSuggestsAndCounts)
 {
     serve::ServeService service{serve::ServeOptions{}};

@@ -4,8 +4,8 @@
  * a real unix-domain socket round trip with the server loop on a
  * background thread — request/response ordering across one
  * connection, many concurrent and sequential connections, CRLF
- * tolerance, the stop flag, and the atomic stats snapshot written on
- * shutdown.
+ * tolerance, the stop flag, the atomic stats snapshot written on
+ * shutdown, and which files --socket may replace.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "util/json_reader.h"
+#include "util/logging.h"
 
 namespace {
 
@@ -277,6 +278,67 @@ TEST_F(ServeServerTest, OversizedRequestLineDropsConnection)
         EXPECT_TRUE(doc.at("ok").asBool());
     }
     loop.join();
+}
+
+TEST_F(ServeServerTest, SocketPathHoldingARegularFileIsRefused)
+{
+    {
+        std::ofstream keep(socketPath_);
+        keep << "precious\n";
+    }
+    serve::ServeService service{serve::ServeOptions{}};
+    serve::ServerOptions options;
+    options.socketPath = socketPath_;
+    {
+        serve::ServeServer server(service, options);
+        try {
+            server.start();
+            FAIL() << "start() bound over a regular file";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(socketPath_),
+                      std::string::npos)
+                << e.what();
+        }
+    } // the destructor must not remove it either
+
+    std::ifstream in(socketPath_);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "precious");
+}
+
+TEST_F(ServeServerTest, StaleSocketFileIsReplaced)
+{
+    // A socket file left behind by a dead daemon: bound, then closed.
+    int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(stale, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socketPath_.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(stale, reinterpret_cast<const sockaddr *>(&addr),
+                     sizeof(addr)),
+              0)
+        << std::strerror(errno);
+    ::close(stale);
+
+    serve::ServeService service{serve::ServeOptions{}};
+    serve::ServerOptions options;
+    options.socketPath = socketPath_;
+    {
+        serve::ServeServer server(service, options);
+        server.start();
+        std::thread loop([&server] { server.run(); });
+        {
+            TestClient client(socketPath_);
+            client.send("{\"id\": 1, \"op\": \"shutdown\"}\n");
+            JsonValue doc = parseJson(client.recvLine());
+            EXPECT_TRUE(doc.at("ok").asBool());
+        }
+        loop.join();
+    }
+    // The server removed the socket it bound on the way out.
+    EXPECT_NE(::access(socketPath_.c_str(), F_OK), 0);
 }
 
 } // namespace

@@ -75,6 +75,34 @@ TEST(JsonReader, MalformedInputIsFatal)
     EXPECT_THROW(parseJson("1 2"), FatalError); // trailing garbage
 }
 
+TEST(JsonReader, NestingDepthIsBounded)
+{
+    auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(parseJson(nested(kJsonMaxDepth)).isArray());
+    EXPECT_THROW(parseJson(nested(kJsonMaxDepth + 1)), FatalError);
+
+    std::string objects;
+    for (size_t d = 0; d < kJsonMaxDepth; ++d)
+        objects += "{\"k\":";
+    objects += "1" + std::string(kJsonMaxDepth, '}');
+    EXPECT_TRUE(parseJson(objects).isObject());
+    EXPECT_THROW(parseJson("[" + objects + "]"), FatalError);
+
+    // A line of '[' far past the limit fails with a located error
+    // instead of overflowing the stack.
+    try {
+        parseJson(std::string(200000, '['));
+        FAIL() << "expected a parse error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "offset " + std::to_string(kJsonMaxDepth)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(JsonReader, TypeMismatchIsFatal)
 {
     JsonValue v = parseJson("[1]");
