@@ -141,7 +141,10 @@ void
 writeArtifact(const std::string &path, const std::string &text,
               const std::string &note = "")
 {
-    writeFileAtomic(path, text);
+    {
+        GABLES_SPAN("output.write");
+        writeFileAtomic(path, text);
+    }
     std::cout << "wrote " << path << note << '\n';
 }
 
@@ -155,7 +158,10 @@ writeReport(telemetry::RunReport &report, const std::string &path)
 {
     report.setProfile(telemetry::SpanTracer::active());
     std::ostringstream out;
-    report.write(out);
+    {
+        GABLES_SPAN("output.report");
+        report.write(out);
+    }
     writeArtifact(path, std::move(out).str());
 }
 
@@ -320,11 +326,14 @@ cmdSweep(int argc, const char *const *argv)
                                   args.getDouble("i1", 1.0), fractions,
                                   true, jobs, &pstats);
 
-    TextTable t({"f", "normalized perf"});
-    for (size_t i = 0; i < series.x.size(); ++i)
-        t.addRow({formatDouble(series.x[i], 4),
-                  formatDouble(series.y[i], 4)});
-    std::cout << t.render();
+    {
+        GABLES_SPAN("output.table");
+        TextTable t({"f", "normalized perf"});
+        for (size_t i = 0; i < series.x.size(); ++i)
+            t.addRow({formatDouble(series.x[i], 4),
+                      formatDouble(series.y[i], 4)});
+        std::cout << t.render();
+    }
 
     if (args.has("ascii")) {
         SeriesPlot plot("mixing sweep on " + soc.name(),

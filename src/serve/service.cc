@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -217,28 +218,24 @@ knownOps()
 }
 
 std::string
-handleEval(EvaluatorCache &cache, const JsonValue &req)
+handleEval(EvaluatorCache::Entry &entry, bool hit, const JsonValue &req)
 {
-    auto [soc, usecase] = resolvePair(req);
     bool detail = req.has("detail") && req.at("detail").isBool() &&
                   req.at("detail").asBool();
-    bool hit = false;
-    std::shared_ptr<EvaluatorCache::Entry> entry =
-        cache.acquire(soc, usecase, &hit);
     // Reused across requests on this thread: evaluate() into warm
     // scratch performs no allocations.
     thread_local GablesResult scratch;
     std::ostringstream out;
     {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        entry->evaluator.run();
-        entry->evaluator.evaluate(0, scratch);
+        std::lock_guard<std::mutex> lock(entry.mutex);
+        entry.evaluator.run();
+        entry.evaluator.evaluate(0, scratch);
         JsonWriter json(out, false);
         json.beginObject();
         json.kv("attainable_ops_per_sec", scratch.attainable);
         json.kv("bottleneck", toString(scratch.bottleneck));
         json.kv("bottleneck_label",
-                scratch.bottleneckLabel(entry->soc));
+                scratch.bottleneckLabel(entry.soc));
         json.kv("cache_hit", hit);
         if (detail) {
             json.kv("memory_time", scratch.memoryTime);
@@ -251,7 +248,7 @@ handleEval(EvaluatorCache &cache, const JsonValue &req)
             for (size_t i = 0; i < scratch.ips.size(); ++i) {
                 const IpTiming &t = scratch.ips[i];
                 json.beginObject();
-                json.kv("name", entry->soc.ip(i).name);
+                json.kv("name", entry.soc.ip(i).name);
                 json.kv("compute_time", t.computeTime);
                 json.kv("data_bytes", t.dataBytes);
                 json.kv("transfer_time", t.transferTime);
@@ -298,39 +295,49 @@ sweepPacked(GablesPack<kGridWidth> &pack, const std::string &axis,
     }
 }
 
-std::string
-handleSweep(EvaluatorCache &cache, const JsonValue &req,
-            const Deadline &deadline, uint64_t *sweep_points)
+/** A sweep request's validated axis, values and IP. */
+struct SweepArgs {
+    std::string axis;
+    std::vector<double> values;
+    size_t ip = 0;
+};
+
+SweepArgs
+parseSweep(const JsonValue &req, const SocSpec &soc)
 {
-    auto [soc, usecase] = resolvePair(req);
-    std::string axis = stringField(req, "axis", "");
-    if (axis != "intensity" && axis != "fraction" && axis != "bpeak")
+    SweepArgs args;
+    args.axis = stringField(req, "axis", "");
+    if (args.axis != "intensity" && args.axis != "fraction" &&
+        args.axis != "bpeak")
         badRequest("\"axis\" must be \"intensity\", \"fraction\", "
                    "or \"bpeak\"");
     if (!req.has("values") || !req.at("values").isArray() ||
         req.at("values").size() == 0)
         badRequest("missing non-empty \"values\" array");
-    std::vector<double> values;
-    values.reserve(req.at("values").size());
+    args.values.reserve(req.at("values").size());
     for (const JsonValue &v : req.at("values").items()) {
         if (!v.isNumber())
             badRequest("\"values\" entries must be numbers");
-        values.push_back(v.asNumber());
+        args.values.push_back(v.asNumber());
     }
-    size_t ip = axis == "bpeak" ? 0 : resolveIp(req, soc);
+    args.ip = args.axis == "bpeak" ? 0 : resolveIp(req, soc);
+    return args;
+}
 
-    bool hit = false;
-    std::shared_ptr<EvaluatorCache::Entry> entry =
-        cache.acquire(soc, usecase, &hit);
+std::string
+handleSweep(EvaluatorCache::Entry &entry, bool hit, const SweepArgs &args,
+            const Deadline &deadline, uint64_t *sweep_points)
+{
     // The cached entry is only read (broadcast into a grid pack),
     // never mutated, so a mid-sweep error leaves it untouched.
     GablesPack<kGridWidth> pack = [&] {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        return GablesPack<kGridWidth>(entry->evaluator);
+        std::lock_guard<std::mutex> lock(entry.mutex);
+        return GablesPack<kGridWidth>(entry.evaluator);
     }();
     std::vector<double> attainable;
-    attainable.reserve(values.size());
-    sweepPacked(pack, axis, ip, values, deadline, attainable);
+    attainable.reserve(args.values.size());
+    sweepPacked(pack, args.axis, args.ip, args.values, deadline,
+                attainable);
     *sweep_points = attainable.size();
 
     std::ostringstream out;
@@ -520,82 +527,141 @@ ServeService::ServeService(const ServeOptions &options)
 
 ServeService::~ServeService() = default;
 
-ServeService::Outcome
-ServeService::process(const std::string &line)
-{
+/**
+ * One request between the stages of process(): parse and resolve,
+ * look the pair up in the evaluator cache, then evaluate and render.
+ */
+struct ServeService::Staged {
+    Clock::time_point t0;
     Outcome outcome;
-    Clock::time_point t0 = Clock::now();
+    /** Set once a stage failed; outcome.response is the error. */
+    bool failed = false;
     std::string id = "null";
+    JsonValue req;
+    std::optional<Deadline> deadline;
+    /** eval and sweep: the model inputs and their cache entry. */
+    std::optional<std::pair<SocSpec, Usecase>> pair;
+    std::shared_ptr<EvaluatorCache::Entry> entry;
+    bool hit = false;
+    SweepArgs sweep;
+};
+
+template <typename Stage>
+void
+ServeService::guard(Staged &s, Stage &&stage)
+{
+    if (s.failed)
+        return;
     try {
-        JsonValue req;
+        stage();
+        return;
+    } catch (const RequestError &err) {
+        s.outcome.deadlineExpired =
+            err.error.kind == ErrorKind::Deadline;
+        s.outcome.response = errorResponse(s.id, err.error);
+    } catch (const FatalError &err) {
+        // Model/config-layer diagnostics: the request was understood
+        // but its inputs are invalid.
+        s.outcome.response = errorResponse(
+            s.id, ServeError{ErrorKind::Config, err.what()});
+    } catch (const std::exception &err) {
+        s.outcome.response = errorResponse(
+            s.id, ServeError{ErrorKind::Internal, err.what()});
+    }
+    s.failed = true;
+}
+
+void
+ServeService::parseStage(Staged &s, const std::string &line)
+{
+    s.t0 = Clock::now();
+    guard(s, [&] {
         try {
-            req = parseJson(line);
+            s.req = parseJson(line);
         } catch (const FatalError &err) {
             badRequest(std::string("malformed request JSON: ") +
                        err.what());
         }
-        if (!req.isObject())
+        if (!s.req.isObject())
             badRequest("request must be a JSON object");
-        if (req.has("id"))
-            id = renderId(&req.at("id"));
-        std::string op = stringField(req, "op", "");
+        if (s.req.has("id"))
+            s.id = renderId(&s.req.at("id"));
+        std::string op = stringField(s.req, "op", "");
         if (op.empty())
             badRequest("missing \"op\" string");
         bool known = false;
         for (const std::string &cand : knownOps())
             known = known || cand == op;
-        outcome.op = known ? op : "unknown";
+        s.outcome.op = known ? op : "unknown";
         if (!known)
             badRequest("unknown op '" + op + "'" +
                        didYouMean(op, knownOps()));
 
-        Deadline deadline(req, t0);
-        if (deadline.expired())
+        s.deadline.emplace(s.req, s.t0);
+        if (s.deadline->expired())
             throw RequestError{ServeError{
                 ErrorKind::Deadline,
                 "deadline expired before processing began"}};
+        if (op == "eval" || op == "sweep")
+            s.pair = resolvePair(s.req);
+        if (op == "sweep")
+            s.sweep = parseSweep(s.req, s.pair->first);
+    });
+}
 
+void
+ServeService::acquireStage(Staged &s)
+{
+    guard(s, [&] {
+        if (s.pair)
+            s.entry = cache_.acquire(s.pair->first, s.pair->second,
+                                     &s.hit);
+    });
+}
+
+void
+ServeService::runStage(Staged &s)
+{
+    guard(s, [&] {
+        const std::string &op = s.outcome.op;
         std::string result;
         if (op == "ping") {
             result = "{\"pong\": true}";
         } else if (op == "eval") {
-            result = handleEval(cache_, req);
-            outcome.modelEvals = 1;
+            result = handleEval(*s.entry, s.hit, s.req);
+            s.outcome.modelEvals = 1;
         } else if (op == "sweep") {
-            result = handleSweep(cache_, req, deadline,
-                                 &outcome.sweepPoints);
-            outcome.modelEvals = outcome.sweepPoints;
+            result = handleSweep(*s.entry, s.hit, s.sweep, *s.deadline,
+                                 &s.outcome.sweepPoints);
+            s.outcome.modelEvals = s.outcome.sweepPoints;
         } else if (op == "explore") {
-            result = handleExplore(req, &outcome.modelEvals);
+            result = handleExplore(s.req, &s.outcome.modelEvals);
         } else if (op == "advise") {
-            result = handleAdvise(req);
+            result = handleAdvise(s.req);
         } else if (op == "stats") {
             result = compactJson(statsReportJson());
         } else { // shutdown
-            outcome.shutdown = true;
+            s.outcome.shutdown = true;
             result = "{\"shutting_down\": true}";
         }
-        if (deadline.expired())
+        if (s.deadline->expired())
             throw RequestError{ServeError{
                 ErrorKind::Deadline,
                 "deadline expired during processing"}};
-        outcome.response = okResponse(id, result);
-        outcome.ok = true;
-    } catch (const RequestError &err) {
-        outcome.deadlineExpired =
-            err.error.kind == ErrorKind::Deadline;
-        outcome.response = errorResponse(id, err.error);
-    } catch (const FatalError &err) {
-        // Model/config-layer diagnostics: the request was understood
-        // but its inputs are invalid.
-        outcome.response = errorResponse(
-            id, ServeError{ErrorKind::Config, err.what()});
-    } catch (const std::exception &err) {
-        outcome.response = errorResponse(
-            id, ServeError{ErrorKind::Internal, err.what()});
-    }
-    outcome.seconds = secondsSince(t0);
-    return outcome;
+        s.outcome.response = okResponse(s.id, result);
+        s.outcome.ok = true;
+    });
+    s.outcome.seconds = secondsSince(s.t0);
+}
+
+ServeService::Outcome
+ServeService::process(const std::string &line)
+{
+    Staged s;
+    parseStage(s, line);
+    acquireStage(s);
+    runStage(s);
+    return std::move(s.outcome);
 }
 
 void
@@ -651,15 +717,22 @@ ServeService::handleBatch(const std::vector<std::string> &lines)
     std::vector<std::string> responses;
     responses.reserve(lines.size());
     if (pool_ && lines.size() > 1) {
-        std::vector<Outcome> outcomes(lines.size());
+        // Parse and render on the pool, but look the cache up in
+        // request order, so cache_hit reads as it would serially.
+        std::vector<Staged> staged(lines.size());
         pool_->forEach(lines.size(), [&](size_t i, int) {
-            outcomes[i] = process(lines[i]);
+            parseStage(staged[i], lines[i]);
+        });
+        for (Staged &s : staged)
+            acquireStage(s);
+        pool_->forEach(lines.size(), [&](size_t i, int) {
+            runStage(staged[i]);
         });
         // Telemetry and the record tee commit in request order, so a
         // batch is observationally identical to serial handling.
         for (size_t i = 0; i < lines.size(); ++i) {
-            commit(lines[i], outcomes[i]);
-            responses.push_back(std::move(outcomes[i].response));
+            commit(lines[i], staged[i].outcome);
+            responses.push_back(std::move(staged[i].outcome.response));
         }
         return responses;
     }

@@ -27,9 +27,9 @@
  * which tests use.
  *
  * Thread-safety: handleLine() may be called from any thread;
- * handleBatch() fans a batch onto the service's worker pool and
- * commits telemetry in request order, so a batch's stats are
- * identical to serial processing.
+ * handleBatch() fans a batch onto the service's worker pool, looks
+ * the evaluator cache up and commits telemetry in request order, so
+ * a batch's responses and stats are identical to serial processing.
  */
 
 #ifndef GABLES_SERVE_SERVICE_H
@@ -125,9 +125,23 @@ class ServeService
         double seconds = 0.0;
     };
 
+    struct Staged;
+
     /** Process one request without touching the stats registry
-     * (safe from pool workers; the cache is internally locked). */
+     * (safe from pool workers; the cache is internally locked): the
+     * three stages below, in order. */
     Outcome process(const std::string &line);
+
+    /** Run @p stage unless an earlier one failed; what it throws
+     * becomes the error response. */
+    template <typename Stage>
+    void guard(Staged &s, Stage &&stage);
+    /** Parse the line and resolve its model inputs. */
+    void parseStage(Staged &s, const std::string &line);
+    /** Look an eval or sweep pair up in the evaluator cache. */
+    void acquireStage(Staged &s);
+    /** Evaluate and render the response; record the latency. */
+    void runStage(Staged &s);
 
     /** Apply one outcome's telemetry and record tee (serial). */
     void commit(const std::string &line, const Outcome &outcome);

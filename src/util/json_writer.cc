@@ -1,42 +1,101 @@
 #include "util/json_writer.h"
 
 #include <charconv>
-#include <clocale>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "util/logging.h"
 
 namespace gables {
 
+namespace {
+
+/**
+ * Format a finite double exactly like printf("%.*g") in the C
+ * locale, but via std::to_chars so the output never picks up the
+ * host's LC_NUMERIC decimal point (under de_DE, snprintf would emit
+ * "1,5" — invalid JSON). Returns the formatted length.
+ */
+size_t
+formatGeneral(char *buf, size_t cap, double v, int precision)
+{
+    std::to_chars_result res = std::to_chars(
+        buf, buf + cap, v, std::chars_format::general, precision);
+    GABLES_ASSERT(res.ec == std::errc(), "to_chars buffer too small");
+    return static_cast<size_t>(res.ptr - buf);
+}
+
+/** Locale-independent re-parse for the round-trip check. */
+double
+parseBack(const char *buf, size_t len)
+{
+    double back = 0.0;
+    std::from_chars(buf, buf + len, back);
+    return back;
+}
+
+template <typename Int>
+void
+appendInt(std::string &buf, Int v)
+{
+    char digits[24];
+    std::to_chars_result res =
+        std::to_chars(digits, digits + sizeof digits, v);
+    buf.append(digits, res.ptr);
+}
+
+} // namespace
+
 JsonWriter::JsonWriter(std::ostream &out, bool pretty)
     : out_(out), pretty_(pretty)
 {}
 
-std::string
-JsonWriter::escape(const std::string &s)
+JsonWriter::~JsonWriter()
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
+    // A stream with exceptions enabled may throw from write(); its
+    // badbit already records that failure for the caller to read.
+    try {
+        flush();
+    } catch (const std::ios_base::failure &) {
+    }
+}
+
+void
+JsonWriter::flush()
+{
+    if (buf_.empty())
+        return;
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+}
+
+void
+JsonWriter::appendString(std::string_view s)
+{
+    buf_ += '"';
+    // Copy runs of plain characters in one append each.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        buf_.append(s.substr(run, i - run));
+        run = i + 1;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          case '"': buf_ += "\\\""; break;
+          case '\\': buf_ += "\\\\"; break;
+          case '\n': buf_ += "\\n"; break;
+          case '\r': buf_ += "\\r"; break;
+          case '\t': buf_ += "\\t"; break;
+          default: {
+            char esc[8];
+            std::snprintf(esc, sizeof(esc), "\\u%04x", c);
+            buf_ += esc;
+          }
         }
     }
-    return out;
+    buf_.append(s.substr(run));
+    buf_ += '"';
 }
 
 void
@@ -44,9 +103,8 @@ JsonWriter::indent()
 {
     if (!pretty_)
         return;
-    out_ << '\n';
-    for (size_t i = 0; i < stack_.size(); ++i)
-        out_ << "  ";
+    buf_ += '\n';
+    buf_.append(2 * stack_.size(), ' ');
 }
 
 void
@@ -62,16 +120,27 @@ JsonWriter::beforeValue()
     }
     // Array item.
     if (hasItems_.back())
-        out_ << ',';
+        buf_ += ',';
     hasItems_.back() = true;
     indent();
+}
+
+void
+JsonWriter::afterValue()
+{
+    if (stack_.empty()) {
+        doneRoot = true;
+        flush();
+    } else if (buf_.size() >= kChunkBytes) {
+        flush();
+    }
 }
 
 void
 JsonWriter::beginObject()
 {
     beforeValue();
-    out_ << '{';
+    buf_ += '{';
     stack_.push_back(Ctx::Object);
     hasItems_.push_back(false);
 }
@@ -82,24 +151,14 @@ JsonWriter::endObject()
     GABLES_ASSERT(!stack_.empty() && stack_.back() == Ctx::Object,
                   "endObject with no open object");
     GABLES_ASSERT(!pendingKey, "endObject with dangling key");
-    bool had = hasItems_.back();
-    stack_.pop_back();
-    hasItems_.pop_back();
-    if (had)
-        indent();
-    out_ << '}';
-    if (stack_.empty()) {
-        doneRoot = true;
-        if (pretty_)
-            out_ << '\n';
-    }
+    endContainer('}');
 }
 
 void
 JsonWriter::beginArray()
 {
     beforeValue();
-    out_ << '[';
+    buf_ += '[';
     stack_.push_back(Ctx::Array);
     hasItems_.push_back(false);
 }
@@ -109,17 +168,21 @@ JsonWriter::endArray()
 {
     GABLES_ASSERT(!stack_.empty() && stack_.back() == Ctx::Array,
                   "endArray with no open array");
+    endContainer(']');
+}
+
+void
+JsonWriter::endContainer(char close)
+{
     bool had = hasItems_.back();
     stack_.pop_back();
     hasItems_.pop_back();
     if (had)
         indent();
-    out_ << ']';
-    if (stack_.empty()) {
-        doneRoot = true;
-        if (pretty_)
-            out_ << '\n';
-    }
+    buf_ += close;
+    if (stack_.empty() && pretty_)
+        buf_ += '\n';
+    afterValue();
 }
 
 void
@@ -129,12 +192,13 @@ JsonWriter::key(const std::string &name)
                   "key() outside an object");
     GABLES_ASSERT(!pendingKey, "two keys in a row");
     if (hasItems_.back())
-        out_ << ',';
+        buf_ += ',';
     hasItems_.back() = true;
     indent();
-    out_ << '"' << escape(name) << "\":";
+    appendString(name);
+    buf_ += ':';
     if (pretty_)
-        out_ << ' ';
+        buf_ += ' ';
     pendingKey = true;
 }
 
@@ -142,61 +206,17 @@ void
 JsonWriter::value(const std::string &v)
 {
     beforeValue();
-    out_ << '"' << escape(v) << '"';
-    if (stack_.empty())
-        doneRoot = true;
+    appendString(v);
+    afterValue();
 }
 
 void
 JsonWriter::value(const char *v)
 {
-    value(std::string(v));
+    beforeValue();
+    appendString(v);
+    afterValue();
 }
-
-namespace {
-
-/**
- * Format a finite double exactly like printf("%.*g") in the C
- * locale, but via std::to_chars so the output never picks up the
- * host's LC_NUMERIC decimal point (under de_DE, snprintf would emit
- * "1,5" — invalid JSON). Returns the formatted length.
- */
-size_t
-formatGeneral(char *buf, size_t cap, double v, int precision)
-{
-#if defined(__cpp_lib_to_chars)
-    std::to_chars_result res = std::to_chars(
-        buf, buf + cap, v, std::chars_format::general, precision);
-    GABLES_ASSERT(res.ec == std::errc(), "to_chars buffer too small");
-    return static_cast<size_t>(res.ptr - buf);
-#else
-    // Fallback for toolchains without floating-point to_chars:
-    // snprintf, then force the C locale's '.' radix by hand.
-    std::snprintf(buf, cap, "%.*g", precision, v);
-    struct lconv *lc = std::localeconv();
-    if (lc != nullptr && lc->decimal_point != nullptr &&
-        lc->decimal_point[0] != '.') {
-        if (char *dot = std::strstr(buf, lc->decimal_point)) {
-            size_t sep = std::strlen(lc->decimal_point);
-            *dot = '.';
-            std::memmove(dot + 1, dot + sep,
-                         std::strlen(dot + sep) + 1);
-        }
-    }
-    return std::strlen(buf);
-#endif
-}
-
-/** Locale-independent re-parse for the round-trip check. */
-double
-parseBack(const char *buf, size_t len)
-{
-    double back = 0.0;
-    std::from_chars(buf, buf + len, back);
-    return back;
-}
-
-} // namespace
 
 void
 JsonWriter::value(double v)
@@ -205,70 +225,58 @@ JsonWriter::value(double v)
     if (std::isnan(v) || std::isinf(v)) {
         // JSON has no NaN/Inf; emit null, which downstream tools treat
         // as a gap.
-        out_ << "null";
+        buf_ += "null";
     } else {
-        // Same two-tier scheme as the original snprintf("%.12g" /
-        // "%.17g") path — byte-identical output, so committed
-        // baselines and replay bundles are unchanged — but produced
-        // and verified without touching the C locale.
-        char short_buf[40];
-        size_t short_len = formatGeneral(short_buf, sizeof(short_buf),
-                                         v, 12);
-        if (parseBack(short_buf, short_len) == v) {
-            out_.write(short_buf, static_cast<std::streamsize>(short_len));
-        } else {
-            char buf[40];
-            size_t len = formatGeneral(buf, sizeof(buf), v, 17);
-            out_.write(buf, static_cast<std::streamsize>(len));
-        }
+        // "%.12g" when it round-trips, else "%.17g" — the original
+        // snprintf scheme, so committed baselines and replay bundles
+        // are unchanged — produced and verified without the C locale.
+        char digits[40];
+        size_t len = formatGeneral(digits, sizeof(digits), v, 12);
+        if (parseBack(digits, len) != v)
+            len = formatGeneral(digits, sizeof(digits), v, 17);
+        buf_.append(digits, len);
     }
-    if (stack_.empty())
-        doneRoot = true;
+    afterValue();
 }
 
 void
 JsonWriter::value(int v)
 {
     beforeValue();
-    out_ << v;
-    if (stack_.empty())
-        doneRoot = true;
+    appendInt(buf_, v);
+    afterValue();
 }
 
 void
 JsonWriter::value(long v)
 {
     beforeValue();
-    out_ << v;
-    if (stack_.empty())
-        doneRoot = true;
+    appendInt(buf_, v);
+    afterValue();
 }
 
 void
 JsonWriter::value(size_t v)
 {
     beforeValue();
-    out_ << v;
-    if (stack_.empty())
-        doneRoot = true;
+    appendInt(buf_, v);
+    afterValue();
 }
 
 void
 JsonWriter::value(bool v)
 {
     beforeValue();
-    out_ << (v ? "true" : "false");
-    if (stack_.empty())
-        doneRoot = true;
+    buf_ += v ? "true" : "false";
+    afterValue();
 }
 
 void
 JsonWriter::valueNull()
 {
     beforeValue();
-    out_ << "null";
-    if (stack_.empty())
-        doneRoot = true;
+    buf_ += "null";
+    afterValue();
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gables {
@@ -22,12 +23,26 @@ namespace gables {
  * The writer validates nesting with an internal stack and panics on
  * misuse (writing a bare value inside an object without a key, or
  * unbalanced begin/end).
+ *
+ * Output is assembled in an internal buffer and handed to the stream
+ * in chunks of about kChunkBytes, and always in full when the root
+ * value closes and in the destructor. So once done() is true the
+ * whole document is in the stream, and bytes the caller writes to
+ * the stream after that follow it.
  */
 class JsonWriter
 {
   public:
+    /** Buffered bytes that trigger a write to the stream. */
+    static constexpr size_t kChunkBytes = 64 * 1024;
+
     /** Write JSON to @p out; the stream must outlive the writer. */
     explicit JsonWriter(std::ostream &out, bool pretty = true);
+    /** Hands any buffered bytes to the stream. */
+    ~JsonWriter();
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     /** Begin the root or a nested object. */
     void beginObject();
@@ -73,11 +88,18 @@ class JsonWriter
     enum class Ctx { Object, Array };
 
     void beforeValue();
+    /** Close the root if nothing is open; flush when due. */
+    void afterValue();
+    /** Pop the innermost container and append @p close. */
+    void endContainer(char close);
     void indent();
-    static std::string escape(const std::string &s);
+    /** Append @p s as a quoted, escaped JSON string. */
+    void appendString(std::string_view s);
+    void flush();
 
     std::ostream &out_;
     bool pretty_;
+    std::string buf_;
     std::vector<Ctx> stack_;
     std::vector<bool> hasItems_;
     bool pendingKey = false;

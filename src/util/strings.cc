@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
+
+#include "util/logging.h"
 
 namespace gables {
 
@@ -76,18 +80,25 @@ formatDouble(double value, int precision)
         return "nan";
     if (std::isinf(value))
         return value > 0 ? "inf" : "-inf";
-    std::ostringstream oss;
-    oss.setf(std::ios::fixed);
-    oss.precision(precision);
-    oss << value;
-    std::string s = oss.str();
-    if (s.find('.') != std::string::npos) {
-        size_t last = s.find_last_not_of('0');
-        if (s[last] == '.')
-            --last;
-        s.erase(last + 1);
+    if (precision > kFormatDoubleMaxPrecision)
+        fatal("formatDouble: precision " + std::to_string(precision) +
+              " exceeds " + std::to_string(kFormatDoubleMaxPrecision));
+    // to_chars in fixed format is printf("%.*f") in the C locale.
+    // Room for -DBL_MAX: a sign, 309 integer digits, the point and
+    // the fraction digits.
+    char buf[1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 +
+             kFormatDoubleMaxPrecision];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                   std::chars_format::fixed, precision);
+    if (ec != std::errc())
+        fatal("formatDouble: to_chars failed");
+    if (std::find(buf, end, '.') != end) {
+        while (end[-1] == '0')
+            --end;
+        if (end[-1] == '.')
+            --end;
     }
-    return s;
+    return std::string(buf, end);
 }
 
 std::string

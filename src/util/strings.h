@@ -35,11 +35,18 @@ bool startsWith(const std::string &s, const std::string &prefix);
 /** True if @p s ends with @p suffix. */
 bool endsWith(const std::string &s, const std::string &suffix);
 
+/** The largest precision formatDouble() accepts. */
+inline constexpr int kFormatDoubleMaxPrecision = 64;
+
 /**
  * Format a double compactly: fixed notation, trailing zeros trimmed.
+ * Locale-independent: the digits are printf("%.*f") in the C locale;
+ * NaN and the infinities read "nan", "inf" and "-inf".
  *
  * @param value     Value to format.
- * @param precision Maximum digits after the decimal point.
+ * @param precision Maximum digits after the decimal point, at most
+ *                  kFormatDoubleMaxPrecision (negative means 6).
+ * @throws FatalError if @p precision exceeds the maximum.
  */
 std::string formatDouble(double value, int precision = 6);
 

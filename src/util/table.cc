@@ -1,10 +1,9 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string_view>
 
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace gables {
 
@@ -15,6 +14,8 @@ TextTable::TextTable(std::vector<std::string> headers)
     GABLES_ASSERT(!headers_.empty(), "table needs at least one column");
     if (!aligns_.empty())
         aligns_[0] = Align::Left;
+    for (const std::string &h : headers_)
+        widths_.push_back(h.size());
 }
 
 void
@@ -30,97 +31,104 @@ TextTable::addRow(std::vector<std::string> cells)
     if (cells.size() != headers_.size())
         fatal("table row has " + std::to_string(cells.size()) +
               " cells, expected " + std::to_string(headers_.size()));
-    rows_.push_back(std::move(cells));
+    for (size_t c = 0; c < cells.size(); ++c) {
+        cells_ += cells[c];
+        cellEnds_.push_back(cells_.size());
+        widths_[c] = std::max(widths_[c], cells[c].size());
+    }
     ++dataRows;
 }
 
 void
 TextTable::addRule()
 {
-    rows_.push_back({});
+    rules_.push_back(dataRows);
 }
 
-namespace {
-
-std::vector<size_t>
-columnWidths(const std::vector<std::string> &headers,
-             const std::vector<std::vector<std::string>> &rows)
+std::string_view
+TextTable::cell(size_t row, size_t col) const
 {
-    std::vector<size_t> widths(headers.size());
-    for (size_t c = 0; c < headers.size(); ++c)
-        widths[c] = headers[c].size();
-    for (const auto &row : rows) {
-        for (size_t c = 0; c < row.size(); ++c)
-            widths[c] = std::max(widths[c], row[c].size());
-    }
-    return widths;
+    if (row == kHeaderRow)
+        return headers_[col];
+    size_t i = row * headers_.size() + col;
+    size_t begin = i == 0 ? 0 : cellEnds_[i - 1];
+    return std::string_view(cells_).substr(begin, cellEnds_[i] - begin);
 }
 
-} // namespace
+void
+TextTable::appendRow(std::string &out, size_t row) const
+{
+    for (size_t c = 0; c < widths_.size(); ++c) {
+        std::string_view text = cell(row, c);
+        size_t pad = widths_[c] - text.size();
+        out += ' ';
+        if (aligns_[c] == Align::Right)
+            out.append(pad, ' ');
+        out += text;
+        if (aligns_[c] == Align::Left)
+            out.append(pad, ' ');
+        out += ' ';
+        if (c + 1 < widths_.size())
+            out += '|';
+    }
+    out += '\n';
+}
+
+void
+TextTable::appendRule(std::string &out) const
+{
+    for (size_t c = 0; c < widths_.size(); ++c) {
+        out.append(widths_[c] + 2, '-');
+        if (c + 1 < widths_.size())
+            out += '+';
+    }
+    out += '\n';
+}
 
 std::string
 TextTable::render() const
 {
-    auto widths = columnWidths(headers_, rows_);
-    std::ostringstream oss;
+    // A rule is exactly as long as a row: each column is its width
+    // plus two, with one separator between columns.
+    size_t line = widths_.size();
+    for (size_t w : widths_)
+        line += w + 2;
+    std::string out;
+    out.reserve(line * (2 + dataRows + rules_.size()));
 
-    auto emit_rule = [&]() {
-        for (size_t c = 0; c < widths.size(); ++c) {
-            oss << std::string(widths[c] + 2, '-');
-            if (c + 1 < widths.size())
-                oss << '+';
-        }
-        oss << '\n';
-    };
-
-    auto emit_row = [&](const std::vector<std::string> &cells) {
-        for (size_t c = 0; c < widths.size(); ++c) {
-            const std::string &cell = c < cells.size() ? cells[c] : "";
-            oss << ' ';
-            if (aligns_[c] == Align::Left)
-                oss << padRight(cell, widths[c]);
-            else
-                oss << padLeft(cell, widths[c]);
-            oss << ' ';
-            if (c + 1 < widths.size())
-                oss << '|';
-        }
-        oss << '\n';
-    };
-
-    emit_row(headers_);
-    emit_rule();
-    for (const auto &row : rows_) {
-        if (row.empty())
-            emit_rule();
-        else
-            emit_row(row);
+    appendRow(out, kHeaderRow);
+    appendRule(out);
+    size_t rule = 0;
+    for (size_t r = 0; r <= dataRows; ++r) {
+        for (; rule < rules_.size() && rules_[rule] == r; ++rule)
+            appendRule(out);
+        if (r < dataRows)
+            appendRow(out, r);
     }
-    return oss.str();
+    return out;
 }
 
 std::string
 TextTable::renderMarkdown() const
 {
-    std::ostringstream oss;
-    auto emit_row = [&](const std::vector<std::string> &cells) {
-        oss << '|';
+    std::string out;
+    auto emit_row = [&](size_t row) {
+        out += '|';
         for (size_t c = 0; c < headers_.size(); ++c) {
-            const std::string &cell = c < cells.size() ? cells[c] : "";
-            oss << ' ' << cell << " |";
+            out += ' ';
+            out += cell(row, c);
+            out += " |";
         }
-        oss << '\n';
+        out += '\n';
     };
-    emit_row(headers_);
-    oss << '|';
+    emit_row(kHeaderRow);
+    out += '|';
     for (size_t c = 0; c < headers_.size(); ++c)
-        oss << "---|";
-    oss << '\n';
-    for (const auto &row : rows_) {
-        if (!row.empty())
-            emit_row(row);
-    }
-    return oss.str();
+        out += "---|";
+    out += '\n';
+    for (size_t r = 0; r < dataRows; ++r)
+        emit_row(r);
+    return out;
 }
 
 } // namespace gables

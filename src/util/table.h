@@ -9,6 +9,7 @@
 #define GABLES_UTIL_TABLE_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gables {
@@ -57,10 +58,26 @@ class TextTable
     std::string renderMarkdown() const;
 
   private:
+    /** The row index that names the header row in cell(). */
+    static constexpr size_t kHeaderRow = static_cast<size_t>(-1);
+
+    /** @return Column @p col of data row @p row (or the header). */
+    std::string_view cell(size_t row, size_t col) const;
+    /** Append row @p row (or the header), padded to the widths. */
+    void appendRow(std::string &out, size_t row) const;
+    /** Append one separator rule line. */
+    void appendRule(std::string &out) const;
+
     std::vector<std::string> headers_;
     std::vector<Align> aligns_;
-    // Rows; an empty optional-like marker (empty vector) encodes a rule.
-    std::vector<std::vector<std::string>> rows_;
+    // Widest cell per column, headers included; kept by addRow().
+    std::vector<size_t> widths_;
+    // Every data cell's bytes back to back, row-major, and the end
+    // offset of each cell in that arena.
+    std::string cells_;
+    std::vector<size_t> cellEnds_;
+    // For each rule, the number of data rows added before it.
+    std::vector<size_t> rules_;
     size_t dataRows = 0;
 };
 

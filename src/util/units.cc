@@ -2,8 +2,8 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/parse.h"
@@ -13,10 +13,33 @@ namespace gables {
 
 namespace {
 
+/** The most significant digits the formatters below accept. */
+constexpr int kMaxUnitPrecision = 64;
+
 struct Prefix {
     const char *name;
     double scale;
 };
+
+/**
+ * printf("%.*g") of @p value in the C locale: what a default-format
+ * stream with this precision prints, without the stream or its locale.
+ */
+std::string
+formatGeneral(double value, int precision)
+{
+    if (precision > kMaxUnitPrecision)
+        fatal("unit formatting precision " + std::to_string(precision) +
+              " exceeds " + std::to_string(kMaxUnitPrecision));
+    // Holds a sign, the digits, the point and "e-308".
+    char buf[kMaxUnitPrecision + 8];
+    std::to_chars_result res = std::to_chars(
+        buf, buf + sizeof buf, value, std::chars_format::general,
+        precision);
+    if (res.ec != std::errc())
+        fatal("unit formatting: to_chars failed");
+    return std::string(buf, res.ptr);
+}
 
 /**
  * Scale a value into the largest prefix with magnitude >= 1 and format
@@ -36,12 +59,8 @@ formatScaled(double value, const char *unit, int precision,
         {"m", 1e-3}, {"u", 1e-6}, {"n", 1e-9}, {"p", 1e-12}
     }};
 
-    std::ostringstream oss;
-    oss.precision(precision);
-    if (value == 0.0 || std::isnan(value) || std::isinf(value)) {
-        oss << value << ' ' << unit;
-        return oss.str();
-    }
+    if (value == 0.0 || std::isnan(value) || std::isinf(value))
+        return formatGeneral(value, precision) + ' ' + unit;
 
     double mag = std::fabs(value);
     const char *prefix = "";
@@ -75,8 +94,7 @@ formatScaled(double value, const char *unit, int precision,
                 break;
         }
     }
-    oss << value / scale << ' ' << prefix << unit;
-    return oss.str();
+    return formatGeneral(value / scale, precision) + ' ' + prefix + unit;
 }
 
 } // namespace

@@ -5,7 +5,7 @@
  * contract (bad-request = 2, config/deadline/internal = 1), eval
  * parity with GablesModel::evaluate, config-file resolution, deadline
  * expiry, evaluator-cache counters, the stats RunReport, and batch
- * processing matching serial byte-for-byte.
+ * processing matching serial byte-for-byte (cache_hit included).
  */
 
 #include <gtest/gtest.h>
@@ -408,6 +408,31 @@ TEST(ServeProtocol, BatchMatchesSerialByteForByte)
               statValue(statsDoc(serial), "serve.op.eval"));
     EXPECT_EQ(statValue(statsDoc(pooled), "serve.responses_error"),
               statValue(statsDoc(serial), "serve.responses_error"));
+}
+
+TEST(ServeProtocol, BatchOfOneKeyMissesOnlyOnItsFirstLine)
+{
+    // Forty evals of one pair: a batch looks the cache up in request
+    // order, so the first line compiles and every later one hits,
+    // however the pool schedules them.
+    SocSpec soc = SocCatalog::paperTwoIp();
+    std::string line = evalRequest(7, soc, paperUsecase(0.25, 8.0, 0.1));
+    std::vector<std::string> lines(40, line);
+
+    serve::ServeOptions options;
+    options.jobs = 4;
+    serve::ServeService service{options};
+    std::vector<std::string> responses = service.handleBatch(lines);
+
+    ASSERT_EQ(responses.size(), lines.size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+        JsonValue doc = parseResponse(responses[i]);
+        ASSERT_TRUE(doc.at("ok").asBool()) << responses[i];
+        EXPECT_EQ(doc.at("result").at("cache_hit").asBool(), i > 0)
+            << "request " << i;
+    }
+    EXPECT_EQ(service.cache().misses(), 1u);
+    EXPECT_EQ(service.cache().hits(), lines.size() - 1);
 }
 
 TEST(ServeProtocol, ShutdownSetsTheFlagAfterResponse)

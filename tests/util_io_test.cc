@@ -64,6 +64,41 @@ TEST(TextTable, MarkdownRendering)
     EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
 }
 
+TEST(TextTable, RulesAlignmentAndWideOrEmptyCells)
+{
+    // A rule first, two in a row and one last; a left-aligned third
+    // column; cells wider than their header; empty cells.
+    TextTable t({"name", "v", "unit"});
+    t.setAlign(2, TextTable::Align::Left);
+    t.addRule();
+    t.addRow({"alpha", "12345", ""});
+    t.addRule();
+    t.addRule();
+    t.addRow({"", "7", "ms"});
+    t.addRule();
+    EXPECT_EQ(t.rowCount(), 2u);
+    EXPECT_EQ(t.render(), " name  |     v | unit \n"
+                          "-------+-------+------\n"
+                          "-------+-------+------\n"
+                          " alpha | 12345 |      \n"
+                          "-------+-------+------\n"
+                          "-------+-------+------\n"
+                          "       |     7 | ms   \n"
+                          "-------+-------+------\n");
+    EXPECT_EQ(t.renderMarkdown(), "| name | v | unit |\n"
+                                  "|---|---|---|\n"
+                                  "| alpha | 12345 |  |\n"
+                                  "|  | 7 | ms |\n");
+}
+
+TEST(TextTable, HeaderOnly)
+{
+    TextTable t({"a", "bb"});
+    EXPECT_EQ(t.render(), " a | bb \n"
+                          "---+----\n");
+    EXPECT_EQ(t.renderMarkdown(), "| a | bb |\n|---|---|\n");
+}
+
 TEST(Csv, PlainRow)
 {
     std::ostringstream oss;
@@ -170,6 +205,66 @@ TEST(Json, NumberArrayHelper)
     json.numberArray("xs", {1.0, 2.0, 3.0});
     json.endObject();
     EXPECT_EQ(oss.str(), "{\"xs\":[1,2,3]}");
+}
+
+TEST(Json, DocumentLargerThanOneChunk)
+{
+    // Built by hand: the writer's bytes must all be in the stream once
+    // the root closes, with the writer still alive.
+    std::string expected = "{\n  \"items\": [";
+    std::ostringstream oss;
+    JsonWriter json(oss, true);
+    json.beginObject();
+    json.key("items");
+    json.beginArray();
+    for (int i = 0; i < 20000; ++i) {
+        json.beginObject();
+        json.kv("i", i);
+        json.kv("half", i / 2.0);
+        json.kv("tag", "t\"" + std::to_string(i));
+        json.endObject();
+        expected += std::string(i ? "," : "") + "\n    {\n      \"i\": " +
+                    std::to_string(i) + ",\n      \"half\": " +
+                    std::to_string(i / 2) + (i % 2 ? ".5" : "") +
+                    ",\n      \"tag\": \"t\\\"" + std::to_string(i) +
+                    "\"\n    }";
+    }
+    json.endArray();
+    json.endObject();
+    expected += "\n  ]\n}\n";
+    ASSERT_GT(expected.size(), 4 * JsonWriter::kChunkBytes);
+    EXPECT_TRUE(json.done());
+    EXPECT_EQ(oss.str(), expected);
+
+    // Bytes the caller writes after the root follow it.
+    oss << "tail";
+    EXPECT_EQ(oss.str(), expected + "tail");
+}
+
+TEST(Json, BareRootScalarReachesTheStream)
+{
+    std::ostringstream num, str;
+    JsonWriter a(num, true);
+    a.value(0.1);
+    EXPECT_TRUE(a.done());
+    EXPECT_EQ(num.str(), "0.1");
+    JsonWriter b(str, false);
+    b.value("x\ty");
+    EXPECT_EQ(str.str(), "\"x\\ty\"");
+}
+
+TEST(Json, UnfinishedDocumentIsFlushedByTheDestructor)
+{
+    std::ostringstream oss;
+    {
+        JsonWriter json(oss, false);
+        json.beginArray();
+        json.value(1);
+        json.value(static_cast<long>(-2));
+        json.value(static_cast<size_t>(3));
+        EXPECT_FALSE(json.done());
+    }
+    EXPECT_EQ(oss.str(), "[1,-2,3");
 }
 
 TEST(Json, DoubleRoundTripPrecision)
