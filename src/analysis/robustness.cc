@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/evaluator.h"
 #include "telemetry/span.h"
 #include "util/logging.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace gables {
@@ -34,12 +36,24 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     Rng rng(options.seed);
     std::vector<double> perf;
     perf.reserve(options.samples);
-    std::map<int, int> bottleneck_counts;
     int meets = 0;
 
     const size_t n = usecase.numIps();
     std::vector<double> fractions(n, 0.0);
     std::vector<double> intensities(n, 1.0);
+    // Bottleneck counts indexed by IP + 1 (slot 0 is the memory
+    // interface, IP -1).
+    std::vector<int> bottleneck_counts(n + 1, 0);
+
+    // A jitter of exactly 1 draws nothing; otherwise the scale
+    // factor is log-uniform in [1/x, x], its logs taken once here.
+    std::optional<LogUniform> fraction_scale, intensity_scale;
+    if (options.fractionJitter != 1.0)
+        fraction_scale.emplace(1.0 / options.fractionJitter,
+                               options.fractionJitter);
+    if (options.intensityJitter != 1.0)
+        intensity_scale.emplace(1.0 / options.intensityJitter,
+                                options.intensityJitter);
 
     // One perturbed sample's work terms, drawn in sample-major,
     // IP-minor order.
@@ -52,16 +66,9 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
                 intensities[i] = 1.0;
                 continue;
             }
-            double f_scale =
-                options.fractionJitter == 1.0
-                    ? 1.0
-                    : rng.logUniform(1.0 / options.fractionJitter,
-                                     options.fractionJitter);
+            double f_scale = fraction_scale ? (*fraction_scale)(rng) : 1.0;
             double i_scale =
-                options.intensityJitter == 1.0
-                    ? 1.0
-                    : rng.logUniform(1.0 / options.intensityJitter,
-                                     options.intensityJitter);
+                intensity_scale ? (*intensity_scale)(rng) : 1.0;
             intensities[i] = std::isinf(w.intensity)
                                  ? w.intensity
                                  : w.intensity * i_scale;
@@ -73,7 +80,7 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     };
     auto recordSample = [&](double attainable, int bottleneck_ip) {
         perf.push_back(attainable);
-        bottleneck_counts[bottleneck_ip]++;
+        ++bottleneck_counts[static_cast<size_t>(bottleneck_ip + 1)];
         if (options.target > 0.0 && attainable >= options.target)
             ++meets;
     };
@@ -96,7 +103,10 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
             recordSample(pack.attainable(w), pack.bottleneckIp(w));
     }
 
-    std::sort(perf.begin(), perf.end());
+    // Attainable performance is never negative or NaN, so the radix
+    // sort yields std::sort's exact sequence, and the sorted-order
+    // sum below keeps its bits.
+    sortNonNegative(perf);
     auto quantile = [&](double q) {
         double pos = q * (perf.size() - 1);
         size_t lo = static_cast<size_t>(pos);
@@ -115,9 +125,12 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
         options.target > 0.0
             ? static_cast<double>(meets) / options.samples
             : 1.0;
-    for (const auto &[ip, count] : bottleneck_counts)
-        report.bottleneckShare[ip] =
-            static_cast<double>(count) / options.samples;
+    for (size_t slot = 0; slot < bottleneck_counts.size(); ++slot) {
+        if (bottleneck_counts[slot] != 0)
+            report.bottleneckShare[static_cast<int>(slot) - 1] =
+                static_cast<double>(bottleneck_counts[slot]) /
+                options.samples;
+    }
     return report;
 }
 

@@ -168,7 +168,7 @@ ServeServer::readAndDispatch(Connection &conn)
     char buf[65536];
     ssize_t got = ::recv(conn.fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (got == 0)
-        return !conn.outbuf.empty(); // peer closed; flush then drop
+        return conn.pending() > 0; // peer closed; flush then drop
     if (got < 0)
         return errno == EAGAIN || errno == EWOULDBLOCK ||
                errno == EINTR;
@@ -201,28 +201,35 @@ ServeServer::readAndDispatch(Connection &conn)
         return true;
 
     std::vector<std::string> responses = service_.handleBatch(lines);
+    // Drop the sent prefix once per batch (reading stops while the
+    // unsent rest is at the backpressure mark, so this stays small).
+    conn.outbuf.erase(0, conn.outSent);
+    conn.outSent = 0;
     for (const std::string &response : responses) {
         conn.outbuf += response;
         conn.outbuf += '\n';
     }
+    if (conn.pending() > peakPending_.load()) // run() is the only writer
+        peakPending_.store(conn.pending());
     return flushWrites(conn);
 }
 
 bool
 ServeServer::flushWrites(Connection &conn)
 {
-    while (!conn.outbuf.empty()) {
-        ssize_t sent =
-            ::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(),
-                   MSG_DONTWAIT | MSG_NOSIGNAL);
+    while (conn.pending() > 0) {
+        ssize_t sent = ::send(conn.fd, conn.outbuf.data() + conn.outSent,
+                              conn.pending(), MSG_DONTWAIT | MSG_NOSIGNAL);
         if (sent < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK ||
                 errno == EINTR)
                 return true; // poll for POLLOUT
             return false;
         }
-        conn.outbuf.erase(0, static_cast<size_t>(sent));
+        conn.outSent += static_cast<size_t>(sent);
     }
+    conn.outbuf.clear();
+    conn.outSent = 0;
     return true;
 }
 
@@ -256,8 +263,12 @@ ServeServer::run()
         std::vector<pollfd> fds;
         fds.push_back(pollfd{listenFd_, POLLIN, 0});
         for (const Connection &conn : connections_) {
-            short events = POLLIN;
-            if (!conn.outbuf.empty())
+            // Backpressure: a client that pipelines requests without
+            // reading the responses is not read from until its
+            // pending output drains below the mark.
+            short events =
+                conn.pending() < options_.maxLineBytes ? POLLIN : 0;
+            if (conn.pending() > 0)
                 events |= POLLOUT;
             fds.push_back(pollfd{conn.fd, events, 0});
         }
@@ -286,11 +297,12 @@ ServeServer::run()
                 keep = false;
             if (keep && (revents & POLLOUT))
                 keep = flushWrites(conn);
-            if (keep && (revents & (POLLIN | POLLHUP)))
+            if (keep && (fds[i + 1].events & POLLIN) &&
+                (revents & (POLLIN | POLLHUP)))
                 keep = readAndDispatch(conn);
             // A peer that half-closed after its requests still gets
             // its buffered responses; drop once drained.
-            if (keep && (revents & POLLHUP) && conn.outbuf.empty())
+            if (keep && (revents & POLLHUP) && conn.pending() == 0)
                 keep = false;
             if (keep) {
                 alive.push_back(std::move(conn));

@@ -38,7 +38,10 @@ struct ServerOptions {
     /** Atomic RunReport snapshot written on exit ("" = off). */
     std::string statsOutPath;
     /** Upper bound on one request line; longer requests drop the
-     * connection (guards the daemon against unbounded buffering). */
+     * connection (guards the daemon against unbounded buffering).
+     * Also the backpressure mark for responses: the server stops
+     * reading from a connection whose unsent output has reached this
+     * size, and resumes once writes drain it below. */
     size_t maxLineBytes = 1 << 20;
     /** External stop flag polled by run() (e.g. set from a signal
      * handler); nullptr = none. */
@@ -84,12 +87,20 @@ class ServeServer
     /** Ask a running run() loop to exit (safe from other threads). */
     void stop() { stop_.store(true); }
 
+    /** @return The most unsent response bytes any one connection has
+     * held (safe from other threads). */
+    size_t peakPendingBytes() const { return peakPending_.load(); }
+
   private:
     struct Connection {
         int fd = -1;
         std::string inbuf;
+        /** Responses; bytes before outSent are already sent. */
         std::string outbuf;
+        size_t outSent = 0;
         bool closing = false;
+
+        size_t pending() const { return outbuf.size() - outSent; }
     };
 
     bool stopRequested() const;
@@ -111,6 +122,7 @@ class ServeServer
     ino_t socketIno_ = 0;
     std::vector<Connection> connections_;
     std::atomic<bool> stop_{false};
+    std::atomic<size_t> peakPending_{0};
     size_t accepted_ = 0;
 };
 

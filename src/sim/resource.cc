@@ -1,6 +1,7 @@
 #include "sim/resource.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/trace.h"
 #include "telemetry/stats.h"
@@ -8,6 +9,29 @@
 
 namespace gables {
 namespace sim {
+
+ServiceInterval
+ServiceLog::operator[](size_t i) const
+{
+    GABLES_ASSERT(i < starts_.size(), "service log index out of range");
+    auto after = std::upper_bound(
+        runs_.begin(), runs_.end(), i,
+        [](size_t index, const Run &run) { return index < run.first; });
+    const Run &run = *(after - 1);
+    return ServiceInterval{starts_[i], run.duration, run.bytes};
+}
+
+void
+ServiceLog::push(double start, double duration, double bytes)
+{
+    if (runs_.empty() ||
+        std::bit_cast<uint64_t>(runs_.back().duration) !=
+            std::bit_cast<uint64_t>(duration) ||
+        std::bit_cast<uint64_t>(runs_.back().bytes) !=
+            std::bit_cast<uint64_t>(bytes))
+        runs_.push_back(Run{starts_.size(), duration, bytes});
+    starts_.push_back(start);
+}
 
 BandwidthResource::BandwidthResource(std::string name, double bandwidth,
                                      double latency)
@@ -67,7 +91,7 @@ BandwidthResource::observe(double arrival, double start, double service,
         queueDepthHist_->sample(depth);
         requestCount_->add(1.0);
         byteCount_->add(bytes);
-        serviceLog_.push_back(ServiceInterval{start, service, bytes});
+        serviceLog_.push(start, service, bytes);
     }
     if (tracer_ != nullptr)
         tracer_->counter(name_ + ".queue", arrival, depth);

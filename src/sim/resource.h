@@ -32,6 +32,79 @@ namespace sim {
 
 class TraceRecorder;
 
+/** One booked service interval of a resource. */
+struct ServiceInterval {
+    double start;
+    double duration;
+    double bytes;
+};
+
+/**
+ * A resource's booked service intervals, in booking order, stored in
+ * 8 bytes per booking: its start time, plus one run record per
+ * stretch of consecutive bookings that share a duration and a byte
+ * count. A new run opens only when either bit pattern changes, which
+ * is rare: chunked streams book one transfer size, and its service
+ * time is the memoized bytes / bandwidth quotient.
+ */
+class ServiceLog
+{
+  public:
+    /** @return Number of bookings logged. */
+    size_t size() const { return starts_.size(); }
+
+    /** @return True when nothing has been logged. */
+    bool empty() const { return starts_.empty(); }
+
+    /** @return Booking @p i (O(log runs)). */
+    ServiceInterval operator[](size_t i) const;
+
+    /** Call @p fn with every booking, in booking order. */
+    template <typename Fn>
+    void forEach(Fn &&fn) const
+    {
+        for (size_t r = 0; r < runs_.size(); ++r) {
+            const Run &run = runs_[r];
+            size_t end = r + 1 < runs_.size() ? runs_[r + 1].first
+                                              : starts_.size();
+            for (size_t i = run.first; i < end; ++i)
+                fn(ServiceInterval{starts_[i], run.duration, run.bytes});
+        }
+    }
+
+    /** Append one booking. */
+    void push(double start, double duration, double bytes);
+
+    /** Pre-size for @p bookings start times. */
+    void reserve(size_t bookings) { starts_.reserve(bookings); }
+
+    /** Forget every booking (capacity is kept). */
+    void clear()
+    {
+        starts_.clear();
+        runs_.clear();
+    }
+
+    /** @return Bytes of memory held (capacity, not size — reserved
+     * space counts). */
+    size_t capacityBytes() const
+    {
+        return starts_.capacity() * sizeof(double) +
+               runs_.capacity() * sizeof(Run);
+    }
+
+  private:
+    /** Bookings [first, next run's first) share these values. */
+    struct Run {
+        uint64_t first;
+        double duration;
+        double bytes;
+    };
+
+    std::vector<double> starts_;
+    std::vector<Run> runs_;
+};
+
 /**
  * A FIFO bandwidth server.
  *
@@ -151,16 +224,6 @@ class BandwidthResource
     }
 
     /**
-     * One booked service interval, kept only while a telemetry
-     * registry is attached; feeds post-run epoch sampling.
-     */
-    struct ServiceInterval {
-        double start;
-        double duration;
-        double bytes;
-    };
-
-    /**
      * Attach a telemetry registry: registers (or re-binds to)
      * "<name>.wait_time", "<name>.service_time", "<name>.queue_depth"
      * distributions, a "<name>.queue_depth_hist" histogram, and
@@ -172,11 +235,11 @@ class BandwidthResource
      */
     void attachTelemetry(telemetry::StatsRegistry *registry);
 
-    /** @return Booked intervals (empty unless telemetry attached). */
-    const std::vector<ServiceInterval> &serviceLog() const
-    {
-        return serviceLog_;
-    }
+    /**
+     * @return Booked intervals, kept only while a telemetry registry
+     * is attached (empty otherwise); feeds post-run epoch sampling.
+     */
+    const ServiceLog &serviceLog() const { return serviceLog_; }
 
     /**
      * Pre-size the service-interval log for an expected number of
@@ -185,13 +248,6 @@ class BandwidthResource
      * docs/OBSERVABILITY.md for the log's memory model.
      */
     void reserveLog(size_t expected_entries);
-
-    /** @return Bytes of memory held by the service-interval log
-     * (capacity, not size — reserved space counts). */
-    size_t serviceLogCapacityBytes() const
-    {
-        return serviceLog_.capacity() * sizeof(ServiceInterval);
-    }
 
   private:
     /** Slow path of acquire(): books with the trace record and
@@ -227,7 +283,7 @@ class BandwidthResource
     telemetry::Histogram *queueDepthHist_ = nullptr;
     telemetry::Counter *requestCount_ = nullptr;
     telemetry::Counter *byteCount_ = nullptr;
-    std::vector<ServiceInterval> serviceLog_;
+    ServiceLog serviceLog_;
     // Completion times of booked requests still in service at the
     // latest arrival; its size is the queue depth sample.
     std::deque<double> inService_;

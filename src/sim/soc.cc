@@ -297,15 +297,15 @@ SimSoc::run(const std::vector<JobSubmission> &jobs, int epochs)
             .add(static_cast<double>(batched));
         size_t log_bytes = 0;
         if (dram_)
-            log_bytes += dram_->serviceLogCapacityBytes();
+            log_bytes += dram_->serviceLog().capacityBytes();
         for (const auto &f : fabrics_)
-            log_bytes += f->serviceLogCapacityBytes();
+            log_bytes += f->serviceLog().capacityBytes();
         for (const auto &l : links_)
-            log_bytes += l->serviceLogCapacityBytes();
+            log_bytes += l->serviceLog().capacityBytes();
         for (const auto &m : locals_)
-            log_bytes += m->resource().serviceLogCapacityBytes();
+            log_bytes += m->resource().serviceLog().capacityBytes();
         for (const auto &e : engines_)
-            log_bytes += e->computeResource().serviceLogCapacityBytes();
+            log_bytes += e->computeResource().serviceLog().capacityBytes();
         registry_
             ->gauge("telemetry.service_log_bytes",
                     "memory held by per-resource service-interval "
@@ -328,18 +328,17 @@ namespace {
  * to time overlap) over fixed-width epoch bins.
  */
 void
-binIntervals(const std::vector<BandwidthResource::ServiceInterval> &log,
-             double dt, std::vector<double> &busy,
+binIntervals(const ServiceLog &log, double dt, std::vector<double> &busy,
              std::vector<double> &bytes)
 {
     int epochs = static_cast<int>(busy.size());
-    for (const BandwidthResource::ServiceInterval &iv : log) {
+    log.forEach([&](const ServiceInterval &iv) {
         double end = iv.start + iv.duration;
         int k = static_cast<int>(std::floor(iv.start / dt));
         k = std::max(0, std::min(k, epochs - 1));
         if (iv.duration <= 0.0) {
             bytes[k] += iv.bytes;
-            continue;
+            return;
         }
         for (; k < epochs; ++k) {
             double b0 = k * dt;
@@ -353,7 +352,7 @@ binIntervals(const std::vector<BandwidthResource::ServiceInterval> &log,
             if (end <= b1)
                 break;
         }
-    }
+    });
 }
 
 } // namespace

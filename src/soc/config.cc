@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "telemetry/span.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/strings.h"
@@ -321,6 +322,7 @@ setConfigFileObserver(ConfigFileObserver *observer)
 SocConfig
 loadSocConfig(const std::string &path)
 {
+    GABLES_SPAN("config.load");
     std::string text;
     bool overridden = false;
     if (g_file_overrides != nullptr) {

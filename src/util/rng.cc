@@ -63,8 +63,7 @@ Rng::uniform(double lo, double hi)
 double
 Rng::logUniform(double lo, double hi)
 {
-    GABLES_ASSERT(lo > 0.0 && hi > lo, "bad logUniform range");
-    return std::exp(uniform(std::log(lo), std::log(hi)));
+    return LogUniform(lo, hi)(*this);
 }
 
 int64_t
@@ -81,6 +80,13 @@ Rng::uniformInt(int64_t lo, int64_t hi)
         v = next();
     } while (v >= limit);
     return lo + static_cast<int64_t>(v % span);
+}
+
+LogUniform::LogUniform(double lo, double hi)
+{
+    GABLES_ASSERT(lo > 0.0 && hi > lo, "bad logUniform range");
+    logLo_ = std::log(lo);
+    logHi_ = std::log(hi);
 }
 
 std::vector<double>

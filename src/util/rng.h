@@ -12,6 +12,7 @@
 #ifndef GABLES_UTIL_RNG_H
 #define GABLES_UTIL_RNG_H
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -39,7 +40,8 @@ class Rng
     /**
      * @return A log-uniform double in [lo, hi) — uniform in
      * log-space, useful for sampling intensities and bandwidths that
-     * span orders of magnitude.
+     * span orders of magnitude. One LogUniform(lo, hi) draw; loops
+     * over a fixed range should build the LogUniform once instead.
      */
     double logUniform(double lo, double hi);
 
@@ -55,6 +57,29 @@ class Rng
 
   private:
     uint64_t s_[4];
+};
+
+/**
+ * Log-uniform sampler over a fixed range [lo, hi): checks the range
+ * and takes its logs once, so a draw costs one uniform() and one
+ * exp. Draws are bit-identical to Rng::logUniform(lo, hi) on the
+ * same stream.
+ */
+class LogUniform
+{
+  public:
+    /** @param lo Positive lower bound. @param hi Upper bound, > lo. */
+    LogUniform(double lo, double hi);
+
+    /** @return The next draw from @p rng. */
+    double operator()(Rng &rng) const
+    {
+        return std::exp(rng.uniform(logLo_, logHi_));
+    }
+
+  private:
+    double logLo_;
+    double logHi_;
 };
 
 } // namespace gables

@@ -5,9 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <vector>
+
 #include "analysis/robustness.h"
+#include "core/evaluator.h"
 #include "soc/catalog.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace gables {
 namespace {
@@ -116,6 +124,193 @@ TEST(Robustness, IdleIpsStayIdle)
     // memory, never the idle GPU/DSP.
     for (const auto &[ip, share] : r.bottleneckShare)
         EXPECT_TRUE(ip == 0 || ip == -1) << "ip " << ip;
+}
+
+/**
+ * The straightforward Monte-Carlo loop analyze() must reproduce bit
+ * for bit: two Rng::logUniform draws per active IP and sample (the
+ * fraction's, then the intensity's), a std::map of bottleneck
+ * counts, and a std::sort of every sample before the sorted-order
+ * sum and the interpolated quantiles.
+ */
+RobustnessReport
+referenceAnalyze(const SocSpec &soc, const Usecase &usecase,
+                 const Robustness::Options &options)
+{
+    GablesPack<1> nominal(soc, usecase);
+    nominal.run();
+    RobustnessReport report;
+    report.samples = options.samples;
+    report.nominal = nominal.attainable(0);
+
+    Rng rng(options.seed);
+    std::vector<double> perf;
+    std::map<int, int> counts;
+    int meets = 0;
+    const size_t n = usecase.numIps();
+    std::vector<double> fractions(n), intensities(n);
+    constexpr size_t W = kGridWidth;
+    GablesPack<W> pack(nominal);
+    const size_t samples = static_cast<size_t>(options.samples);
+    for (size_t s0 = 0; s0 < samples; s0 += W) {
+        const size_t cnt = std::min(W, samples - s0);
+        for (size_t w = 0; w < cnt; ++w) {
+            double sum = 0.0;
+            for (size_t i = 0; i < n; ++i) {
+                const IpWork &work = usecase.at(i);
+                if (work.fraction == 0.0) {
+                    fractions[i] = 0.0;
+                    intensities[i] = 1.0;
+                    continue;
+                }
+                double fj = options.fractionJitter;
+                double ij = options.intensityJitter;
+                double f_scale =
+                    fj == 1.0 ? 1.0 : rng.logUniform(1.0 / fj, fj);
+                double i_scale =
+                    ij == 1.0 ? 1.0 : rng.logUniform(1.0 / ij, ij);
+                intensities[i] = std::isinf(work.intensity)
+                                     ? work.intensity
+                                     : work.intensity * i_scale;
+                fractions[i] = work.fraction * f_scale;
+                sum += fractions[i];
+            }
+            for (size_t i = 0; i < n; ++i)
+                pack.setWork(w, i, fractions[i] / sum, intensities[i]);
+        }
+        pack.run(cnt);
+        for (size_t w = 0; w < cnt; ++w) {
+            double p = pack.attainable(w);
+            perf.push_back(p);
+            counts[pack.bottleneckIp(w)]++;
+            if (options.target > 0.0 && p >= options.target)
+                ++meets;
+        }
+    }
+    std::sort(perf.begin(), perf.end());
+    auto quantile = [&](double q) {
+        double pos = q * (perf.size() - 1);
+        size_t lo = static_cast<size_t>(pos);
+        size_t hi = std::min(lo + 1, perf.size() - 1);
+        double t = pos - static_cast<double>(lo);
+        return perf[lo] * (1.0 - t) + perf[hi] * t;
+    };
+    double total = 0.0;
+    for (double p : perf)
+        total += p;
+    report.mean = total / perf.size();
+    report.p5 = quantile(0.05);
+    report.p50 = quantile(0.50);
+    report.p95 = quantile(0.95);
+    report.meetsTargetProbability =
+        options.target > 0.0
+            ? static_cast<double>(meets) / options.samples
+            : 1.0;
+    for (const auto &[ip, count] : counts)
+        report.bottleneckShare[ip] =
+            static_cast<double>(count) / options.samples;
+    return report;
+}
+
+void
+expectSameReport(const RobustnessReport &got,
+                 const RobustnessReport &want)
+{
+    EXPECT_EQ(got.samples, want.samples);
+    EXPECT_EQ(got.nominal, want.nominal);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.p5, want.p5);
+    EXPECT_EQ(got.p50, want.p50);
+    EXPECT_EQ(got.p95, want.p95);
+    EXPECT_EQ(got.meetsTargetProbability, want.meetsTargetProbability);
+    EXPECT_EQ(got.bottleneckShare, want.bottleneckShare);
+}
+
+struct OracleCase {
+    const char *name;
+    SocSpec soc;
+    Usecase usecase;
+};
+
+std::vector<OracleCase>
+oracleCases()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    return {
+        {"paper-balanced", SocCatalog::paperTwoIpBalanced(),
+         Usecase::twoIp("6d", 0.75, 8.0, 8.0)},
+        {"sd835", SocCatalog::snapdragon835(),
+         Usecase("u", {IpWork{0.2, 4.0}, IpWork{0.7, 8.0},
+                       IpWork{0.1, 1.0}})},
+        // An idle IP (no draws) and a pure-compute IP (infinite
+        // intensity is never scaled).
+        {"four-ip",
+         SocSpec("four", 10e9, 30e9,
+                 {IpSpec{"CPU", 1.0, 10e9}, IpSpec{"GPU", 8.0, 40e9},
+                  IpSpec{"DSP", 2.0, 8e9}, IpSpec{"NPU", 16.0, 20e9}}),
+         Usecase("u", {IpWork{0.3, 2.0}, IpWork{0.0, 1.0},
+                       IpWork{0.3, inf}, IpWork{0.4, 0.5}})},
+    };
+}
+
+double
+nominalOf(const OracleCase &c)
+{
+    GablesPack<1> pack(c.soc, c.usecase);
+    pack.run();
+    return pack.attainable(0);
+}
+
+TEST(Robustness, MatchesReferenceLoopBitForBit)
+{
+    // (intensity, fraction) jitter pairs: no draws at all, both
+    // drawn, and each drawn alone.
+    const std::pair<double, double> jitters[] = {
+        {1.0, 1.0}, {1.5, 1.5}, {2.0, 1.5}, {8.0, 8.0}, {1.0, 2.0},
+        {8.0, 1.0}};
+    for (const OracleCase &c : oracleCases()) {
+        const double nominal = nominalOf(c);
+        for (uint64_t seed : {1ull, 42ull, 987654321ull}) {
+            for (auto [ij, fj] : jitters) {
+                for (int samples : {1, 7, 8, 9, 1000}) {
+                    for (double target : {0.0, 0.9 * nominal}) {
+                        Robustness::Options opts;
+                        opts.samples = samples;
+                        opts.seed = seed;
+                        opts.intensityJitter = ij;
+                        opts.fractionJitter = fj;
+                        opts.target = target;
+                        SCOPED_TRACE(::testing::Message()
+                                     << c.name << " seed " << seed
+                                     << " jitter " << ij << "/" << fj
+                                     << " samples " << samples
+                                     << " target " << target);
+                        expectSameReport(
+                            Robustness::analyze(c.soc, c.usecase, opts),
+                            referenceAnalyze(c.soc, c.usecase, opts));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Robustness, MatchesReferenceLoopOnALargeRun)
+{
+    for (const OracleCase &c : oracleCases()) {
+        for (double jitter : {1.5, 8.0}) {
+            Robustness::Options opts;
+            opts.samples = 100003;
+            opts.seed = 7;
+            opts.intensityJitter = jitter;
+            opts.fractionJitter = 2.0;
+            opts.target = 0.5 * nominalOf(c);
+            SCOPED_TRACE(::testing::Message()
+                         << c.name << " jitter " << jitter);
+            expectSameReport(Robustness::analyze(c.soc, c.usecase, opts),
+                             referenceAnalyze(c.soc, c.usecase, opts));
+        }
+    }
 }
 
 TEST(Robustness, InvalidOptionsRejected)

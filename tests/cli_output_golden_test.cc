@@ -6,8 +6,11 @@
  * tests/golden/ byte for byte. The goldens pin the table renderer,
  * formatDouble, the unit formatters and the JSON writer together.
  *
- * The sweep's "wrote PATH" line and its `parallel.worker_busy_s`
- * entry (wall-clock readings) are left out of the comparison.
+ * The "wrote PATH" lines, the sweep's `parallel.worker_busy_s` entry
+ * (wall-clock readings) and the simulator's
+ * `telemetry.service_log_bytes` gauge (the memory its service logs
+ * hold: a property of the log's layout, not of the simulation) are
+ * left out of the comparison.
  */
 
 #include <cstdio>
@@ -115,6 +118,23 @@ TEST(CliOutputGolden, Sim)
     EXPECT_EQ(runCaptured({"gables", "sim", "--soc", "sd835", "--epochs",
                            "8"}),
               golden("sim_sd835_epochs8.txt"));
+}
+
+/**
+ * A run long enough (293k chunks) to outgrow the service logs'
+ * reservation: the epoch series come from logs that grew mid-run.
+ */
+TEST(CliOutputGolden, SimLongRunWithReport)
+{
+    std::string report = ::testing::TempDir() + "golden_sim_report.json";
+    std::string out =
+        runCaptured({"gables", "sim", "--soc", "sd835", "--bytes", "4e8",
+                     "--working-set", "4e8", "--epochs", "16", "--metrics",
+                     report});
+    EXPECT_EQ(dropLines(out, "wrote "), golden("sim_sd835_4e8.txt"));
+    EXPECT_EQ(dropMember(readFile(report), "telemetry.service_log_bytes"),
+              golden("sim_sd835_4e8_report.json"));
+    std::remove(report.c_str());
 }
 
 TEST(CliOutputGolden, Usecases)

@@ -4,8 +4,9 @@
  * a real unix-domain socket round trip with the server loop on a
  * background thread — request/response ordering across one
  * connection, many concurrent and sequential connections, CRLF
- * tolerance, the stop flag, the atomic stats snapshot written on
- * shutdown, and which files --socket may replace.
+ * tolerance, backpressure on a client that does not read, the stop
+ * flag, the atomic stats snapshot written on shutdown, and which
+ * files --socket may replace.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -89,6 +91,9 @@ class TestClient
             buf_.append(chunk, static_cast<size_t>(got));
         }
     }
+
+    /** Shut the connection down both ways (unblocks a sender). */
+    void hangUp() { ::shutdown(fd_, SHUT_RDWR); }
 
   private:
     int fd_ = -1;
@@ -278,6 +283,70 @@ TEST_F(ServeServerTest, OversizedRequestLineDropsConnection)
         EXPECT_TRUE(doc.at("ok").asBool());
     }
     loop.join();
+}
+
+/**
+ * A client pipelines 300 sweeps of 4096 points (about 24 MB of
+ * responses) and reads nothing until it has sent them, or until the
+ * server stops reading from it. The server must hold back rather
+ * than buffer every response, and still answer every request, in
+ * order, once the client reads.
+ */
+TEST_F(ServeServerTest, ClientThatDoesNotReadIsHeldBack)
+{
+    serve::ServeService service{serve::ServeOptions{}};
+    serve::ServerOptions options;
+    options.socketPath = socketPath_;
+    serve::ServeServer server(service, options);
+    server.start();
+    std::thread loop([&server] { server.run(); });
+
+    std::string values;
+    for (int v = 1; v <= 4096; ++v)
+        values += (v > 1 ? "," : "") + std::to_string(0.01 * v);
+    const std::string model =
+        "\"soc\": {\"name\": \"phone\", \"ppeak_ops_per_sec\": 40e9, "
+        "\"bpeak_bytes_per_sec\": 10e9, \"ips\": [{\"name\": \"CPU\", "
+        "\"acceleration\": 1, \"bandwidth_bytes_per_sec\": 6e9}, "
+        "{\"name\": \"GPU\", \"acceleration\": 5, "
+        "\"bandwidth_bytes_per_sec\": 15e9}]}, \"usecase\": {\"name\": "
+        "\"u\", \"work\": [{\"fraction\": 0.25, "
+        "\"intensity_ops_per_byte\": 8}, {\"fraction\": 0.75, "
+        "\"intensity_ops_per_byte\": 0.1}]}";
+    const int kRequests = 300;
+    {
+        TestClient client(socketPath_);
+        std::thread writer([&] {
+            for (int k = 0; k < kRequests; ++k)
+                client.send("{\"id\": " + std::to_string(k) +
+                            ", \"op\": \"sweep\", " + model +
+                            ", \"axis\": \"intensity\", \"ip\": 1, "
+                            "\"values\": [" + values + "]}\n");
+        });
+        // Let the server take in all it will before the client reads.
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        for (int k = 0; k < kRequests; ++k) {
+            std::string line = client.recvLine();
+            if (line.empty()) {
+                ADD_FAILURE() << "connection closed before response " << k;
+                client.hangUp();
+                break;
+            }
+            JsonValue response = parseJson(line);
+            EXPECT_EQ(response.at("id").asNumber(), k);
+            ASSERT_TRUE(response.at("ok").asBool()) << line.substr(0, 200);
+            EXPECT_EQ(response.at("result")
+                          .at("attainable_ops_per_sec")
+                          .size(),
+                      4096u);
+        }
+        writer.join();
+        client.send("{\"id\": \"bye\", \"op\": \"shutdown\"}\n");
+        EXPECT_TRUE(parseJson(client.recvLine()).at("ok").asBool());
+    }
+    loop.join();
+    EXPECT_GT(server.peakPendingBytes(), 0u);
+    EXPECT_LT(server.peakPendingBytes(), size_t{2} << 20);
 }
 
 TEST_F(ServeServerTest, SocketPathHoldingARegularFileIsRefused)

@@ -6,6 +6,7 @@
  * bit-identical-when-detached invariant, and RunReport output.
  */
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -97,6 +98,90 @@ TEST(ResourceTelemetry, ServiceLogOnlyWhenAttached)
     r.reset();
     r.acquire(0.0, 1000.0);
     EXPECT_TRUE(r.serviceLog().empty());
+}
+
+/**
+ * A scripted mix of transfers and fixed-service bookings: sizes that
+ * repeat, change and come back, zero-byte transfers, and service
+ * times equal to a transfer's duration but with no bytes. The log
+ * must read back every booking as its exact (start, duration, bytes)
+ * triple, in booking order.
+ */
+TEST(ResourceTelemetry, ServiceLogReadsBackEveryBooking)
+{
+    telemetry::StatsRegistry reg;
+    BandwidthResource r("bus", 3e9);
+    r.attachTelemetry(&reg);
+
+    struct Booking {
+        double arrival;
+        bool service; // acquireService() instead of acquire()
+        double amount; // bytes, or service seconds
+    };
+    const std::vector<Booking> script = {
+        {0.0, false, 4096}, {0.0, false, 4096}, {1e-6, false, 4096},
+        {1e-6, false, 1000}, {2e-6, false, 1000}, {2e-6, true, 5e-7},
+        {3e-6, true, 5e-7}, {3e-6, false, 4096}, {9e-6, false, 0.0},
+        {9e-6, false, 0.0}, {9e-6, true, 1000 / 3e9},
+        {1e-5, false, 1000}, {1e-5, true, 0.0}, {2e-5, false, 4096},
+        {2e-5, false, 4096}, {2e-5, false, 4096}};
+    struct Triple {
+        double start, duration, bytes;
+    };
+    std::vector<Triple> want;
+    double busy = 0.0;
+    for (const Booking &b : script) {
+        double start = std::max(b.arrival, busy);
+        double duration = b.service ? b.amount : b.amount / 3e9;
+        double bytes = b.service ? 0.0 : b.amount;
+        want.push_back({start, duration, bytes});
+        busy = start + duration;
+        if (b.service)
+            r.acquireService(b.arrival, b.amount);
+        else
+            r.acquire(b.arrival, b.amount);
+    }
+
+    const ServiceLog &log = r.serviceLog();
+    ASSERT_EQ(log.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(log[i].start, want[i].start);
+        EXPECT_EQ(log[i].duration, want[i].duration);
+        EXPECT_EQ(log[i].bytes, want[i].bytes);
+    }
+    size_t next = 0;
+    log.forEach([&](const ServiceInterval &iv) {
+        ASSERT_LT(next, want.size());
+        SCOPED_TRACE(next);
+        EXPECT_EQ(iv.start, want[next].start);
+        EXPECT_EQ(iv.duration, want[next].duration);
+        EXPECT_EQ(iv.bytes, want[next].bytes);
+        ++next;
+    });
+    EXPECT_EQ(next, want.size());
+
+    r.reset();
+    EXPECT_TRUE(r.serviceLog().empty());
+    size_t visited = 0;
+    r.serviceLog().forEach([&](const ServiceInterval &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+}
+
+/**
+ * A stream of equal transfers is one run: the log holds its reserved
+ * start times plus a single 24-byte run record.
+ */
+TEST(ResourceTelemetry, ServiceLogHoldsEightBytesPerSteadyBooking)
+{
+    telemetry::StatsRegistry reg;
+    BandwidthResource r("bus", 3e9);
+    r.attachTelemetry(&reg);
+    r.reserveLog(1000);
+    for (int i = 0; i < 1000; ++i)
+        r.acquire(i * 1e-6, 4096.0);
+    EXPECT_EQ(r.serviceLog().size(), 1000u);
+    EXPECT_EQ(r.serviceLog().capacityBytes(), 1000u * 8 + 24);
 }
 
 /** Attaching telemetry must not perturb booking arithmetic. */

@@ -11,6 +11,7 @@
 #include "core/gables.h"
 #include "soc/catalog.h"
 #include "soc/config.h"
+#include "telemetry/span.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/rng.h"
@@ -133,6 +134,29 @@ TEST(Config, LoadPutsPathInDiagnostic)
         EXPECT_NE(std::string(err.what()).find(path + ":3:"),
                   std::string::npos);
     }
+}
+
+/** A load is one `config.load` span, the read and parse inside it. */
+TEST(Config, LoadRecordsOneConfigLoadSpan)
+{
+    telemetry::SpanTracer tracer;
+    {
+        struct Active {
+            explicit Active(telemetry::SpanTracer &t)
+            {
+                telemetry::SpanTracer::setActive(&t);
+            }
+            ~Active() { telemetry::SpanTracer::setActive(nullptr); }
+        } active(tracer);
+        SocConfig cfg = loadSocConfig(std::string(GABLES_CONFIG_DIR) +
+                                      "/paper_two_ip.ini");
+        EXPECT_EQ(cfg.soc.numIps(), 2u);
+    }
+    telemetry::ProfileNode root = tracer.snapshot();
+    ASSERT_EQ(root.children.size(), 1u);
+    EXPECT_EQ(root.children[0].name, "config.load");
+    EXPECT_EQ(root.children[0].count, 1u);
+    EXPECT_TRUE(root.children[0].children.empty());
 }
 
 TEST(Config, UnknownKeySuggestsClosest)

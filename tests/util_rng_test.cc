@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -81,6 +84,33 @@ TEST(Rng, LogUniformMedianNearGeometricMean)
     }
     // Geometric mean of [0.01, 100] is 1; about half should fall below.
     EXPECT_NEAR(static_cast<double>(below) / n, 0.5, 0.02);
+}
+
+/**
+ * A hoisted sampler draws the same bits as the per-call form, and
+ * both the same bits as the formula written out with per-draw logs.
+ */
+TEST(Rng, LogUniformSamplerMatchesLogUniformBitwise)
+{
+    const std::pair<double, double> ranges[] = {
+        {0.01, 100.0}, {1.0 / 1.5, 1.5}, {0.125, 8.0}, {1e-300, 1e300},
+        {2e9, 50e9}, {1.0, 1.0 + 1e-12}};
+    for (auto [lo, hi] : ranges) {
+        Rng a(31);
+        Rng b(31);
+        Rng c(31);
+        LogUniform draw(lo, hi);
+        for (int i = 0; i < 100000; ++i) {
+            uint64_t hoisted = std::bit_cast<uint64_t>(draw(a));
+            ASSERT_EQ(hoisted,
+                      std::bit_cast<uint64_t>(b.logUniform(lo, hi)))
+                << "range [" << lo << ", " << hi << ") draw " << i;
+            ASSERT_EQ(hoisted,
+                      std::bit_cast<uint64_t>(std::exp(
+                          c.uniform(std::log(lo), std::log(hi)))))
+                << "range [" << lo << ", " << hi << ") draw " << i;
+        }
+    }
 }
 
 TEST(Rng, UniformIntInclusiveBounds)
