@@ -1,10 +1,12 @@
 /**
  * @file
- * Byte-identity of the CLI's text output: sweep, eval, sim and
- * usecases run in-process through cli::runCommand, and their stdout
- * (and the sweep's RunReport) must equal the committed goldens under
- * tests/golden/ byte for byte. The goldens pin the table renderer,
- * formatDouble, the unit formatters and the JSON writer together.
+ * Byte-identity of the CLI's text output: the commands run in-process
+ * through cli::runCommand, and their stdout (and the sweep's
+ * RunReport) must equal the committed goldens under tests/golden/
+ * byte for byte. The goldens pin the table renderer, formatDouble,
+ * the unit formatters and the JSON writer together, and the help
+ * text and error diagnostics (stderr plus exit code) of the command
+ * surface.
  *
  * The "wrote PATH" lines, the sweep's `parallel.worker_busy_s` entry
  * (wall-clock readings) and the simulator's
@@ -45,16 +47,34 @@ golden(const std::string &name)
     return text;
 }
 
-/** Run one command with stdout captured; @return its stdout. */
+/** One invocation's exit code and output streams. */
+struct Outcome {
+    int code;
+    std::string out;
+    std::string err;
+};
+
+/** Run one command with stdout and stderr captured. */
+Outcome
+runBoth(const std::vector<std::string> &argv)
+{
+    std::ostringstream out;
+    std::ostringstream err;
+    std::streambuf *old_out = std::cout.rdbuf(out.rdbuf());
+    std::streambuf *old_err = std::cerr.rdbuf(err.rdbuf());
+    int code = cli::runCommand(argv);
+    std::cout.rdbuf(old_out);
+    std::cerr.rdbuf(old_err);
+    return {code, out.str(), err.str()};
+}
+
+/** Run one command that must succeed; @return its stdout. */
 std::string
 runCaptured(const std::vector<std::string> &argv)
 {
-    std::ostringstream out;
-    std::streambuf *old = std::cout.rdbuf(out.rdbuf());
-    int code = cli::runCommand(argv);
-    std::cout.rdbuf(old);
-    EXPECT_EQ(code, 0);
-    return out.str();
+    Outcome run = runBoth(argv);
+    EXPECT_EQ(run.code, 0) << run.err;
+    return run.out;
 }
 
 /** @return @p text without its lines that start with @p prefix. */
@@ -141,6 +161,109 @@ TEST(CliOutputGolden, Usecases)
 {
     EXPECT_EQ(runCaptured({"gables", "usecases"}),
               golden("usecases.txt"));
+}
+
+/** A command whose whole stdout is pinned by tests/golden/<golden>.txt. */
+struct StdoutCase {
+    std::string golden;
+    std::vector<std::string> argv;
+};
+
+void
+PrintTo(const StdoutCase &c, std::ostream *os)
+{
+    *os << c.golden;
+}
+
+class CommandStdout : public ::testing::TestWithParam<StdoutCase>
+{
+};
+
+TEST_P(CommandStdout, MatchesGolden)
+{
+    EXPECT_EQ(runCaptured(GetParam().argv),
+              golden(GetParam().golden + ".txt"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CliOutputGolden, CommandStdout,
+    ::testing::Values(
+        StdoutCase{"advise_paper",
+                   {"gables", "advise", "--soc", "paper", "--f", "0.75",
+                    "--i0", "8", "--i1", "0.1"}},
+        StdoutCase{"sensitivity_paper",
+                   {"gables", "sensitivity", "--soc", "paper", "--f",
+                    "0.75", "--i0", "8", "--i1", "0.1"}},
+        StdoutCase{"robust_default", {"gables", "robust"}},
+        StdoutCase{"balance_default", {"gables", "balance"}},
+        StdoutCase{"ert_sd821_cpu",
+                   {"gables", "ert", "--chip", "sd821", "--engine", "CPU",
+                    "--jobs", "1"}},
+        // A non-calibrated name: the simulator comes from the spec
+        // bridge.
+        StdoutCase{"sim_paper_epochs4",
+                   {"gables", "sim", "--soc", "paper", "--epochs", "4"}},
+        StdoutCase{"explore_points3",
+                   {"gables", "explore", "--points", "3", "--jobs", "1"}},
+        StdoutCase{"provision", {"gables", "provision"}},
+        StdoutCase{"pipeline_hfr_48",
+                   {"gables", "pipeline", "--usecase", "hfr", "--frames",
+                    "48"}},
+        StdoutCase{"glossary", {"gables", "glossary"}}),
+    [](const ::testing::TestParamInfo<StdoutCase> &info) {
+        return info.param.golden;
+    });
+
+/**
+ * `gables help` (stdout), then every command's --help (stderr, exit
+ * 0) in the order `gables help` lists them.
+ */
+TEST(CliOutputGolden, Help)
+{
+    std::string text = runCaptured({"gables", "help"});
+    for (const char *cmd :
+         {"eval", "sweep", "sim", "usecases", "ert", "balance", "advise",
+          "sensitivity", "robust", "pipeline", "explore", "provision",
+          "report", "replay", "serve", "validate", "glossary"}) {
+        Outcome run = runBoth({"gables", cmd, "--help"});
+        EXPECT_EQ(run.code, 0) << cmd;
+        EXPECT_EQ(run.out, "") << cmd;
+        text += run.err;
+    }
+    EXPECT_EQ(text, golden("help.txt"));
+}
+
+/**
+ * Usage and data errors: a transcript of each command line (paths
+ * shown by file name), its stderr and its exit code.
+ */
+TEST(CliOutputGolden, Errors)
+{
+    std::string config =
+        ::testing::TempDir() + "golden_soc_without_usecases.ini";
+    std::ofstream(config) << "[soc]\nname  = bare\nppeak = 40 Gops/s\n"
+                             "bpeak = 10 GB/s\n\n[ip CPU]\naccel     = 1\n"
+                             "bandwidth = 6 GB/s\n";
+    const std::vector<std::vector<std::string>> cases = {
+        {"gables", "evl"},
+        {"gables", "eval", "--soc", "sd8355"},
+        {"gables", "pipeline", "--usecase", "gamin"},
+        {"gables", "explore", "--usecase", "gamin"},
+        {"gables", "ert", "--chip", "sd845"},
+        {"gables", "eval", "--file", config},
+    };
+    std::string transcript;
+    for (const std::vector<std::string> &argv : cases) {
+        transcript += "$";
+        for (const std::string &arg : argv)
+            transcript += " " + arg.substr(arg.find_last_of('/') + 1);
+        Outcome run = runBoth(argv);
+        EXPECT_EQ(run.out, "") << transcript;
+        transcript += "\n" + run.err + "exit " +
+                      std::to_string(run.code) + "\n";
+    }
+    EXPECT_EQ(transcript, golden("errors.txt"));
+    std::remove(config.c_str());
 }
 
 } // namespace
