@@ -180,25 +180,6 @@ connectTcp(int port)
     return fd;
 }
 
-/** Resolve a catalog SoC by the names the CLI accepts. */
-SocSpec
-catalogSoc(const std::string &name)
-{
-    if (name == "sd835" || name.empty())
-        return SocCatalog::snapdragon835();
-    if (name == "sd835-full")
-        return SocCatalog::snapdragon835Full();
-    if (name == "sd821")
-        return SocCatalog::snapdragon821();
-    if (name == "paper")
-        return SocCatalog::paperTwoIp();
-    if (name == "paper-balanced")
-        return SocCatalog::paperTwoIpBalanced();
-    // Unknown names (future catalog growth) fall back to the paper
-    // two-IP chip rather than failing the whole mix.
-    return SocCatalog::paperTwoIp();
-}
-
 std::string
 argvFlag(const std::vector<std::string> &argv,
          const std::string &flag, const std::string &def)
@@ -257,7 +238,7 @@ deriveRequest(const std::string &bundle_name,
                        hasFlag(argv, "--i1");
     std::string soc_name =
         argvFlag(argv, "--soc", paper_flags ? "paper" : "sd835");
-    SocSpec soc = catalogSoc(soc_name);
+    SocSpec soc = SocCatalog::byName(soc_name).spec();
 
     // The cmdEval shape: work fraction f at IP[1], the rest at the
     // host IP[0], zero on any further IPs.

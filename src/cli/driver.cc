@@ -19,6 +19,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/advisor.h"
@@ -72,24 +73,12 @@ usageExit(const ArgParser &args)
     return args.helpRequested() ? kExitOk : kExitUsage;
 }
 
-/** Resolve a --soc option value to a catalog spec. */
-SocSpec
-resolveSoc(const std::string &name)
+/** Print @p msg and the usage text on stderr; @return kExitUsage. */
+int
+usageError(const ArgParser &args, const std::string &msg)
 {
-    if (name == "sd835" || name.empty())
-        return SocCatalog::snapdragon835();
-    if (name == "sd835-full")
-        return SocCatalog::snapdragon835Full();
-    if (name == "sd821")
-        return SocCatalog::snapdragon821();
-    if (name == "paper")
-        return SocCatalog::paperTwoIp();
-    if (name == "paper-balanced")
-        return SocCatalog::paperTwoIpBalanced();
-    fatal("unknown SoC '" + name + "'" +
-          didYouMean(name, {"sd835", "sd835-full", "sd821", "paper",
-                            "paper-balanced"}) +
-          " (try sd835, sd835-full, sd821, paper, paper-balanced)");
+    std::cerr << msg << '\n' << args.usage();
+    return kExitUsage;
 }
 
 /** Declare the shared --jobs option on a grid command. */
@@ -106,7 +95,7 @@ addJobsOption(ArgParser &args)
 int
 resolveJobs(const ArgParser &args)
 {
-    long jobs = args.getInt("jobs", 0);
+    long jobs = args.getInt("jobs");
     if (jobs < 0 || jobs > 4096)
         fatal("--jobs must be in [0, 4096] (0 = hardware "
               "concurrency)");
@@ -149,13 +138,15 @@ writeArtifact(const std::string &path, const std::string &text,
 }
 
 /**
- * Finish a run report: attach the active span tracer (nullptr when
- * --profile is off, so the bytes are unchanged) and write it to
- * @p path.
+ * Finish a run report: attach the command's stats @p reg and the
+ * active span tracer (nullptr when --profile is off, so the bytes are
+ * unchanged), and write it to @p path.
  */
 void
-writeReport(telemetry::RunReport &report, const std::string &path)
+writeReport(telemetry::RunReport &report,
+            const telemetry::StatsRegistry &reg, const std::string &path)
 {
+    report.setRegistry(&reg);
     report.setProfile(telemetry::SpanTracer::active());
     std::ostringstream out;
     {
@@ -177,17 +168,108 @@ slurpFile(const std::string &path)
     return buf.str();
 }
 
+/**
+ * Declare the model inputs of the paper's Table II on a model
+ * command: the catalog --soc and the work split --f, --i0, --i1 over
+ * its first two IPs. Commands differ only in the defaults.
+ */
+void
+addModelOptions(ArgParser &args, const std::string &soc,
+                const std::string &i1 = "8")
+{
+    args.addOption("soc", "catalog SoC name", soc);
+    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
+    args.addDoubleOption("i0", "operational intensity at IP[0]", "8");
+    args.addDoubleOption("i1", "operational intensity at IP[1]", i1);
+}
+
+/** Declare --file and --usecase: model inputs from a config file. */
+void
+addConfigFileOptions(ArgParser &args)
+{
+    args.addOption("file", "config file with the SoC and usecases "
+                           "(instead of --soc, --f, --i0, --i1)");
+    args.addOption("usecase",
+                   "usecase name from the --file config (else its "
+                   "first)");
+}
+
+/**
+ * Reject model flags that the chosen input source would ignore:
+ * --usecase without --file, and --soc/--f/--i0/--i1 next to --file.
+ * A command that did not declare --file has neither (has() is false).
+ *
+ * @return False after printing the usage error.
+ */
+bool
+checkModelFlags(const ArgParser &args)
+{
+    std::vector<std::string> ignored;
+    for (const char *name : {"soc", "f", "i0", "i1"})
+        if (args.has(name))
+            ignored.push_back(std::string("--") + name);
+    std::string error;
+    if (args.has("file") && !ignored.empty())
+        error = join(ignored, ", ") + " cannot be combined with --file";
+    else if (!args.has("file") && args.has("usecase"))
+        error = "--usecase needs --file";
+    else
+        return true;
+    usageError(args, args.program() + ": " + error);
+    return false;
+}
+
+/**
+ * The SoC/usecase pair a model command evaluates: the --file config
+ * and its --usecase (else its first usecase) when --file was given,
+ * else the catalog --soc with the --f/--i0/--i1 split.
+ */
+std::pair<SocSpec, Usecase>
+modelInputs(const ArgParser &args)
+{
+    if (!args.has("file")) {
+        SocSpec soc = SocCatalog::byName(args.getString("soc")).spec();
+        double f = args.getDouble("f");
+        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
+        work[0] = IpWork{1.0 - f, args.getDouble("i0")};
+        if (soc.numIps() > 1)
+            work[1] = IpWork{f, args.getDouble("i1")};
+        return {soc, Usecase("cli", work)};
+    }
+    SocConfig cfg = loadSocConfig(args.getString("file"));
+    if (cfg.usecases.empty())
+        fatal("config file declares no usecases");
+    return {cfg.soc, args.has("usecase")
+                         ? cfg.usecase(args.getString("usecase"))
+                         : cfg.usecases.front()};
+}
+
+/**
+ * Echo the evaluated usecase into @p report's config: its name, the
+ * command's own @p knobs, then f<i> and i<i> for every IP.
+ */
+void
+addUsecaseConfig(
+    telemetry::RunReport &report, const Usecase &usecase,
+    std::initializer_list<std::pair<const char *, double>> knobs = {})
+{
+    report.addConfig("usecase", usecase.name());
+    for (const auto &[key, value] : knobs)
+        report.addConfig(key, value);
+    for (size_t i = 0; i < usecase.numIps(); ++i) {
+        std::string n = std::to_string(i);
+        report.addConfig("f" + n, usecase.fraction(i));
+        report.addConfig("i" + n, usecase.intensity(i));
+    }
+}
+
 int
 cmdEval(int argc, const char *const *argv)
 {
     ArgParser args("gables eval",
                    "evaluate a usecase on a SoC and report the bound");
-    args.addOption("soc", "catalog SoC name", "paper");
-    args.addOption("file", "config file with the SoC and usecases");
-    args.addOption("usecase", "usecase name from the file");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "operational intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "operational intensity at IP[1]", "8");
+    addModelOptions(args, "paper");
+    addConfigFileOptions(args);
     args.addFlag("json", "emit the result as JSON");
     args.addOption("svg", "write a scaled-roofline SVG to this path");
     args.addOption("viz-json",
@@ -196,28 +278,9 @@ cmdEval(int argc, const char *const *argv)
     args.addOption("metrics",
                    "write a run-report JSON with the evaluation to "
                    "this path");
-    if (!args.parse(argc, argv, std::cerr))
+    if (!args.parse(argc, argv, std::cerr) || !checkModelFlags(args))
         return usageExit(args);
-
-    SocSpec soc = resolveSoc("paper");
-    Usecase usecase("cli", {IpWork{1.0, 1.0}});
-    if (args.has("file")) {
-        SocConfig cfg = loadSocConfig(args.getString("file"));
-        soc = cfg.soc;
-        if (cfg.usecases.empty())
-            fatal("config file declares no usecases");
-        usecase = args.has("usecase")
-                      ? cfg.usecase(args.getString("usecase"))
-                      : cfg.usecases.front();
-    } else {
-        soc = resolveSoc(args.getString("soc", "paper"));
-        double f = args.getDouble("f", 0.75);
-        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-        work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-        if (soc.numIps() > 1)
-            work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-        usecase = Usecase("cli", work);
-    }
+    auto [soc, usecase] = modelInputs(args);
 
     GablesResult result = GablesModel::evaluate(soc, usecase);
     if (args.has("json")) {
@@ -283,14 +346,8 @@ cmdEval(int argc, const char *const *argv)
             .add(1.0);
 
         telemetry::RunReport report("gables eval", soc.name());
-        report.addConfig("usecase", usecase.name());
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            std::string n = std::to_string(i);
-            report.addConfig("f" + n, usecase.fraction(i));
-            report.addConfig("i" + n, usecase.intensity(i));
-        }
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        addUsecaseConfig(report, usecase);
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -312,8 +369,8 @@ cmdSweep(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc(args.getString("soc", "sd835"));
-    long n = args.getInt("points", 9);
+    SocSpec soc = SocCatalog::byName(args.getString("soc")).spec();
+    long n = args.getInt("points");
     if (n < 2 || n > 1000000)
         fatal("--points must be in [2, 1000000]");
     int jobs = resolveJobs(args);
@@ -322,9 +379,9 @@ cmdSweep(int argc, const char *const *argv)
     for (long i = 0; i < n; ++i)
         fractions.push_back(static_cast<double>(i) / (n - 1));
     parallel::ForStats pstats;
-    Series series = Sweep::mixing(soc, args.getDouble("i0", 1.0),
-                                  args.getDouble("i1", 1.0), fractions,
-                                  true, jobs, &pstats);
+    Series series = Sweep::mixing(soc, args.getDouble("i0"),
+                                  args.getDouble("i1"), fractions, true,
+                                  jobs, &pstats);
 
     {
         GABLES_SPAN("output.table");
@@ -357,13 +414,12 @@ cmdSweep(int argc, const char *const *argv)
         recordParallelStats(reg, pstats);
 
         telemetry::RunReport report("gables sweep", soc.name());
-        report.addConfig("soc", args.getString("soc", "sd835"));
-        report.addConfig("i0", args.getDouble("i0", 1.0));
-        report.addConfig("i1", args.getDouble("i1", 1.0));
+        report.addConfig("soc", args.getString("soc"));
+        report.addConfig("i0", args.getDouble("i0"));
+        report.addConfig("i1", args.getDouble("i1"));
         report.addConfig("points", n);
         report.addConfig("jobs", static_cast<long>(jobs));
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -397,19 +453,11 @@ cmdSim(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    std::string soc_name = args.getString("soc", "sd835");
-    std::unique_ptr<sim::SimSoc> soc;
-    SocSpec spec = resolveSoc("paper");
-    if (soc_name == "sd835" || soc_name.empty()) {
-        soc = SocCatalog::snapdragon835Sim();
-        spec = SocCatalog::snapdragon835();
-    } else if (soc_name == "sd821") {
-        soc = SocCatalog::snapdragon821Sim();
-        spec = SocCatalog::snapdragon821();
-    } else {
-        spec = resolveSoc(soc_name);
-        soc = SocCatalog::simFromSpec(spec);
-    }
+    std::string soc_name = args.getString("soc");
+    const NamedSoc &named = SocCatalog::byName(soc_name);
+    SocSpec spec = named.spec();
+    std::unique_ptr<sim::SimSoc> soc =
+        named.sim ? named.sim() : SocCatalog::simFromSpec(spec);
 
     std::vector<std::string> engines;
     if (args.has("engines")) {
@@ -431,14 +479,14 @@ cmdSim(int argc, const char *const *argv)
         soc->attachTracer(&trace);
 
     sim::KernelJob job;
-    job.workingSetBytes = args.getDouble("working-set", 64.0 * 1024 * 1024);
-    job.totalBytes = args.getDouble("bytes", 64.0 * 1024 * 1024);
-    job.opsPerByte = args.getDouble("intensity", 1.0);
+    job.workingSetBytes = args.getDouble("working-set");
+    job.totalBytes = args.getDouble("bytes");
+    job.opsPerByte = args.getDouble("intensity");
     std::vector<sim::SimSoc::JobSubmission> jobs;
     for (const std::string &e : engines)
         jobs.push_back({e, job});
 
-    long epochs = args.getInt("epochs", 32);
+    long epochs = args.getInt("epochs");
     if (epochs < 1 || epochs > 1000000)
         fatal("--epochs must be in [1, 1000000]");
     inform("sim: " + soc->name() + ", " +
@@ -526,8 +574,7 @@ cmdSim(int argc, const char *const *argv)
         for (const sim::ResourceStats &r : stats.resources)
             report.addResource(
                 {r.name, r.bytesServed, r.busyTime, r.utilization});
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -541,7 +588,7 @@ cmdUsecases(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc(args.getString("soc", "sd835-full"));
+    SocSpec soc = SocCatalog::byName(args.getString("soc")).spec();
     TextTable t({"usecase", "target fps", "max fps", "bottleneck",
                  "DRAM MB/frame"});
     for (const UsecaseEntry &entry : UsecaseCatalog::extended()) {
@@ -572,21 +619,26 @@ cmdErt(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    std::string chip = args.getString("chip", "sd835");
-    if (chip != "sd835" && chip != "sd821")
-        fatal("unknown chip '" + chip + "'" +
-              didYouMean(chip, {"sd835", "sd821"}) +
-              " (try sd835 or sd821)");
-    // Each pool worker builds its own simulator, so trials run
-    // concurrently without sharing mutable simulator state.
-    ErtSweep::SocFactory make_soc = [&chip] {
-        return chip == "sd821" ? SocCatalog::snapdragon821Sim()
-                               : SocCatalog::snapdragon835Sim();
-    };
+    // The chips are the catalog SoCs with a calibrated simulator. Each
+    // pool worker builds its own simulator, so trials run concurrently
+    // without sharing mutable simulator state.
+    std::string chip = args.getString("chip");
+    std::vector<std::string> chips;
+    ErtSweep::SocFactory make_soc;
+    for (const NamedSoc &named : SocCatalog::named()) {
+        if (!named.sim)
+            continue;
+        chips.push_back(named.name);
+        if (chip == named.name)
+            make_soc = named.sim;
+    }
+    if (!make_soc)
+        fatal("unknown chip '" + chip + "'" + didYouMean(chip, chips) +
+              " (try " + join(chips, " or ") + ")");
     int jobs = resolveJobs(args);
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
-    std::string engine = args.getString("engine", "CPU");
+    std::string engine = args.getString("engine");
     parallel::ForStats pstats;
     auto samples = ErtSweep::run(make_soc, engine, config, jobs,
                                  &pstats);
@@ -630,8 +682,7 @@ cmdErt(int argc, const char *const *argv)
         report.addConfig("points",
                          static_cast<long>(samples.size()));
         report.addConfig("jobs", static_cast<long>(jobs));
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -641,37 +692,14 @@ cmdAdvise(int argc, const char *const *argv)
 {
     ArgParser args("gables advise",
                    "rank design moves for a SoC/usecase pair");
-    args.addOption("file", "config file with the SoC and usecases");
-    args.addOption("usecase", "usecase name from the file");
-    args.addOption("soc", "catalog SoC (when no file given)", "paper");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "0.1");
+    addModelOptions(args, "paper", "0.1");
+    addConfigFileOptions(args);
     args.addOption("metrics",
                    "write a run-report JSON with the ranked moves to "
                    "this path");
-    if (!args.parse(argc, argv, std::cerr))
+    if (!args.parse(argc, argv, std::cerr) || !checkModelFlags(args))
         return usageExit(args);
-
-    SocSpec soc = resolveSoc("paper");
-    Usecase usecase("cli", {IpWork{1.0, 1.0}});
-    if (args.has("file")) {
-        SocConfig cfg = loadSocConfig(args.getString("file"));
-        soc = cfg.soc;
-        if (cfg.usecases.empty())
-            fatal("config file declares no usecases");
-        usecase = args.has("usecase")
-                      ? cfg.usecase(args.getString("usecase"))
-                      : cfg.usecases.front();
-    } else {
-        soc = resolveSoc(args.getString("soc", "paper"));
-        double f = args.getDouble("f", 0.75);
-        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-        work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-        if (soc.numIps() > 1)
-            work[1] = IpWork{f, args.getDouble("i1", 0.1)};
-        usecase = Usecase("cli", work);
-    }
+    auto [soc, usecase] = modelInputs(args);
 
     GablesResult base = GablesModel::evaluate(soc, usecase);
     std::cout << "current: " << formatOpsRate(base.attainable)
@@ -707,14 +735,8 @@ cmdAdvise(int argc, const char *const *argv)
                          advice[i].newAttainable);
 
         telemetry::RunReport report("gables advise", soc.name());
-        report.addConfig("usecase", usecase.name());
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            std::string n = std::to_string(i);
-            report.addConfig("f" + n, usecase.fraction(i));
-            report.addConfig("i" + n, usecase.intensity(i));
-        }
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        addUsecaseConfig(report, usecase);
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -724,10 +746,7 @@ cmdRobust(int argc, const char *const *argv)
 {
     ArgParser args("gables robust",
                    "Monte-Carlo robustness of a usecase estimate");
-    args.addOption("soc", "catalog SoC name", "paper-balanced");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "8");
+    addModelOptions(args, "paper-balanced");
     args.addIntOption("samples", "Monte-Carlo samples", "1000");
     args.addDoubleOption("target", "ops/s target (0 = none)", "0");
     args.addIntOption("seed", "RNG seed (runs are deterministic "
@@ -736,24 +755,17 @@ cmdRobust(int argc, const char *const *argv)
     args.addOption("metrics",
                    "write a run-report JSON with the estimate "
                    "distribution to this path");
-    if (!args.parse(argc, argv, std::cerr))
+    if (!args.parse(argc, argv, std::cerr) || !checkModelFlags(args))
         return usageExit(args);
-
-    SocSpec soc = resolveSoc(args.getString("soc", "paper-balanced"));
-    double f = args.getDouble("f", 0.75);
-    std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-    work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-    if (soc.numIps() > 1)
-        work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-    Usecase usecase("cli", work);
+    auto [soc, usecase] = modelInputs(args);
 
     Robustness::Options opts;
-    long samples = args.getInt("samples", 1000);
+    long samples = args.getInt("samples");
     if (samples < 1 || samples > 100000000)
         fatal("--samples must be in [1, 100000000]");
     opts.samples = static_cast<int>(samples);
-    opts.target = args.getDouble("target", 0.0);
-    long seed = args.getInt("seed", 1);
+    opts.target = args.getDouble("target");
+    long seed = args.getInt("seed");
     if (seed < 0)
         fatal("--seed must be >= 0");
     opts.seed = static_cast<uint64_t>(seed);
@@ -799,12 +811,11 @@ cmdRobust(int argc, const char *const *argv)
 
         telemetry::RunReport report("gables robust", soc.name());
         report.addConfig("usecase", usecase.name());
-        report.addConfig("f", f);
+        report.addConfig("f", args.getDouble("f"));
         report.addConfig("samples", samples);
         report.addConfig("target", opts.target);
         report.addConfig("seed", seed);
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -815,39 +826,16 @@ cmdSensitivity(int argc, const char *const *argv)
     ArgParser args("gables sensitivity",
                    "elasticity of the attainable bound w.r.t. every "
                    "hardware and software parameter");
-    args.addOption("soc", "catalog SoC name", "paper");
-    args.addOption("file", "config file with the SoC and usecases");
-    args.addOption("usecase", "usecase name from the file");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "8");
+    addModelOptions(args, "paper");
+    addConfigFileOptions(args);
     args.addDoubleOption("step", "relative probe step", "0.01");
     args.addOption("metrics",
                    "write a run-report JSON with the elasticities to "
                    "this path");
-    if (!args.parse(argc, argv, std::cerr))
+    if (!args.parse(argc, argv, std::cerr) || !checkModelFlags(args))
         return usageExit(args);
-
-    SocSpec soc = resolveSoc("paper");
-    Usecase usecase("cli", {IpWork{1.0, 1.0}});
-    if (args.has("file")) {
-        SocConfig cfg = loadSocConfig(args.getString("file"));
-        soc = cfg.soc;
-        if (cfg.usecases.empty())
-            fatal("config file declares no usecases");
-        usecase = args.has("usecase")
-                      ? cfg.usecase(args.getString("usecase"))
-                      : cfg.usecases.front();
-    } else {
-        soc = resolveSoc(args.getString("soc", "paper"));
-        double f = args.getDouble("f", 0.75);
-        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-        work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-        if (soc.numIps() > 1)
-            work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-        usecase = Usecase("cli", work);
-    }
-    double step = args.getDouble("step", 0.01);
+    auto [soc, usecase] = modelInputs(args);
+    double step = args.getDouble("step");
     if (!(step > 0.0) || !(step < 1.0))
         fatal("--step must be in (0, 1)");
 
@@ -866,15 +854,8 @@ cmdSensitivity(int argc, const char *const *argv)
                 .set(e.elasticity);
 
         telemetry::RunReport report("gables sensitivity", soc.name());
-        report.addConfig("usecase", usecase.name());
-        report.addConfig("step", step);
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            std::string n = std::to_string(i);
-            report.addConfig("f" + n, usecase.fraction(i));
-            report.addConfig("i" + n, usecase.intensity(i));
-        }
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        addUsecaseConfig(report, usecase, {{"step", step}});
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -972,41 +953,32 @@ cmdReport(int argc, const char *const *argv)
         return usageExit(args);
 
     const std::vector<std::string> &pos = args.positional();
-    if (pos.empty()) {
-        std::cerr << "gables report: expected 'show' or 'diff'\n"
-                  << args.usage();
-        return kExitUsage;
-    }
+    if (pos.empty())
+        return usageError(args, "gables report: expected 'show' or 'diff'");
     const std::string &verb = pos.front();
     if (verb == "show") {
-        if (pos.size() != 2) {
-            std::cerr << "gables report show: expected exactly one "
-                         "report path\n"
-                      << args.usage();
-            return kExitUsage;
-        }
+        if (pos.size() != 2)
+            return usageError(args, "gables report show: expected "
+                                    "exactly one report path");
         // Malformed JSON escapes as FatalError and exits 1 through
         // the top-level handler, mirroring `gables validate`.
         showReport(pos[1], parseJson(slurpFile(pos[1])));
         return kExitOk;
     }
     if (verb == "diff") {
-        if (pos.size() != 3) {
-            std::cerr << "gables report diff: expected exactly two "
-                         "report paths\n"
-                      << args.usage();
-            return kExitUsage;
-        }
+        if (pos.size() != 3)
+            return usageError(args, "gables report diff: expected "
+                                    "exactly two report paths");
         telemetry::ReportDiffOptions opts;
-        opts.tolRel = args.getDouble("tol-rel", 0.0);
-        opts.tolAbs = args.getDouble("tol-abs", 0.0);
-        opts.minRatio = args.getDouble("min-ratio", -1.0);
+        opts.tolRel = args.getDouble("tol-rel");
+        opts.tolAbs = args.getDouble("tol-abs");
+        opts.minRatio = args.getDouble("min-ratio");
         if (opts.tolRel < 0.0 || opts.tolAbs < 0.0) {
             std::cerr << "gables report diff: --tol-rel and "
                          "--tol-abs must be >= 0\n";
             return kExitUsage;
         }
-        long max_diffs = args.getInt("max-diffs", 100);
+        long max_diffs = args.getInt("max-diffs");
         if (max_diffs < 1 || max_diffs > 1000000) {
             std::cerr << "gables report diff: --max-diffs must be "
                          "in [1, 1000000]\n";
@@ -1035,10 +1007,8 @@ cmdReport(int argc, const char *const *argv)
                   << telemetry::formatDiff(result);
         return kExitError;
     }
-    std::cerr << "gables report: unknown action '" << verb << "'"
-              << didYouMean(verb, {"show", "diff"}) << '\n'
-              << args.usage();
-    return kExitUsage;
+    return usageError(args, "gables report: unknown action '" + verb +
+                                "'" + didYouMean(verb, {"show", "diff"}));
 }
 
 int
@@ -1057,35 +1027,18 @@ cmdPipeline(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    std::string name = args.getString("usecase", "hfr");
-    UsecaseEntry entry = UsecaseCatalog::videocaptureHfr();
-    if (name == "hdr")
-        entry = UsecaseCatalog::hdrPlus();
-    else if (name == "capture")
-        entry = UsecaseCatalog::videocapture();
-    else if (name == "hfr")
-        entry = UsecaseCatalog::videocaptureHfr();
-    else if (name == "playback")
-        entry = UsecaseCatalog::videoplaybackUi();
-    else if (name == "lens")
-        entry = UsecaseCatalog::googleLens();
-    else if (name == "wifi")
-        entry = UsecaseCatalog::wifiStreaming();
-    else
-        fatal("unknown usecase '" + name + "'" +
-              didYouMean(name, {"hdr", "capture", "hfr", "playback",
-                                "lens", "wifi"}));
-
+    UsecaseEntry entry = UsecaseCatalog::byKey(UsecaseCatalog::all(),
+                                               args.getString("usecase"));
     SocSpec soc = SocCatalog::snapdragon835Full();
     sim::PipelineSim sim(soc, entry.graph);
     sim::TraceRecorder trace;
     if (args.has("trace"))
         sim.setTraceRecorder(&trace);
-    long frames = args.getInt("frames", 96);
+    long frames = args.getInt("frames");
     if (frames < 1 || frames > 1000000)
         fatal("--frames must be in [1, 1000000]");
     sim::PipelineStats stats =
-        sim.run(static_cast<int>(frames), args.getDouble("fps", 0.0));
+        sim.run(static_cast<int>(frames), args.getDouble("fps"));
     if (args.has("trace")) {
         std::ostringstream out;
         trace.writeChromeTrace(out);
@@ -1121,46 +1074,23 @@ cmdExplore(int argc, const char *const *argv)
     args.addOption("metrics",
                    "write a run-report JSON with the frontier to "
                    "this path");
-    args.addFlag("prune",
-                 "skip grid regions whose best corner is dominated "
-                 "(default; the frontier is identical either way)");
     args.addFlag("no-prune",
                  "evaluate every design in the grid cross product");
     addJobsOption(args);
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
-    if (args.has("prune") && args.has("no-prune"))
-        fatal("--prune and --no-prune are mutually exclusive");
 
     SocSpec base = SocCatalog::snapdragon835Full();
-    std::string name = args.getString("usecase", "capture");
-    std::vector<Usecase> portfolio;
-    for (const UsecaseEntry &entry : UsecaseCatalog::extended()) {
-        std::string n = entry.graph.name();
-        bool match =
-            (name == "hdr" && n == "HDR+") ||
-            (name == "capture" && n == "Videocapture") ||
-            (name == "hfr" && n == "Videocapture (HFR)") ||
-            (name == "playback" && n == "Videoplayback UI") ||
-            (name == "lens" && n == "Google Lens") ||
-            (name == "wifi" && n == "WiFi streaming") ||
-            (name == "gaming" && n == "3D gaming") ||
-            (name == "call" && n == "Video call") ||
-            (name == "ar" && n == "AR navigation");
-        if (match)
-            portfolio.push_back(entry.graph.toUsecase(base));
-    }
-    if (portfolio.empty())
-        fatal("unknown usecase '" + name + "'" +
-              didYouMean(name, {"hdr", "capture", "hfr", "playback",
-                                "lens", "wifi", "gaming", "call",
-                                "ar"}));
+    std::string name = args.getString("usecase");
+    std::vector<Usecase> portfolio = {
+        UsecaseCatalog::byKey(UsecaseCatalog::extended(), name)
+            .graph.toUsecase(base)};
 
     CostModel cost;
     cost.costPerAcceleration = 1.0;
     cost.costPerBpeak = 0.5e-9;
     DesignExplorer explorer(base, portfolio, cost);
-    long points = args.getInt("points", 5);
+    long points = args.getInt("points");
     if (points < 1 || points > 10000)
         fatal("--points must be in [1, 10000]");
     std::vector<double> bpeaks;
@@ -1213,8 +1143,7 @@ cmdExplore(int argc, const char *const *argv)
         report.addConfig("usecase", name);
         report.addConfig("points", points);
         report.addConfig("jobs", static_cast<long>(jobs));
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -1280,8 +1209,7 @@ cmdProvision(int argc, const char *const *argv)
                                     start.name());
         report.addConfig("requirements",
                          static_cast<long>(reqs.size()));
-        report.setRegistry(&reg);
-        writeReport(report, args.getString("metrics"));
+        writeReport(report, reg, args.getString("metrics"));
     }
     return 0;
 }
@@ -1322,20 +1250,10 @@ cmdBalance(int argc, const char *const *argv)
 {
     ArgParser args("gables balance",
                    "balance report and sufficient bandwidths");
-    args.addOption("soc", "catalog SoC name", "paper-balanced");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "8");
-    if (!args.parse(argc, argv, std::cerr))
+    addModelOptions(args, "paper-balanced");
+    if (!args.parse(argc, argv, std::cerr) || !checkModelFlags(args))
         return usageExit(args);
-
-    SocSpec soc = resolveSoc(args.getString("soc", "paper-balanced"));
-    double f = args.getDouble("f", 0.75);
-    std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-    work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-    if (soc.numIps() > 1)
-        work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-    Usecase usecase("cli", work);
+    auto [soc, usecase] = modelInputs(args);
 
     BalanceReport report = Balance::report(soc, usecase);
     std::cout << "Pattainable: " << formatOpsRate(report.attainable)
@@ -1357,12 +1275,9 @@ cmdValidate(int argc, const char *const *argv)
                    "suspect values");
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
-    if (args.positional().size() != 1) {
-        std::cerr << "gables validate: expected exactly one config "
-                     "file path\n"
-                  << args.usage();
-        return kExitUsage;
-    }
+    if (args.positional().size() != 1)
+        return usageError(args, "gables validate: expected exactly one "
+                                "config file path");
     const std::string &path = args.positional().front();
     // Parse errors escape as ConfigError ("path:line: message") and
     // exit 1 through the top-level handler.
@@ -1439,16 +1354,13 @@ cmdReplay(int argc, const char *const *argv)
                    "out/replay");
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
-    if (args.positional().size() != 1) {
-        std::cerr << "gables replay: expected exactly one bundle "
-                     "path (or a directory with --all)\n"
-                  << args.usage();
-        return kExitUsage;
-    }
+    if (args.positional().size() != 1)
+        return usageError(args, "gables replay: expected exactly one "
+                                "bundle path (or a directory with --all)");
 
     replay::ReplayOptions opts;
     opts.saveFreshDir = args.getString("save-fresh");
-    opts.artifactDir = args.getString("out-dir", "out/replay");
+    opts.artifactDir = args.getString("out-dir");
     {
         telemetry::ReportDiffOptions extra;
         telemetry::addIgnoreSpecs(extra, args.getStrings("ignore"));
@@ -1536,22 +1448,18 @@ cmdServe(int argc, const char *const *argv)
                    "JSONL file (the serve-side --record)");
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
-    if (!args.positional().empty()) {
-        std::cerr << "gables serve: unexpected positional argument '"
-                  << args.positional().front() << "'\n"
-                  << args.usage();
-        return kExitUsage;
-    }
+    if (!args.positional().empty())
+        return usageError(args, "gables serve: unexpected positional "
+                                "argument '" +
+                                    args.positional().front() + "'");
     std::string socket_path = args.getString("socket");
-    long port = args.getInt("port", -1);
-    if (socket_path.empty() && port < 0) {
-        std::cerr << "gables serve: need --socket PATH or --port N\n"
-                  << args.usage();
-        return kExitUsage;
-    }
+    long port = args.getInt("port");
+    if (socket_path.empty() && port < 0)
+        return usageError(args,
+                          "gables serve: need --socket PATH or --port N");
     if (socket_path.empty() && port > 65535)
         fatal("--port must be in [0, 65535]");
-    long cache = args.getInt("cache", 64);
+    long cache = args.getInt("cache");
     if (cache < 1 || cache > 1000000)
         fatal("--cache must be in [1, 1000000]");
 
@@ -1590,6 +1498,47 @@ cmdServe(int argc, const char *const *argv)
     return kExitOk;
 }
 
+/** One `gables` command: its name, its `gables help` line and its
+ * entry point. */
+struct Command {
+    const char *name;
+    /** Lines after the first continue under the summary column. */
+    const char *summary;
+    int (*run)(int argc, const char *const *argv);
+};
+
+/** Every command, in the order `gables help` lists them. */
+const Command kCommands[] = {
+    {"eval", "evaluate a usecase on a SoC", cmdEval},
+    {"sweep", "mixing sweep over the work fraction", cmdSweep},
+    {"sim",
+     "simulate a SoC with telemetry (metrics JSON\n"
+     "+ Perfetto trace with counter tracks)",
+     cmdSim},
+    {"usecases", "analyze the catalog usecases", cmdUsecases},
+    {"ert", "empirical roofline on the simulated chip", cmdErt},
+    {"balance", "balance report and sufficient bandwidths", cmdBalance},
+    {"advise", "rank design moves (supports --file configs)", cmdAdvise},
+    {"sensitivity", "parameter elasticities of the bound",
+     cmdSensitivity},
+    {"robust", "Monte-Carlo robustness of an estimate", cmdRobust},
+    {"pipeline", "frame-pipeline simulation of a usecase", cmdPipeline},
+    {"explore", "design-space exploration with Pareto output",
+     cmdExplore},
+    {"provision", "shrink-to-fit inverse design for the catalog",
+     cmdProvision},
+    {"report", "show or diff run-report JSON artifacts", cmdReport},
+    {"replay", "re-run a recorded bundle and diff its RunReport",
+     cmdReplay},
+    {"serve",
+     "evaluation daemon speaking JSON lines over\n"
+     "a unix socket or loopback TCP",
+     cmdServe},
+    {"validate", "lint a config file without running anything",
+     cmdValidate},
+    {"glossary", "the Gables parameter glossary (Table II)", cmdGlossary},
+};
+
 } // namespace
 
 namespace gables {
@@ -1600,29 +1549,15 @@ usage(std::ostream &out)
 {
     out << "usage: gables [--log-level L] [--profile] "
            "[--record PATH] <command> [options]\n"
-           "commands:\n"
-           "  eval        evaluate a usecase on a SoC\n"
-           "  sweep       mixing sweep over the work fraction\n"
-           "  sim         simulate a SoC with telemetry (metrics JSON\n"
-           "              + Perfetto trace with counter tracks)\n"
-           "  usecases    analyze the catalog usecases\n"
-           "  ert         empirical roofline on the simulated chip\n"
-           "  balance     balance report and sufficient bandwidths\n"
-           "  advise      rank design moves (supports --file configs)\n"
-           "  sensitivity parameter elasticities of the bound\n"
-           "  robust      Monte-Carlo robustness of an estimate\n"
-           "  pipeline    frame-pipeline simulation of a usecase\n"
-           "  explore     design-space exploration with Pareto output\n"
-           "  provision   shrink-to-fit inverse design for the "
-           "catalog\n"
-           "  report      show or diff run-report JSON artifacts\n"
-           "  replay      re-run a recorded bundle and diff its "
-           "RunReport\n"
-           "  serve       evaluation daemon speaking JSON lines over\n"
-           "              a unix socket or loopback TCP\n"
-           "  validate    lint a config file without running anything\n"
-           "  glossary    the Gables parameter glossary (Table II)\n"
-           "global options:\n"
+           "commands:\n";
+    for (const Command &c : kCommands) {
+        std::string indent = "  " + padRight(c.name, 12);
+        for (const std::string &line : split(c.summary, '\n')) {
+            out << indent << line << '\n';
+            indent = std::string(indent.size(), ' ');
+        }
+    }
+    out << "global options:\n"
            "  --log-level L  minimum severity written to stderr:\n"
            "                 debug, info (default), warn, error\n"
            "  --profile      trace the tool's own phases: adds a\n"
@@ -1645,53 +1580,26 @@ runCommand(int argc, const char *const *argv)
         return kExitUsage;
     }
     std::string cmd = argv[1];
-
-    int code = kExitUsage;
-    bool known = true;
     try {
         // Root span around the whole command, so the profile's top
         // level reads "gables.<cmd>" and totals track wall time.
         std::string root = "gables." + cmd;
         gables::telemetry::ScopedSpan span(root.c_str());
-        if (cmd == "eval")
-            code = cmdEval(argc - 1, argv + 1);
-        else if (cmd == "sweep")
-            code = cmdSweep(argc - 1, argv + 1);
-        else if (cmd == "sim")
-            code = cmdSim(argc - 1, argv + 1);
-        else if (cmd == "usecases")
-            code = cmdUsecases(argc - 1, argv + 1);
-        else if (cmd == "ert")
-            code = cmdErt(argc - 1, argv + 1);
-        else if (cmd == "balance")
-            code = cmdBalance(argc - 1, argv + 1);
-        else if (cmd == "advise")
-            code = cmdAdvise(argc - 1, argv + 1);
-        else if (cmd == "sensitivity")
-            code = cmdSensitivity(argc - 1, argv + 1);
-        else if (cmd == "robust")
-            code = cmdRobust(argc - 1, argv + 1);
-        else if (cmd == "pipeline")
-            code = cmdPipeline(argc - 1, argv + 1);
-        else if (cmd == "explore")
-            code = cmdExplore(argc - 1, argv + 1);
-        else if (cmd == "provision")
-            code = cmdProvision(argc - 1, argv + 1);
-        else if (cmd == "report")
-            code = cmdReport(argc - 1, argv + 1);
-        else if (cmd == "replay")
-            code = cmdReplay(argc - 1, argv + 1);
-        else if (cmd == "serve")
-            code = cmdServe(argc - 1, argv + 1);
-        else if (cmd == "validate")
-            code = cmdValidate(argc - 1, argv + 1);
-        else if (cmd == "glossary")
-            code = cmdGlossary(argc - 1, argv + 1);
-        else if (cmd == "--help" || cmd == "help") {
+        std::vector<std::string> names;
+        for (const Command &c : kCommands) {
+            if (cmd == c.name)
+                return c.run(argc - 1, argv + 1);
+            names.push_back(c.name);
+        }
+        if (cmd == "--help" || cmd == "help") {
             usage(std::cout);
-            code = kExitOk;
-        } else
-            known = false;
+            return kExitOk;
+        }
+        names.push_back("help");
+        std::cerr << "gables: unknown command '" << cmd << "'"
+                  << gables::didYouMean(cmd, names) << '\n';
+        usage(std::cerr);
+        return kExitUsage;
     } catch (const gables::ConfigError &err) {
         // The what() already carries the file:line location.
         std::cerr << "gables: " << err.what() << '\n';
@@ -1700,20 +1608,6 @@ runCommand(int argc, const char *const *argv)
         std::cerr << "gables: error: " << err.what() << '\n';
         return kExitError;
     }
-    if (!known) {
-        std::cerr << "gables: unknown command '" << cmd << "'"
-                  << gables::didYouMean(
-                         cmd, {"eval", "sweep", "sim", "usecases",
-                               "ert", "balance", "advise",
-                               "sensitivity", "robust", "pipeline",
-                               "explore", "provision", "report",
-                               "replay", "serve", "validate",
-                               "glossary", "help"})
-                  << '\n';
-        usage(std::cerr);
-        return kExitUsage;
-    }
-    return code;
 }
 
 int

@@ -1,8 +1,39 @@
 #include "soc/catalog.h"
 
+#include "util/logging.h"
+#include "util/parse.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace gables {
+
+const std::vector<NamedSoc> &
+SocCatalog::named()
+{
+    static const std::vector<NamedSoc> table = {
+        {"sd835", snapdragon835, snapdragon835Sim},
+        {"sd835-full", snapdragon835Full, nullptr},
+        {"sd821", snapdragon821, snapdragon821Sim},
+        {"paper", paperTwoIp, nullptr},
+        {"paper-balanced", paperTwoIpBalanced, nullptr},
+    };
+    return table;
+}
+
+const NamedSoc &
+SocCatalog::byName(const std::string &name)
+{
+    if (name.empty())
+        return named().front();
+    std::vector<std::string> names;
+    for (const NamedSoc &soc : named()) {
+        if (soc.name == name)
+            return soc;
+        names.push_back(soc.name);
+    }
+    fatal("unknown SoC '" + name + "'" + didYouMean(name, names) +
+          " (try " + join(names, ", ") + ")");
+}
 
 SocSpec
 SocCatalog::snapdragon835()

@@ -24,6 +24,8 @@
 #define GABLES_SOC_CATALOG_H
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/soc_spec.h"
 #include "sim/soc.h"
@@ -47,11 +49,35 @@ enum FullSocIp : size_t {
 };
 
 /**
+ * A catalog SoC under the name the CLI's --soc and --chip take.
+ */
+struct NamedSoc {
+    /** The name, e.g. "sd835". */
+    const char *name;
+    /** The Gables spec. */
+    SocSpec (*spec)();
+    /** The calibrated simulator, or nullptr where
+     * SocCatalog::simFromSpec() stands in for one. */
+    std::unique_ptr<sim::SimSoc> (*sim)();
+};
+
+/**
  * Factory functions for catalog SoCs.
  */
 class SocCatalog
 {
   public:
+    /** Every named SoC, in listing order: sd835, sd835-full, sd821,
+     * paper, paper-balanced. */
+    static const std::vector<NamedSoc> &named();
+
+    /**
+     * @return The SoC called @p name; the empty name means sd835.
+     * @throws FatalError "unknown SoC '<name>'" with a did-you-mean
+     *         and the list of names.
+     */
+    static const NamedSoc &byName(const std::string &name);
+
     /**
      * Snapdragon-835-like three-IP Gables spec (CPU, GPU, DSP) with
      * the paper's measured rooflines.

@@ -1,6 +1,8 @@
 #include "soc/usecases.h"
 
 #include "soc/catalog.h"
+#include "util/logging.h"
+#include "util/parse.h"
 #include "util/units.h"
 
 namespace gables {
@@ -33,7 +35,7 @@ UsecaseCatalog::hdrPlus()
     g.addBuffer("ISP", "Display", k1080pYuvBytes, "preview");
     g.addStage("Display", 2.0e6);
 
-    return UsecaseEntry{std::move(g), 1.0}; // one shot per second
+    return UsecaseEntry{"hdr", std::move(g), 1.0}; // one shot per second
 }
 
 UsecaseEntry
@@ -58,7 +60,7 @@ UsecaseCatalog::videocapture()
     g.addBuffer("", "DSP", 0.1 * kMiB, "mic PCM");
 
     g.addStage("AP", 0.05e9);
-    return UsecaseEntry{std::move(g), 30.0};
+    return UsecaseEntry{"capture", std::move(g), 30.0};
 }
 
 UsecaseEntry
@@ -87,7 +89,7 @@ UsecaseCatalog::videocaptureHfr()
     g.addBuffer("", "DSP", 0.1 * kMiB, "mic PCM");
 
     g.addStage("AP", 0.05e9);
-    return UsecaseEntry{std::move(g), 240.0};
+    return UsecaseEntry{"hfr", std::move(g), 240.0};
 }
 
 UsecaseEntry
@@ -111,7 +113,7 @@ UsecaseCatalog::videoplaybackUi()
     g.addStage("DSP", 0.02e9); // audio decode
     g.addBuffer("AP", "DSP", 0.05 * kMiB, "audio ES");
 
-    return UsecaseEntry{std::move(g), 30.0};
+    return UsecaseEntry{"playback", std::move(g), 30.0};
 }
 
 UsecaseEntry
@@ -136,7 +138,7 @@ UsecaseCatalog::googleLens()
     g.addStage("Display", 2.0e6);
 
     g.addStage("AP", 0.1e9);
-    return UsecaseEntry{std::move(g), 30.0};
+    return UsecaseEntry{"lens", std::move(g), 30.0};
 }
 
 UsecaseEntry
@@ -159,7 +161,7 @@ UsecaseCatalog::wifiStreaming()
     // The audio DSP DMAs the stream into its SRAM and decodes.
     g.addStage("DSP", 0.02e9);
 
-    return UsecaseEntry{std::move(g), 30.0};
+    return UsecaseEntry{"wifi", std::move(g), 30.0};
 }
 
 UsecaseEntry
@@ -182,7 +184,7 @@ UsecaseCatalog::gaming()
     g.addStage("DSP", 0.05e9);
     g.addBuffer("AP", "DSP", 0.25 * kMiB, "audio commands");
 
-    return UsecaseEntry{std::move(g), 60.0};
+    return UsecaseEntry{"gaming", std::move(g), 60.0};
 }
 
 UsecaseEntry
@@ -216,7 +218,7 @@ UsecaseCatalog::videoCall()
     g.addStage("DSP", 0.1e9);
     g.addBuffer("", "DSP", 0.1 * kMiB, "mic PCM");
 
-    return UsecaseEntry{std::move(g), 30.0};
+    return UsecaseEntry{"call", std::move(g), 30.0};
 }
 
 UsecaseEntry
@@ -248,7 +250,7 @@ UsecaseCatalog::arNavigation()
     g.addBuffer("GPU", "Display", k1080pPixels * 4.0, "AR frame");
     g.addStage("Display", 2.0e6);
 
-    return UsecaseEntry{std::move(g), 30.0};
+    return UsecaseEntry{"ar", std::move(g), 30.0};
 }
 
 std::vector<UsecaseEntry>
@@ -272,6 +274,19 @@ UsecaseCatalog::extended()
     out.push_back(videoCall());
     out.push_back(arNavigation());
     return out;
+}
+
+UsecaseEntry
+UsecaseCatalog::byKey(const std::vector<UsecaseEntry> &entries,
+                      const std::string &key)
+{
+    std::vector<std::string> keys;
+    for (const UsecaseEntry &entry : entries) {
+        if (entry.key == key)
+            return entry;
+        keys.push_back(entry.key);
+    }
+    fatal("unknown usecase '" + key + "'" + didYouMean(key, keys));
 }
 
 const std::vector<std::string> &

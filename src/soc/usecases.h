@@ -20,6 +20,8 @@ namespace gables {
 
 /** A catalog entry: a dataflow plus its real-time target. */
 struct UsecaseEntry {
+    /** The name the CLI's --usecase takes, e.g. "hfr". */
+    std::string key;
     /** The dataflow graph. */
     DataflowGraph graph;
     /** Real-time requirement in frames (or shots) per second. */
@@ -90,6 +92,14 @@ class UsecaseCatalog
     /** Every catalog entry including the extended set (gaming,
      * video call, AR) — nine usecases total. */
     static std::vector<UsecaseEntry> extended();
+
+    /**
+     * @return The entry of @p entries whose key is @p key.
+     * @throws FatalError "unknown usecase '<key>'" with a did-you-mean
+     *         over the keys of @p entries.
+     */
+    static UsecaseEntry byKey(const std::vector<UsecaseEntry> &entries,
+                              const std::string &key);
 
     /**
      * The Table I activity matrix: for each of the five camera

@@ -16,17 +16,29 @@ ArgParser::ArgParser(std::string program, std::string synopsis)
 }
 
 void
+ArgParser::declare(const std::string &name, const std::string &help,
+                   const std::string &def, Kind kind)
+{
+    Spec spec{help, def, kind};
+    std::ostringstream err;
+    if (!def.empty() && !checkValue(name, spec, def, err))
+        panic(program_ + ": option --" + name +
+              " declares a malformed default '" + def + "'");
+    specs_.emplace_back(name, std::move(spec));
+}
+
+void
 ArgParser::addOption(const std::string &name, const std::string &help,
                      const std::string &def)
 {
-    specs_.emplace_back(name, Spec{help, def, Kind::String});
+    declare(name, help, def, Kind::String);
 }
 
 void
 ArgParser::addIntOption(const std::string &name, const std::string &help,
                         const std::string &def)
 {
-    specs_.emplace_back(name, Spec{help, def, Kind::Int});
+    declare(name, help, def, Kind::Int);
 }
 
 void
@@ -34,13 +46,13 @@ ArgParser::addDoubleOption(const std::string &name,
                            const std::string &help,
                            const std::string &def)
 {
-    specs_.emplace_back(name, Spec{help, def, Kind::Double});
+    declare(name, help, def, Kind::Double);
 }
 
 void
 ArgParser::addFlag(const std::string &name, const std::string &help)
 {
-    specs_.emplace_back(name, Spec{help, "", Kind::Flag});
+    declare(name, help, "", Kind::Flag);
 }
 
 const ArgParser::Spec *
@@ -143,37 +155,43 @@ ArgParser::has(const std::string &name) const
     return values_.count(name) > 0;
 }
 
-std::string
-ArgParser::getString(const std::string &name, const std::string &def) const
+const ArgParser::Spec &
+ArgParser::declared(const std::string &name) const
 {
+    const Spec *spec = findSpec(name);
+    if (!spec)
+        panic(program_ + ": option --" + name +
+              " is read but was never declared");
+    return *spec;
+}
+
+std::string
+ArgParser::getString(const std::string &name) const
+{
+    const Spec &spec = declared(name);
     auto it = values_.find(name);
-    return it == values_.end() ? def : it->second.back();
+    return it == values_.end() ? spec.def : it->second.back();
 }
 
 std::vector<std::string>
 ArgParser::getStrings(const std::string &name) const
 {
+    declared(name);
     auto it = values_.find(name);
     return it == values_.end() ? std::vector<std::string>()
                                : it->second;
 }
 
 double
-ArgParser::getDouble(const std::string &name, double def) const
+ArgParser::getDouble(const std::string &name) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseDoubleStrict(it->second.back(), "option --" + name);
+    return parseDoubleStrict(getString(name), "option --" + name);
 }
 
 long
-ArgParser::getInt(const std::string &name, long def) const
+ArgParser::getInt(const std::string &name) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseIntStrict(it->second.back(), "option --" + name);
+    return parseIntStrict(getString(name), "option --" + name);
 }
 
 std::string

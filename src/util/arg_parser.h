@@ -1,15 +1,19 @@
 /**
  * @file
- * A small command-line argument parser for the `gables` CLI and the
- * bench harness binaries. Supports `--flag`, `--name value`,
- * `--name=value`, typed accessors with defaults, positional
- * arguments, and generated usage text.
+ * A small command-line argument parser for the `gables` CLI. Supports
+ * `--flag`, `--name value`, `--name=value`, typed accessors,
+ * positional arguments, and generated usage text.
  *
  * Parsing is strict: unknown options fail with a did-you-mean
  * suggestion over the declared option set, and options declared with
  * addIntOption()/addDoubleOption() are validated at parse() time via
  * the full-token parsers in util/parse.h, so `--jobs=abc` is a loud
  * usage error instead of silently becoming 0.
+ *
+ * The declaration is the only source of a default: an absent option
+ * reads as its declared default, parsed by the same strict parser as
+ * a supplied value, so the "(default: X)" that usage() prints is the
+ * value the program uses.
  */
 
 #ifndef GABLES_UTIL_ARG_PARSER_H
@@ -37,23 +41,26 @@ class ArgParser
     /**
      * Declare a value option.
      *
-     * @param name      Long name without dashes, e.g. "bpeak".
-     * @param help      Help text.
-     * @param def       Default value rendered in usage (informational).
+     * @param name Long name without dashes, e.g. "bpeak".
+     * @param help Help text.
+     * @param def  Value the getters return while the option is
+     *             absent; usage() prints it as "(default: X)".
      */
     void addOption(const std::string &name, const std::string &help,
                    const std::string &def = "");
 
     /**
      * Declare an integer option; parse() rejects values with trailing
-     * garbage or outside long's range.
+     * garbage or outside long's range. A non-empty @p def must pass
+     * the same check: a malformed one panics here.
      */
     void addIntOption(const std::string &name, const std::string &help,
                       const std::string &def = "");
 
     /**
      * Declare a floating-point option; parse() rejects non-numeric
-     * values and trailing garbage.
+     * values and trailing garbage. A non-empty @p def must pass the
+     * same check: a malformed one panics here.
      */
     void addDoubleOption(const std::string &name,
                          const std::string &help,
@@ -77,14 +84,16 @@ class ArgParser
     /** @return True when the last parse() saw --help. */
     bool helpRequested() const { return help_requested_; }
 
-    /** @return True if the flag or option @p name was supplied. */
+    /** @return True if the flag or option @p name was supplied
+     * (false for a name that was never declared). */
     bool has(const std::string &name) const;
 
-    /** @return String value of option @p name, or @p def. When the
-     * option was supplied more than once, the last occurrence wins
-     * (use getStrings() to see them all). */
-    std::string getString(const std::string &name,
-                          const std::string &def = "") const;
+    /**
+     * @return The last value supplied for option @p name (getStrings()
+     *         returns them all), else its declared default. Like every
+     *         getter, panics when @p name was never declared.
+     */
+    std::string getString(const std::string &name) const;
 
     /**
      * @return Every occurrence of option @p name in command-line
@@ -95,19 +104,22 @@ class ArgParser
     std::vector<std::string> getStrings(const std::string &name) const;
 
     /**
-     * @return Double value of option @p name, or @p def when absent.
-     * @throws FatalError if the supplied value is not a full-token
-     *         number (cannot happen for addDoubleOption() options,
-     *         which parse() already validated).
+     * @return getString(@p name) as a double.
+     * @throws FatalError if that is not a full-token number (never for
+     *         addDoubleOption() options: parse() and the declaration
+     *         check their values and default).
      */
-    double getDouble(const std::string &name, double def) const;
+    double getDouble(const std::string &name) const;
 
     /**
-     * @return Integer value of option @p name, or @p def when absent.
-     * @throws FatalError if the supplied value is not a full-token
-     *         integer.
+     * @return getString(@p name) as an integer.
+     * @throws FatalError if that is not a full-token integer.
      */
-    long getInt(const std::string &name, long def) const;
+    long getInt(const std::string &name) const;
+
+    /** @return The program name diagnostics start with, e.g.
+     * "gables eval". */
+    const std::string &program() const { return program_; }
 
     /** @return Positional (non-option) arguments in order. */
     const std::vector<std::string> &positional() const { return pos_; }
@@ -132,7 +144,10 @@ class ArgParser
     std::vector<std::string> pos_;
     bool help_requested_ = false;
 
+    void declare(const std::string &name, const std::string &help,
+                 const std::string &def, Kind kind);
     const Spec *findSpec(const std::string &name) const;
+    const Spec &declared(const std::string &name) const;
     bool checkValue(const std::string &name, const Spec &spec,
                     const std::string &value, std::ostream &err) const;
 };

@@ -266,5 +266,51 @@ TEST(CliOutputGolden, Errors)
     std::remove(config.c_str());
 }
 
+/**
+ * A model flag that the chosen input source would ignore is a usage
+ * error (exit 2) that names the flags: --usecase without --file, and
+ * catalog --soc/--f/--i0/--i1 next to --file.
+ */
+TEST(CliOutputGolden, IgnoredModelFlagsAreUsageErrors)
+{
+    const std::string config =
+        std::string(GABLES_CONFIG_DIR) + "/paper_two_ip.ini";
+    for (const std::string cmd : {"eval", "advise", "sensitivity"}) {
+        SCOPED_TRACE(cmd);
+        const std::string prefix = "gables " + cmd + ": ";
+
+        Outcome alone = runBoth({"gables", cmd, "--usecase", "6b"});
+        EXPECT_EQ(alone.code, 2);
+        EXPECT_EQ(alone.out, "");
+        EXPECT_TRUE(startsWith(alone.err,
+                               prefix + "--usecase needs --file\n"))
+            << alone.err;
+
+        Outcome mixed =
+            runBoth({"gables", cmd, "--file", config, "--usecase", "6b",
+                     "--f", "0.1", "--soc", "sd835"});
+        EXPECT_EQ(mixed.code, 2);
+        EXPECT_EQ(mixed.out, "");
+        EXPECT_TRUE(startsWith(
+            mixed.err,
+            prefix + "--soc, --f cannot be combined with --file\n"))
+            << mixed.err;
+
+        Outcome split = runBoth(
+            {"gables", cmd, "--file", config, "--i1", "8", "--i0", "2"});
+        EXPECT_EQ(split.code, 2);
+        EXPECT_TRUE(startsWith(
+            split.err,
+            prefix + "--i0, --i1 cannot be combined with --file\n"))
+            << split.err;
+
+        // --file with its own --usecase is the supported spelling.
+        EXPECT_EQ(runBoth({"gables", cmd, "--file", config, "--usecase",
+                           "6b"})
+                      .code,
+                  0);
+    }
+}
+
 } // namespace
 } // namespace gables

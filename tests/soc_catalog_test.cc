@@ -12,6 +12,7 @@
 #include "ert/fitter.h"
 #include "soc/catalog.h"
 #include "soc/market_data.h"
+#include "util/logging.h"
 
 namespace gables {
 namespace {
@@ -23,6 +24,45 @@ TEST(Catalog, SpecsValidate)
     EXPECT_NO_THROW(SocCatalog::snapdragon835Full().validate());
     EXPECT_NO_THROW(SocCatalog::paperTwoIp().validate());
     EXPECT_NO_THROW(SocCatalog::paperTwoIpBalanced().validate());
+}
+
+TEST(Catalog, NamedTableListsTheCliNames)
+{
+    std::vector<std::string> names;
+    for (const NamedSoc &soc : SocCatalog::named())
+        names.push_back(soc.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"sd835", "sd835-full",
+                                               "sd821", "paper",
+                                               "paper-balanced"}));
+    EXPECT_EQ(SocCatalog::byName("sd835-full").spec().name(),
+              SocCatalog::snapdragon835Full().name());
+    EXPECT_EQ(SocCatalog::byName("paper-balanced").spec().bpeak(),
+              SocCatalog::paperTwoIpBalanced().bpeak());
+    // The empty name means sd835.
+    EXPECT_EQ(&SocCatalog::byName(""), &SocCatalog::byName("sd835"));
+}
+
+TEST(Catalog, OnlyTheSnapdragonsHaveCalibratedSims)
+{
+    for (const NamedSoc &soc : SocCatalog::named()) {
+        std::string name = soc.name;
+        EXPECT_EQ(soc.sim != nullptr, name == "sd835" || name == "sd821")
+            << name;
+    }
+    EXPECT_EQ(SocCatalog::byName("sd821").sim()->name(),
+              SocCatalog::snapdragon821Sim()->name());
+}
+
+TEST(Catalog, UnknownNameSuggestsAndListsTheNames)
+{
+    try {
+        SocCatalog::byName("sd8355");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "unknown SoC 'sd8355' (did you mean 'sd835'?) (try "
+                     "sd835, sd835-full, sd821, paper, paper-balanced)");
+    }
 }
 
 TEST(Catalog, Sd835UsesMeasuredAnchors)

@@ -9,6 +9,7 @@
 #include "core/gables.h"
 #include "soc/catalog.h"
 #include "soc/usecases.h"
+#include "util/logging.h"
 
 namespace gables {
 namespace {
@@ -19,6 +20,36 @@ TEST(Usecases, CatalogHasSixEntries)
     ASSERT_EQ(all.size(), 6u);
     EXPECT_EQ(all[0].graph.name(), "HDR+");
     EXPECT_EQ(all[5].graph.name(), "WiFi streaming");
+}
+
+TEST(Usecases, EveryEntryCarriesItsCliKey)
+{
+    std::vector<std::string> keys;
+    for (const UsecaseEntry &entry : UsecaseCatalog::extended())
+        keys.push_back(entry.key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"hdr", "capture", "hfr",
+                                              "playback", "lens", "wifi",
+                                              "gaming", "call", "ar"}));
+    EXPECT_EQ(
+        UsecaseCatalog::byKey(UsecaseCatalog::all(), "hfr").graph.name(),
+        "Videocapture (HFR)");
+    EXPECT_EQ(UsecaseCatalog::byKey(UsecaseCatalog::extended(), "ar")
+                  .graph.name(),
+              "AR navigation");
+}
+
+TEST(Usecases, ByKeySearchesOnlyTheGivenEntries)
+{
+    // "gaming" is in extended() but not in all().
+    EXPECT_THROW(UsecaseCatalog::byKey(UsecaseCatalog::all(), "gaming"),
+                 FatalError);
+    try {
+        UsecaseCatalog::byKey(UsecaseCatalog::extended(), "gamin");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "unknown usecase 'gamin' (did you mean 'gaming'?)");
+    }
 }
 
 TEST(Usecases, TableOneColumnOrder)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "util/arg_parser.h"
@@ -22,6 +24,15 @@ parseWords(ArgParser &parser, std::initializer_list<const char *> words,
     return parser.parse(static_cast<int>(argv.size()), argv.data(), err);
 }
 
+/** @return The bit pattern of @p v, for exact comparisons. */
+uint64_t
+bits(double v)
+{
+    uint64_t out;
+    std::memcpy(&out, &v, sizeof out);
+    return out;
+}
+
 TEST(ArgParser, OptionWithSeparateValue)
 {
     ArgParser p("t", "test");
@@ -29,7 +40,7 @@ TEST(ArgParser, OptionWithSeparateValue)
     std::ostringstream err;
     ASSERT_TRUE(parseWords(p, {"t", "--bpeak", "30e9"}, err));
     EXPECT_TRUE(p.has("bpeak"));
-    EXPECT_DOUBLE_EQ(p.getDouble("bpeak", 0.0), 30e9);
+    EXPECT_DOUBLE_EQ(p.getDouble("bpeak"), 30e9);
 }
 
 TEST(ArgParser, OptionWithEqualsValue)
@@ -55,11 +66,68 @@ TEST(ArgParser, DefaultsWhenAbsent)
 {
     ArgParser p("t", "test");
     p.addOption("f", "fraction", "0.5");
+    p.addOption("name", "a name without a default");
     std::ostringstream err;
     ASSERT_TRUE(parseWords(p, {"t"}, err));
-    EXPECT_DOUBLE_EQ(p.getDouble("f", 0.5), 0.5);
-    EXPECT_EQ(p.getInt("f", 7), 7);
-    EXPECT_EQ(p.getString("missing", "dflt"), "dflt");
+    EXPECT_FALSE(p.has("f"));
+    EXPECT_EQ(p.getString("f"), "0.5");
+    EXPECT_DOUBLE_EQ(p.getDouble("f"), 0.5);
+    // The default goes through the same strict parser as a value.
+    EXPECT_THROW(p.getInt("f"), FatalError);
+    EXPECT_EQ(p.getString("name"), "");
+}
+
+TEST(ArgParser, AbsentTypedOptionReadsDeclaredDefaultExactly)
+{
+    ArgParser p("t", "test");
+    p.addDoubleOption("i1", "intensity", "0.1");
+    p.addDoubleOption("bytes", "bytes streamed", "67108864");
+    p.addIntOption("points", "grid points", "9");
+    std::ostringstream err;
+    ASSERT_TRUE(parseWords(p, {"t"}, err));
+    EXPECT_EQ(bits(p.getDouble("i1")), bits(0.1));
+    EXPECT_EQ(bits(p.getDouble("bytes")), bits(64.0 * 1024 * 1024));
+    EXPECT_EQ(p.getInt("points"), 9);
+
+    // A supplied value reads the same as that text as a default.
+    ArgParser q("t", "test");
+    q.addDoubleOption("i1", "intensity");
+    ASSERT_TRUE(parseWords(q, {"t", "--i1", "0.1"}, err));
+    EXPECT_EQ(bits(q.getDouble("i1")), bits(p.getDouble("i1")));
+}
+
+TEST(ArgParser, HasIsFalseForUndeclaredName)
+{
+    ArgParser p("t", "test");
+    p.addOption("soc", "catalog SoC", "paper");
+    std::ostringstream err;
+    ASSERT_TRUE(parseWords(p, {"t", "--soc", "sd835"}, err));
+    EXPECT_TRUE(p.has("soc"));
+    EXPECT_FALSE(p.has("file"));
+}
+
+TEST(ArgParserDeathTest, MalformedTypedDefaultPanicsAtDeclaration)
+{
+    ArgParser p("t", "test");
+    EXPECT_DEATH(p.addDoubleOption("f", "fraction", "half"),
+                 "option --f declares a malformed default 'half'");
+    EXPECT_DEATH(p.addIntOption("n", "count", "1.5"),
+                 "option --n declares a malformed default '1.5'");
+    EXPECT_DEATH(p.addIntOption("n", "count", "12x"),
+                 "malformed default");
+}
+
+TEST(ArgParserDeathTest, ReadingUndeclaredNamePanics)
+{
+    ArgParser p("t", "test");
+    p.addOption("soc", "catalog SoC", "paper");
+    std::ostringstream err;
+    ASSERT_TRUE(parseWords(p, {"t"}, err));
+    EXPECT_DEATH(p.getString("file"),
+                 "option --file is read but was never declared");
+    EXPECT_DEATH(p.getDouble("f"), "never declared");
+    EXPECT_DEATH(p.getInt("jobs"), "never declared");
+    EXPECT_DEATH(p.getStrings("ignore"), "never declared");
 }
 
 TEST(ArgParser, PositionalArguments)
@@ -136,7 +204,7 @@ TEST(ArgParser, TypedDoubleOptionRejectsGarbage)
               std::string::npos);
     std::ostringstream err2;
     EXPECT_TRUE(parseWords(p, {"t", "--f", "0.5"}, err2));
-    EXPECT_DOUBLE_EQ(p.getDouble("f", 0.0), 0.5);
+    EXPECT_DOUBLE_EQ(p.getDouble("f"), 0.5);
 }
 
 // Untyped options still parse strictly at accessor time.
@@ -146,8 +214,8 @@ TEST(ArgParser, UntypedGetterThrowsOnTrailingGarbage)
     p.addOption("x", "stringly typed");
     std::ostringstream err;
     ASSERT_TRUE(parseWords(p, {"t", "--x", "30e9zzz"}, err));
-    EXPECT_THROW(p.getDouble("x", 0.0), FatalError);
-    EXPECT_THROW(p.getInt("x", 0), FatalError);
+    EXPECT_THROW(p.getDouble("x"), FatalError);
+    EXPECT_THROW(p.getInt("x"), FatalError);
     EXPECT_EQ(p.getString("x"), "30e9zzz");
 }
 
@@ -193,7 +261,7 @@ TEST(ArgParser, IntParsing)
     p.addOption("n", "count");
     std::ostringstream err;
     ASSERT_TRUE(parseWords(p, {"t", "--n", "17"}, err));
-    EXPECT_EQ(p.getInt("n", 0), 17);
+    EXPECT_EQ(p.getInt("n"), 17);
 }
 
 TEST(ArgParser, RepeatedOptionAccumulatesInOrder)
@@ -226,8 +294,8 @@ TEST(ArgParser, RepeatedNumericOptionUsesLastValue)
     p.addOption("n", "count");
     std::ostringstream err;
     ASSERT_TRUE(parseWords(p, {"t", "--n", "4", "--n", "17"}, err));
-    EXPECT_EQ(p.getInt("n", 0), 17);
-    EXPECT_DOUBLE_EQ(p.getDouble("n", 0.0), 17.0);
+    EXPECT_EQ(p.getInt("n"), 17);
+    EXPECT_DOUBLE_EQ(p.getDouble("n"), 17.0);
 }
 
 } // namespace
