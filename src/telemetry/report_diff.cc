@@ -1,8 +1,8 @@
 #include "telemetry/report_diff.h"
 
 #include <cmath>
-#include <cstdio>
 
+#include "util/decimal.h"
 #include "util/json_reader.h"
 #include "util/strings.h"
 
@@ -20,9 +20,8 @@ render(const JsonValue &v)
     case JsonValue::Type::Bool:
         return v.asBool() ? "true" : "false";
     case JsonValue::Type::Number: {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", v.asNumber());
-        return buf;
+        char buf[kGeneralChars];
+        return std::string(buf, writeGeneral17(buf, v.asNumber()));
     }
     case JsonValue::Type::String:
         return "\"" + v.asString() + "\"";

@@ -4,35 +4,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/decimal.h"
 #include "util/logging.h"
 
 namespace gables {
 
 namespace {
-
-/**
- * Format a finite double exactly like printf("%.*g") in the C
- * locale, but via std::to_chars so the output never picks up the
- * host's LC_NUMERIC decimal point (under de_DE, snprintf would emit
- * "1,5" — invalid JSON). Returns the formatted length.
- */
-size_t
-formatGeneral(char *buf, size_t cap, double v, int precision)
-{
-    std::to_chars_result res = std::to_chars(
-        buf, buf + cap, v, std::chars_format::general, precision);
-    GABLES_ASSERT(res.ec == std::errc(), "to_chars buffer too small");
-    return static_cast<size_t>(res.ptr - buf);
-}
-
-/** Locale-independent re-parse for the round-trip check. */
-double
-parseBack(const char *buf, size_t len)
-{
-    double back = 0.0;
-    std::from_chars(buf, buf + len, back);
-    return back;
-}
 
 template <typename Int>
 void
@@ -229,12 +206,9 @@ JsonWriter::value(double v)
     } else {
         // "%.12g" when it round-trips, else "%.17g" — the original
         // snprintf scheme, so committed baselines and replay bundles
-        // are unchanged — produced and verified without the C locale.
-        char digits[40];
-        size_t len = formatGeneral(digits, sizeof(digits), v, 12);
-        if (parseBack(digits, len) != v)
-            len = formatGeneral(digits, sizeof(digits), v, 17);
-        buf_.append(digits, len);
+        // are unchanged — with no locale and no parse.
+        char digits[kGeneralChars];
+        buf_.append(digits, writeRoundTrip(digits, v));
     }
     afterValue();
 }

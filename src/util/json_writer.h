@@ -4,7 +4,9 @@
  * sweep series for external tooling (the paper's interactive
  * visualizer consumes exactly this kind of structure). No parsing, no
  * DOM; just a correct, ordered writer with proper string escaping and
- * shortest-faithful number formatting.
+ * numbers that read back exactly: "%.12g" when that round-trips, else
+ * "%.17g" (writeRoundTrip() in util/decimal.h); NaN and the
+ * infinities become null.
  */
 
 #ifndef GABLES_UTIL_JSON_WRITER_H

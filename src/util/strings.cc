@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
+#include "util/decimal.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -83,22 +83,12 @@ formatDouble(double value, int precision)
     if (precision > kFormatDoubleMaxPrecision)
         fatal("formatDouble: precision " + std::to_string(precision) +
               " exceeds " + std::to_string(kFormatDoubleMaxPrecision));
-    // to_chars in fixed format is printf("%.*f") in the C locale.
     // Room for -DBL_MAX: a sign, 309 integer digits, the point and
     // the fraction digits.
     char buf[1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 +
              kFormatDoubleMaxPrecision];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
-                                   std::chars_format::fixed, precision);
-    if (ec != std::errc())
-        fatal("formatDouble: to_chars failed");
-    if (std::find(buf, end, '.') != end) {
-        while (end[-1] == '0')
-            --end;
-        if (end[-1] == '.')
-            --end;
-    }
-    return std::string(buf, end);
+    return std::string(buf, writeFixedTrimmed(buf, buf + sizeof buf,
+                                               value, precision));
 }
 
 std::string

@@ -18,6 +18,7 @@
 
 #include "cli/driver.h"
 #include "replay/replayer.h"
+#include "telemetry/report_diff.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
@@ -104,6 +105,22 @@ TEST_F(GermanLocaleTest, JsonWriterEmitsPointDecimal)
     EXPECT_EQ(parsed.at(0).asNumber(), 1.5);
     EXPECT_EQ(parsed.at(1).asNumber(), 0.1);
     EXPECT_EQ(parsed.at(3).asNumber(), 1e-300);
+}
+
+TEST_F(GermanLocaleTest, ReportDiffPrintsPointDecimals)
+{
+    JsonValue a = parseJson(R"({"v": 1.5, "w": [0.1, 2.25e-7]})");
+    JsonValue b = parseJson(R"({"v": 2.75, "w": [0.2, 1e300]})");
+    std::string text =
+        telemetry::formatDiff(telemetry::diffReports(a, b, {}));
+    EXPECT_NE(text.find("A: 1.5\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("B: 2.75\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("A: 0.10000000000000001\n"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("B: 1.0000000000000001e+300\n"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find(','), std::string::npos) << text;
 }
 
 TEST_F(GermanLocaleTest, CorpusReplaysByteIdentically)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 
 #include "util/csv.h"
@@ -269,17 +273,30 @@ TEST(Json, UnfinishedDocumentIsFlushedByTheDestructor)
 
 TEST(Json, DoubleRoundTripPrecision)
 {
+    // Every finite double reads back bit for bit, whichever of
+    // "%.12g" and "%.17g" the writer picked.
+    const double values[] = {0.1,        1.0 / 3.0,     -0.0,
+                             5e-324,     DBL_MIN,       -DBL_MAX,
+                             1e-7,       0x1p50 + 0.25, 1e23,
+                             2.0 / 3e-11, 123456789012.5};
     std::ostringstream oss;
     JsonWriter json(oss, false);
     json.beginArray();
-    json.value(0.1);
-    json.value(1.0 / 3.0);
+    for (double v : values)
+        json.value(v);
     json.endArray();
-    // Parse the numbers back and compare exactly.
-    double a = 0.0, b = 0.0;
-    ASSERT_EQ(std::sscanf(oss.str().c_str(), "[%lf,%lf]", &a, &b), 2);
-    EXPECT_DOUBLE_EQ(a, 0.1);
-    EXPECT_DOUBLE_EQ(b, 1.0 / 3.0);
+    const std::string text = oss.str();
+    const char *p = text.data() + 1;
+    for (double v : values) {
+        double back = 0.0;
+        std::from_chars_result res =
+            std::from_chars(p, text.data() + text.size(), back);
+        ASSERT_EQ(res.ec, std::errc()) << text;
+        EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v))
+            << std::string(p, res.ptr);
+        p = res.ptr + 1;
+    }
+    EXPECT_EQ(p, text.data() + text.size());
 }
 
 } // namespace

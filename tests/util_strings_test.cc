@@ -174,9 +174,24 @@ TEST(FormatDouble, EdgeCasesMatchTheStream)
                             DBL_MIN, -DBL_MIN, 5e-324,   -5e-324,
                             1e300,   -1e300,   DBL_MAX,  -DBL_MAX};
     for (double v : edges) {
-        for (int p = 0; p <= 9; ++p)
+        for (int p = 0; p <= 18; ++p)
             EXPECT_EQ(formatDouble(v, p), streamFormatDouble(v, p))
                 << v << " at precision " << p;
+        // A negative precision means 6, as in printf.
+        EXPECT_EQ(formatDouble(v, -1), streamFormatDouble(v, 6)) << v;
+    }
+    // The integer path holds |v|·10^p below 2^64 - 1; the digits must
+    // not change on either side of that edge.
+    for (int p = 0; p <= 18; ++p) {
+        double v = std::ldexp(1.0, 64) / std::pow(10.0, p);
+        for (int i = 0; i < 8; ++i)
+            v = std::nextafter(v, 0.0);
+        for (int i = 0; i < 16; ++i, v = std::nextafter(v, INFINITY)) {
+            EXPECT_EQ(formatDouble(v, p), streamFormatDouble(v, p))
+                << v << " at precision " << p;
+            EXPECT_EQ(formatDouble(-v, p), streamFormatDouble(-v, p))
+                << -v << " at precision " << p;
+        }
     }
     // Exact binary halfway cases round to even, as printf does.
     EXPECT_EQ(formatDouble(0.125, 2), "0.12");
@@ -194,9 +209,10 @@ TEST(FormatDouble, MatchesTheStreamOnAMillionSeededDoubles)
     std::uniform_real_distribution<double> unit(-1.0, 1.0);
     size_t mismatches = 0;
     for (int i = 0; i < 1000000; ++i) {
-        const int p = i % 10;
+        // Precisions -1 (which means 6) to 18.
+        const int p = i % 20 - 1;
         double v = 0.0;
-        switch (i / 10 % 100) {
+        switch (i / 20 % 100) {
           case 0: // around +-1e300: 300-digit integer parts
             v = unit(rng) * 1e300;
             break;
@@ -206,7 +222,7 @@ TEST(FormatDouble, MatchesTheStreamOnAMillionSeededDoubles)
             while (!std::isfinite(v));
             break;
           default:
-            switch (i / 10 % 5) {
+            switch (i / 20 % 5) {
               case 0: // rounds to zero at this precision, either sign
                 v = unit(rng) * std::pow(10.0, -p - 1);
                 break;
