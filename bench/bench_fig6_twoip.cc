@@ -37,9 +37,9 @@ scenarios()
          40.0},
         {"Fig 6b (f=0.75)", base,
          Usecase::twoIp("6b", 0.75, 8.0, 0.1), 1.3},
-        {"Fig 6c (Bpeak=30)", base.withBpeak(30e9),
+        {"Fig 6c (Bpeak=30)", base.with(Param::bpeak(), 30e9),
          Usecase::twoIp("6c", 0.75, 8.0, 0.1), 2.0},
-        {"Fig 6d (balanced)", base.withBpeak(20e9),
+        {"Fig 6d (balanced)", base.with(Param::bpeak(), 20e9),
          Usecase::twoIp("6d", 0.75, 8.0, 8.0), 160.0},
     };
 }

@@ -98,7 +98,7 @@ BM_CompiledEvaluatorNIp(benchmark::State &state)
     double vals[4] = {0.5, 2.0, 8.0, 32.0};
     size_t i = 0;
     for (auto _ : state) {
-        ev.setIntensity(0, 1, vals[i++ & 3]);
+        ev.set(0, Param::intensity(1), vals[i++ & 3]);
         ev.run();
         benchmark::DoNotOptimize(ev.attainable(0));
     }
@@ -158,8 +158,8 @@ BM_Explorer1kDesigns(benchmark::State &state)
         bpeaks.push_back((i + 1) * 2e9);
     for (int i = 0; i < 32; ++i)
         accels.push_back(1.0 + i);
-    ex.sweepBpeak(bpeaks);
-    ex.sweepAcceleration(1, accels);
+    ex.sweep(Param::bpeak(), bpeaks);
+    ex.sweep(Param::acceleration(1), accels);
     for (auto _ : state) {
         benchmark::DoNotOptimize(ex.explore().size()); // 1024 designs
     }
@@ -223,7 +223,7 @@ measureEvaluate8Ip(int reps)
         double acc = 0.0;
         Clock::time_point t0 = Clock::now();
         for (uint64_t i = 0; i < kEvals; ++i) {
-            ev.setIntensity(0, 3, vals[i & 3]);
+            ev.set(0, Param::intensity(3), vals[i & 3]);
             ev.run();
             acc += ev.attainable(0);
         }
@@ -247,8 +247,8 @@ mixingGrid(GablesPack<W> &pack, const std::vector<double> &fractions)
         double f0[W] = {};
         for (size_t w = 0; w < cnt; ++w)
             f0[w] = 1.0 - fractions[p0 + w];
-        pack.setFractionRow(0, f0, cnt);
-        pack.setFractionRow(1, fractions.data() + p0, cnt);
+        pack.setLanes(Param::fraction(0), f0, cnt);
+        pack.setLanes(Param::fraction(1), fractions.data() + p0, cnt);
         pack.run(cnt);
         for (size_t w = 0; w < cnt; ++w)
             acc += pack.attainable(w);
@@ -310,8 +310,8 @@ makeGridExplorer(std::vector<double> &bpeaks,
         bpeaks.push_back((i + 1) * 1e9);
     for (int i = 0; i < 64; ++i)
         accels.push_back(1.0 + i);
-    ex.sweepBpeak(bpeaks);
-    ex.sweepAcceleration(1, accels);
+    ex.sweep(Param::bpeak(), bpeaks);
+    ex.sweep(Param::acceleration(1), accels);
     return ex;
 }
 
@@ -362,8 +362,8 @@ measureExplorerReference(int reps)
         Clock::time_point t0 = Clock::now();
         for (double a : accels) {
             for (double b : bpeaks) {
-                SocSpec design =
-                    soc.withBpeak(b).withIpAcceleration(1, a);
+                SocSpec design = soc.with(Param::bpeak(), b)
+                                     .with(Param::acceleration(1), a);
                 acc += GablesModel::evaluate(design, u).attainable;
             }
         }

@@ -49,9 +49,9 @@ makeExplorer(int points_per_knob)
         links.push_back(8e9 + i * 4e9);
     }
     const size_t gpu = 3; // snapdragon835Full: AP, Display, G2DS, GPU
-    explorer.sweepBpeak(bpeaks);
-    explorer.sweepAcceleration(gpu, accels);
-    explorer.sweepIpBandwidth(gpu, links);
+    explorer.sweep(Param::bpeak(), bpeaks);
+    explorer.sweep(Param::acceleration(gpu), accels);
+    explorer.sweep(Param::ipBandwidth(gpu), links);
     return explorer;
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Load generator for the `gables serve` daemon: a socket client that
- * derives its request mix from the committed replay corpus
- * (tests/corpus/*.json), so the daemon is exercised with the same
- * scenarios the CLI regression backbone replays.
+ * derives its request mix from the committed replay corpus (the JSON
+ * bundles under tests/corpus), so the daemon is exercised with the
+ * same scenarios the CLI regression backbone replays.
  *
  * Two phases:
  *

@@ -64,7 +64,7 @@ main()
 
     // Lever 1: widen DRAM. How much would 240 fps need?
     double needed = base.dramBytesPerFrame * hfr.targetFps;
-    SocSpec wide = soc.withBpeak(needed);
+    SocSpec wide = soc.with(Param::bpeak(), needed);
     report("Bpeak -> 61.5 GB/s", wide, hfr,
            hfr.graph.analyze(wide).maxFps);
 

@@ -45,7 +45,7 @@ main()
               << r.bottleneckLabel(soc) << ")\n";
 
     // Throwing DRAM bandwidth at it barely helps (Figure 6c).
-    r = GablesModel::evaluate(soc.withBpeak(30e9), offload);
+    r = GablesModel::evaluate(soc.with(Param::bpeak(), 30e9), offload);
     std::cout << "with 30 GB/s DRAM:     "
               << formatOpsRate(r.attainable) << "  (bound: "
               << r.bottleneckLabel(soc) << ")\n";
@@ -54,8 +54,8 @@ main()
     // DRAM bandwidth to exactly what the usecase needs (Figure 6d).
     Usecase reuse = Usecase::twoIp("reuse", 0.75, 8.0, 8.0);
     double sufficient = Balance::sufficientBpeak(
-        soc.withBpeak(30e9), reuse);
-    SocSpec balanced = soc.withBpeak(sufficient);
+        soc.with(Param::bpeak(), 30e9), reuse);
+    SocSpec balanced = soc.with(Param::bpeak(), sufficient);
     r = GablesModel::evaluate(balanced, reuse);
     std::cout << "balanced design:       "
               << formatOpsRate(r.attainable) << "  with Bpeak = "

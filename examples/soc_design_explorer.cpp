@@ -51,9 +51,9 @@ main()
     cost.costPerIpBandwidth = 0.1e-9; // wires per GB/s
 
     DesignExplorer explorer(base, portfolio, cost);
-    explorer.sweepBpeak({10e9, 15e9, 20e9, 30e9, 40e9});
-    explorer.sweepAcceleration(1, {10.0, 20.0, 40.0, 80.0});
-    explorer.sweepAcceleration(2, {2.0, 4.0, 8.0});
+    explorer.sweep(Param::bpeak(), {10e9, 15e9, 20e9, 30e9, 40e9});
+    explorer.sweep(Param::acceleration(1), {10.0, 20.0, 40.0, 80.0});
+    explorer.sweep(Param::acceleration(2), {2.0, 4.0, 8.0});
 
     auto candidates = explorer.explore();
     auto frontier = DesignExplorer::frontier(candidates);

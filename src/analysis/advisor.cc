@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "analysis/balance.h"
 #include "analysis/optimal_split.h"
@@ -33,6 +34,37 @@ toString(AdviceKind kind)
     }
     return "unknown";
 }
+
+namespace {
+
+/** The text of a single-input move @p a on @p soc. */
+std::string
+describe(const SocSpec &soc, const Advice &a)
+{
+    if (a.kind == AdviceKind::RaiseBpeak)
+        return "raise Bpeak from " + formatByteRate(a.before) + " to " +
+               formatByteRate(a.after);
+    const size_t i = static_cast<size_t>(a.ip);
+    const std::string &name = soc.ip(i).name;
+    const std::string who =
+        name.empty() ? "IP[" + std::to_string(i) + "]" : name;
+    switch (a.kind) {
+    case AdviceKind::RaiseIpBandwidth:
+        return "widen " + who + " link from " +
+               formatByteRate(a.before) + " to " +
+               formatByteRate(a.after);
+    case AdviceKind::RaiseAcceleration:
+        return "grow " + who + " acceleration from " +
+               formatDouble(a.before, 3) + " to " +
+               formatDouble(a.after, 3);
+    default:
+        return "increase data reuse at " + who + " to I = " +
+               formatDouble(a.after, 3) +
+               " ops/byte (software + local memory)";
+    }
+}
+
+} // namespace
 
 double
 Advisor::minimalScale(const std::function<double(double)> &perf_at_scale,
@@ -67,102 +99,50 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
     const double base = ev.attainable(0);
     std::vector<Advice> advice;
 
-    auto consider = [&](AdviceKind kind, int ip, double before,
-                        double max_scale,
-                        const std::function<double(double)> &perf_at,
-                        const std::function<std::string(double)>
-                            &describe) {
+    // The single-input moves, in a fixed order (the sort below is
+    // not stable, so this order is part of the output): Bpeak, then
+    // per working IP its link, its acceleration (A0 is pinned to 1 by
+    // the model) and its intensity.
+    std::vector<std::pair<AdviceKind, Param>> moves = {
+        {AdviceKind::RaiseBpeak, Param::bpeak()}};
+    for (size_t i = 0; i < soc.numIps(); ++i) {
+        if (usecase.fraction(i) == 0.0)
+            continue;
+        moves.push_back({AdviceKind::RaiseIpBandwidth,
+                         Param::ipBandwidth(i)});
+        if (i > 0)
+            moves.push_back({AdviceKind::RaiseAcceleration,
+                             Param::acceleration(i)});
+        if (!std::isinf(usecase.intensity(i)))
+            moves.push_back(
+                {AdviceKind::RaiseIntensity, Param::intensity(i)});
+    }
+
+    for (const auto &[kind, p] : moves) {
+        const double before = p.read(soc, usecase);
+        const double max_scale = kind == AdviceKind::RaiseIntensity
+                                     ? options.maxIntensityScale
+                                     : options.maxScale;
+        auto perf_at = [&](double s) {
+            ev.set(0, p, before * s);
+            ev.run();
+            double perf = ev.attainable(0);
+            ev.set(0, p, before);
+            return perf;
+        };
         double best = perf_at(max_scale);
         if (best < base * options.minGain)
-            return;
+            continue;
         double scale = minimalScale(perf_at, max_scale);
         Advice a;
         a.kind = kind;
-        a.ip = ip;
+        a.ip = p.perIp() ? static_cast<int>(p.ip) : -1;
         a.before = before;
         a.after = before * scale;
         a.newAttainable = perf_at(scale);
         a.gain = a.newAttainable / base;
-        a.description = describe(a.after);
+        a.description = describe(soc, a);
         advice.push_back(std::move(a));
-    };
-
-    // Chip-level: Bpeak.
-    consider(
-        AdviceKind::RaiseBpeak, -1, soc.bpeak(), options.maxScale,
-        [&](double s) {
-            ev.setBpeak(0, soc.bpeak() * s);
-            ev.run();
-            double p = ev.attainable(0);
-            ev.setBpeak(0, soc.bpeak());
-            return p;
-        },
-        [&](double after) {
-            return "raise Bpeak from " + formatByteRate(soc.bpeak()) +
-                   " to " + formatByteRate(after);
-        });
-
-    // Per-IP knobs.
-    for (size_t i = 0; i < soc.numIps(); ++i) {
-        if (usecase.fraction(i) == 0.0)
-            continue;
-        const IpSpec &ip = soc.ip(i);
-        std::string who = ip.name.empty()
-                              ? "IP[" + std::to_string(i) + "]"
-                              : ip.name;
-
-        consider(
-            AdviceKind::RaiseIpBandwidth, static_cast<int>(i),
-            ip.bandwidth, options.maxScale,
-            [&, i](double s) {
-                ev.setIpBandwidth(0, i, ip.bandwidth * s);
-                ev.run();
-                double p = ev.attainable(0);
-                ev.setIpBandwidth(0, i, ip.bandwidth);
-                return p;
-            },
-            [&, who](double after) {
-                return "widen " + who + " link from " +
-                       formatByteRate(ip.bandwidth) + " to " +
-                       formatByteRate(after);
-            });
-
-        if (i > 0) { // A0 is pinned to 1 by the model
-            consider(
-                AdviceKind::RaiseAcceleration, static_cast<int>(i),
-                ip.acceleration, options.maxScale,
-                [&, i](double s) {
-                    ev.setAcceleration(0, i, ip.acceleration * s);
-                    ev.run();
-                    double p = ev.attainable(0);
-                    ev.setAcceleration(0, i, ip.acceleration);
-                    return p;
-                },
-                [&, who](double after) {
-                    return "grow " + who + " acceleration from " +
-                           formatDouble(ip.acceleration, 3) + " to " +
-                           formatDouble(after, 3);
-                });
-        }
-
-        double intensity = usecase.intensity(i);
-        if (!std::isinf(intensity)) {
-            consider(
-                AdviceKind::RaiseIntensity, static_cast<int>(i),
-                intensity, options.maxIntensityScale,
-                [&, i, intensity](double s) {
-                    ev.setIntensity(0, i, intensity * s);
-                    ev.run();
-                    double p = ev.attainable(0);
-                    ev.setIntensity(0, i, intensity);
-                    return p;
-                },
-                [&, who](double after) {
-                    return "increase data reuse at " + who +
-                           " to I = " + formatDouble(after, 3) +
-                           " ops/byte (software + local memory)";
-                });
-        }
     }
 
     // Software: optimal re-split at current intensities.

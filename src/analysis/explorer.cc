@@ -45,6 +45,21 @@ CostModel::cost(const SocSpec &soc) const
     return cost(soc.bpeak(), soc.ips());
 }
 
+std::optional<double>
+CostModel::per(Param p) const
+{
+    switch (p.kind) {
+    case Param::Kind::Bpeak:
+        return costPerBpeak;
+    case Param::Kind::Acceleration:
+        return costPerAcceleration;
+    case Param::Kind::IpBandwidth:
+        return costPerIpBandwidth;
+    default:
+        return std::nullopt;
+    }
+}
+
 DesignExplorer::DesignExplorer(SocSpec base, std::vector<Usecase> usecases,
                                CostModel cost)
     : base_(std::move(base)), usecases_(std::move(usecases)),
@@ -60,37 +75,21 @@ DesignExplorer::DesignExplorer(SocSpec base, std::vector<Usecase> usecases,
 }
 
 void
-DesignExplorer::sweepBpeak(std::vector<double> values)
+DesignExplorer::sweep(Param p, std::vector<double> values)
 {
     if (values.empty())
         fatal("empty sweep values");
-    knobs_.push_back({Knob::Kind::Bpeak, 0, std::move(values)});
-}
-
-void
-DesignExplorer::sweepAcceleration(size_t ip, std::vector<double> values)
-{
-    if (values.empty())
-        fatal("empty sweep values");
-    if (ip == 0)
+    if (!cost_.per(p))
+        fatal("cannot sweep " + p.name() +
+              ": the explorer's bounds and cost model cover Bpeak, "
+              "A[i] and B[i] only");
+    if (p.kind == Param::Kind::Acceleration && p.ip == 0)
         fatal("cannot sweep A0: the paper fixes A0 = 1");
-    if (ip >= base_.numIps())
-        fatal("sweep targets IP " + std::to_string(ip) +
+    if (p.ip >= base_.numIps())
+        fatal("sweep targets IP " + std::to_string(p.ip) +
               " but the base design has only " +
               std::to_string(base_.numIps()) + " IPs");
-    knobs_.push_back({Knob::Kind::Acceleration, ip, std::move(values)});
-}
-
-void
-DesignExplorer::sweepIpBandwidth(size_t ip, std::vector<double> values)
-{
-    if (values.empty())
-        fatal("empty sweep values");
-    if (ip >= base_.numIps())
-        fatal("sweep targets IP " + std::to_string(ip) +
-              " but the base design has only " +
-              std::to_string(base_.numIps()) + " IPs");
-    knobs_.push_back({Knob::Kind::IpBandwidth, ip, std::move(values)});
+    knobs_.push_back({p, std::move(values)});
 }
 
 size_t
@@ -107,10 +106,7 @@ DesignExplorer::hasDuplicateKnobTargets() const
 {
     for (size_t i = 0; i < knobs_.size(); ++i) {
         for (size_t j = i + 1; j < knobs_.size(); ++j) {
-            if (knobs_[i].kind != knobs_[j].kind)
-                continue;
-            if (knobs_[i].kind == Knob::Kind::Bpeak ||
-                knobs_[i].ip == knobs_[j].ip)
+            if (knobs_[i].param == knobs_[j].param)
                 return true;
         }
     }
@@ -159,26 +155,6 @@ DesignExplorer::makeLanes() const
 
 template <size_t W>
 void
-DesignExplorer::applyKnob(Lanes<W> &ls, size_t w, const Knob &knob,
-                          double v)
-{
-    for (GablesPack<W> &pack : ls.packs) {
-        switch (knob.kind) {
-        case Knob::Kind::Bpeak:
-            pack.setBpeak(w, v);
-            break;
-        case Knob::Kind::Acceleration:
-            pack.setAcceleration(w, knob.ip, v);
-            break;
-        case Knob::Kind::IpBandwidth:
-            pack.setIpBandwidth(w, knob.ip, v);
-            break;
-        }
-    }
-}
-
-template <size_t W>
-void
 DesignExplorer::runLanes(Lanes<W> &ls, size_t p0, size_t cnt,
                          Point *out) const
 {
@@ -204,7 +180,8 @@ DesignExplorer::runLanes(Lanes<W> &ls, size_t p0, size_t cnt,
         for (size_t k = 0; k < n_knobs; ++k) {
             const size_t digit = ls.cur[k];
             if (!ls.incremental || lane_digits[k] != digit) {
-                applyKnob(ls, w, knobs_[k], knobs_[k].values[digit]);
+                for (GablesPack<W> &pack : ls.packs)
+                    pack.set(w, knobs_[k].param, knobs_[k].values[digit]);
                 lane_digits[k] = digit;
             }
         }
@@ -225,7 +202,7 @@ DesignExplorer::runLanes(Lanes<W> &ls, size_t p0, size_t cnt,
             min_perf = std::min(min_perf, pack.attainable(w));
         out[w] = Point{p0 + w, min_perf,
                        cost_.costPerAcceleration * sum_a[w] +
-                           cost_.costPerBpeak * hw.bpeak(w) +
+                           cost_.costPerBpeak * hw.get(w, Param::bpeak()) +
                            cost_.costPerIpBandwidth * sum_b[w]};
     }
 }
@@ -237,10 +214,11 @@ DesignExplorer::materialize(Lanes<W> &ls, size_t w, const Point &p,
 {
     const GablesPack<W> &hw = ls.packs.front();
     for (size_t i = 0; i < ls.ips.size(); ++i) {
-        ls.ips[i].acceleration = hw.acceleration(w, i);
-        ls.ips[i].bandwidth = hw.ipBandwidth(w, i);
+        ls.ips[i].acceleration = hw.get(w, Param::acceleration(i));
+        ls.ips[i].bandwidth = hw.get(w, Param::ipBandwidth(i));
     }
-    out.soc = SocSpec(base_.name(), base_.ppeak(), hw.bpeak(w), ls.ips);
+    out.soc = SocSpec(base_.name(), base_.ppeak(),
+                      hw.get(w, Param::bpeak()), ls.ips);
     out.minPerf = p.minPerf;
     out.cost = p.cost;
     out.pareto = false;
@@ -396,8 +374,27 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
         return false;
     };
 
+    // The min-cost corner goes onto bare hardware values: cost needs
+    // no model evaluation. Per knob, resolved once: whether the corner
+    // takes its smallest covered value (a non-negative cost
+    // coefficient) or its largest, and where the value goes.
     double corner_bpeak = base_.bpeak();
     std::vector<IpSpec> corner_ips = base_.ips();
+    struct CornerTerm {
+        bool wantMin;
+        double *slot;
+    };
+    std::vector<CornerTerm> corner_terms;
+    corner_terms.reserve(n_knobs);
+    for (const Knob &knob : knobs_) {
+        const Param p = knob.param;
+        IpSpec &ip = corner_ips[p.ip];
+        double *slot = p.kind == Param::Kind::Bpeak ? &corner_bpeak
+                       : p.kind == Param::Kind::Acceleration
+                           ? &ip.acceleration
+                           : &ip.bandwidth;
+        corner_terms.push_back({*cost_.per(p) >= 0.0, slot});
+    }
     auto subgridBounds = [&](size_t lo, size_t hi, double &p_max,
                              double &c_min) {
         // Max-performance corner: largest covered value per knob,
@@ -407,7 +404,8 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
             forEachCoveredDigit(k, lo, hi, [&](size_t d) {
                 best = std::max(best, knobs_[k].values[d]);
             });
-            applyKnob(probe, 0, knobs_[k], best);
+            for (GablesPack<1> &pack : probe.packs)
+                pack.set(0, knobs_[k].param, best);
         }
         double min_perf = kInf;
         for (GablesPack<1> &pack : probe.packs) {
@@ -418,40 +416,15 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
 
         // Min-cost corner: per knob, the covered value whose linear
         // cost contribution is smallest given the coefficient sign.
-        // Cost needs no model evaluation, so the corner goes onto
-        // bare hardware values.
         for (size_t k = 0; k < n_knobs; ++k) {
-            const Knob &knob = knobs_[k];
-            double coeff = 0.0;
-            switch (knob.kind) {
-            case Knob::Kind::Bpeak:
-                coeff = cost_.costPerBpeak;
-                break;
-            case Knob::Kind::Acceleration:
-                coeff = cost_.costPerAcceleration;
-                break;
-            case Knob::Kind::IpBandwidth:
-                coeff = cost_.costPerIpBandwidth;
-                break;
-            }
-            bool want_min = coeff >= 0.0;
+            const bool want_min = corner_terms[k].wantMin;
             double chosen = want_min ? kInf : -kInf;
             forEachCoveredDigit(k, lo, hi, [&](size_t d) {
-                double v = knob.values[d];
+                double v = knobs_[k].values[d];
                 chosen = want_min ? std::min(chosen, v)
                                   : std::max(chosen, v);
             });
-            switch (knob.kind) {
-            case Knob::Kind::Bpeak:
-                corner_bpeak = chosen;
-                break;
-            case Knob::Kind::Acceleration:
-                corner_ips[knob.ip].acceleration = chosen;
-                break;
-            case Knob::Kind::IpBandwidth:
-                corner_ips[knob.ip].bandwidth = chosen;
-                break;
-            }
+            *corner_terms[k].slot = chosen;
         }
         c_min = cost_.cost(corner_bpeak, corner_ips);
     };

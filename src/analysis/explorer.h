@@ -26,7 +26,9 @@
 #define GABLES_ANALYSIS_EXPLORER_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/gables.h"
@@ -48,6 +50,14 @@ struct CostModel {
 
     /** Evaluate the cost of a design. */
     double cost(const SocSpec &soc) const;
+
+    /**
+     * @return The cost per unit of input @p p: costPerBpeak for
+     * Bpeak, costPerAcceleration for A[i], costPerIpBandwidth for
+     * B[i]; nothing for Ppeak and the usecase inputs, which the model
+     * does not price.
+     */
+    std::optional<double> per(Param p) const;
 
     /** Same arithmetic on raw hardware arrays (allocation-free form
      * used by the explorer's hot loop; cost(SocSpec) delegates here,
@@ -110,14 +120,31 @@ class DesignExplorer
     DesignExplorer(SocSpec base, std::vector<Usecase> usecases,
                    CostModel cost);
 
-    /** Enumerate Bpeak over these values (bytes/s). */
-    void sweepBpeak(std::vector<double> values);
+    /**
+     * Enumerate input @p p over @p values. The bounds and the cost
+     * model cover the inputs the cost model prices: Bpeak, A[i] for
+     * i >= 1 (the paper fixes A0 = 1) and B[i].
+     *
+     * @throws FatalError for an empty list, any other input, or an IP
+     *         the base design does not have.
+     */
+    void sweep(Param p, std::vector<double> values);
 
-    /** Enumerate IP @p ip's acceleration over these values. */
-    void sweepAcceleration(size_t ip, std::vector<double> values);
-
-    /** Enumerate IP @p ip's link bandwidth over these values. */
-    void sweepIpBandwidth(size_t ip, std::vector<double> values);
+    /** @name sweep() of one input, kept for source compatibility */
+    /** @{ */
+    void sweepBpeak(std::vector<double> values)
+    {
+        sweep(Param::bpeak(), std::move(values));
+    }
+    void sweepAcceleration(size_t ip, std::vector<double> values)
+    {
+        sweep(Param::acceleration(ip), std::move(values));
+    }
+    void sweepIpBandwidth(size_t ip, std::vector<double> values)
+    {
+        sweep(Param::ipBandwidth(ip), std::move(values));
+    }
+    /** @} */
 
     /**
      * Evaluate the full cross product of all registered sweeps and
@@ -163,12 +190,10 @@ class DesignExplorer
     frontier(const std::vector<Candidate> &candidates);
 
   private:
-    /** A swept parameter: which model term it drives and the grid
-     * values it takes (knob 0 varies fastest in enumeration order). */
+    /** A swept input and the grid values it takes (knob 0 varies
+     * fastest in enumeration order). */
     struct Knob {
-        enum class Kind { Bpeak, Acceleration, IpBandwidth };
-        Kind kind;
-        size_t ip; // unused for Bpeak
+        Param param;
         std::vector<double> values;
     };
 
@@ -194,11 +219,7 @@ class DesignExplorer
     template <size_t W>
     void materialize(Lanes<W> &ls, size_t w, const Point &p,
                      Candidate &out) const;
-    /** Apply knob value @p v to lane @p w of every pack. */
-    template <size_t W>
-    static void applyKnob(Lanes<W> &ls, size_t w, const Knob &knob,
-                          double v);
-    /** @return True if two knobs drive the same model term (later
+    /** @return True if two knobs drive the same input (later
      * application overrides earlier; bounds would be wrong). */
     bool hasDuplicateKnobTargets() const;
 

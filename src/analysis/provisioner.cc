@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "telemetry/span.h"
 #include "util/logging.h"
@@ -76,63 +77,43 @@ Provisioner::minimize(const SocSpec &start,
     }
     result.feasible = true;
 
+    // The knobs, shrunk in this order each iteration: Bpeak, each
+    // link, then each acceleration (A0 is pinned to 1 by the model).
+    std::vector<Param> knobs = {Param::bpeak()};
+    for (size_t i = 0; i < start.numIps(); ++i)
+        knobs.push_back(Param::ipBandwidth(i));
+    for (size_t i = 1; i < start.numIps(); ++i)
+        knobs.push_back(Param::acceleration(i));
+    // Param::read() takes the pair; only hardware inputs are read.
+    const Usecase &any = requirements.front().usecase;
+
     SocSpec current = start;
     for (int iter = 0; iter < options.maxIterations; ++iter) {
         SocSpec before = current;
-
-        // Shrink Bpeak.
-        {
-            double base = current.bpeak();
-            double scale = minimalScale(
-                [&](double s) {
-                    return meetsAll(current.withBpeak(base * s),
-                                    requirements);
-                },
-                options.tolerance);
-            current = current.withBpeak(base * scale);
-        }
-        // Shrink each link.
-        for (size_t i = 0; i < current.numIps(); ++i) {
-            double base = current.ip(i).bandwidth;
-            double scale = minimalScale(
-                [&](double s) {
-                    return meetsAll(
-                        current.withIpBandwidth(i, base * s),
-                        requirements);
-                },
-                options.tolerance);
-            current = current.withIpBandwidth(i, base * scale);
-        }
-        // Shrink each acceleration (A0 is pinned to 1 by the model).
-        for (size_t i = 1; i < current.numIps(); ++i) {
-            double base = current.ip(i).acceleration;
-            double floor_scale = options.minAcceleration / base;
+        for (const Param &p : knobs) {
+            double base = p.read(current, any);
+            double floor_scale = p.kind == Param::Kind::Acceleration
+                                     ? options.minAcceleration / base
+                                     : 0.0;
             double scale = minimalScale(
                 [&](double s) {
                     if (s < floor_scale)
                         return false;
-                    return meetsAll(
-                        current.withIpAcceleration(i, base * s),
-                        requirements);
+                    return meetsAll(current.with(p, base * s),
+                                    requirements);
                 },
                 options.tolerance);
-            current = current.withIpAcceleration(i, base * scale);
+            current = current.with(p, base * scale);
         }
 
         result.iterations = iter + 1;
         // Fixpoint: no knob moved by more than the tolerance.
-        bool converged =
-            std::fabs(current.bpeak() / before.bpeak() - 1.0) <
-            options.tolerance;
-        for (size_t i = 0; converged && i < current.numIps(); ++i) {
-            converged =
-                std::fabs(current.ip(i).bandwidth /
-                              before.ip(i).bandwidth -
-                          1.0) < options.tolerance &&
-                std::fabs(current.ip(i).acceleration /
-                              before.ip(i).acceleration -
-                          1.0) < options.tolerance;
-        }
+        bool converged = true;
+        for (const Param &p : knobs)
+            converged = converged &&
+                        std::fabs(p.read(current, any) /
+                                      p.read(before, any) -
+                                  1.0) < options.tolerance;
         if (converged)
             break;
     }

@@ -28,43 +28,6 @@ Sensitivity::elasticity(double value,
            (std::log(up) - std::log(down));
 }
 
-namespace {
-
-/** One elasticity probe: which model term, and its base value. */
-struct Probe {
-    enum class Kind { Ppeak, Bpeak, Acceleration, IpBandwidth,
-                      Intensity };
-    std::string name;
-    Kind kind;
-    size_t ip;
-    double value;
-};
-
-void
-applyProbeLane(GablesPack<kGridWidth> &pack, size_t lane, const Probe &p,
-               double v)
-{
-    switch (p.kind) {
-    case Probe::Kind::Ppeak:
-        pack.setPpeak(lane, v);
-        break;
-    case Probe::Kind::Bpeak:
-        pack.setBpeak(lane, v);
-        break;
-    case Probe::Kind::Acceleration:
-        pack.setAcceleration(lane, p.ip, v);
-        break;
-    case Probe::Kind::IpBandwidth:
-        pack.setIpBandwidth(lane, p.ip, v);
-        break;
-    case Probe::Kind::Intensity:
-        pack.setIntensity(lane, p.ip, v);
-        break;
-    }
-}
-
-} // namespace
-
 std::vector<SensitivityEntry>
 Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
                      double rel_step)
@@ -72,24 +35,19 @@ Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
     GABLES_SPAN("sensitivity.analyze");
     GablesPack<1> base(soc, usecase);
 
-    std::vector<Probe> probes;
+    std::vector<Param> probes;
     probes.reserve(2 * soc.numIps() + 1 + usecase.numIps());
-    probes.push_back({"Ppeak", Probe::Kind::Ppeak, 0, soc.ppeak()});
-    probes.push_back({"Bpeak", Probe::Kind::Bpeak, 0, soc.bpeak()});
+    probes.push_back(Param::ppeak());
+    probes.push_back(Param::bpeak());
     for (size_t i = 1; i < soc.numIps(); ++i)
-        probes.push_back({"A[" + std::to_string(i) + "]",
-                          Probe::Kind::Acceleration, i,
-                          soc.ip(i).acceleration});
+        probes.push_back(Param::acceleration(i));
     for (size_t i = 0; i < soc.numIps(); ++i)
-        probes.push_back({"B[" + std::to_string(i) + "]",
-                          Probe::Kind::IpBandwidth, i,
-                          soc.ip(i).bandwidth});
+        probes.push_back(Param::ipBandwidth(i));
     for (size_t i = 0; i < usecase.numIps(); ++i) {
         const IpWork &w = usecase.at(i);
         if (w.fraction == 0.0 || std::isinf(w.intensity))
             continue;
-        probes.push_back({"I[" + std::to_string(i) + "]",
-                          Probe::Kind::Intensity, i, w.intensity});
+        probes.push_back(Param::intensity(i));
     }
 
     // Two lanes per probe (the up and down perturbations), W/2 probes
@@ -106,15 +64,16 @@ Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
         if (p0 != 0)
             pack.broadcast(base); // clear the previous pass's lanes
         for (size_t j = 0; j < cnt; ++j) {
-            const Probe &p = probes[p0 + j];
-            GABLES_ASSERT(p.value > 0.0,
+            const Param p = probes[p0 + j];
+            const double value = p.read(soc, usecase);
+            GABLES_ASSERT(value > 0.0,
                           "elasticity needs a positive parameter");
             GABLES_ASSERT(rel_step > 0.0 && rel_step < 1.0,
                           "bad probe step");
-            ups[j] = p.value * (1.0 + rel_step);
-            downs[j] = p.value / (1.0 + rel_step);
-            applyProbeLane(pack, 2 * j, p, ups[j]);
-            applyProbeLane(pack, 2 * j + 1, p, downs[j]);
+            ups[j] = value * (1.0 + rel_step);
+            downs[j] = value / (1.0 + rel_step);
+            pack.set(2 * j, p, ups[j]);
+            pack.set(2 * j + 1, p, downs[j]);
         }
         pack.run(2 * cnt);
         for (size_t j = 0; j < cnt; ++j) {
@@ -124,7 +83,7 @@ Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
                           "performance must stay positive during "
                           "probing");
             entries.push_back(
-                {probes[p0 + j].name,
+                {probes[p0 + j].name(),
                  (std::log(perf_up) - std::log(perf_down)) /
                      (std::log(ups[j]) - std::log(downs[j]))});
         }

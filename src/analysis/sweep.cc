@@ -114,60 +114,24 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
             double f0[kGridWidth] = {};
             for (size_t w = 0; w < cnt; ++w)
                 f0[w] = 1.0 - fs[w];
-            pack.setFractionRow(0, f0, cnt);
-            pack.setFractionRow(1, fs, cnt);
+            pack.setLanes(Param::fraction(0), f0, cnt);
+            pack.setLanes(Param::fraction(1), fs, cnt);
         },
         base, jobs, stats);
 }
 
 Series
-Sweep::bpeak(const SocSpec &soc, const Usecase &usecase,
+Sweep::param(const SocSpec &soc, const Usecase &usecase, Param p,
              const std::vector<double> &values, int jobs,
              parallel::ForStats *stats)
 {
-    return fillWith(
-        "Bpeak sweep", soc, usecase, values,
-        [](GablesPack<kGridWidth> &pack, const double *bs, size_t cnt) {
-            pack.setBpeakLanes(bs, cnt);
-        },
-        1.0, jobs, stats);
-}
-
-Series
-Sweep::intensity(const SocSpec &soc, const Usecase &usecase, size_t ip,
-                 const std::vector<double> &values, int jobs,
-                 parallel::ForStats *stats)
-{
-    return fillWith(
-        "I[" + std::to_string(ip) + "] sweep", soc, usecase, values,
-        [ip](GablesPack<kGridWidth> &pack, const double *is,
-             size_t cnt) { pack.setIntensityRow(ip, is, cnt); },
-        1.0, jobs, stats);
-}
-
-Series
-Sweep::acceleration(const SocSpec &soc, const Usecase &usecase, size_t ip,
-                    const std::vector<double> &values, int jobs,
-                    parallel::ForStats *stats)
-{
-    if (ip == 0)
+    if (p == Param::acceleration(0))
         fatal("cannot sweep A0: the paper fixes A0 = 1");
     return fillWith(
-        "A[" + std::to_string(ip) + "] sweep", soc, usecase, values,
-        [ip](GablesPack<kGridWidth> &pack, const double *as,
-             size_t cnt) { pack.setAccelerationRow(ip, as, cnt); },
-        1.0, jobs, stats);
-}
-
-Series
-Sweep::ipBandwidth(const SocSpec &soc, const Usecase &usecase, size_t ip,
-                   const std::vector<double> &values, int jobs,
-                   parallel::ForStats *stats)
-{
-    return fillWith(
-        "B[" + std::to_string(ip) + "] sweep", soc, usecase, values,
-        [ip](GablesPack<kGridWidth> &pack, const double *bs,
-             size_t cnt) { pack.setIpBandwidthRow(ip, bs, cnt); },
+        p.name() + " sweep", soc, usecase, values,
+        [p](GablesPack<kGridWidth> &pack, const double *vs, size_t cnt) {
+            pack.setLanes(p, vs, cnt);
+        },
         1.0, jobs, stats);
 }
 

@@ -18,7 +18,7 @@
 
 namespace gables {
 
-/** A named (x, y) series, the unit of plotting and CSV output. */
+/** A named (x, y) series, the unit of plotting. */
 struct Series {
     /** Display label, e.g. "I = 64". */
     std::string label;
@@ -39,13 +39,13 @@ struct Series {
  * When @p stats is non-null it receives the worker count and
  * per-worker busy time for telemetry RunReports.
  *
- * The model drivers (mixing, bpeak, intensity, acceleration,
- * ipBandwidth) run on per-worker GablesPack<kGridWidth> instances:
- * the (SoC, usecase) pair is compiled once, each worker's pack
- * evaluates kGridWidth grid points per pass, and each pass stages one
- * parameter row instead of rebuilding a spec copy per point. Lanes are
- * written into pre-sized slots, so the output is bit-identical to the
- * per-point GablesModel::evaluate() path for any job count.
+ * The model drivers (mixing, param) run on per-worker
+ * GablesPack<kGridWidth> instances: the (SoC, usecase) pair is
+ * compiled once, each worker's pack evaluates kGridWidth grid points
+ * per pass, and each pass stages one parameter row instead of
+ * rebuilding a spec copy per point. Lanes are written into pre-sized
+ * slots, so the output is bit-identical to the per-point
+ * GablesModel::evaluate() path for any job count.
  */
 class Sweep
 {
@@ -71,43 +71,21 @@ class Sweep
                          parallel::ForStats *stats = nullptr);
 
     /**
-     * Sweep off-chip bandwidth Bpeak over @p values for a fixed
-     * usecase, reporting attainable performance (the Figure 6b->6c
-     * question: "is more DRAM bandwidth the fix?").
+     * Sweep one model input over @p values for a fixed pair, holding
+     * everything else fixed, and report attainable performance. The
+     * label is the input's name plus " sweep" (e.g. "Bpeak sweep",
+     * "I[1] sweep"). Bpeak asks the Figure 6b->6c question ("is more
+     * DRAM bandwidth the fix?"), I[i] the Figure 6c->6d one ("what
+     * does data reuse buy?"), A[i] the over-design question of paper
+     * conjecture 3.
+     *
+     * @throws FatalError for A0, which the paper fixes at 1, and for
+     *         values the model rejects.
      */
-    static Series bpeak(const SocSpec &soc, const Usecase &usecase,
-                        const std::vector<double> &values,
+    static Series param(const SocSpec &soc, const Usecase &usecase,
+                        Param p, const std::vector<double> &values,
                         int jobs = 1,
                         parallel::ForStats *stats = nullptr);
-
-    /**
-     * Sweep IP @p ip's operational intensity over @p values, holding
-     * everything else fixed (the Figure 6c->6d question: "what does
-     * data reuse buy?").
-     */
-    static Series intensity(const SocSpec &soc, const Usecase &usecase,
-                            size_t ip, const std::vector<double> &values,
-                            int jobs = 1,
-                            parallel::ForStats *stats = nullptr);
-
-    /**
-     * Sweep IP @p ip's acceleration Ai over @p values (the
-     * over-design question of paper conjecture 3).
-     */
-    static Series acceleration(const SocSpec &soc, const Usecase &usecase,
-                               size_t ip,
-                               const std::vector<double> &values,
-                               int jobs = 1,
-                               parallel::ForStats *stats = nullptr);
-
-    /**
-     * Sweep IP @p ip's link bandwidth Bi over @p values.
-     */
-    static Series ipBandwidth(const SocSpec &soc, const Usecase &usecase,
-                              size_t ip,
-                              const std::vector<double> &values,
-                              int jobs = 1,
-                              parallel::ForStats *stats = nullptr);
 
     /**
      * Generic sweep: apply @p evaluate to each x and record the

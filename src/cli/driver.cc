@@ -1096,7 +1096,7 @@ cmdExplore(int argc, const char *const *argv)
     std::vector<double> bpeaks;
     for (long i = 0; i < points; ++i)
         bpeaks.push_back(15e9 + i * 15e9);
-    explorer.sweepBpeak(bpeaks);
+    explorer.sweep(Param::bpeak(), bpeaks);
     int jobs = resolveJobs(args);
     ExploreOptions opts;
     opts.jobs = jobs;

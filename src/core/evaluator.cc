@@ -76,93 +76,78 @@ GablesPack<W>::fillRow(size_t i, double acceleration, double bandwidth,
     }
 }
 
-// The bulk row setters live here (not inline in the header) so they
-// compile under the evaluator vector flags: validation runs as a
-// scalar lane-order loop (same first-failure message as the per-lane
-// mutators), then the stores vectorize.
-
+// setLanes() lives here (not inline in the header) so it compiles
+// under the evaluator vector flags: validation runs as a scalar
+// lane-order loop (same first-failure message as set()), then the
+// stores vectorize.
 template <size_t W>
 void
-GablesPack<W>::setFractionRow(size_t i, const double *fractions,
-                              size_t cnt)
+GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
 {
-    checkIp(i);
+    const size_t i = p.ip;
+    if (p.perIp())
+        checkIp(i);
     checkCount(cnt);
     const size_t o = i * W;
-    for (size_t w = 0; w < cnt; ++w)
-        checkWork(i, fractions[w], intensity_[o + w]);
-    double *__restrict__ fr = fraction_.data() + o;
-    double *__restrict__ ie = intensityEff_.data() + o;
-    const double *__restrict__ in = intensity_.data() + o;
+    switch (p.kind) {
+    case Param::Kind::Ppeak:
+        for (size_t w = 0; w < cnt; ++w)
+            checkPpeak(values[w]);
+        for (size_t w = 0; w < cnt; ++w)
+            ppeak_[w] = values[w];
+        markDirty(0, n_);
+        return;
+    case Param::Kind::Bpeak:
+        for (size_t w = 0; w < cnt; ++w)
+            checkBpeak(values[w]);
+        // Memory time is derived at run(), so no row dirtying.
+        for (size_t w = 0; w < cnt; ++w)
+            bpeak_[w] = values[w];
+        return;
+    case Param::Kind::Acceleration: {
+        for (size_t w = 0; w < cnt; ++w)
+            checkAcceleration(i, values[w]);
+        double *__restrict__ ac = accel_.data() + o;
+        for (size_t w = 0; w < cnt; ++w)
+            ac[w] = values[w];
+        break;
+    }
+    case Param::Kind::IpBandwidth: {
+        for (size_t w = 0; w < cnt; ++w)
+            checkBandwidth(i, values[w]);
+        double *__restrict__ bw = bandwidth_.data() + o;
+        for (size_t w = 0; w < cnt; ++w)
+            bw[w] = values[w];
+        break;
+    }
+    case Param::Kind::Fraction: {
+        for (size_t w = 0; w < cnt; ++w)
+            checkWork(i, values[w], intensity_[o + w]);
+        double *__restrict__ fr = fraction_.data() + o;
+        double *__restrict__ ie = intensityEff_.data() + o;
+        const double *__restrict__ in = intensity_.data() + o;
 #pragma omp simd
-    for (size_t w = 0; w < cnt; ++w) {
-        fr[w] = fractions[w];
-        ie[w] = fractions[w] > 0.0 ? in[w] : 1.0;
+        for (size_t w = 0; w < cnt; ++w) {
+            fr[w] = values[w];
+            ie[w] = values[w] > 0.0 ? in[w] : 1.0;
+        }
+        break;
+    }
+    case Param::Kind::Intensity: {
+        for (size_t w = 0; w < cnt; ++w)
+            checkIntensity(i, fraction_[o + w], values[w]);
+        double *__restrict__ in = intensity_.data() + o;
+        double *__restrict__ ie = intensityEff_.data() + o;
+        const double *__restrict__ fr = fraction_.data() + o;
+#pragma omp simd
+        for (size_t w = 0; w < cnt; ++w) {
+            in[w] = values[w];
+            ie[w] = fr[w] > 0.0 ? values[w] : 1.0;
+        }
+        break;
+    }
     }
     markDirty(i, i + 1);
-}
-
-template <size_t W>
-void
-GablesPack<W>::setIntensityRow(size_t i, const double *intensities,
-                               size_t cnt)
-{
-    checkIp(i);
-    checkCount(cnt);
-    const size_t o = i * W;
-    for (size_t w = 0; w < cnt; ++w)
-        checkIntensity(i, fraction_[o + w], intensities[w]);
-    double *__restrict__ in = intensity_.data() + o;
-    double *__restrict__ ie = intensityEff_.data() + o;
-    const double *__restrict__ fr = fraction_.data() + o;
-#pragma omp simd
-    for (size_t w = 0; w < cnt; ++w) {
-        in[w] = intensities[w];
-        ie[w] = fr[w] > 0.0 ? intensities[w] : 1.0;
-    }
-    markDirty(i, i + 1);
-}
-
-template <size_t W>
-void
-GablesPack<W>::setAccelerationRow(size_t i, const double *accelerations,
-                                  size_t cnt)
-{
-    checkIp(i);
-    checkCount(cnt);
-    for (size_t w = 0; w < cnt; ++w)
-        checkAcceleration(i, accelerations[w]);
-    double *__restrict__ ac = accel_.data() + i * W;
-    for (size_t w = 0; w < cnt; ++w)
-        ac[w] = accelerations[w];
-    markDirty(i, i + 1);
-}
-
-template <size_t W>
-void
-GablesPack<W>::setIpBandwidthRow(size_t i, const double *bandwidths,
-                                 size_t cnt)
-{
-    checkIp(i);
-    checkCount(cnt);
-    for (size_t w = 0; w < cnt; ++w)
-        checkBandwidth(i, bandwidths[w]);
-    double *__restrict__ bw = bandwidth_.data() + i * W;
-    for (size_t w = 0; w < cnt; ++w)
-        bw[w] = bandwidths[w];
-    markDirty(i, i + 1);
-}
-
-template <size_t W>
-void
-GablesPack<W>::setBpeakLanes(const double *bpeaks, size_t cnt)
-{
-    checkCount(cnt);
-    for (size_t w = 0; w < cnt; ++w)
-        checkBpeak(bpeaks[w]);
-    // Memory time is derived at run(), so no row dirtying.
-    for (size_t w = 0; w < cnt; ++w)
-        bpeak_[w] = bpeaks[w];
 }
 
 template <size_t W>
@@ -173,7 +158,7 @@ GablesPack<W>::run(size_t activeLanes)
                   "pack run() with more active lanes than the width");
 
     // Phase 1: recompute the dirty rows, with no branch or select at
-    // all — the mutators pre-sanitize the divisor
+    // all — the setters pre-sanitize the divisor
     // (intensityEff_) so that plain division reproduces the model's
     // branches bit-for-bit:
     //  - f == 0: eff is pinned to 1.0, so db = 0/1 = +0.0, the

@@ -8,9 +8,9 @@
  * GablesModel::evaluate() re-validates its inputs, re-derives every
  * per-IP term, and heap-allocates a GablesResult on every call.
  * GablesPack<W> compiles a (SocSpec, Usecase) pair once into W
- * independent lanes of structure-of-arrays state and exposes
- * single-parameter mutators, so a grid point updates one term instead
- * of rebuilding the pair. Evaluation is allocation-free in steady
+ * independent lanes of structure-of-arrays state and sets one input
+ * (a Param) per lane, so a grid point updates one term instead of
+ * rebuilding the pair. Evaluation is allocation-free in steady
  * state, and every number is bit-identical to GablesModel::evaluate()
  * (verified by property tests). W = 1 is the single-point evaluator;
  * the grid drivers run W = kGridWidth points per pass.
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/gables.h"
+#include "core/param.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -54,7 +55,7 @@ inline constexpr size_t kGridWidth = 8;
  * make that hold:
  *  - per-lane arithmetic uses the model's expressions and operand
  *    order (its one branch, fi > 0, is replaced by a divisor the
- *    mutators pin, which is value- and bit-exact in all cases,
+ *    setters pin, which is value- and bit-exact in all cases,
  *    including Ii = inf and idle lanes);
  *  - reductions keep each lane's chain in IP index order — the
  *    vectorized loops batch *across* lanes (w) and never reassociate
@@ -106,110 +107,96 @@ class GablesPack
     /** @return Number of IPs N (identical in every lane). */
     size_t numIps() const { return n_; }
 
-    /** @name Current parameter values of one lane */
-    /** @{ */
-    double ppeak(size_t lane) const
+    /** @return Input @p p of @p lane (p.ip < numIps() for the per-IP
+     * kinds). Always inlined, as set() is: the explorer reads every
+     * lane's Bpeak for its cost. */
+    [[gnu::always_inline]] double get(size_t lane, Param p) const
     {
         checkLane(lane);
-        return ppeak_[lane];
+        if (p.perIp())
+            checkIp(p.ip);
+        const size_t r = p.ip * W + lane;
+        switch (p.kind) {
+        case Param::Kind::Ppeak:
+            return ppeak_[lane];
+        case Param::Kind::Bpeak:
+            return bpeak_[lane];
+        case Param::Kind::Acceleration:
+            return accel_[r];
+        case Param::Kind::IpBandwidth:
+            return bandwidth_[r];
+        case Param::Kind::Fraction:
+            return fraction_[r];
+        case Param::Kind::Intensity:
+            return intensity_[r];
+        }
+        return 0.0;
     }
-    double bpeak(size_t lane) const
-    {
-        checkLane(lane);
-        return bpeak_[lane];
-    }
-    double acceleration(size_t lane, size_t i) const
-    {
-        return accel_.at(row(lane, i));
-    }
-    double ipBandwidth(size_t lane, size_t i) const
-    {
-        return bandwidth_.at(row(lane, i));
-    }
-    double fraction(size_t lane, size_t i) const
-    {
-        return fraction_.at(row(lane, i));
-    }
-    double intensity(size_t lane, size_t i) const
-    {
-        return intensity_.at(row(lane, i));
-    }
-    /** @} */
 
     /**
-     * @name Per-lane single-parameter mutators
+     * Replace input @p p of one lane.
      *
      * @p lane < W selects the point. Values are checked with the
      * invariants the SocSpec/Usecase constructors enforce (positive
-     * finite hardware parameters, non-negative fractions, positive
-     * intensity wherever work is assigned); the fractions-sum-to-one
-     * invariant is the caller's contract, since drivers set several
-     * fractions in sequence. A rejected value leaves the pack
-     * untouched. Mutations are buffered — run() recomputes only rows
-     * a mutation touched. Defined inline: drivers stage one mutation
-     * per lane per point, so the call is on the critical path.
+     * finite hardware parameters, A0 = 1, non-negative fractions,
+     * positive intensity wherever work is assigned); the
+     * fractions-sum-to-one invariant is the caller's contract, since
+     * drivers set several fractions in sequence. A rejected value
+     * leaves the pack untouched. Mutations are buffered: run()
+     * recomputes only rows a mutation touched. Always inlined: drivers
+     * stage one mutation per lane per point, so the call is on the
+     * critical path, and the inliner would otherwise keep a call per
+     * lane for a switch that folds to one case.
      */
-    /** @{ */
-    /** Replace Ppeak (rescales every IP's compute roof). */
-    void setPpeak(size_t lane, double ppeak)
+    [[gnu::always_inline]] void set(size_t lane, Param p, double v)
     {
         checkLane(lane);
-        if (!(ppeak > 0.0) || std::isinf(ppeak))
-            fatal("evaluator: Ppeak must be positive and finite");
-        ppeak_[lane] = ppeak;
-        markDirty(0, n_);
-    }
-
-    /** Replace the off-chip bandwidth Bpeak. */
-    void setBpeak(size_t lane, double bpeak)
-    {
-        checkLane(lane);
-        checkBpeak(bpeak);
-        // Memory time is derived at run(), so no row changes.
-        bpeak_[lane] = bpeak;
-    }
-
-    /** Replace IP @p i's acceleration Ai (A0 must stay 1). */
-    void setAcceleration(size_t lane, size_t i, double acceleration)
-    {
-        checkLane(lane);
-        checkIp(i);
-        checkAcceleration(i, acceleration);
-        accel_[i * W + lane] = acceleration;
-        markDirty(i, i + 1);
-    }
-
-    /** Replace IP @p i's link bandwidth Bi. */
-    void setIpBandwidth(size_t lane, size_t i, double bandwidth)
-    {
-        checkLane(lane);
-        checkIp(i);
-        checkBandwidth(i, bandwidth);
-        bandwidth_[i * W + lane] = bandwidth;
-        markDirty(i, i + 1);
-    }
-
-    /** Replace the work fraction fi at IP @p i. */
-    void setFraction(size_t lane, size_t i, double fraction)
-    {
-        checkLane(lane);
-        checkIp(i);
-        setWork(lane, i, fraction, intensity_[i * W + lane]);
-    }
-
-    /** Replace the operational intensity Ii at IP @p i. */
-    void setIntensity(size_t lane, size_t i, double intensity)
-    {
-        checkLane(lane);
-        checkIp(i);
+        if (p.perIp())
+            checkIp(p.ip);
+        const size_t i = p.ip;
         const size_t r = i * W + lane;
-        checkIntensity(i, fraction_[r], intensity);
-        intensity_[r] = intensity;
-        intensityEff_[r] = fraction_[r] > 0.0 ? intensity : 1.0;
+        switch (p.kind) {
+        case Param::Kind::Ppeak:
+            // Rescales every IP's compute roof.
+            checkPpeak(v);
+            ppeak_[lane] = v;
+            markDirty(0, n_);
+            return;
+        case Param::Kind::Bpeak:
+            // Memory time is derived at run(), so no row changes.
+            checkBpeak(v);
+            bpeak_[lane] = v;
+            return;
+        case Param::Kind::Acceleration:
+            checkAcceleration(i, v);
+            accel_[r] = v;
+            break;
+        case Param::Kind::IpBandwidth:
+            checkBandwidth(i, v);
+            bandwidth_[r] = v;
+            break;
+        case Param::Kind::Fraction:
+            setWork(lane, i, v, intensity_[r]);
+            return;
+        case Param::Kind::Intensity:
+            checkIntensity(i, fraction_[r], v);
+            intensity_[r] = v;
+            intensityEff_[r] = fraction_[r] > 0.0 ? v : 1.0;
+            break;
+        }
         markDirty(i, i + 1);
     }
 
-    /** Replace both work terms of IP @p i. */
+    /**
+     * Set input @p p across the first @p cnt lanes from an array: one
+     * call stages a whole batch of grid points. Validation is that of
+     * set(), applied in lane order (the first invalid lane produces
+     * the same fatal()). Lanes >= cnt keep their previous values.
+     */
+    void setLanes(Param p, const double *values, size_t cnt);
+
+    /** Replace both work terms of IP @p i (fi and Ii are checked
+     * together). */
     void setWork(size_t lane, size_t i, double fraction, double intensity)
     {
         checkLane(lane);
@@ -221,28 +208,6 @@ class GablesPack
         intensityEff_[r] = fraction > 0.0 ? intensity : 1.0;
         markDirty(i, i + 1);
     }
-    /** @} */
-
-    /**
-     * @name Bulk row staging
-     *
-     * Set one parameter across the first @p cnt lanes from an array
-     * — one call stages a whole batch of grid points. Validation is
-     * identical to the per-lane mutators, applied in lane order (the
-     * first invalid lane produces the same fatal()). Lanes >= cnt
-     * keep their previous values.
-     */
-    /** @{ */
-    void setFractionRow(size_t i, const double *fractions, size_t cnt);
-    void setIntensityRow(size_t i, const double *intensities,
-                         size_t cnt);
-    void setAccelerationRow(size_t i, const double *accelerations,
-                            size_t cnt);
-    void setIpBandwidthRow(size_t i, const double *bandwidths,
-                           size_t cnt);
-    /** Per-lane Bpeak from an array (no row recompute needed). */
-    void setBpeakLanes(const double *bpeaks, size_t cnt);
-    /** @} */
 
     /**
      * Evaluate all lanes: recompute dirty rows, reduce, and cache
@@ -295,63 +260,90 @@ class GablesPack
   private:
     template <size_t> friend class GablesPack;
 
-    size_t row(size_t lane, size_t i) const
+    /** fatal() with the message @p msg builds. Out of line, so the
+     * checks below stay small enough to inline into set() and
+     * setLanes(). */
+    template <typename Msg>
+    [[noreturn, gnu::cold, gnu::noinline]] static void reject(Msg msg)
     {
-        checkLane(lane);
-        return i * W + lane;
+        fatal(msg());
     }
 
     void checkLane(size_t lane) const
     {
         if (lane >= W)
-            fatal("evaluator: pack lane " + std::to_string(lane) +
-                  " out of range (W=" + std::to_string(W) + ")");
+            reject([lane] {
+                return "evaluator: pack lane " + std::to_string(lane) +
+                       " out of range (W=" + std::to_string(W) + ")";
+            });
     }
 
     void checkIp(size_t i) const
     {
         if (i >= n_)
-            fatal("evaluator: IP index " + std::to_string(i) +
-                  " out of range (N=" + std::to_string(n_) + ")");
+            reject([i, n = n_] {
+                return "evaluator: IP index " + std::to_string(i) +
+                       " out of range (N=" + std::to_string(n) + ")";
+            });
     }
 
-    /** @name Value checks shared by the per-lane and row setters */
+    /** @name Value checks shared by set() and setLanes() */
     /** @{ */
+    static void checkPpeak(double ppeak)
+    {
+        if (!(ppeak > 0.0) || std::isinf(ppeak))
+            reject([] {
+                return "evaluator: Ppeak must be positive and finite";
+            });
+    }
+
     static void checkBpeak(double bpeak)
     {
         if (!(bpeak > 0.0) || std::isinf(bpeak))
-            fatal("evaluator: Bpeak must be positive and finite");
+            reject([] {
+                return "evaluator: Bpeak must be positive and finite";
+            });
     }
 
     static void checkAcceleration(size_t i, double acceleration)
     {
         if (!(acceleration > 0.0) || std::isinf(acceleration))
-            fatal("evaluator: IP[" + std::to_string(i) +
-                  "] acceleration must be positive and finite");
+            reject([i] {
+                return "evaluator: IP[" + std::to_string(i) +
+                       "] acceleration must be positive and finite";
+            });
         if (i == 0 && acceleration != 1.0)
-            fatal("evaluator: IP[0] acceleration A0 must be 1 "
-                  "(paper Section III-D)");
+            reject([] {
+                return "evaluator: IP[0] acceleration A0 must be 1 "
+                       "(paper Section III-D)";
+            });
     }
 
     static void checkBandwidth(size_t i, double bandwidth)
     {
         if (!(bandwidth > 0.0) || std::isinf(bandwidth))
-            fatal("evaluator: IP[" + std::to_string(i) +
-                  "] bandwidth must be positive and finite");
+            reject([i] {
+                return "evaluator: IP[" + std::to_string(i) +
+                       "] bandwidth must be positive and finite";
+            });
     }
 
     static void checkIntensity(size_t i, double fraction, double intensity)
     {
         if (fraction > 0.0 && !(intensity > 0.0))
-            fatal("evaluator: intensity I[" + std::to_string(i) +
-                  "] must be > 0 where work is assigned");
+            reject([i] {
+                return "evaluator: intensity I[" + std::to_string(i) +
+                       "] must be > 0 where work is assigned";
+            });
     }
 
     static void checkWork(size_t i, double fraction, double intensity)
     {
         if (!(fraction >= 0.0) || std::isinf(fraction))
-            fatal("evaluator: fraction f[" + std::to_string(i) +
-                  "] must be in [0, 1]");
+            reject([i] {
+                return "evaluator: fraction f[" + std::to_string(i) +
+                       "] must be in [0, 1]";
+            });
         checkIntensity(i, fraction, intensity);
     }
     /** @} */
@@ -359,8 +351,11 @@ class GablesPack
     static void checkCount(size_t cnt)
     {
         if (cnt > W)
-            fatal("evaluator: bulk lane count " + std::to_string(cnt) +
-                  " exceeds pack width W=" + std::to_string(W));
+            reject([cnt] {
+                return "evaluator: bulk lane count " +
+                       std::to_string(cnt) + " exceeds pack width W=" +
+                       std::to_string(W);
+            });
     }
 
     void markDirty(size_t lo, size_t hi)
@@ -418,7 +413,7 @@ class GablesPack
     uint64_t evals_ = 0;
 };
 
-// run() and the row setters are compiled once, in evaluator.cc, under
+// run() and setLanes() are compiled once, in evaluator.cc, under
 // the evaluator vectorization flags.
 extern template class GablesPack<1>;
 extern template class GablesPack<kGridWidth>;

@@ -74,29 +74,31 @@ SocSpec::ipIndex(const std::string &name) const
 }
 
 SocSpec
-SocSpec::withBpeak(double bpeak) const
+SocSpec::with(Param p, double value) const
 {
-    return SocSpec(name_, ppeak_, bpeak, ips_);
-}
-
-SocSpec
-SocSpec::withIpBandwidth(size_t i, double bandwidth) const
-{
-    std::vector<IpSpec> ips = ips_;
-    if (i >= ips.size())
-        fatal("withIpBandwidth: IP index out of range");
-    ips[i].bandwidth = bandwidth;
-    return SocSpec(name_, ppeak_, bpeak_, std::move(ips));
-}
-
-SocSpec
-SocSpec::withIpAcceleration(size_t i, double acceleration) const
-{
-    std::vector<IpSpec> ips = ips_;
-    if (i >= ips.size())
-        fatal("withIpAcceleration: IP index out of range");
-    ips[i].acceleration = acceleration;
-    return SocSpec(name_, ppeak_, bpeak_, std::move(ips));
+    if (p.perIp())
+        ip(p.ip); // the range check, with this SoC's message
+    SocSpec copy = *this;
+    switch (p.kind) {
+    case Param::Kind::Ppeak:
+        copy.ppeak_ = value;
+        break;
+    case Param::Kind::Bpeak:
+        copy.bpeak_ = value;
+        break;
+    case Param::Kind::Acceleration:
+        copy.ips_[p.ip].acceleration = value;
+        break;
+    case Param::Kind::IpBandwidth:
+        copy.ips_[p.ip].bandwidth = value;
+        break;
+    case Param::Kind::Fraction:
+    case Param::Kind::Intensity:
+        fatal("SoC '" + name_ + "': " + p.name() +
+              " is a usecase input");
+    }
+    copy.validate();
+    return copy;
 }
 
 SocSpec

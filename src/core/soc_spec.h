@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/param.h"
 #include "core/roofline.h"
 
 namespace gables {
@@ -86,14 +87,13 @@ class SocSpec
      */
     size_t ipIndex(const std::string &name) const;
 
-    /** @return A copy with off-chip bandwidth replaced by @p bpeak. */
-    SocSpec withBpeak(double bpeak) const;
-
-    /** @return A copy with IP @p i's bandwidth replaced. */
-    SocSpec withIpBandwidth(size_t i, double bandwidth) const;
-
-    /** @return A copy with IP @p i's acceleration replaced. */
-    SocSpec withIpAcceleration(size_t i, double acceleration) const;
+    /**
+     * @return A copy with hardware input @p p (Ppeak, Bpeak, A[i] or
+     * B[i]) replaced by @p value.
+     * @throws FatalError for a usecase input, an IP index out of
+     *         range, or a copy that fails validate().
+     */
+    SocSpec with(Param p, double value) const;
 
     /** @return A copy with an extra IP appended. */
     SocSpec withIp(IpSpec ip) const;

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <chrono>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -263,11 +264,11 @@ handleEval(EvaluatorCache::Entry &entry, bool hit, const JsonValue &req)
     return out.str();
 }
 
-/** Sweep one axis over @p values, kGridWidth values per pass. */
+/** Sweep one input over @p values, kGridWidth values per pass. */
 void
-sweepPacked(GablesPack<kGridWidth> &pack, const std::string &axis,
-            size_t ip, const std::vector<double> &values,
-            const Deadline &deadline, std::vector<double> &attainable)
+sweepPacked(GablesPack<kGridWidth> &pack, Param p,
+            const std::vector<double> &values, const Deadline &deadline,
+            std::vector<double> &attainable)
 {
     constexpr size_t W = kGridWidth;
     // Check the deadline about every 1024 points.
@@ -282,45 +283,65 @@ sweepPacked(GablesPack<kGridWidth> &pack, const std::string &axis,
             next_check += 1024;
         }
         const size_t cnt = std::min(W, values.size() - p0);
-        const double *vs = values.data() + p0;
-        if (axis == "intensity")
-            pack.setIntensityRow(ip, vs, cnt);
-        else if (axis == "fraction")
-            pack.setFractionRow(ip, vs, cnt);
-        else
-            pack.setBpeakLanes(vs, cnt);
+        pack.setLanes(p, values.data() + p0, cnt);
         pack.run(cnt);
         for (size_t w = 0; w < cnt; ++w)
             attainable.push_back(pack.attainable(w));
     }
 }
 
-/** A sweep request's validated axis, values and IP. */
+/** @return The input named @p name in @p names, else nothing. */
+std::optional<Param::Kind>
+lookupKind(const std::string &name,
+           std::initializer_list<std::pair<const char *, Param::Kind>>
+               names)
+{
+    for (const auto &[n, kind] : names) {
+        if (name == n)
+            return kind;
+    }
+    return std::nullopt;
+}
+
+/** The input of a sweep or explore entry: its kind, and for the
+ * per-IP kinds the entry's "ip" field. */
+Param
+resolveParam(Param::Kind kind, const JsonValue &req, const SocSpec &soc)
+{
+    Param p{kind, 0};
+    if (p.perIp())
+        p.ip = resolveIp(req, soc);
+    return p;
+}
+
+/** A sweep request's validated input and values. */
 struct SweepArgs {
-    std::string axis;
+    Param param;
     std::vector<double> values;
-    size_t ip = 0;
 };
 
 SweepArgs
 parseSweep(const JsonValue &req, const SocSpec &soc)
 {
-    SweepArgs args;
-    args.axis = stringField(req, "axis", "");
-    if (args.axis != "intensity" && args.axis != "fraction" &&
-        args.axis != "bpeak")
+    std::optional<Param::Kind> kind =
+        lookupKind(stringField(req, "axis", ""),
+                   {{"intensity", Param::Kind::Intensity},
+                    {"fraction", Param::Kind::Fraction},
+                    {"bpeak", Param::Kind::Bpeak}});
+    if (!kind)
         badRequest("\"axis\" must be \"intensity\", \"fraction\", "
                    "or \"bpeak\"");
     if (!req.has("values") || !req.at("values").isArray() ||
         req.at("values").size() == 0)
         badRequest("missing non-empty \"values\" array");
+    SweepArgs args;
     args.values.reserve(req.at("values").size());
     for (const JsonValue &v : req.at("values").items()) {
         if (!v.isNumber())
             badRequest("\"values\" entries must be numbers");
         args.values.push_back(v.asNumber());
     }
-    args.ip = args.axis == "bpeak" ? 0 : resolveIp(req, soc);
+    args.param = resolveParam(*kind, req, soc);
     return args;
 }
 
@@ -336,8 +357,7 @@ handleSweep(EvaluatorCache::Entry &entry, bool hit, const SweepArgs &args,
     }();
     std::vector<double> attainable;
     attainable.reserve(args.values.size());
-    sweepPacked(pack, args.axis, args.ip, args.values, deadline,
-                attainable);
+    sweepPacked(pack, args.param, args.values, deadline, attainable);
     *sweep_points = attainable.size();
 
     std::ostringstream out;
@@ -386,20 +406,16 @@ handleExplore(const JsonValue &req, uint64_t *model_evals)
                 badRequest("sweep \"values\" must be numbers");
             values.push_back(v.asNumber());
         }
-        if (knob == "bpeak") {
-            explorer.sweepBpeak(std::move(values));
-        } else if (knob == "acceleration") {
-            explorer.sweepAcceleration(resolveIp(s, soc),
-                                       std::move(values));
-        } else if (knob == "ip_bandwidth") {
-            explorer.sweepIpBandwidth(resolveIp(s, soc),
-                                      std::move(values));
-        } else {
+        std::optional<Param::Kind> kind =
+            lookupKind(knob, {{"bpeak", Param::Kind::Bpeak},
+                              {"acceleration", Param::Kind::Acceleration},
+                              {"ip_bandwidth", Param::Kind::IpBandwidth}});
+        if (!kind)
             badRequest("sweep \"knob\" must be \"bpeak\", "
                        "\"acceleration\", or \"ip_bandwidth\"" +
                        didYouMean(knob, {"bpeak", "acceleration",
                                          "ip_bandwidth"}));
-        }
+        explorer.sweep(resolveParam(*kind, s, soc), std::move(values));
     }
 
     // Requests stay serial internally; batch-level parallelism is

@@ -35,33 +35,69 @@ SocCatalog::byName(const std::string &name)
           " (try " + join(names, ", ") + ")");
 }
 
+namespace {
+
+/**
+ * The calibration anchors of one Snapdragon: its DRAM bandwidth and
+ * each engine's peak ops and stream bandwidth. The spec and the
+ * simulator of a chip are both built from one of these, so the spec
+ * cannot drift from the simulator it is checked against.
+ */
+struct Calibration {
+    double dramBw;
+    double cpuOps;
+    double cpuBw;
+    double gpuOps;
+    double gpuBw;
+    double dspOps;
+    double dspBw;
+};
+
+constexpr Calibration kSd835{.dramBw = SocCatalog::kChipDramBw,
+                             .cpuOps = SocCatalog::kCpuPeakOps,
+                             .cpuBw = SocCatalog::kCpuStreamBw,
+                             .gpuOps = SocCatalog::kGpuPeakOps,
+                             .gpuBw = SocCatalog::kGpuStreamBw,
+                             .dspOps = SocCatalog::kDspPeakOps,
+                             .dspBw = SocCatalog::kDspStreamBw};
+
+// Previous generation: ~15% lower CPU throughput, Adreno 530 (~407
+// GFLOPS theoretical, ~250 achieved-scale), LPDDR4 at a slightly
+// lower effective rate.
+constexpr Calibration kSd821{.dramBw = 28.0e9,
+                             .cpuOps = 6.4e9,
+                             .cpuBw = 14.0e9,
+                             .gpuOps = 250.0e9,
+                             .gpuBw = 22.0e9,
+                             .dspOps = 2.4e9,
+                             .dspBw = 5.0e9};
+
+/** The spec of a calibrated Snapdragon. Accelerations are relative
+ * to the CPU's measured (non-SIMD) peak, matching the paper's A1 =
+ * 349.6 / 7.5 ~ 46.6 estimate for the 835. */
+SocSpec
+snapdragonSpec(const std::string &name, const Calibration &c)
+{
+    return SocSpec(name, c.cpuOps, c.dramBw,
+                   {
+                       IpSpec{"CPU", 1.0, c.cpuBw},
+                       IpSpec{"GPU", c.gpuOps / c.cpuOps, c.gpuBw},
+                       IpSpec{"DSP", c.dspOps / c.cpuOps, c.dspBw},
+                   });
+}
+
+} // namespace
+
 SocSpec
 SocCatalog::snapdragon835()
 {
-    // Accelerations are relative to the CPU's measured (non-SIMD)
-    // peak, matching the paper's A1 = 349.6 / 7.5 ~ 46.6 estimate.
-    return SocSpec(
-        "Snapdragon 835", kCpuPeakOps, kChipDramBw,
-        {
-            IpSpec{"CPU", 1.0, kCpuStreamBw},
-            IpSpec{"GPU", kGpuPeakOps / kCpuPeakOps, kGpuStreamBw},
-            IpSpec{"DSP", kDspPeakOps / kCpuPeakOps, kDspStreamBw},
-        });
+    return snapdragonSpec("Snapdragon 835", kSd835);
 }
 
 SocSpec
 SocCatalog::snapdragon821()
 {
-    // Previous generation: ~15% lower CPU throughput, Adreno 530
-    // (~407 GFLOPS theoretical, ~250 achieved-scale), LPDDR4 at a
-    // slightly lower effective rate.
-    const double cpu = 6.4e9;
-    return SocSpec("Snapdragon 821", cpu, 28.0e9,
-                   {
-                       IpSpec{"CPU", 1.0, 14.0e9},
-                       IpSpec{"GPU", 250.0e9 / cpu, 22.0e9},
-                       IpSpec{"DSP", 2.4e9 / cpu, 5.0e9},
-                   });
+    return snapdragonSpec("Snapdragon 821", kSd821);
 }
 
 SocSpec
@@ -109,22 +145,18 @@ SocCatalog::paperTwoIp()
 SocSpec
 SocCatalog::paperTwoIpBalanced()
 {
-    return paperTwoIp().withBpeak(20.0e9);
+    return paperTwoIp().with(Param::bpeak(), 20.0e9);
 }
 
 namespace {
 
-/**
- * Shared builder for the simulated Snapdragons; parameters are the
- * calibration anchors for each engine.
- */
+/** Shared builder for the simulated Snapdragons, from a chip's
+ * calibration anchors. */
 std::unique_ptr<sim::SimSoc>
-buildSnapdragonSim(const std::string &name, double dram_bw,
-                   double cpu_ops, double cpu_bw, double gpu_ops,
-                   double gpu_bw, double dsp_ops, double dsp_bw)
+buildSnapdragonSim(const std::string &name, const Calibration &c)
 {
     auto soc = std::make_unique<sim::SimSoc>(name);
-    soc->setDram(dram_bw, 100e-9);
+    soc->setDram(c.dramBw, 100e-9);
 
     // CPU and GPU share the high-bandwidth fabric; the DSP sits on
     // the slower system fabric (paper Section IV-D attributes its low
@@ -137,11 +169,11 @@ buildSnapdragonSim(const std::string &name, double dram_bw,
     {
         sim::IpEngineConfig cfg;
         cfg.name = "CPU";
-        cfg.opsPerSec = cpu_ops;
+        cfg.opsPerSec = c.cpuOps;
         cfg.requestBytes = 4096.0;
         cfg.maxOutstanding = 8;
         sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = cpu_bw;
+        at.linkBandwidth = c.cpuBw;
         at.linkLatency = 10e-9;
         at.fabric = hb_fabric;
         at.localCapacity = 2.0 * kMiB; // L2
@@ -152,11 +184,11 @@ buildSnapdragonSim(const std::string &name, double dram_bw,
     {
         sim::IpEngineConfig cfg;
         cfg.name = "GPU";
-        cfg.opsPerSec = gpu_ops;
+        cfg.opsPerSec = c.gpuOps;
         cfg.requestBytes = 4096.0;
         cfg.maxOutstanding = 16;
         sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = gpu_bw;
+        at.linkBandwidth = c.gpuBw;
         at.linkLatency = 10e-9;
         at.fabric = hb_fabric;
         at.localCapacity = 1.0 * kMiB; // shader-core caches
@@ -168,11 +200,11 @@ buildSnapdragonSim(const std::string &name, double dram_bw,
     {
         sim::IpEngineConfig cfg;
         cfg.name = "DSP";
-        cfg.opsPerSec = dsp_ops;
+        cfg.opsPerSec = c.dspOps;
         cfg.requestBytes = 4096.0;
         cfg.maxOutstanding = 4;
         sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = dsp_bw;
+        at.linkBandwidth = c.dspBw;
         at.linkLatency = 20e-9;
         at.fabric = sys_fabric;
         at.localCapacity = 512.0 * kKiB; // TCM/SRAM
@@ -189,16 +221,13 @@ buildSnapdragonSim(const std::string &name, double dram_bw,
 std::unique_ptr<sim::SimSoc>
 SocCatalog::snapdragon835Sim()
 {
-    return buildSnapdragonSim("Snapdragon 835 (sim)", kChipDramBw,
-                              kCpuPeakOps, kCpuStreamBw, kGpuPeakOps,
-                              kGpuStreamBw, kDspPeakOps, kDspStreamBw);
+    return buildSnapdragonSim("Snapdragon 835 (sim)", kSd835);
 }
 
 std::unique_ptr<sim::SimSoc>
 SocCatalog::snapdragon821Sim()
 {
-    return buildSnapdragonSim("Snapdragon 821 (sim)", 28.0e9, 6.4e9,
-                              14.0e9, 250.0e9, 22.0e9, 2.4e9, 5.0e9);
+    return buildSnapdragonSim("Snapdragon 821 (sim)", kSd821);
 }
 
 std::unique_ptr<sim::SimSoc>

@@ -1,6 +1,9 @@
 #include "telemetry/report.h"
 
-#include <sstream>
+#include <optional>
+#include <ostream>
+#include <streambuf>
+#include <string>
 
 #include "telemetry/span.h"
 #include "telemetry/stats.h"
@@ -59,6 +62,35 @@ namespace {
 /** The record/replay capture sink (see setCaptureSink()). */
 std::string *g_capture_sink = nullptr;
 
+/** Passes every byte on to a stream buffer and keeps a copy. */
+class TeeBuf : public std::streambuf
+{
+  public:
+    TeeBuf(std::streambuf *out, std::string &copy) : out_(out), copy_(copy)
+    {
+        copy_.clear();
+    }
+
+  protected:
+    int_type overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        copy_.push_back(traits_type::to_char_type(c));
+        return out_->sputc(traits_type::to_char_type(c));
+    }
+
+    std::streamsize xsputn(const char *s, std::streamsize n) override
+    {
+        copy_.append(s, static_cast<size_t>(n));
+        return out_->sputn(s, n);
+    }
+
+  private:
+    std::streambuf *out_;
+    std::string &copy_;
+};
+
 } // namespace
 
 std::string *
@@ -72,18 +104,17 @@ RunReport::setCaptureSink(std::string *sink)
 void
 RunReport::write(std::ostream &out) const
 {
-    writeTo(out);
+    // With a capture sink installed, the bytes go to @p out through a
+    // tee that keeps a copy for the sink: one render either way.
+    std::optional<TeeBuf> tee;
+    std::optional<std::ostream> teed;
     if (g_capture_sink != nullptr) {
-        std::ostringstream oss;
-        writeTo(oss);
-        *g_capture_sink = oss.str();
+        tee.emplace(out.rdbuf(), *g_capture_sink);
+        teed.emplace(&*tee);
     }
-}
+    std::ostream &dst = teed ? *teed : out;
 
-void
-RunReport::writeTo(std::ostream &out) const
-{
-    JsonWriter json(out, true);
+    JsonWriter json(dst, true);
     json.beginObject();
 
     json.key("schema");
@@ -165,7 +196,9 @@ RunReport::writeTo(std::ostream &out) const
     }
 
     json.endObject();
-    out << '\n';
+    dst << '\n';
+    if (teed && !*teed)
+        out.setstate(teed->rdstate());
 }
 
 } // namespace telemetry

@@ -113,8 +113,8 @@ class RunReport
 
     /**
      * Install a process-global capture sink: while non-null, every
-     * write() also stores the serialized report into *@p sink
-     * (latest write wins). This is the record/replay capture hook —
+     * write() also stores the bytes it wrote into *@p sink (latest
+     * write wins). This is the record/replay capture hook —
      * the replay Recorder and the replayer both use it to observe
      * the RunReport an invocation produces without changing any of
      * the run's own outputs.
@@ -125,9 +125,6 @@ class RunReport
     static std::string *setCaptureSink(std::string *sink);
 
   private:
-    /** The write() body; write() tees it into the capture sink. */
-    void writeTo(std::ostream &out) const;
-
     struct ConfigItem {
         std::string key;
         bool isNumber;

@@ -88,62 +88,6 @@ logTicks(double lo, double hi)
 }
 
 double
-bisect(const std::function<double(double)> &fn, double lo, double hi,
-       double tol, int max_iter)
-{
-    double flo = fn(lo);
-    double fhi = fn(hi);
-    if (flo == 0.0)
-        return lo;
-    if (fhi == 0.0)
-        return hi;
-    GABLES_ASSERT((flo < 0.0) != (fhi < 0.0),
-                  "bisect requires a sign change on the bracket");
-    for (int i = 0; i < max_iter && (hi - lo) > tol; ++i) {
-        double mid = 0.5 * (lo + hi);
-        double fmid = fn(mid);
-        if (fmid == 0.0)
-            return mid;
-        if ((fmid < 0.0) == (flo < 0.0)) {
-            lo = mid;
-            flo = fmid;
-        } else {
-            hi = mid;
-        }
-    }
-    return 0.5 * (lo + hi);
-}
-
-double
-goldenSectionMax(const std::function<double(double)> &fn, double lo,
-                 double hi, double tol, int max_iter)
-{
-    static const double phi = (std::sqrt(5.0) - 1.0) / 2.0;
-    double a = lo;
-    double b = hi;
-    double c = b - phi * (b - a);
-    double d = a + phi * (b - a);
-    double fc = fn(c);
-    double fd = fn(d);
-    for (int i = 0; i < max_iter && (b - a) > tol; ++i) {
-        if (fc >= fd) {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - phi * (b - a);
-            fc = fn(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + phi * (b - a);
-            fd = fn(d);
-        }
-    }
-    return 0.5 * (a + b);
-}
-
-double
 clamp(double v, double lo, double hi)
 {
     return std::min(std::max(v, lo), hi);

@@ -2,15 +2,14 @@
  * @file
  * Numeric helpers used throughout the model and analysis code:
  * weighted harmonic means (the memory-roofline intensity of Gables
- * Eq. 7/13), approximate comparison, log-scale tick generation, and
- * simple interpolation/root-finding utilities.
+ * Eq. 7/13), approximate comparison, linear and log-scale grids and
+ * ticks, clamping, and a radix sort for non-negative doubles.
  */
 
 #ifndef GABLES_UTIL_MATH_UTIL_H
 #define GABLES_UTIL_MATH_UTIL_H
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace gables {
@@ -54,29 +53,6 @@ std::vector<double> linspace(double lo, double hi, size_t count);
  * the range.
  */
 std::vector<double> logTicks(double lo, double hi);
-
-/**
- * Bisection root finder for a monotone function on [lo, hi].
- *
- * @param fn    Continuous function with fn(lo) and fn(hi) of opposite
- *              sign (or zero).
- * @param lo    Lower bracket.
- * @param hi    Upper bracket.
- * @param tol   Absolute tolerance on the bracket width.
- * @param max_iter Iteration cap.
- * @return Approximate root.
- */
-double bisect(const std::function<double(double)> &fn, double lo,
-              double hi, double tol = 1e-12, int max_iter = 200);
-
-/**
- * Golden-section maximizer for a unimodal function on [lo, hi].
- *
- * @return The argmax (approximate).
- */
-double goldenSectionMax(const std::function<double(double)> &fn,
-                        double lo, double hi, double tol = 1e-10,
-                        int max_iter = 300);
 
 /** Clamp @p v into [lo, hi]. */
 double clamp(double v, double lo, double hi);

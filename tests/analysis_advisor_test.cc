@@ -52,7 +52,7 @@ TEST(Advisor, Figure6cFlagsOverProvisionedBpeak)
     // Figure 6c -> 6d: the paper cuts Bpeak from 30 to 20 GB/s "a
     // sufficient" value. With the reuse fix applied, the advisor
     // must flag the slack.
-    SocSpec soc = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Usecase u = Usecase::twoIp("6d", 0.75, 8.0, 8.0);
     auto advice = Advisor::advise(soc, u);
     const Advice *shrink = findKind(advice, AdviceKind::ShrinkSlack);
@@ -101,11 +101,11 @@ TEST(Advisor, ProposalsAreMinimal)
     ASSERT_NE(bpeak, nullptr);
     double promised = bpeak->newAttainable;
     double applied = GablesModel::evaluate(
-                         soc.withBpeak(bpeak->after), u)
+                         soc.with(Param::bpeak(), bpeak->after), u)
                          .attainable;
     EXPECT_NEAR(applied, promised, promised * 1e-6);
     double smaller = GablesModel::evaluate(
-                         soc.withBpeak(bpeak->after * 0.8), u)
+                         soc.with(Param::bpeak(), bpeak->after * 0.8), u)
                          .attainable;
     EXPECT_LT(smaller, promised);
 }

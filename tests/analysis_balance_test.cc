@@ -31,7 +31,7 @@ TEST(Balance, Figure6cHasSlack)
 {
     // Bpeak = 30 with I1 = 0.1: IP[0] is vastly over-provisioned
     // (bound 160 vs attainable 2).
-    SocSpec soc = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Usecase u = Usecase::twoIp("6c", 0.75, 8.0, 0.1);
     BalanceReport r = Balance::report(soc, u);
     EXPECT_DOUBLE_EQ(r.attainable, 2e9);
@@ -51,7 +51,7 @@ TEST(Balance, IdleIpHasInfiniteSlack)
 TEST(Balance, SufficientBpeakReproducesFigure6d)
 {
     // The paper reduces Bpeak from 30 to "a sufficient 20 GB/s".
-    SocSpec soc = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Usecase u = Usecase::twoIp("6d", 0.75, 8.0, 8.0);
     EXPECT_NEAR(Balance::sufficientBpeak(soc, u), 20e9, 1e3);
 }
@@ -63,12 +63,13 @@ TEST(Balance, SufficientBpeakDoesNotChangePerformance)
                     IpWork{0.1, 1.0}});
     double sufficient = Balance::sufficientBpeak(soc, u);
     double before = GablesModel::evaluate(soc, u).attainable;
-    double after = GablesModel::evaluate(soc.withBpeak(sufficient), u)
-                       .attainable;
+    double after =
+        GablesModel::evaluate(soc.with(Param::bpeak(), sufficient), u)
+            .attainable;
     EXPECT_NEAR(after, before, before * 1e-12);
     // And any less does hurt.
     double less = GablesModel::evaluate(
-                      soc.withBpeak(sufficient * 0.9), u)
+                      soc.with(Param::bpeak(), sufficient * 0.9), u)
                       .attainable;
     EXPECT_LT(less, before);
 }
@@ -90,11 +91,11 @@ TEST(Balance, SufficientIpBandwidth)
     EXPECT_NEAR(b1, 0.09375 * 160e9, 1e3); // = 15 GB/s, exactly B1
     // Verify: shrinking below reduces performance, equal keeps it.
     double before = GablesModel::evaluate(soc, u).attainable;
-    EXPECT_NEAR(GablesModel::evaluate(soc.withIpBandwidth(1, b1), u)
+    EXPECT_NEAR(GablesModel::evaluate(soc.with(Param::ipBandwidth(1), b1), u)
                     .attainable,
                 before, before * 1e-9);
     EXPECT_LT(GablesModel::evaluate(
-                  soc.withIpBandwidth(1, b1 * 0.8), u)
+                  soc.with(Param::ipBandwidth(1), b1 * 0.8), u)
                   .attainable,
               before);
 }

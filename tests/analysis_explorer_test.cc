@@ -36,7 +36,7 @@ TEST(CostModel, LinearInComponents)
     SocSpec soc = SocCatalog::paperTwoIp(); // A = 1 + 5, Bpeak = 10G
     CostModel cost = simpleCost();
     EXPECT_NEAR(cost.cost(soc), 6.0 + 10.0, 1e-9);
-    EXPECT_NEAR(cost.cost(soc.withBpeak(20e9)), 6.0 + 20.0, 1e-9);
+    EXPECT_NEAR(cost.cost(soc.with(Param::bpeak(), 20e9)), 6.0 + 20.0, 1e-9);
 }
 
 TEST(Explorer, NoKnobsYieldsBaseOnly)
@@ -178,6 +178,22 @@ TEST(Explorer, InvalidInputsRejected)
     DesignExplorer ex(base, {u}, simpleCost());
     EXPECT_THROW(ex.sweepBpeak({}), FatalError);
     EXPECT_THROW(ex.sweepAcceleration(0, {2.0}), FatalError);
+    EXPECT_THROW(ex.sweep(Param::ipBandwidth(2), {1e9}), FatalError);
+    // The bounds and the cost model cover the priced hardware inputs
+    // only; nothing is registered by a rejected sweep.
+    for (Param p : {Param::ppeak(), Param::fraction(1),
+                    Param::intensity(0)}) {
+        try {
+            ex.sweep(p, {2.0});
+            ADD_FAILURE() << p.name() << " sweep accepted";
+        } catch (const FatalError &err) {
+            EXPECT_EQ(std::string(err.what()),
+                      "cannot sweep " + p.name() +
+                          ": the explorer's bounds and cost model "
+                          "cover Bpeak, A[i] and B[i] only");
+        }
+    }
+    EXPECT_EQ(ex.gridSize(), 1u);
 }
 
 // ---------------------------------------------------------------

@@ -21,7 +21,7 @@ TEST(Provisioner, RecoversFigure6dBpeak)
     // reuse fix applied; demand the full 160 Gops/s. The provisioner
     // must shrink Bpeak to the paper's sufficient 20 GB/s (nothing
     // else can shrink: the design is otherwise balanced).
-    SocSpec start = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec start = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Requirement req{Usecase::twoIp("6d", 0.75, 8.0, 8.0), 160e9};
     ProvisionedDesign r = Provisioner::minimize(start, {req});
     ASSERT_TRUE(r.feasible);
@@ -82,20 +82,20 @@ TEST(Provisioner, MultiUsecasePortfolio)
 TEST(Provisioner, ResultIsLocallyMinimal)
 {
     // Shrinking any knob of the result by 10% must violate a target.
-    SocSpec start = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec start = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Requirement req{Usecase::twoIp("6d", 0.75, 8.0, 8.0), 160e9};
     ProvisionedDesign r = Provisioner::minimize(start, {req});
     ASSERT_TRUE(r.feasible);
     EXPECT_FALSE(Provisioner::meetsAll(
-        r.soc.withBpeak(r.soc.bpeak() * 0.9), {req}));
+        r.soc.with(Param::bpeak(), r.soc.bpeak() * 0.9), {req}));
     for (size_t i = 0; i < r.soc.numIps(); ++i) {
         EXPECT_FALSE(Provisioner::meetsAll(
-            r.soc.withIpBandwidth(i, r.soc.ip(i).bandwidth * 0.9),
+            r.soc.with(Param::ipBandwidth(i), r.soc.ip(i).bandwidth * 0.9),
             {req}))
             << "link " << i;
     }
     EXPECT_FALSE(Provisioner::meetsAll(
-        r.soc.withIpAcceleration(1, r.soc.ip(1).acceleration * 0.9),
+        r.soc.with(Param::acceleration(1), r.soc.ip(1).acceleration * 0.9),
         {req}));
 }
 

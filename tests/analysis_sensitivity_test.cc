@@ -52,7 +52,7 @@ TEST(Sensitivity, LinkBoundUsecaseTracksIpBandwidthAndIntensity)
 {
     // Figure 6c: IP[1]'s link with poor reuse binds, so both B[1]
     // and I[1] carry elasticity ~1.
-    SocSpec soc = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Usecase u = Usecase::twoIp("6c", 0.75, 8.0, 0.1);
     auto entries = Sensitivity::analyze(soc, u);
     EXPECT_NEAR(entryFor(entries, "B[1]"), 1.0, 1e-6);

@@ -60,7 +60,8 @@ TEST(BpeakSweep, SaturatesOnceSufficient)
 {
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
-    Series s = Sweep::bpeak(soc, u, {5e9, 10e9, 20e9, 40e9, 80e9});
+    Series s = Sweep::param(soc, u, Param::bpeak(),
+                            {5e9, 10e9, 20e9, 40e9, 80e9});
     // Monotone nondecreasing...
     for (size_t i = 1; i < s.y.size(); ++i)
         EXPECT_GE(s.y[i], s.y[i - 1]);
@@ -74,9 +75,9 @@ TEST(IntensitySweep, ReproducesFigure6dMove)
     // Raising I1 from 0.1 to 8 on the 30 GB/s design lifts
     // performance from 2 to 160 Gops/s? No: at Bpeak = 30 the memory
     // bound at I1 = 8 allows min(160, 160, 30*8=240) = 160.
-    SocSpec soc = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    Series s = Sweep::intensity(soc, u, 1, {0.1, 8.0});
+    Series s = Sweep::param(soc, u, Param::intensity(1), {0.1, 8.0});
     EXPECT_DOUBLE_EQ(s.y[0], 2e9);
     EXPECT_DOUBLE_EQ(s.y[1], 160e9);
 }
@@ -85,7 +86,8 @@ TEST(AccelerationSweep, SaturatesAtOtherBounds)
 {
     SocSpec soc = SocCatalog::paperTwoIpBalanced();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
-    Series s = Sweep::acceleration(soc, u, 1, {1.0, 5.0, 50.0, 500.0});
+    Series s = Sweep::param(soc, u, Param::acceleration(1),
+                            {1.0, 5.0, 50.0, 500.0});
     for (size_t i = 1; i < s.y.size(); ++i)
         EXPECT_GE(s.y[i], s.y[i - 1]);
     // Beyond A1 = 5 the link (B1 * I1 = 120/0.75 = 160) binds: more
@@ -98,15 +100,16 @@ TEST(AccelerationSweep, RefusesA0)
 {
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
-    EXPECT_THROW(Sweep::acceleration(soc, u, 0, {2.0}), FatalError);
+    EXPECT_THROW(Sweep::param(soc, u, Param::acceleration(0), {2.0}),
+                 FatalError);
 }
 
 TEST(IpBandwidthSweep, Monotone)
 {
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    Series s = Sweep::ipBandwidth(soc, u, 1,
-                                  {1e9, 5e9, 15e9, 50e9});
+    Series s = Sweep::param(soc, u, Param::ipBandwidth(1),
+                            {1e9, 5e9, 15e9, 50e9});
     for (size_t i = 1; i < s.y.size(); ++i)
         EXPECT_GE(s.y[i], s.y[i - 1]);
 }
@@ -124,33 +127,32 @@ TEST(SweepBitIdentity, DriversMatchLegacyLoop)
     std::vector<double> intensities = {0.05, 0.1, 1.0, 8.0, 64.0};
 
     for (int jobs : {1, 0}) {
-        Series s = Sweep::bpeak(soc, u, bpeaks, jobs);
+        Series s = Sweep::param(soc, u, Param::bpeak(), bpeaks, jobs);
         for (size_t i = 0; i < bpeaks.size(); ++i)
-            EXPECT_EQ(s.y[i],
-                      GablesModel::evaluate(soc.withBpeak(bpeaks[i]), u)
-                          .attainable)
+            EXPECT_EQ(s.y[i], GablesModel::evaluate(
+                                  soc.with(Param::bpeak(), bpeaks[i]), u)
+                                  .attainable)
                 << "bpeak jobs " << jobs << " i " << i;
 
-        s = Sweep::acceleration(soc, u, 1, accels, jobs);
+        s = Sweep::param(soc, u, Param::acceleration(1), accels, jobs);
         for (size_t i = 0; i < accels.size(); ++i)
             EXPECT_EQ(
                 s.y[i],
-                GablesModel::evaluate(soc.withIpAcceleration(1,
-                                                             accels[i]),
-                                      u)
+                GablesModel::evaluate(
+                    soc.with(Param::acceleration(1), accels[i]), u)
                     .attainable)
                 << "accel jobs " << jobs << " i " << i;
 
-        s = Sweep::ipBandwidth(soc, u, 1, bands, jobs);
+        s = Sweep::param(soc, u, Param::ipBandwidth(1), bands, jobs);
         for (size_t i = 0; i < bands.size(); ++i)
             EXPECT_EQ(
                 s.y[i],
-                GablesModel::evaluate(soc.withIpBandwidth(1, bands[i]),
-                                      u)
+                GablesModel::evaluate(
+                    soc.with(Param::ipBandwidth(1), bands[i]), u)
                     .attainable)
                 << "band jobs " << jobs << " i " << i;
 
-        s = Sweep::intensity(soc, u, 1, intensities, jobs);
+        s = Sweep::param(soc, u, Param::intensity(1), intensities, jobs);
         for (size_t i = 0; i < intensities.size(); ++i)
             EXPECT_EQ(
                 s.y[i],
@@ -199,11 +201,11 @@ TEST(SweepBitIdentity, GridPacksMatchSinglePointPacks)
     for (int i = 0; i < 11; ++i)
         intensities.push_back(0.05 * (i + 1) * (i + 1));
 
-    Series grid = Sweep::intensity(soc, u, 1, intensities);
+    Series grid = Sweep::param(soc, u, Param::intensity(1), intensities);
     GablesPack<1> single(soc, u);
     ASSERT_EQ(grid.y.size(), intensities.size());
     for (size_t i = 0; i < intensities.size(); ++i) {
-        single.setIntensity(0, 1, intensities[i]);
+        single.set(0, Param::intensity(1), intensities[i]);
         single.run();
         EXPECT_EQ(grid.y[i], single.attainable(0)) << "i " << i;
     }
@@ -215,8 +217,8 @@ TEST(SweepBitIdentity, GridPacksMatchSinglePointPacks)
     const double base = point.attainable(0);
     ASSERT_EQ(mix.y.size(), fractions.size());
     for (size_t i = 0; i < fractions.size(); ++i) {
-        point.setFraction(0, 0, 1.0 - fractions[i]);
-        point.setFraction(0, 1, fractions[i]);
+        point.set(0, Param::fraction(0), 1.0 - fractions[i]);
+        point.set(0, Param::fraction(1), fractions[i]);
         point.run();
         EXPECT_EQ(mix.y[i], point.attainable(0) / base) << "i " << i;
     }

@@ -56,7 +56,7 @@ TEST(Appendix, Figure6bOffloadDropsPerformance)
 
 TEST(Appendix, Figure6cMoreBandwidthBarelyHelps)
 {
-    SocSpec soc = SocCatalog::paperTwoIp().withBpeak(30e9);
+    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
     Usecase u = Usecase::twoIp("6c", 0.75, 8.0, 0.1);
     GablesResult r = GablesModel::evaluate(soc, u);
 
@@ -96,11 +96,11 @@ TEST(Appendix, Figure6SequenceIsTheStory)
                    base, Usecase::twoIp("6b", 0.75, 8.0, 0.1))
                    .attainable;
     double c = GablesModel::evaluate(
-                   base.withBpeak(30e9),
+                   base.with(Param::bpeak(), 30e9),
                    Usecase::twoIp("6c", 0.75, 8.0, 0.1))
                    .attainable;
     double d = GablesModel::evaluate(
-                   base.withBpeak(20e9),
+                   base.with(Param::bpeak(), 20e9),
                    Usecase::twoIp("6d", 0.75, 8.0, 8.0))
                    .attainable;
     EXPECT_DOUBLE_EQ(a, 40e9);
@@ -123,7 +123,7 @@ TEST(Appendix, PerformanceFormMatchesAppendixToo)
                     base, Usecase::twoIp("6b", 0.75, 8.0, 0.1)),
                 1.3278e9, 1e6);
     EXPECT_DOUBLE_EQ(GablesModel::attainablePerfForm(
-                         base.withBpeak(20e9),
+                         base.with(Param::bpeak(), 20e9),
                          Usecase::twoIp("6d", 0.75, 8.0, 8.0)),
                      160e9);
 }

@@ -48,6 +48,22 @@ struct Pair {
 
     SocSpec soc() const { return SocSpec("fuzz", ppeak, bpeak, ips); }
     Usecase usecase() const { return Usecase("fuzz", work); }
+
+    /** Set input @p p to @p v (hardware inputs through
+     * SocSpec::with(), which checks them). */
+    void set(Param p, double v)
+    {
+        if (p.kind == Param::Kind::Fraction) {
+            work[p.ip].fraction = v;
+        } else if (p.kind == Param::Kind::Intensity) {
+            work[p.ip].intensity = v;
+        } else {
+            SocSpec s = soc().with(p, v);
+            ppeak = s.ppeak();
+            bpeak = s.bpeak();
+            ips = s.ips();
+        }
+    }
 };
 
 Pair
@@ -129,6 +145,45 @@ expectBitIdentical(const GablesResult &a, const GablesResult &b,
     }
 }
 
+/** @return A random input of an n-IP pair: any kind, any IP but A0
+ * (pinned to 1). */
+Param
+randomParam(Rng &rng, size_t n)
+{
+    const auto kind = static_cast<Param::Kind>(rng.uniformInt(0, 5));
+    const int64_t lo = kind == Param::Kind::Acceleration ? 1 : 0;
+    if (n == 1 && lo == 1)
+        return Param::bpeak();
+    Param p{kind, 0};
+    if (p.perIp())
+        p.ip = static_cast<size_t>(
+            rng.uniformInt(lo, static_cast<int64_t>(n) - 1));
+    return p;
+}
+
+/** @return A valid value of @p p from the ranges randomPair() draws
+ * (fractions in [0, 1]; one intensity in six infinite). */
+double
+randomValue(Rng &rng, Param p)
+{
+    switch (p.kind) {
+      case Param::Kind::Ppeak:
+        return rng.logUniform(1e9, 1e12);
+      case Param::Kind::Bpeak:
+        return rng.logUniform(1e9, 1e11);
+      case Param::Kind::Acceleration:
+        return rng.logUniform(0.1, 100.0);
+      case Param::Kind::IpBandwidth:
+        return rng.logUniform(1e8, 1e11);
+      case Param::Kind::Fraction:
+        return rng.uniform(0.0, 1.0);
+      case Param::Kind::Intensity:
+        return rng.uniformInt(0, 5) == 0 ? kInf
+                                         : rng.logUniform(0.01, 1000.0);
+    }
+    return 0.0;
+}
+
 TEST(EvaluatorProperty, FreshCompileMatchesLegacy)
 {
     for (uint64_t seed = 0; seed < 400; ++seed) {
@@ -159,54 +214,19 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
         for (int step = 0; step < 40; ++step) {
             // Apply one random mutation to both the evaluator and the
             // mirror, then compare against a from-scratch rebuild.
-            switch (rng.uniformInt(0, 5)) {
-              case 0: {
-                p.ppeak = rng.logUniform(1e9, 1e12);
-                ev.setPpeak(0, p.ppeak);
-                break;
-              }
-              case 1: {
-                p.bpeak = rng.logUniform(1e9, 1e11);
-                ev.setBpeak(0, p.bpeak);
-                break;
-              }
-              case 2: {
-                if (n == 1)
-                    continue;
-                size_t i = static_cast<size_t>(
-                    rng.uniformInt(1, static_cast<int64_t>(n) - 1));
-                p.ips[i].acceleration = rng.logUniform(0.1, 100.0);
-                ev.setAcceleration(0, i, p.ips[i].acceleration);
-                break;
-              }
-              case 3: {
-                size_t i = static_cast<size_t>(
-                    rng.uniformInt(0, static_cast<int64_t>(n) - 1));
-                p.ips[i].bandwidth = rng.logUniform(1e8, 1e11);
-                ev.setIpBandwidth(0, i, p.ips[i].bandwidth);
-                break;
-              }
-              case 4: {
-                size_t i = static_cast<size_t>(
-                    rng.uniformInt(0, static_cast<int64_t>(n) - 1));
-                if (p.work[i].fraction == 0.0)
-                    continue;
-                p.work[i].intensity =
-                    rng.uniformInt(0, 5) == 0
-                        ? kInf
-                        : rng.logUniform(0.01, 1000.0);
-                ev.setIntensity(0, i, p.work[i].intensity);
-                break;
-              }
-              default: {
+            const Param q = randomParam(rng, n);
+            if (q.kind != Param::Kind::Fraction) {
+                const double v = randomValue(rng, q);
+                p.set(q, v);
+                ev.set(0, q, v);
+            } else {
                 // Move half of lane i's work to lane j; the two-term
                 // transfer keeps the fraction sum unchanged modulo
                 // rounding the Usecase tolerance absorbs, and both
                 // paths see the exact same post-move doubles.
                 if (n == 1)
                     continue;
-                size_t i = static_cast<size_t>(
-                    rng.uniformInt(0, static_cast<int64_t>(n) - 1));
+                size_t i = q.ip;
                 size_t j = (i + 1) % n;
                 double moved = p.work[i].fraction * 0.5;
                 p.work[i].fraction -= moved;
@@ -216,8 +236,6 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
                     p.work[j].intensity = 1.0;
                 ev.setWork(0, i, p.work[i].fraction, p.work[i].intensity);
                 ev.setWork(0, j, p.work[j].fraction, p.work[j].intensity);
-                break;
-              }
             }
             GablesResult legacy =
                 GablesModel::evaluate(p.soc(), p.usecase());
@@ -269,65 +287,23 @@ TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
             for (size_t w = 0; w < W; ++w) {
                 int muts = static_cast<int>(rng.uniformInt(0, 3));
                 for (int m = 0; m < muts; ++m) {
-                    switch (rng.uniformInt(0, 5)) {
-                      case 0: {
-                        double v = rng.logUniform(1e9, 1e12);
-                        pack.setPpeak(w, v);
-                        mirror[w].setPpeak(0, v);
-                        break;
-                      }
-                      case 1: {
-                        double v = rng.logUniform(1e9, 1e11);
-                        pack.setBpeak(w, v);
-                        mirror[w].setBpeak(0, v);
-                        break;
-                      }
-                      case 2: {
-                        if (n == 1)
-                            continue;
-                        size_t i = static_cast<size_t>(rng.uniformInt(
-                            1, static_cast<int64_t>(n) - 1));
-                        double v = rng.logUniform(0.1, 100.0);
-                        pack.setAcceleration(w, i, v);
-                        mirror[w].setAcceleration(0, i, v);
-                        break;
-                      }
-                      case 3: {
-                        size_t i = static_cast<size_t>(rng.uniformInt(
-                            0, static_cast<int64_t>(n) - 1));
-                        double v = rng.logUniform(1e8, 1e11);
-                        pack.setIpBandwidth(w, i, v);
-                        mirror[w].setIpBandwidth(0, i, v);
-                        break;
-                      }
-                      case 4: {
-                        size_t i = static_cast<size_t>(rng.uniformInt(
-                            0, static_cast<int64_t>(n) - 1));
-                        double in = rng.uniformInt(0, 5) == 0
-                                        ? kInf
-                                        : rng.logUniform(0.01, 1000.0);
-                        // Idle only the tail IPs so lane time stays
-                        // positive (IP 0 keeps its work).
-                        double f = i > 0 && rng.uniformInt(0, 3) == 0
-                                       ? 0.0
-                                       : rng.logUniform(0.01, 1.0);
-                        pack.setWork(w, i, f, in);
-                        mirror[w].setWork(0, i, f, in);
-                        break;
-                      }
-                      default: {
-                        size_t i = static_cast<size_t>(rng.uniformInt(
-                            0, static_cast<int64_t>(n) - 1));
-                        if (mirror[w].fraction(0, i) == 0.0)
-                            continue;
-                        double in = rng.uniformInt(0, 5) == 0
-                                        ? kInf
-                                        : rng.logUniform(0.01, 1000.0);
-                        pack.setIntensity(w, i, in);
-                        mirror[w].setIntensity(0, i, in);
-                        break;
-                      }
+                    const Param q = randomParam(rng, n);
+                    if (q.kind != Param::Kind::Fraction) {
+                        const double v = randomValue(rng, q);
+                        pack.set(w, q, v);
+                        mirror[w].set(0, q, v);
+                        continue;
                     }
+                    double in = rng.uniformInt(0, 5) == 0
+                                    ? kInf
+                                    : rng.logUniform(0.01, 1000.0);
+                    // Idle only the tail IPs so lane time stays
+                    // positive (IP 0 keeps its work).
+                    double f = q.ip > 0 && rng.uniformInt(0, 3) == 0
+                                   ? 0.0
+                                   : rng.logUniform(0.01, 1.0);
+                    pack.setWork(w, q.ip, f, in);
+                    mirror[w].setWork(0, q.ip, f, in);
                 }
             }
             pack.run(W);
@@ -371,32 +347,32 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
     // Lane 0: pure compute — every IP at infinite intensity.
     mutate(0, [&](size_t w) {
         for (size_t i = 0; i < 4; ++i) {
-            pack.setIntensity(w, i, kInf);
-            mirror[w].setIntensity(0, i, kInf);
+            pack.set(w, Param::intensity(i), kInf);
+            mirror[w].set(0, Param::intensity(i), kInf);
         }
     });
     // Lane 1: idle tail IPs (fi = 0), mass moved to IP 0.
     mutate(1, [&](size_t w) {
-        pack.setFraction(w, 0, 1.0);
-        mirror[w].setFraction(0, 0, 1.0);
+        pack.set(w, Param::fraction(0), 1.0);
+        mirror[w].set(0, Param::fraction(0), 1.0);
         for (size_t i = 1; i < 4; ++i) {
-            pack.setFraction(w, i, 0.0);
-            mirror[w].setFraction(0, i, 0.0);
+            pack.set(w, Param::fraction(i), 0.0);
+            mirror[w].set(0, Param::fraction(i), 0.0);
         }
     });
     // Lane 2: denormal-small link bandwidth (transfer time -> inf).
     mutate(2, [&](size_t w) {
-        pack.setIpBandwidth(w, 2, kTinyBw);
-        mirror[w].setIpBandwidth(0, 2, kTinyBw);
+        pack.set(w, Param::ipBandwidth(2), kTinyBw);
+        mirror[w].set(0, Param::ipBandwidth(2), kTinyBw);
     });
     // Lane 3: all three degeneracies mixed in one lane.
     mutate(3, [&](size_t w) {
         pack.setWork(w, 1, 0.0, 1.0);
         mirror[w].setWork(0, 1, 0.0, 1.0);
-        pack.setIntensity(w, 3, kInf);
-        mirror[w].setIntensity(0, 3, kInf);
-        pack.setIpBandwidth(w, 0, kTinyBw);
-        mirror[w].setIpBandwidth(0, 0, kTinyBw);
+        pack.set(w, Param::intensity(3), kInf);
+        mirror[w].set(0, Param::intensity(3), kInf);
+        pack.set(w, Param::ipBandwidth(0), kTinyBw);
+        mirror[w].set(0, Param::ipBandwidth(0), kTinyBw);
     });
     // Lane 4: idle IP whose leftover intensity is *invalid for work*
     // (zero) — legal while idle; the packed select must still pin its
@@ -404,8 +380,8 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
     if (W > 4) {
         pack.setWork(4, 3, 0.0, 0.0);
         mirror[4].setWork(0, 3, 0.0, 0.0);
-        pack.setFraction(4, 0, 0.5);
-        mirror[4].setFraction(0, 0, 0.5);
+        pack.set(4, Param::fraction(0), 0.5);
+        mirror[4].set(0, Param::fraction(0), 0.5);
     }
     // Remaining lanes stay broadcast copies of the base.
 
@@ -414,10 +390,10 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
         expectLaneMatches(pack, w, mirror[w], "degenerate");
 
     // Mutators reject invalid values with the single-point checks.
-    EXPECT_THROW(pack.setFraction(0, 1, -0.5), FatalError);
-    EXPECT_THROW(pack.setIpBandwidth(0, 1, 0.0), FatalError);
+    EXPECT_THROW(pack.set(0, Param::fraction(1), -0.5), FatalError);
+    EXPECT_THROW(pack.set(0, Param::ipBandwidth(1), 0.0), FatalError);
     EXPECT_THROW(pack.setWork(0, 1, 0.5, 0.0), FatalError);
-    EXPECT_THROW(pack.setAcceleration(0, 0, 2.0), FatalError);
+    EXPECT_THROW(pack.set(0, Param::acceleration(0), 2.0), FatalError);
 }
 
 TEST(EvaluatorProperty, PackBulkRowsMatchPerLaneMutators)
@@ -429,9 +405,9 @@ TEST(EvaluatorProperty, PackBulkRowsMatchPerLaneMutators)
         GablesPack<1> base(p.soc(), p.usecase());
         const size_t n = p.ips.size();
 
-        // Two packs fed the same values: one through the bulk row
-        // setters (the sweep drivers' staging path), one through the
-        // per-lane mutators already proven against W = 1.
+        // Two packs fed the same values: one through setLanes() (the
+        // sweep drivers' staging path), one through per-lane set(),
+        // already proven against W = 1.
         GablesPack<kGridWidth> bulk(base);
         GablesPack<kGridWidth> lane(base);
 
@@ -439,79 +415,31 @@ TEST(EvaluatorProperty, PackBulkRowsMatchPerLaneMutators)
             // Partial-count staging exercises the grid-tail case.
             const size_t cnt =
                 static_cast<size_t>(rng.uniformInt(1, W));
-            double vals[W];
-            switch (rng.uniformInt(0, 4)) {
-              case 0: {
-                for (size_t w = 0; w < cnt; ++w)
-                    vals[w] = rng.uniform(0.0, 1.0);
-                size_t i = static_cast<size_t>(rng.uniformInt(
-                    0, static_cast<int64_t>(n) - 1));
-                // Keep the work-needs-intensity invariant: staging a
-                // positive fraction over a lane whose leftover
-                // intensity is invalid must throw identically, so
-                // give every lane a valid intensity first.
+            const Param param = randomParam(rng, n);
+            if (param.kind == Param::Kind::Fraction) {
+                // A positive fraction over a leftover invalid
+                // intensity would throw; give every lane a valid one.
                 for (size_t w = 0; w < W; ++w) {
-                    bulk.setIntensity(w, i, 2.0);
-                    lane.setIntensity(w, i, 2.0);
+                    bulk.set(w, Param::intensity(param.ip), 2.0);
+                    lane.set(w, Param::intensity(param.ip), 2.0);
                 }
-                bulk.setFractionRow(i, vals, cnt);
-                for (size_t w = 0; w < cnt; ++w)
-                    lane.setFraction(w, i, vals[w]);
-                break;
-              }
-              case 1: {
-                for (size_t w = 0; w < cnt; ++w)
-                    vals[w] = rng.uniformInt(0, 5) == 0
-                                  ? kInf
-                                  : rng.logUniform(0.01, 1000.0);
-                size_t i = static_cast<size_t>(rng.uniformInt(
-                    0, static_cast<int64_t>(n) - 1));
-                bulk.setIntensityRow(i, vals, cnt);
-                for (size_t w = 0; w < cnt; ++w)
-                    lane.setIntensity(w, i, vals[w]);
-                break;
-              }
-              case 2: {
-                if (n == 1)
-                    continue;
-                for (size_t w = 0; w < cnt; ++w)
-                    vals[w] = rng.logUniform(0.1, 100.0);
-                size_t i = static_cast<size_t>(rng.uniformInt(
-                    1, static_cast<int64_t>(n) - 1));
-                bulk.setAccelerationRow(i, vals, cnt);
-                for (size_t w = 0; w < cnt; ++w)
-                    lane.setAcceleration(w, i, vals[w]);
-                break;
-              }
-              case 3: {
-                for (size_t w = 0; w < cnt; ++w)
-                    vals[w] = rng.logUniform(1e8, 1e11);
-                size_t i = static_cast<size_t>(rng.uniformInt(
-                    0, static_cast<int64_t>(n) - 1));
-                bulk.setIpBandwidthRow(i, vals, cnt);
-                for (size_t w = 0; w < cnt; ++w)
-                    lane.setIpBandwidth(w, i, vals[w]);
-                break;
-              }
-              default: {
-                for (size_t w = 0; w < cnt; ++w)
-                    vals[w] = rng.logUniform(1e9, 1e11);
-                bulk.setBpeakLanes(vals, cnt);
-                for (size_t w = 0; w < cnt; ++w)
-                    lane.setBpeak(w, vals[w]);
-                break;
-              }
             }
+            double vals[W];
+            for (size_t w = 0; w < cnt; ++w)
+                vals[w] = randomValue(rng, param);
+            bulk.setLanes(param, vals, cnt);
+            for (size_t w = 0; w < cnt; ++w)
+                lane.set(w, param, vals[w]);
             bulk.run(W);
             lane.run(W);
             for (size_t w = 0; w < W; ++w) {
                 EXPECT_EQ(bits(bulk.attainable(w)),
                           bits(lane.attainable(w)))
                     << "seed " << seed << " round " << round
-                    << " lane " << w;
+                    << " lane " << w << " " << param.name();
                 EXPECT_EQ(bulk.bottleneckIp(w), lane.bottleneckIp(w))
                     << "seed " << seed << " round " << round
-                    << " lane " << w;
+                    << " lane " << w << " " << param.name();
             }
         }
     }
@@ -528,29 +456,40 @@ TEST(EvaluatorProperty, PackBulkRowsValidateLikePerLane)
     GablesPack<kGridWidth> pack(base);
     constexpr size_t W = kGridWidth;
 
-    double bad_frac[W];
-    double bad_pos[W];
-    for (size_t w = 0; w < W; ++w) {
-        bad_frac[w] = 0.25;
-        bad_pos[w] = 1.0;
+    // Per input: a valid value for every lane but the last, which
+    // gets a value set() rejects.
+    struct Row {
+        Param param;
+        double good;
+        double bad;
+    };
+    std::vector<Row> rows = {
+        {Param::ppeak(), 1e10, 0.0},
+        {Param::bpeak(), 1e10, 0.0},
+        {Param::acceleration(0), 1.0, 2.0}, // A0 stays 1
+        {Param::ipBandwidth(0), 1.0, 0.0},
+        {Param::fraction(0), 0.25, -0.5},
+        {Param::intensity(0), 1.0, 0.0},
+    };
+    if (p.ips.size() > 1)
+        rows.push_back({Param::acceleration(1), 1.0, 0.0});
+    for (const Row &r : rows) {
+        double vals[W];
+        for (size_t w = 0; w < W; ++w)
+            vals[w] = r.good;
+        vals[W - 1] = r.bad;
+        EXPECT_THROW(pack.set(W - 1, r.param, r.bad), FatalError)
+            << r.param.name();
+        EXPECT_THROW(pack.setLanes(r.param, vals, W), FatalError)
+            << r.param.name();
+        // Count past the pack width is rejected, not clamped.
+        EXPECT_THROW(pack.setLanes(r.param, vals, W + 1), FatalError)
+            << r.param.name();
     }
-    bad_frac[W - 1] = -0.5;
-    bad_pos[W - 1] = 0.0;
-    EXPECT_THROW(pack.setFractionRow(0, bad_frac, W), FatalError);
-    EXPECT_THROW(pack.setIntensityRow(0, bad_pos, W), FatalError);
-    EXPECT_THROW(pack.setIpBandwidthRow(0, bad_pos, W), FatalError);
-    EXPECT_THROW(pack.setBpeakLanes(bad_pos, W), FatalError);
-    if (p.ips.size() > 1) {
-        EXPECT_THROW(pack.setAccelerationRow(1, bad_pos, W),
-                     FatalError);
-    }
-    // A0 must stay 1 through the bulk path too.
-    double two[W];
+    // Nothing was stored: every lane still matches the base.
+    pack.run(W);
     for (size_t w = 0; w < W; ++w)
-        two[w] = 2.0;
-    EXPECT_THROW(pack.setAccelerationRow(0, two, W), FatalError);
-    // Count past the pack width is rejected, not clamped.
-    EXPECT_THROW(pack.setBpeakLanes(two, W + 1), FatalError);
+        expectLaneMatches(pack, w, base, "after rejections");
 }
 
 TEST(EvaluatorProperty, PackParamSumsMatchCostModelOrder)
@@ -568,11 +507,11 @@ TEST(EvaluatorProperty, PackParamSumsMatchCostModelOrder)
         for (size_t w = 0; w < W; ++w) {
             for (size_t i = 0; i < n; ++i) {
                 double b = rng.logUniform(1e8, 1e11);
-                pack.setIpBandwidth(w, i, b);
+                pack.set(w, Param::ipBandwidth(i), b);
                 perLane[w][i].bandwidth = b;
                 if (i > 0) {
                     double a = rng.logUniform(0.1, 100.0);
-                    pack.setAcceleration(w, i, a);
+                    pack.set(w, Param::acceleration(i), a);
                     perLane[w][i].acceleration = a;
                 }
             }
@@ -612,14 +551,14 @@ TEST(EvaluatorProperty, PackCachedReductionsSurviveBpeakOnlyRuns)
         if (round % 2 == 0) {
             for (size_t w = 0; w < W; ++w) {
                 double b = rng.logUniform(1e9, 1e11);
-                pack.setBpeak(w, b);
-                mirror[w].setBpeak(0, b);
+                pack.set(w, Param::bpeak(), b);
+                mirror[w].set(0, Param::bpeak(), b);
             }
         } else {
             for (size_t w = 0; w < W; ++w) {
                 double in = rng.logUniform(0.01, 1000.0);
-                pack.setIntensity(w, 0, in);
-                mirror[w].setIntensity(0, 0, in);
+                pack.set(w, Param::intensity(0), in);
+                mirror[w].set(0, Param::intensity(0), in);
             }
         }
         pack.run(W);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the compiled single-point GablesPack<1>: bit-identity
- * with the GablesModel::evaluate() oracle, the attainable() fast path,
- * every single-parameter mutator against a from-scratch rebuild,
- * input validation, inactive and infinite-intensity IPs, and the
+ * Unit tests for GablesPack: bit-identity with the
+ * GablesModel::evaluate() oracle, the attainable() fast path, one
+ * table of Param rows driving set(), setLanes() and get() at W = 1
+ * and W = kGridWidth against a from-scratch rebuild and through every
+ * rejected value, inactive and infinite-intensity IPs, and the
  * evalCount telemetry hook.
  */
 
@@ -13,6 +14,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "core/gables.h"
@@ -132,59 +136,280 @@ TEST(Evaluator, ScratchResultReuseIsIdentical)
     expectBitIdentical(scratch, GablesModel::evaluate(soc, b));
 }
 
+/** The usecase the Param table is written against. */
+Usecase
+threeIpWork()
+{
+    return Usecase("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
+                         IpWork{0.2, 1.0}});
+}
+
+/**
+ * One row of the Param table, against threeIp()/threeIpWork(): an
+ * input, the value lane w takes (value + w * step), the values the
+ * pack must reject, and the message it rejects them with.
+ */
+struct ParamCase {
+    Param param;
+    double value;
+    double step;
+    std::vector<double> invalid;
+    std::string message;
+};
+
+const std::vector<ParamCase> &
+paramCases()
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // fi moves alone only within Usecase's sum-to-one tolerance
+    // (1e-9), so its lanes step by 2^-34 from 0.2 + 2^-32.
+    static const std::vector<ParamCase> cases = {
+        {Param::ppeak(), 17e9, 1e9, {0.0, -1.0, kInf, -kInf, nan},
+         "evaluator: Ppeak must be positive and finite"},
+        {Param::bpeak(), 7e9, 1e9, {0.0, -2e9, kInf, -kInf, nan},
+         "evaluator: Bpeak must be positive and finite"},
+        {Param::acceleration(0), 1.0, 0.0, {2.0, 0.5},
+         "evaluator: IP[0] acceleration A0 must be 1 (paper Section "
+         "III-D)"},
+        {Param::acceleration(1), 3.5, 0.5, {0.0, -3.0, kInf, nan},
+         "evaluator: IP[1] acceleration must be positive and finite"},
+        {Param::acceleration(2), 0.25, 2.0, {0.0, -kInf},
+         "evaluator: IP[2] acceleration must be positive and finite"},
+        {Param::ipBandwidth(0), 3e9, 1e9, {0.0, -1.0, kInf, nan},
+         "evaluator: IP[0] bandwidth must be positive and finite"},
+        {Param::ipBandwidth(2), 11e9, 1e9, {0.0, -kInf},
+         "evaluator: IP[2] bandwidth must be positive and finite"},
+        {Param::fraction(2), 0.2 + 0x1p-32, 0x1p-34,
+         {-0.1, -1e-300, kInf, -kInf, nan},
+         "evaluator: fraction f[2] must be in [0, 1]"},
+        {Param::intensity(0), 0.125, 0.5, {0.0, -1.0, -kInf, nan},
+         "evaluator: intensity I[0] must be > 0 where work is assigned"},
+        {Param::intensity(1), kInf, 0.0, {0.0},
+         "evaluator: intensity I[1] must be > 0 where work is assigned"},
+    };
+    return cases;
+}
+
+/** The pair with input @p p set to @p v, rebuilt from scratch. */
+std::pair<SocSpec, Usecase>
+rebuilt(const SocSpec &soc, const Usecase &u, Param p, double v)
+{
+    if (p.kind == Param::Kind::Fraction)
+        return {soc, u.withWork(p.ip, IpWork{v, u.intensity(p.ip)})};
+    if (p.kind == Param::Kind::Intensity)
+        return {soc, u.withWork(p.ip, IpWork{u.fraction(p.ip), v})};
+    return {soc.with(p, v), u};
+}
+
+/** @return The message of the FatalError @p fn throws, or "". */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/** Every lane of @p pack, run, matches the unmutated pair. */
+template <size_t W>
+void
+expectUnchanged(GablesPack<W> &pack, const SocSpec &soc, const Usecase &u)
+{
+    pack.run();
+    GablesResult want = GablesModel::evaluate(soc, u);
+    for (size_t w = 0; w < W; ++w) {
+        GablesResult got;
+        pack.evaluate(w, got);
+        SCOPED_TRACE("lane " + std::to_string(w));
+        expectBitIdentical(got, want);
+    }
+}
+
+/** Each row through set() and through setLanes(): every lane matches
+ * a rebuild of the pair with its value, full result included. */
+template <size_t W>
+void
+expectEachParamMatchesRebuild()
+{
+    const SocSpec soc = threeIp();
+    const Usecase u = threeIpWork();
+    for (const ParamCase &c : paramCases()) {
+        SCOPED_TRACE(c.param.name() + " W=" + std::to_string(W));
+        double values[W];
+        for (size_t w = 0; w < W; ++w)
+            values[w] = c.value + static_cast<double>(w) * c.step;
+        GablesPack<W> one(soc, u);
+        GablesPack<W> bulk(soc, u);
+        for (size_t w = 0; w < W; ++w)
+            one.set(w, c.param, values[w]);
+        bulk.setLanes(c.param, values, W);
+        one.run();
+        bulk.run();
+        for (size_t w = 0; w < W; ++w) {
+            auto [soc_w, u_w] = rebuilt(soc, u, c.param, values[w]);
+            GablesResult want = GablesModel::evaluate(soc_w, u_w);
+            GablesResult got;
+            one.evaluate(w, got);
+            expectBitIdentical(got, want);
+            EXPECT_EQ(bits(one.attainable(w)), bits(want.attainable));
+            bulk.evaluate(w, got);
+            expectBitIdentical(got, want);
+        }
+        // Restoring the base value reproduces the base point exactly.
+        for (size_t w = 0; w < W; ++w)
+            one.set(w, c.param, c.param.read(soc, u));
+        expectUnchanged(one, soc, u);
+    }
+}
+
+/** get() reads the compiled pair, then each lane's own value. */
+template <size_t W>
+void
+expectGetReadsBack()
+{
+    const SocSpec soc = threeIp();
+    const Usecase u = threeIpWork();
+    GablesPack<W> pack(soc, u);
+    EXPECT_EQ(pack.numIps(), 3u);
+    for (const ParamCase &c : paramCases()) {
+        SCOPED_TRACE(c.param.name() + " W=" + std::to_string(W));
+        for (size_t w = 0; w < W; ++w)
+            EXPECT_EQ(bits(pack.get(w, c.param)),
+                      bits(c.param.read(soc, u)));
+    }
+    for (const ParamCase &c : paramCases()) {
+        SCOPED_TRACE(c.param.name() + " W=" + std::to_string(W));
+        GablesPack<W> one(soc, u);
+        for (size_t w = 0; w < W; ++w)
+            one.set(w, c.param, c.value + static_cast<double>(w) * c.step);
+        for (size_t w = 0; w < W; ++w)
+            EXPECT_EQ(bits(one.get(w, c.param)),
+                      bits(c.value + static_cast<double>(w) * c.step));
+    }
+    EXPECT_EQ(fatalMessage([&] { pack.get(W, Param::bpeak()); }),
+              "evaluator: pack lane " + std::to_string(W) +
+                  " out of range (W=" + std::to_string(W) + ")");
+    EXPECT_EQ(fatalMessage([&] { pack.get(0, Param::intensity(3)); }),
+              "evaluator: IP index 3 out of range (N=3)");
+}
+
+/** Each row's invalid values, and out-of-range lanes, IPs and counts,
+ * throw with the pack's message through set() and setLanes(), and
+ * leave every lane as it was. */
+template <size_t W>
+void
+expectInvalidRejected()
+{
+    const SocSpec soc = threeIp();
+    const Usecase u = threeIpWork();
+    EXPECT_THROW(GablesPack<W>(soc, Usecase::twoIp("two", 0.5, 1.0, 1.0)),
+                 FatalError);
+    GablesPack<W> pack(soc, u);
+    for (const ParamCase &c : paramCases()) {
+        SCOPED_TRACE(c.param.name() + " W=" + std::to_string(W));
+        for (double bad : c.invalid) {
+            SCOPED_TRACE(bad);
+            for (size_t w = 0; w < W; ++w)
+                EXPECT_EQ(fatalMessage([&] { pack.set(w, c.param, bad); }),
+                          c.message);
+            // The bad value in the last lane: nothing is stored.
+            double values[W];
+            for (size_t w = 0; w < W; ++w)
+                values[w] = c.value;
+            values[W - 1] = bad;
+            EXPECT_EQ(
+                fatalMessage([&] { pack.setLanes(c.param, values, W); }),
+                c.message);
+        }
+        const std::string lane_msg =
+            "evaluator: pack lane " + std::to_string(W) +
+            " out of range (W=" + std::to_string(W) + ")";
+        EXPECT_EQ(fatalMessage([&] { pack.set(W, c.param, c.value); }),
+                  lane_msg);
+        double values[W + 1];
+        for (double &v : values)
+            v = c.value;
+        if (c.param.perIp()) {
+            const Param past{c.param.kind, 3};
+            const std::string ip_msg =
+                "evaluator: IP index 3 out of range (N=3)";
+            EXPECT_EQ(fatalMessage([&] { pack.set(0, past, c.value); }),
+                      ip_msg);
+            EXPECT_EQ(fatalMessage([&] { pack.setLanes(past, values, 1); }),
+                      ip_msg);
+        }
+        EXPECT_EQ(
+            fatalMessage([&] { pack.setLanes(c.param, values, W + 1); }),
+            "evaluator: bulk lane count " + std::to_string(W + 1) +
+                " exceeds pack width W=" + std::to_string(W));
+    }
+    EXPECT_THROW(pack.setWork(0, 9, 0.5, 1.0), FatalError);
+    expectUnchanged(pack, soc, u);
+    for (const ParamCase &c : paramCases())
+        for (size_t w = 0; w < W; ++w)
+            EXPECT_EQ(bits(pack.get(w, c.param)),
+                      bits(c.param.read(soc, u)));
+}
+
 TEST(Evaluator, EachMutatorMatchesRebuild)
 {
-    SocSpec soc = threeIp();
-    Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
-                    IpWork{0.2, 1.0}});
-    GablesPack<1> ev(soc, u);
+    expectEachParamMatchesRebuild<1>();
+    expectEachParamMatchesRebuild<kGridWidth>();
+}
 
-    ev.setPpeak(0, 17e9);
-    expectBitIdentical(
-        evaluate(ev),
-        GablesModel::evaluate(SocSpec("s", 17e9, soc.bpeak(),
-                                      {soc.ip(0), soc.ip(1),
-                                       soc.ip(2)}),
-                              u));
-    ev.setPpeak(0, soc.ppeak());
+TEST(Evaluator, InvalidInputsRejected)
+{
+    expectInvalidRejected<1>();
+    expectInvalidRejected<kGridWidth>();
+}
 
-    ev.setBpeak(0, 7e9);
-    expectBitIdentical(evaluate(ev),
-                       GablesModel::evaluate(soc.withBpeak(7e9), u));
-    ev.setBpeak(0, soc.bpeak());
+TEST(Evaluator, GettersReflectMutations)
+{
+    expectGetReadsBack<1>();
+    expectGetReadsBack<kGridWidth>();
+}
 
-    ev.setAcceleration(0, 1, 3.5);
-    expectBitIdentical(
-        evaluate(ev),
-        GablesModel::evaluate(soc.withIpAcceleration(1, 3.5), u));
-    ev.setAcceleration(0, 1, soc.ip(1).acceleration);
+TEST(Param, NamesFollowTableII)
+{
+    EXPECT_EQ(Param::ppeak().name(), "Ppeak");
+    EXPECT_EQ(Param::bpeak().name(), "Bpeak");
+    EXPECT_EQ(Param::acceleration(2).name(), "A[2]");
+    EXPECT_EQ(Param::ipBandwidth(0).name(), "B[0]");
+    EXPECT_EQ(Param::fraction(1).name(), "f[1]");
+    EXPECT_EQ(Param::intensity(0).name(), "I[0]");
+    EXPECT_EQ(Param::intensity(12).name(), "I[12]");
+    EXPECT_FALSE(Param::ppeak().perIp());
+    EXPECT_FALSE(Param::bpeak().perIp());
+    EXPECT_TRUE(Param::acceleration(0).perIp());
+    EXPECT_TRUE(Param::fraction(0).perIp());
+    EXPECT_EQ(Param::ipBandwidth(1), Param::ipBandwidth(1));
+    EXPECT_NE(Param::ipBandwidth(1), Param::ipBandwidth(2));
+    EXPECT_NE(Param::ipBandwidth(1), Param::acceleration(1));
+}
 
-    ev.setIpBandwidth(0, 2, 11e9);
-    expectBitIdentical(
-        evaluate(ev),
-        GablesModel::evaluate(soc.withIpBandwidth(2, 11e9), u));
-    ev.setIpBandwidth(0, 2, soc.ip(2).bandwidth);
+TEST(Param, ReadsThePairAndSocSpecWithRejectsUsecaseInputs)
+{
+    const SocSpec soc = threeIp();
+    const Usecase u = threeIpWork();
+    EXPECT_EQ(Param::ppeak().read(soc, u), 10e9);
+    EXPECT_EQ(Param::bpeak().read(soc, u), 20e9);
+    EXPECT_EQ(Param::acceleration(1).read(soc, u), 20.0);
+    EXPECT_EQ(Param::ipBandwidth(2).read(soc, u), 5e9);
+    EXPECT_EQ(Param::fraction(0).read(soc, u), 0.5);
+    EXPECT_EQ(Param::intensity(1).read(soc, u), 16.0);
+    EXPECT_THROW(Param::intensity(3).read(soc, u), FatalError);
+    EXPECT_THROW(Param::acceleration(3).read(soc, u), FatalError);
 
-    ev.setIntensity(0, 0, 0.125);
-    expectBitIdentical(
-        evaluate(ev),
-        GablesModel::evaluate(soc,
-                              u.withWork(0, IpWork{0.5, 0.125})));
-    ev.setIntensity(0, 0, u.intensity(0));
-
-    ev.setFraction(0, 1, 0.2);
-    ev.setFraction(0, 2, 0.3);
-    expectBitIdentical(
-        evaluate(ev),
-        GablesModel::evaluate(
-            soc, Usecase("v", {IpWork{0.5, 4.0}, IpWork{0.2, 16.0},
-                               IpWork{0.3, 1.0}})));
-
-    // After the full mutate-and-restore tour the original point must
-    // reproduce exactly.
-    ev.setFraction(0, 1, 0.3);
-    ev.setFraction(0, 2, 0.2);
-    expectBitIdentical(evaluate(ev), GablesModel::evaluate(soc, u));
+    EXPECT_EQ(soc.with(Param::ppeak(), 3e9).ppeak(), 3e9);
+    EXPECT_THROW(soc.with(Param::fraction(0), 0.5), FatalError);
+    EXPECT_THROW(soc.with(Param::intensity(0), 2.0), FatalError);
+    EXPECT_THROW(soc.with(Param::ipBandwidth(3), 1e9), FatalError);
+    EXPECT_THROW(soc.with(Param::acceleration(0), 2.0), FatalError);
+    EXPECT_THROW(soc.with(Param::bpeak(), 0.0), FatalError);
 }
 
 TEST(Evaluator, InactiveAndInfiniteLanes)
@@ -208,51 +433,6 @@ TEST(Evaluator, InactiveAndInfiniteLanes)
                                 IpWork{0.5, 2.0}})));
 }
 
-TEST(Evaluator, InvalidInputsRejected)
-{
-    SocSpec soc = threeIp();
-    Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
-                    IpWork{0.2, 1.0}});
-    Usecase two = Usecase::twoIp("two", 0.5, 1.0, 1.0);
-    EXPECT_THROW(GablesPack<1>(soc, two), FatalError);
-
-    GablesPack<1> ev(soc, u);
-    EXPECT_THROW(ev.setPpeak(0, 0.0), FatalError);
-    EXPECT_THROW(ev.setPpeak(0, -1.0), FatalError);
-    EXPECT_THROW(ev.setBpeak(0, kInf), FatalError);
-    EXPECT_THROW(ev.setAcceleration(0, 0, 2.0), FatalError); // A0 pinned
-    EXPECT_THROW(ev.setAcceleration(0, 1, 0.0), FatalError);
-    EXPECT_THROW(ev.setAcceleration(0, 7, 2.0), FatalError);
-    EXPECT_THROW(ev.setIpBandwidth(0, 1, -3.0), FatalError);
-    EXPECT_THROW(ev.setFraction(0, 2, -0.1), FatalError);
-    EXPECT_THROW(ev.setIntensity(0, 2, 0.0), FatalError);
-    EXPECT_THROW(ev.setWork(0, 9, 0.5, 1.0), FatalError);
-
-    // A rejected mutation must leave the compiled state untouched.
-    expectBitIdentical(evaluate(ev), GablesModel::evaluate(soc, u));
-}
-
-TEST(Evaluator, GettersReflectMutations)
-{
-    SocSpec soc = threeIp();
-    Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
-                    IpWork{0.2, 1.0}});
-    GablesPack<1> ev(soc, u);
-    EXPECT_EQ(ev.numIps(), 3u);
-    EXPECT_DOUBLE_EQ(ev.ppeak(0), 10e9);
-    EXPECT_DOUBLE_EQ(ev.bpeak(0), 20e9);
-    EXPECT_DOUBLE_EQ(ev.acceleration(0, 1), 20.0);
-    EXPECT_DOUBLE_EQ(ev.ipBandwidth(0, 2), 5e9);
-    EXPECT_DOUBLE_EQ(ev.fraction(0, 0), 0.5);
-    EXPECT_DOUBLE_EQ(ev.intensity(0, 1), 16.0);
-    ev.setBpeak(0, 9e9);
-    ev.setWork(0, 0, 0.4, 2.0);
-    EXPECT_DOUBLE_EQ(ev.bpeak(0), 9e9);
-    EXPECT_DOUBLE_EQ(ev.fraction(0, 0), 0.4);
-    EXPECT_DOUBLE_EQ(ev.intensity(0, 0), 2.0);
-    EXPECT_THROW(ev.bpeak(1), FatalError); // W = 1 has lane 0 only
-}
-
 TEST(Evaluator, EvalCountCountsBothPaths)
 {
     SocSpec soc = threeIp();
@@ -268,7 +448,7 @@ TEST(Evaluator, EvalCountCountsBothPaths)
     ev.evaluate(0, scratch);
     evaluate(ev);
     EXPECT_EQ(ev.evalCount(), 2u);
-    ev.setBpeak(0, 9e9);
+    ev.set(0, Param::bpeak(), 9e9);
     EXPECT_EQ(ev.evalCount(), 2u);
 
     GablesPack<kGridWidth> grid(soc, u);

@@ -158,7 +158,7 @@ TEST(Gables, BottleneckLabels)
     r = GablesModel::evaluate(soc,
                               Usecase::twoIp("6b", 0.75, 8.0, 0.1));
     EXPECT_EQ(r.bottleneckLabel(soc), "memory interface (Bpeak)");
-    r = GablesModel::evaluate(soc.withBpeak(30e9),
+    r = GablesModel::evaluate(soc.with(Param::bpeak(), 30e9),
                               Usecase::twoIp("6c", 0.75, 8.0, 0.1));
     EXPECT_EQ(r.bottleneckLabel(soc), "GPU link bandwidth (Bi)");
 }

@@ -88,9 +88,8 @@ TEST_P(GablesProperty, MonotoneInBpeak)
         SocSpec soc = randomSoc(rng);
         Usecase u = randomUsecase(rng, soc.numIps());
         double base = GablesModel::evaluate(soc, u).attainable;
-        double more = GablesModel::evaluate(soc.withBpeak(soc.bpeak() *
-                                                          2.0),
-                                            u)
+        double more = GablesModel::evaluate(
+                          soc.with(Param::bpeak(), soc.bpeak() * 2.0), u)
                           .attainable;
         EXPECT_GE(more, base * (1.0 - 1e-12));
     }
@@ -122,14 +121,14 @@ TEST_P(GablesProperty, MonotoneInIpKnobs)
         size_t ip = static_cast<size_t>(rng.uniformInt(
             1, static_cast<int64_t>(soc.numIps()) - 1));
         EXPECT_GE(GablesModel::evaluate(
-                      soc.withIpAcceleration(
-                          ip, soc.ip(ip).acceleration * 3.0),
+                      soc.with(Param::acceleration(
+                          ip), soc.ip(ip).acceleration * 3.0),
                       u)
                       .attainable,
                   base * (1.0 - 1e-12));
         EXPECT_GE(GablesModel::evaluate(
-                      soc.withIpBandwidth(ip,
-                                          soc.ip(ip).bandwidth * 3.0),
+                      soc.with(Param::ipBandwidth(ip),
+                               soc.ip(ip).bandwidth * 3.0),
                       u)
                       .attainable,
                   base * (1.0 - 1e-12));
@@ -242,9 +241,10 @@ TEST_P(GablesProperty, BottleneckResourceHasUnitElasticityLocally)
         Usecase u = randomUsecase(rng, soc.numIps());
         GablesResult r = GablesModel::evaluate(soc, u);
         if (r.bottleneckIp < 0) {
-            double grown = GablesModel::evaluate(
-                               soc.withBpeak(soc.bpeak() * 1.0001), u)
-                               .attainable;
+            double grown =
+                GablesModel::evaluate(
+                    soc.with(Param::bpeak(), soc.bpeak() * 1.0001), u)
+                    .attainable;
             EXPECT_GT(grown, r.attainable);
         }
     }

@@ -77,7 +77,7 @@ TEST(SocSpec, RejectsEmptyIpList)
 TEST(SocSpec, WithBpeakCopies)
 {
     SocSpec soc = paperSoc();
-    SocSpec modified = soc.withBpeak(30e9);
+    SocSpec modified = soc.with(Param::bpeak(), 30e9);
     EXPECT_DOUBLE_EQ(modified.bpeak(), 30e9);
     EXPECT_DOUBLE_EQ(soc.bpeak(), 10e9); // original untouched
 }
@@ -85,11 +85,11 @@ TEST(SocSpec, WithBpeakCopies)
 TEST(SocSpec, WithIpBandwidthAndAcceleration)
 {
     SocSpec soc = paperSoc();
-    SocSpec m1 = soc.withIpBandwidth(1, 99e9);
+    SocSpec m1 = soc.with(Param::ipBandwidth(1), 99e9);
     EXPECT_DOUBLE_EQ(m1.ip(1).bandwidth, 99e9);
-    SocSpec m2 = soc.withIpAcceleration(1, 7.0);
+    SocSpec m2 = soc.with(Param::acceleration(1), 7.0);
     EXPECT_DOUBLE_EQ(m2.ip(1).acceleration, 7.0);
-    EXPECT_THROW(soc.withIpBandwidth(9, 1e9), FatalError);
+    EXPECT_THROW(soc.with(Param::ipBandwidth(9), 1e9), FatalError);
 }
 
 TEST(SocSpec, WithIpAppends)

@@ -161,9 +161,9 @@ TEST(EndToEnd, Figure6PlotsRenderFromCatalog)
     std::vector<Case> cases = {
         {"6a", soc, Usecase::twoIp("6a", 0.0, 8.0, 0.1)},
         {"6b", soc, Usecase::twoIp("6b", 0.75, 8.0, 0.1)},
-        {"6c", soc.withBpeak(30e9), Usecase::twoIp("6c", 0.75, 8.0,
+        {"6c", soc.with(Param::bpeak(), 30e9), Usecase::twoIp("6c", 0.75, 8.0,
                                                    0.1)},
-        {"6d", soc.withBpeak(20e9), Usecase::twoIp("6d", 0.75, 8.0,
+        {"6d", soc.with(Param::bpeak(), 20e9), Usecase::twoIp("6d", 0.75, 8.0,
                                                    8.0)},
     };
     for (const Case &c : cases) {

@@ -63,17 +63,19 @@ TEST(ParallelDeterminism, KnobSweepsByteIdentical)
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
     std::vector<double> bw = linspace(1e9, 60e9, 64);
-    EXPECT_TRUE(bitIdentical(Sweep::bpeak(soc, u, bw, 1).y,
-                             Sweep::bpeak(soc, u, bw, 8).y));
+    EXPECT_TRUE(bitIdentical(Sweep::param(soc, u, Param::bpeak(), bw, 1).y,
+                             Sweep::param(soc, u, Param::bpeak(), bw, 8).y));
     std::vector<double> intens = linspace(0.01, 64.0, 64);
-    EXPECT_TRUE(bitIdentical(Sweep::intensity(soc, u, 1, intens, 1).y,
-                             Sweep::intensity(soc, u, 1, intens, 8).y));
-    std::vector<double> accel = linspace(1.0, 40.0, 64);
     EXPECT_TRUE(
-        bitIdentical(Sweep::acceleration(soc, u, 1, accel, 1).y,
-                     Sweep::acceleration(soc, u, 1, accel, 8).y));
-    EXPECT_TRUE(bitIdentical(Sweep::ipBandwidth(soc, u, 1, bw, 1).y,
-                             Sweep::ipBandwidth(soc, u, 1, bw, 8).y));
+        bitIdentical(Sweep::param(soc, u, Param::intensity(1), intens, 1).y,
+                     Sweep::param(soc, u, Param::intensity(1), intens, 8).y));
+    std::vector<double> accel = linspace(1.0, 40.0, 64);
+    EXPECT_TRUE(bitIdentical(
+        Sweep::param(soc, u, Param::acceleration(1), accel, 1).y,
+        Sweep::param(soc, u, Param::acceleration(1), accel, 8).y));
+    EXPECT_TRUE(
+        bitIdentical(Sweep::param(soc, u, Param::ipBandwidth(1), bw, 1).y,
+                     Sweep::param(soc, u, Param::ipBandwidth(1), bw, 8).y));
 }
 
 TEST(ParallelDeterminism, ExplorerByteIdentical)

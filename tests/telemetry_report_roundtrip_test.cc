@@ -19,6 +19,7 @@
 #include "telemetry/span.h"
 #include "telemetry/stats.h"
 #include "util/json_reader.h"
+#include "util/json_writer.h"
 
 namespace gables {
 namespace telemetry {
@@ -185,6 +186,34 @@ TEST(RunReportRoundTrip, EmptyRegistryStillWellFormed)
     EXPECT_TRUE(doc.at("stats").isObject());
     EXPECT_EQ(doc.at("stats").size(), 0u);
     EXPECT_TRUE(diffReports(doc, doc).identical());
+}
+
+TEST(RunReportRoundTrip, CaptureSinkHoldsTheBytesWritten)
+{
+    // A report past JsonWriter's 64 KiB chunk, so the stream receives
+    // it in several writes.
+    RunReport report("gables sweep", "subject");
+    StatsRegistry reg;
+    fillDriverReport("gables sweep", report, reg);
+    TimeSeries &s = reg.timeSeries("big.series");
+    for (int i = 0; i < 20000; ++i)
+        s.sample(i * 0.001, 1.0 / (i + 3));
+    report.setRegistry(&reg);
+    const std::string plain = writeToString(report);
+    ASSERT_GT(plain.size(), 3 * JsonWriter::kChunkBytes);
+
+    std::string sink = "stale";
+    std::string *prev = RunReport::setCaptureSink(&sink);
+    std::ostringstream out;
+    out << "prefix ";
+    report.write(out);
+    RunReport::setCaptureSink(prev);
+    EXPECT_EQ(out.str(), "prefix " + plain);
+    EXPECT_EQ(sink, plain);
+
+    // Uninstalled, the sink is left alone.
+    RunReport("gables eval", "other").write(out);
+    EXPECT_EQ(sink, plain);
 }
 
 } // namespace

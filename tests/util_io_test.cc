@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for the table formatter, CSV writer/parser, and JSON
- * writer.
+ * Unit tests for the table formatter and the JSON writer.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <sstream>
 
-#include "util/csv.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -101,52 +99,6 @@ TEST(TextTable, HeaderOnly)
     EXPECT_EQ(t.render(), " a | bb \n"
                           "---+----\n");
     EXPECT_EQ(t.renderMarkdown(), "| a | bb |\n|---|---|\n");
-}
-
-TEST(Csv, PlainRow)
-{
-    std::ostringstream oss;
-    CsvWriter csv(oss);
-    csv.writeRow(std::vector<std::string>{"a", "b", "c"});
-    EXPECT_EQ(oss.str(), "a,b,c\n");
-}
-
-TEST(Csv, QuotesSpecialFields)
-{
-    std::ostringstream oss;
-    CsvWriter csv(oss);
-    csv.writeRow(std::vector<std::string>{"a,b", "say \"hi\""});
-    EXPECT_EQ(oss.str(), "\"a,b\",\"say \"\"hi\"\"\"\n");
-}
-
-TEST(Csv, NumericRow)
-{
-    std::ostringstream oss;
-    CsvWriter csv(oss);
-    csv.writeRow(std::vector<double>{1.5, 2.0});
-    EXPECT_EQ(oss.str(), "1.5,2\n");
-}
-
-TEST(Csv, ParseRoundTrip)
-{
-    std::ostringstream oss;
-    CsvWriter csv(oss);
-    csv.writeRow(std::vector<std::string>{"plain", "with,comma",
-                                          "with \"quote\""});
-    csv.writeRow(std::vector<std::string>{"1", "2", "3"});
-    auto rows = parseCsv(oss.str());
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0][1], "with,comma");
-    EXPECT_EQ(rows[0][2], "with \"quote\"");
-    EXPECT_EQ(rows[1][2], "3");
-}
-
-TEST(Csv, ParseHandlesCrLf)
-{
-    auto rows = parseCsv("a,b\r\nc,d\r\n");
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0][1], "b");
-    EXPECT_EQ(rows[1][0], "c");
 }
 
 TEST(Json, SimpleObject)

@@ -100,35 +100,6 @@ TEST(LogTicks, CoversRange)
     EXPECT_GE(t.back(), 200.0);
 }
 
-TEST(Bisect, FindsRoot)
-{
-    double root = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-    EXPECT_NEAR(root, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Bisect, ExactEndpoints)
-{
-    EXPECT_DOUBLE_EQ(bisect([](double x) { return x; }, 0.0, 1.0), 0.0);
-    EXPECT_DOUBLE_EQ(bisect([](double x) { return x - 1.0; }, 0.0, 1.0),
-                     1.0);
-}
-
-TEST(GoldenSectionMax, FindsMaximum)
-{
-    // Max of -(x-3)^2 is at x = 3.
-    double argmax = goldenSectionMax(
-        [](double x) { return -(x - 3.0) * (x - 3.0); }, 0.0, 10.0);
-    EXPECT_NEAR(argmax, 3.0, 1e-6);
-}
-
-TEST(GoldenSectionMax, BoundaryMaximum)
-{
-    // Monotone increasing: max at the right edge.
-    double argmax =
-        goldenSectionMax([](double x) { return x; }, 0.0, 5.0);
-    EXPECT_NEAR(argmax, 5.0, 1e-6);
-}
-
 TEST(Clamp, Basics)
 {
     EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
