@@ -199,22 +199,6 @@ hasFlag(const std::vector<std::string> &argv, const std::string &flag)
     return false;
 }
 
-/** Serialize one request body shared by every op: inline soc +
- * usecase in the core/serialize.h wire shape. */
-void
-writeModelInputs(JsonWriter &json, const SocSpec &soc,
-                 const Usecase &usecase)
-{
-    std::ostringstream soc_json;
-    writeJson(soc_json, soc);
-    json.key("soc");
-    replay::writeJsonValue(json, parseJson(soc_json.str()));
-    std::ostringstream usecase_json;
-    writeJson(usecase_json, usecase);
-    json.key("usecase");
-    replay::writeJsonValue(json, parseJson(usecase_json.str()));
-}
-
 /**
  * Derive one serve request from a corpus bundle's recorded command.
  * CLI subcommands the daemon serves map to their op; everything else
@@ -256,7 +240,10 @@ deriveRequest(const std::string &bundle_name,
     json.beginObject();
     json.kv("id", id);
     json.kv("op", op);
-    writeModelInputs(json, soc, usecase);
+    json.key("soc");
+    writeJson(json, soc);
+    json.key("usecase");
+    writeJson(json, usecase);
     if (op == "sweep") {
         json.kv("axis", "intensity");
         json.kv("ip", 0);
@@ -334,7 +321,10 @@ cachedEvalRequest()
     json.beginObject();
     json.kv("id", 0);
     json.kv("op", "eval");
-    writeModelInputs(json, soc, usecase);
+    json.key("soc");
+    writeJson(json, soc);
+    json.key("usecase");
+    writeJson(json, usecase);
     json.endObject();
     return line.str();
 }

@@ -74,43 +74,4 @@ Balance::sufficientIpBandwidth(const SocSpec &soc, const Usecase &usecase,
     return t.dataBytes / other_time;
 }
 
-double
-Balance::requiredIntensity(const SocSpec &soc, const Usecase &usecase,
-                           size_t ip, double target_perf)
-{
-    if (!(target_perf > 0.0))
-        fatal("requiredIntensity: target must be > 0");
-    double f = usecase.fraction(ip);
-    if (f == 0.0)
-        return 0.0; // an idle IP needs no reuse at all
-
-    // The IP's compute roof caps its scaled roofline at Ai*Ppeak/f
-    // regardless of intensity.
-    if (soc.ipPeakPerf(ip) / f < target_perf)
-        return kInf;
-
-    // Find the smallest I such that evaluate() with I at this IP
-    // reaches the target. Attainable performance is nondecreasing in
-    // I, so bisection on a log grid works.
-    auto perf_at = [&](double intensity) {
-        Usecase modified = usecase.withWork(ip, IpWork{f, intensity});
-        return GablesModel::evaluate(soc, modified).attainable;
-    };
-
-    double lo = 1e-6;
-    double hi = 1e9;
-    if (perf_at(hi) < target_perf * (1.0 - 1e-9))
-        return kInf; // another resource caps performance below target
-    if (perf_at(lo) >= target_perf)
-        return lo;
-    for (int iter = 0; iter < 120; ++iter) {
-        double mid = std::sqrt(lo * hi);
-        if (perf_at(mid) >= target_perf)
-            hi = mid;
-        else
-            lo = mid;
-    }
-    return hi;
-}
-
 } // namespace gables

@@ -64,20 +64,6 @@ class Balance
     static double sufficientIpBandwidth(const SocSpec &soc,
                                         const Usecase &usecase,
                                         size_t ip);
-
-    /**
-     * The operational intensity IP @p ip would need for its scaled
-     * roofline to reach the bound set by the other resources
-     * evaluated at that same intensity — the Figure 6d move of
-     * raising I1 from 0.1 to 8. Solved numerically; returns +inf if
-     * no finite intensity suffices (the IP is compute-bound below
-     * the target).
-     *
-     * @param target_perf Desired attainable performance (ops/s).
-     */
-    static double requiredIntensity(const SocSpec &soc,
-                                    const Usecase &usecase, size_t ip,
-                                    double target_perf);
 };
 
 } // namespace gables

@@ -3,30 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 
 #include "core/evaluator.h"
 #include "telemetry/span.h"
 #include "util/logging.h"
 
 namespace gables {
-
-double
-Sensitivity::elasticity(double value,
-                        const std::function<double(double)> &perf_at,
-                        double rel_step)
-{
-    GABLES_ASSERT(value > 0.0, "elasticity needs a positive parameter");
-    GABLES_ASSERT(rel_step > 0.0 && rel_step < 1.0, "bad probe step");
-    double up = value * (1.0 + rel_step);
-    double down = value / (1.0 + rel_step);
-    double perf_up = perf_at(up);
-    double perf_down = perf_at(down);
-    GABLES_ASSERT(perf_up > 0.0 && perf_down > 0.0,
-                  "performance must stay positive during probing");
-    return (std::log(perf_up) - std::log(perf_down)) /
-           (std::log(up) - std::log(down));
-}
 
 std::vector<SensitivityEntry>
 Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
@@ -51,8 +33,10 @@ Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
     }
 
     // Two lanes per probe (the up and down perturbations), W/2 probes
-    // per pass. Each lane is the base state plus one mutation, and
-    // the arithmetic below is the expression elasticity() computes.
+    // per pass. Each lane is the base state plus one mutation. With
+    // up = v * (1 + step) and down = v / (1 + step), the elasticity
+    // is the central difference in log space:
+    //   (ln P(up) - ln P(down)) / (ln up - ln down).
     constexpr size_t kPerPack = kGridWidth / 2;
     std::vector<SensitivityEntry> entries;
     entries.reserve(probes.size());

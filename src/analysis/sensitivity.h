@@ -10,7 +10,6 @@
 #ifndef GABLES_ANALYSIS_SENSITIVITY_H
 #define GABLES_ANALYSIS_SENSITIVITY_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,19 +49,6 @@ class Sensitivity
     static std::vector<SensitivityEntry> analyze(const SocSpec &soc,
                                                  const Usecase &usecase,
                                                  double rel_step = 0.01);
-
-    /**
-     * Elasticity of a single scalar map via central difference in
-     * log space.
-     *
-     * @param value Current parameter value (> 0).
-     * @param perf_at Evaluates performance at a given parameter
-     *                value.
-     * @param rel_step Relative probe step.
-     */
-    static double elasticity(
-        double value, const std::function<double(double)> &perf_at,
-        double rel_step = 0.01);
 };
 
 } // namespace gables

@@ -9,75 +9,6 @@
 namespace gables {
 
 Series
-Sweep::fill(std::string label, const std::vector<double> &xs,
-            const std::function<double(double)> &evaluate, int jobs,
-            parallel::ForStats *stats)
-{
-    Series series;
-    series.label = std::move(label);
-    series.x.reserve(xs.size());
-    series.y.reserve(xs.size());
-    series.x = xs;
-    series.y.resize(xs.size());
-    parallel::ForOptions opts;
-    opts.jobs = jobs;
-    GABLES_SPAN("sweep.grid");
-    parallel::ForStats st = parallel::parallelFor(
-        xs.size(),
-        [&](size_t i) { series.y[i] = evaluate(series.x[i]); }, opts);
-    if (stats)
-        *stats = st;
-    return series;
-}
-
-Series
-Sweep::fillWith(std::string label, const SocSpec &soc,
-                const Usecase &seed, const std::vector<double> &xs,
-                const std::function<void(GablesPack<kGridWidth> &,
-                                         const double *, size_t)> &stage,
-                double divisor, int jobs, parallel::ForStats *stats)
-{
-    Series series;
-    series.label = std::move(label);
-    series.x = xs;
-    series.y.resize(xs.size());
-
-    // Each loop index is one pack of W points; lanes land in
-    // pre-sized slots, so the output is the same for any job count.
-    constexpr size_t W = kGridWidth;
-    const size_t packs = (xs.size() + W - 1) / W;
-    parallel::ForOptions opts;
-    opts.jobs = jobs;
-    // One pack per pool worker: mutators are stateful, and worker
-    // indices are stable for the duration of one loop. An empty grid
-    // never calls the body, so compile nothing.
-    std::vector<GablesPack<W>> lanes;
-    if (packs != 0) {
-        GABLES_SPAN("sweep.compile");
-        lanes.assign(
-            static_cast<size_t>(parallel::plannedWorkers(packs, opts)),
-            GablesPack<W>(soc, seed));
-    }
-
-    GABLES_SPAN("sweep.grid");
-    parallel::ForStats st = parallel::parallelFor(
-        packs,
-        [&](size_t pi, int worker) {
-            GablesPack<W> &pack = lanes[static_cast<size_t>(worker)];
-            const size_t p0 = pi * W;
-            const size_t cnt = std::min(W, xs.size() - p0);
-            stage(pack, series.x.data() + p0, cnt);
-            pack.run(cnt);
-            for (size_t w = 0; w < cnt; ++w)
-                series.y[p0 + w] = pack.attainable(w) / divisor;
-        },
-        opts);
-    if (stats)
-        *stats = st;
-    return series;
-}
-
-Series
 Sweep::mixing(const SocSpec &soc, double i0, double i1,
               const std::vector<double> &fractions, bool normalize,
               int jobs, parallel::ForStats *stats)
@@ -98,6 +29,7 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
         return Usecase("mixing", std::move(work));
     };
 
+    // y = attainable / base; x / 1.0 is exact when not normalizing.
     double base = 1.0;
     if (normalize) {
         GablesPack<1> ev(soc, usecase_for(0.0));
@@ -105,42 +37,49 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
         base = ev.attainable(0);
     }
 
-    Usecase seed =
-        usecase_for(fractions.empty() ? 0.0 : fractions[0]);
-    return fillWith(
-        "I0=" + formatDouble(i0) + " I1=" + formatDouble(i1), soc, seed,
-        fractions,
-        [](GablesPack<kGridWidth> &pack, const double *fs, size_t cnt) {
-            double f0[kGridWidth] = {};
+    Series series;
+    series.label = "I0=" + formatDouble(i0) + " I1=" + formatDouble(i1);
+    series.x = fractions;
+    series.y.resize(fractions.size());
+
+    // Each loop index is one pack of W points; lanes land in
+    // pre-sized slots, so the output is the same for any job count.
+    constexpr size_t W = kGridWidth;
+    const size_t packs = (fractions.size() + W - 1) / W;
+    parallel::ForOptions opts;
+    opts.jobs = jobs;
+    // One pack per pool worker: packs are stateful, and worker
+    // indices are stable for the duration of one loop. An empty grid
+    // never calls the body, so compile nothing.
+    std::vector<GablesPack<W>> lanes;
+    if (packs != 0) {
+        GABLES_SPAN("sweep.compile");
+        lanes.assign(
+            static_cast<size_t>(parallel::plannedWorkers(packs, opts)),
+            GablesPack<W>(soc, usecase_for(fractions[0])));
+    }
+
+    GABLES_SPAN("sweep.grid");
+    parallel::ForStats st = parallel::parallelFor(
+        packs,
+        [&](size_t pi, int worker) {
+            GablesPack<W> &pack = lanes[static_cast<size_t>(worker)];
+            const size_t p0 = pi * W;
+            const size_t cnt = std::min(W, fractions.size() - p0);
+            const double *fs = series.x.data() + p0;
+            double f0[W] = {};
             for (size_t w = 0; w < cnt; ++w)
                 f0[w] = 1.0 - fs[w];
             pack.setLanes(Param::fraction(0), f0, cnt);
             pack.setLanes(Param::fraction(1), fs, cnt);
+            pack.run(cnt);
+            for (size_t w = 0; w < cnt; ++w)
+                series.y[p0 + w] = pack.attainable(w) / base;
         },
-        base, jobs, stats);
-}
-
-Series
-Sweep::param(const SocSpec &soc, const Usecase &usecase, Param p,
-             const std::vector<double> &values, int jobs,
-             parallel::ForStats *stats)
-{
-    if (p == Param::acceleration(0))
-        fatal("cannot sweep A0: the paper fixes A0 = 1");
-    return fillWith(
-        p.name() + " sweep", soc, usecase, values,
-        [p](GablesPack<kGridWidth> &pack, const double *vs, size_t cnt) {
-            pack.setLanes(p, vs, cnt);
-        },
-        1.0, jobs, stats);
-}
-
-Series
-Sweep::custom(const std::string &label, const std::vector<double> &xs,
-              const std::function<double(double)> &evaluate, int jobs,
-              parallel::ForStats *stats)
-{
-    return fill(label, xs, evaluate, jobs, stats);
+        opts);
+    if (stats)
+        *stats = st;
+    return series;
 }
 
 } // namespace gables

@@ -26,14 +26,6 @@ EnergyModel::EnergyModel(std::vector<double> energy_per_op,
 }
 
 double
-EnergyModel::energyPerOp(size_t i) const
-{
-    if (i >= energyPerOp_.size())
-        fatal("energy model IP index out of range");
-    return energyPerOp_[i];
-}
-
-double
 EnergyModel::usecaseEnergyPerOp(const Usecase &usecase) const
 {
     if (usecase.numIps() != energyPerOp_.size())
@@ -67,17 +59,6 @@ EnergyModel::evaluate(const SocSpec &soc, const Usecase &usecase,
         result.constrained * result.energyPerOp + staticPower_;
     result.thermallyLimited = result.tdpBound < result.attainable;
     return result;
-}
-
-double
-EnergyModel::energyForWork(const SocSpec &soc, const Usecase &usecase,
-                           double tdp_watts, double total_ops) const
-{
-    if (!(total_ops > 0.0))
-        fatal("total ops must be > 0");
-    EnergyResult r = evaluate(soc, usecase, tdp_watts);
-    double duration = total_ops / r.constrained;
-    return total_ops * r.energyPerOp + duration * staticPower_;
 }
 
 } // namespace gables

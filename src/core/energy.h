@@ -56,9 +56,6 @@ class EnergyModel
     EnergyModel(std::vector<double> energy_per_op,
                 double energy_per_byte, double static_power);
 
-    /** @return e_i for IP @p i (bounds-checked). */
-    double energyPerOp(size_t i) const;
-
     /** @return DRAM energy per byte (J/byte). */
     double energyPerByte() const { return energyPerByte_; }
 
@@ -80,14 +77,6 @@ class EnergyModel
      */
     EnergyResult evaluate(const SocSpec &soc, const Usecase &usecase,
                           double tdp_watts) const;
-
-    /**
-     * Energy to execute @p total_ops operations of the usecase at
-     * the TDP-constrained operating point, including static energy
-     * for the duration (J). The battery-life currency.
-     */
-    double energyForWork(const SocSpec &soc, const Usecase &usecase,
-                         double tdp_watts, double total_ops) const;
 
   private:
     std::vector<double> energyPerOp_;

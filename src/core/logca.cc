@@ -68,12 +68,11 @@ LogCAModel::asymptoticSpeedup() const
 }
 
 double
-LogCAModel::granularityWhereSpeedupReaches(double target) const
+LogCAModel::breakEvenGranularity() const
 {
-    if (speedup(1e-9) >= target)
+    if (speedup(1e-9) >= 1.0)
         return 0.0;
-    if (asymptoticSpeedup() <= target &&
-        speedup(1e18) < target)
+    if (asymptoticSpeedup() <= 1.0 && speedup(1e18) < 1.0)
         return kInf;
     // speedup(g) is monotone nondecreasing for our parameterization
     // (overheads amortize with g); bisect in log space.
@@ -81,24 +80,12 @@ LogCAModel::granularityWhereSpeedupReaches(double target) const
     double hi = 1e18;
     for (int iter = 0; iter < 200; ++iter) {
         double mid = std::sqrt(lo * hi);
-        if (speedup(mid) >= target)
+        if (speedup(mid) >= 1.0)
             hi = mid;
         else
             lo = mid;
     }
     return hi;
-}
-
-double
-LogCAModel::breakEvenGranularity() const
-{
-    return granularityWhereSpeedupReaches(1.0);
-}
-
-double
-LogCAModel::halfSpeedupGranularity() const
-{
-    return granularityWhereSpeedupReaches(params_.acceleration / 2.0);
 }
 
 } // namespace gables

@@ -72,13 +72,6 @@ class LogCAModel
     double breakEvenGranularity() const;
 
     /**
-     * g(A/2): the granularity achieving half the peak speedup — the
-     * LogCA paper's headline "how far from peak are you" metric.
-     * +infinity if A/2 is unreachable.
-     */
-    double halfSpeedupGranularity() const;
-
-    /**
      * The asymptotic speedup as g -> infinity: A when eta = 0 (the
      * compute term dominates), less when eta = 1 (transfer scales
      * with work and caps the win).
@@ -89,8 +82,6 @@ class LogCAModel
     const Params &params() const { return params_; }
 
   private:
-    double granularityWhereSpeedupReaches(double target) const;
-
     Params params_;
 };
 

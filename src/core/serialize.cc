@@ -1,14 +1,11 @@
 #include "core/serialize.h"
 
-#include "util/json_writer.h"
-
 namespace gables {
 
-namespace {
-
 void
-writeSocBody(JsonWriter &json, const SocSpec &soc)
+writeJson(JsonWriter &json, const SocSpec &soc)
 {
+    json.beginObject();
     json.kv("name", soc.name());
     json.kv("ppeak_ops_per_sec", soc.ppeak());
     json.kv("bpeak_bytes_per_sec", soc.bpeak());
@@ -22,11 +19,13 @@ writeSocBody(JsonWriter &json, const SocSpec &soc)
         json.endObject();
     }
     json.endArray();
+    json.endObject();
 }
 
 void
-writeUsecaseBody(JsonWriter &json, const Usecase &usecase)
+writeJson(JsonWriter &json, const Usecase &usecase)
 {
+    json.beginObject();
     json.kv("name", usecase.name());
     json.key("work");
     json.beginArray();
@@ -38,12 +37,21 @@ writeUsecaseBody(JsonWriter &json, const Usecase &usecase)
     }
     json.endArray();
     json.kv("average_intensity", usecase.averageIntensity());
+    json.endObject();
 }
 
 void
-writeResultBody(JsonWriter &json, const SocSpec &soc,
-                const GablesResult &result)
+writeJson(std::ostream &out, const SocSpec &soc, const Usecase &usecase,
+          const GablesResult &result)
 {
+    JsonWriter json(out);
+    json.beginObject();
+    json.key("soc");
+    writeJson(json, soc);
+    json.key("usecase");
+    writeJson(json, usecase);
+    json.key("result");
+    json.beginObject();
     json.kv("attainable_ops_per_sec", result.attainable);
     json.kv("memory_time", result.memoryTime);
     json.kv("memory_perf_bound", result.memoryPerfBound);
@@ -63,45 +71,6 @@ writeResultBody(JsonWriter &json, const SocSpec &soc,
         json.endObject();
     }
     json.endArray();
-}
-
-} // namespace
-
-void
-writeJson(std::ostream &out, const SocSpec &soc)
-{
-    JsonWriter json(out);
-    json.beginObject();
-    writeSocBody(json, soc);
-    json.endObject();
-}
-
-void
-writeJson(std::ostream &out, const Usecase &usecase)
-{
-    JsonWriter json(out);
-    json.beginObject();
-    writeUsecaseBody(json, usecase);
-    json.endObject();
-}
-
-void
-writeJson(std::ostream &out, const SocSpec &soc, const Usecase &usecase,
-          const GablesResult &result)
-{
-    JsonWriter json(out);
-    json.beginObject();
-    json.key("soc");
-    json.beginObject();
-    writeSocBody(json, soc);
-    json.endObject();
-    json.key("usecase");
-    json.beginObject();
-    writeUsecaseBody(json, usecase);
-    json.endObject();
-    json.key("result");
-    json.beginObject();
-    writeResultBody(json, soc, result);
     json.endObject();
     json.endObject();
 }

@@ -13,14 +13,15 @@
 #include "core/gables.h"
 #include "core/soc_spec.h"
 #include "core/usecase.h"
+#include "util/json_writer.h"
 
 namespace gables {
 
-/** Write a SocSpec as a JSON object to @p out. */
-void writeJson(std::ostream &out, const SocSpec &soc);
+/** Write a SocSpec as a JSON object at @p json's current position. */
+void writeJson(JsonWriter &json, const SocSpec &soc);
 
-/** Write a Usecase as a JSON object to @p out. */
-void writeJson(std::ostream &out, const Usecase &usecase);
+/** Write a Usecase as a JSON object at @p json's current position. */
+void writeJson(JsonWriter &json, const Usecase &usecase);
 
 /**
  * Write a full evaluation (inputs echoed plus the GablesResult) as a

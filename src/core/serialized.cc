@@ -45,13 +45,4 @@ SerializedModel::evaluate(const SocSpec &soc, const Usecase &usecase)
     return result;
 }
 
-double
-SerializedModel::concurrencySpeedup(const SocSpec &soc,
-                                    const Usecase &usecase)
-{
-    double concurrent = GablesModel::evaluate(soc, usecase).attainable;
-    double serialized = evaluate(soc, usecase).attainable;
-    return concurrent / serialized;
-}
-
 } // namespace gables

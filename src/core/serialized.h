@@ -45,14 +45,6 @@ class SerializedModel
      */
     static SerializedResult evaluate(const SocSpec &soc,
                                      const Usecase &usecase);
-
-    /**
-     * Speedup of concurrent (base Gables) over serialized execution
-     * for the same usecase — always >= 1 up to rounding, since
-     * summing times can never beat taking their max.
-     */
-    static double concurrencySpeedup(const SocSpec &soc,
-                                     const Usecase &usecase);
 };
 
 } // namespace gables

@@ -101,12 +101,4 @@ SocSpec::with(Param p, double value) const
     return copy;
 }
 
-SocSpec
-SocSpec::withIp(IpSpec ip_spec) const
-{
-    std::vector<IpSpec> ips = ips_;
-    ips.push_back(std::move(ip_spec));
-    return SocSpec(name_, ppeak_, bpeak_, std::move(ips));
-}
-
 } // namespace gables

@@ -95,9 +95,6 @@ class SocSpec
      */
     SocSpec with(Param p, double value) const;
 
-    /** @return A copy with an extra IP appended. */
-    SocSpec withIp(IpSpec ip) const;
-
     /**
      * Check all invariants.
      * @throws FatalError describing the first violated invariant.

@@ -89,10 +89,4 @@ Usecase::withWork(size_t i, IpWork work) const
     return Usecase(name_, std::move(w));
 }
 
-Usecase
-Usecase::renamed(std::string name) const
-{
-    return Usecase(std::move(name), work_);
-}
-
 } // namespace gables

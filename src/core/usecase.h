@@ -84,9 +84,6 @@ class Usecase
     /** @return A copy with entry @p i replaced. */
     Usecase withWork(size_t i, IpWork work) const;
 
-    /** @return A copy renamed to @p name. */
-    Usecase renamed(std::string name) const;
-
     /**
      * Check invariants: at least one entry, fractions non-negative
      * and summing to 1 within tolerance, intensity positive wherever

@@ -138,26 +138,4 @@ ErtSweep::workingSetSweep(sim::SimSoc &soc,
     return samples;
 }
 
-std::vector<ErtSample>
-ErtSweep::workingSetSweep(const SocFactory &make_soc,
-                          const std::string &engine_name,
-                          const std::vector<double> &working_sets,
-                          double intensity, double bytes_per_point,
-                          int jobs, parallel::ForStats *stats)
-{
-    if (working_sets.empty())
-        fatal("working-set sweep needs at least one size");
-
-    std::vector<sim::KernelJob> batch;
-    batch.reserve(working_sets.size());
-    for (double set_bytes : working_sets) {
-        sim::KernelJob job;
-        job.workingSetBytes = set_bytes;
-        job.totalBytes = std::max(bytes_per_point, set_bytes);
-        job.opsPerByte = intensity;
-        batch.push_back(job);
-    }
-    return runBatch(make_soc, engine_name, batch, jobs, stats);
-}
-
 } // namespace gables

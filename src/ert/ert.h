@@ -56,7 +56,7 @@ struct ErtConfig {
 /**
  * ERT sweep driver.
  *
- * A SimSoc is single-threaded state, so the parallel overloads take
+ * A SimSoc is single-threaded state, so the parallel overload takes
  * a factory instead of a live simulator: each worker of the pool
  * builds (lazily, once) its own SimSoc and runs a share of the trial
  * batch on it. Every trial resets the simulator, so samples are
@@ -102,13 +102,6 @@ class ErtSweep
         sim::SimSoc &soc, const std::string &engine_name,
         const std::vector<double> &working_sets, double intensity,
         double bytes_per_point = 256.0 * 1024 * 1024);
-
-    /** Parallel working-set sweep over per-worker simulators. */
-    static std::vector<ErtSample> workingSetSweep(
-        const SocFactory &make_soc, const std::string &engine_name,
-        const std::vector<double> &working_sets, double intensity,
-        double bytes_per_point = 256.0 * 1024 * 1024, int jobs = 1,
-        parallel::ForStats *stats = nullptr);
 };
 
 } // namespace gables

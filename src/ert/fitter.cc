@@ -14,8 +14,7 @@ RooflineFit::roofline(const std::string &name) const
 }
 
 RooflineFit
-RooflineFitter::fit(const std::vector<ErtSample> &samples,
-                    bool use_miss_rate)
+RooflineFitter::fitDram(const std::vector<ErtSample> &samples)
 {
     if (samples.empty())
         fatal("roofline fit needs at least one sample");
@@ -23,8 +22,7 @@ RooflineFitter::fit(const std::vector<ErtSample> &samples,
     RooflineFit result;
     for (const ErtSample &s : samples) {
         result.peakOps = std::max(result.peakOps, s.opsRate);
-        double rate = use_miss_rate ? s.missByteRate : s.byteRate;
-        result.peakBw = std::max(result.peakBw, rate);
+        result.peakBw = std::max(result.peakBw, s.missByteRate);
     }
     if (!(result.peakOps > 0.0) || !(result.peakBw > 0.0))
         fatal("roofline fit: samples contain no positive rates");
@@ -39,18 +37,6 @@ RooflineFitter::fit(const std::vector<ErtSample> &samples,
                                          residual);
     }
     return result;
-}
-
-RooflineFit
-RooflineFitter::fitDram(const std::vector<ErtSample> &samples)
-{
-    return fit(samples, true);
-}
-
-RooflineFit
-RooflineFitter::fitTotal(const std::vector<ErtSample> &samples)
-{
-    return fit(samples, false);
 }
 
 } // namespace gables

@@ -47,16 +47,6 @@ class RooflineFitter
      * DRAM rooflines of Figures 7 and 9.
      */
     static RooflineFit fitDram(const std::vector<ErtSample> &samples);
-
-    /**
-     * Fit against the total data rate (hits + misses) — appropriate
-     * for small working sets served by a local memory.
-     */
-    static RooflineFit fitTotal(const std::vector<ErtSample> &samples);
-
-  private:
-    static RooflineFit fit(const std::vector<ErtSample> &samples,
-                           bool use_miss_rate);
 };
 
 } // namespace gables

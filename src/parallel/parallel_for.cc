@@ -137,8 +137,7 @@ ThreadPool::runInline(size_t n,
 
 void
 ThreadPool::forEach(size_t n,
-                    const std::function<void(size_t, int)> &body,
-                    size_t min_chunk)
+                    const std::function<void(size_t, int)> &body)
 {
     if (workers_ == 1 || n <= 1 || tls_inside_loop) {
         runInline(n, body);
@@ -152,10 +151,9 @@ ThreadPool::forEach(size_t n,
     busy_.assign(static_cast<size_t>(workers_), 0.0);
 
     // Chunk for load balance: enough chunks that a slow index cannot
-    // stall the loop, but never below the caller's floor.
-    size_t chunk =
+    // stall the loop.
+    const size_t chunk =
         std::max<size_t>(1, n / (static_cast<size_t>(workers_) * 8));
-    chunk = std::max(chunk, min_chunk);
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -211,7 +209,7 @@ parallelFor(size_t n, const std::function<void(size_t, int)> &body,
     int jobs = plannedWorkers(n, opts);
 
     ThreadPool pool(jobs);
-    pool.forEach(n, body, opts.minChunk);
+    pool.forEach(n, body);
 
     ForStats stats;
     stats.workers = pool.workers();

@@ -55,8 +55,6 @@ int plannedWorkers(size_t n, const ForOptions &opts);
 struct ForOptions {
     /** Worker count: 0 = defaultJobs(), 1 = legacy serial path. */
     int jobs = 0;
-    /** Minimum indices per dispatched chunk. */
-    size_t minChunk = 1;
 };
 
 /** Measured footprint of one loop, for telemetry RunReports. */
@@ -97,8 +95,7 @@ class ThreadPool
      *
      * @throws Whatever the body threw for the lowest failing index.
      */
-    void forEach(size_t n, const std::function<void(size_t, int)> &body,
-                 size_t min_chunk = 1);
+    void forEach(size_t n, const std::function<void(size_t, int)> &body);
 
     /** @return Per-worker busy seconds of the last forEach() call. */
     const std::vector<double> &busySeconds() const { return busy_; }

@@ -1,6 +1,5 @@
 #include "plot/svg.h"
 
-#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -105,12 +104,6 @@ SvgCanvas::render() const
         << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n"
         << body_.str() << "</svg>\n";
     return oss.str();
-}
-
-void
-SvgCanvas::save(const std::string &path) const
-{
-    writeFileAtomic(path, render());
 }
 
 } // namespace gables

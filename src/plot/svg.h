@@ -69,12 +69,6 @@ class SvgCanvas
     /** @return The complete SVG document. */
     std::string render() const;
 
-    /**
-     * Write the document to @p path atomically (writeFileAtomic()).
-     * @throws FatalError on I/O failure.
-     */
-    void save(const std::string &path) const;
-
   private:
     static std::string escape(const std::string &s);
 

@@ -6,11 +6,11 @@
  * Compiling a (SocSpec, Usecase) pair validates both specs and
  * derives every per-IP timing lane; at serving rates that cost — and
  * the allocations behind it — dominates a cached evaluation. The
- * cache keys entries by a canonical JSON serialization of the pair
- * (the same writers the CLI uses, so the key is locale-independent
- * and insensitive to how the request spelled its numbers only insofar
- * as they parse to the same doubles), and evicts least-recently-used
- * entries beyond a fixed capacity.
+ * cache keys entries by cacheKey(): every name and the raw bytes of
+ * every double of the pair, so two requests share an entry iff
+ * their names match and their numbers parse to the same bits,
+ * however they were spelled. It evicts least-recently-used entries
+ * beyond a fixed capacity.
  *
  * Thread-safety: acquire() is safe from any thread. A pack is mutable
  * per-evaluation state, so each entry carries its own

@@ -209,20 +209,15 @@ compactJson(const std::string &text)
     return out.str();
 }
 
-const std::vector<std::string> &
-knownOps()
-{
-    static const std::vector<std::string> ops = {
-        "ping", "eval", "sweep", "explore", "advise", "stats",
-        "shutdown"};
-    return ops;
-}
-
 std::string
 handleEval(EvaluatorCache::Entry &entry, bool hit, const JsonValue &req)
 {
-    bool detail = req.has("detail") && req.at("detail").isBool() &&
-                  req.at("detail").asBool();
+    bool detail = false;
+    if (req.has("detail")) {
+        if (!req.at("detail").isBool())
+            badRequest("\"detail\" must be a boolean");
+        detail = req.at("detail").asBool();
+    }
     // Reused across requests on this thread: evaluate() into warm
     // scratch performs no allocations.
     thread_local GablesResult scratch;
@@ -494,6 +489,79 @@ handleAdvise(const JsonValue &req)
 
 } // namespace
 
+/**
+ * One request between the stages of process(): parse and resolve,
+ * look the pair up in the evaluator cache, then evaluate and render.
+ */
+struct ServeService::Staged {
+    Clock::time_point t0;
+    Outcome outcome;
+    /** Set once a stage failed; outcome.response is the error. */
+    bool failed = false;
+    std::string id = "null";
+    JsonValue req;
+    /** The request's op, once parsed and known. */
+    const Op *op = nullptr;
+    std::optional<Deadline> deadline;
+    /** eval and sweep: the model inputs and their cache entry. */
+    std::optional<std::pair<SocSpec, Usecase>> pair;
+    std::shared_ptr<EvaluatorCache::Entry> entry;
+    bool hit = false;
+    SweepArgs sweep;
+};
+
+/**
+ * One op: its wire name, whether it resolves a model pair (and so
+ * goes through the evaluator cache), and its handler, which renders
+ * the result object.
+ */
+struct ServeService::Op {
+    std::string name;
+    bool resolvesPair;
+    std::string (*run)(ServeService &service, Staged &s);
+};
+
+const std::vector<ServeService::Op> &
+ServeService::ops()
+{
+    static const std::vector<Op> table = {
+        {"ping", false,
+         [](ServeService &, Staged &) -> std::string {
+             return "{\"pong\": true}";
+         }},
+        {"eval", true,
+         [](ServeService &, Staged &s) {
+             std::string result = handleEval(*s.entry, s.hit, s.req);
+             s.outcome.modelEvals = 1;
+             return result;
+         }},
+        {"sweep", true,
+         [](ServeService &, Staged &s) {
+             std::string result =
+                 handleSweep(*s.entry, s.hit, s.sweep, *s.deadline,
+                             &s.outcome.sweepPoints);
+             s.outcome.modelEvals = s.outcome.sweepPoints;
+             return result;
+         }},
+        {"explore", false,
+         [](ServeService &, Staged &s) {
+             return handleExplore(s.req, &s.outcome.modelEvals);
+         }},
+        {"advise", false,
+         [](ServeService &, Staged &s) { return handleAdvise(s.req); }},
+        {"stats", false,
+         [](ServeService &service, Staged &) {
+             return compactJson(service.statsReportJson());
+         }},
+        {"shutdown", false,
+         [](ServeService &, Staged &s) -> std::string {
+             s.outcome.shutdown = true;
+             return "{\"shutting_down\": true}";
+         }},
+    };
+    return table;
+}
+
 ServeService::ServeService(const ServeOptions &options)
     : options_(options), cache_(options.cacheCapacity)
 {
@@ -530,37 +598,20 @@ ServeService::ServeService(const ServeOptions &options)
                            "response bytes produced");
     stats_.requestSeconds = &registry_.distribution(
         "serve.request_seconds", "wall-clock seconds per request");
-    // process() maps every request onto one of these op labels
-    // ("unknown" for unrecognized ops, "invalid" for unparseable
-    // requests), so commit() never needs to register a counter.
-    for (const char *op :
-         {"ping", "eval", "sweep", "explore", "advise", "stats",
-          "shutdown", "unknown", "invalid"})
-        stats_.ops[op] = &registry_.counter(
-            std::string("serve.op.") + op,
-            std::string("requests with op ") + op);
+    // process() maps every request onto an op's name, "unknown" for
+    // unrecognized ops or "invalid" for unparseable requests, so
+    // commit() never needs to register a counter.
+    auto count_op = [&](const std::string &label) {
+        stats_.ops[label] = &registry_.counter(
+            "serve.op." + label, "requests with op " + label);
+    };
+    for (const Op &op : ops())
+        count_op(op.name);
+    count_op("unknown");
+    count_op("invalid");
 }
 
 ServeService::~ServeService() = default;
-
-/**
- * One request between the stages of process(): parse and resolve,
- * look the pair up in the evaluator cache, then evaluate and render.
- */
-struct ServeService::Staged {
-    Clock::time_point t0;
-    Outcome outcome;
-    /** Set once a stage failed; outcome.response is the error. */
-    bool failed = false;
-    std::string id = "null";
-    JsonValue req;
-    std::optional<Deadline> deadline;
-    /** eval and sweep: the model inputs and their cache entry. */
-    std::optional<std::pair<SocSpec, Usecase>> pair;
-    std::shared_ptr<EvaluatorCache::Entry> entry;
-    bool hit = false;
-    SweepArgs sweep;
-};
 
 template <typename Stage>
 void
@@ -605,20 +656,26 @@ ServeService::parseStage(Staged &s, const std::string &line)
         std::string op = stringField(s.req, "op", "");
         if (op.empty())
             badRequest("missing \"op\" string");
-        bool known = false;
-        for (const std::string &cand : knownOps())
-            known = known || cand == op;
-        s.outcome.op = known ? op : "unknown";
-        if (!known)
+        for (const Op &cand : ops()) {
+            if (cand.name == op)
+                s.op = &cand;
+        }
+        if (!s.op) {
+            s.outcome.op = "unknown";
+            std::vector<std::string> names;
+            for (const Op &cand : ops())
+                names.push_back(cand.name);
             badRequest("unknown op '" + op + "'" +
-                       didYouMean(op, knownOps()));
+                       didYouMean(op, names));
+        }
+        s.outcome.op = op;
 
         s.deadline.emplace(s.req, s.t0);
         if (s.deadline->expired())
             throw RequestError{ServeError{
                 ErrorKind::Deadline,
                 "deadline expired before processing began"}};
-        if (op == "eval" || op == "sweep")
+        if (s.op->resolvesPair)
             s.pair = resolvePair(s.req);
         if (op == "sweep")
             s.sweep = parseSweep(s.req, s.pair->first);
@@ -639,27 +696,7 @@ void
 ServeService::runStage(Staged &s)
 {
     guard(s, [&] {
-        const std::string &op = s.outcome.op;
-        std::string result;
-        if (op == "ping") {
-            result = "{\"pong\": true}";
-        } else if (op == "eval") {
-            result = handleEval(*s.entry, s.hit, s.req);
-            s.outcome.modelEvals = 1;
-        } else if (op == "sweep") {
-            result = handleSweep(*s.entry, s.hit, s.sweep, *s.deadline,
-                                 &s.outcome.sweepPoints);
-            s.outcome.modelEvals = s.outcome.sweepPoints;
-        } else if (op == "explore") {
-            result = handleExplore(s.req, &s.outcome.modelEvals);
-        } else if (op == "advise") {
-            result = handleAdvise(s.req);
-        } else if (op == "stats") {
-            result = compactJson(statsReportJson());
-        } else { // shutdown
-            s.outcome.shutdown = true;
-            result = "{\"shutting_down\": true}";
-        }
+        std::string result = s.op->run(*this, s);
         if (s.deadline->expired())
             throw RequestError{ServeError{
                 ErrorKind::Deadline,

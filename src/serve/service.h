@@ -9,8 +9,8 @@
  *  - "ping"     liveness probe.
  *  - "eval"     evaluate a (SocSpec, Usecase) pair — served from the
  *               compiled-evaluator LRU cache on repeat pairs.
- *  - "sweep"    sweep one model parameter over a value list on the
- *               cached evaluator (values restored afterwards).
+ *  - "sweep"    sweep one model parameter over a value list, on a
+ *               pack broadcast from the cached evaluator.
  *  - "explore"  enumerate a design grid and return the Pareto
  *               frontier (DesignExplorer::exploreFrontier).
  *  - "advise"   ranked improvement moves (Advisor::advise).
@@ -126,6 +126,11 @@ class ServeService
     };
 
     struct Staged;
+    struct Op;
+
+    /** The protocol's ops, in stats registration order: the one list
+     * op validation, the op counters and the stages read. */
+    static const std::vector<Op> &ops();
 
     /** Process one request without touching the stats registry
      * (safe from pool workers; the cache is internally locked): the

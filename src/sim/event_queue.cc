@@ -56,12 +56,6 @@ EventQueue::schedule(double when, Callback fn)
          static_cast<double>(slot), false);
 }
 
-void
-EventQueue::scheduleAfter(double delay, Callback fn)
-{
-    schedule(now_ + delay, std::move(fn));
-}
-
 bool
 EventQueue::prepare()
 {
@@ -177,20 +171,6 @@ EventQueue::run()
         ++executed_;
         dispatch(ev);
     }
-    return now_;
-}
-
-double
-EventQueue::runUntil(double deadline)
-{
-    while (prepare() && headWhen() <= deadline) {
-        Event ev = buckets_[cur_][head_++];
-        now_ = ev.when;
-        ++executed_;
-        dispatch(ev);
-    }
-    if (now_ < deadline)
-        now_ = deadline;
     return now_;
 }
 

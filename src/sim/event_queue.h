@@ -69,9 +69,6 @@ class EventQueue
      */
     void schedule(double when, Callback fn);
 
-    /** Schedule @p fn at now() + @p delay. */
-    void scheduleAfter(double delay, Callback fn);
-
     /** @name Typed hot-path events (no allocation, no closure).
      * Defined inline below so engine code schedules without a call
      * across translation units. */
@@ -103,12 +100,6 @@ class EventQueue
      * @return The time of the last executed event (== now()).
      */
     double run();
-
-    /**
-     * Run until the queue empties or simulated time would exceed
-     * @p deadline; events scheduled beyond the deadline stay queued.
-     */
-    double runUntil(double deadline);
 
     /** @return True if no events are pending. Scans the calendar
      * rather than maintaining a per-event counter; called off the hot
@@ -187,8 +178,6 @@ class EventQueue
     /** Advance cursors until the next event is at the drain point.
      * @return False when the queue is empty. */
     bool prepare();
-    /** Time of the next event; prepare() must have returned true. */
-    double headWhen() const { return buckets_[cur_][head_].when; }
     void dispatch(const Event &ev);
     void rebase();
 

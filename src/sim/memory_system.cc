@@ -15,15 +15,6 @@ MemoryPath::addHop(BandwidthResource *hop)
     hops_.push_back(hop);
 }
 
-double
-MemoryPath::unloadedLatency() const
-{
-    double lat = 0.0;
-    for (const BandwidthResource *hop : hops_)
-        lat += hop->latency();
-    return lat;
-}
-
 LocalMemory::LocalMemory(std::string name, double capacity,
                          double bandwidth, double latency)
     : capacity_(capacity), resource_(std::move(name), bandwidth, latency)

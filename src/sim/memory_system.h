@@ -59,9 +59,6 @@ class MemoryPath
         return t;
     }
 
-    /** @return Sum of per-hop latencies (the unloaded round trip). */
-    double unloadedLatency() const;
-
   private:
     std::vector<BandwidthResource *> hops_;
 };

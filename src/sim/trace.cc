@@ -36,17 +36,6 @@ TraceRecorder::track(const std::string &name) const
     return out;
 }
 
-std::vector<CounterEvent>
-TraceRecorder::counterTrack(const std::string &name) const
-{
-    std::vector<CounterEvent> out;
-    for (const CounterEvent &e : counters_) {
-        if (e.track == name)
-            out.push_back(e);
-    }
-    return out;
-}
-
 void
 TraceRecorder::writeChromeTrace(std::ostream &out) const
 {

@@ -68,10 +68,6 @@ class TraceRecorder
     /** @return Events on one track, in recording order. */
     std::vector<TraceEvent> track(const std::string &name) const;
 
-    /** @return Counter samples on one track, in recording order. */
-    std::vector<CounterEvent>
-    counterTrack(const std::string &name) const;
-
     /** Discard all recorded events and counter samples. */
     void clear()
     {

@@ -124,14 +124,6 @@ SocCatalog::snapdragon835Full()
         });
 }
 
-Roofline
-SocCatalog::sd835CpuRooflineWithSimd()
-{
-    Roofline cpu(40.0e9, kCpuStreamBw, "CPU (NEON roof)");
-    cpu.addComputeCeiling("without NEON", kCpuPeakOps);
-    return cpu;
-}
-
 SocSpec
 SocCatalog::paperTwoIp()
 {

@@ -143,15 +143,6 @@ class SocCatalog
     static std::unique_ptr<sim::SimSoc>
     simFromSpec(const SocSpec &spec);
 
-    /**
-     * The measured CPU roofline with vectorization modeled as the
-     * paper describes it: the NEON/SIMD roof exceeds 40 Gops/s while
-     * the scalar micro-benchmark the paper standardizes on tops out
-     * at 7.5 — expressed here as a 40 Gops/s roof with a "non-NEON"
-     * compute ceiling at 7.5 (Section IV-B).
-     */
-    static Roofline sd835CpuRooflineWithSimd();
-
     /** @name Calibration anchor constants (paper Section IV). */
     /** @{ */
     static constexpr double kCpuPeakOps = 7.5e9;

@@ -10,41 +10,6 @@
 
 namespace gables {
 
-double
-weightedHarmonicMean(const std::vector<double> &weights,
-                     const std::vector<double> &values)
-{
-    GABLES_ASSERT(weights.size() == values.size(),
-                  "weights/values size mismatch");
-    double denom = 0.0;
-    double weight_sum = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        if (weights[i] == 0.0)
-            continue;
-        GABLES_ASSERT(weights[i] > 0.0, "negative weight");
-        if (values[i] == 0.0)
-            return 0.0;
-        denom += weights[i] / values[i];
-        weight_sum += weights[i];
-    }
-    if (weight_sum == 0.0)
-        return 0.0;
-    return weight_sum / denom;
-}
-
-bool
-approxEqual(double a, double b, double tol)
-{
-    double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-    return std::fabs(a - b) <= tol * scale;
-}
-
-double
-relativeError(double a, double b, double eps)
-{
-    return std::fabs(a - b) / std::max(std::fabs(b), eps);
-}
-
 std::vector<double>
 logspace(double lo, double hi, size_t count)
 {
@@ -58,19 +23,6 @@ logspace(double lo, double hi, size_t count)
         out[i] = std::exp(llo + t * (lhi - llo));
     }
     out.front() = lo;
-    out.back() = hi;
-    return out;
-}
-
-std::vector<double>
-linspace(double lo, double hi, size_t count)
-{
-    GABLES_ASSERT(count >= 2, "linspace needs >= 2 points");
-    std::vector<double> out(count);
-    for (size_t i = 0; i < count; ++i) {
-        double t = static_cast<double>(i) / (count - 1);
-        out[i] = lo + t * (hi - lo);
-    }
     out.back() = hi;
     return out;
 }

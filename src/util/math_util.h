@@ -1,9 +1,8 @@
 /**
  * @file
  * Numeric helpers used throughout the model and analysis code:
- * weighted harmonic means (the memory-roofline intensity of Gables
- * Eq. 7/13), approximate comparison, linear and log-scale grids and
- * ticks, clamping, and a radix sort for non-negative doubles.
+ * log-scale grids and ticks, clamping, and a radix sort for
+ * non-negative doubles.
  */
 
 #ifndef GABLES_UTIL_MATH_UTIL_H
@@ -15,26 +14,6 @@
 namespace gables {
 
 /**
- * Weighted harmonic mean: 1 / sum(w_i / x_i), with sum(w_i) assumed
- * to be 1. Terms with w_i == 0 are skipped (their x_i may be
- * arbitrary, matching the f_i = 0 convention of Gables). An x_i of 0
- * with positive weight yields 0.
- *
- * @param weights Non-negative weights summing to ~1.
- * @param values  Strictly positive values (where weighted).
- */
-double weightedHarmonicMean(const std::vector<double> &weights,
-                            const std::vector<double> &values);
-
-/**
- * Relative approximate equality: |a-b| <= tol * max(|a|,|b|,1).
- */
-bool approxEqual(double a, double b, double tol = 1e-9);
-
-/** Relative error |a-b| / max(|b|, eps); b is the reference value. */
-double relativeError(double a, double b, double eps = 1e-300);
-
-/**
  * Generate logarithmically spaced points from @p lo to @p hi
  * inclusive.
  *
@@ -43,9 +22,6 @@ double relativeError(double a, double b, double eps = 1e-300);
  * @param count Number of points (>= 2).
  */
 std::vector<double> logspace(double lo, double hi, size_t count);
-
-/** Generate linearly spaced points from @p lo to @p hi inclusive. */
-std::vector<double> linspace(double lo, double hi, size_t count);
 
 /**
  * Powers-of-ten tick positions covering [lo, hi] for log axes.

@@ -169,36 +169,6 @@ parseIntInRange(const std::string &text, long lo, long hi,
     return value;
 }
 
-double
-parseDoubleInRange(const std::string &text, double lo, double hi,
-                   const std::string &what)
-{
-    double value = parseDoubleStrict(text, what);
-    if (!(value >= lo) || !(value <= hi))
-        badToken(what, text,
-                 "value must be in [" + formatDouble(lo) + ", " +
-                     formatDouble(hi) + "]");
-    return value;
-}
-
-double
-parsePositiveDouble(const std::string &text, const std::string &what)
-{
-    double value = parseDoubleStrict(text, what);
-    if (!(value > 0.0))
-        badToken(what, text, "value must be > 0");
-    return value;
-}
-
-double
-parseNonNegativeDouble(const std::string &text, const std::string &what)
-{
-    double value = parseDoubleStrict(text, what);
-    if (!(value >= 0.0))
-        badToken(what, text, "value must be >= 0");
-    return value;
-}
-
 bool
 parseDoublePrefix(const std::string &text, double *value,
                   std::string *rest)

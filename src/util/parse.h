@@ -105,21 +105,6 @@ long parseIntInRange(const std::string &text, long lo, long hi,
                      const std::string &what = "integer");
 
 /**
- * parseDoubleStrict plus an inclusive range check.
- * @throws FatalError when the value lies outside [lo, hi].
- */
-double parseDoubleInRange(const std::string &text, double lo, double hi,
-                          const std::string &what = "number");
-
-/** parseDoubleStrict restricted to values > 0. */
-double parsePositiveDouble(const std::string &text,
-                           const std::string &what = "number");
-
-/** parseDoubleStrict restricted to values >= 0. */
-double parseNonNegativeDouble(const std::string &text,
-                              const std::string &what = "number");
-
-/**
  * Consume the leading number of a composite token such as "24.4GB/s".
  *
  * This is the one sanctioned entry point for prefix (non-full-token)

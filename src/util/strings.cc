@@ -66,13 +66,6 @@ startsWith(const std::string &s, const std::string &prefix)
            s.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 std::string
 formatDouble(double value, int precision)
 {

@@ -32,9 +32,6 @@ std::string join(const std::vector<std::string> &parts,
 /** True if @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);
 
-/** True if @p s ends with @p suffix. */
-bool endsWith(const std::string &s, const std::string &suffix);
-
 /** The largest precision formatDouble() accepts. */
 inline constexpr int kFormatDoubleMaxPrecision = 64;
 

@@ -39,12 +39,6 @@ TextTable::addRow(std::vector<std::string> cells)
     ++dataRows;
 }
 
-void
-TextTable::addRule()
-{
-    rules_.push_back(dataRows);
-}
-
 std::string_view
 TextTable::cell(size_t row, size_t col) const
 {
@@ -74,60 +68,26 @@ TextTable::appendRow(std::string &out, size_t row) const
     out += '\n';
 }
 
-void
-TextTable::appendRule(std::string &out) const
+std::string
+TextTable::render() const
 {
+    // The rule is exactly as long as a row: each column is its width
+    // plus two, with one separator between columns.
+    size_t line = widths_.size();
+    for (size_t w : widths_)
+        line += w + 2;
+    std::string out;
+    out.reserve(line * (2 + dataRows));
+
+    appendRow(out, kHeaderRow);
     for (size_t c = 0; c < widths_.size(); ++c) {
         out.append(widths_[c] + 2, '-');
         if (c + 1 < widths_.size())
             out += '+';
     }
     out += '\n';
-}
-
-std::string
-TextTable::render() const
-{
-    // A rule is exactly as long as a row: each column is its width
-    // plus two, with one separator between columns.
-    size_t line = widths_.size();
-    for (size_t w : widths_)
-        line += w + 2;
-    std::string out;
-    out.reserve(line * (2 + dataRows + rules_.size()));
-
-    appendRow(out, kHeaderRow);
-    appendRule(out);
-    size_t rule = 0;
-    for (size_t r = 0; r <= dataRows; ++r) {
-        for (; rule < rules_.size() && rules_[rule] == r; ++rule)
-            appendRule(out);
-        if (r < dataRows)
-            appendRow(out, r);
-    }
-    return out;
-}
-
-std::string
-TextTable::renderMarkdown() const
-{
-    std::string out;
-    auto emit_row = [&](size_t row) {
-        out += '|';
-        for (size_t c = 0; c < headers_.size(); ++c) {
-            out += ' ';
-            out += cell(row, c);
-            out += " |";
-        }
-        out += '\n';
-    };
-    emit_row(kHeaderRow);
-    out += '|';
-    for (size_t c = 0; c < headers_.size(); ++c)
-        out += "---|";
-    out += '\n';
     for (size_t r = 0; r < dataRows; ++r)
-        emit_row(r);
+        appendRow(out, r);
     return out;
 }
 

@@ -42,20 +42,14 @@ class TextTable
      */
     void addRow(std::vector<std::string> cells);
 
-    /** Append a horizontal separator rule at this position. */
-    void addRule();
-
-    /** @return Number of data rows added so far (rules excluded). */
+    /** @return Number of data rows added so far. */
     size_t rowCount() const { return dataRows; }
 
-    /** Render the table to a string, one trailing newline included. */
-    std::string render() const;
-
     /**
-     * Render as Markdown (pipes and a header rule), for dropping into
-     * EXPERIMENTS.md.
+     * Render the table to a string: the header, a separator rule,
+     * then the rows, one trailing newline included.
      */
-    std::string renderMarkdown() const;
+    std::string render() const;
 
   private:
     /** The row index that names the header row in cell(). */
@@ -65,8 +59,6 @@ class TextTable
     std::string_view cell(size_t row, size_t col) const;
     /** Append row @p row (or the header), padded to the widths. */
     void appendRow(std::string &out, size_t row) const;
-    /** Append one separator rule line. */
-    void appendRule(std::string &out) const;
 
     std::vector<std::string> headers_;
     std::vector<Align> aligns_;
@@ -76,8 +68,6 @@ class TextTable
     // offset of each cell in that arena.
     std::string cells_;
     std::vector<size_t> cellEnds_;
-    // For each rule, the number of data rows added before it.
-    std::vector<size_t> rules_;
     size_t dataRows = 0;
 };
 

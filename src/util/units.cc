@@ -117,20 +117,8 @@ formatBytes(double bytes, int precision)
     return formatScaled(bytes, "B", precision, true);
 }
 
-std::string
-formatSeconds(double seconds, int precision)
-{
-    return formatScaled(seconds, "s", precision, false);
-}
-
-namespace {
-
-/**
- * Split "<number><ws><prefix+unit>" and return the numeric part scaled
- * by the recognized prefix.
- */
 double
-parseScaled(const std::string &text, bool size_mode)
+parseRate(const std::string &text)
 {
     std::string s = trim(text);
     if (s.empty())
@@ -164,16 +152,13 @@ parseScaled(const std::string &text, bool size_mode)
           case 'M': scale = kMega; unit = unit.substr(1); break;
           case 'G': scale = kGiga; unit = unit.substr(1); break;
           case 'T': scale = kTera; unit = unit.substr(1); break;
-          // Sub-unit prefixes exist only for rates (formatOpsRate
-          // emits them); milli-bytes stay rejected in size mode.
+          // Sub-unit prefixes, as formatOpsRate emits them.
           case 'm': case 'u': case 'n': case 'p':
-            if (!size_mode) {
-                scale = unit[0] == 'm'   ? 1e-3
-                        : unit[0] == 'u' ? 1e-6
-                        : unit[0] == 'n' ? 1e-9
-                                         : 1e-12;
-                unit = unit.substr(1);
-            }
+            scale = unit[0] == 'm'   ? 1e-3
+                    : unit[0] == 'u' ? 1e-6
+                    : unit[0] == 'n' ? 1e-9
+                                     : 1e-12;
+            unit = unit.substr(1);
             break;
           default: break;
         }
@@ -186,33 +171,13 @@ parseScaled(const std::string &text, bool size_mode)
             "ops/s", "ops/sec", "flops/s", "flops/sec", "flop/s",
             "b/s", "bytes/s", "byte/s", "bytes/sec", "hz",
         };
-        static const char *ok_size[] = {"b", "byte", "bytes"};
         bool found = false;
-        if (size_mode) {
-            for (const char *u : ok_size)
-                found = found || (low == u);
-        } else {
-            for (const char *u : ok_rate)
-                found = found || (low == u);
-        }
+        for (const char *u : ok_rate)
+            found = found || (low == u);
         if (!found)
             fatal("unknown unit '" + unit + "' in '" + text + "'");
     }
     return value * scale;
-}
-
-} // namespace
-
-double
-parseRate(const std::string &text)
-{
-    return parseScaled(text, false);
-}
-
-double
-parseSize(const std::string &text)
-{
-    return parseScaled(text, true);
 }
 
 } // namespace gables

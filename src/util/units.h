@@ -60,15 +60,14 @@ std::string formatByteRate(double bytes_per_sec, int precision = 4);
  */
 std::string formatBytes(double bytes, int precision = 4);
 
-/** Format a duration in seconds with an auto-selected prefix. */
-std::string formatSeconds(double seconds, int precision = 4);
-
 /**
  * Parse a rate string such as "40 Gops/s", "24.4GB/s", "3e9", or
  * "920 MHz" (interpreted as events/s) into base units per second.
  *
  * Recognized decimal prefixes: k, K, M, G, T, plus the sub-unit
- * prefixes m, u, n, p that formatOpsRate() emits. The unit suffix
+ * prefixes m, u, n, p that formatOpsRate() emits. Binary prefixes
+ * (Ki/Mi/Gi, prefix letter case-insensitive, 'i' case-sensitive)
+ * are 1024-based, as in "25.6 GiB/s". The unit suffix
  * after the prefix is ignored apart from validation that it is one of
  * ops/s, flops/s, B/s, bytes/s, Hz, or empty.
  *
@@ -77,18 +76,6 @@ std::string formatSeconds(double seconds, int precision = 4);
  * @throws FatalError if the text cannot be parsed.
  */
 double parseRate(const std::string &text);
-
-/**
- * Parse a size string such as "12 MiB", "64KiB", "32 kB", or "4096"
- * into bytes. Binary prefixes (Ki/Mi/Gi, prefix letter
- * case-insensitive, 'i' case-sensitive) are 1024-based; decimal
- * prefixes (k/M/G) are 1000-based.
- *
- * @param text Input text.
- * @return Size in bytes.
- * @throws FatalError if the text cannot be parsed.
- */
-double parseSize(const std::string &text);
 
 } // namespace gables
 

@@ -107,42 +107,5 @@ TEST(Balance, SufficientIpBandwidthZeroForNoTraffic)
     EXPECT_DOUBLE_EQ(Balance::sufficientIpBandwidth(soc, u, 1), 0.0);
 }
 
-TEST(Balance, RequiredIntensityReproducesFigure6dMove)
-{
-    // On the Bpeak = 20 design, what reuse does the GPU need for
-    // 160 Gops/s? The paper's answer: I1 = 8.
-    SocSpec soc = SocCatalog::paperTwoIpBalanced();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    double required = Balance::requiredIntensity(soc, u, 1, 160e9);
-    EXPECT_NEAR(required, 8.0, 0.01);
-}
-
-TEST(Balance, RequiredIntensityInfeasibleTarget)
-{
-    SocSpec soc = SocCatalog::paperTwoIpBalanced();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    // IP[1] compute caps at A1*Ppeak/f = 200/0.75 = 266.7 Gops/s.
-    EXPECT_TRUE(std::isinf(
-        Balance::requiredIntensity(soc, u, 1, 300e9)));
-    // And IP[0] (f = 0.25, bound 160) caps any higher target too.
-    EXPECT_TRUE(std::isinf(
-        Balance::requiredIntensity(soc, u, 1, 200e9)));
-}
-
-TEST(Balance, RequiredIntensityIdleIpIsZero)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.0, 8.0, 0.1);
-    EXPECT_DOUBLE_EQ(Balance::requiredIntensity(soc, u, 1, 40e9), 0.0);
-}
-
-TEST(Balance, RequiredIntensityRejectsBadTarget)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
-    EXPECT_THROW(Balance::requiredIntensity(soc, u, 1, 0.0),
-                 FatalError);
-}
-
 } // namespace
 } // namespace gables

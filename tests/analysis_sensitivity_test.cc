@@ -86,21 +86,6 @@ TEST(Sensitivity, SkipsIdleAndInfiniteIntensities)
     }
 }
 
-TEST(Sensitivity, ElasticityHelperLinearFunction)
-{
-    // perf = c * x has elasticity exactly 1; perf = c has 0.
-    EXPECT_NEAR(Sensitivity::elasticity(
-                    5.0, [](double x) { return 3.0 * x; }),
-                1.0, 1e-9);
-    EXPECT_NEAR(Sensitivity::elasticity(5.0,
-                                        [](double) { return 7.0; }),
-                0.0, 1e-12);
-    // perf = x^2 has elasticity 2.
-    EXPECT_NEAR(Sensitivity::elasticity(
-                    5.0, [](double x) { return x * x; }),
-                2.0, 1e-6);
-}
-
 TEST(Sensitivity, EntryCountMatchesParameters)
 {
     SocSpec soc = SocCatalog::snapdragon835();

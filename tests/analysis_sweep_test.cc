@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the sweep drivers.
+ * Unit tests for the mixing sweep.
  */
 
 #include <gtest/gtest.h>
@@ -56,114 +56,6 @@ TEST(MixingSweep, RejectsBadInputs)
     EXPECT_THROW(Sweep::mixing(soc, 1.0, 1.0, {1.5}), FatalError);
 }
 
-TEST(BpeakSweep, SaturatesOnceSufficient)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
-    Series s = Sweep::param(soc, u, Param::bpeak(),
-                            {5e9, 10e9, 20e9, 40e9, 80e9});
-    // Monotone nondecreasing...
-    for (size_t i = 1; i < s.y.size(); ++i)
-        EXPECT_GE(s.y[i], s.y[i - 1]);
-    // ...and flat beyond the sufficient 20 GB/s (Figure 6d).
-    EXPECT_DOUBLE_EQ(s.y[2], 160e9);
-    EXPECT_DOUBLE_EQ(s.y[4], 160e9);
-}
-
-TEST(IntensitySweep, ReproducesFigure6dMove)
-{
-    // Raising I1 from 0.1 to 8 on the 30 GB/s design lifts
-    // performance from 2 to 160 Gops/s? No: at Bpeak = 30 the memory
-    // bound at I1 = 8 allows min(160, 160, 30*8=240) = 160.
-    SocSpec soc = SocCatalog::paperTwoIp().with(Param::bpeak(), 30e9);
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    Series s = Sweep::param(soc, u, Param::intensity(1), {0.1, 8.0});
-    EXPECT_DOUBLE_EQ(s.y[0], 2e9);
-    EXPECT_DOUBLE_EQ(s.y[1], 160e9);
-}
-
-TEST(AccelerationSweep, SaturatesAtOtherBounds)
-{
-    SocSpec soc = SocCatalog::paperTwoIpBalanced();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
-    Series s = Sweep::param(soc, u, Param::acceleration(1),
-                            {1.0, 5.0, 50.0, 500.0});
-    for (size_t i = 1; i < s.y.size(); ++i)
-        EXPECT_GE(s.y[i], s.y[i - 1]);
-    // Beyond A1 = 5 the link (B1 * I1 = 120/0.75 = 160) binds: more
-    // acceleration is the over-design the paper warns about.
-    EXPECT_DOUBLE_EQ(s.y[1], 160e9);
-    EXPECT_DOUBLE_EQ(s.y[3], 160e9);
-}
-
-TEST(AccelerationSweep, RefusesA0)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
-    EXPECT_THROW(Sweep::param(soc, u, Param::acceleration(0), {2.0}),
-                 FatalError);
-}
-
-TEST(IpBandwidthSweep, Monotone)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    Series s = Sweep::param(soc, u, Param::ipBandwidth(1),
-                            {1e9, 5e9, 15e9, 50e9});
-    for (size_t i = 1; i < s.y.size(); ++i)
-        EXPECT_GE(s.y[i], s.y[i - 1]);
-}
-
-// The evaluator-backed drivers must reproduce a direct legacy loop
-// (one GablesModel::evaluate() per rebuilt spec) bit-for-bit, both
-// serial and parallel.
-TEST(SweepBitIdentity, DriversMatchLegacyLoop)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    std::vector<double> bpeaks = {5e9, 10e9, 20e9, 40e9, 80e9};
-    std::vector<double> accels = {1.0, 2.5, 5.0, 50.0};
-    std::vector<double> bands = {1e9, 5e9, 15e9, 50e9};
-    std::vector<double> intensities = {0.05, 0.1, 1.0, 8.0, 64.0};
-
-    for (int jobs : {1, 0}) {
-        Series s = Sweep::param(soc, u, Param::bpeak(), bpeaks, jobs);
-        for (size_t i = 0; i < bpeaks.size(); ++i)
-            EXPECT_EQ(s.y[i], GablesModel::evaluate(
-                                  soc.with(Param::bpeak(), bpeaks[i]), u)
-                                  .attainable)
-                << "bpeak jobs " << jobs << " i " << i;
-
-        s = Sweep::param(soc, u, Param::acceleration(1), accels, jobs);
-        for (size_t i = 0; i < accels.size(); ++i)
-            EXPECT_EQ(
-                s.y[i],
-                GablesModel::evaluate(
-                    soc.with(Param::acceleration(1), accels[i]), u)
-                    .attainable)
-                << "accel jobs " << jobs << " i " << i;
-
-        s = Sweep::param(soc, u, Param::ipBandwidth(1), bands, jobs);
-        for (size_t i = 0; i < bands.size(); ++i)
-            EXPECT_EQ(
-                s.y[i],
-                GablesModel::evaluate(
-                    soc.with(Param::ipBandwidth(1), bands[i]), u)
-                    .attainable)
-                << "band jobs " << jobs << " i " << i;
-
-        s = Sweep::param(soc, u, Param::intensity(1), intensities, jobs);
-        for (size_t i = 0; i < intensities.size(); ++i)
-            EXPECT_EQ(
-                s.y[i],
-                GablesModel::evaluate(
-                    soc, u.withWork(1, IpWork{u.fraction(1),
-                                              intensities[i]}))
-                    .attainable)
-                << "intensity jobs " << jobs << " i " << i;
-    }
-}
-
 TEST(SweepBitIdentity, MixingMatchesLegacyLoop)
 {
     SocSpec soc = SocCatalog::snapdragon835();
@@ -189,27 +81,13 @@ TEST(SweepBitIdentity, MixingMatchesLegacyLoop)
     }
 }
 
-// The drivers evaluate kGridWidth points per pack; a per-point loop
+// The driver evaluates kGridWidth points per pack; a per-point loop
 // on a single-point pack must reproduce every lane, partial-pack
 // tails included.
 TEST(SweepBitIdentity, GridPacksMatchSinglePointPacks)
 {
     SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    // 11 points: one full pack plus a 3-lane tail at kGridWidth = 8.
-    std::vector<double> intensities;
-    for (int i = 0; i < 11; ++i)
-        intensities.push_back(0.05 * (i + 1) * (i + 1));
-
-    Series grid = Sweep::param(soc, u, Param::intensity(1), intensities);
-    GablesPack<1> single(soc, u);
-    ASSERT_EQ(grid.y.size(), intensities.size());
-    for (size_t i = 0; i < intensities.size(); ++i) {
-        single.set(0, Param::intensity(1), intensities[i]);
-        single.run();
-        EXPECT_EQ(grid.y[i], single.attainable(0)) << "i " << i;
-    }
-
+    // 9 points: one full pack plus a 1-lane tail at kGridWidth = 8.
     std::vector<double> fractions = eighths();
     Series mix = Sweep::mixing(soc, 4.0, 32.0, fractions);
     GablesPack<1> point(soc, Usecase::twoIp("m", 0.0, 4.0, 32.0));
@@ -222,14 +100,6 @@ TEST(SweepBitIdentity, GridPacksMatchSinglePointPacks)
         point.run();
         EXPECT_EQ(mix.y[i], point.attainable(0) / base) << "i " << i;
     }
-}
-
-TEST(CustomSweep, AppliesCallback)
-{
-    Series s = Sweep::custom("squares", {1.0, 2.0, 3.0},
-                             [](double x) { return x * x; });
-    EXPECT_EQ(s.label, "squares");
-    EXPECT_DOUBLE_EQ(s.y[2], 9.0);
 }
 
 } // namespace

@@ -1,95 +1,19 @@
 /**
  * @file
- * Unit tests for the baseline models: Amdahl's Law variants and the
- * MultiAmdahl optimizer the paper positions Gables against.
+ * Unit tests for the MultiAmdahl optimizer the paper positions Gables
+ * against.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/amdahl.h"
 #include "core/multiamdahl.h"
 #include "soc/catalog.h"
 #include "util/logging.h"
 
 namespace gables {
 namespace {
-
-TEST(Amdahl, ClassicFormula)
-{
-    // Textbook: f = 0.5, s = 2 -> 1/(0.5 + 0.25) = 4/3.
-    EXPECT_NEAR(AmdahlModel::speedup(0.5, 2.0), 4.0 / 3.0, 1e-12);
-    // No accelerated fraction: no speedup.
-    EXPECT_DOUBLE_EQ(AmdahlModel::speedup(0.0, 100.0), 1.0);
-    // Everything accelerated: full speedup.
-    EXPECT_DOUBLE_EQ(AmdahlModel::speedup(1.0, 100.0), 100.0);
-}
-
-TEST(Amdahl, Limit)
-{
-    EXPECT_DOUBLE_EQ(AmdahlModel::limit(0.9), 10.0);
-    EXPECT_DOUBLE_EQ(AmdahlModel::limit(0.0), 1.0);
-    EXPECT_TRUE(std::isinf(AmdahlModel::limit(1.0)));
-}
-
-TEST(Amdahl, SpeedupApproachesLimit)
-{
-    double f = 0.95;
-    EXPECT_LT(AmdahlModel::speedup(f, 1e9), AmdahlModel::limit(f));
-    EXPECT_NEAR(AmdahlModel::speedup(f, 1e9), AmdahlModel::limit(f),
-                1e-5);
-}
-
-TEST(Amdahl, InvalidInputs)
-{
-    EXPECT_THROW(AmdahlModel::speedup(-0.1, 2.0), FatalError);
-    EXPECT_THROW(AmdahlModel::speedup(1.1, 2.0), FatalError);
-    EXPECT_THROW(AmdahlModel::speedup(0.5, 0.0), FatalError);
-}
-
-TEST(Amdahl, Gustafson)
-{
-    // f = 0.5, s = 10: scaled speedup = 0.5 + 5 = 5.5.
-    EXPECT_DOUBLE_EQ(AmdahlModel::gustafsonSpeedup(0.5, 10.0), 5.5);
-    // Gustafson >= Amdahl for the same f, s.
-    for (double f : {0.1, 0.5, 0.9}) {
-        EXPECT_GE(AmdahlModel::gustafsonSpeedup(f, 16.0),
-                  AmdahlModel::speedup(f, 16.0));
-    }
-}
-
-TEST(Amdahl, HillMartySymmetric)
-{
-    // Hill-Marty 2008, n = 16: one 16-resource core vs 16 base cores.
-    // f = 0.5: big-core chip = sqrt(16)/1 applied to both halves = 4.
-    EXPECT_NEAR(AmdahlModel::symmetricSpeedup(0.5, 16.0, 16.0), 4.0,
-                1e-12);
-    // r = 1, f = 1: perfectly parallel on 16 cores -> 16.
-    EXPECT_NEAR(AmdahlModel::symmetricSpeedup(1.0, 16.0, 1.0), 16.0,
-                1e-12);
-}
-
-TEST(Amdahl, HillMartyAsymmetricBeatsSymmetricAtHighF)
-{
-    // A big core plus many small cores wins for mixed workloads.
-    double f = 0.9, n = 64.0;
-    double best_sym = 0.0, best_asym = 0.0;
-    for (double r = 1.0; r <= n; r *= 2.0) {
-        best_sym = std::max(best_sym,
-                            AmdahlModel::symmetricSpeedup(f, n, r));
-        best_asym = std::max(best_asym,
-                             AmdahlModel::asymmetricSpeedup(f, n, r));
-    }
-    EXPECT_GE(best_asym, best_sym);
-}
-
-TEST(Amdahl, CorePerfPollack)
-{
-    EXPECT_DOUBLE_EQ(AmdahlModel::corePerf(4.0), 2.0);
-    EXPECT_DOUBLE_EQ(AmdahlModel::corePerf(1.0), 1.0);
-    EXPECT_THROW(AmdahlModel::corePerf(0.0), FatalError);
-}
 
 TEST(MultiAmdahl, SymmetricTasksGetEqualAreas)
 {

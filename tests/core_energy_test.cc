@@ -74,29 +74,6 @@ TEST(Energy, OffloadSavesEnergyEvenWhenPerfSimilar)
               2.0 * e.usecaseEnergyPerOp(offloaded));
 }
 
-TEST(Energy, EnergyForWorkIncludesStaticDuration)
-{
-    SocSpec soc = SocCatalog::paperTwoIpBalanced();
-    Usecase u = Usecase::twoIp("6d", 0.75, 8.0, 8.0);
-    EnergyModel e = mobileEnergy();
-    double total_ops = 160e9; // one second of work at full tilt
-    double joules = e.energyForWork(soc, u, 100.0, total_ops);
-    // 160e9 ops * 35 pJ + 1 s * 0.5 W = 5.6 + 0.5 J.
-    EXPECT_NEAR(joules, 6.1, 0.01);
-}
-
-TEST(Energy, SlowerUnderTightTdpCostsMoreStaticEnergy)
-{
-    SocSpec soc = SocCatalog::paperTwoIpBalanced();
-    Usecase u = Usecase::twoIp("6d", 0.75, 8.0, 8.0);
-    EnergyModel e = mobileEnergy();
-    double relaxed = e.energyForWork(soc, u, 100.0, 160e9);
-    double tight = e.energyForWork(soc, u, 3.0, 160e9);
-    // Same dynamic energy, longer runtime -> more static energy
-    // (race-to-idle in model form).
-    EXPECT_GT(tight, relaxed);
-}
-
 TEST(Energy, InvalidInputsRejected)
 {
     EXPECT_THROW(EnergyModel({}, 1e-12, 0.0), FatalError);
@@ -108,7 +85,6 @@ TEST(Energy, InvalidInputsRejected)
     SocSpec soc = SocCatalog::paperTwoIp();
     Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
     EXPECT_THROW(e.evaluate(soc, u, 0.4), FatalError); // <= static
-    EXPECT_THROW(e.energyPerOp(5), FatalError);
 
     Usecase three("t", {IpWork{0.4, 1.0}, IpWork{0.3, 1.0},
                         IpWork{0.3, 1.0}});

@@ -362,6 +362,8 @@ TEST(Serialized, DominantIpIdentified)
     EXPECT_LE(r.dominantShare, 1.0);
 }
 
+// Concurrent (base Gables) over serialized execution is >= 1 up to
+// rounding: summing times can never beat taking their max.
 TEST(Serialized, ConcurrencySpeedupAtLeastOne)
 {
     Rng rng(99);
@@ -370,7 +372,8 @@ TEST(Serialized, ConcurrencySpeedupAtLeastOne)
         SocSpec soc = SocCatalog::paperTwoIp();
         Usecase u = Usecase::twoIp("u", f, rng.logUniform(0.1, 100.0),
                                    rng.logUniform(0.1, 100.0));
-        EXPECT_GE(SerializedModel::concurrencySpeedup(soc, u),
+        EXPECT_GE(GablesModel::evaluate(soc, u).attainable /
+                      SerializedModel::evaluate(soc, u).attainable,
                   1.0 - 1e-12);
     }
 }

@@ -117,16 +117,6 @@ TEST(LogCA, BreakEvenInfiniteWhenOffloadNeverPays)
     EXPECT_TRUE(std::isinf(m.breakEvenGranularity()));
 }
 
-TEST(LogCA, HalfSpeedupGranularity)
-{
-    LogCAModel::Params p = typicalDsp();
-    p.eta = 0.0;
-    LogCAModel m(p);
-    double g_half = m.halfSpeedupGranularity();
-    ASSERT_TRUE(std::isfinite(g_half));
-    EXPECT_NEAR(m.speedup(g_half), 4.0, 1e-5);
-}
-
 TEST(LogCA, SuperlinearWorkFavorsOffload)
 {
     // beta = 1.5 (e.g. sorting-like): compute outgrows transfer, so

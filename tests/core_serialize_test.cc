@@ -16,7 +16,8 @@ namespace {
 TEST(Serialize, SocSpecFields)
 {
     std::ostringstream oss;
-    writeJson(oss, SocCatalog::paperTwoIp());
+    JsonWriter writer(oss);
+    writeJson(writer, SocCatalog::paperTwoIp());
     std::string json = oss.str();
     EXPECT_NE(json.find("\"name\": \"paper two-IP\""),
               std::string::npos);
@@ -29,7 +30,8 @@ TEST(Serialize, SocSpecFields)
 TEST(Serialize, UsecaseFields)
 {
     std::ostringstream oss;
-    writeJson(oss, Usecase::twoIp("6b", 0.75, 8.0, 0.1));
+    JsonWriter writer(oss);
+    writeJson(writer, Usecase::twoIp("6b", 0.75, 8.0, 0.1));
     std::string json = oss.str();
     EXPECT_NE(json.find("\"name\": \"6b\""), std::string::npos);
     EXPECT_NE(json.find("\"fraction\": 0.25"), std::string::npos);

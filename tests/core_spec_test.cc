@@ -92,13 +92,6 @@ TEST(SocSpec, WithIpBandwidthAndAcceleration)
     EXPECT_THROW(soc.with(Param::ipBandwidth(9), 1e9), FatalError);
 }
 
-TEST(SocSpec, WithIpAppends)
-{
-    SocSpec soc = paperSoc().withIp(IpSpec{"DSP", 0.4, 5.4e9});
-    EXPECT_EQ(soc.numIps(), 3u);
-    EXPECT_EQ(soc.ip(2).name, "DSP");
-}
-
 TEST(SocSpec, IpRooflineClampsToBpeak)
 {
     SocSpec soc = paperSoc();
@@ -181,12 +174,6 @@ TEST(Usecase, WithWorkCopies)
     EXPECT_DOUBLE_EQ(u.intensity(1), 0.1);
     // Replacement must keep the sum valid.
     EXPECT_THROW(u.withWork(1, IpWork{0.9, 8.0}), FatalError);
-}
-
-TEST(Usecase, Renamed)
-{
-    Usecase u = Usecase::twoIp("a", 0.5, 1.0, 1.0).renamed("b");
-    EXPECT_EQ(u.name(), "b");
 }
 
 } // namespace

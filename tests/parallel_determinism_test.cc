@@ -58,26 +58,6 @@ TEST(ParallelDeterminism, MixingSweepByteIdentical)
     EXPECT_TRUE(bitIdentical(serial.y, parallel8.y));
 }
 
-TEST(ParallelDeterminism, KnobSweepsByteIdentical)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    std::vector<double> bw = linspace(1e9, 60e9, 64);
-    EXPECT_TRUE(bitIdentical(Sweep::param(soc, u, Param::bpeak(), bw, 1).y,
-                             Sweep::param(soc, u, Param::bpeak(), bw, 8).y));
-    std::vector<double> intens = linspace(0.01, 64.0, 64);
-    EXPECT_TRUE(
-        bitIdentical(Sweep::param(soc, u, Param::intensity(1), intens, 1).y,
-                     Sweep::param(soc, u, Param::intensity(1), intens, 8).y));
-    std::vector<double> accel = linspace(1.0, 40.0, 64);
-    EXPECT_TRUE(bitIdentical(
-        Sweep::param(soc, u, Param::acceleration(1), accel, 1).y,
-        Sweep::param(soc, u, Param::acceleration(1), accel, 8).y));
-    EXPECT_TRUE(
-        bitIdentical(Sweep::param(soc, u, Param::ipBandwidth(1), bw, 1).y,
-                     Sweep::param(soc, u, Param::ipBandwidth(1), bw, 8).y));
-}
-
 TEST(ParallelDeterminism, ExplorerByteIdentical)
 {
     SocSpec base = SocCatalog::paperTwoIp();
@@ -154,30 +134,6 @@ TEST(ParallelDeterminism, ErtTrialsAndFitByteIdentical)
          fit8.maxRelResidual}));
 }
 
-TEST(ParallelDeterminism, ErtWorkingSetSweepByteIdentical)
-{
-    ErtSweep::SocFactory make_soc = [] {
-        return SocCatalog::snapdragon835Sim();
-    };
-    std::vector<double> sets;
-    for (double s = 64e3; s <= 256e6; s *= 4.0)
-        sets.push_back(s);
-    auto serial =
-        ErtSweep::workingSetSweep(make_soc, "CPU", sets, 4.0,
-                                  64e6, 1);
-    auto parallel8 =
-        ErtSweep::workingSetSweep(make_soc, "CPU", sets, 4.0,
-                                  64e6, 8);
-    ASSERT_EQ(serial.size(), parallel8.size());
-    for (size_t i = 0; i < serial.size(); ++i)
-        EXPECT_TRUE(bitIdentical(
-            {serial[i].opsRate, serial[i].byteRate,
-             serial[i].missByteRate},
-            {parallel8[i].opsRate, parallel8[i].byteRate,
-             parallel8[i].missByteRate}))
-            << "sample " << i;
-}
-
 /** Render the sweep RunReport exactly as `gables sweep --metrics`. */
 std::string
 sweepReportJson(int jobs)
@@ -246,32 +202,6 @@ TEST(ParallelDeterminism, RunReportIdenticalModuloJobsFields)
     // And the stripping really removed the excluded fields.
     EXPECT_EQ(stripJobsFields(report1).find("parallel."),
               std::string::npos);
-}
-
-TEST(ParallelDeterminism, ThrowingGridPointSurfacesSameError)
-{
-    // A grid point that throws mid-sweep must surface the same
-    // exception for any worker count: the lowest failing x.
-    std::vector<double> xs = linspace(0.0, 1.0, 101);
-    auto evaluate = [](double x) {
-        if (x > 0.6495) // indices 66..100 all fail
-            throw FatalError("candidate rejected at x=" +
-                             std::to_string(x));
-        return x * 2.0;
-    };
-    std::string serial_msg, parallel_msg;
-    try {
-        Sweep::custom("throwing", xs, evaluate, 1);
-    } catch (const FatalError &err) {
-        serial_msg = err.what();
-    }
-    try {
-        Sweep::custom("throwing", xs, evaluate, 8);
-    } catch (const FatalError &err) {
-        parallel_msg = err.what();
-    }
-    ASSERT_FALSE(serial_msg.empty());
-    EXPECT_EQ(serial_msg, parallel_msg);
 }
 
 TEST(ParallelDeterminism, ThrowingExplorerCandidateSameError)

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 
 #include "analysis/sweep.h"
 #include "plot/ascii.h"
@@ -52,19 +51,6 @@ TEST(Svg, PolylineAndDashes)
     EXPECT_NE(doc.find("<polyline"), std::string::npos);
     EXPECT_NE(doc.find("stroke-dasharray"), std::string::npos);
     EXPECT_NE(doc.find("0,0 10,10 20,5"), std::string::npos);
-}
-
-TEST(Svg, SaveWritesFile)
-{
-    SvgCanvas svg(50, 50);
-    svg.rect(1, 1, 10, 10);
-    std::string path = ::testing::TempDir() + "gables_test.svg";
-    svg.save(path);
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string first;
-    std::getline(in, first);
-    EXPECT_NE(first.find("<?xml"), std::string::npos);
 }
 
 TEST(Svg, RejectsBadDimensions)

@@ -75,9 +75,11 @@ seedRequests()
         std::ostringstream req;
         req << "{\"id\": " << seeds.size() + 1 << ", \"op\": \"" << op
             << "\", \"soc\": ";
-        writeJson(req, soc);
+        JsonWriter soc_json(req);
+        writeJson(soc_json, soc);
         req << ", \"usecase\": ";
-        writeJson(req, Usecase("fuzz", work));
+        JsonWriter usecase_json(req);
+        writeJson(usecase_json, Usecase("fuzz", work));
         if (op == "sweep")
             req << ", \"axis\": \"intensity\", \"ip\": 0, \"values\": "
                    "[0.125, 1, 8, 64]";

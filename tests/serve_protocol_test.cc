@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "serve/service.h"
 #include "soc/catalog.h"
 #include "util/json_reader.h"
+#include "util/json_writer.h"
 #include "util/logging.h"
 
 namespace {
@@ -35,14 +37,13 @@ std::string
 modelRequest(int id, const std::string &op, const SocSpec &soc,
              const Usecase &usecase, const std::string &extra = "")
 {
-    std::ostringstream soc_json;
-    writeJson(soc_json, soc);
-    std::ostringstream usecase_json;
-    writeJson(usecase_json, usecase);
     std::ostringstream req;
-    req << "{\"id\": " << id << ", \"op\": \"" << op
-        << "\", \"soc\": " << soc_json.str()
-        << ", \"usecase\": " << usecase_json.str();
+    req << "{\"id\": " << id << ", \"op\": \"" << op << "\", \"soc\": ";
+    JsonWriter soc_json(req);
+    writeJson(soc_json, soc);
+    req << ", \"usecase\": ";
+    JsonWriter usecase_json(req);
+    writeJson(usecase_json, usecase);
     if (!extra.empty())
         req << ", " << extra;
     req << "}";
@@ -180,6 +181,34 @@ TEST(ServeProtocol, EvalDetailCarriesPerIpTimings)
                   expected.ips[i].time);
         EXPECT_EQ(ips.at(i).at("name").asString(), soc.ip(i).name);
     }
+}
+
+TEST(ServeProtocol, NonBooleanDetailIsBadRequest)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase usecase = paperUsecase(0.75, 8.0, 0.1);
+    for (const char *detail : {"\"yes\"", "1", "null"}) {
+        serve::ServeService service{serve::ServeOptions{}};
+        JsonValue doc = parseResponse(service.handleLine(evalRequest(
+            1, soc, usecase, std::string("\"detail\": ") + detail)));
+        EXPECT_FALSE(doc.at("ok").asBool()) << detail;
+        EXPECT_EQ(doc.at("error").at("code").asNumber(), 2.0) << detail;
+        EXPECT_NE(
+            doc.at("error").at("message").asString().find("\"detail\""),
+            std::string::npos)
+            << detail;
+    }
+}
+
+TEST(ServeProtocol, DetailFalseMatchesNoDetailByteForByte)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase usecase = paperUsecase(0.75, 8.0, 0.1);
+    serve::ServeService plain{serve::ServeOptions{}};
+    serve::ServeService explicit_false{serve::ServeOptions{}};
+    EXPECT_EQ(explicit_false.handleLine(
+                  evalRequest(1, soc, usecase, "\"detail\": false")),
+              plain.handleLine(evalRequest(1, soc, usecase)));
 }
 
 TEST(ServeProtocol, ConfigFileResolutionAndNamedUsecase)
@@ -332,6 +361,72 @@ TEST(ServeProtocol, SweepRestoresTheCachedEvaluator)
         expected.attainable);
 }
 
+/** @return The points of a one-input sweep of @p axis at IP 1. */
+std::vector<double>
+sweepPoints(serve::ServeService &service, const SocSpec &soc,
+            const Usecase &usecase, const std::string &axis,
+            const std::vector<double> &values)
+{
+    std::ostringstream extra;
+    extra << std::setprecision(17) << "\"axis\": \"" << axis
+          << "\", \"ip\": 1, \"values\": [";
+    for (size_t i = 0; i < values.size(); ++i)
+        extra << (i ? ", " : "") << values[i];
+    extra << "]";
+    JsonValue doc = parseResponse(service.handleLine(
+        modelRequest(1, "sweep", soc, usecase, extra.str())));
+    EXPECT_TRUE(doc.at("ok").asBool());
+    std::vector<double> points;
+    for (const JsonValue &p :
+         doc.at("result").at("attainable_ops_per_sec").items())
+        points.push_back(p.asNumber());
+    return points;
+}
+
+// Each point of a sweep, over a full pack and a partial tail, is the
+// model's value for the pair with that one input replaced, bit for
+// bit.
+TEST(ServeProtocol, SweepMatchesTheModelPointByPoint)
+{
+    serve::ServeService service{serve::ServeOptions{}};
+    // 11 values: one full pack plus a 3-lane tail at kGridWidth = 8.
+    SocSpec soc = SocCatalog::paperTwoIp();
+    Usecase good_reuse = paperUsecase(0.75, 8.0, 8.0);
+    std::vector<double> bpeaks = {5e9,  10e9, 15e9, 20e9, 25e9, 30e9,
+                                  40e9, 50e9, 60e9, 70e9, 80e9};
+    std::vector<double> points =
+        sweepPoints(service, soc, good_reuse, "bpeak", bpeaks);
+    ASSERT_EQ(points.size(), bpeaks.size());
+    for (size_t i = 0; i < bpeaks.size(); ++i)
+        EXPECT_EQ(points[i],
+                  GablesModel::evaluate(soc.with(Param::bpeak(), bpeaks[i]),
+                                        good_reuse)
+                      .attainable)
+            << "bpeak " << bpeaks[i];
+    // Figure 6d: flat from the sufficient 20 GB/s on.
+    EXPECT_DOUBLE_EQ(points[3], 160e9);
+    EXPECT_DOUBLE_EQ(points.back(), 160e9);
+
+    SocSpec soc30 = soc.with(Param::bpeak(), 30e9);
+    Usecase low_reuse = paperUsecase(0.75, 8.0, 0.1);
+    std::vector<double> intensities;
+    for (int i = 0; i < 11; ++i)
+        intensities.push_back(0.1 + 0.79 * i);
+    points = sweepPoints(service, soc30, low_reuse, "intensity",
+                         intensities);
+    ASSERT_EQ(points.size(), intensities.size());
+    for (size_t i = 0; i < intensities.size(); ++i)
+        EXPECT_EQ(points[i],
+                  GablesModel::evaluate(
+                      soc30,
+                      low_reuse.withWork(1, IpWork{0.75, intensities[i]}))
+                      .attainable)
+            << "I1 " << intensities[i];
+    // Figure 6c -> 6d: raising I1 from 0.1 to 8 lifts 2 to 160 Gops/s.
+    EXPECT_DOUBLE_EQ(points.front(), 2e9);
+    EXPECT_DOUBLE_EQ(points.back(), 160e9);
+}
+
 TEST(ServeProtocol, StatsReportParsesAsRunReport)
 {
     serve::ServeService service{serve::ServeOptions{}};
@@ -350,6 +445,41 @@ TEST(ServeProtocol, StatsReportParsesAsRunReport)
     JsonValue snapshot = parseJson(service.statsReportJson());
     EXPECT_EQ(snapshot.at("schema").at("name").asString(),
               "gables-run-report");
+}
+
+TEST(ServeProtocol, StatsListEveryStatByNameAndKindInOrder)
+{
+    serve::ServeService service{serve::ServeOptions{}};
+    const JsonValue report = statsDoc(service);
+    std::vector<std::string> stats;
+    for (const auto &[name, stat] : report.at("stats").members())
+        stats.push_back(name + " " + stat.at("kind").asString());
+    const std::vector<std::string> expected = {
+        "serve.requests counter",
+        "serve.responses_ok counter",
+        "serve.responses_error counter",
+        "serve.deadline_expired counter",
+        "serve.sweep_points counter",
+        "serve.model_evals counter",
+        "serve.bytes_in counter",
+        "serve.bytes_out counter",
+        "serve.request_seconds distribution",
+        "serve.op.ping counter",
+        "serve.op.eval counter",
+        "serve.op.sweep counter",
+        "serve.op.explore counter",
+        "serve.op.advise counter",
+        "serve.op.stats counter",
+        "serve.op.shutdown counter",
+        "serve.op.unknown counter",
+        "serve.op.invalid counter",
+        "serve.cache_hits gauge",
+        "serve.cache_misses gauge",
+        "serve.cache_evictions gauge",
+        "serve.cache_size gauge",
+        "serve.cache_hit_rate gauge",
+    };
+    EXPECT_EQ(stats, expected);
 }
 
 TEST(ServeProtocol, StatsExposeEvalCountAndCacheRate)

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -54,37 +53,12 @@ TEST(EventQueue, CallbackMaySchedule)
     EXPECT_DOUBLE_EQ(eq.now(), 2.0);
 }
 
-TEST(EventQueue, ScheduleAfterUsesNow)
-{
-    EventQueue eq;
-    double when = -1.0;
-    eq.schedule(5.0, [&] {
-        eq.scheduleAfter(2.5, [&] { when = eq.now(); });
-    });
-    eq.run();
-    EXPECT_DOUBLE_EQ(when, 7.5);
-}
-
 TEST(EventQueue, PastSchedulingRejected)
 {
     EventQueue eq;
     eq.schedule(5.0, [] {});
     eq.run();
     EXPECT_THROW(eq.schedule(1.0, [] {}), FatalError);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1.0, [&] { ++fired; });
-    eq.schedule(10.0, [&] { ++fired; });
-    eq.runUntil(5.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(eq.now(), 5.0);
-    EXPECT_FALSE(eq.empty());
-    eq.run();
-    EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, EventCount)
@@ -184,44 +158,6 @@ TEST(EventQueue, PropertyMatchesStableSortReference)
             ASSERT_EQ(fired[i], expect[i].second)
                 << "trial " << trial << " position " << i;
         }
-    }
-}
-
-/** runUntil must stop exactly at the deadline boundary: events at
- * the deadline fire, events just after stay queued, and interleaved
- * runUntil/run calls preserve global order. */
-TEST(EventQueue, PropertyRunUntilBoundary)
-{
-    Rng rng(0x5EEDu);
-    for (int trial = 0; trial < 20; ++trial) {
-        EventQueue eq;
-        std::vector<double> fired;
-        int n = static_cast<int>(rng.uniformInt(5, 60));
-        std::vector<double> times;
-        for (int i = 0; i < n; ++i) {
-            double t = rng.uniform(0.0, 100.0);
-            if (rng.uniform() < 0.3)
-                t = std::floor(t); // land some exactly on deadlines
-            times.push_back(t);
-            eq.schedule(t, [&fired, t] { fired.push_back(t); });
-        }
-        std::sort(times.begin(), times.end());
-
-        for (double deadline = 10.0; deadline <= 100.0;
-             deadline += 10.0) {
-            eq.runUntil(deadline);
-            // Everything at or before the deadline has fired.
-            size_t expect_count = static_cast<size_t>(
-                std::upper_bound(times.begin(), times.end(),
-                                 deadline) -
-                times.begin());
-            ASSERT_EQ(fired.size(), expect_count)
-                << "trial " << trial << " deadline " << deadline;
-            EXPECT_DOUBLE_EQ(eq.now(), deadline);
-        }
-        eq.run();
-        ASSERT_EQ(fired.size(), times.size());
-        EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
     }
 }
 

@@ -89,7 +89,6 @@ TEST(MemoryPath, ChainsHops)
     path.addHop(&dram);
     // Link: 0 -> 1.0; DRAM: 1.0 -> 3.0 (+0.1 latency).
     EXPECT_DOUBLE_EQ(path.request(0.0, 100.0), 3.1);
-    EXPECT_DOUBLE_EQ(path.unloadedLatency(), 0.1);
 }
 
 TEST(MemoryPath, SharedHopCreatesContention)

@@ -158,19 +158,6 @@ TEST(Catalog, Sd821SimAlsoTracesRooflines)
     EXPECT_NEAR(fit.peakBw, 14.0e9, 14.0e9 * 0.03);
 }
 
-TEST(Catalog, CpuSimdCeilingMatchesSectionFourB)
-{
-    // "When we apply vectorization ... we can achieve in excess of
-    // 40 GFLOP/s"; the paper standardizes on the 7.5 non-NEON
-    // ceiling. Both live on one roofline with a ceiling.
-    Roofline cpu = SocCatalog::sd835CpuRooflineWithSimd();
-    EXPECT_DOUBLE_EQ(cpu.attainable(100.0), 40e9);
-    EXPECT_DOUBLE_EQ(cpu.attainableWithCeilings(100.0), 7.5e9);
-    // In the bandwidth-bound region the two coincide.
-    EXPECT_DOUBLE_EQ(cpu.attainable(0.25),
-                     cpu.attainableWithCeilings(0.25));
-}
-
 TEST(MarketData, ChipsetSeriesShapeMatchesFigure2a)
 {
     const auto &data = MarketData::chipsetsPerYear();

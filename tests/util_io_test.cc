@@ -51,46 +51,23 @@ TEST(TextTable, RowCount)
     TextTable t({"a"});
     EXPECT_EQ(t.rowCount(), 0u);
     t.addRow({"1"});
-    t.addRule();
     t.addRow({"2"});
     EXPECT_EQ(t.rowCount(), 2u);
 }
 
-TEST(TextTable, MarkdownRendering)
-{
-    TextTable t({"x", "y"});
-    t.addRow({"1", "2"});
-    std::string md = t.renderMarkdown();
-    EXPECT_NE(md.find("| x | y |"), std::string::npos);
-    EXPECT_NE(md.find("|---|---|"), std::string::npos);
-    EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(TextTable, RulesAlignmentAndWideOrEmptyCells)
 {
-    // A rule first, two in a row and one last; a left-aligned third
+    // The header rule spans widened columns; a left-aligned third
     // column; cells wider than their header; empty cells.
     TextTable t({"name", "v", "unit"});
     t.setAlign(2, TextTable::Align::Left);
-    t.addRule();
     t.addRow({"alpha", "12345", ""});
-    t.addRule();
-    t.addRule();
     t.addRow({"", "7", "ms"});
-    t.addRule();
     EXPECT_EQ(t.rowCount(), 2u);
     EXPECT_EQ(t.render(), " name  |     v | unit \n"
                           "-------+-------+------\n"
-                          "-------+-------+------\n"
                           " alpha | 12345 |      \n"
-                          "-------+-------+------\n"
-                          "-------+-------+------\n"
-                          "       |     7 | ms   \n"
-                          "-------+-------+------\n");
-    EXPECT_EQ(t.renderMarkdown(), "| name | v | unit |\n"
-                                  "|---|---|---|\n"
-                                  "| alpha | 12345 |  |\n"
-                                  "|  | 7 | ms |\n");
+                          "       |     7 | ms   \n");
 }
 
 TEST(TextTable, HeaderOnly)
@@ -98,7 +75,6 @@ TEST(TextTable, HeaderOnly)
     TextTable t({"a", "bb"});
     EXPECT_EQ(t.render(), " a | bb \n"
                           "---+----\n");
-    EXPECT_EQ(t.renderMarkdown(), "| a | bb |\n|---|---|\n");
 }
 
 TEST(Json, SimpleObject)

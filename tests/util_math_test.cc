@@ -20,50 +20,6 @@
 namespace gables {
 namespace {
 
-TEST(WeightedHarmonicMean, UniformWeightsMatchClassic)
-{
-    // Classic harmonic mean of {2, 4} is 2/(1/2 + 1/4) = 8/3.
-    double hm = weightedHarmonicMean({0.5, 0.5}, {2.0, 4.0});
-    EXPECT_NEAR(hm, 8.0 / 3.0, 1e-12);
-}
-
-TEST(WeightedHarmonicMean, PaperIavgExample)
-{
-    // Appendix Figure 6b: Iavg = 1/[(0.25/8) + (0.75/0.1)] = 0.13278.
-    double iavg = weightedHarmonicMean({0.25, 0.75}, {8.0, 0.1});
-    EXPECT_NEAR(iavg, 0.13278, 5e-6);
-}
-
-TEST(WeightedHarmonicMean, ZeroWeightSkipsValue)
-{
-    // The skipped value may be anything; result equals the other.
-    double hm = weightedHarmonicMean({1.0, 0.0}, {8.0, 1e-30});
-    EXPECT_NEAR(hm, 8.0, 1e-12);
-}
-
-TEST(WeightedHarmonicMean, AllZeroWeights)
-{
-    EXPECT_DOUBLE_EQ(weightedHarmonicMean({0.0, 0.0}, {1.0, 2.0}), 0.0);
-}
-
-TEST(WeightedHarmonicMean, ZeroValueGivesZero)
-{
-    EXPECT_DOUBLE_EQ(weightedHarmonicMean({0.5, 0.5}, {0.0, 4.0}), 0.0);
-}
-
-TEST(ApproxEqual, RelativeTolerance)
-{
-    EXPECT_TRUE(approxEqual(1e12, 1e12 * (1.0 + 1e-12)));
-    EXPECT_FALSE(approxEqual(1.0, 1.001));
-    EXPECT_TRUE(approxEqual(1.0, 1.001, 1e-2));
-}
-
-TEST(RelativeError, ReferenceInDenominator)
-{
-    EXPECT_NEAR(relativeError(11.0, 10.0), 0.1, 1e-12);
-    EXPECT_NEAR(relativeError(9.0, 10.0), 0.1, 1e-12);
-}
-
 TEST(Logspace, EndpointsExactAndMonotone)
 {
     auto v = logspace(0.01, 100.0, 9);
@@ -80,15 +36,6 @@ TEST(Logspace, GeometricSpacing)
     EXPECT_NEAR(v[1], 2.0, 1e-9);
     EXPECT_NEAR(v[2], 4.0, 1e-9);
     EXPECT_NEAR(v[3], 8.0, 1e-9);
-}
-
-TEST(Linspace, EndpointsAndStep)
-{
-    auto v = linspace(0.0, 1.0, 5);
-    ASSERT_EQ(v.size(), 5u);
-    EXPECT_DOUBLE_EQ(v[0], 0.0);
-    EXPECT_DOUBLE_EQ(v[2], 0.5);
-    EXPECT_DOUBLE_EQ(v[4], 1.0);
 }
 
 TEST(LogTicks, CoversRange)

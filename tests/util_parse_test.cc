@@ -93,23 +93,6 @@ TEST(ParseIntInRange, EnforcesBounds)
     EXPECT_THROW(parseIntInRange("-1", 0, 10), FatalError);
 }
 
-TEST(ParseDoubleInRange, EnforcesBounds)
-{
-    EXPECT_DOUBLE_EQ(parseDoubleInRange("0.5", 0.0, 1.0), 0.5);
-    EXPECT_THROW(parseDoubleInRange("1.5", 0.0, 1.0), FatalError);
-    // NaN never satisfies a range check.
-    EXPECT_THROW(parseDoubleInRange("nan", 0.0, 1.0), FatalError);
-}
-
-TEST(ParseSignedVariants, EnforceSign)
-{
-    EXPECT_DOUBLE_EQ(parsePositiveDouble("2.5"), 2.5);
-    EXPECT_THROW(parsePositiveDouble("0"), FatalError);
-    EXPECT_THROW(parsePositiveDouble("-1"), FatalError);
-    EXPECT_DOUBLE_EQ(parseNonNegativeDouble("0"), 0.0);
-    EXPECT_THROW(parseNonNegativeDouble("-0.1"), FatalError);
-}
-
 TEST(ParseDoublePrefix, SplitsNumberAndRest)
 {
     double value = 0.0;

@@ -98,13 +98,6 @@ TEST(StartsWith, Basic)
     EXPECT_TRUE(startsWith("abc", ""));
 }
 
-TEST(EndsWith, Basic)
-{
-    EXPECT_TRUE(endsWith("plot.svg", ".svg"));
-    EXPECT_FALSE(endsWith("svg", "plot.svg"));
-    EXPECT_TRUE(endsWith("abc", ""));
-}
-
 TEST(FormatDouble, TrimsTrailingZeros)
 {
     EXPECT_EQ(formatDouble(1.5), "1.5");
