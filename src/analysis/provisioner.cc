@@ -28,14 +28,14 @@ namespace {
  * every requirement, by bisection in log space.
  */
 double
-minimalScale(const std::function<bool(double)> &ok, double tolerance)
+minimalScale(const std::function<bool(double)> &ok)
 {
     GABLES_ASSERT(ok(1.0), "knob must start feasible");
     double lo = 1e-6;
     if (ok(lo))
         return lo;
     double hi = 1.0;
-    while (hi / lo > 1.0 + tolerance) {
+    while (hi / lo > 1.0 + Provisioner::kTolerance) {
         double mid = std::sqrt(lo * hi);
         if (ok(mid))
             hi = mid;
@@ -49,8 +49,7 @@ minimalScale(const std::function<bool(double)> &ok, double tolerance)
 
 ProvisionedDesign
 Provisioner::minimize(const SocSpec &start,
-                      const std::vector<Requirement> &requirements,
-                      const Options &options)
+                      const std::vector<Requirement> &requirements)
 {
     GABLES_SPAN("provision.minimize");
     if (requirements.empty())
@@ -63,8 +62,6 @@ Provisioner::minimize(const SocSpec &start,
             fatal("requirement '" + req.usecase.name() +
                   "' does not match the design's IP count");
     }
-    if (!(options.tolerance > 0.0 && options.tolerance < 1.0))
-        fatal("provisioner tolerance must be in (0, 1)");
 
     ProvisionedDesign result(start);
     if (!meetsAll(start, requirements)) {
@@ -88,12 +85,12 @@ Provisioner::minimize(const SocSpec &start,
     const Usecase &any = requirements.front().usecase;
 
     SocSpec current = start;
-    for (int iter = 0; iter < options.maxIterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
         SocSpec before = current;
         for (const Param &p : knobs) {
             double base = p.read(current, any);
             double floor_scale = p.kind == Param::Kind::Acceleration
-                                     ? options.minAcceleration / base
+                                     ? kMinAcceleration / base
                                      : 0.0;
             double scale = minimalScale(
                 [&](double s) {
@@ -101,8 +98,7 @@ Provisioner::minimize(const SocSpec &start,
                         return false;
                     return meetsAll(current.with(p, base * s),
                                     requirements);
-                },
-                options.tolerance);
+                });
             current = current.with(p, base * scale);
         }
 
@@ -113,7 +109,7 @@ Provisioner::minimize(const SocSpec &start,
             converged = converged &&
                         std::fabs(p.read(current, any) /
                                       p.read(before, any) -
-                                  1.0) < options.tolerance;
+                                  1.0) < kTolerance;
         if (converged)
             break;
     }

@@ -51,16 +51,13 @@ struct ProvisionedDesign {
 class Provisioner
 {
   public:
-    /** Tuning knobs. */
-    struct Options {
-        /** Relative tolerance: each knob is minimized until a
-         * further (1 - tol) scaling would violate a target. */
-        double tolerance = 1e-3;
-        /** Fixpoint iteration cap. */
-        int maxIterations = 8;
-        /** Keep every Ai >= this floor (A0 is pinned to 1). */
-        double minAcceleration = 0.1;
-    };
+    /** Relative tolerance: each knob is minimized until a further
+     * (1 - tol) scaling would violate a target. */
+    static constexpr double kTolerance = 1e-3;
+    /** Fixpoint iteration cap. */
+    static constexpr int kMaxIterations = 8;
+    /** Every Ai stays >= this floor (A0 is pinned to 1). */
+    static constexpr double kMinAcceleration = 0.1;
 
     /**
      * Minimize @p start subject to every requirement.
@@ -68,20 +65,10 @@ class Provisioner
      * @param start        An over-provisioned starting design; every
      *                     requirement must already be met by it.
      * @param requirements Usecases and their ops/s targets.
-     * @param options      Tuning knobs.
      */
     static ProvisionedDesign minimize(const SocSpec &start,
                                       const std::vector<Requirement>
-                                          &requirements,
-                                      const Options &options);
-
-    /** minimize() with default options. */
-    static ProvisionedDesign
-    minimize(const SocSpec &start,
-             const std::vector<Requirement> &requirements)
-    {
-        return minimize(start, requirements, Options{});
-    }
+                                          &requirements);
 
     /** @return True if @p soc meets every requirement. */
     static bool meetsAll(const SocSpec &soc,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "core/evaluator.h"
 #include "telemetry/span.h"
@@ -19,19 +18,17 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     GABLES_SPAN("robust.analyze");
     if (options.samples < 1)
         fatal("robustness analysis needs at least one sample");
-    if (!(options.intensityJitter >= 1.0) ||
-        !(options.fractionJitter >= 1.0))
-        fatal("jitter factors must be >= 1");
 
-    // The nominal point is compiled once; every Monte-Carlo sample
-    // then overwrites the per-IP work terms of a lane of a grid pack
-    // broadcast from it, instead of constructing a Usecase.
-    GablesPack<1> nominal(soc, usecase);
-    nominal.run();
+    // The nominal pair is compiled once into every lane of a grid
+    // pack; every Monte-Carlo sample then overwrites the per-IP work
+    // terms of one lane, instead of constructing a Usecase.
+    constexpr size_t W = kGridWidth;
+    GablesPack<W> pack(soc, usecase);
+    pack.run(1);
 
     RobustnessReport report;
     report.samples = options.samples;
-    report.nominal = nominal.attainable(0);
+    report.nominal = pack.attainable(0);
 
     Rng rng(options.seed);
     std::vector<double> perf;
@@ -45,15 +42,12 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     // interface, IP -1).
     std::vector<int> bottleneck_counts(n + 1, 0);
 
-    // A jitter of exactly 1 draws nothing; otherwise the scale
-    // factor is log-uniform in [1/x, x], its logs taken once here.
-    std::optional<LogUniform> fraction_scale, intensity_scale;
-    if (options.fractionJitter != 1.0)
-        fraction_scale.emplace(1.0 / options.fractionJitter,
-                               options.fractionJitter);
-    if (options.intensityJitter != 1.0)
-        intensity_scale.emplace(1.0 / options.intensityJitter,
-                                options.intensityJitter);
+    // Each scale factor is log-uniform in [1/x, x], its logs taken
+    // once here.
+    const LogUniform fraction_scale(1.0 / kFractionJitter,
+                                    kFractionJitter);
+    const LogUniform intensity_scale(1.0 / kIntensityJitter,
+                                     kIntensityJitter);
 
     // One perturbed sample's work terms, drawn in sample-major,
     // IP-minor order.
@@ -66,9 +60,8 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
                 intensities[i] = 1.0;
                 continue;
             }
-            double f_scale = fraction_scale ? (*fraction_scale)(rng) : 1.0;
-            double i_scale =
-                intensity_scale ? (*intensity_scale)(rng) : 1.0;
+            double f_scale = fraction_scale(rng);
+            double i_scale = intensity_scale(rng);
             intensities[i] = std::isinf(w.intensity)
                                  ? w.intensity
                                  : w.intensity * i_scale;
@@ -88,8 +81,6 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     // W samples per pass. Every lane's work terms are fully
     // overwritten per sample (all n IPs), so lanes never leak state
     // between passes.
-    constexpr size_t W = kGridWidth;
-    GablesPack<W> pack(nominal);
     const size_t samples = static_cast<size_t>(options.samples);
     for (size_t s0 = 0; s0 < samples; s0 += W) {
         const size_t cnt = std::min(W, samples - s0);

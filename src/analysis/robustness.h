@@ -48,22 +48,23 @@ struct RobustnessReport {
 class Robustness
 {
   public:
-    /** Perturbation configuration. */
+    /**
+     * Multiplicative jitter on intensities: each finite Ii is scaled
+     * by a log-uniform factor in [1/x, x].
+     */
+    static constexpr double kIntensityJitter = 2.0;
+    /**
+     * Jitter on work fractions: each active fi is scaled by a
+     * log-uniform factor in [1/x, x], then the vector renormalizes.
+     */
+    static constexpr double kFractionJitter = 1.5;
+
+    /** Sampling configuration. */
     struct Options {
         /** Samples to draw. */
         int samples = 1000;
         /** RNG seed (deterministic across runs). */
         uint64_t seed = 1;
-        /**
-         * Multiplicative jitter on intensities: each Ii is scaled
-         * by a log-uniform factor in [1/x, x].
-         */
-        double intensityJitter = 2.0;
-        /**
-         * Jitter on work fractions: each active fi is scaled by a
-         * uniform factor in [1/x, x], then the vector renormalizes.
-         */
-        double fractionJitter = 1.5;
         /** Performance target (ops/s); 0 = no target. */
         double target = 0.0;
     };
@@ -73,7 +74,7 @@ class Robustness
      *
      * @param soc     Hardware description.
      * @param usecase Nominal usecase.
-     * @param options Perturbation configuration.
+     * @param options Sampling configuration.
      */
     static RobustnessReport analyze(const SocSpec &soc,
                                     const Usecase &usecase,

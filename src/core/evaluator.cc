@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "telemetry/span.h"
 #include "util/logging.h"
 
 namespace gables {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-} // namespace
 
 template <size_t W>
 GablesPack<W>::GablesPack(const SocSpec &soc, const Usecase &usecase)
@@ -32,23 +25,8 @@ GablesPack<W>::GablesPack(const SocSpec &soc, const Usecase &usecase)
               " IP entries but SoC '" + soc.name() + "' has " +
               std::to_string(soc.numIps()) + " IPs");
 
-    reset(soc.numIps());
-    ppeak_.fill(soc.ppeak());
-    bpeak_.fill(soc.bpeak());
-    for (size_t i = 0; i < n_; ++i) {
-        const IpSpec &ip = soc.ip(i);
-        const IpWork &w = usecase.at(i);
-        fillRow(i, ip.acceleration, ip.bandwidth, w.fraction,
-                w.intensity);
-    }
-}
-
-template <size_t W>
-void
-GablesPack<W>::reset(size_t n)
-{
-    n_ = n;
-    const size_t rows = n * W;
+    n_ = soc.numIps();
+    const size_t rows = n_ * W;
     accel_.resize(rows);
     bandwidth_.resize(rows);
     fraction_.resize(rows);
@@ -56,24 +34,23 @@ GablesPack<W>::reset(size_t n)
     intensityEff_.resize(rows);
     dataBytes_.resize(rows);
     time_.resize(rows);
-    dirtyLo_ = 0;
-    dirtyHi_ = n;
-}
-
-template <size_t W>
-void
-GablesPack<W>::fillRow(size_t i, double acceleration, double bandwidth,
-                       double fraction, double intensity)
-{
-    const size_t o = i * W;
-    const double eff = fraction > 0.0 ? intensity : 1.0;
-    for (size_t w = 0; w < W; ++w) {
-        accel_[o + w] = acceleration;
-        bandwidth_[o + w] = bandwidth;
-        fraction_[o + w] = fraction;
-        intensity_[o + w] = intensity;
-        intensityEff_[o + w] = eff;
+    ppeak_.fill(soc.ppeak());
+    bpeak_.fill(soc.bpeak());
+    for (size_t i = 0; i < n_; ++i) {
+        const IpSpec &ip = soc.ip(i);
+        const IpWork &work = usecase.at(i);
+        const double eff = work.fraction > 0.0 ? work.intensity : 1.0;
+        for (size_t w = 0; w < W; ++w) {
+            const size_t r = i * W + w;
+            accel_[r] = ip.acceleration;
+            bandwidth_[r] = ip.bandwidth;
+            fraction_[r] = work.fraction;
+            intensity_[r] = work.intensity;
+            intensityEff_[r] = eff;
+        }
     }
+    dirtyLo_ = 0;
+    dirtyHi_ = n_;
 }
 
 // setLanes() lives here (not inline in the header) so it compiles
@@ -92,7 +69,7 @@ GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
     switch (p.kind) {
     case Param::Kind::Ppeak:
         for (size_t w = 0; w < cnt; ++w)
-            checkPpeak(values[w]);
+            checkPpeak(w, values[w]);
         for (size_t w = 0; w < cnt; ++w)
             ppeak_[w] = values[w];
         markDirty(0, n_);
@@ -106,7 +83,7 @@ GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
         return;
     case Param::Kind::Acceleration: {
         for (size_t w = 0; w < cnt; ++w)
-            checkAcceleration(i, values[w]);
+            checkAcceleration(w, i, values[w]);
         double *__restrict__ ac = accel_.data() + o;
         for (size_t w = 0; w < cnt; ++w)
             ac[w] = values[w];
@@ -255,60 +232,6 @@ GablesPack<W>::bottleneckIp(size_t lane) const
             return static_cast<int>(i);
     }
     return -1; // Unreachable: max_time is one of the IP times.
-}
-
-template <size_t W>
-void
-GablesPack<W>::evaluate(size_t lane, GablesResult &out) const
-{
-    GABLES_SPAN("evaluator.evaluate");
-    const int bottleneck = bottleneckIp(lane);
-
-    out.ips.resize(n_);
-    for (size_t i = 0; i < n_; ++i) {
-        const size_t r = i * W + lane;
-        const double f = fraction_[r];
-        IpTiming &t = out.ips[i];
-        if (f > 0.0) {
-            t.computeTime = f / (accel_[r] * ppeak_[lane]);
-            t.dataBytes = dataBytes_[r];
-            t.transferTime = t.dataBytes / bandwidth_[r];
-            t.time = time_[r];
-            t.perfBound = 1.0 / t.time;
-        } else {
-            // No work at this IP: no time, no traffic, unbounded
-            // scaled roofline.
-            t = IpTiming{};
-            t.perfBound = kInf;
-        }
-    }
-
-    const double total = totalBytes_[lane];
-    out.totalDataBytes = total;
-    out.memoryTime = total / bpeak_[lane];
-    // total carries the same bits as Usecase::bytesPerOp() (adding
-    // the +0.0 of idle IPs is exact), so this matches
-    // usecase.averageIntensity().
-    out.averageIntensity = total == 0.0 ? kInf : 1.0 / total;
-    out.memoryPerfBound =
-        out.memoryTime > 0.0 ? 1.0 / out.memoryTime : kInf;
-
-    const double max_time = std::max(maxIpTime_[lane], out.memoryTime);
-    GABLES_ASSERT(max_time > 0.0,
-                  "usecase produced zero total time; Ppeak infinite?");
-    out.attainable = 1.0 / max_time;
-    // The pack models no buses.
-    out.busTimes.clear();
-    out.bottleneckBus = -1;
-    out.bottleneckIp = bottleneck;
-    if (bottleneck < 0) {
-        out.bottleneck = BottleneckKind::Memory;
-    } else {
-        const IpTiming &t = out.ips[static_cast<size_t>(bottleneck)];
-        out.bottleneck = t.computeTime >= t.transferTime
-                             ? BottleneckKind::IpCompute
-                             : BottleneckKind::IpBandwidth;
-    }
 }
 
 template <size_t W>

@@ -1,19 +1,20 @@
 /**
  * @file
- * Compiled evaluation of the base Gables model, for single points
- * (advisor probes, the optimal split, the serve cache) and for grids
- * (sweeps, design-space exploration, sensitivity and robustness
- * sampling).
+ * Compiled evaluation of the base Gables model for grids: sweeps,
+ * design-space exploration, sensitivity and robustness sampling, and
+ * the single-point probes of the advisor and the optimal split.
  *
  * GablesModel::evaluate() re-validates its inputs, re-derives every
- * per-IP term, and heap-allocates a GablesResult on every call.
- * GablesPack<W> compiles a (SocSpec, Usecase) pair once into W
- * independent lanes of structure-of-arrays state and sets one input
- * (a Param) per lane, so a grid point updates one term instead of
- * rebuilding the pair. Evaluation is allocation-free in steady
- * state, and every number is bit-identical to GablesModel::evaluate()
- * (verified by property tests). W = 1 is the single-point evaluator;
- * the grid drivers run W = kGridWidth points per pass.
+ * per-IP term, and builds a full GablesResult on every call; it is
+ * the one place a GablesResult is built. GablesPack<W> compiles a
+ * (SocSpec, Usecase) pair once into W independent lanes of
+ * structure-of-arrays state and sets one input (a Param) per lane, so
+ * a grid point updates one term instead of rebuilding the pair. Per
+ * lane it reports only attainable performance and the bottleneck IP.
+ * Evaluation is allocation-free in steady state, and both numbers are
+ * bit-identical to GablesModel::evaluate() (verified by property
+ * tests). W = 1 is the single-point evaluator; the grid drivers run
+ * W = kGridWidth points per pass.
  *
  * Thread-safety: a pack is mutable state; use one instance per worker
  * (the parallel drivers build one per pool worker).
@@ -30,8 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "core/gables.h"
 #include "core/param.h"
+#include "core/soc_spec.h"
+#include "core/usecase.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -79,31 +81,6 @@ class GablesPack
      */
     GablesPack(const SocSpec &soc, const Usecase &usecase);
 
-    /** A pack whose every lane is a copy of lane 0 of @p src. */
-    template <size_t V>
-        requires(V != W)
-    explicit GablesPack(const GablesPack<V> &src)
-    {
-        broadcast(src);
-    }
-
-    /**
-     * Reset every lane to a copy of lane 0 of @p src (no allocation
-     * when the IP count is unchanged). evalCount() carries over.
-     */
-    template <size_t V>
-    void broadcast(const GablesPack<V> &src)
-    {
-        reset(src.n_);
-        ppeak_.fill(src.ppeak_[0]);
-        bpeak_.fill(src.bpeak_[0]);
-        for (size_t i = 0; i < n_; ++i) {
-            const size_t s = i * V;
-            fillRow(i, src.accel_[s], src.bandwidth_[s],
-                    src.fraction_[s], src.intensity_[s]);
-        }
-    }
-
     /** @return Number of IPs N (identical in every lane). */
     size_t numIps() const { return n_; }
 
@@ -138,8 +115,9 @@ class GablesPack
      *
      * @p lane < W selects the point. Values are checked with the
      * invariants the SocSpec/Usecase constructors enforce (positive
-     * finite hardware parameters, A0 = 1, non-negative fractions,
-     * positive intensity wherever work is assigned); the
+     * finite hardware parameters, A0 = 1, a finite peak Ai * Ppeak
+     * at every IP, non-negative fractions, positive intensity
+     * wherever work is assigned); the
      * fractions-sum-to-one invariant is the caller's contract, since
      * drivers set several fractions in sequence. A rejected value
      * leaves the pack untouched. Mutations are buffered: run()
@@ -158,7 +136,7 @@ class GablesPack
         switch (p.kind) {
         case Param::Kind::Ppeak:
             // Rescales every IP's compute roof.
-            checkPpeak(v);
+            checkPpeak(lane, v);
             ppeak_[lane] = v;
             markDirty(0, n_);
             return;
@@ -168,7 +146,7 @@ class GablesPack
             bpeak_[lane] = v;
             return;
         case Param::Kind::Acceleration:
-            checkAcceleration(i, v);
+            checkAcceleration(lane, i, v);
             accel_[r] = v;
             break;
         case Param::Kind::IpBandwidth:
@@ -231,14 +209,6 @@ class GablesPack
     int bottleneckIp(size_t lane) const;
 
     /**
-     * Full result of @p lane, with per-IP detail, into a caller-owned
-     * scratch result (no allocation once the scratch is warm). Every
-     * field matches GablesModel::evaluate() bit-for-bit. Needs a
-     * run() after the last row mutation; not counted in evalCount().
-     */
-    void evaluate(size_t lane, GablesResult &out) const;
-
-    /**
      * Per-lane sums of the acceleration and link-bandwidth rows,
      * each accumulated in IP index order — the order
      * CostModel::cost() visits the IPs, so a linear cost computed
@@ -258,8 +228,6 @@ class GablesPack
     uint64_t evalCount() const { return evals_; }
 
   private:
-    template <size_t> friend class GablesPack;
-
     /** fatal() with the message @p msg builds. Out of line, so the
      * checks below stay small enough to inline into set() and
      * setLanes(). */
@@ -289,12 +257,16 @@ class GablesPack
 
     /** @name Value checks shared by set() and setLanes() */
     /** @{ */
-    static void checkPpeak(double ppeak)
+    /** Ppeak of @p lane, and the peak Ai * Ppeak it gives each of
+     * the lane's IPs. */
+    void checkPpeak(size_t lane, double ppeak) const
     {
         if (!(ppeak > 0.0) || std::isinf(ppeak))
             reject([] {
                 return "evaluator: Ppeak must be positive and finite";
             });
+        for (size_t i = 0; i < n_; ++i)
+            checkPeak(i, accel_[i * W + lane], ppeak);
     }
 
     static void checkBpeak(double bpeak)
@@ -305,7 +277,8 @@ class GablesPack
             });
     }
 
-    static void checkAcceleration(size_t i, double acceleration)
+    /** Ai of IP @p i in @p lane, and its peak Ai * Ppeak. */
+    void checkAcceleration(size_t lane, size_t i, double acceleration) const
     {
         if (!(acceleration > 0.0) || std::isinf(acceleration))
             reject([i] {
@@ -316,6 +289,18 @@ class GablesPack
             reject([] {
                 return "evaluator: IP[0] acceleration A0 must be 1 "
                        "(paper Section III-D)";
+            });
+        checkPeak(i, acceleration, ppeak_[lane]);
+    }
+
+    /** The invariant SocSpec::validate() checks: the product the
+     * compute time divides by must not overflow. */
+    static void checkPeak(size_t i, double acceleration, double ppeak)
+    {
+        if (!std::isfinite(acceleration * ppeak))
+            reject([i] {
+                return "evaluator: IP[" + std::to_string(i) +
+                       "] peak Ai * Ppeak must be finite";
             });
     }
 
@@ -363,12 +348,6 @@ class GablesPack
         dirtyLo_ = std::min(dirtyLo_, lo);
         dirtyHi_ = std::max(dirtyHi_, hi);
     }
-
-    /** Size the rows for @p n IPs and mark every row dirty. */
-    void reset(size_t n);
-    /** Set every lane of IP row @p i. */
-    void fillRow(size_t i, double acceleration, double bandwidth,
-                 double fraction, double intensity);
 
     size_t n_ = 0;
 

@@ -32,6 +32,10 @@ SocSpec::validate() const
         if (!(ip.acceleration > 0.0) || std::isinf(ip.acceleration))
             fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
                   "] acceleration must be positive and finite");
+        if (!std::isfinite(ip.acceleration * ppeak_))
+            fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
+                  "] '" + ip.name +
+                  "' peak Ai * Ppeak must be finite");
         if (!(ip.bandwidth > 0.0) || std::isinf(ip.bandwidth))
             fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
                   "] bandwidth must be positive and finite");

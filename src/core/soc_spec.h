@@ -38,7 +38,8 @@ struct IpSpec {
  *
  * Invariants (enforced by validate(), which every model entry point
  * calls): Ppeak > 0, Bpeak > 0, at least one IP, IP[0].acceleration
- * == 1, all accelerations > 0 and bandwidths > 0.
+ * == 1, all accelerations > 0 and bandwidths > 0, all finite, and
+ * every IP's peak Ai * Ppeak finite.
  */
 class SocSpec
 {

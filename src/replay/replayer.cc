@@ -127,6 +127,12 @@ replayBundle(const std::string &path, const CommandRunner &run,
         return fail(2, "bad-bundle",
                     path + ": refusing to replay a nested 'replay' "
                            "invocation");
+    // A daemon runs until it is signalled, so its replay would never
+    // return.
+    if (bundle.subcommand() == "serve")
+        return fail(2, "bad-bundle",
+                    path + ": refusing to replay a 'serve' invocation "
+                           "(the daemon would not exit)");
 
     ReplayOutcome outcome;
     outcome.subcommand = bundle.subcommand();

@@ -81,8 +81,9 @@ struct ReplayOutcome {
  * Replay the bundle at @p path: parse it, install its inlined config
  * files as loadSocConfig() overrides, re-run the recorded argv
  * through @p run while capturing the fresh RunReport, then compare
- * exit codes and diff the reports. Never throws; failures are
- * reported through the outcome.
+ * exit codes and diff the reports. A bundle that records `replay`
+ * or `serve` is refused as bad-bundle (exit 2) without running it.
+ * Never throws; failures are reported through the outcome.
  */
 ReplayOutcome replayBundle(const std::string &path,
                            const CommandRunner &run,

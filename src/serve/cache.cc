@@ -82,8 +82,8 @@ EvaluatorCache::acquire(const SocSpec &soc, const Usecase &usecase,
             return lru_.front().entry;
         }
     }
-    // Compile outside the cache lock: validation may throw and
-    // compilation of large specs should not stall concurrent hits.
+    // Evaluate outside the cache lock: validation may throw, and a
+    // large pair should not stall concurrent hits.
     auto entry = std::make_shared<Entry>(soc, usecase);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);

@@ -1,22 +1,20 @@
 /**
  * @file
- * LRU cache of compiled single-point GablesPack instances for the
- * daemon.
+ * LRU cache of evaluated (SocSpec, Usecase) pairs for the daemon.
  *
- * Compiling a (SocSpec, Usecase) pair validates both specs and
- * derives every per-IP timing lane; at serving rates that cost — and
- * the allocations behind it — dominates a cached evaluation. The
- * cache keys entries by cacheKey(): every name and the raw bytes of
- * every double of the pair, so two requests share an entry iff
- * their names match and their numbers parse to the same bits,
- * however they were spelled. It evicts least-recently-used entries
- * beyond a fixed capacity.
+ * An entry is immutable: the pair and its GablesModel::evaluate()
+ * result, computed once on the miss that inserts it. A repeat eval
+ * renders the stored result, and a sweep compiles its own grid pack
+ * from the stored pair. The cache keys entries by cacheKey(): every
+ * name and the raw bytes of every double of the pair, so two requests
+ * share an entry iff their names match and their numbers parse to
+ * the same bits, however they were spelled. It evicts
+ * least-recently-used entries beyond a fixed capacity.
  *
- * Thread-safety: acquire() is safe from any thread. A pack is mutable
- * per-evaluation state, so each entry carries its own
- * mutex; callers lock it for the duration of their evaluation
- * (Entry::lock()). Entries are handed out as shared_ptr so an evicted
- * entry stays alive for requests still using it.
+ * Thread-safety: acquire() is safe from any thread, and so is reading
+ * an entry: nothing in it changes after construction, so readers take
+ * no lock. Entries are handed out as shared_ptr so an evicted entry
+ * stays alive for requests still using it.
  */
 
 #ifndef GABLES_SERVE_CACHE_H
@@ -30,9 +28,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/evaluator.h"
-#include "core/soc_spec.h"
-#include "core/usecase.h"
+#include "core/gables.h"
 
 namespace gables {
 namespace serve {
@@ -41,36 +37,34 @@ namespace serve {
 std::string cacheKey(const SocSpec &soc, const Usecase &usecase);
 
 /**
- * A fixed-capacity LRU cache of compiled evaluators.
+ * A fixed-capacity LRU cache of evaluated pairs.
  */
 class EvaluatorCache
 {
   public:
-    /** One cached compilation. */
+    /** One cached pair and its model result. */
     struct Entry {
+        /** @throws FatalError when the pair fails validation. */
         Entry(const SocSpec &s, const Usecase &u)
-            : soc(s), usecase(u), evaluator(s, u)
+            : soc(s), usecase(u), result(GablesModel::evaluate(s, u))
         {}
 
         const SocSpec soc;
         const Usecase usecase;
-        GablesPack<1> evaluator;
-
-        /** Serializes evaluations on this entry's mutable state. */
-        std::mutex mutex;
+        const GablesResult result;
     };
 
     /** @param capacity Maximum resident entries; >= 1. */
     explicit EvaluatorCache(size_t capacity);
 
     /**
-     * Fetch the compiled evaluator for the pair, compiling and
-     * inserting (with LRU eviction) on miss.
+     * Fetch the entry for the pair, evaluating and inserting (with
+     * LRU eviction) on miss.
      *
-     * @param soc     Hardware inputs (validated on compile).
-     * @param usecase Software inputs (validated on compile).
+     * @param soc     Hardware inputs (validated on a miss).
+     * @param usecase Software inputs (validated on a miss).
      * @param hit     Optional out: true when served from cache.
-     * @return The shared entry; lock entry->mutex while evaluating.
+     * @return The shared, immutable entry.
      * @throws FatalError when the pair fails validation (nothing is
      *         inserted).
      */

@@ -9,9 +9,9 @@
 
 #include "analysis/advisor.h"
 #include "analysis/explorer.h"
+#include "core/evaluator.h"
 #include "core/gables.h"
 #include "parallel/parallel_for.h"
-#include "replay/bundle.h"
 #include "serve/protocol.h"
 #include "soc/config.h"
 #include "telemetry/report.h"
@@ -198,19 +198,9 @@ resolveIp(const JsonValue &req, const SocSpec &soc)
     badRequest("\"ip\" must be an index or an IP name");
 }
 
-/** Re-render a JSON document compactly onto one line. */
 std::string
-compactJson(const std::string &text)
-{
-    JsonValue value = parseJson(text);
-    std::ostringstream out;
-    JsonWriter json(out, false);
-    replay::writeJsonValue(json, value);
-    return out.str();
-}
-
-std::string
-handleEval(EvaluatorCache::Entry &entry, bool hit, const JsonValue &req)
+handleEval(const EvaluatorCache::Entry &entry, bool hit,
+           const JsonValue &req)
 {
     bool detail = false;
     if (req.has("detail")) {
@@ -218,44 +208,35 @@ handleEval(EvaluatorCache::Entry &entry, bool hit, const JsonValue &req)
             badRequest("\"detail\" must be a boolean");
         detail = req.at("detail").asBool();
     }
-    // Reused across requests on this thread: evaluate() into warm
-    // scratch performs no allocations.
-    thread_local GablesResult scratch;
+    const GablesResult &result = entry.result;
     std::ostringstream out;
-    {
-        std::lock_guard<std::mutex> lock(entry.mutex);
-        entry.evaluator.run();
-        entry.evaluator.evaluate(0, scratch);
-        JsonWriter json(out, false);
-        json.beginObject();
-        json.kv("attainable_ops_per_sec", scratch.attainable);
-        json.kv("bottleneck", toString(scratch.bottleneck));
-        json.kv("bottleneck_label",
-                scratch.bottleneckLabel(entry.soc));
-        json.kv("cache_hit", hit);
-        if (detail) {
-            json.kv("memory_time", scratch.memoryTime);
-            json.kv("memory_perf_bound", scratch.memoryPerfBound);
-            json.kv("average_intensity", scratch.averageIntensity);
-            json.kv("total_data_bytes_per_op",
-                    scratch.totalDataBytes);
-            json.key("ips");
-            json.beginArray();
-            for (size_t i = 0; i < scratch.ips.size(); ++i) {
-                const IpTiming &t = scratch.ips[i];
-                json.beginObject();
-                json.kv("name", entry.soc.ip(i).name);
-                json.kv("compute_time", t.computeTime);
-                json.kv("data_bytes", t.dataBytes);
-                json.kv("transfer_time", t.transferTime);
-                json.kv("time", t.time);
-                json.kv("perf_bound", t.perfBound);
-                json.endObject();
-            }
-            json.endArray();
+    JsonWriter json(out, false);
+    json.beginObject();
+    json.kv("attainable_ops_per_sec", result.attainable);
+    json.kv("bottleneck", toString(result.bottleneck));
+    json.kv("bottleneck_label", result.bottleneckLabel(entry.soc));
+    json.kv("cache_hit", hit);
+    if (detail) {
+        json.kv("memory_time", result.memoryTime);
+        json.kv("memory_perf_bound", result.memoryPerfBound);
+        json.kv("average_intensity", result.averageIntensity);
+        json.kv("total_data_bytes_per_op", result.totalDataBytes);
+        json.key("ips");
+        json.beginArray();
+        for (size_t i = 0; i < result.ips.size(); ++i) {
+            const IpTiming &t = result.ips[i];
+            json.beginObject();
+            json.kv("name", entry.soc.ip(i).name);
+            json.kv("compute_time", t.computeTime);
+            json.kv("data_bytes", t.dataBytes);
+            json.kv("transfer_time", t.transferTime);
+            json.kv("time", t.time);
+            json.kv("perf_bound", t.perfBound);
+            json.endObject();
         }
-        json.endObject();
+        json.endArray();
     }
+    json.endObject();
     return out.str();
 }
 
@@ -341,15 +322,11 @@ parseSweep(const JsonValue &req, const SocSpec &soc)
 }
 
 std::string
-handleSweep(EvaluatorCache::Entry &entry, bool hit, const SweepArgs &args,
-            const Deadline &deadline, uint64_t *sweep_points)
+handleSweep(const EvaluatorCache::Entry &entry, bool hit,
+            const SweepArgs &args, const Deadline &deadline,
+            uint64_t *sweep_points)
 {
-    // The cached entry is only read (broadcast into a grid pack),
-    // never mutated, so a mid-sweep error leaves it untouched.
-    GablesPack<kGridWidth> pack = [&] {
-        std::lock_guard<std::mutex> lock(entry.mutex);
-        return GablesPack<kGridWidth>(entry.evaluator);
-    }();
+    GablesPack<kGridWidth> pack(entry.soc, entry.usecase);
     std::vector<double> attainable;
     attainable.reserve(args.values.size());
     sweepPacked(pack, args.param, args.values, deadline, attainable);
@@ -521,6 +498,42 @@ struct ServeService::Op {
     std::string (*run)(ServeService &service, Staged &s);
 };
 
+template <typename Write>
+void
+ServeService::writeStats(Write &&write)
+{
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    registry_
+        .gauge("serve.cache_hits", "evaluator-cache hits to date")
+        .set(static_cast<double>(cache_.hits()));
+    registry_
+        .gauge("serve.cache_misses",
+               "evaluator-cache compilations to date")
+        .set(static_cast<double>(cache_.misses()));
+    registry_
+        .gauge("serve.cache_evictions",
+               "evaluator-cache LRU evictions to date")
+        .set(static_cast<double>(cache_.evictions()));
+    registry_
+        .gauge("serve.cache_size", "evaluator-cache resident entries")
+        .set(static_cast<double>(cache_.size()));
+    const double lookups =
+        static_cast<double>(cache_.hits() + cache_.misses());
+    registry_
+        .gauge("serve.cache_hit_rate",
+               "evaluator-cache hits / lookups (0 before the first "
+               "lookup)")
+        .set(lookups > 0.0
+                 ? static_cast<double>(cache_.hits()) / lookups
+                 : 0.0);
+    telemetry::RunReport report("gables serve", "service");
+    report.addConfig("jobs", static_cast<long>(options_.jobs));
+    report.addConfig("cache_capacity",
+                     static_cast<long>(options_.cacheCapacity));
+    report.setRegistry(&registry_);
+    write(report);
+}
+
 const std::vector<ServeService::Op> &
 ServeService::ops()
 {
@@ -551,7 +564,12 @@ ServeService::ops()
          [](ServeService &, Staged &s) { return handleAdvise(s.req); }},
         {"stats", false,
          [](ServeService &service, Staged &) {
-             return compactJson(service.statsReportJson());
+             std::ostringstream out;
+             JsonWriter json(out, false);
+             service.writeStats([&](const telemetry::RunReport &report) {
+                 report.write(json);
+             });
+             return out.str();
          }},
         {"shutdown", false,
          [](ServeService &, Staged &s) -> std::string {
@@ -797,37 +815,9 @@ ServeService::handleBatch(const std::vector<std::string> &lines)
 std::string
 ServeService::statsReportJson()
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    registry_
-        .gauge("serve.cache_hits", "evaluator-cache hits to date")
-        .set(static_cast<double>(cache_.hits()));
-    registry_
-        .gauge("serve.cache_misses",
-               "evaluator-cache compilations to date")
-        .set(static_cast<double>(cache_.misses()));
-    registry_
-        .gauge("serve.cache_evictions",
-               "evaluator-cache LRU evictions to date")
-        .set(static_cast<double>(cache_.evictions()));
-    registry_
-        .gauge("serve.cache_size", "evaluator-cache resident entries")
-        .set(static_cast<double>(cache_.size()));
-    const double lookups =
-        static_cast<double>(cache_.hits() + cache_.misses());
-    registry_
-        .gauge("serve.cache_hit_rate",
-               "evaluator-cache hits / lookups (0 before the first "
-               "lookup)")
-        .set(lookups > 0.0
-                 ? static_cast<double>(cache_.hits()) / lookups
-                 : 0.0);
-    telemetry::RunReport report("gables serve", "service");
-    report.addConfig("jobs", static_cast<long>(options_.jobs));
-    report.addConfig("cache_capacity",
-                     static_cast<long>(options_.cacheCapacity));
-    report.setRegistry(&registry_);
     std::ostringstream out;
-    report.write(out);
+    writeStats(
+        [&](const telemetry::RunReport &report) { report.write(out); });
     return out.str();
 }
 

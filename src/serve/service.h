@@ -7,10 +7,10 @@
  *
  * Supported ops:
  *  - "ping"     liveness probe.
- *  - "eval"     evaluate a (SocSpec, Usecase) pair — served from the
- *               compiled-evaluator LRU cache on repeat pairs.
+ *  - "eval"     evaluate a (SocSpec, Usecase) pair — a repeat pair
+ *               renders the model result its LRU cache entry holds.
  *  - "sweep"    sweep one model parameter over a value list, on a
- *               pack broadcast from the cached evaluator.
+ *               grid pack compiled from the cached pair.
  *  - "explore"  enumerate a design grid and return the Pareto
  *               frontier (DesignExplorer::exploreFrontier).
  *  - "advise"   ranked improvement moves (Advisor::advise).
@@ -28,8 +28,10 @@
  *
  * Thread-safety: handleLine() may be called from any thread;
  * handleBatch() fans a batch onto the service's worker pool, looks
- * the evaluator cache up and commits telemetry in request order, so
- * a batch's responses and stats are identical to serial processing.
+ * the cache up and commits telemetry in request order, so a batch's
+ * responses and stats are identical to serial processing. The
+ * service holds no mutable model state: cache entries are immutable,
+ * and its only locks are the cache's LRU mutex and the stats mutex.
  */
 
 #ifndef GABLES_SERVE_SERVICE_H
@@ -143,13 +145,18 @@ class ServeService
     void guard(Staged &s, Stage &&stage);
     /** Parse the line and resolve its model inputs. */
     void parseStage(Staged &s, const std::string &line);
-    /** Look an eval or sweep pair up in the evaluator cache. */
+    /** Look an eval or sweep pair up in the cache. */
     void acquireStage(Staged &s);
     /** Evaluate and render the response; record the latency. */
     void runStage(Staged &s);
 
     /** Apply one outcome's telemetry and record tee (serial). */
     void commit(const std::string &line, const Outcome &outcome);
+
+    /** Refresh the cache gauges and hand the telemetry RunReport to
+     * @p write, under the stats lock. */
+    template <typename Write>
+    void writeStats(Write &&write);
 
     const ServeOptions options_;
     EvaluatorCache cache_;

@@ -115,6 +115,15 @@ RunReport::write(std::ostream &out) const
     std::ostream &dst = teed ? *teed : out;
 
     JsonWriter json(dst, true);
+    write(json);
+    dst << '\n';
+    if (teed && !*teed)
+        out.setstate(teed->rdstate());
+}
+
+void
+RunReport::write(JsonWriter &json) const
+{
     json.beginObject();
 
     json.key("schema");
@@ -196,9 +205,6 @@ RunReport::write(std::ostream &out) const
     }
 
     json.endObject();
-    dst << '\n';
-    if (teed && !*teed)
-        out.setstate(teed->rdstate());
 }
 
 } // namespace telemetry

@@ -17,6 +17,9 @@
 #include <vector>
 
 namespace gables {
+
+class JsonWriter;
+
 namespace telemetry {
 
 class SpanTracer;
@@ -108,8 +111,13 @@ class RunReport
      */
     void setProfile(const SpanTracer *tracer) { tracer_ = tracer; }
 
-    /** Emit the report JSON (pretty-printed) to @p out. */
+    /** Emit the report JSON (pretty-printed, then a newline) to
+     * @p out, through the capture sink when one is installed. */
     void write(std::ostream &out) const;
+
+    /** Write the report object at @p json's position (no newline,
+     * no capture). */
+    void write(JsonWriter &json) const;
 
     /**
      * Install a process-global capture sink: while non-null, every

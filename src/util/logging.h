@@ -115,8 +115,10 @@ void logError(const std::string &msg);
 /**
  * Assert an internal invariant; on failure, panic with location info.
  * Like the standard assert(), the check compiles away in NDEBUG
- * (optimized) builds — several sit on the simulator's innermost
- * loops. Default and test builds keep every check active.
+ * builds — several sit on the simulator's innermost loops. CMake's
+ * Release and RelWithDebInfo flags (the default build) define
+ * NDEBUG, so only a build without it checks these: CI's asan-ubsan
+ * job is one.
  */
 #ifdef NDEBUG
 #define GABLES_ASSERT(cond, msg) ((void)0)

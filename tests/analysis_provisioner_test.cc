@@ -136,10 +136,6 @@ TEST(Provisioner, InvalidInputsRejected)
     Requirement mismatched{Usecase("m", {IpWork{1.0, 1.0}}), 1e9};
     EXPECT_THROW(Provisioner::minimize(soc, {mismatched}),
                  FatalError);
-    Provisioner::Options opts;
-    opts.tolerance = 0.0;
-    Requirement ok{Usecase::twoIp("u", 0.5, 1.0, 1.0), 1e9};
-    EXPECT_THROW(Provisioner::minimize(soc, {ok}, opts), FatalError);
 }
 
 } // namespace

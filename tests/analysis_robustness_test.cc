@@ -46,19 +46,6 @@ TEST(Robustness, QuantilesOrdered)
     EXPECT_EQ(r.samples, 1000);
 }
 
-TEST(Robustness, NoJitterCollapsesToNominal)
-{
-    SocSpec soc = SocCatalog::paperTwoIpBalanced();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
-    Robustness::Options opts;
-    opts.samples = 50;
-    opts.intensityJitter = 1.0;
-    opts.fractionJitter = 1.0;
-    RobustnessReport r = Robustness::analyze(soc, u, opts);
-    EXPECT_NEAR(r.mean, r.nominal, r.nominal * 1e-12);
-    EXPECT_NEAR(r.p5, r.p95, r.nominal * 1e-12);
-}
-
 TEST(Robustness, BalancedDesignIsFragile)
 {
     // Figure 6d sits at the intersection of all three rooflines:
@@ -137,11 +124,9 @@ RobustnessReport
 referenceAnalyze(const SocSpec &soc, const Usecase &usecase,
                  const Robustness::Options &options)
 {
-    GablesPack<1> nominal(soc, usecase);
-    nominal.run();
     RobustnessReport report;
     report.samples = options.samples;
-    report.nominal = nominal.attainable(0);
+    report.nominal = GablesModel::evaluate(soc, usecase).attainable;
 
     Rng rng(options.seed);
     std::vector<double> perf;
@@ -150,7 +135,7 @@ referenceAnalyze(const SocSpec &soc, const Usecase &usecase,
     const size_t n = usecase.numIps();
     std::vector<double> fractions(n), intensities(n);
     constexpr size_t W = kGridWidth;
-    GablesPack<W> pack(nominal);
+    GablesPack<W> pack(soc, usecase);
     const size_t samples = static_cast<size_t>(options.samples);
     for (size_t s0 = 0; s0 < samples; s0 += W) {
         const size_t cnt = std::min(W, samples - s0);
@@ -163,12 +148,10 @@ referenceAnalyze(const SocSpec &soc, const Usecase &usecase,
                     intensities[i] = 1.0;
                     continue;
                 }
-                double fj = options.fractionJitter;
-                double ij = options.intensityJitter;
-                double f_scale =
-                    fj == 1.0 ? 1.0 : rng.logUniform(1.0 / fj, fj);
-                double i_scale =
-                    ij == 1.0 ? 1.0 : rng.logUniform(1.0 / ij, ij);
+                const double fj = Robustness::kFractionJitter;
+                const double ij = Robustness::kIntensityJitter;
+                double f_scale = rng.logUniform(1.0 / fj, fj);
+                double i_scale = rng.logUniform(1.0 / ij, ij);
                 intensities[i] = std::isinf(work.intensity)
                                      ? work.intensity
                                      : work.intensity * i_scale;
@@ -256,39 +239,27 @@ oracleCases()
 double
 nominalOf(const OracleCase &c)
 {
-    GablesPack<1> pack(c.soc, c.usecase);
-    pack.run();
-    return pack.attainable(0);
+    return GablesModel::evaluate(c.soc, c.usecase).attainable;
 }
 
 TEST(Robustness, MatchesReferenceLoopBitForBit)
 {
-    // (intensity, fraction) jitter pairs: no draws at all, both
-    // drawn, and each drawn alone.
-    const std::pair<double, double> jitters[] = {
-        {1.0, 1.0}, {1.5, 1.5}, {2.0, 1.5}, {8.0, 8.0}, {1.0, 2.0},
-        {8.0, 1.0}};
     for (const OracleCase &c : oracleCases()) {
         const double nominal = nominalOf(c);
         for (uint64_t seed : {1ull, 42ull, 987654321ull}) {
-            for (auto [ij, fj] : jitters) {
-                for (int samples : {1, 7, 8, 9, 1000}) {
-                    for (double target : {0.0, 0.9 * nominal}) {
-                        Robustness::Options opts;
-                        opts.samples = samples;
-                        opts.seed = seed;
-                        opts.intensityJitter = ij;
-                        opts.fractionJitter = fj;
-                        opts.target = target;
-                        SCOPED_TRACE(::testing::Message()
-                                     << c.name << " seed " << seed
-                                     << " jitter " << ij << "/" << fj
-                                     << " samples " << samples
-                                     << " target " << target);
-                        expectSameReport(
-                            Robustness::analyze(c.soc, c.usecase, opts),
-                            referenceAnalyze(c.soc, c.usecase, opts));
-                    }
+            for (int samples : {1, 7, 8, 9, 1000}) {
+                for (double target : {0.0, 0.9 * nominal}) {
+                    Robustness::Options opts;
+                    opts.samples = samples;
+                    opts.seed = seed;
+                    opts.target = target;
+                    SCOPED_TRACE(::testing::Message()
+                                 << c.name << " seed " << seed
+                                 << " samples " << samples << " target "
+                                 << target);
+                    expectSameReport(
+                        Robustness::analyze(c.soc, c.usecase, opts),
+                        referenceAnalyze(c.soc, c.usecase, opts));
                 }
             }
         }
@@ -298,18 +269,13 @@ TEST(Robustness, MatchesReferenceLoopBitForBit)
 TEST(Robustness, MatchesReferenceLoopOnALargeRun)
 {
     for (const OracleCase &c : oracleCases()) {
-        for (double jitter : {1.5, 8.0}) {
-            Robustness::Options opts;
-            opts.samples = 100003;
-            opts.seed = 7;
-            opts.intensityJitter = jitter;
-            opts.fractionJitter = 2.0;
-            opts.target = 0.5 * nominalOf(c);
-            SCOPED_TRACE(::testing::Message()
-                         << c.name << " jitter " << jitter);
-            expectSameReport(Robustness::analyze(c.soc, c.usecase, opts),
-                             referenceAnalyze(c.soc, c.usecase, opts));
-        }
+        Robustness::Options opts;
+        opts.samples = 100003;
+        opts.seed = 7;
+        opts.target = 0.5 * nominalOf(c);
+        SCOPED_TRACE(c.name);
+        expectSameReport(Robustness::analyze(c.soc, c.usecase, opts),
+                         referenceAnalyze(c.soc, c.usecase, opts));
     }
 }
 
@@ -319,9 +285,6 @@ TEST(Robustness, InvalidOptionsRejected)
     Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
     Robustness::Options opts;
     opts.samples = 0;
-    EXPECT_THROW(Robustness::analyze(soc, u, opts), FatalError);
-    opts.samples = 10;
-    opts.intensityJitter = 0.5;
     EXPECT_THROW(Robustness::analyze(soc, u, opts), FatalError);
 }
 

@@ -267,6 +267,36 @@ TEST(CliOutputGolden, Errors)
 }
 
 /**
+ * A config whose GPU has a finite Ai and Ppeak but an overflowing
+ * Ai * Ppeak is a data error (exit 1) naming the IP, in eval and
+ * validate alike, with nothing on stdout.
+ */
+TEST(CliOutputGolden, OverflowingIpPeakIsADataError)
+{
+    const std::string config =
+        ::testing::TempDir() + "golden_overflowing_peak.ini";
+    std::ofstream(config) << "[soc]\nname  = over\nppeak = 1e300\n"
+                             "bpeak = 10 GB/s\n\n[ip CPU]\naccel     = 1\n"
+                             "bandwidth = 6 GB/s\n\n[ip GPU]\n"
+                             "accel     = 1e10\nbandwidth = 15 GB/s\n\n"
+                             "[usecase gpu]\nGPU = 1.0 @ inf\n";
+    for (const std::vector<std::string> &argv :
+         {std::vector<std::string>{"gables", "eval", "--file", config},
+          std::vector<std::string>{"gables", "validate", config}}) {
+        SCOPED_TRACE(argv[1]);
+        Outcome run = runBoth(argv);
+        EXPECT_EQ(run.code, 1);
+        EXPECT_EQ(run.out, "");
+        EXPECT_NE(run.err.find("gables: " + config +
+                               ":1: SoC 'over': IP[1] 'GPU' peak Ai * "
+                               "Ppeak must be finite\n"),
+                  std::string::npos)
+            << run.err;
+    }
+    std::remove(config.c_str());
+}
+
+/**
  * A model flag that the chosen input source would ignore is a usage
  * error (exit 2) that names the flags: --usecase without --file, and
  * catalog --soc/--f/--i0/--i1 next to --file.

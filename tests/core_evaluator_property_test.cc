@@ -1,16 +1,17 @@
 /**
  * @file
  * Property tests for GablesPack: over randomized SoCs, usecases, and
- * mutation sequences, the single-point pack (W = 1) must stay
- * bit-identical to a from-scratch GablesModel::evaluate() of the
- * equivalent (SocSpec, Usecase) pair — including idle (fi == 0) IPs
- * and infinite-intensity (no-traffic) IPs.
+ * mutation sequences, the single-point pack (W = 1) must report the
+ * attainable performance (bit for bit) and the bottleneck IP of a
+ * from-scratch GablesModel::evaluate() of the equivalent (SocSpec,
+ * Usecase) pair — including idle (fi == 0) IPs and
+ * infinite-intensity (no-traffic) IPs.
  *
  * The same harness pins the grid width: every lane of a
- * GablesPack<kGridWidth> must stay bit-identical, full result
- * included, to a GablesPack<1> fed the same mutation sequence, across
- * random mutations and the degenerate cases (idle IPs, infinite
- * intensity, denormal-small bandwidth) mixed into one pack.
+ * GablesPack<kGridWidth> must match a GablesPack<1> fed the same
+ * mutation sequence, across random mutations and the degenerate cases
+ * (idle IPs, infinite intensity, denormal-small bandwidth) mixed into
+ * one pack.
  */
 
 #include <gtest/gtest.h>
@@ -107,42 +108,16 @@ randomPair(Rng &rng)
     return p;
 }
 
+/** Lane @p w of the run @p pack reports the oracle's attainable
+ * performance (bit for bit) and bottleneck IP. */
 void
-expectBitIdentical(const GablesResult &a, const GablesResult &b,
-                   uint64_t seed, int step)
+expectMatchesOracle(const GablesPack<1> &pack, const GablesResult &want,
+                    uint64_t seed, int step)
 {
-    ASSERT_EQ(a.ips.size(), b.ips.size());
-    EXPECT_EQ(bits(a.attainable), bits(b.attainable))
+    EXPECT_EQ(bits(pack.attainable(0)), bits(want.attainable))
         << "seed " << seed << " step " << step;
-    EXPECT_EQ(bits(a.memoryTime), bits(b.memoryTime))
+    EXPECT_EQ(pack.bottleneckIp(0), want.bottleneckIp)
         << "seed " << seed << " step " << step;
-    EXPECT_EQ(bits(a.memoryPerfBound), bits(b.memoryPerfBound))
-        << "seed " << seed << " step " << step;
-    EXPECT_EQ(bits(a.averageIntensity), bits(b.averageIntensity))
-        << "seed " << seed << " step " << step;
-    EXPECT_EQ(bits(a.totalDataBytes), bits(b.totalDataBytes))
-        << "seed " << seed << " step " << step;
-    EXPECT_EQ(a.bottleneckIp, b.bottleneckIp)
-        << "seed " << seed << " step " << step;
-    EXPECT_EQ(a.bottleneck, b.bottleneck)
-        << "seed " << seed << " step " << step;
-    EXPECT_EQ(a.bottleneckBus, b.bottleneckBus)
-        << "seed " << seed << " step " << step;
-    EXPECT_EQ(a.busTimes, b.busTimes)
-        << "seed " << seed << " step " << step;
-    for (size_t i = 0; i < a.ips.size(); ++i) {
-        EXPECT_EQ(bits(a.ips[i].computeTime), bits(b.ips[i].computeTime))
-            << "seed " << seed << " step " << step << " ip " << i;
-        EXPECT_EQ(bits(a.ips[i].dataBytes), bits(b.ips[i].dataBytes))
-            << "seed " << seed << " step " << step << " ip " << i;
-        EXPECT_EQ(bits(a.ips[i].transferTime),
-                  bits(b.ips[i].transferTime))
-            << "seed " << seed << " step " << step << " ip " << i;
-        EXPECT_EQ(bits(a.ips[i].time), bits(b.ips[i].time))
-            << "seed " << seed << " step " << step << " ip " << i;
-        EXPECT_EQ(bits(a.ips[i].perfBound), bits(b.ips[i].perfBound))
-            << "seed " << seed << " step " << step << " ip " << i;
-    }
 }
 
 /** @return A random input of an n-IP pair: any kind, any IP but A0
@@ -192,19 +167,13 @@ TEST(EvaluatorProperty, FreshCompileMatchesLegacy)
         SocSpec soc = p.soc();
         Usecase u = p.usecase();
         GablesPack<1> ev(soc, u);
-        GablesResult legacy = GablesModel::evaluate(soc, u);
-        GablesResult fast;
         ev.run();
-        ev.evaluate(0, fast);
-        expectBitIdentical(fast, legacy, seed, -1);
-        EXPECT_EQ(bits(ev.attainable(0)), bits(legacy.attainable))
-            << "seed " << seed;
+        expectMatchesOracle(ev, GablesModel::evaluate(soc, u), seed, -1);
     }
 }
 
 TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
 {
-    GablesResult fast; // reused scratch, as the grid drivers do
     for (uint64_t seed = 1000; seed < 1100; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
@@ -237,19 +206,16 @@ TEST(EvaluatorProperty, MutationSequencesMatchRebuild)
                 ev.setWork(0, i, p.work[i].fraction, p.work[i].intensity);
                 ev.setWork(0, j, p.work[j].fraction, p.work[j].intensity);
             }
-            GablesResult legacy =
-                GablesModel::evaluate(p.soc(), p.usecase());
             ev.run();
-            ev.evaluate(0, fast);
-            expectBitIdentical(fast, legacy, seed, step);
-            EXPECT_EQ(bits(ev.attainable(0)), bits(legacy.attainable))
-                << "seed " << seed << " step " << step;
+            expectMatchesOracle(
+                ev, GablesModel::evaluate(p.soc(), p.usecase()), seed,
+                step);
         }
     }
 }
 
 /** Lane @p w of the run grid pack must match the single-point
- * @p mirror fed the same mutations, full result included. */
+ * @p mirror fed the same mutations. */
 void
 expectLaneMatches(const GablesPack<kGridWidth> &pack, size_t w,
                   GablesPack<1> &mirror, const std::string &where)
@@ -259,11 +225,6 @@ expectLaneMatches(const GablesPack<kGridWidth> &pack, size_t w,
         << where << " lane " << w;
     EXPECT_EQ(pack.bottleneckIp(w), mirror.bottleneckIp(0))
         << where << " lane " << w;
-    GablesResult wide, single;
-    pack.evaluate(w, wide);
-    mirror.evaluate(0, single);
-    SCOPED_TRACE(where + " lane " + std::to_string(w));
-    expectBitIdentical(wide, single, 0, -1);
 }
 
 TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
@@ -275,7 +236,7 @@ TEST(EvaluatorProperty, PackMatchesScalarRandomMutations)
         GablesPack<1> base(p.soc(), p.usecase());
         const size_t n = p.ips.size();
 
-        GablesPack<W> pack(base);
+        GablesPack<W> pack(p.soc(), p.usecase());
         // One single-point mirror per lane.
         std::vector<GablesPack<1>> mirror(W, base);
 
@@ -334,7 +295,7 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
         p.work.push_back(w);
     }
     GablesPack<1> base(p.soc(), p.usecase());
-    GablesPack<W> pack(base);
+    GablesPack<W> pack(p.soc(), p.usecase());
     std::vector<GablesPack<1>> mirror(W, base);
 
     // The constructors reject a literal zero bandwidth on both paths,
@@ -383,7 +344,7 @@ TEST(EvaluatorProperty, PackDegenerateLanesMatchScalar)
         pack.set(4, Param::fraction(0), 0.5);
         mirror[4].set(0, Param::fraction(0), 0.5);
     }
-    // Remaining lanes stay broadcast copies of the base.
+    // Remaining lanes stay at the compiled base.
 
     pack.run(W);
     for (size_t w = 0; w < W; ++w)
@@ -402,14 +363,13 @@ TEST(EvaluatorProperty, PackBulkRowsMatchPerLaneMutators)
     for (uint64_t seed = 3000; seed < 3040; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
-        GablesPack<1> base(p.soc(), p.usecase());
         const size_t n = p.ips.size();
 
         // Two packs fed the same values: one through setLanes() (the
         // sweep drivers' staging path), one through per-lane set(),
         // already proven against W = 1.
-        GablesPack<kGridWidth> bulk(base);
-        GablesPack<kGridWidth> lane(base);
+        GablesPack<kGridWidth> bulk(p.soc(), p.usecase());
+        GablesPack<kGridWidth> lane(p.soc(), p.usecase());
 
         for (int round = 0; round < 8; ++round) {
             // Partial-count staging exercises the grid-tail case.
@@ -453,7 +413,7 @@ TEST(EvaluatorProperty, PackBulkRowsValidateLikePerLane)
     p.work[0].fraction = std::max(p.work[0].fraction, 0.5);
     p.work[0].intensity = 2.0;
     GablesPack<1> base(p.soc(), p.usecase());
-    GablesPack<kGridWidth> pack(base);
+    GablesPack<kGridWidth> pack(p.soc(), p.usecase());
     constexpr size_t W = kGridWidth;
 
     // Per input: a valid value for every lane but the last, which
@@ -497,8 +457,7 @@ TEST(EvaluatorProperty, PackParamSumsMatchCostModelOrder)
     for (uint64_t seed = 4000; seed < 4010; ++seed) {
         Rng rng(seed);
         Pair p = randomPair(rng);
-        GablesPack<1> base(p.soc(), p.usecase());
-        GablesPack<kGridWidth> pack(base);
+        GablesPack<kGridWidth> pack(p.soc(), p.usecase());
         constexpr size_t W = kGridWidth;
         const size_t n = p.ips.size();
 
@@ -541,7 +500,7 @@ TEST(EvaluatorProperty, PackCachedReductionsSurviveBpeakOnlyRuns)
     Rng rng(11);
     Pair p = randomPair(rng);
     GablesPack<1> base(p.soc(), p.usecase());
-    GablesPack<kGridWidth> pack(base);
+    GablesPack<kGridWidth> pack(p.soc(), p.usecase());
     std::vector<GablesPack<1>> mirror(kGridWidth, base);
     constexpr size_t W = kGridWidth;
 
@@ -566,19 +525,6 @@ TEST(EvaluatorProperty, PackCachedReductionsSurviveBpeakOnlyRuns)
             expectLaneMatches(pack, w, mirror[w],
                               "round " + std::to_string(round));
     }
-}
-
-TEST(EvaluatorProperty, PackBroadcastPreservesEvalCount)
-{
-    Rng rng(7);
-    Pair p = randomPair(rng);
-    GablesPack<1> base(p.soc(), p.usecase());
-    GablesPack<kGridWidth> pack(base);
-    pack.run(3);
-    EXPECT_EQ(pack.evalCount(), 3u);
-    pack.broadcast(base);
-    pack.run(kGridWidth);
-    EXPECT_EQ(pack.evalCount(), 3u + kGridWidth);
 }
 
 } // namespace

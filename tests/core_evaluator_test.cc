@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for GablesPack: bit-identity with the
- * GablesModel::evaluate() oracle, the attainable() fast path, one
- * table of Param rows driving set(), setLanes() and get() at W = 1
- * and W = kGridWidth against a from-scratch rebuild and through every
+ * Unit tests for GablesPack: bit-identity of attainable() and
+ * bottleneckIp() with the GablesModel::evaluate() oracle, one table
+ * of Param rows driving set(), setLanes() and get() at W = 1 and
+ * W = kGridWidth against a from-scratch rebuild and through every
  * rejected value, inactive and infinite-intensity IPs, and the
  * evalCount telemetry hook.
  */
@@ -34,49 +34,16 @@ bits(double v)
     return std::bit_cast<uint64_t>(v);
 }
 
-/** Assert every field of two results matches bit-for-bit. */
+/** Lane @p w of the run @p pack reports the oracle's attainable
+ * performance (bit for bit) and bottleneck IP. */
+template <size_t W>
 void
-expectBitIdentical(const GablesResult &a, const GablesResult &b)
+expectLaneMatches(const GablesPack<W> &pack, size_t w,
+                  const GablesResult &want)
 {
-    EXPECT_EQ(bits(a.attainable), bits(b.attainable));
-    EXPECT_EQ(bits(a.memoryTime), bits(b.memoryTime));
-    EXPECT_EQ(bits(a.memoryPerfBound), bits(b.memoryPerfBound));
-    EXPECT_EQ(bits(a.averageIntensity), bits(b.averageIntensity));
-    EXPECT_EQ(bits(a.totalDataBytes), bits(b.totalDataBytes));
-    EXPECT_EQ(a.bottleneckIp, b.bottleneckIp);
-    EXPECT_EQ(a.bottleneck, b.bottleneck);
-    ASSERT_EQ(a.ips.size(), b.ips.size());
-    for (size_t i = 0; i < a.ips.size(); ++i) {
-        EXPECT_EQ(bits(a.ips[i].computeTime), bits(b.ips[i].computeTime))
-            << "ip " << i;
-        EXPECT_EQ(bits(a.ips[i].dataBytes), bits(b.ips[i].dataBytes))
-            << "ip " << i;
-        EXPECT_EQ(bits(a.ips[i].transferTime),
-                  bits(b.ips[i].transferTime))
-            << "ip " << i;
-        EXPECT_EQ(bits(a.ips[i].time), bits(b.ips[i].time)) << "ip "
-                                                            << i;
-        EXPECT_EQ(bits(a.ips[i].perfBound), bits(b.ips[i].perfBound))
-            << "ip " << i;
-    }
-}
-
-/** Run the single-point pack and return its full result. */
-GablesResult
-evaluate(GablesPack<1> &ev)
-{
-    GablesResult out;
-    ev.run();
-    ev.evaluate(0, out);
-    return out;
-}
-
-/** Run the single-point pack and return its attainable performance. */
-double
-attainable(GablesPack<1> &ev)
-{
-    ev.run();
-    return ev.attainable(0);
+    EXPECT_EQ(bits(pack.attainable(w)), bits(want.attainable))
+        << "lane " << w;
+    EXPECT_EQ(pack.bottleneckIp(w), want.bottleneckIp) << "lane " << w;
 }
 
 SocSpec
@@ -107,33 +74,9 @@ TEST(Evaluator, MatchesLegacyOnCatalogSocs)
     };
     for (const Case &c : cases) {
         GablesPack<1> ev(c.soc, c.usecase);
-        GablesResult fast = evaluate(ev);
-        GablesResult legacy = GablesModel::evaluate(c.soc, c.usecase);
-        expectBitIdentical(fast, legacy);
-        EXPECT_EQ(bits(attainable(ev)), bits(legacy.attainable));
+        ev.run();
+        expectLaneMatches(ev, 0, GablesModel::evaluate(c.soc, c.usecase));
     }
-}
-
-TEST(Evaluator, ScratchResultReuseIsIdentical)
-{
-    SocSpec soc = threeIp();
-    Usecase a("a", {IpWork{0.5, 4.0}, IpWork{0.25, 16.0},
-                    IpWork{0.25, 1.0}});
-    Usecase b("b", {IpWork{0.1, 0.5}, IpWork{0.9, 64.0},
-                    IpWork{0.0, 1.0}});
-    GablesPack<1> ev(soc, a);
-    GablesResult scratch;
-    ev.run();
-    ev.evaluate(0, scratch);
-    expectBitIdentical(scratch, GablesModel::evaluate(soc, a));
-
-    // Mutate to usecase b in place; the reused scratch must carry no
-    // stale state.
-    for (size_t i = 0; i < soc.numIps(); ++i)
-        ev.setWork(0, i, b.fraction(i), b.intensity(i));
-    ev.run();
-    ev.evaluate(0, scratch);
-    expectBitIdentical(scratch, GablesModel::evaluate(soc, b));
 }
 
 /** The usecase the Param table is written against. */
@@ -161,11 +104,15 @@ const std::vector<ParamCase> &
 paramCases()
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double huge = std::numeric_limits<double>::max();
     // fi moves alone only within Usecase's sum-to-one tolerance
     // (1e-9), so its lanes step by 2^-34 from 0.2 + 2^-32.
     static const std::vector<ParamCase> cases = {
         {Param::ppeak(), 17e9, 1e9, {0.0, -1.0, kInf, -kInf, nan},
          "evaluator: Ppeak must be positive and finite"},
+        // A1 = 20: a finite Ppeak whose A1 * Ppeak overflows.
+        {Param::ppeak(), 17e9, 1e9, {1e307, huge},
+         "evaluator: IP[1] peak Ai * Ppeak must be finite"},
         {Param::bpeak(), 7e9, 1e9, {0.0, -2e9, kInf, -kInf, nan},
          "evaluator: Bpeak must be positive and finite"},
         {Param::acceleration(0), 1.0, 0.0, {2.0, 0.5},
@@ -175,6 +122,8 @@ paramCases()
          "evaluator: IP[1] acceleration must be positive and finite"},
         {Param::acceleration(2), 0.25, 2.0, {0.0, -kInf},
          "evaluator: IP[2] acceleration must be positive and finite"},
+        {Param::acceleration(2), 0.25, 2.0, {1e300, huge},
+         "evaluator: IP[2] peak Ai * Ppeak must be finite"},
         {Param::ipBandwidth(0), 3e9, 1e9, {0.0, -1.0, kInf, nan},
          "evaluator: IP[0] bandwidth must be positive and finite"},
         {Param::ipBandwidth(2), 11e9, 1e9, {0.0, -kInf},
@@ -221,16 +170,12 @@ expectUnchanged(GablesPack<W> &pack, const SocSpec &soc, const Usecase &u)
 {
     pack.run();
     GablesResult want = GablesModel::evaluate(soc, u);
-    for (size_t w = 0; w < W; ++w) {
-        GablesResult got;
-        pack.evaluate(w, got);
-        SCOPED_TRACE("lane " + std::to_string(w));
-        expectBitIdentical(got, want);
-    }
+    for (size_t w = 0; w < W; ++w)
+        expectLaneMatches(pack, w, want);
 }
 
 /** Each row through set() and through setLanes(): every lane matches
- * a rebuild of the pair with its value, full result included. */
+ * a rebuild of the pair with its value. */
 template <size_t W>
 void
 expectEachParamMatchesRebuild()
@@ -252,12 +197,8 @@ expectEachParamMatchesRebuild()
         for (size_t w = 0; w < W; ++w) {
             auto [soc_w, u_w] = rebuilt(soc, u, c.param, values[w]);
             GablesResult want = GablesModel::evaluate(soc_w, u_w);
-            GablesResult got;
-            one.evaluate(w, got);
-            expectBitIdentical(got, want);
-            EXPECT_EQ(bits(one.attainable(w)), bits(want.attainable));
-            bulk.evaluate(w, got);
-            expectBitIdentical(got, want);
+            expectLaneMatches(one, w, want);
+            expectLaneMatches(bulk, w, want);
         }
         // Restoring the base value reproduces the base point exactly.
         for (size_t w = 0; w < W; ++w)
@@ -418,16 +359,16 @@ TEST(Evaluator, InactiveAndInfiniteLanes)
     Usecase u("edge", {IpWork{0.0, 1.0}, IpWork{0.5, kInf},
                        IpWork{0.5, 2.0}});
     GablesPack<1> ev(soc, u);
-    GablesResult legacy = GablesModel::evaluate(soc, u);
-    expectBitIdentical(evaluate(ev), legacy);
-    EXPECT_TRUE(std::isinf(evaluate(ev).ips[0].perfBound));
+    ev.run();
+    expectLaneMatches(ev, 0, GablesModel::evaluate(soc, u));
 
     // Activating the idle lane and idling an active one through the
     // mutators still matches a rebuild.
     ev.setWork(0, 0, 0.5, 3.0);
     ev.setWork(0, 1, 0.0, 1.0);
-    expectBitIdentical(
-        evaluate(ev),
+    ev.run();
+    expectLaneMatches(
+        ev, 0,
         GablesModel::evaluate(
             soc, Usecase("e2", {IpWork{0.5, 3.0}, IpWork{0.0, 1.0},
                                 IpWork{0.5, 2.0}})));
@@ -438,15 +379,15 @@ TEST(Evaluator, EvalCountCountsBothPaths)
     SocSpec soc = threeIp();
     Usecase u("u", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
                     IpWork{0.2, 1.0}});
-    // run() counts its active lanes at either width; reading a full
-    // result and mutating are not evaluations.
+    // run() counts its active lanes at either width; reading a lane
+    // and mutating are not evaluations.
     GablesPack<1> ev(soc, u);
     EXPECT_EQ(ev.evalCount(), 0u);
-    attainable(ev);
+    ev.run();
     EXPECT_EQ(ev.evalCount(), 1u);
-    GablesResult scratch;
-    ev.evaluate(0, scratch);
-    evaluate(ev);
+    ev.attainable(0);
+    ev.bottleneckIp(0);
+    ev.run();
     EXPECT_EQ(ev.evalCount(), 2u);
     ev.set(0, Param::bpeak(), 9e9);
     EXPECT_EQ(ev.evalCount(), 2u);

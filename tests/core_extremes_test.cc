@@ -98,6 +98,13 @@ TEST(Extremes, NonFiniteSpecInputsRejected)
     // be written to catch them.
     EXPECT_THROW(SocSpec("bad", 1e9, 1e9, {IpSpec{"A", 1.0, nan}}),
                  FatalError);
+    // Ppeak and A1 are finite but their product, the IP's peak, is
+    // not: its compute time would round to zero.
+    EXPECT_THROW(SocSpec("bad", 1e300, 1e9,
+                         {IpSpec{"A", 1.0, 1e9}, IpSpec{"B", 1e10, 1e9}}),
+                 FatalError);
+    EXPECT_NO_THROW(SocSpec("ok", std::numeric_limits<double>::max(), 1e9,
+                            {IpSpec{"A", 1.0, 1e9}}));
 }
 
 TEST(Extremes, NonFiniteUsecaseInputsRejected)

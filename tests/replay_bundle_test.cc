@@ -2,17 +2,21 @@
  * @file
  * Unit tests for the replay bundle format: write/parse round-trip,
  * schema name/version enforcement, tolerance decoding, shape
- * validation of each section, and writeJsonValue() fidelity for
+ * validation of each section, writeJsonValue() fidelity for
  * arbitrary JSON documents (the recorded report is embedded through
- * it, so it must re-emit every value type faithfully).
+ * it, so it must re-emit every value type faithfully), and the
+ * bundles replayBundle() refuses to run.
  */
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "replay/bundle.h"
+#include "replay/replayer.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
@@ -189,6 +193,33 @@ TEST(ReplayBundle, WriteJsonValuePreservesEveryValueType)
     // Member order is part of the document contract.
     EXPECT_EQ(back.members().front().first, "null");
     EXPECT_EQ(back.members().back().first, "obj");
+}
+
+// A recorded `serve` would start a daemon that runs until signalled,
+// so replay (and `replay --all`) would never return: the bundle is
+// refused as bad before anything runs.
+TEST(ReplayBundle, ServeBundleIsRefusedWithoutRunning)
+{
+    ReplayBundle b;
+    b.argv = {"gables", "serve", "--socket", "replay_serve.sock"};
+    const std::string path =
+        ::testing::TempDir() + "replay_bundle_serve.json";
+    {
+        std::ofstream out(path);
+        writeBundle(out, b);
+    }
+    bool ran = false;
+    ReplayOutcome outcome =
+        replayBundle(path, [&ran](const std::vector<std::string> &) {
+            ran = true;
+            return 0;
+        });
+    std::remove(path.c_str());
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(outcome.exitCode, 2);
+    EXPECT_EQ(outcome.status, "bad-bundle");
+    EXPECT_NE(outcome.detail.find("'serve'"), std::string::npos)
+        << outcome.detail;
 }
 
 } // namespace

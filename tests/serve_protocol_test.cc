@@ -3,7 +3,8 @@
  * Protocol tests for the `gables serve` request processor
  * (serve/service.h), driven directly — no sockets: the error-code
  * contract (bad-request = 2, config/deadline/internal = 1), eval
- * parity with GablesModel::evaluate, config-file resolution, deadline
+ * parity with GablesModel::evaluate, eval responses with per-IP
+ * detail pinned byte for byte, config-file resolution, deadline
  * expiry, evaluator-cache counters, the stats RunReport, and batch
  * processing matching serial byte-for-byte (cache_hit included).
  */
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +182,109 @@ TEST(ServeProtocol, EvalDetailCarriesPerIpTimings)
         EXPECT_EQ(ips.at(i).at("time").asNumber(),
                   expected.ips[i].time);
         EXPECT_EQ(ips.at(i).at("name").asString(), soc.ip(i).name);
+    }
+}
+
+/** One pinned eval pair: its name, model inputs and the bytes of its
+ * response to a first eval with "detail". */
+struct PinnedPair {
+    const char *name;
+    SocSpec soc;
+    Usecase usecase;
+    std::string response;
+};
+
+std::vector<PinnedPair>
+pinnedPairs()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    return {
+        // Figure 6a: all work on the CPU, the GPU idle.
+        {"idle-ip", SocCatalog::paperTwoIp(), paperUsecase(0.0, 8.0, 0.1),
+         R"j({"id": 1, "ok": true,)j"
+         R"j( "result": {"attainable_ops_per_sec":40000000000,)j"
+         R"j("bottleneck":"IP compute",)j"
+         R"j("bottleneck_label":"CPU compute (Ai*Ppeak)",)j"
+         R"j("cache_hit":false,"memory_time":1.25e-11,)j"
+         R"j("memory_perf_bound":80000000000,"average_intensity":8,)j"
+         R"j("total_data_bytes_per_op":0.125,"ips":[{"name":"CPU",)j"
+         R"j("compute_time":2.5e-11,"data_bytes":0.125,)j"
+         R"j("transfer_time":2.0833333333333332e-11,"time":2.5e-11,)j"
+         R"j("perf_bound":40000000000},{"name":"GPU","compute_time":0,)j"
+         R"j("data_bytes":0,"transfer_time":0,"time":0,)j"
+         R"j("perf_bound":null}]}})j"},
+        // A pure-compute GPU: infinite intensity, no off-IP traffic.
+        {"inf-intensity", SocCatalog::snapdragon835(),
+         Usecase("inf", {IpWork{0.25, 4.0}, IpWork{0.75, inf},
+                         IpWork{0.0, 1.0}}),
+         R"j({"id": 2, "ok": true,)j"
+         R"j( "result": {"attainable_ops_per_sec":30000000000,)j"
+         R"j("bottleneck":"IP compute",)j"
+         R"j("bottleneck_label":"CPU compute (Ai*Ppeak)",)j"
+         R"j("cache_hit":false,"memory_time":2.0973154362416107e-12,)j"
+         R"j("memory_perf_bound":476800000000,"average_intensity":16,)j"
+         R"j("total_data_bytes_per_op":0.0625,"ips":[{"name":"CPU",)j"
+         R"j("compute_time":3.3333333333333335e-11,"data_bytes":0.0625,)j"
+         R"j("transfer_time":4.1390728476821188e-12,)j"
+         R"j("time":3.3333333333333335e-11,"perf_bound":30000000000},)j"
+         R"j({"name":"GPU","compute_time":2.1453089244851258e-12,)j"
+         R"j("data_bytes":0,"transfer_time":0,)j"
+         R"j("time":2.1453089244851258e-12,)j"
+         R"j("perf_bound":466133333333.33337},{"name":"DSP",)j"
+         R"j("compute_time":0,"data_bytes":0,"transfer_time":0,"time":0,)j"
+         R"j("perf_bound":null}]}})j"},
+        // Figure 6b: the memory interface binds.
+        {"memory-bound", SocCatalog::paperTwoIp(),
+         paperUsecase(0.75, 8.0, 0.1),
+         R"j({"id": 3, "ok": true,)j"
+         R"j( "result": {"attainable_ops_per_sec":1327800829.8755186,)j"
+         R"j("bottleneck":"memory interface",)j"
+         R"j("bottleneck_label":"memory interface (Bpeak)",)j"
+         R"j("cache_hit":false,"memory_time":7.53125e-10,)j"
+         R"j("memory_perf_bound":1327800829.8755186,)j"
+         R"j("average_intensity":0.13278008298755187,)j"
+         R"j("total_data_bytes_per_op":7.53125,"ips":[{"name":"CPU",)j"
+         R"j("compute_time":6.25e-12,"data_bytes":0.03125,)j"
+         R"j("transfer_time":5.2083333333333331e-12,"time":6.25e-12,)j"
+         R"j("perf_bound":160000000000},{"name":"GPU",)j"
+         R"j("compute_time":3.75e-12,"data_bytes":7.5,)j"
+         R"j("transfer_time":5e-10,"time":5e-10,)j"
+         R"j("perf_bound":1999999999.9999998}]}})j"},
+        // High reuse everywhere: the CPU's compute roof binds.
+        {"compute-bound", SocCatalog::paperTwoIp(),
+         paperUsecase(0.5, 64.0, 64.0),
+         R"j({"id": 4, "ok": true,)j"
+         R"j( "result": {"attainable_ops_per_sec":80000000000,)j"
+         R"j("bottleneck":"IP compute",)j"
+         R"j("bottleneck_label":"CPU compute (Ai*Ppeak)",)j"
+         R"j("cache_hit":false,"memory_time":1.5625e-12,)j"
+         R"j("memory_perf_bound":640000000000,"average_intensity":64,)j"
+         R"j("total_data_bytes_per_op":0.015625,"ips":[{"name":"CPU",)j"
+         R"j("compute_time":1.25e-11,"data_bytes":0.0078125,)j"
+         R"j("transfer_time":1.3020833333333333e-12,"time":1.25e-11,)j"
+         R"j("perf_bound":80000000000},{"name":"GPU",)j"
+         R"j("compute_time":2.5e-12,"data_bytes":0.0078125,)j"
+         R"j("transfer_time":5.2083333333333335e-13,"time":2.5e-12,)j"
+         R"j("perf_bound":400000000000}]}})j"},
+    };
+}
+
+// A miss and a hit render the same bytes but for "cache_hit".
+TEST(ServeProtocol, EvalDetailResponsesArePinned)
+{
+    serve::ServeService service{serve::ServeOptions{}};
+    for (bool hit : {false, true}) {
+        int id = 1;
+        for (const PinnedPair &p : pinnedPairs()) {
+            std::string want = p.response;
+            if (hit)
+                want.replace(want.find("\"cache_hit\":false"), 17,
+                             "\"cache_hit\":true");
+            EXPECT_EQ(service.handleLine(evalRequest(
+                          id++, p.soc, p.usecase, "\"detail\": true")),
+                      want)
+                << p.name << (hit ? " hit" : " miss");
+        }
     }
 }
 
@@ -538,6 +643,57 @@ TEST(ServeProtocol, BatchMatchesSerialByteForByte)
               statValue(statsDoc(serial), "serve.op.eval"));
     EXPECT_EQ(statValue(statsDoc(pooled), "serve.responses_error"),
               statValue(statsDoc(serial), "serve.responses_error"));
+}
+
+// Four workers share two hot cache entries: evals with and without
+// detail render the stored results while sweeps compile their own
+// packs from the stored pairs, concurrently. The TSan job runs this.
+TEST(ServeProtocol, HotPairBatchAtFourJobsMatchesOneJob)
+{
+    const std::vector<std::pair<SocSpec, Usecase>> hot = {
+        {SocCatalog::paperTwoIp(), paperUsecase(0.75, 8.0, 0.1)},
+        {SocCatalog::snapdragon835(),
+         Usecase("mix", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
+                         IpWork{0.2, 1.0}})}};
+    std::vector<std::string> lines;
+    for (int i = 0; i < 64; ++i) {
+        const auto &[soc, usecase] = hot[i % 2];
+        switch ((i / 2) % 3) {
+        case 0:
+            lines.push_back(evalRequest(i, soc, usecase));
+            break;
+        case 1:
+            lines.push_back(
+                evalRequest(i, soc, usecase, "\"detail\": true"));
+            break;
+        default:
+            lines.push_back(modelRequest(
+                i, "sweep", soc, usecase,
+                "\"axis\": \"intensity\", \"ip\": 1, \"values\": "
+                "[0.01, 0.1, 0.5, 1, 2, 4, 8, 16, 32, 64, 128]"));
+            break;
+        }
+    }
+
+    serve::ServeOptions serial_opts;
+    serial_opts.jobs = 1;
+    serve::ServeService serial{serial_opts};
+    std::vector<std::string> expected = serial.handleBatch(lines);
+
+    serve::ServeOptions pooled_opts;
+    pooled_opts.jobs = 4;
+    serve::ServeService pooled{pooled_opts};
+    std::vector<std::string> actual = pooled.handleBatch(lines);
+
+    ASSERT_EQ(actual.size(), lines.size());
+    ASSERT_EQ(expected.size(), lines.size());
+    for (size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i]) << "request " << i;
+        EXPECT_TRUE(parseResponse(actual[i]).at("ok").asBool())
+            << actual[i];
+    }
+    EXPECT_EQ(pooled.cache().misses(), 2u);
+    EXPECT_EQ(pooled.cache().hits(), lines.size() - 2);
 }
 
 TEST(ServeProtocol, BatchOfOneKeyMissesOnlyOnItsFirstLine)

@@ -4,9 +4,10 @@
  * a real unix-domain socket round trip with the server loop on a
  * background thread — request/response ordering across one
  * connection, many concurrent and sequential connections, CRLF
- * tolerance, backpressure on a client that does not read, the stop
- * flag, the atomic stats snapshot written on shutdown, and which
- * files --socket may replace.
+ * tolerance, config errors that leave the connection serving,
+ * backpressure on a client that does not read, the stop flag, the
+ * atomic stats snapshot written on shutdown, and which files
+ * --socket may replace.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +199,78 @@ TEST_F(ServeServerTest, SequentialConnectionsShareTheCache)
     loop.join();
     EXPECT_EQ(service.cache().hits(), 1u);
     EXPECT_EQ(service.cache().misses(), 1u);
+}
+
+/**
+ * An IP whose peak Ai * Ppeak overflows a double: eval, explore and
+ * advise each answer a config error (code 1) naming the IP, whether
+ * the overflow is in the request's SoC or reached through an explore
+ * knob or advise's max_scale, and the connection keeps serving.
+ */
+TEST_F(ServeServerTest, OverflowingIpPeakIsAConfigErrorAndServingGoesOn)
+{
+    serve::ServeService service{serve::ServeOptions{}};
+    serve::ServerOptions options;
+    options.socketPath = socketPath_;
+    serve::ServeServer server(service, options);
+    server.start();
+    std::thread loop([&server] { server.run(); });
+
+    // All work on the GPU, at infinite intensity (null).
+    auto pair = [](const char *gpu_accel) {
+        return std::string("\"soc\": {\"name\": \"over\", "
+                           "\"ppeak_ops_per_sec\": 1e300, "
+                           "\"bpeak_bytes_per_sec\": 1e10, \"ips\": ["
+                           "{\"name\": \"CPU\", \"acceleration\": 1, "
+                           "\"bandwidth_bytes_per_sec\": 6e9}, "
+                           "{\"name\": \"GPU\", \"acceleration\": ") +
+               gpu_accel +
+               ", \"bandwidth_bytes_per_sec\": 15e9}]}, "
+               "\"usecase\": {\"name\": \"gpu\", \"work\": ["
+               "{\"fraction\": 0, \"intensity_ops_per_byte\": 1}, "
+               "{\"fraction\": 1, \"intensity_ops_per_byte\": null}]}";
+    };
+    const std::string in_soc =
+        "SoC 'over': IP[1] 'GPU' peak Ai * Ppeak must be finite";
+    const std::string in_pack =
+        "evaluator: IP[1] peak Ai * Ppeak must be finite";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"\"op\": \"eval\", " + pair("1e10"), in_soc},
+        {"\"op\": \"explore\", " + pair("1e10") +
+             ", \"sweep\": [{\"knob\": \"bpeak\", \"values\": [1e10]}]",
+         in_soc},
+        {"\"op\": \"advise\", " + pair("1e10"), in_soc},
+        {"\"op\": \"explore\", " + pair("1") +
+             ", \"sweep\": [{\"knob\": \"acceleration\", \"ip\": 1, "
+             "\"values\": [1, 1e10]}]",
+         in_pack},
+        {"\"op\": \"advise\", " + pair("1") + ", \"max_scale\": 1e10",
+         in_pack},
+    };
+    {
+        TestClient client(socketPath_);
+        int id = 1;
+        for (const auto &[body, message] : cases) {
+            client.send("{\"id\": " + std::to_string(id++) + ", " + body +
+                        "}\n");
+            std::string line = client.recvLine();
+            ASSERT_FALSE(line.empty()) << body;
+            JsonValue doc = parseJson(line);
+            EXPECT_FALSE(doc.at("ok").asBool()) << line;
+            EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0) << line;
+            EXPECT_EQ(doc.at("error").at("message").asString(), message)
+                << line;
+        }
+        client.send("{\"id\": 9, \"op\": \"eval\", " + pair("1") + "}\n");
+        JsonValue doc = parseJson(client.recvLine());
+        EXPECT_TRUE(doc.at("ok").asBool());
+        EXPECT_DOUBLE_EQ(
+            doc.at("result").at("attainable_ops_per_sec").asNumber(),
+            1e300);
+        client.send("{\"id\": 10, \"op\": \"shutdown\"}\n");
+        EXPECT_TRUE(parseJson(client.recvLine()).at("ok").asBool());
+    }
+    loop.join();
 }
 
 TEST_F(ServeServerTest, ConcurrentAndSequentialConnectionsEachGetPong)
