@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "core/evaluator.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -112,11 +111,9 @@ OptimalSplitSolver::solve() const
         work[i] = IpWork{fractions[i], intensities_[i]};
     Usecase usecase("optimal split", std::move(work));
 
-    GablesPack<1> ev(soc_, usecase);
-    ev.run();
-    OptimalSplit result{std::move(fractions), ev.attainable(0),
+    double attainable = GablesModel::evaluate(soc_, usecase).attainable;
+    return OptimalSplit{std::move(fractions), attainable,
                         std::move(usecase)};
-    return result;
 }
 
 } // namespace gables

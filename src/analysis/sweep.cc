@@ -31,11 +31,8 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
 
     // y = attainable / base; x / 1.0 is exact when not normalizing.
     double base = 1.0;
-    if (normalize) {
-        GablesPack<1> ev(soc, usecase_for(0.0));
-        ev.run();
-        base = ev.attainable(0);
-    }
+    if (normalize)
+        base = GablesModel::evaluate(soc, usecase_for(0.0)).attainable;
 
     Series series;
     series.label = "I0=" + formatDouble(i0) + " I1=" + formatDouble(i1);

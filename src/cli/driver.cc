@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -39,6 +40,7 @@
 #include "plot/viz_export.h"
 #include "replay/bundle.h"
 #include "replay/replayer.h"
+#include "replay/session.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "soc/catalog.h"
@@ -123,8 +125,40 @@ recordParallelStats(telemetry::StatsRegistry &reg,
 }
 
 /**
- * Write one CLI artifact: atomically, under replay's --out-dir when
- * one is installed, then announce it as "wrote PATH<note>".
+ * The record/replay Session of the running command (nullptr for a
+ * plain run). runCommand() sets it for the command's duration; the
+ * three I/O functions below are the only code that reads it.
+ */
+replay::Session *g_session = nullptr;
+
+/**
+ * Where the artifact given as @p path lands: @p path itself, or
+ * under the session's artifactDir when it has one. An absolute path
+ * is re-rooted under it and a path that climbs out of it is refused.
+ */
+std::string
+artifactPath(const std::string &path)
+{
+    if (g_session == nullptr || g_session->artifactDir.empty())
+        return path;
+    const std::string &dir = g_session->artifactDir;
+    std::filesystem::path rel =
+        std::filesystem::path(path).relative_path().lexically_normal();
+    if (!rel.empty() && *rel.begin() == "..")
+        fatal("artifact path '" + path + "' climbs out of the out-dir '" +
+              dir + "'");
+    std::filesystem::path rooted = std::filesystem::path(dir) / rel;
+    std::error_code ec;
+    std::filesystem::create_directories(rooted.parent_path(), ec);
+    // A failed mkdir surfaces as writeFileAtomic's open error, with
+    // the rooted path in the message.
+    return rooted.string();
+}
+
+/**
+ * Write one CLI artifact atomically (see artifactPath() for where it
+ * lands), then announce it as "wrote PATH<note>" with the path as
+ * given.
  */
 void
 writeArtifact(const std::string &path, const std::string &text,
@@ -132,7 +166,7 @@ writeArtifact(const std::string &path, const std::string &text,
 {
     {
         GABLES_SPAN("output.write");
-        writeFileAtomic(path, text);
+        writeFileAtomic(artifactPath(path), text);
     }
     std::cout << "wrote " << path << note << '\n';
 }
@@ -153,7 +187,29 @@ writeReport(telemetry::RunReport &report,
         GABLES_SPAN("output.report");
         report.write(out);
     }
-    writeArtifact(path, std::move(out).str());
+    std::string text = std::move(out).str();
+    if (g_session != nullptr)
+        g_session->report = text;
+    writeArtifact(path, text);
+}
+
+/**
+ * Load the config file at @p path: from the session's configFiles
+ * when it holds the path, else from disk. A session keeps the bytes
+ * it read before they are parsed, so a bundle inlines even a file
+ * that fails to parse.
+ */
+SocConfig
+loadConfig(const std::string &path)
+{
+    if (g_session == nullptr)
+        return loadSocConfig(path);
+    GABLES_SPAN("config.load");
+    auto it = g_session->configFiles.find(path);
+    if (it == g_session->configFiles.end())
+        it = g_session->configFiles.emplace(path, readConfigFile(path))
+                 .first;
+    return parseSocConfig(it->second, path);
 }
 
 /** Read a whole file, fataling with the path on failure. */
@@ -236,7 +292,7 @@ modelInputs(const ArgParser &args)
             work[1] = IpWork{f, args.getDouble("i1")};
         return {soc, Usecase("cli", work)};
     }
-    SocConfig cfg = loadSocConfig(args.getString("file"));
+    SocConfig cfg = loadConfig(args.getString("file"));
     if (cfg.usecases.empty())
         fatal("config file declares no usecases");
     return {cfg.soc, args.has("usecase")
@@ -1281,7 +1337,7 @@ cmdValidate(int argc, const char *const *argv)
     const std::string &path = args.positional().front();
     // Parse errors escape as ConfigError ("path:line: message") and
     // exit 1 through the top-level handler.
-    SocConfig cfg = loadSocConfig(path);
+    SocConfig cfg = loadConfig(path);
     int errors = 0;
     int warnings = 0;
     for (const LintFinding &f : lintSocConfig(cfg)) {
@@ -1367,8 +1423,9 @@ cmdReplay(int argc, const char *const *argv)
         opts.extraIgnore = extra.ignore;
     }
     replay::CommandRunner runner =
-        [](const std::vector<std::string> &cmd_argv) {
-            return runCommand(cmd_argv);
+        [](const std::vector<std::string> &cmd_argv,
+           replay::Session &session) {
+            return runCommand(cmd_argv, &session);
         };
 
     if (!args.has("all")) {
@@ -1573,12 +1630,18 @@ usage(std::ostream &out)
 }
 
 int
-runCommand(int argc, const char *const *argv)
+runCommand(int argc, const char *const *argv, replay::Session *session)
 {
     if (argc < 2) {
         usage(std::cerr);
         return kExitUsage;
     }
+    // `replay` re-enters here with each replayed command's session;
+    // the outer one is put back however the command ends.
+    struct SessionScope {
+        replay::Session *outer;
+        ~SessionScope() { g_session = outer; }
+    } scope{std::exchange(g_session, session)};
     std::string cmd = argv[1];
     try {
         // Root span around the whole command, so the profile's top
@@ -1611,13 +1674,13 @@ runCommand(int argc, const char *const *argv)
 }
 
 int
-runCommand(const std::vector<std::string> &argv)
+runCommand(const std::vector<std::string> &argv, replay::Session *session)
 {
     std::vector<const char *> raw;
     raw.reserve(argv.size());
     for (const std::string &arg : argv)
         raw.push_back(arg.c_str());
-    return runCommand(static_cast<int>(raw.size()), raw.data());
+    return runCommand(static_cast<int>(raw.size()), raw.data(), session);
 }
 
 } // namespace cli

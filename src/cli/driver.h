@@ -6,6 +6,8 @@
  * gables_main.cc and re-entrantly by `gables replay`, which
  * re-executes a recorded invocation in the same process and diffs
  * its RunReport against the recording (src/replay, docs/REPLAY.md).
+ * Record/replay reaches a command's I/O only through the
+ * replay::Session passed to runCommand().
  */
 
 #ifndef GABLES_CLI_DRIVER_H
@@ -16,6 +18,11 @@
 #include <vector>
 
 namespace gables {
+
+namespace replay {
+struct Session;
+} // namespace replay
+
 namespace cli {
 
 /**
@@ -36,11 +43,17 @@ void usage(std::ostream &out);
  * throws: ConfigError/FatalError map to kExitError, unknown
  * commands and bad options to kExitUsage, exactly as the binary's
  * exit codes document.
+ *
+ * @param session When non-null, the command loads its config files,
+ *                writes its RunReport and roots its artifacts
+ *                through it (record/replay, replay/session.h).
  */
-int runCommand(int argc, const char *const *argv);
+int runCommand(int argc, const char *const *argv,
+               replay::Session *session = nullptr);
 
 /** Convenience overload for recorded argv vectors. */
-int runCommand(const std::vector<std::string> &argv);
+int runCommand(const std::vector<std::string> &argv,
+               replay::Session *session = nullptr);
 
 } // namespace cli
 } // namespace gables

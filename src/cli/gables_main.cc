@@ -2,20 +2,22 @@
  * @file
  * Thin entry point for the `gables` binary: strip the global
  * options valid anywhere on the command line (--log-level,
- * --profile, --record), set up the span tracer and the replay
- * recorder, and forward to the command dispatch in cli/driver.cc.
+ * --profile, --record), set up the span tracer, forward to the
+ * command dispatch in cli/driver.cc, and under --record write the
+ * replay bundle of what the command's Session gathered.
  * Keeping main() this small lets `gables replay` re-enter the same
  * dispatch in-process through gables::cli::runCommand().
  */
 
 #include <iostream>
-#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/driver.h"
 #include "replay/recorder.h"
 #include "telemetry/span.h"
+#include "util/atomic_file.h"
 #include "util/logging.h"
 
 int
@@ -94,27 +96,32 @@ main(int argc, char **argv)
         fargv = filtered.data();
     }
 
-    // The recorder's capture hooks only copy data on the side, so a
-    // run under --record is byte-identical to one without. Recording
-    // a replay would nest the hooks confusingly, so it is refused.
-    std::unique_ptr<gables::replay::Recorder> recorder;
-    if (!record_path.empty()) {
-        if (std::string(fargv[1]) == "replay") {
-            std::cerr << "gables: --record cannot wrap 'replay' "
-                         "(replay bundles must capture a real run)\n";
-            return kExitUsage;
-        }
-        std::vector<std::string> recorded(filtered.begin(),
-                                          filtered.end());
-        recorder =
-            std::make_unique<gables::replay::Recorder>(recorded);
+    // The session only keeps copies of what the command reads and
+    // writes, so a run under --record is byte-identical to one
+    // without. A bundle must capture a real run, so a replay is not
+    // recorded.
+    const bool recording = !record_path.empty();
+    if (recording && std::string(fargv[1]) == "replay") {
+        std::cerr << "gables: --record cannot wrap 'replay' "
+                     "(replay bundles must capture a real run)\n";
+        return kExitUsage;
     }
+    gables::replay::Session session;
 
-    int code = runCommand(fargc, fargv);
+    int code = runCommand(fargc, fargv, recording ? &session : nullptr);
 
-    if (recorder != nullptr) {
+    if (recording) {
+        // Atomic write: an interrupted --record run must never leave
+        // a truncated bundle for the corpus to trip over.
         try {
-            recorder->writeBundle(record_path, code);
+            std::ostringstream out;
+            gables::replay::writeBundle(
+                out, gables::replay::recordBundle(
+                         std::vector<std::string>(filtered.begin(),
+                                                  filtered.end()),
+                         session, code));
+            gables::writeFileAtomic(record_path, out.str());
+            gables::debug("recorded replay bundle " + record_path);
         } catch (const gables::FatalError &err) {
             std::cerr << "gables: error: " << err.what() << '\n';
             return kExitError;

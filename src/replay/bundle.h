@@ -71,9 +71,10 @@ struct ReplayBundle {
     std::vector<std::string> argv;
 
     /**
-     * Every config file the run read, path -> full contents. On
-     * replay these are installed as loadSocConfig() overrides, so
-     * the captured bytes win over whatever is on disk.
+     * Every config file the run read, path -> full contents (also a
+     * file that failed to parse). On replay they seed
+     * Session::configFiles, so the captured bytes win over whatever
+     * is on disk.
      */
     std::map<std::string, std::string> configFiles;
 

@@ -1,64 +1,32 @@
 #include "replay/recorder.h"
 
-#include <sstream>
-
-#include "telemetry/report.h"
-#include "util/atomic_file.h"
 #include "util/json_reader.h"
-#include "util/logging.h"
 
 namespace gables {
 namespace replay {
 
-Recorder::Recorder(std::vector<std::string> argv)
-    : argv_(std::move(argv))
+ReplayBundle
+recordBundle(std::vector<std::string> argv, const Session &session,
+             int exit_code)
 {
     // argv[0] is whatever path launched the binary — normalize it so
     // bundles do not embed host-dependent build-tree paths.
-    if (!argv_.empty())
-        argv_[0] = "gables";
-    observer_ = [this](const std::string &path,
-                       const std::string &contents) {
-        configFiles_[path] = contents;
-    };
-    prevSink_ = telemetry::RunReport::setCaptureSink(&reportJson_);
-    prevObserver_ = setConfigFileObserver(&observer_);
-}
-
-Recorder::~Recorder()
-{
-    telemetry::RunReport::setCaptureSink(prevSink_);
-    setConfigFileObserver(prevObserver_);
-}
-
-ReplayBundle
-Recorder::bundle(int exit_code) const
-{
+    if (!argv.empty())
+        argv[0] = "gables";
     ReplayBundle b;
-    b.argv = argv_;
-    b.configFiles = configFiles_;
+    b.argv = std::move(argv);
+    b.configFiles = session.configFiles;
     b.exitCode = exit_code;
     // Default tolerance: exact everywhere except the host-dependent
     // subtrees — the self-profiling tree (--profile wall times) and
     // the per-worker busy-time distribution the determinism contract
     // already excludes from byte-identity.
     b.tolerance.ignore = {"profile", "parallel.worker_busy_s"};
-    if (!reportJson_.empty()) {
+    if (!session.report.empty()) {
         b.hasReport = true;
-        b.report = parseJson(reportJson_);
+        b.report = parseJson(session.report);
     }
     return b;
-}
-
-void
-Recorder::writeBundle(const std::string &path, int exit_code) const
-{
-    // Atomic write: an interrupted --record run must never leave a
-    // truncated bundle for the corpus or the daemon to trip over.
-    std::ostringstream out;
-    gables::replay::writeBundle(out, bundle(exit_code));
-    writeFileAtomic(path, out.str());
-    debug("recorded replay bundle " + path);
 }
 
 } // namespace replay

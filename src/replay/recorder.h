@@ -1,75 +1,38 @@
 /**
  * @file
- * Recording side of record/replay: an RAII Recorder that, while
- * alive, captures everything a CLI invocation needs to be replayed —
- * the RunReport it writes (via the telemetry capture sink) and every
- * config file it loads (via the soc/config file observer) — and
- * assembles a ReplayBundle when the run finishes. Recording is
- * byte-transparent: the hooks only copy data on the side, so a run
- * under `--record` produces exactly the same stdout/stderr/files as
- * one without.
+ * Recording side of record/replay: turn what one CLI invocation read
+ * and wrote into a ReplayBundle. The caller runs the command through
+ * gables::cli::runCommand() with an empty Session, which gathers the
+ * config files the command loads and the RunReport it writes, then
+ * hands the Session here. Recording is byte-transparent: the Session
+ * only keeps copies, so a run under `--record` produces exactly the
+ * same stdout/stderr/files as one without.
  */
 
 #ifndef GABLES_REPLAY_RECORDER_H
 #define GABLES_REPLAY_RECORDER_H
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "replay/bundle.h"
-#include "soc/config.h"
+#include "replay/session.h"
 
 namespace gables {
 namespace replay {
 
 /**
- * Captures one invocation. Construct before dispatching the command
- * (installs the capture hooks), run the command, then call bundle()
- * or writeBundle() with the command's exit code. The destructor
- * restores whatever hooks were active before, so recorders nest
- * safely with the replayer's own hooks.
+ * Assemble the bundle of one recorded invocation.
+ *
+ * @param argv      The invocation after global-flag stripping:
+ *                  argv[1] is the subcommand. argv[0] is recorded as
+ *                  "gables", so bundles embed no build-tree path.
+ * @param session   The Session the command ran with.
+ * @param exit_code The command's exit code.
+ * @throws FatalError when the session's report is not valid JSON.
  */
-class Recorder
-{
-  public:
-    /**
-     * @param argv The invocation to record, after global-flag
-     *             stripping: argv[0] "gables", argv[1] the
-     *             subcommand.
-     */
-    explicit Recorder(std::vector<std::string> argv);
-    ~Recorder();
-
-    Recorder(const Recorder &) = delete;
-    Recorder &operator=(const Recorder &) = delete;
-
-    /**
-     * Assemble the bundle from everything captured so far.
-     *
-     * @param exit_code The recorded command's exit code.
-     */
-    ReplayBundle bundle(int exit_code) const;
-
-    /**
-     * Serialize bundle(@p exit_code) to @p path.
-     * @throws FatalError when the file cannot be written.
-     */
-    void writeBundle(const std::string &path, int exit_code) const;
-
-  private:
-    std::vector<std::string> argv_;
-    /** Latest RunReport JSON written by the run ("" = none yet). */
-    std::string reportJson_;
-    /** Config files the run loaded, path -> contents. */
-    std::map<std::string, std::string> configFiles_;
-    /** The observer registered with setConfigFileObserver(). */
-    ConfigFileObserver observer_;
-
-    /** Hooks active before this recorder, restored on destruction. */
-    std::string *prevSink_ = nullptr;
-    ConfigFileObserver *prevObserver_ = nullptr;
-};
+ReplayBundle recordBundle(std::vector<std::string> argv,
+                          const Session &session, int exit_code);
 
 } // namespace replay
 } // namespace gables

@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "soc/config.h"
-#include "telemetry/report.h"
 #include "telemetry/report_diff.h"
 #include "util/atomic_file.h"
 #include "util/logging.h"
@@ -28,49 +26,6 @@ slurp(const std::string &path)
     oss << in.rdbuf();
     return oss.str();
 }
-
-/**
- * Scoped installation of the replay hooks: the bundle's config-file
- * overrides, a fresh-report capture sink, and the artifact-dir
- * redirect for relative output paths baked into the recorded argv.
- * Restores the previous hooks on destruction so replays nest under
- * an active recorder.
- */
-class ReplayHooks
-{
-  public:
-    ReplayHooks(const ReplayBundle &bundle,
-                const std::string &artifact_dir)
-        : overrides_(bundle.configFiles), artifactDir_(artifact_dir)
-    {
-        prevOverrides_ = setConfigFileOverrides(&overrides_);
-        prevSink_ =
-            telemetry::RunReport::setCaptureSink(&freshReport_);
-        prevArtifactDir_ = setArtifactDirOverride(&artifactDir_);
-    }
-
-    ~ReplayHooks()
-    {
-        setConfigFileOverrides(prevOverrides_);
-        telemetry::RunReport::setCaptureSink(prevSink_);
-        setArtifactDirOverride(prevArtifactDir_);
-    }
-
-    ReplayHooks(const ReplayHooks &) = delete;
-    ReplayHooks &operator=(const ReplayHooks &) = delete;
-
-    /** @return The fresh RunReport JSON text ("" = none written). */
-    const std::string &freshReport() const { return freshReport_; }
-
-  private:
-    std::map<std::string, std::string> overrides_;
-    std::string artifactDir_;
-    std::string freshReport_;
-    const std::map<std::string, std::string> *prevOverrides_ =
-        nullptr;
-    std::string *prevSink_ = nullptr;
-    const std::string *prevArtifactDir_ = nullptr;
-};
 
 /** Write the fresh report next to the recorded ones for offline
  * diffing (CI uploads the directory as an artifact on mismatch). */
@@ -137,13 +92,11 @@ replayBundle(const std::string &path, const CommandRunner &run,
     ReplayOutcome outcome;
     outcome.subcommand = bundle.subcommand();
 
-    int fresh_code = 0;
-    std::string fresh_json;
-    {
-        ReplayHooks hooks(bundle, opts.artifactDir);
-        fresh_code = run(bundle.argv);
-        fresh_json = hooks.freshReport();
-    }
+    Session session;
+    session.configFiles = std::move(bundle.configFiles);
+    session.artifactDir = opts.artifactDir;
+    int fresh_code = run(bundle.argv, session);
+    const std::string &fresh_json = session.report;
     saveFreshReport(path, opts.saveFreshDir, fresh_json);
 
     if (fresh_code != bundle.exitCode) {

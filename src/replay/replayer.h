@@ -2,11 +2,12 @@
  * @file
  * Replay side of record/replay: re-execute a recorded bundle
  * in-process (through a caller-supplied command runner, so the
- * library never depends on the CLI driver) and diff the fresh
- * RunReport against the recorded one with the bundle's tolerance
- * block. The outcome follows the validate-style exit contract:
- * 0 = replay matched, 1 = the replayed run diverged (exit code or
- * report fields), 2 = the bundle itself is unreadable or carries an
+ * library never depends on the CLI driver) with a Session seeded
+ * from the bundle, and diff the RunReport the Session gathers
+ * against the recorded one with the bundle's tolerance block. The
+ * outcome follows the validate-style exit contract: 0 = replay
+ * matched, 1 = the replayed run diverged (exit code or report
+ * fields), 2 = the bundle itself is unreadable or carries an
  * unsupported schema.
  */
 
@@ -18,17 +19,18 @@
 #include <vector>
 
 #include "replay/bundle.h"
+#include "replay/session.h"
 
 namespace gables {
 namespace replay {
 
 /**
- * Executes one recorded argv and returns its exit code. The CLI
- * driver passes its own dispatch function; tests can substitute
- * anything with the same shape.
+ * Executes one recorded argv with its I/O going through @p session
+ * and returns its exit code. The CLI driver passes its own dispatch
+ * function; tests can substitute anything with the same shape.
  */
-using CommandRunner =
-    std::function<int(const std::vector<std::string> &argv)>;
+using CommandRunner = std::function<int(
+    const std::vector<std::string> &argv, Session &session)>;
 
 /** Knobs for a replay run. */
 struct ReplayOptions {
@@ -46,13 +48,13 @@ struct ReplayOptions {
      */
     std::string saveFreshDir;
     /**
-     * Directory that relative-path artifacts written by the replayed
-     * command (e.g. a recorded `--metrics replay-out.json`) are
-     * redirected into, so replays don't litter the caller's working
-     * directory with the recording's output files. Empty disables
-     * the redirect (artifacts land relative to the CWD, as the
-     * original run wrote them). Absolute recorded paths are never
-     * redirected.
+     * Session::artifactDir of the replayed command: every artifact
+     * it writes (e.g. a recorded `--metrics replay-out.json`) lands
+     * under this directory, so replays neither litter the caller's
+     * working directory nor write outside it. Absolute recorded
+     * paths are re-rooted under it, and a path that climbs out of
+     * it with ".." fails the replayed command. Empty writes every
+     * artifact to the path it was recorded with.
      */
     std::string artifactDir = "out/replay";
 };
@@ -78,10 +80,11 @@ struct ReplayOutcome {
 };
 
 /**
- * Replay the bundle at @p path: parse it, install its inlined config
- * files as loadSocConfig() overrides, re-run the recorded argv
- * through @p run while capturing the fresh RunReport, then compare
- * exit codes and diff the reports. A bundle that records `replay`
+ * Replay the bundle at @p path: parse it, re-run the recorded argv
+ * through @p run with a Session serving the bundle's inlined config
+ * files and rooting artifacts at ReplayOptions::artifactDir, then
+ * compare exit codes and diff the report the Session gathered
+ * against the recorded one. A bundle that records `replay`
  * or `serve` is refused as bad-bundle (exit 2) without running it.
  * Never throws; failures are reported through the outcome.
  */

@@ -43,39 +43,12 @@ BandwidthResource::BandwidthResource(std::string name, double bandwidth,
         fatal("resource '" + name_ + "': latency must be >= 0");
 }
 
-double
-BandwidthResource::acquireInstrumented(double arrival, double start,
-                                       double service, double bytes)
-{
-    if (tracer_ != nullptr)
-        tracer_->record(name_, start, service);
-    busyUntil_ = start + service;
-    busyTime_ += service;
-    bytesServed_ += bytes;
-    ++requests_;
-    observe(arrival, start, service, bytes);
-    return busyUntil_ + latency_;
-}
-
-double
-BandwidthResource::serviceInstrumented(double arrival, double start,
-                                       double service_seconds)
-{
-    if (tracer_ != nullptr)
-        tracer_->record(name_, start, service_seconds);
-    busyUntil_ = start + service_seconds;
-    busyTime_ += service_seconds;
-    ++requests_;
-    observe(arrival, start, service_seconds, 0.0);
-    return busyUntil_ + latency_;
-}
-
 void
 BandwidthResource::observe(double arrival, double start, double service,
                            double bytes)
 {
-    if (registry_ == nullptr && tracer_ == nullptr)
-        return;
+    if (tracer_ != nullptr)
+        tracer_->record(name_, start, service);
 
     // Queue depth at this arrival: booked requests not yet drained,
     // including the one just booked.

@@ -141,9 +141,7 @@ class BandwidthResource
      * Book a transfer of @p bytes arriving at @p arrival.
      *
      * Defined inline: the uninstrumented booking (no tracer, no
-     * telemetry) is the simulator's innermost loop, and the
-     * instrumented path repeats the exact same arithmetic so results
-     * are bit-identical either way.
+     * telemetry) is the simulator's innermost loop.
      *
      * @return Completion time (seconds).
      */
@@ -164,13 +162,7 @@ class BandwidthResource
             memoBytes_ = bytes;
             memoService_ = service;
         }
-        if (instrumented_)
-            return acquireInstrumented(arrival, start, service, bytes);
-        busyUntil_ = start + service;
-        busyTime_ += service;
-        bytesServed_ += bytes;
-        ++requests_;
-        return busyUntil_ + latency_;
+        return book(arrival, start, service, bytes);
     }
 
     /**
@@ -183,12 +175,9 @@ class BandwidthResource
     {
         GABLES_ASSERT(service_seconds >= 0.0, "negative service time");
         double start = std::max(arrival, busyUntil_);
-        if (instrumented_)
-            return serviceInstrumented(arrival, start, service_seconds);
-        busyUntil_ = start + service_seconds;
-        busyTime_ += service_seconds;
-        ++requests_;
-        return busyUntil_ + latency_;
+        // No bytes: adding +0.0 to the non-negative byte total keeps
+        // its bits.
+        return book(arrival, start, service_seconds, 0.0);
     }
 
     /** @return Time the server next becomes free. */
@@ -250,13 +239,27 @@ class BandwidthResource
     void reserveLog(size_t expected_entries);
 
   private:
-    /** Slow path of acquire(): books with the trace record and
-     * telemetry observation in the original order. */
-    double acquireInstrumented(double arrival, double start,
-                               double service, double bytes);
-    /** Slow path of acquireService(). */
-    double serviceInstrumented(double arrival, double start,
-                               double service_seconds);
+    /**
+     * Book the service interval [start, start + service) of a
+     * request that arrived at @p arrival, then hand it to the tracer
+     * and telemetry when either is attached. Instrumentation only
+     * reads the interval, so results are bit-identical either way.
+     *
+     * @return Completion time (seconds).
+     */
+    double book(double arrival, double start, double service,
+                double bytes)
+    {
+        busyUntil_ = start + service;
+        busyTime_ += service;
+        bytesServed_ += bytes;
+        ++requests_;
+        if (instrumented_)
+            observe(arrival, start, service, bytes);
+        return busyUntil_ + latency_;
+    }
+
+    /** Trace and/or sample one booked interval (see book()). */
     void observe(double arrival, double start, double service,
                  double bytes);
 

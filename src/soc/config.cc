@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "telemetry/span.h"
@@ -294,55 +293,22 @@ parseSocConfig(const std::string &text, const std::string &source)
     return SocConfig{std::move(soc), std::move(built)};
 }
 
-namespace {
-
-/** Replay hooks (see config.h): content overrides and an observer. */
-const std::map<std::string, std::string> *g_file_overrides = nullptr;
-ConfigFileObserver *g_file_observer = nullptr;
-
-} // namespace
-
-const std::map<std::string, std::string> *
-setConfigFileOverrides(
-    const std::map<std::string, std::string> *overrides)
+std::string
+readConfigFile(const std::string &path)
 {
-    const std::map<std::string, std::string> *prev = g_file_overrides;
-    g_file_overrides = overrides;
-    return prev;
-}
-
-ConfigFileObserver *
-setConfigFileObserver(ConfigFileObserver *observer)
-{
-    ConfigFileObserver *prev = g_file_observer;
-    g_file_observer = observer;
-    return prev;
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open config file '" + path + "'");
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
 }
 
 SocConfig
 loadSocConfig(const std::string &path)
 {
     GABLES_SPAN("config.load");
-    std::string text;
-    bool overridden = false;
-    if (g_file_overrides != nullptr) {
-        auto it = g_file_overrides->find(path);
-        if (it != g_file_overrides->end()) {
-            text = it->second;
-            overridden = true;
-        }
-    }
-    if (!overridden) {
-        std::ifstream in(path);
-        if (!in)
-            fatal("cannot open config file '" + path + "'");
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        text = oss.str();
-    }
-    if (g_file_observer != nullptr && *g_file_observer)
-        (*g_file_observer)(path, text);
-    return parseSocConfig(text, path);
+    return parseSocConfig(readConfigFile(path), path);
 }
 
 std::vector<LintFinding>

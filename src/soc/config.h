@@ -37,8 +37,6 @@
 #ifndef GABLES_SOC_CONFIG_H
 #define GABLES_SOC_CONFIG_H
 
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,6 +75,14 @@ SocConfig parseSocConfig(const std::string &text,
                          const std::string &source = "config");
 
 /**
+ * Read a configuration file's bytes.
+ *
+ * @param path Filesystem path.
+ * @throws FatalError if the file cannot be read.
+ */
+std::string readConfigFile(const std::string &path);
+
+/**
  * Load and parse a configuration file. Diagnostics use the file path
  * as the location ("path:line: message").
  *
@@ -85,33 +91,6 @@ SocConfig parseSocConfig(const std::string &text,
  *         cannot be parsed.
  */
 SocConfig loadSocConfig(const std::string &path);
-
-/**
- * Install a process-global content-override map for loadSocConfig():
- * while non-null, a path present in the map is parsed from the
- * mapped contents instead of the filesystem (diagnostics still cite
- * the path). This is the replay hook — `gables replay` installs the
- * bundle's inlined config files so a recorded run re-executes
- * against the captured bytes even when the tree has changed.
- *
- * @return The previously installed map, so callers can restore it.
- */
-const std::map<std::string, std::string> *setConfigFileOverrides(
-    const std::map<std::string, std::string> *overrides);
-
-/** Observes every config load: (path, full contents). */
-using ConfigFileObserver =
-    std::function<void(const std::string &, const std::string &)>;
-
-/**
- * Install a process-global observer called by loadSocConfig() with
- * each file's path and contents after reading (before parsing, so
- * even unparseable inputs are observed). The record side of
- * record/replay uses this to inline config files into bundles.
- *
- * @return The previously installed observer (nullptr when none).
- */
-ConfigFileObserver *setConfigFileObserver(ConfigFileObserver *observer);
 
 /**
  * One finding from lintSocConfig(): either a hard error or an

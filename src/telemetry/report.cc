@@ -1,8 +1,6 @@
 #include "telemetry/report.h"
 
-#include <optional>
 #include <ostream>
-#include <streambuf>
 #include <string>
 
 #include "telemetry/span.h"
@@ -57,68 +55,12 @@ RunReport::addDelta(const std::string &name, double model_ops_per_sec,
                                sim_ops_per_sec});
 }
 
-namespace {
-
-/** The record/replay capture sink (see setCaptureSink()). */
-std::string *g_capture_sink = nullptr;
-
-/** Passes every byte on to a stream buffer and keeps a copy. */
-class TeeBuf : public std::streambuf
-{
-  public:
-    TeeBuf(std::streambuf *out, std::string &copy) : out_(out), copy_(copy)
-    {
-        copy_.clear();
-    }
-
-  protected:
-    int_type overflow(int_type c) override
-    {
-        if (traits_type::eq_int_type(c, traits_type::eof()))
-            return traits_type::not_eof(c);
-        copy_.push_back(traits_type::to_char_type(c));
-        return out_->sputc(traits_type::to_char_type(c));
-    }
-
-    std::streamsize xsputn(const char *s, std::streamsize n) override
-    {
-        copy_.append(s, static_cast<size_t>(n));
-        return out_->sputn(s, n);
-    }
-
-  private:
-    std::streambuf *out_;
-    std::string &copy_;
-};
-
-} // namespace
-
-std::string *
-RunReport::setCaptureSink(std::string *sink)
-{
-    std::string *prev = g_capture_sink;
-    g_capture_sink = sink;
-    return prev;
-}
-
 void
 RunReport::write(std::ostream &out) const
 {
-    // With a capture sink installed, the bytes go to @p out through a
-    // tee that keeps a copy for the sink: one render either way.
-    std::optional<TeeBuf> tee;
-    std::optional<std::ostream> teed;
-    if (g_capture_sink != nullptr) {
-        tee.emplace(out.rdbuf(), *g_capture_sink);
-        teed.emplace(&*tee);
-    }
-    std::ostream &dst = teed ? *teed : out;
-
-    JsonWriter json(dst, true);
+    JsonWriter json(out, true);
     write(json);
-    dst << '\n';
-    if (teed && !*teed)
-        out.setstate(teed->rdstate());
+    out << '\n';
 }
 
 void

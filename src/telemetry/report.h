@@ -112,25 +112,11 @@ class RunReport
     void setProfile(const SpanTracer *tracer) { tracer_ = tracer; }
 
     /** Emit the report JSON (pretty-printed, then a newline) to
-     * @p out, through the capture sink when one is installed. */
+     * @p out. */
     void write(std::ostream &out) const;
 
-    /** Write the report object at @p json's position (no newline,
-     * no capture). */
+    /** Write the report object at @p json's position (no newline). */
     void write(JsonWriter &json) const;
-
-    /**
-     * Install a process-global capture sink: while non-null, every
-     * write() also stores the bytes it wrote into *@p sink (latest
-     * write wins). This is the record/replay capture hook —
-     * the replay Recorder and the replayer both use it to observe
-     * the RunReport an invocation produces without changing any of
-     * the run's own outputs.
-     *
-     * @return The previously installed sink, so callers can nest
-     *         and restore (replay under an active recorder).
-     */
-    static std::string *setCaptureSink(std::string *sink);
 
   private:
     struct ConfigItem {

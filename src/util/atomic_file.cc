@@ -5,44 +5,15 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 
 #include "util/logging.h"
 
 namespace gables {
 
-namespace {
-
-/** Active artifact-dir override (setArtifactDirOverride). */
-const std::string *g_artifact_dir = nullptr;
-
-} // namespace
-
-const std::string *
-setArtifactDirOverride(const std::string *dir)
-{
-    const std::string *prev = g_artifact_dir;
-    g_artifact_dir = dir;
-    return prev;
-}
-
 void
-writeFileAtomic(const std::string &raw_path,
-                const std::string &contents)
+writeFileAtomic(const std::string &path, const std::string &contents)
 {
-    std::string path = raw_path;
-    if (g_artifact_dir != nullptr && !g_artifact_dir->empty() &&
-        !std::filesystem::path(raw_path).is_absolute()) {
-        std::filesystem::path redirected =
-            std::filesystem::path(*g_artifact_dir) / raw_path;
-        std::error_code ec;
-        std::filesystem::create_directories(redirected.parent_path(),
-                                            ec);
-        // A failed mkdir surfaces as the open error below, with the
-        // redirected path in the message.
-        path = redirected.string();
-    }
     // A unique sibling keeps the rename on one filesystem and lets
     // concurrent writers of the same target collide harmlessly.
     std::string tmp =

@@ -8,7 +8,8 @@
  * poisons downstream tooling with invalid JSON. writeFileAtomic()
  * writes to a temporary sibling and renames it over the target, so
  * readers only ever observe the old contents or the complete new
- * contents — never a partial write.
+ * contents — never a partial write. It writes the path it is given;
+ * where an artifact lands (replay's --out-dir) is the CLI's decision.
  */
 
 #ifndef GABLES_UTIL_ATOMIC_FILE_H
@@ -33,28 +34,6 @@ namespace gables {
  */
 void writeFileAtomic(const std::string &path,
                      const std::string &contents);
-
-/**
- * Redirect relative-path writeFileAtomic() targets under @p dir.
- *
- * While an override is installed, every writeFileAtomic() call whose
- * @p path is relative lands at "<dir>/<path>" (parent directories
- * are created); absolute paths are untouched. `gables replay`
- * installs this around the replayed command so artifacts recorded
- * with relative paths (e.g. `--metrics replay-out-sweep.json`) stop
- * littering the caller's working directory.
- *
- * Follows the scoped-install pattern of setConfigFileOverrides():
- * pass the previous return value back to restore it. @p dir may be
- * nullptr (or point at an empty string) to disable redirection. The
- * pointed-to string must outlive the installation; installs are not
- * thread-safe, but reads from writeFileAtomic() on worker threads
- * are safe once installed.
- *
- * @param dir New override directory (nullptr = none).
- * @return The previously installed override.
- */
-const std::string *setArtifactDirOverride(const std::string *dir);
 
 } // namespace gables
 

@@ -130,8 +130,9 @@ TEST_F(GermanLocaleTest, CorpusReplaysByteIdentically)
     ASSERT_FALSE(bundles.empty())
         << "no corpus bundles at " << GABLES_CORPUS_DIR;
     replay::CommandRunner runner =
-        [](const std::vector<std::string> &argv) {
-            return cli::runCommand(argv);
+        [](const std::vector<std::string> &argv,
+           replay::Session &session) {
+            return cli::runCommand(argv, &session);
         };
     for (const std::string &path : bundles) {
         replay::ReplayOutcome outcome =

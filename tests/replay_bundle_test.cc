@@ -210,7 +210,8 @@ TEST(ReplayBundle, ServeBundleIsRefusedWithoutRunning)
     }
     bool ran = false;
     ReplayOutcome outcome =
-        replayBundle(path, [&ran](const std::vector<std::string> &) {
+        replayBundle(path, [&ran](const std::vector<std::string> &,
+                                  Session &) {
             ran = true;
             return 0;
         });

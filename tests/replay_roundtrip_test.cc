@@ -8,10 +8,11 @@
  * must fail with the contract's exit codes: a spliced-in foreign
  * report exits 1, an unsupported schema version exits 2. Recording is
  * byte-transparent: stdout and the metrics file are identical with
- * and without --record's hooks installed, and every artifact flag
- * honors replay's --out-dir.
+ * and without a recording Session, and every artifact flag lands
+ * under replay's --out-dir, which no recorded path can leave.
  */
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,8 +25,9 @@
 #include "replay/bundle.h"
 #include "replay/recorder.h"
 #include "replay/replayer.h"
+#include "replay/session.h"
 #include "soc/config.h"
-#include "util/atomic_file.h"
+#include "util/json_writer.h"
 #include "util/rng.h"
 
 namespace gables {
@@ -34,8 +36,9 @@ namespace {
 replay::CommandRunner
 cliRunner()
 {
-    return [](const std::vector<std::string> &argv) {
-        return cli::runCommand(argv);
+    return [](const std::vector<std::string> &argv,
+              replay::Session &session) {
+        return cli::runCommand(argv, &session);
     };
 }
 
@@ -86,9 +89,9 @@ randomConfig(Rng &rng)
 replay::ReplayBundle
 record(const std::vector<std::string> &argv)
 {
-    replay::Recorder rec(argv);
-    int code = cli::runCommand(argv);
-    return rec.bundle(code);
+    replay::Session session;
+    int code = cli::runCommand(argv, &session);
+    return replay::recordBundle(argv, session, code);
 }
 
 void
@@ -259,25 +262,28 @@ TEST(ReplayRoundTrip, RelativeArtifactsRedirectToOutDir)
 }
 
 // Every artifact flag writes through the same atomic path as
-// --metrics, so each lands under an installed artifact directory and
-// is still announced under the path the user gave.
+// --metrics, so each lands under the session's artifact directory
+// and is still announced under the path the user gave.
 TEST(ReplayRoundTrip, EveryCliArtifactHonorsTheOutDir)
 {
     const std::string dir = "replay_rt_artifacts";
     const std::vector<std::string> names = {
         "replay_rt_a.svg", "replay_rt_v.json", "replay_rt_s.trace",
         "replay_rt_p.trace"};
-    const std::string *prev = setArtifactDirOverride(&dir);
+    replay::Session session;
+    session.artifactDir = dir;
     testing::internal::CaptureStdout();
-    int eval = cli::runCommand({"gables", "eval", "--svg", names[0],
-                                "--viz-json", names[1]});
+    int eval = cli::runCommand(
+        {"gables", "eval", "--svg", names[0], "--viz-json", names[1]},
+        &session);
     int sim = cli::runCommand({"gables", "sim", "--soc", "sd835",
-                               "--epochs", "5", "--trace", names[2]});
+                               "--epochs", "5", "--trace", names[2]},
+                              &session);
     int pipeline =
         cli::runCommand({"gables", "pipeline", "--usecase", "hdr",
-                         "--frames", "4", "--trace", names[3]});
+                         "--frames", "4", "--trace", names[3]},
+                        &session);
     std::string out = testing::internal::GetCapturedStdout();
-    setArtifactDirOverride(prev);
 
     EXPECT_EQ(eval, 0);
     EXPECT_EQ(sim, 0);
@@ -290,9 +296,135 @@ TEST(ReplayRoundTrip, EveryCliArtifactHonorsTheOutDir)
     }
 }
 
+// A recorded absolute artifact path is re-rooted under the out-dir:
+// the replay matches, its file lands at <out-dir>/<path without its
+// root>, and nothing is written at the recorded path.
+TEST(ReplayRoundTrip, AbsoluteArtifactPathIsReRootedUnderTheOutDir)
+{
+    const std::filesystem::path svg =
+        std::filesystem::absolute("replay_rt_abs_src") / "abs.svg";
+    const std::string bundlePath = "replay_rt_abs_bundle.json";
+    const std::string outDir = "replay_rt_abs_out";
+    std::filesystem::create_directories(svg.parent_path());
+
+    std::vector<std::string> argv = {"gables", "eval", "--soc", "paper",
+                                     "--svg", svg.string(), "--metrics",
+                                     "replay_rt_abs.json"};
+    testing::internal::CaptureStdout();
+    replay::ReplayBundle b = record(argv);
+    testing::internal::GetCapturedStdout();
+    ASSERT_EQ(b.exitCode, 0);
+    ASSERT_TRUE(b.hasReport);
+    writeBundleFile(bundlePath, b);
+    std::filesystem::remove(svg);
+    std::filesystem::remove_all(outDir);
+
+    replay::ReplayOptions opts;
+    opts.artifactDir = outDir;
+    testing::internal::CaptureStdout();
+    replay::ReplayOutcome outcome =
+        replay::replayBundle(bundlePath, cliRunner(), opts);
+    std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(outcome.exitCode, 0) << outcome.detail;
+    EXPECT_EQ(outcome.status, "match");
+    EXPECT_FALSE(std::filesystem::exists(svg))
+        << "replay wrote the recorded absolute path";
+    const std::filesystem::path rooted =
+        std::filesystem::path(outDir) / svg.relative_path();
+    EXPECT_FALSE(readFile(rooted.string()).empty()) << rooted;
+    EXPECT_NE(out.find("wrote " + svg.string() + "\n"),
+              std::string::npos)
+        << out;
+}
+
+// A recorded artifact path that climbs out of the out-dir with ".."
+// fails the replayed command (exit 1 with a diagnostic naming the
+// path and the out-dir), so the replay diverges and writes nothing.
+TEST(ReplayRoundTrip, ArtifactPathLeavingTheOutDirIsRefused)
+{
+    const std::string escape = "replay_rt_escape.svg";
+    const std::string outDir = "replay_rt_escape_out/replay";
+    const std::string recorded = "../../" + escape;
+    const std::string bundlePath = "replay_rt_escape_bundle.json";
+    std::filesystem::remove(escape);
+    std::filesystem::remove_all("replay_rt_escape_out");
+
+    replay::ReplayBundle b;
+    b.argv = {"gables", "eval", "--soc", "paper", "--svg", recorded};
+    writeBundleFile(bundlePath, b);
+
+    replay::ReplayOptions opts;
+    opts.artifactDir = outDir;
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    replay::ReplayOutcome outcome =
+        replay::replayBundle(bundlePath, cliRunner(), opts);
+    std::string err = testing::internal::GetCapturedStderr();
+    testing::internal::GetCapturedStdout();
+    EXPECT_EQ(outcome.exitCode, 1);
+    EXPECT_EQ(outcome.status, "exit-code-mismatch");
+    EXPECT_NE(outcome.detail.find("replay exited 1"), std::string::npos)
+        << outcome.detail;
+    EXPECT_NE(err.find("gables: error: artifact path '" + recorded +
+                       "' climbs out of the out-dir '" + outDir + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(escape))
+        << "replay wrote outside its out-dir";
+}
+
+// A config that fails to parse is still inlined into the bundle (it
+// is kept before it is parsed), so its validate run replays with the
+// same diagnostic after the file is gone.
+TEST(ReplayRoundTrip, UnparseableConfigIsInlinedAndReplays)
+{
+    const std::string cfg = "replay_rt_unparseable.ini";
+    const std::string text = "[soc]\nname = bad\nppeak = 40 Gops/s\n"
+                             "bpeak = 10 GB/s\n\n[ip CPU]\naccel = 1\n"
+                             "bandwidth = 6 GB/s\ncolour = blue\n";
+    const std::string bundlePath = "replay_rt_unparseable_bundle.json";
+    writeFile(cfg, text);
+
+    testing::internal::CaptureStderr();
+    replay::ReplayBundle b = record({"gables", "validate", cfg});
+    std::string recordedErr = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(b.exitCode, 1);
+    ASSERT_NE(recordedErr.find("colour"), std::string::npos)
+        << recordedErr;
+    ASSERT_EQ(b.configFiles.count(cfg), 1u);
+    EXPECT_EQ(b.configFiles.at(cfg), text);
+    writeBundleFile(bundlePath, b);
+    std::filesystem::remove(cfg);
+
+    testing::internal::CaptureStderr();
+    replay::ReplayOutcome outcome =
+        replay::replayBundle(bundlePath, cliRunner());
+    std::string replayedErr = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(outcome.exitCode, 0) << outcome.detail;
+    EXPECT_EQ(outcome.status, "match");
+    EXPECT_EQ(replayedErr, recordedErr);
+}
+
+// The session holds exactly the bytes of the --metrics file, also for
+// a report that JsonWriter flushes in several chunks.
+TEST(ReplayRoundTrip, SessionReportIsTheMetricsFile)
+{
+    const std::string metrics = "replay_rt_big.json";
+    replay::Session session;
+    testing::internal::CaptureStdout();
+    int code = cli::runCommand({"gables", "sweep", "--soc", "sd835",
+                                "--points", "5000", "--jobs", "1",
+                                "--metrics", metrics},
+                               &session);
+    testing::internal::GetCapturedStdout();
+    ASSERT_EQ(code, 0);
+    ASSERT_GT(session.report.size(), 3 * JsonWriter::kChunkBytes);
+    EXPECT_EQ(session.report, readFile(metrics));
+}
+
 // Recording must be byte-transparent: the same invocation produces
-// identical stdout and an identical metrics file whether or not the
-// recorder's capture hooks are installed.
+// identical stdout and an identical metrics file whether or not it
+// runs with a recording Session.
 TEST(ReplayRoundTrip, RecordingIsByteTransparent)
 {
     Rng rng(0xBEEF);
