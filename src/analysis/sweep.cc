@@ -10,7 +10,7 @@ namespace gables {
 
 Series
 Sweep::mixing(const SocSpec &soc, double i0, double i1,
-              const std::vector<double> &fractions, bool normalize,
+              std::vector<double> fractions, bool normalize,
               int jobs, parallel::ForStats *stats)
 {
     if (soc.numIps() < 2)
@@ -36,13 +36,14 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
 
     Series series;
     series.label = "I0=" + formatDouble(i0) + " I1=" + formatDouble(i1);
-    series.x = fractions;
-    series.y.resize(fractions.size());
+    series.x = std::move(fractions);
+    const std::vector<double> &xs = series.x;
+    series.y.resize(xs.size());
 
     // Each loop index is one pack of W points; lanes land in
     // pre-sized slots, so the output is the same for any job count.
     constexpr size_t W = kGridWidth;
-    const size_t packs = (fractions.size() + W - 1) / W;
+    const size_t packs = (xs.size() + W - 1) / W;
     parallel::ForOptions opts;
     opts.jobs = jobs;
     // One pack per pool worker: packs are stateful, and worker
@@ -53,7 +54,7 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
         GABLES_SPAN("sweep.compile");
         lanes.assign(
             static_cast<size_t>(parallel::plannedWorkers(packs, opts)),
-            GablesPack<W>(soc, usecase_for(fractions[0])));
+            GablesPack<W>(soc, usecase_for(xs[0])));
     }
 
     GABLES_SPAN("sweep.grid");
@@ -62,8 +63,8 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
         [&](size_t pi, int worker) {
             GablesPack<W> &pack = lanes[static_cast<size_t>(worker)];
             const size_t p0 = pi * W;
-            const size_t cnt = std::min(W, fractions.size() - p0);
-            const double *fs = series.x.data() + p0;
+            const size_t cnt = std::min(W, xs.size() - p0);
+            const double *fs = xs.data() + p0;
             double f0[W] = {};
             for (size_t w = 0; w < cnt; ++w)
                 f0[w] = 1.0 - fs[w];

@@ -55,14 +55,16 @@ class Sweep
      *                   between IP[0] and IP[1].
      * @param i0         Operational intensity at IP[0].
      * @param i1         Operational intensity at IP[1].
-     * @param fractions  Values of f in [0, 1].
+     * @param fractions  Values of f in [0, 1]; they become the
+     *                   series' x, so a caller that no longer needs
+     *                   them moves them in instead of copying.
      * @param normalize  If true (paper's Figure 8), divide by the
      *                   performance at f = 0 with intensity i0.
      * @param jobs       Worker count (1 = serial, 0 = hardware).
      * @param stats      Optional out: worker count and busy time.
      */
     static Series mixing(const SocSpec &soc, double i0, double i1,
-                         const std::vector<double> &fractions,
+                         std::vector<double> fractions,
                          bool normalize = true, int jobs = 1,
                          parallel::ForStats *stats = nullptr);
 };

@@ -16,6 +16,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -155,26 +156,45 @@ artifactPath(const std::string &path)
     return rooted.string();
 }
 
+/** Read a whole file, fataling with the path on failure. */
+std::string
+slurpFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open '" + path + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
 /**
  * Write one CLI artifact atomically (see artifactPath() for where it
- * lands), then announce it as "wrote PATH<note>" with the path as
- * given.
+ * lands), streaming what @p write produces straight into the
+ * temporary file, then announce it as "wrote PATH<note>" with the
+ * path as given. @return The path the artifact landed at.
  */
-void
-writeArtifact(const std::string &path, const std::string &text,
+std::string
+writeArtifact(const std::string &path,
+              const std::function<void(std::ostream &)> &write,
               const std::string &note = "")
 {
+    std::string landed;
     {
         GABLES_SPAN("output.write");
-        writeFileAtomic(artifactPath(path), text);
+        landed = artifactPath(path);
+        writeFileAtomic(landed, write);
     }
     std::cout << "wrote " << path << note << '\n';
+    return landed;
 }
 
 /**
  * Finish a run report: attach the command's stats @p reg and the
  * active span tracer (nullptr when --profile is off, so the bytes are
- * unchanged), and write it to @p path.
+ * unchanged), and write it to @p path. The report renders straight
+ * into the artifact's temporary file; a session reads the committed
+ * file back, so there is one write path.
  */
 void
 writeReport(telemetry::RunReport &report,
@@ -182,15 +202,12 @@ writeReport(telemetry::RunReport &report,
 {
     report.setRegistry(&reg);
     report.setProfile(telemetry::SpanTracer::active());
-    std::ostringstream out;
-    {
+    std::string landed = writeArtifact(path, [&](std::ostream &out) {
         GABLES_SPAN("output.report");
         report.write(out);
-    }
-    std::string text = std::move(out).str();
+    });
     if (g_session != nullptr)
-        g_session->report = text;
-    writeArtifact(path, text);
+        g_session->report = slurpFile(landed);
 }
 
 /**
@@ -210,18 +227,6 @@ loadConfig(const std::string &path)
         it = g_session->configFiles.emplace(path, readConfigFile(path))
                  .first;
     return parseSocConfig(it->second, path);
-}
-
-/** Read a whole file, fataling with the path on failure. */
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
 }
 
 /**
@@ -364,21 +369,23 @@ cmdEval(int argc, const char *const *argv)
                   formatDouble(result.totalDataBytes, 4),
                   formatDouble(result.memoryTime * 1e9, 4) + "n",
                   formatOpsRate(result.memoryPerfBound)});
-        std::cout << t.render();
+        t.write(std::cout);
     }
 
     if (args.has("svg") || args.has("ascii")) {
         RooflinePlot plot("Gables: " + soc.name(), 0.01, 100.0);
         plot.addGables(soc, usecase);
         if (args.has("svg"))
-            writeArtifact(args.getString("svg"), plot.renderSvg());
+            writeArtifact(args.getString("svg"), [&](std::ostream &out) {
+                out << plot.renderSvg();
+            });
         if (args.has("ascii"))
             std::cout << plot.renderAscii();
     }
     if (args.has("viz-json")) {
-        std::ostringstream out;
-        writeVisualizationJson(out, soc, usecase);
-        writeArtifact(args.getString("viz-json"), std::move(out).str());
+        writeArtifact(args.getString("viz-json"), [&](std::ostream &out) {
+            writeVisualizationJson(out, soc, usecase);
+        });
     }
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
@@ -430,22 +437,25 @@ cmdSweep(int argc, const char *const *argv)
     if (n < 2 || n > 1000000)
         fatal("--points must be in [2, 1000000]");
     int jobs = resolveJobs(args);
+    // The points live once: the fractions become the series' x, the
+    // table formats each cell as it writes it, and the report takes
+    // the series over.
     std::vector<double> fractions;
     fractions.reserve(static_cast<size_t>(n));
     for (long i = 0; i < n; ++i)
         fractions.push_back(static_cast<double>(i) / (n - 1));
     parallel::ForStats pstats;
     Series series = Sweep::mixing(soc, args.getDouble("i0"),
-                                  args.getDouble("i1"), fractions, true,
-                                  jobs, &pstats);
+                                  args.getDouble("i1"),
+                                  std::move(fractions), true, jobs,
+                                  &pstats);
 
     {
         GABLES_SPAN("output.table");
-        TextTable t({"f", "normalized perf"});
-        for (size_t i = 0; i < series.x.size(); ++i)
-            t.addRow({formatDouble(series.x[i], 4),
-                      formatDouble(series.y[i], 4)});
-        std::cout << t.render();
+        TextTable({"f", "normalized perf"})
+            .write(std::cout, series.x.size(), [&](size_t r, size_t c) {
+                return formatDouble(c == 0 ? series.x[r] : series.y[r], 4);
+            });
     }
 
     if (args.has("ascii")) {
@@ -456,11 +466,9 @@ cmdSweep(int argc, const char *const *argv)
     }
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
-        telemetry::TimeSeries &ts = reg.timeSeries(
-            "mixing.normalized_perf",
-            "normalized attainable vs fraction f at IP[1]");
-        for (size_t i = 0; i < series.x.size(); ++i)
-            ts.sample(series.x[i], series.y[i]);
+        reg.timeSeries("mixing.normalized_perf",
+                       "normalized attainable vs fraction f at IP[1]")
+            .assign(std::move(series.x), std::move(series.y));
 
         // One evaluation per grid point plus the f = 0 normalization
         // baseline.
@@ -562,7 +570,7 @@ cmdSim(int argc, const char *const *argv)
                    formatByteRate(e.achievedByteRate()),
                    formatByteRate(e.achievedMissRate())});
     }
-    std::cout << et.render();
+    et.write(std::cout);
     TextTable rt({"resource", "util", "mean wait", "max queue"});
     for (const sim::ResourceStats &r : stats.resources) {
         const telemetry::Distribution *wait =
@@ -574,7 +582,7 @@ cmdSim(int argc, const char *const *argv)
                         : "-",
                    depth ? formatDouble(depth->max(), 0) : "-"});
     }
-    std::cout << rt.render();
+    rt.write(std::cout);
 
     if (args.has("trace")) {
         // With --profile on, the tool's own spans export as
@@ -588,9 +596,8 @@ cmdSim(int argc, const char *const *argv)
                              ev.startSeconds, ev.durationSeconds,
                              ev.path);
         }
-        std::ostringstream out;
-        trace.writeChromeTrace(out);
-        writeArtifact(args.getString("trace"), std::move(out).str(),
+        writeArtifact(args.getString("trace"),
+                      [&](std::ostream &out) { trace.writeChromeTrace(out); },
                       " (" + std::to_string(trace.events().size()) +
                           " slices, " +
                           std::to_string(trace.counterEvents().size()) +
@@ -657,7 +664,7 @@ cmdUsecases(int argc, const char *const *argv)
                   formatDouble(a.maxFps, 1), who,
                   formatDouble(a.dramBytesPerFrame / 1e6, 1)});
     }
-    std::cout << t.render();
+    t.write(std::cout);
     return 0;
 }
 
@@ -705,8 +712,8 @@ cmdErt(int argc, const char *const *argv)
         t.addRow({formatDouble(s.opsPerByte, 4),
                   formatOpsRate(s.opsRate),
                   formatByteRate(s.missByteRate)});
-    std::cout << t.render() << "fit: peak "
-              << formatOpsRate(fit.peakOps) << ", DRAM "
+    t.write(std::cout);
+    std::cout << "fit: peak " << formatOpsRate(fit.peakOps) << ", DRAM "
               << formatByteRate(fit.peakBw) << ", ridge "
               << formatDouble(fit.ridge, 3) << " ops/B\n";
 
@@ -773,7 +780,7 @@ cmdAdvise(int argc, const char *const *argv)
                           : formatDouble(a.gain, 3) + "x",
                       formatOpsRate(a.newAttainable)});
         }
-        std::cout << t.render();
+        t.write(std::cout);
     }
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
@@ -899,7 +906,7 @@ cmdSensitivity(int argc, const char *const *argv)
     TextTable t({"parameter", "elasticity"});
     for (const SensitivityEntry &e : entries)
         t.addRow({e.parameter, formatDouble(e.elasticity, 4)});
-    std::cout << t.render();
+    t.write(std::cout);
 
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
@@ -1096,9 +1103,8 @@ cmdPipeline(int argc, const char *const *argv)
     sim::PipelineStats stats =
         sim.run(static_cast<int>(frames), args.getDouble("fps"));
     if (args.has("trace")) {
-        std::ostringstream out;
-        trace.writeChromeTrace(out);
-        writeArtifact(args.getString("trace"), std::move(out).str(),
+        writeArtifact(args.getString("trace"),
+                      [&](std::ostream &out) { trace.writeChromeTrace(out); },
                       " (" + std::to_string(trace.events().size()) +
                           " events)");
     }
@@ -1113,7 +1119,7 @@ cmdPipeline(int argc, const char *const *argv)
         if (r.utilization > 0.01)
             t.addRow({r.name, formatDouble(r.utilization, 3)});
     }
-    std::cout << t.render();
+    t.write(std::cout);
     return 0;
 }
 
@@ -1168,7 +1174,7 @@ cmdExplore(int argc, const char *const *argv)
                   formatOpsRate(c.minPerf),
                   formatDouble(c.cost, 1)});
     }
-    std::cout << t.render();
+    t.write(std::cout);
 
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
@@ -1238,7 +1244,7 @@ cmdProvision(int argc, const char *const *argv)
                   formatByteRate(start.ip(i).bandwidth),
                   formatByteRate(r.soc.ip(i).bandwidth)});
     }
-    std::cout << t.render();
+    t.write(std::cout);
     if (args.has("metrics")) {
         telemetry::StatsRegistry reg;
         reg.gauge("provision.feasible",
@@ -1297,7 +1303,7 @@ cmdGlossary(int argc, const char *const *argv)
     t.addRow({"-- Output --", ""});
     t.addRow({"Pattainable",
               "Upper bound on SoC performance (ops/sec)"});
-    std::cout << t.render();
+    t.write(std::cout);
     return 0;
 }
 
@@ -1459,7 +1465,8 @@ cmdReplay(int argc, const char *const *argv)
                   std::to_string(outcome.fieldsCompared),
                   std::to_string(outcome.diffCount)});
     }
-    std::cout << t.render() << matched << "/" << bundles.size()
+    t.write(std::cout);
+    std::cout << matched << "/" << bundles.size()
               << " bundle(s) replayed clean\n";
     return worst;
 }

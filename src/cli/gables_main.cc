@@ -10,7 +10,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -114,13 +113,14 @@ main(int argc, char **argv)
         // Atomic write: an interrupted --record run must never leave
         // a truncated bundle for the corpus to trip over.
         try {
-            std::ostringstream out;
-            gables::replay::writeBundle(
-                out, gables::replay::recordBundle(
-                         std::vector<std::string>(filtered.begin(),
-                                                  filtered.end()),
-                         session, code));
-            gables::writeFileAtomic(record_path, out.str());
+            gables::replay::ReplayBundle bundle =
+                gables::replay::recordBundle(
+                    std::vector<std::string>(filtered.begin(),
+                                             filtered.end()),
+                    session, code);
+            gables::writeFileAtomic(record_path, [&](std::ostream &out) {
+                gables::replay::writeBundle(out, bundle);
+            });
             gables::debug("recorded replay bundle " + record_path);
         } catch (const gables::FatalError &err) {
             std::cerr << "gables: error: " << err.what() << '\n';
@@ -129,5 +129,13 @@ main(int argc, char **argv)
     }
     if (profile)
         std::cerr << tracer.summaryTable();
+    // A command's stdout is its result: one that could not all be
+    // written (a full disk, a closed pipe) must not exit 0. The bundle
+    // above keeps the command's own code; replay compares that.
+    std::cout.flush();
+    if (!std::cout) {
+        std::cerr << "gables: error: cannot write standard output\n";
+        return code != kExitOk ? code : kExitError;
+    }
     return code;
 }

@@ -99,6 +99,16 @@ TimeSeries::sample(double t, double v)
 }
 
 void
+TimeSeries::assign(std::vector<double> times, std::vector<double> values)
+{
+    if (times.size() != values.size())
+        fatal("time series has " + std::to_string(times.size()) +
+              " times but " + std::to_string(values.size()) + " values");
+    times_ = std::move(times);
+    values_ = std::move(values);
+}
+
+void
 TimeSeries::reset()
 {
     times_.clear();

@@ -152,6 +152,13 @@ class TimeSeries
     /** Append a point. */
     void sample(double t, double v);
 
+    /**
+     * Replace every point with (@p times[i], @p values[i]): a caller
+     * that already holds a large series hands it over instead of
+     * copying it point by point. The sizes must match.
+     */
+    void assign(std::vector<double> times, std::vector<double> values);
+
     /** @return Sample times in order. */
     const std::vector<double> &times() const { return times_; }
     /** @return Sample values in order. */

@@ -12,7 +12,8 @@
 namespace gables {
 
 void
-writeFileAtomic(const std::string &path, const std::string &contents)
+writeFileAtomic(const std::string &path,
+                const std::function<void(std::ostream &)> &write)
 {
     // A unique sibling keeps the rename on one filesystem and lets
     // concurrent writers of the same target collide harmlessly.
@@ -23,8 +24,12 @@ writeFileAtomic(const std::string &path, const std::string &contents)
         if (!out)
             fatal("cannot open '" + tmp + "' for writing: " +
                   std::strerror(errno));
-        out.write(contents.data(),
-                  static_cast<std::streamsize>(contents.size()));
+        try {
+            write(out);
+        } catch (...) {
+            std::remove(tmp.c_str());
+            throw;
+        }
         out.flush();
         if (!out) {
             int saved = errno;
@@ -39,6 +44,15 @@ writeFileAtomic(const std::string &path, const std::string &contents)
         fatal("cannot rename '" + tmp + "' to '" + path + "': " +
               std::strerror(saved));
     }
+}
+
+void
+writeFileAtomic(const std::string &path, const std::string &contents)
+{
+    writeFileAtomic(path, [&](std::ostream &out) {
+        out.write(contents.data(),
+                  static_cast<std::streamsize>(contents.size()));
+    });
 }
 
 } // namespace gables

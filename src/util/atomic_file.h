@@ -15,23 +15,32 @@
 #ifndef GABLES_UTIL_ATOMIC_FILE_H
 #define GABLES_UTIL_ATOMIC_FILE_H
 
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace gables {
 
 /**
- * Atomically replace @p path with @p contents.
+ * Atomically replace @p path with what @p write puts on the stream.
  *
- * The data is written to a unique temporary file in the same
- * directory (rename(2) is only atomic within a filesystem), flushed,
- * and renamed over @p path. On any failure the temporary file is
- * removed and the original @p path is left untouched.
+ * The temporary file is a unique sibling in the same directory
+ * (rename(2) is only atomic within a filesystem). @p write runs on
+ * it, so a large document streams to disk as it is produced instead
+ * of being held whole in memory; the file is then flushed and
+ * renamed over @p path. If @p write throws or the stream fails, the
+ * temporary file is removed and the original @p path is left
+ * untouched; a throw from @p write reaches the caller unchanged.
  *
- * @param path     Destination file path.
- * @param contents Full new file contents.
+ * @param path  Destination file path.
+ * @param write Produces the full new file contents on its stream.
  * @throws FatalError when the temporary cannot be created, written,
  *         or renamed into place.
  */
+void writeFileAtomic(const std::string &path,
+                     const std::function<void(std::ostream &)> &write);
+
+/** Atomically replace @p path with @p contents (see above). */
 void writeFileAtomic(const std::string &path,
                      const std::string &contents);
 

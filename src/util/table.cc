@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <ostream>
 #include <string_view>
 
 #include "util/logging.h"
@@ -14,8 +15,6 @@ TextTable::TextTable(std::vector<std::string> headers)
     GABLES_ASSERT(!headers_.empty(), "table needs at least one column");
     if (!aligns_.empty())
         aligns_[0] = Align::Left;
-    for (const std::string &h : headers_)
-        widths_.push_back(h.size());
 }
 
 void
@@ -31,10 +30,9 @@ TextTable::addRow(std::vector<std::string> cells)
     if (cells.size() != headers_.size())
         fatal("table row has " + std::to_string(cells.size()) +
               " cells, expected " + std::to_string(headers_.size()));
-    for (size_t c = 0; c < cells.size(); ++c) {
-        cells_ += cells[c];
+    for (const std::string &c : cells) {
+        cells_ += c;
         cellEnds_.push_back(cells_.size());
-        widths_[c] = std::max(widths_[c], cells[c].size());
     }
     ++dataRows;
 }
@@ -42,53 +40,89 @@ TextTable::addRow(std::vector<std::string> cells)
 std::string_view
 TextTable::cell(size_t row, size_t col) const
 {
-    if (row == kHeaderRow)
-        return headers_[col];
     size_t i = row * headers_.size() + col;
     size_t begin = i == 0 ? 0 : cellEnds_[i - 1];
     return std::string_view(cells_).substr(begin, cellEnds_[i] - begin);
 }
 
-void
-TextTable::appendRow(std::string &out, size_t row) const
+template <class CellText>
+std::string
+TextTable::emit(std::ostream *out, size_t rows, const CellText &text) const
 {
-    for (size_t c = 0; c < widths_.size(); ++c) {
-        std::string_view text = cell(row, c);
-        size_t pad = widths_[c] - text.size();
-        out += ' ';
-        if (aligns_[c] == Align::Right)
-            out.append(pad, ' ');
-        out += text;
-        if (aligns_[c] == Align::Left)
-            out.append(pad, ' ');
-        out += ' ';
-        if (c + 1 < widths_.size())
-            out += '|';
+    const size_t cols = headers_.size();
+    std::vector<size_t> widths(cols);
+    for (size_t c = 0; c < cols; ++c)
+        widths[c] = headers_[c].size();
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c)
+            widths[c] = std::max(widths[c], text(r, c).size());
+
+    // Append one line: cells padded to the widths, then the newline.
+    std::string buf;
+    auto line = [&](auto &&cellAt) {
+        for (size_t c = 0; c < cols; ++c) {
+            const auto &t = cellAt(c);
+            size_t pad = widths[c] - t.size();
+            buf += ' ';
+            if (aligns_[c] == Align::Right)
+                buf.append(pad, ' ');
+            buf += t;
+            if (aligns_[c] == Align::Left)
+                buf.append(pad, ' ');
+            buf += ' ';
+            if (c + 1 < cols)
+                buf += '|';
+        }
+        buf += '\n';
+    };
+    auto flush = [&] {
+        out->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+    };
+
+    // Every line, rule or row, is each column's width plus two, with
+    // one separator between columns. render() reserves the whole
+    // table, write() one chunk plus the line that overflows it.
+    size_t lineBytes = cols;
+    for (size_t w : widths)
+        lineBytes += w + 2;
+    const size_t total = lineBytes * (2 + rows);
+    buf.reserve(out ? std::min(total, kChunkBytes + lineBytes) : total);
+
+    line([&](size_t c) -> const std::string & { return headers_[c]; });
+    for (size_t c = 0; c < cols; ++c) {
+        buf.append(widths[c] + 2, '-');
+        if (c + 1 < cols)
+            buf += '+';
     }
-    out += '\n';
+    buf += '\n';
+    for (size_t r = 0; r < rows; ++r) {
+        line([&](size_t c) { return text(r, c); });
+        if (out && buf.size() >= kChunkBytes)
+            flush();
+    }
+    if (out)
+        flush();
+    return buf;
+}
+
+void
+TextTable::write(std::ostream &out) const
+{
+    emit(&out, dataRows, [this](size_t r, size_t c) { return cell(r, c); });
+}
+
+void
+TextTable::write(std::ostream &out, size_t rows, const CellFn &cell) const
+{
+    emit(&out, rows, cell);
 }
 
 std::string
 TextTable::render() const
 {
-    // The rule is exactly as long as a row: each column is its width
-    // plus two, with one separator between columns.
-    size_t line = widths_.size();
-    for (size_t w : widths_)
-        line += w + 2;
-    std::string out;
-    out.reserve(line * (2 + dataRows));
-
-    appendRow(out, kHeaderRow);
-    for (size_t c = 0; c < widths_.size(); ++c) {
-        out.append(widths_[c] + 2, '-');
-        if (c + 1 < widths_.size())
-            out += '+';
-    }
-    out += '\n';
-    for (size_t r = 0; r < dataRows; ++r)
-        appendRow(out, r);
-    return out;
+    return emit(nullptr, dataRows,
+                [this](size_t r, size_t c) { return cell(r, c); });
 }
 
 } // namespace gables

@@ -106,6 +106,20 @@ TEST(TimeSeries, KeepsSampleOrder)
     EXPECT_EQ(s.size(), 0u);
 }
 
+TEST(TimeSeries, AssignReplacesThePointsWithoutCopying)
+{
+    TimeSeries s;
+    s.sample(9.0, 9.0);
+    std::vector<double> t = {0.0, 0.5, 1.0}, v = {1.0, 0.75, 0.5};
+    const double *tData = t.data();
+    s.assign(std::move(t), std::move(v));
+    ASSERT_EQ(s.size(), 3u);
+    EXPECT_EQ(s.times().data(), tData);
+    EXPECT_EQ(s.times(), (std::vector<double>{0.0, 0.5, 1.0}));
+    EXPECT_EQ(s.values(), (std::vector<double>{1.0, 0.75, 0.5}));
+    EXPECT_THROW(s.assign({0.0, 1.0}, {1.0}), FatalError);
+}
+
 TEST(StatsRegistry, SameNameReturnsSameStat)
 {
     StatsRegistry reg;

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for crash-safe whole-file writes (util/atomic_file.h):
  * create/replace semantics, binary fidelity, no stray temporaries,
- * and failure behavior when the destination directory is missing.
+ * failure behavior when the destination directory is missing, and the
+ * streaming form's failures (a throwing writer, a stream gone bad).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "util/atomic_file.h"
 #include "util/logging.h"
@@ -50,6 +53,15 @@ class AtomicFileTest : public ::testing::Test
         std::ostringstream oss;
         oss << in.rdbuf();
         return oss.str();
+    }
+
+    /** @return The names in the test directory. */
+    std::vector<std::string> entries()
+    {
+        std::vector<std::string> names;
+        for (const auto &e : fs::directory_iterator(dir_))
+            names.push_back(e.path().filename().string());
+        return names;
     }
 
     fs::path dir_;
@@ -115,6 +127,58 @@ TEST_F(AtomicFileTest, FailedWriteLeavesOldContents)
     fs::path bad = dir_ / "sub" / "x.json";
     EXPECT_THROW(writeFileAtomic(bad.string(), "y"), FatalError);
     EXPECT_EQ(slurp(target), "original");
+}
+
+TEST_F(AtomicFileTest, StreamingFormWritesTheStringFormsBytes)
+{
+    // Larger than any stream buffer, with NULs and CRLFs.
+    std::string data;
+    for (int i = 0; i < 100000; ++i)
+        data += std::string("row\0\r\n", 6) + std::to_string(i);
+    fs::path a = dir_ / "a.bin", b = dir_ / "b.bin";
+    writeFileAtomic(a.string(), data);
+    writeFileAtomic(b.string(), [&](std::ostream &out) {
+        for (size_t at = 0; at < data.size(); at += 4093)
+            out << data.substr(at, 4093);
+    });
+    EXPECT_EQ(slurp(a), data);
+    EXPECT_EQ(slurp(b), data);
+}
+
+TEST_F(AtomicFileTest, ThrowingWriterLeavesOldTargetAndNoTemporary)
+{
+    // An interrupted write: part of the output is on the stream when
+    // the writer throws. The caller sees its exception, the target
+    // keeps its old bytes and no .tmp. sibling is left.
+    fs::path target = dir_ / "report.json";
+    writeFileAtomic(target.string(), "original");
+    EXPECT_THROW(writeFileAtomic(target.string(),
+                                 [](std::ostream &out) {
+                                     out << std::string(200000, 'p');
+                                     throw std::runtime_error("cut");
+                                 }),
+                 std::runtime_error);
+    EXPECT_EQ(slurp(target), "original");
+    EXPECT_EQ(entries(), std::vector<std::string>{"report.json"});
+}
+
+TEST_F(AtomicFileTest, WriterWhoseStreamGoesBadFailsAndLeavesOldTarget)
+{
+    fs::path target = dir_ / "report.json";
+    writeFileAtomic(target.string(), "original");
+    try {
+        writeFileAtomic(target.string(), [](std::ostream &out) {
+            out << "partial";
+            out.setstate(std::ios::badbit);
+        });
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("cannot write '"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_EQ(slurp(target), "original");
+    EXPECT_EQ(entries(), std::vector<std::string>{"report.json"});
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <charconv>
@@ -75,6 +76,83 @@ TEST(TextTable, HeaderOnly)
     TextTable t({"a", "bb"});
     EXPECT_EQ(t.render(), " a | bb \n"
                           "---+----\n");
+}
+
+/**
+ * TextTable's layout of @p headers and @p rows, spelled out without
+ * it; @p left marks the left-aligned columns.
+ */
+std::string
+layout(const std::vector<std::string> &headers,
+       const std::vector<std::vector<std::string>> &rows,
+       const std::vector<bool> &left)
+{
+    std::vector<size_t> widths;
+    for (size_t c = 0; c < headers.size(); ++c) {
+        widths.push_back(headers[c].size());
+        for (const auto &row : rows)
+            widths[c] = std::max(widths[c], row[c].size());
+    }
+    auto line = [&](const std::vector<std::string> &cells) {
+        std::string out;
+        for (size_t c = 0; c < cells.size(); ++c) {
+            std::string pad(widths[c] - cells[c].size(), ' ');
+            out += " " + (left[c] ? cells[c] + pad : pad + cells[c]) + " ";
+            out += c + 1 < cells.size() ? "|" : "\n";
+        }
+        return out;
+    };
+    std::string out = line(headers);
+    for (size_t c = 0; c < widths.size(); ++c)
+        out += std::string(widths[c] + 2, '-') +
+               (c + 1 < widths.size() ? "+" : "\n");
+    for (const auto &row : rows)
+        out += line(row);
+    return out;
+}
+
+TEST(TextTable, WriteEqualsRenderAcrossChunks)
+{
+    // Left and right columns, a cell far wider than its header, and
+    // enough rows for several kChunkBytes hand-offs.
+    std::vector<std::string> headers = {"k", "value", "note"};
+    TextTable t(headers);
+    t.setAlign(2, TextTable::Align::Left);
+    std::vector<std::vector<std::string>> rows;
+    for (int i = 0; i < 6000; ++i) {
+        rows.push_back({"r" + std::to_string(i), std::to_string(i * 7),
+                        i == 4321 ? std::string(40, 'w') : "n"});
+        t.addRow(rows.back());
+    }
+    std::string expected = layout(headers, rows, {true, false, true});
+    ASSERT_GT(expected.size(), 4 * TextTable::kChunkBytes);
+    std::ostringstream out;
+    out << "head ";
+    t.write(out);
+    out << "tail";
+    EXPECT_EQ(t.render(), expected);
+    EXPECT_EQ(out.str(), "head " + expected + "tail");
+}
+
+TEST(TextTable, CellFunctionEqualsStoredRows)
+{
+    auto text = [](size_t r, size_t c) {
+        return c == 0 ? std::to_string(r) : std::string(r % 13, 'x');
+    };
+    TextTable stored({"row", "xs"});
+    for (size_t r = 0; r < 9000; ++r)
+        stored.addRow({text(r, 0), text(r, 1)});
+    // The function table keeps its stored rows out of the output.
+    TextTable streamed({"row", "xs"});
+    streamed.addRow({"unused", "row"});
+    std::ostringstream out;
+    streamed.write(out, 9000, text);
+    EXPECT_EQ(out.str(), stored.render());
+
+    std::ostringstream none;
+    streamed.write(none, 0, text);
+    EXPECT_EQ(none.str(), " row | xs \n"
+                          "-----+----\n");
 }
 
 TEST(Json, SimpleObject)
