@@ -67,11 +67,8 @@ DesignExplorer::DesignExplorer(SocSpec base, std::vector<Usecase> usecases,
 {
     if (usecases_.empty())
         fatal("design explorer needs at least one usecase");
-    for (const Usecase &u : usecases_) {
-        if (u.numIps() != base_.numIps())
-            fatal("usecase '" + u.name() +
-                  "' does not match the base design's IP count");
-    }
+    for (const Usecase &u : usecases_)
+        checkPair(base_, u);
 }
 
 void

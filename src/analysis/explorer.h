@@ -116,6 +116,8 @@ class DesignExplorer
      * @param base      Template design; enumerated knobs override it.
      * @param usecases  Must-run usecases (all evaluated per design).
      * @param cost      Cost model.
+     * @throws FatalError for no usecases, or one that breaks the pair
+     *         rule (checkPair()).
      */
     DesignExplorer(SocSpec base, std::vector<Usecase> usecases,
                    CostModel cost);

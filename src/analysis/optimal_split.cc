@@ -13,7 +13,6 @@ OptimalSplitSolver::OptimalSplitSolver(const SocSpec &soc,
                                        std::vector<double> intensities)
     : soc_(soc), intensities_(std::move(intensities))
 {
-    soc_.validate();
     if (intensities_.size() != soc_.numIps())
         fatal("optimal split: need one intensity per IP");
     for (size_t i = 0; i < intensities_.size(); ++i) {

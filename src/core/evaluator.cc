@@ -15,15 +15,7 @@ GablesPack<W>::GablesPack(const SocSpec &soc, const Usecase &usecase)
     // millions of evals per second even a disabled span's atomic load
     // would show up in the grid benchmarks.
     GABLES_SPAN("evaluator.compile");
-    // The same pair check every GablesModel entry point performs,
-    // paid once at compile time instead of per point.
-    soc.validate();
-    usecase.validate();
-    if (usecase.numIps() != soc.numIps())
-        fatal("usecase '" + usecase.name() + "' has " +
-              std::to_string(usecase.numIps()) +
-              " IP entries but SoC '" + soc.name() + "' has " +
-              std::to_string(soc.numIps()) + " IPs");
+    checkPair(soc, usecase);
 
     n_ = soc.numIps();
     const size_t rows = n_ * W;
@@ -69,21 +61,21 @@ GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
     switch (p.kind) {
     case Param::Kind::Ppeak:
         for (size_t w = 0; w < cnt; ++w)
-            checkPpeak(w, values[w]);
+            checkPpeakLane(w, values[w]);
         for (size_t w = 0; w < cnt; ++w)
             ppeak_[w] = values[w];
         markDirty(0, n_);
         return;
     case Param::Kind::Bpeak:
         for (size_t w = 0; w < cnt; ++w)
-            checkBpeak(values[w]);
+            checkBpeak(kOwner, values[w]);
         // Memory time is derived at run(), so no row dirtying.
         for (size_t w = 0; w < cnt; ++w)
             bpeak_[w] = values[w];
         return;
     case Param::Kind::Acceleration: {
         for (size_t w = 0; w < cnt; ++w)
-            checkAcceleration(w, i, values[w]);
+            checkAcceleration(kOwner, i, values[w], ppeak_[w]);
         double *__restrict__ ac = accel_.data() + o;
         for (size_t w = 0; w < cnt; ++w)
             ac[w] = values[w];
@@ -91,7 +83,7 @@ GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
     }
     case Param::Kind::IpBandwidth: {
         for (size_t w = 0; w < cnt; ++w)
-            checkBandwidth(i, values[w]);
+            checkIpBandwidth(kOwner, i, values[w]);
         double *__restrict__ bw = bandwidth_.data() + o;
         for (size_t w = 0; w < cnt; ++w)
             bw[w] = values[w];
@@ -99,7 +91,7 @@ GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
     }
     case Param::Kind::Fraction: {
         for (size_t w = 0; w < cnt; ++w)
-            checkWork(i, values[w], intensity_[o + w]);
+            checkWork(kOwner, i, values[w], intensity_[o + w]);
         double *__restrict__ fr = fraction_.data() + o;
         double *__restrict__ ie = intensityEff_.data() + o;
         const double *__restrict__ in = intensity_.data() + o;
@@ -112,7 +104,7 @@ GablesPack<W>::setLanes(Param p, const double *values, size_t cnt)
     }
     case Param::Kind::Intensity: {
         for (size_t w = 0; w < cnt; ++w)
-            checkIntensity(i, fraction_[o + w], values[w]);
+            checkIntensity(kOwner, i, fraction_[o + w], values[w]);
         double *__restrict__ in = intensity_.data() + o;
         double *__restrict__ ie = intensityEff_.data() + o;
         const double *__restrict__ fr = fraction_.data() + o;

@@ -4,13 +4,14 @@
  * design-space exploration, sensitivity and robustness sampling, and
  * the single-point probes of the advisor and the optimal split.
  *
- * GablesModel::evaluate() re-validates its inputs, re-derives every
- * per-IP term, and builds a full GablesResult on every call; it is
- * the one place a GablesResult is built. GablesPack<W> compiles a
- * (SocSpec, Usecase) pair once into W independent lanes of
- * structure-of-arrays state and sets one input (a Param) per lane, so
- * a grid point updates one term instead of rebuilding the pair. Per
- * lane it reports only attainable performance and the bottleneck IP.
+ * GablesModel::evaluate() re-derives every per-IP term and builds a
+ * full GablesResult on every call; it is the one place a
+ * GablesResult is built. GablesPack<W> compiles a (SocSpec, Usecase)
+ * pair once into W independent lanes of structure-of-arrays state
+ * and sets one input (a Param) per lane, checked with the same rules
+ * of core/param.h that building the pair applies, so a grid point
+ * updates one term instead of rebuilding the pair. Per lane it
+ * reports only attainable performance and the bottleneck IP.
  * Evaluation is allocation-free in steady state, and both numbers are
  * bit-identical to GablesModel::evaluate() (verified by property
  * tests). W = 1 is the single-point evaluator; the grid drivers run
@@ -25,7 +26,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -34,7 +34,6 @@
 #include "core/param.h"
 #include "core/soc_spec.h"
 #include "core/usecase.h"
-#include "util/logging.h"
 
 namespace gables {
 
@@ -74,10 +73,10 @@ class GablesPack
     static constexpr size_t kWidth = W;
 
     /**
-     * Compile the pair into every lane. Validates both once (the same
-     * checks every GablesModel::evaluate() call performs).
+     * Compile the pair into every lane. Both are valid by
+     * construction, so only the pair rule (checkPair()) is checked.
      *
-     * @throws FatalError on mismatched sizes or invalid specs.
+     * @throws FatalError on mismatched sizes.
      */
     GablesPack(const SocSpec &soc, const Usecase &usecase);
 
@@ -113,18 +112,18 @@ class GablesPack
     /**
      * Replace input @p p of one lane.
      *
-     * @p lane < W selects the point. Values are checked with the
-     * invariants the SocSpec/Usecase constructors enforce (positive
-     * finite hardware parameters, A0 = 1, a finite peak Ai * Ppeak
-     * at every IP, non-negative fractions, positive intensity
-     * wherever work is assigned); the
-     * fractions-sum-to-one invariant is the caller's contract, since
-     * drivers set several fractions in sequence. A rejected value
-     * leaves the pack untouched. Mutations are buffered: run()
-     * recomputes only rows a mutation touched. Always inlined: drivers
-     * stage one mutation per lane per point, so the call is on the
-     * critical path, and the inliner would otherwise keep a call per
-     * lane for a switch that folds to one case.
+     * @p lane < W selects the point. The value is checked with the
+     * rules of core/param.h that the SocSpec/Usecase constructors
+     * apply, as the pack's owner "evaluator" (a new Ppeak or Ai is
+     * checked with the lane's other inputs, for the peak Ai * Ppeak;
+     * a new fi or Ii with its partner); the fractions-sum-to-one rule
+     * is the caller's contract, since drivers set several fractions
+     * in sequence. A rejected value leaves the pack untouched.
+     * Mutations are buffered: run() recomputes only rows a mutation
+     * touched. Always inlined: drivers stage one mutation per lane
+     * per point, so the call is on the critical path, and the inliner
+     * would otherwise keep a call per lane for a switch that folds to
+     * one case.
      */
     [[gnu::always_inline]] void set(size_t lane, Param p, double v)
     {
@@ -136,28 +135,29 @@ class GablesPack
         switch (p.kind) {
         case Param::Kind::Ppeak:
             // Rescales every IP's compute roof.
-            checkPpeak(lane, v);
+            checkPpeakLane(lane, v);
             ppeak_[lane] = v;
             markDirty(0, n_);
             return;
         case Param::Kind::Bpeak:
             // Memory time is derived at run(), so no row changes.
-            checkBpeak(v);
+            checkBpeak(kOwner, v);
             bpeak_[lane] = v;
             return;
         case Param::Kind::Acceleration:
-            checkAcceleration(lane, i, v);
+            checkAcceleration(kOwner, i, v, ppeak_[lane]);
             accel_[r] = v;
             break;
         case Param::Kind::IpBandwidth:
-            checkBandwidth(i, v);
+            checkIpBandwidth(kOwner, i, v);
             bandwidth_[r] = v;
             break;
         case Param::Kind::Fraction:
             setWork(lane, i, v, intensity_[r]);
             return;
         case Param::Kind::Intensity:
-            checkIntensity(i, fraction_[r], v);
+            // The lane's fi already passed its rule.
+            checkIntensity(kOwner, i, fraction_[r], v);
             intensity_[r] = v;
             intensityEff_[r] = fraction_[r] > 0.0 ? v : 1.0;
             break;
@@ -179,7 +179,7 @@ class GablesPack
     {
         checkLane(lane);
         checkIp(i);
-        checkWork(i, fraction, intensity);
+        checkWork(kOwner, i, fraction, intensity);
         const size_t r = i * W + lane;
         fraction_[r] = fraction;
         intensity_[r] = intensity;
@@ -228,20 +228,14 @@ class GablesPack
     uint64_t evalCount() const { return evals_; }
 
   private:
-    /** fatal() with the message @p msg builds. Out of line, so the
-     * checks below stay small enough to inline into set() and
-     * setLanes(). */
-    template <typename Msg>
-    [[noreturn, gnu::cold, gnu::noinline]] static void reject(Msg msg)
-    {
-        fatal(msg());
-    }
+    /** The owner the rules name in a rejected value's message. */
+    static constexpr InputOwner kOwner{"evaluator"};
 
     void checkLane(size_t lane) const
     {
         if (lane >= W)
-            reject([lane] {
-                return "evaluator: pack lane " + std::to_string(lane) +
+            rejectInput(kOwner, [lane] {
+                return "pack lane " + std::to_string(lane) +
                        " out of range (W=" + std::to_string(W) + ")";
             });
     }
@@ -249,98 +243,29 @@ class GablesPack
     void checkIp(size_t i) const
     {
         if (i >= n_)
-            reject([i, n = n_] {
-                return "evaluator: IP index " + std::to_string(i) +
+            rejectInput(kOwner, [i, n = n_] {
+                return "IP index " + std::to_string(i) +
                        " out of range (N=" + std::to_string(n) + ")";
             });
     }
 
-    /** @name Value checks shared by set() and setLanes() */
-    /** @{ */
-    /** Ppeak of @p lane, and the peak Ai * Ppeak it gives each of
-     * the lane's IPs. */
-    void checkPpeak(size_t lane, double ppeak) const
-    {
-        if (!(ppeak > 0.0) || std::isinf(ppeak))
-            reject([] {
-                return "evaluator: Ppeak must be positive and finite";
-            });
-        for (size_t i = 0; i < n_; ++i)
-            checkPeak(i, accel_[i * W + lane], ppeak);
-    }
-
-    static void checkBpeak(double bpeak)
-    {
-        if (!(bpeak > 0.0) || std::isinf(bpeak))
-            reject([] {
-                return "evaluator: Bpeak must be positive and finite";
-            });
-    }
-
-    /** Ai of IP @p i in @p lane, and its peak Ai * Ppeak. */
-    void checkAcceleration(size_t lane, size_t i, double acceleration) const
-    {
-        if (!(acceleration > 0.0) || std::isinf(acceleration))
-            reject([i] {
-                return "evaluator: IP[" + std::to_string(i) +
-                       "] acceleration must be positive and finite";
-            });
-        if (i == 0 && acceleration != 1.0)
-            reject([] {
-                return "evaluator: IP[0] acceleration A0 must be 1 "
-                       "(paper Section III-D)";
-            });
-        checkPeak(i, acceleration, ppeak_[lane]);
-    }
-
-    /** The invariant SocSpec::validate() checks: the product the
-     * compute time divides by must not overflow. */
-    static void checkPeak(size_t i, double acceleration, double ppeak)
-    {
-        if (!std::isfinite(acceleration * ppeak))
-            reject([i] {
-                return "evaluator: IP[" + std::to_string(i) +
-                       "] peak Ai * Ppeak must be finite";
-            });
-    }
-
-    static void checkBandwidth(size_t i, double bandwidth)
-    {
-        if (!(bandwidth > 0.0) || std::isinf(bandwidth))
-            reject([i] {
-                return "evaluator: IP[" + std::to_string(i) +
-                       "] bandwidth must be positive and finite";
-            });
-    }
-
-    static void checkIntensity(size_t i, double fraction, double intensity)
-    {
-        if (fraction > 0.0 && !(intensity > 0.0))
-            reject([i] {
-                return "evaluator: intensity I[" + std::to_string(i) +
-                       "] must be > 0 where work is assigned";
-            });
-    }
-
-    static void checkWork(size_t i, double fraction, double intensity)
-    {
-        if (!(fraction >= 0.0) || std::isinf(fraction))
-            reject([i] {
-                return "evaluator: fraction f[" + std::to_string(i) +
-                       "] must be in [0, 1]";
-            });
-        checkIntensity(i, fraction, intensity);
-    }
-    /** @} */
-
     static void checkCount(size_t cnt)
     {
         if (cnt > W)
-            reject([cnt] {
-                return "evaluator: bulk lane count " +
-                       std::to_string(cnt) + " exceeds pack width W=" +
-                       std::to_string(W);
+            rejectInput(kOwner, [cnt] {
+                return "bulk lane count " + std::to_string(cnt) +
+                       " exceeds pack width W=" + std::to_string(W);
             });
+    }
+
+    /** Ppeak of @p lane, and the Ai rule of each of the lane's IPs
+     * under it (the peak Ai * Ppeak), shared by set() and
+     * setLanes(). */
+    void checkPpeakLane(size_t lane, double ppeak) const
+    {
+        checkPpeak(kOwner, ppeak);
+        for (size_t i = 0; i < n_; ++i)
+            checkAcceleration(kOwner, i, accel_[i * W + lane], ppeak);
     }
 
     void markDirty(size_t lo, size_t hi)

@@ -14,22 +14,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/**
- * Check that the usecase is index-aligned with the SoC and both are
- * internally valid.
- */
-void
-checkPair(const SocSpec &soc, const Usecase &usecase)
-{
-    soc.validate();
-    usecase.validate();
-    if (usecase.numIps() != soc.numIps())
-        fatal("usecase '" + usecase.name() + "' has " +
-              std::to_string(usecase.numIps()) +
-              " IP entries but SoC '" + soc.name() + "' has " +
-              std::to_string(soc.numIps()) + " IPs");
-}
-
 } // namespace
 
 std::string

@@ -127,16 +127,19 @@ class GablesModel
      * With neither extension (or all mi == 1 and no binding bus)
      * every base field is bit-identical to the base model.
      *
-     * @param soc          Hardware description; validated.
+     * @param soc          Hardware description (valid by
+     *                     construction).
      * @param usecase      Software description; must have exactly as
-     *                     many entries as the SoC has IPs.
+     *                     many entries as the SoC has IPs
+     *                     (checkPair()).
      * @param memside      Optional memory-side SRAM (Eq. 15); one
      *                     miss ratio per IP.
      * @param interconnect Optional bus topology (Eqs. 16-17); one Use
      *                     row per IP.
      * @return Full result with per-IP (and per-bus) details and
      *         bottleneck attribution.
-     * @throws FatalError on mismatched sizes or invalid specs.
+     * @throws FatalError on mismatched sizes; the pair itself was
+     *         checked when it was built.
      */
     static GablesResult
     evaluate(const SocSpec &soc, const Usecase &usecase,

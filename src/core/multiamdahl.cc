@@ -119,10 +119,7 @@ MultiAmdahlModel
 multiAmdahlFromGables(const SocSpec &soc, const Usecase &usecase,
                       double area_budget)
 {
-    soc.validate();
-    usecase.validate();
-    if (usecase.numIps() != soc.numIps())
-        fatal("multiAmdahlFromGables: usecase/SoC IP count mismatch");
+    checkPair(soc, usecase);
 
     std::vector<MultiAmdahlTask> tasks;
     tasks.reserve(soc.numIps());

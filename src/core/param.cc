@@ -46,4 +46,22 @@ Param::read(const SocSpec &soc, const Usecase &usecase) const
     return 0.0;
 }
 
+std::string
+InputOwner::str() const
+{
+    if (name == nullptr)
+        return kind;
+    return std::string(kind) + " '" + *name + "'";
+}
+
+void
+checkPair(const SocSpec &soc, const Usecase &usecase)
+{
+    if (usecase.numIps() != soc.numIps())
+        fatal("usecase '" + usecase.name() + "' has " +
+              std::to_string(usecase.numIps()) +
+              " IP entries but SoC '" + soc.name() + "' has " +
+              std::to_string(soc.numIps()) + " IPs");
+}
+
 } // namespace gables

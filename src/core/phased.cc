@@ -22,7 +22,6 @@ PhasedUsecase::PhasedUsecase(std::string name, std::vector<Phase> phases)
         if (!(p.workShare >= 0.0))
             fatal("phased usecase '" + name_ + "': phase '" + p.name +
                   "' has negative work share");
-        p.usecase.validate();
         sum += p.workShare;
     }
     if (std::fabs(sum - 1.0) > kShareSumTol)

@@ -10,10 +10,7 @@ namespace gables {
 SerializedResult
 SerializedModel::evaluate(const SocSpec &soc, const Usecase &usecase)
 {
-    soc.validate();
-    usecase.validate();
-    if (usecase.numIps() != soc.numIps())
-        fatal("serialized model: usecase/SoC IP count mismatch");
+    checkPair(soc, usecase);
 
     SerializedResult result;
     result.ipTimes.assign(soc.numIps(), 0.0);

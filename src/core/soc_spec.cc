@@ -1,7 +1,6 @@
 #include "core/soc_spec.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 
@@ -18,27 +17,15 @@ SocSpec::SocSpec(std::string name, double ppeak, double bpeak,
 void
 SocSpec::validate() const
 {
-    if (!(ppeak_ > 0.0) || std::isinf(ppeak_))
-        fatal("SoC '" + name_ + "': Ppeak must be positive and finite");
-    if (!(bpeak_ > 0.0) || std::isinf(bpeak_))
-        fatal("SoC '" + name_ + "': Bpeak must be positive and finite");
+    const InputOwner owner{"SoC", &name_};
+    checkPpeak(owner, ppeak_);
+    checkBpeak(owner, bpeak_);
     if (ips_.empty())
         fatal("SoC '" + name_ + "': needs at least one IP (IP[0])");
-    if (ips_[0].acceleration != 1.0)
-        fatal("SoC '" + name_ +
-              "': IP[0] acceleration A0 must be 1 (paper Section III-D)");
     for (size_t i = 0; i < ips_.size(); ++i) {
         const IpSpec &ip = ips_[i];
-        if (!(ip.acceleration > 0.0) || std::isinf(ip.acceleration))
-            fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
-                  "] acceleration must be positive and finite");
-        if (!std::isfinite(ip.acceleration * ppeak_))
-            fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
-                  "] '" + ip.name +
-                  "' peak Ai * Ppeak must be finite");
-        if (!(ip.bandwidth > 0.0) || std::isinf(ip.bandwidth))
-            fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
-                  "] bandwidth must be positive and finite");
+        checkAcceleration(owner, i, ip.acceleration, ppeak_, &ip.name);
+        checkIpBandwidth(owner, i, ip.bandwidth);
     }
 }
 

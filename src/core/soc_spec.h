@@ -36,10 +36,12 @@ struct IpSpec {
 /**
  * Hardware description of an N-IP SoC for the Gables model.
  *
- * Invariants (enforced by validate(), which every model entry point
- * calls): Ppeak > 0, Bpeak > 0, at least one IP, IP[0].acceleration
+ * Valid by construction: the constructor and with() check the Table
+ * II rules of core/param.h (Ppeak > 0, Bpeak > 0, IP[0].acceleration
  * == 1, all accelerations > 0 and bandwidths > 0, all finite, and
- * every IP's peak Ai * Ppeak finite.
+ * every IP's peak Ai * Ppeak finite) and that there is at least one
+ * IP, and there is no other way to build or change one. So a model
+ * entry point never re-checks a SocSpec.
  */
 class SocSpec
 {
@@ -49,6 +51,8 @@ class SocSpec
      * @param ppeak Peak performance of the baseline IP[0] (ops/s).
      * @param bpeak Peak off-chip memory bandwidth (bytes/s).
      * @param ips   IP blocks, IP[0] first.
+     * @throws FatalError "SoC '<name>': ..." naming the first broken
+     *         rule.
      */
     SocSpec(std::string name, double ppeak, double bpeak,
             std::vector<IpSpec> ips);
@@ -92,17 +96,17 @@ class SocSpec
      * @return A copy with hardware input @p p (Ppeak, Bpeak, A[i] or
      * B[i]) replaced by @p value.
      * @throws FatalError for a usecase input, an IP index out of
-     *         range, or a copy that fails validate().
+     *         range, or a value that breaks a rule.
      */
     SocSpec with(Param p, double value) const;
 
+  private:
     /**
-     * Check all invariants.
-     * @throws FatalError describing the first violated invariant.
+     * Check every rule, in declaration order.
+     * @throws FatalError describing the first broken rule.
      */
     void validate() const;
 
-  private:
     std::string name_;
     double ppeak_;
     double bpeak_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/param.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -32,17 +33,11 @@ Usecase::validate() const
 {
     if (work_.empty())
         fatal("usecase '" + name_ + "': needs at least one IP entry");
+    const InputOwner owner{"usecase", &name_};
     double sum = 0.0;
     for (size_t i = 0; i < work_.size(); ++i) {
-        const IpWork &w = work_[i];
-        if (!(w.fraction >= 0.0) || std::isinf(w.fraction))
-            fatal("usecase '" + name_ + "': fraction f[" +
-                  std::to_string(i) + "] must be in [0, 1]");
-        if (w.fraction > 0.0 && !(w.intensity > 0.0))
-            fatal("usecase '" + name_ + "': intensity I[" +
-                  std::to_string(i) +
-                  "] must be > 0 where work is assigned");
-        sum += w.fraction;
+        checkWork(owner, i, work_[i].fraction, work_[i].intensity);
+        sum += work_[i].fraction;
     }
     if (std::fabs(sum - 1.0) > kFractionSumTol)
         fatal("usecase '" + name_ + "': work fractions sum to " +

@@ -33,6 +33,11 @@ struct IpWork {
 /**
  * A Gables usecase: concurrent non-negative work fractions summing
  * to 1, with a per-IP operational intensity.
+ *
+ * Valid by construction: the constructor checks each entry against
+ * the fi/Ii rule of core/param.h, and that there is at least one
+ * entry and the fractions sum to 1. There is no other way to build
+ * or change one, so a model entry point never re-checks a Usecase.
  */
 class Usecase
 {
@@ -41,6 +46,8 @@ class Usecase
      * @param name Display name (e.g. "HDR+", "Videocapture HFR").
      * @param work Per-IP work assignments, index-aligned with the
      *             SocSpec's IPs.
+     * @throws FatalError "usecase '<name>': ..." naming the first
+     *         broken rule.
      */
     Usecase(std::string name, std::vector<IpWork> work);
 
@@ -81,18 +88,18 @@ class Usecase
      * active intensities are infinite. */
     double bytesPerOp() const;
 
-    /** @return A copy with entry @p i replaced. */
+    /** @return A copy with entry @p i replaced, checked as the
+     * constructor checks. */
     Usecase withWork(size_t i, IpWork work) const;
 
+  private:
     /**
-     * Check invariants: at least one entry, fractions non-negative
-     * and summing to 1 within tolerance, intensity positive wherever
-     * fraction is positive.
-     * @throws FatalError on violation.
+     * Check the rules: at least one entry, each entry's fi and Ii,
+     * and fractions summing to 1 within tolerance.
+     * @throws FatalError on the first broken rule.
      */
     void validate() const;
 
-  private:
     std::string name_;
     std::vector<IpWork> work_;
 };

@@ -82,7 +82,7 @@ EvaluatorCache::acquire(const SocSpec &soc, const Usecase &usecase,
             return lru_.front().entry;
         }
     }
-    // Evaluate outside the cache lock: validation may throw, and a
+    // Evaluate outside the cache lock: the pair rule may throw, and a
     // large pair should not stall concurrent hits.
     auto entry = std::make_shared<Entry>(soc, usecase);
     std::lock_guard<std::mutex> lock(mutex_);

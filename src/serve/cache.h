@@ -44,7 +44,8 @@ class EvaluatorCache
   public:
     /** One cached pair and its model result. */
     struct Entry {
-        /** @throws FatalError when the pair fails validation. */
+        /** @throws FatalError when the pair breaks the pair rule
+         * (checkPair()). */
         Entry(const SocSpec &s, const Usecase &u)
             : soc(s), usecase(u), result(GablesModel::evaluate(s, u))
         {}
@@ -61,12 +62,12 @@ class EvaluatorCache
      * Fetch the entry for the pair, evaluating and inserting (with
      * LRU eviction) on miss.
      *
-     * @param soc     Hardware inputs (validated on a miss).
-     * @param usecase Software inputs (validated on a miss).
+     * @param soc     Hardware inputs.
+     * @param usecase Software inputs (paired on a miss).
      * @param hit     Optional out: true when served from cache.
      * @return The shared, immutable entry.
-     * @throws FatalError when the pair fails validation (nothing is
-     *         inserted).
+     * @throws FatalError when the pair breaks the pair rule (nothing
+     *         is inserted).
      */
     std::shared_ptr<Entry> acquire(const SocSpec &soc,
                                    const Usecase &usecase,

@@ -225,7 +225,6 @@ SocCatalog::snapdragon821Sim()
 std::unique_ptr<sim::SimSoc>
 SocCatalog::simFromSpec(const SocSpec &spec)
 {
-    spec.validate();
     auto soc = std::make_unique<sim::SimSoc>(spec.name() + " (sim)");
     soc->setDram(spec.bpeak(), 100e-9);
     // One wide fabric so only the modeled bandwidths (Bi, Bpeak)

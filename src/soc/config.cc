@@ -319,19 +319,9 @@ lintSocConfig(const SocConfig &cfg)
         findings.push_back(LintFinding{error, msg});
     };
 
-    // Re-run the model invariants defensively: a SocConfig built by
-    // hand (not through parseSocConfig) may not have been validated.
-    try {
-        cfg.soc.validate();
-    } catch (const FatalError &err) {
-        check(true, err.what());
-    }
+    // The SoC and usecases are valid by construction; only their
+    // pairing can be wrong in a SocConfig built by hand.
     for (const Usecase &u : cfg.usecases) {
-        try {
-            u.validate();
-        } catch (const FatalError &err) {
-            check(true, err.what());
-        }
         if (u.numIps() != cfg.soc.numIps())
             check(true, "usecase '" + u.name() + "' covers " +
                             std::to_string(u.numIps()) +
@@ -390,9 +380,7 @@ formatSocConfig(const SocSpec &soc,
             << "bandwidth = " << formatDouble(ip.bandwidth, 6) << '\n';
     }
     for (const Usecase &u : usecases) {
-        if (u.numIps() != soc.numIps())
-            fatal("formatSocConfig: usecase '" + u.name() +
-                  "' does not match the SoC");
+        checkPair(soc, u);
         oss << "\n[usecase " << u.name() << "]\n";
         for (size_t i = 0; i < u.numIps(); ++i) {
             const IpWork &w = u.at(i);

@@ -104,10 +104,12 @@ struct LintFinding {
 };
 
 /**
- * Lint a parsed configuration without evaluating anything: re-checks
- * the model invariants (positive rates, fractions summing to 1) and
- * flags advisory conditions — IPs no usecase references, a config
- * with no usecases, and IP links faster than the off-chip interface.
+ * Lint a parsed configuration without evaluating anything. The SoC
+ * and usecases were checked when they were built; the lint flags a
+ * usecase whose entry count differs from the SoC's IP count (an
+ * error) and advisory conditions — IPs no usecase references, a
+ * config with no usecases, and IP links faster than the off-chip
+ * interface.
  *
  * @return Findings in severity-then-declaration order; empty when the
  *         configuration is clean.
@@ -117,6 +119,8 @@ std::vector<LintFinding> lintSocConfig(const SocConfig &cfg);
 /**
  * Serialize a SoC and usecases back to the text format (round-trips
  * through parseSocConfig).
+ * @throws FatalError for a usecase that breaks the pair rule
+ *         (checkPair()).
  */
 std::string formatSocConfig(const SocSpec &soc,
                             const std::vector<Usecase> &usecases);

@@ -23,7 +23,6 @@ PipelineStats::utilization(const std::string &name) const
 PipelineSim::PipelineSim(const SocSpec &soc, const DataflowGraph &graph)
     : soc_(soc), graph_(graph)
 {
-    soc_.validate();
     if (graph_.stages().empty())
         fatal("pipeline sim: dataflow '" + graph.name() +
               "' has no stages");

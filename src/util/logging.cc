@@ -95,15 +95,8 @@ warn(const std::string &msg)
 }
 
 void
-logError(const std::string &msg)
-{
-    emit(LogLevel::Error, "error: ", msg);
-}
-
-void
 fatal(const std::string &msg)
 {
-    emit(LogLevel::Error, "fatal: ", msg);
     throw FatalError(msg);
 }
 

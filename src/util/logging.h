@@ -5,8 +5,10 @@
  * Follows the gem5 discipline: inform() for status, warn() for suspect
  * but survivable conditions, fatal() for user errors that prevent
  * continuing, and panic() for internal invariant violations (library
- * bugs). fatal() throws so callers and tests can observe it; panic()
- * aborts.
+ * bugs). fatal() only throws: the handler that catches the error is
+ * its one reporter (the CLI's `gables:` line, a serve error
+ * response), so nothing is written where the error is raised. panic()
+ * logs and aborts.
  */
 
 #ifndef GABLES_UTIL_LOGGING_H
@@ -23,6 +25,7 @@ enum class LogLevel {
     Debug,
     Info,
     Warn,
+    /** Silences all three above. Errors are thrown, not logged. */
     Error,
 };
 
@@ -80,15 +83,8 @@ void debug(const std::string &msg);
 void warn(const std::string &msg);
 
 /**
- * Emit an error-level message without throwing — for callers (like
- * configError()) that throw their own FatalError subclass but still
- * want the diagnostic on the log sink.
- */
-void logError(const std::string &msg);
-
-/**
- * Report a user-correctable error and abort the operation by throwing
- * FatalError.
+ * Abort the operation on a user-correctable error by throwing
+ * FatalError. Writes nothing: the handler that catches it reports it.
  *
  * @param msg Description of the problem and how to fix it.
  */

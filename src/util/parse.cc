@@ -31,27 +31,17 @@ ConfigError::ConfigError(SourceLoc loc, const std::string &msg)
 void
 configError(const SourceLoc &loc, const std::string &msg)
 {
-    ConfigError err(loc, msg);
-    // Mirror fatal(): surface the diagnostic on the log sink so
-    // non-CLI embedders see it even if they swallow the exception.
-    logError(err.what());
-    throw err;
+    throw ConfigError(loc, msg);
 }
 
 namespace {
 
-/**
- * Shared full-token scaffolding for the strict numeric parsers.
- * Throws without logging: these are building blocks whose callers
- * either re-wrap the error with location context (configError) or
- * surface it at the CLI top level — logging here would double-report.
- */
+/** Shared full-token scaffolding for the strict numeric parsers. */
 [[noreturn]] void
 badToken(const std::string &what, const std::string &text,
          const std::string &why)
 {
-    throw FatalError("cannot parse " + what + " '" + text + "': " +
-                     why);
+    fatal("cannot parse " + what + " '" + text + "': " + why);
 }
 
 /**

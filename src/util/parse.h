@@ -67,8 +67,8 @@ class ConfigError : public FatalError
 };
 
 /**
- * Report a located user-input error: log it like fatal() and throw
- * ConfigError.
+ * Abort on a located user-input error by throwing ConfigError. Like
+ * fatal(), it writes nothing: the handler that catches it reports it.
  */
 [[noreturn]] void configError(const SourceLoc &loc,
                               const std::string &msg);

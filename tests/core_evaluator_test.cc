@@ -4,8 +4,9 @@
  * bottleneckIp() with the GablesModel::evaluate() oracle, one table
  * of Param rows driving set(), setLanes() and get() at W = 1 and
  * W = kGridWidth against a from-scratch rebuild and through every
- * rejected value, inactive and infinite-intensity IPs, and the
- * evalCount telemetry hook.
+ * rejected value (which building the pair rejects with the same rule
+ * text), the one pair rule, inactive and infinite-intensity IPs, and
+ * the evalCount telemetry hook.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +19,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/explorer.h"
 #include "core/evaluator.h"
 #include "core/gables.h"
+#include "core/serialized.h"
 #include "soc/catalog.h"
+#include "soc/config.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -115,7 +119,9 @@ paramCases()
          "evaluator: IP[1] peak Ai * Ppeak must be finite"},
         {Param::bpeak(), 7e9, 1e9, {0.0, -2e9, kInf, -kInf, nan},
          "evaluator: Bpeak must be positive and finite"},
-        {Param::acceleration(0), 1.0, 0.0, {2.0, 0.5},
+        // A0 = 1 is checked first, so an A0 that is also not positive
+        // and finite breaks that rule.
+        {Param::acceleration(0), 1.0, 0.0, {2.0, 0.5, 0.0, -1.0, kInf, nan},
          "evaluator: IP[0] acceleration A0 must be 1 (paper Section "
          "III-D)"},
         {Param::acceleration(1), 3.5, 0.5, {0.0, -3.0, kInf, nan},
@@ -161,6 +167,28 @@ fatalMessage(Fn &&fn)
         return err.what();
     }
     return "";
+}
+
+/**
+ * The message building the pair with a value the pack rejects with
+ * @p packMessage must give: the same rule text under the pair's
+ * owner ("SoC 'three': " or "usecase 'u': " for "evaluator: "), the
+ * peak rule also quoting the IP's name.
+ */
+std::string
+pairMessage(const SocSpec &soc, const Usecase &u, Param p,
+            const std::string &packMessage)
+{
+    std::string rule = packMessage.substr(std::string("evaluator: ").size());
+    const size_t peak = rule.find("] peak Ai * Ppeak");
+    if (peak != std::string::npos) {
+        const size_t ip = std::stoul(rule.substr(3, peak - 3));
+        rule.insert(peak + 2, "'" + soc.ip(ip).name + "' ");
+    }
+    const bool software = p.kind == Param::Kind::Fraction ||
+                          p.kind == Param::Kind::Intensity;
+    return (software ? "usecase '" + u.name() : "SoC '" + soc.name()) +
+           "': " + rule;
 }
 
 /** Every lane of @p pack, run, matches the unmutated pair. */
@@ -240,7 +268,8 @@ expectGetReadsBack()
 
 /** Each row's invalid values, and out-of-range lanes, IPs and counts,
  * throw with the pack's message through set() and setLanes(), and
- * leave every lane as it was. */
+ * leave every lane as it was. Each invalid value also fails a rebuild
+ * of the pair, with the same rule text: the rules are stated once. */
 template <size_t W>
 void
 expectInvalidRejected()
@@ -265,6 +294,8 @@ expectInvalidRejected()
             EXPECT_EQ(
                 fatalMessage([&] { pack.setLanes(c.param, values, W); }),
                 c.message);
+            EXPECT_EQ(fatalMessage([&] { rebuilt(soc, u, c.param, bad); }),
+                      pairMessage(soc, u, c.param, c.message));
         }
         const std::string lane_msg =
             "evaluator: pack lane " + std::to_string(W) +
@@ -351,6 +382,26 @@ TEST(Param, ReadsThePairAndSocSpecWithRejectsUsecaseInputs)
     EXPECT_THROW(soc.with(Param::ipBandwidth(3), 1e9), FatalError);
     EXPECT_THROW(soc.with(Param::acceleration(0), 2.0), FatalError);
     EXPECT_THROW(soc.with(Param::bpeak(), 0.0), FatalError);
+}
+
+TEST(Param, PairRuleHasOneTextEverywhere)
+{
+    const SocSpec soc = SocCatalog::paperTwoIp();
+    const Usecase three = threeIpWork();
+    const std::string want = "usecase 'u' has 3 IP entries but SoC '" +
+                             soc.name() + "' has 2 IPs";
+    EXPECT_EQ(fatalMessage([&] { checkPair(soc, three); }), want);
+    EXPECT_EQ(fatalMessage([&] { GablesModel::evaluate(soc, three); }),
+              want);
+    EXPECT_EQ(fatalMessage([&] { GablesPack<1>(soc, three); }), want);
+    EXPECT_EQ(
+        fatalMessage([&] { GablesPack<kGridWidth>(soc, three); }), want);
+    EXPECT_EQ(fatalMessage([&] { SerializedModel::evaluate(soc, three); }),
+              want);
+    EXPECT_EQ(fatalMessage([&] { DesignExplorer(soc, {three}, {}); }),
+              want);
+    EXPECT_EQ(fatalMessage([&] { formatSocConfig(soc, {three}); }), want);
+    EXPECT_NO_THROW(checkPair(threeIp(), three));
 }
 
 TEST(Evaluator, InactiveAndInfiniteLanes)

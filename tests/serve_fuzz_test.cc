@@ -233,12 +233,21 @@ expectOneResponse(const std::string &request, const std::string &response)
     }
 }
 
-/** Keeps the fatal() lines of thousands of bad requests off stderr. */
+/**
+ * Captures the log while thousands of bad requests are served. A
+ * rejected request is answered, never logged, so the capture must
+ * stay empty: a daemon whose stderr nobody drains would block on the
+ * first full pipe.
+ */
 class ServeFuzz : public ::testing::Test
 {
   protected:
     void SetUp() override { setLogSink(&log_); }
-    void TearDown() override { setLogSink(nullptr); }
+    void TearDown() override
+    {
+        setLogSink(nullptr);
+        EXPECT_EQ(log_.str(), "");
+    }
 
   private:
     std::ostringstream log_;

@@ -4,7 +4,8 @@
  * (serve/service.h), driven directly — no sockets: the error-code
  * contract (bad-request = 2, config/deadline/internal = 1), eval
  * parity with GablesModel::evaluate, eval responses with per-IP
- * detail pinned byte for byte, config-file resolution, deadline
+ * detail pinned byte for byte, one pair-rule text for eval and
+ * explore, config-file resolution, deadline
  * expiry, evaluator-cache counters, the stats RunReport, and batch
  * processing matching serial byte-for-byte (cache_hit included).
  */
@@ -370,6 +371,30 @@ TEST(ServeProtocol, MalformedConfigCarriesLocatedDiagnostic)
     EXPECT_NE(message.find(":3:"), std::string::npos) << message;
     EXPECT_NE(message.find("bpeak"), std::string::npos) << message;
     std::remove(path.c_str());
+}
+
+TEST(ServeProtocol, ExploreAndEvalGiveThePairRuleText)
+{
+    // Both ops reach the one pair rule (checkPair), so a usecase with
+    // more entries than the SoC has IPs is the same config error.
+    serve::ServeService service{serve::ServeOptions{}};
+    const SocSpec soc = SocCatalog::paperTwoIp();
+    const Usecase three("three", {IpWork{0.5, 4.0}, IpWork{0.3, 16.0},
+                                  IpWork{0.2, 1.0}});
+    const std::string want = "usecase 'three' has 3 IP entries but SoC '" +
+                             soc.name() + "' has 2 IPs";
+    for (const std::string &request :
+         {evalRequest(1, soc, three),
+          modelRequest(2, "explore", soc, three,
+                       "\"sweep\": [{\"knob\": \"bpeak\", "
+                       "\"values\": [1e10, 2e10]}]")}) {
+        SCOPED_TRACE(request);
+        JsonValue doc = parseResponse(service.handleLine(request));
+        EXPECT_FALSE(doc.at("ok").asBool());
+        EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
+        EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
+        EXPECT_EQ(doc.at("error").at("message").asString(), want);
+    }
 }
 
 TEST(ServeProtocol, DeadlineZeroExpiresDeterministically)

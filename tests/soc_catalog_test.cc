@@ -19,11 +19,11 @@ namespace {
 
 TEST(Catalog, SpecsValidate)
 {
-    EXPECT_NO_THROW(SocCatalog::snapdragon835().validate());
-    EXPECT_NO_THROW(SocCatalog::snapdragon821().validate());
-    EXPECT_NO_THROW(SocCatalog::snapdragon835Full().validate());
-    EXPECT_NO_THROW(SocCatalog::paperTwoIp().validate());
-    EXPECT_NO_THROW(SocCatalog::paperTwoIpBalanced().validate());
+    EXPECT_NO_THROW(SocCatalog::snapdragon835());
+    EXPECT_NO_THROW(SocCatalog::snapdragon821());
+    EXPECT_NO_THROW(SocCatalog::snapdragon835Full());
+    EXPECT_NO_THROW(SocCatalog::paperTwoIp());
+    EXPECT_NO_THROW(SocCatalog::paperTwoIpBalanced());
 }
 
 TEST(Catalog, NamedTableListsTheCliNames)

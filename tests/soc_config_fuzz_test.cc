@@ -47,11 +47,9 @@ TEST_P(ConfigFuzz, NeverCrashesOnRandomTokenSoup)
             text += '\n';
         }
         try {
-            SocConfig cfg = parseSocConfig(text);
-            // If it parsed, the result must be internally valid.
-            EXPECT_NO_THROW(cfg.soc.validate());
-            for (const Usecase &u : cfg.usecases)
-                EXPECT_NO_THROW(u.validate());
+            // A parse that succeeds has built a valid SoC and valid
+            // usecases: both check their rules when they are built.
+            parseSocConfig(text);
         } catch (const FatalError &) {
             // Expected for malformed documents.
         }
@@ -97,10 +95,8 @@ TEST_P(ConfigFuzz, MutatedValidConfigStaysSane)
         }
         try {
             SocConfig cfg = parseSocConfig(text);
-            EXPECT_NO_THROW(cfg.soc.validate());
+            // Usecases evaluate without crashing.
             for (const Usecase &u : cfg.usecases) {
-                EXPECT_NO_THROW(u.validate());
-                // Usecases evaluate without crashing.
                 if (u.numIps() == cfg.soc.numIps())
                     GablesModel::evaluate(cfg.soc, u);
             }

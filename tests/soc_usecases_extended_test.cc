@@ -66,7 +66,6 @@ TEST(ExtendedUsecases, AllLowerAndEvaluate)
     SocSpec soc = SocCatalog::snapdragon835Full();
     for (const UsecaseEntry &entry : UsecaseCatalog::extended()) {
         Usecase u = entry.graph.toUsecase(soc);
-        EXPECT_NO_THROW(u.validate());
         EXPECT_GT(GablesModel::evaluate(soc, u).attainable, 0.0)
             << entry.graph.name();
     }
