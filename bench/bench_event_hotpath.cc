@@ -44,7 +44,7 @@ secondsSince(Clock::time_point t0)
 }
 
 /** Two identical IPs contending for one DRAM; tiny requests so the
- * run is dense in events (every chunk is two event dispatches). */
+ * run is dense in events (every chunk is one event dispatch). */
 std::unique_ptr<sim::SimSoc>
 makeContendedSoc()
 {

@@ -557,8 +557,11 @@ cmdSim(int argc, const char *const *argv)
            std::to_string(engines.size()) + " engine(s), " +
            std::to_string(epochs) + " epochs" +
            (args.has("trace") ? ", tracing" : ""));
+    // The epoch series reach only the report and the trace, so a run
+    // that writes neither samples none (and keeps no service logs).
+    bool series = args.has("metrics") || args.has("trace");
     sim::SocRunStats stats =
-        soc->run(jobs, static_cast<int>(epochs));
+        soc->run(jobs, series ? static_cast<int>(epochs) : 0);
 
     std::cout << soc->name() << ": "
               << formatDouble(stats.duration * 1e3, 3)

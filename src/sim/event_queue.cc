@@ -153,11 +153,8 @@ EventQueue::dispatch(const Event &ev)
       case EventKind::DataArrived:
           ev.engine->onDataArrived(ev.a, (ev.meta & 1) != 0);
           break;
-      case EventKind::ChunkComputed:
-          ev.engine->onChunkComputed(ev.a);
-          break;
-      case EventKind::BatchDone:
-          ev.engine->onBatchDone();
+      case EventKind::RunDone:
+          ev.engine->onRunDone();
           break;
     }
 }

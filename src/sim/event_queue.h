@@ -40,10 +40,8 @@ enum class EventKind : uint8_t {
     Callback,
     /** A memory chunk reached its engine: IpEngine::onDataArrived. */
     DataArrived,
-    /** A chunk finished computing: IpEngine::onChunkComputed. */
-    ChunkComputed,
-    /** A batched run's last chunk completed: IpEngine::onBatchDone. */
-    BatchDone,
+    /** An engine's last chunk finished computing: IpEngine::onRunDone. */
+    RunDone,
 };
 
 /**
@@ -80,17 +78,10 @@ class EventQueue
         push(when, EventKind::DataArrived, engine, bytes, was_miss);
     }
 
-    /** Chunk compute completion for @p ops operations. */
-    void scheduleChunkComputed(double when, IpEngine *engine,
-                               double ops)
+    /** Completion of an engine's run (batched or event-driven). */
+    void scheduleRunDone(double when, IpEngine *engine)
     {
-        push(when, EventKind::ChunkComputed, engine, ops, false);
-    }
-
-    /** Completion of an analytically batched engine run. */
-    void scheduleBatchDone(double when, IpEngine *engine)
-    {
-        push(when, EventKind::BatchDone, engine, 0.0, false);
+        push(when, EventKind::RunDone, engine, 0.0, false);
     }
     /** @} */
 
@@ -139,13 +130,13 @@ class EventQueue
      * line). `meta` packs seq(48) | kind(8) | flag(1) so tie-breaking
      * compares one word: seq occupies the high bits, so among
      * same-time events meta order equals seq order. The payload
-     * double `a` carries bytes (DataArrived), ops (ChunkComputed), or
-     * the callback slot index (Callback — doubles hold integers
-     * exactly far past the slot range). 48-bit seqs wrap after
+     * double `a` carries bytes (DataArrived) or the callback slot
+     * index (Callback — doubles hold integers exactly far past the
+     * slot range). 48-bit seqs wrap after
      * 2.8e14 schedules — beyond any plausible run. */
     struct Event {
         double when;
-        double a;         // bytes, ops, or callback slot index
+        double a;         // bytes or callback slot index
         IpEngine *engine; // typed-event receiver
         uint64_t meta;    // (seq << 16) | (kind << 8) | flag
     };

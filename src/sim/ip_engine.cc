@@ -127,16 +127,12 @@ IpEngine::runBatched()
 {
     // Replay the event-driven run in a tight loop. Because this
     // engine is the sole requester (see setBatchingAllowed), the only
-    // events the queue would process are this engine's own arrivals
-    // and compute completions, so their firing order is fully known:
-    // arrivals in (completion, issue-index) order — a min-heap over
-    // in-flight chunks — and compute completions in arrival order
-    // (the compute resource is FIFO, so completion times are
-    // monotone and their seqs follow booking order). Compute-done
-    // events touch no resources, so folding their bookkeeping into
-    // arrival processing leaves every acquire call, stats
-    // accumulation, telemetry bump, and trace record in the exact
-    // order — and therefore bit pattern — of the unbatched run.
+    // events the queue would process are this engine's own arrivals,
+    // so their firing order is fully known: (completion, issue-index)
+    // order, a min-heap over in-flight chunks. Each arrival is handled
+    // as onDataArrived handles it, so every acquire call, stats
+    // accumulation, telemetry bump, and trace record runs in the
+    // exact order — and therefore bit pattern — of the unbatched run.
     //
     // Min-heap order: earliest (completion, issue index) first, the
     // order the queue would fire these arrivals (arrival seq order
@@ -160,7 +156,6 @@ IpEngine::runBatched()
                        later_arrival);
     }
 
-    double last_done = now;
     while (!batchHeap_.empty()) {
         std::pop_heap(batchHeap_.begin(), batchHeap_.end(),
                       later_arrival);
@@ -172,12 +167,7 @@ IpEngine::runBatched()
         if (arr.miss)
             stats_.missBytes += arr.bytes;
         double ops = arr.bytes * job_.opsPerByte;
-        double done_at = compute_.acquire(arr.when, ops);
-        stats_.ops += ops;
-        ++chunksComputed_;
-        if (computedCount_ != nullptr)
-            computedCount_->add(1.0);
-        last_done = done_at;
+        chunkComputed(ops, compute_.acquire(arr.when, ops));
 
         while (inFlight_ < config_.maxOutstanding &&
                chunksIssued_ < chunksTotal_) {
@@ -194,11 +184,10 @@ IpEngine::runBatched()
     GABLES_ASSERT(chunksComputed_ == chunksTotal_,
                   "batched replay lost chunks");
     batchedChunks_ = chunksTotal_;
-    eq_->scheduleBatchDone(last_done, this);
 }
 
 void
-IpEngine::onBatchDone()
+IpEngine::onRunDone()
 {
     running_ = false;
     stats_.endTime = eq_->now();

@@ -12,13 +12,15 @@
  * IP — typically the CPU — which charges a fixed interrupt-handling
  * service time on the coordinator for every off-IP request.
  *
- * Hot path: chunk completions are typed events dispatched by the
- * EventQueue switch (no closures). When the SoC marks the engine as
- * the sole active requester on every hop of its path, start() books
- * the whole job in one analytic batch — the same per-chunk acquire
- * arithmetic replayed in a tight loop, so results stay bit-identical
- * — and schedules a single completion event instead of two events
- * per chunk (DESIGN.md section 10).
+ * Hot path: a chunk costs one typed event, its data arrival,
+ * dispatched by the EventQueue switch (no closures). The arrival
+ * books the chunk's compute and accounts for its completion there,
+ * and the last chunk schedules the run's one done event at its
+ * completion time. When the SoC marks the engine as the sole active
+ * requester on every hop of its path, start() books the whole job in
+ * one analytic batch — the same per-chunk acquire arithmetic
+ * replayed in a tight loop, so results stay bit-identical — and the
+ * done event is the run's only event (DESIGN.md section 10).
  */
 
 #ifndef GABLES_SIM_IP_ENGINE_H
@@ -184,11 +186,11 @@ class IpEngine
     friend class EventQueue; // dispatches the typed events below
 
     void issueRequests();
-    // The two per-chunk handlers are defined inline below the class:
-    // the EventQueue dispatch switch folds them into its drain loop.
+    // The per-chunk handler is defined inline below the class: the
+    // EventQueue dispatch switch folds it into its drain loop.
     inline void onDataArrived(double chunk_bytes, bool was_miss);
-    inline void onChunkComputed(double ops);
-    void onBatchDone();
+    inline void chunkComputed(double ops, double done_at);
+    void onRunDone();
     void runBatched();
     double issueOneChunk(double now, double &bytes, bool &was_miss);
     double chunkBytes(uint64_t index) const;
@@ -241,27 +243,28 @@ IpEngine::onDataArrived(double chunk_bytes, bool was_miss)
         stats_.missBytes += chunk_bytes;
 
     double ops = chunk_bytes * job_.opsPerByte;
-    double done_at = compute_.acquire(eq_->now(), ops);
-    eq_->scheduleChunkComputed(done_at, this, ops);
+    chunkComputed(ops, compute_.acquire(eq_->now(), ops));
 
     issueRequests();
 }
 
+/**
+ * Account for a chunk whose compute was just booked to finish at
+ * @p done_at. The compute resource is FIFO with a constant latency,
+ * so this engine's completions come in booking order (coordination
+ * bookings from other engines keep it): ops add up in the order the
+ * completions would fire, and the last chunk booked is the last to
+ * finish, so the run ends at its completion.
+ */
 inline void
-IpEngine::onChunkComputed(double ops)
+IpEngine::chunkComputed(double ops, double done_at)
 {
     stats_.ops += ops;
     ++chunksComputed_;
     if (computedCount_ != nullptr)
         computedCount_->add(1.0);
-    if (chunksComputed_ == chunksTotal_) {
-        running_ = false;
-        stats_.endTime = eq_->now();
-        GABLES_ASSERT(stats_.endTime > stats_.startTime,
-                      "zero-duration engine run");
-        if (onDone_)
-            onDone_(stats_);
-    }
+    if (chunksComputed_ == chunksTotal_)
+        eq_->scheduleRunDone(done_at, this);
 }
 
 } // namespace sim

@@ -1,7 +1,6 @@
 #include "sim/resource.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/trace.h"
 #include "telemetry/stats.h"
@@ -22,15 +21,9 @@ ServiceLog::operator[](size_t i) const
 }
 
 void
-ServiceLog::push(double start, double duration, double bytes)
+ServiceLog::openRun(double duration, double bytes)
 {
-    if (runs_.empty() ||
-        std::bit_cast<uint64_t>(runs_.back().duration) !=
-            std::bit_cast<uint64_t>(duration) ||
-        std::bit_cast<uint64_t>(runs_.back().bytes) !=
-            std::bit_cast<uint64_t>(bytes))
-        runs_.push_back(Run{starts_.size(), duration, bytes});
-    starts_.push_back(start);
+    runs_.push_back(Run{starts_.size(), duration, bytes});
 }
 
 BandwidthResource::BandwidthResource(std::string name, double bandwidth,
@@ -51,11 +44,27 @@ BandwidthResource::observe(double arrival, double start, double service,
         tracer_->record(name_, start, service);
 
     // Queue depth at this arrival: booked requests not yet drained,
-    // including the one just booked.
-    while (!inService_.empty() && inService_.front() <= arrival)
-        inService_.pop_front();
-    inService_.push_back(start + service);
-    double depth = static_cast<double>(inService_.size());
+    // including the one just booked. FIFO service makes completion
+    // times monotone in booking order, so the drained requests are
+    // always the oldest, at the ring's head.
+    size_t mask = inService_.size() - 1;
+    while (inServiceCount_ != 0 && inService_[inServiceHead_] <= arrival) {
+        inServiceHead_ = (inServiceHead_ + 1) & mask;
+        --inServiceCount_;
+    }
+    if (inServiceCount_ == inService_.size()) {
+        // Full: rotate the oldest entry to the front, then double.
+        std::rotate(inService_.begin(),
+                    inService_.begin() +
+                        static_cast<ptrdiff_t>(inServiceHead_),
+                    inService_.end());
+        inService_.resize(std::max<size_t>(16, 2 * inService_.size()));
+        inServiceHead_ = 0;
+        mask = inService_.size() - 1;
+    }
+    inService_[(inServiceHead_ + inServiceCount_) & mask] =
+        start + service;
+    double depth = static_cast<double>(++inServiceCount_);
 
     if (registry_ != nullptr) {
         waitTime_->sample(start - arrival);
@@ -64,8 +73,9 @@ BandwidthResource::observe(double arrival, double start, double service,
         queueDepthHist_->sample(depth);
         requestCount_->add(1.0);
         byteCount_->add(bytes);
-        serviceLog_.push(start, service, bytes);
     }
+    if (keepLog_)
+        serviceLog_.push(start, service, bytes);
     if (tracer_ != nullptr)
         tracer_->counter(name_ + ".queue", arrival, depth);
 }
@@ -74,9 +84,8 @@ void
 BandwidthResource::attachTelemetry(telemetry::StatsRegistry *registry)
 {
     registry_ = registry;
-    instrumented_ = tracer_ != nullptr || registry_ != nullptr;
-    serviceLog_.clear();
-    inService_.clear();
+    updateInstrumented();
+    inServiceHead_ = inServiceCount_ = 0;
     if (registry == nullptr) {
         waitTime_ = serviceTime_ = queueDepth_ = nullptr;
         queueDepthHist_ = nullptr;
@@ -100,9 +109,11 @@ BandwidthResource::attachTelemetry(telemetry::StatsRegistry *registry)
 }
 
 void
-BandwidthResource::reserveLog(size_t expected_entries)
+BandwidthResource::keepServiceLog(bool keep, size_t expected_entries)
 {
-    if (registry_ != nullptr)
+    keepLog_ = keep;
+    updateInstrumented();
+    if (keep)
         serviceLog_.reserve(expected_entries);
 }
 
@@ -122,7 +133,7 @@ BandwidthResource::reset()
     busyTime_ = 0.0;
     requests_ = 0;
     serviceLog_.clear();
-    inService_.clear();
+    inServiceHead_ = inServiceCount_ = 0;
 }
 
 } // namespace sim

@@ -12,8 +12,8 @@
 #define GABLES_SIM_RESOURCE_H
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -73,7 +73,13 @@ class ServiceLog
     }
 
     /** Append one booking. */
-    void push(double start, double duration, double bytes);
+    void push(double start, double duration, double bytes)
+    {
+        if (runs_.empty() || !sameBits(runs_.back().duration, duration) ||
+            !sameBits(runs_.back().bytes, bytes))
+            openRun(duration, bytes);
+        starts_.push_back(start);
+    }
 
     /** Pre-size for @p bookings start times. */
     void reserve(size_t bookings) { starts_.reserve(bookings); }
@@ -100,6 +106,14 @@ class ServiceLog
         double duration;
         double bytes;
     };
+
+    static bool sameBits(double a, double b)
+    {
+        return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+    }
+
+    /** Start a run at the next booking (see push). */
+    void openRun(double duration, double bytes);
 
     std::vector<double> starts_;
     std::vector<Run> runs_;
@@ -209,7 +223,7 @@ class BandwidthResource
     void setTracer(TraceRecorder *tracer)
     {
         tracer_ = tracer;
-        instrumented_ = tracer_ != nullptr || registry_ != nullptr;
+        updateInstrumented();
     }
 
     /**
@@ -217,26 +231,26 @@ class BandwidthResource
      * "<name>.wait_time", "<name>.service_time", "<name>.queue_depth"
      * distributions, a "<name>.queue_depth_hist" histogram, and
      * "<name>.requests" / "<name>.bytes" counters, all updated per
-     * acquire. Also turns on the service-interval log. Telemetry is
-     * purely observational: booking arithmetic is untouched, so
-     * simulation results are bit-identical with it attached or not.
-     * Pass nullptr to detach.
+     * acquire. Telemetry is purely observational: booking arithmetic
+     * is untouched, so simulation results are bit-identical with it
+     * attached or not. Pass nullptr to detach.
      */
     void attachTelemetry(telemetry::StatsRegistry *registry);
 
     /**
-     * @return Booked intervals, kept only while a telemetry registry
-     * is attached (empty otherwise); feeds post-run epoch sampling.
-     */
-    const ServiceLog &serviceLog() const { return serviceLog_; }
-
-    /**
-     * Pre-size the service-interval log for an expected number of
-     * bookings (no-op when telemetry is detached — the log stays
-     * empty then). Avoids reallocation churn mid-run; see
+     * Keep (or stop keeping) the service-interval log of every
+     * subsequent booking, pre-sized for @p expected_entries bookings
+     * so a run doesn't reallocate it mid-run. Off by default:
+     * SimSoc::run keeps it exactly in runs that sample epochs. See
      * docs/OBSERVABILITY.md for the log's memory model.
      */
-    void reserveLog(size_t expected_entries);
+    void keepServiceLog(bool keep, size_t expected_entries = 0);
+
+    /**
+     * @return Intervals booked since the last reset while
+     * keepServiceLog was on; feeds post-run epoch sampling.
+     */
+    const ServiceLog &serviceLog() const { return serviceLog_; }
 
   private:
     /**
@@ -259,16 +273,24 @@ class BandwidthResource
         return busyUntil_ + latency_;
     }
 
-    /** Trace and/or sample one booked interval (see book()). */
+    /** Trace, sample and/or log one booked interval (see book()). */
     void observe(double arrival, double start, double service,
                  double bytes);
+
+    void updateInstrumented()
+    {
+        instrumented_ =
+            tracer_ != nullptr || registry_ != nullptr || keepLog_;
+    }
 
     std::string name_;
     double bandwidth_;
     double latency_;
-    // True iff a tracer or registry is attached; one flag so the
-    // inline acquire fast path tests a single branch.
+    // True iff a tracer or registry is attached or the service log
+    // is kept; one flag so the inline acquire fast path tests a
+    // single branch.
     bool instrumented_ = false;
+    bool keepLog_ = false;
     // Last transfer size and its service-time quotient (acquire()).
     double memoBytes_ = -1.0;
     double memoService_ = 0.0;
@@ -288,8 +310,12 @@ class BandwidthResource
     telemetry::Counter *byteCount_ = nullptr;
     ServiceLog serviceLog_;
     // Completion times of booked requests still in service at the
-    // latest arrival; its size is the queue depth sample.
-    std::deque<double> inService_;
+    // latest arrival, oldest first: a ring of inServiceCount_ entries
+    // from inServiceHead_ (its capacity a power of two). The count is
+    // the queue depth sample.
+    std::vector<double> inService_;
+    size_t inServiceHead_ = 0;
+    size_t inServiceCount_ = 0;
 };
 
 } // namespace sim

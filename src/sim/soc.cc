@@ -145,16 +145,8 @@ void
 SimSoc::attachTracer(TraceRecorder *tracer)
 {
     tracer_ = tracer;
-    if (dram_)
-        dram_->setTracer(tracer);
-    for (auto &f : fabrics_)
-        f->setTracer(tracer);
-    for (auto &l : links_)
-        l->setTracer(tracer);
-    for (auto &m : locals_)
-        m->resource().setTracer(tracer);
-    for (auto &e : engines_)
-        e->computeResourcePtr()->setTracer(tracer);
+    forEachResource(
+        [tracer](BandwidthResource &r) { r.setTracer(tracer); });
 }
 
 void
@@ -217,30 +209,25 @@ SimSoc::run(const std::vector<JobSubmission> &jobs, int epochs)
     stats.engines.resize(jobs.size());
     size_t remaining = jobs.size();
 
-    if (registry_ != nullptr) {
-        // Pre-size service logs for the expected booking volume so
-        // instrumented runs don't reallocate mid-run. Every resource
-        // sees at most one booking per chunk (plus coordination
-        // interrupts, also one per chunk).
+    // The epoch series are binned from the service logs after the
+    // run, so only a run that samples epochs keeps them. Pre-size
+    // them for the expected booking volume so the run doesn't
+    // reallocate them mid-run. Every resource sees at most one
+    // booking per chunk (plus coordination interrupts, also one per
+    // chunk).
+    size_t expect = 0;
+    if (epochs > 0) {
         double chunks = 0.0;
         for (const JobSubmission &s : jobs) {
             const IpEngineConfig &cfg =
                 engine(s.engineName)->config();
             chunks += std::ceil(s.job.totalBytes / cfg.requestBytes);
         }
-        size_t expect = static_cast<size_t>(
-            std::min(chunks, 65536.0));
-        if (dram_)
-            dram_->reserveLog(expect);
-        for (auto &f : fabrics_)
-            f->reserveLog(expect);
-        for (auto &l : links_)
-            l->reserveLog(expect);
-        for (auto &m : locals_)
-            m->resource().reserveLog(expect);
-        for (auto &e : engines_)
-            e->computeResourcePtr()->reserveLog(expect);
+        expect = static_cast<size_t>(std::min(chunks, 65536.0));
     }
+    forEachResource([&](BandwidthResource &r) {
+        r.keepServiceLog(epochs > 0, expect);
+    });
 
     // With a single job the engine is the sole requester on every
     // hop it can touch, so its chunks may be booked analytically.
@@ -296,16 +283,9 @@ SimSoc::run(const std::vector<JobSubmission> &jobs, int epochs)
                       "per-chunk events")
             .add(static_cast<double>(batched));
         size_t log_bytes = 0;
-        if (dram_)
-            log_bytes += dram_->serviceLog().capacityBytes();
-        for (const auto &f : fabrics_)
-            log_bytes += f->serviceLog().capacityBytes();
-        for (const auto &l : links_)
-            log_bytes += l->serviceLog().capacityBytes();
-        for (const auto &m : locals_)
-            log_bytes += m->resource().serviceLog().capacityBytes();
-        for (const auto &e : engines_)
-            log_bytes += e->computeResource().serviceLog().capacityBytes();
+        forEachResource([&](BandwidthResource &r) {
+            log_bytes += r.serviceLog().capacityBytes();
+        });
         registry_
             ->gauge("telemetry.service_log_bytes",
                     "memory held by per-resource service-interval "

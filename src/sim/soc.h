@@ -164,7 +164,7 @@ class SimSoc
      * Enable or disable analytic chunk batching (default enabled).
      * When a run has exactly one job, the engine is the sole
      * requester on every resource it touches, so run() lets it book
-     * all chunks in one pass instead of two events per chunk —
+     * all chunks in one pass instead of one event per chunk —
      * results are bit-identical either way (see
      * IpEngine::setBatchingAllowed); only event counts differ.
      * Disable to force the fully event-driven path, e.g. to
@@ -196,6 +196,23 @@ class SimSoc
   private:
     void resetAll();
     void sampleEpochSeries(const SocRunStats &stats, int epochs);
+
+    /** Call @p fn with every resource: the DRAM controller, fabrics,
+     * links, local memories and engine compute units. */
+    template <typename Fn>
+    void forEachResource(Fn &&fn)
+    {
+        if (dram_)
+            fn(*dram_);
+        for (auto &f : fabrics_)
+            fn(*f);
+        for (auto &l : links_)
+            fn(*l);
+        for (auto &m : locals_)
+            fn(m->resource());
+        for (auto &e : engines_)
+            fn(*e->computeResourcePtr());
+    }
 
     std::string name_;
     EventQueue eq_;

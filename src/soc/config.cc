@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "core/param.h"
 #include "telemetry/span.h"
 #include "util/logging.h"
 #include "util/parse.h"
@@ -320,13 +321,14 @@ lintSocConfig(const SocConfig &cfg)
     };
 
     // The SoC and usecases are valid by construction; only their
-    // pairing can be wrong in a SocConfig built by hand.
+    // pairing can be wrong in a SocConfig built by hand. The finding
+    // is the pair rule's own text.
     for (const Usecase &u : cfg.usecases) {
-        if (u.numIps() != cfg.soc.numIps())
-            check(true, "usecase '" + u.name() + "' covers " +
-                            std::to_string(u.numIps()) +
-                            " IPs but the SoC declares " +
-                            std::to_string(cfg.soc.numIps()));
+        try {
+            checkPair(cfg.soc, u);
+        } catch (const FatalError &e) {
+            check(true, e.what());
+        }
     }
 
     if (cfg.usecases.empty())

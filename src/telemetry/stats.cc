@@ -9,20 +9,6 @@
 namespace gables {
 namespace telemetry {
 
-void
-Distribution::sample(double v)
-{
-    ++count_;
-    sum_ += v;
-    if (v < min_)
-        min_ = v;
-    if (v > max_)
-        max_ = v;
-    double delta = v - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (v - mean_);
-}
-
 double
 Distribution::mean() const
 {
@@ -55,32 +41,13 @@ Histogram::Histogram(double lo, double hi, size_t nbuckets)
         fatal("histogram needs hi > lo");
     if (nbuckets < 1)
         fatal("histogram needs at least one bucket");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    if (v < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (v >= hi_) {
-        ++overflow_;
-        return;
-    }
-    double width = (hi_ - lo_) / static_cast<double>(buckets_.size());
-    size_t i = static_cast<size_t>((v - lo_) / width);
-    if (i >= buckets_.size()) // guard the v ~ hi rounding edge
-        i = buckets_.size() - 1;
-    ++buckets_[i];
+    width_ = (hi - lo) / static_cast<double>(nbuckets);
 }
 
 double
 Histogram::bucketLo(size_t i) const
 {
-    double width = (hi_ - lo_) / static_cast<double>(buckets_.size());
-    return lo_ + width * static_cast<double>(i);
+    return lo_ + width_ * static_cast<double>(i);
 }
 
 void

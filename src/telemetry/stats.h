@@ -72,8 +72,20 @@ class Gauge
 class Distribution
 {
   public:
-    /** Record one sample. */
-    void sample(double v);
+    /** Record one sample (inline: the simulator samples three
+     * distributions per booking). */
+    void sample(double v)
+    {
+        ++count_;
+        sum_ += v;
+        if (v < min_)
+            min_ = v;
+        if (v > max_)
+            max_ = v;
+        double delta = v - mean_;
+        mean_ += delta / static_cast<double>(count_);
+        m2_ += delta * (v - mean_);
+    }
 
     /** @return Number of samples. */
     uint64_t count() const { return count_; }
@@ -115,7 +127,22 @@ class Histogram
     Histogram(double lo, double hi, size_t nbuckets);
 
     /** Record one sample. */
-    void sample(double v);
+    void sample(double v)
+    {
+        ++count_;
+        if (v < lo_) {
+            ++underflow_;
+            return;
+        }
+        if (v >= hi_) {
+            ++overflow_;
+            return;
+        }
+        size_t i = static_cast<size_t>((v - lo_) / width_);
+        if (i >= buckets_.size()) // guard the v ~ hi rounding edge
+            i = buckets_.size() - 1;
+        ++buckets_[i];
+    }
 
     /** @return Number of buckets. */
     size_t numBuckets() const { return buckets_.size(); }
@@ -136,6 +163,7 @@ class Histogram
   private:
     double lo_;
     double hi_;
+    double width_ = 0.0; // (hi - lo) / buckets, set once
     std::vector<uint64_t> buckets_;
     uint64_t underflow_ = 0;
     uint64_t overflow_ = 0;

@@ -48,8 +48,8 @@ clamp(double v, double lo, double hi)
 void
 sortNonNegative(std::vector<double> &values)
 {
-    constexpr int kDigitBits = 16;
-    constexpr int kPasses = 64 / kDigitBits;
+    constexpr int kDigitBits = 13;
+    constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
     constexpr size_t kBuckets = size_t{1} << kDigitBits;
     constexpr uint64_t kDigitMask = kBuckets - 1;
     // +inf's pattern; anything above it is a NaN or has the sign bit.

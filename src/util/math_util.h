@@ -35,7 +35,7 @@ double clamp(double v, double lo, double hi);
 
 /**
  * Sort @p values ascending into exactly std::sort's sequence, with an
- * LSD radix sort (four 16-bit digits) on the IEEE-754 bit patterns.
+ * LSD radix sort (five 13-bit digits) on the IEEE-754 bit patterns.
  * For values with the sign bit clear that are not NaN (+0.0 through
  * +inf, subnormals included), bit order is value order and equal
  * values have equal bits, so the result is the same sequence of bit
@@ -43,7 +43,7 @@ double clamp(double v, double lo, double hi);
  * every value is skipped.
  *
  * Costs one transient uint64_t scratch buffer of values.size()
- * entries (8 bytes per value) plus a 2 MiB digit histogram.
+ * entries (8 bytes per value) plus a 320 KiB digit histogram.
  *
  * @throws FatalError if any value is NaN or has its sign bit set
  *         (negative values and -0.0).

@@ -133,11 +133,20 @@ TEST(CliOutputGolden, Eval)
               golden("eval_sd835.txt"));
 }
 
+/**
+ * A run that writes no artifact samples no epoch series; its stdout
+ * must not change when a report asks for them.
+ */
 TEST(CliOutputGolden, Sim)
 {
     EXPECT_EQ(runCaptured({"gables", "sim", "--soc", "sd835", "--epochs",
                            "8"}),
               golden("sim_sd835_epochs8.txt"));
+    std::string report = ::testing::TempDir() + "golden_sim8_report.json";
+    std::string out = runCaptured({"gables", "sim", "--soc", "sd835",
+                                   "--epochs", "8", "--metrics", report});
+    EXPECT_EQ(dropLines(out, "wrote "), golden("sim_sd835_epochs8.txt"));
+    std::remove(report.c_str());
 }
 
 /**

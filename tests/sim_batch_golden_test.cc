@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -153,8 +154,9 @@ TEST(SimBatchGolden, BatchedChunksCounterSoloRun)
     soc->run({{"IP0", j}});
     EXPECT_DOUBLE_EQ(
         registry.findCounter("sim.batched_chunks")->value(), 0.0);
-    // Two events per chunk when fully event-driven.
-    EXPECT_DOUBLE_EQ(executed->value(), 2.0 * 4096.0);
+    // One event per chunk when fully event-driven, plus the done
+    // event.
+    EXPECT_DOUBLE_EQ(executed->value(), 4096.0 + 1.0);
 }
 
 TEST(SimBatchGolden, ContendedRunNeverBatches)
@@ -163,15 +165,26 @@ TEST(SimBatchGolden, ContendedRunNeverBatches)
     telemetry::StatsRegistry registry;
     soc->attachTelemetry(&registry);
 
+    // The three engines of `gables sim`, contending for DRAM.
     KernelJob j = job(1.0, 8.0, 8.0);
-    SocRunStats with_default =
-        soc->run({{"CPU", j}, {"GPU", j}});
+    const std::vector<SimSoc::JobSubmission> jobs = {
+        {"CPU", j}, {"GPU", j}, {"DSP", j}};
+    SocRunStats with_default = soc->run(jobs);
     EXPECT_DOUBLE_EQ(
         registry.findCounter("sim.batched_chunks")->value(), 0.0);
+    // Each chunk costs one event (its arrival, which also accounts
+    // for its completion), and each engine one done event.
+    double chunks = 0.0;
+    for (const SimSoc::JobSubmission &s : jobs)
+        chunks += std::ceil(s.job.totalBytes /
+                            soc->engine(s.engineName)->config().requestBytes);
+    EXPECT_DOUBLE_EQ(
+        registry.findCounter("sim.events_executed")->value(),
+        chunks + 3.0);
 
     // And forcing batching off changes nothing for multi-IP runs.
     soc->setChunkBatching(false);
-    SocRunStats forced_off = soc->run({{"CPU", j}, {"GPU", j}});
+    SocRunStats forced_off = soc->run(jobs);
     expectStatsBitEqual(with_default, forced_off);
 }
 

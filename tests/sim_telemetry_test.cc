@@ -80,21 +80,32 @@ TEST(ResourceTelemetry, QueueDrainsBetweenBursts)
     EXPECT_EQ(hist->count(), 4u);
 }
 
-TEST(ResourceTelemetry, ServiceLogOnlyWhenAttached)
+TEST(ResourceTelemetry, ServiceLogOnlyWhenKept)
 {
     BandwidthResource r("bus", 1e9);
     r.acquire(0.0, 1000.0);
     EXPECT_TRUE(r.serviceLog().empty());
 
+    // A registry alone samples the booking but logs nothing.
     telemetry::StatsRegistry reg;
     r.attachTelemetry(&reg);
+    r.acquire(2e-6, 1000.0);
+    EXPECT_TRUE(r.serviceLog().empty());
+    EXPECT_EQ(reg.findDistribution("bus.wait_time")->count(), 1u);
+
+    r.keepServiceLog(true);
     r.acquire(5e-6, 2000.0);
     ASSERT_EQ(r.serviceLog().size(), 1u);
     EXPECT_DOUBLE_EQ(r.serviceLog()[0].start, 5e-6);
     EXPECT_NEAR(r.serviceLog()[0].duration, 2e-6, 1e-18);
     EXPECT_DOUBLE_EQ(r.serviceLog()[0].bytes, 2000.0);
 
+    // The log needs no registry, and stops when no longer kept.
     r.attachTelemetry(nullptr);
+    r.reset();
+    r.acquire(0.0, 1000.0);
+    ASSERT_EQ(r.serviceLog().size(), 1u);
+    r.keepServiceLog(false);
     r.reset();
     r.acquire(0.0, 1000.0);
     EXPECT_TRUE(r.serviceLog().empty());
@@ -112,6 +123,7 @@ TEST(ResourceTelemetry, ServiceLogReadsBackEveryBooking)
     telemetry::StatsRegistry reg;
     BandwidthResource r("bus", 3e9);
     r.attachTelemetry(&reg);
+    r.keepServiceLog(true);
 
     struct Booking {
         double arrival;
@@ -177,7 +189,7 @@ TEST(ResourceTelemetry, ServiceLogHoldsEightBytesPerSteadyBooking)
     telemetry::StatsRegistry reg;
     BandwidthResource r("bus", 3e9);
     r.attachTelemetry(&reg);
-    r.reserveLog(1000);
+    r.keepServiceLog(true, 1000);
     for (int i = 0; i < 1000; ++i)
         r.acquire(i * 1e-6, 4096.0);
     EXPECT_EQ(r.serviceLog().size(), 1000u);
@@ -265,6 +277,53 @@ TEST(SocTelemetry, EpochSeriesShapeAndBounds)
     const telemetry::TimeSeries *ops = reg.findTimeSeries("CPU.ops_rate");
     ASSERT_NE(ops, nullptr);
     EXPECT_EQ(ops->size(), static_cast<size_t>(epochs));
+}
+
+/**
+ * The service logs feed only the epoch series: a run that samples no
+ * epochs keeps none, even with a registry attached, and a run that
+ * samples them still yields every series.
+ */
+TEST(SocTelemetry, ServiceLogOnlyInRunsThatSampleEpochs)
+{
+    auto soc = SocCatalog::snapdragon835Sim();
+    telemetry::StatsRegistry reg;
+    soc->attachTelemetry(&reg);
+    KernelJob j;
+    j.workingSetBytes = 8e6;
+    j.totalBytes = 8e6;
+    const std::vector<SimSoc::JobSubmission> jobs = {{"CPU", j},
+                                                     {"GPU", j}};
+    auto logged = [&] {
+        size_t bookings = 0;
+        for (const char *name : {"CPU", "GPU"}) {
+            IpEngine *e = soc->engine(name);
+            bookings += e->computeResource().serviceLog().size() +
+                        e->link()->serviceLog().size();
+        }
+        return bookings;
+    };
+
+    SocRunStats bare = soc->run(jobs);
+    EXPECT_EQ(logged(), 0u);
+    EXPECT_EQ(reg.findGauge("telemetry.service_log_bytes")->value(), 0.0);
+    EXPECT_EQ(reg.findTimeSeries("DRAM.utilization"), nullptr);
+    EXPECT_GT(reg.findCounter("CPU.compute.requests")->value(), 0.0);
+
+    SocRunStats sampled = soc->run(jobs, 8);
+    EXPECT_GT(logged(), 0u);
+    EXPECT_GT(reg.findGauge("telemetry.service_log_bytes")->value(), 0.0);
+    for (const char *series :
+         {"DRAM.utilization", "DRAM.bw_bytes", "CPU.ops_rate",
+          "GPU.ops_rate", "CPU.compute.utilization"}) {
+        const telemetry::TimeSeries *ts = reg.findTimeSeries(series);
+        ASSERT_NE(ts, nullptr) << series;
+        EXPECT_EQ(ts->size(), 8u) << series;
+    }
+    EXPECT_EQ(bare.duration, sampled.duration);
+
+    soc->run(jobs);
+    EXPECT_EQ(logged(), 0u);
 }
 
 TEST(SocTelemetry, EpochsWithoutRegistryIsFatal)
