@@ -295,13 +295,13 @@ corpusMix(const std::string &dir)
             continue;
         std::vector<std::string> argv;
         for (const JsonValue &arg : command.at("argv").items())
-            argv.push_back(arg.asString());
+            argv.emplace_back(arg.asString());
         std::string stem = path;
         size_t slash = stem.find_last_of('/');
         if (slash != std::string::npos)
             stem = stem.substr(slash + 1);
         mix.push_back(deriveRequest(
-            stem, command.at("subcommand").asString(), argv,
+            stem, std::string(command.at("subcommand").asString()), argv,
             static_cast<int>(mix.size()) + 1));
     }
     if (mix.empty())

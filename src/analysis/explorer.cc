@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <map>
 
 #include "core/evaluator.h"
 #include "telemetry/span.h"
@@ -96,6 +98,40 @@ DesignExplorer::gridSize() const
     for (const Knob &knob : knobs_)
         total *= knob.values.size();
     return total;
+}
+
+void
+DesignExplorer::checkCostFinite() const
+{
+    // Bound every design's cost by the magnitudes: each priced term
+    // at its largest value on the grid (a swept term takes its last
+    // knob's values, as the designs do), times |coefficient|.
+    // Floating-point addition and multiplication are monotone, so a
+    // finite bound keeps every design's cost, and each partial sum
+    // of it, finite.
+    double bpeak = std::fabs(base_.bpeak());
+    std::vector<IpSpec> ips = base_.ips();
+    for (IpSpec &ip : ips) {
+        ip.acceleration = std::fabs(ip.acceleration);
+        ip.bandwidth = std::fabs(ip.bandwidth);
+    }
+    for (const Knob &knob : knobs_) {
+        double largest = 0.0;
+        for (double v : knob.values)
+            largest = std::max(largest, std::fabs(v));
+        const Param p = knob.param;
+        double &slot = p.kind == Param::Kind::Bpeak ? bpeak
+                       : p.kind == Param::Kind::Acceleration
+                           ? ips[p.ip].acceleration
+                           : ips[p.ip].bandwidth;
+        slot = largest;
+    }
+    const CostModel magnitude{std::fabs(cost_.costPerAcceleration),
+                              std::fabs(cost_.costPerBpeak),
+                              std::fabs(cost_.costPerIpBandwidth)};
+    if (!std::isfinite(magnitude.cost(bpeak, ips)))
+        fatal("cost model overflows on this grid: the costs of its "
+              "largest designs are not finite");
 }
 
 bool
@@ -233,6 +269,7 @@ DesignExplorer::explore(int jobs, parallel::ForStats *stats) const
     // so candidates land in pre-sized slots in enumeration order
     // regardless of how many workers evaluate them. One loop index is
     // one pack of consecutive flat indices.
+    checkCostFinite();
     std::vector<Candidate> candidates(
         gridSize(), Candidate{base_, 0.0, {}, 0.0, false});
     constexpr size_t W = kGridWidth;
@@ -298,6 +335,7 @@ std::vector<Candidate>
 DesignExplorer::exploreFrontier(const ExploreOptions &options,
                                 ExploreStats *stats) const
 {
+    checkCostFinite();
     const size_t total = gridSize();
     const size_t n_use = usecases_.size();
     const size_t n_knobs = knobs_.size();
@@ -352,9 +390,19 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
         }
     };
 
-    // Pareto set of all designs evaluated so far, kept in
-    // enumeration order.
-    std::vector<Point> incumbents;
+    // Pareto set of all designs evaluated so far, ordered by cost,
+    // equal costs in enumeration order (merged in enumeration order,
+    // each inserted after its equals). No incumbent dominates
+    // another, so minPerf never decreases along this order: the best
+    // performance at or under a cost is the last incumbent there.
+    std::multimap<double, Point> incumbents;
+    // The incumbent just before @p bound, which performs best among
+    // those before it; null when there is none.
+    auto bestBelow = [&](auto bound) -> const Point * {
+        if (bound == incumbents.begin())
+            return nullptr;
+        return &std::prev(bound)->second;
+    };
 
     // A subgrid is skipped when some incumbent strictly dominates
     // its best corner — and therefore strictly dominates every
@@ -363,12 +411,10 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     // Pmax at the all-max corner bounds the box from above, and the
     // linear cost at the sign-chosen corner bounds it from below.
     auto dominatedByIncumbent = [&](double p_max, double c_min) {
-        for (const Point &c : incumbents) {
-            if ((c.minPerf >= p_max && c.cost < c_min) ||
-                (c.minPerf > p_max && c.cost <= c_min))
-                return true;
-        }
-        return false;
+        const Point *cheaper = bestBelow(incumbents.lower_bound(c_min));
+        const Point *at_most = bestBelow(incumbents.upper_bound(c_min));
+        return (cheaper && cheaper->minPerf >= p_max) ||
+               (at_most && at_most->minPerf > p_max);
     };
 
     // The min-cost corner goes onto bare hardware values: cost needs
@@ -427,18 +473,27 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     };
 
     auto mergeIncumbent = [&](const Point &p) {
-        for (const Point &c : incumbents) {
-            if (dominatesPoint(c.minPerf, c.cost, p.minPerf, p.cost))
-                return;
-        }
-        incumbents.erase(
-            std::remove_if(incumbents.begin(), incumbents.end(),
-                           [&](const Point &c) {
-                               return dominatesPoint(p.minPerf, p.cost,
-                                                     c.minPerf, c.cost);
-                           }),
-            incumbents.end());
-        incumbents.push_back(p);
+        // Only the best incumbent at or under p's cost can dominate p.
+        const auto after = incumbents.upper_bound(p.cost);
+        const Point *best = bestBelow(after);
+        if (best && dominatesPoint(best->minPerf, best->cost, p.minPerf,
+                                   p.cost))
+            return;
+        // p dominates one run: from the first incumbent at or above
+        // its cost while minPerf <= p's. Equal-cost incumbents tie on
+        // minPerf, so p dominates all of them or none.
+        auto first = incumbents.lower_bound(p.cost);
+        if (first != after &&
+            !dominatesPoint(p.minPerf, p.cost, first->second.minPerf,
+                            first->second.cost))
+            first = after;
+        auto last = first;
+        while (last != incumbents.end() &&
+               dominatesPoint(p.minPerf, p.cost, last->second.minPerf,
+                              last->second.cost))
+            ++last;
+        incumbents.erase(first, last);
+        incumbents.emplace_hint(incumbents.upper_bound(p.cost), p.cost, p);
     };
 
     // One pool reused across every subgrid; busy time accumulates.
@@ -485,9 +540,12 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     // per-usecase detail (deterministic, so bit-identical to the
     // values that earned it frontier membership).
     GABLES_SPAN("explore.materialize");
+    // The incumbents are already in frontier(explore()) order: by
+    // cost, equal costs (which tie on minPerf too, else one would
+    // dominate the other) in enumeration order.
     std::vector<Candidate> out;
     out.reserve(incumbents.size());
-    for (const Point &p : incumbents) {
+    for (const auto &[cost, p] : incumbents) {
         Candidate c{base_, 0.0, {}, 0.0, false};
         Point again{};
         runLanes(single, p.flat, 1, &again);
@@ -495,13 +553,6 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
         c.pareto = true;
         out.push_back(std::move(c));
     }
-    // Equal-cost frontier members necessarily tie on minPerf too
-    // (else one would dominate the other), and they sit in
-    // enumeration order, so this matches frontier(explore()) exactly.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Candidate &a, const Candidate &b) {
-                         return a.cost < b.cost;
-                     });
 
     for (const Lanes<W> &ls : states) {
         for (const GablesPack<W> &pack : ls.packs)

@@ -162,6 +162,9 @@ class DesignExplorer
      * @return All candidates, Pareto members flagged, sorted by
      *         descending minPerf (stable: enumeration order breaks
      *         ties).
+     * @throws FatalError when the cost model can overflow on this
+     *         grid: with every priced term at its largest value, the
+     *         sum of |coefficient| x term is not finite.
      */
     std::vector<Candidate>
     explore(int jobs = 1, parallel::ForStats *stats = nullptr) const;
@@ -179,6 +182,8 @@ class DesignExplorer
      * @param options Worker count and pruning knobs.
      * @param stats   Optional out: evaluation/pruning work counters.
      * @return Pareto frontier, sorted by ascending cost.
+     * @throws FatalError when the cost model can overflow, as
+     *         explore() does.
      */
     std::vector<Candidate>
     exploreFrontier(const ExploreOptions &options = {},
@@ -224,6 +229,9 @@ class DesignExplorer
     /** @return True if two knobs drive the same input (later
      * application overrides earlier; bounds would be wrong). */
     bool hasDuplicateKnobTargets() const;
+    /** @throws FatalError when some design's cost can overflow (the
+     * Pareto order needs every cost finite). */
+    void checkCostFinite() const;
 
     SocSpec base_;
     std::vector<Usecase> usecases_;

@@ -136,7 +136,7 @@ parseBundle(const JsonValue &doc, const std::string &source)
     for (const JsonValue &arg : doc.at("command").at("argv").items()) {
         if (!arg.isString())
             badBundle(source, "command.argv entries must be strings");
-        bundle.argv.push_back(arg.asString());
+        bundle.argv.emplace_back(arg.asString());
     }
     if (bundle.argv.size() < 2)
         badBundle(source, "command.argv must name a subcommand");
@@ -144,11 +144,12 @@ parseBundle(const JsonValue &doc, const std::string &source)
     if (doc.has("config_files")) {
         if (!doc.at("config_files").isObject())
             badBundle(source, "config_files must be an object");
-        for (const auto &m : doc.at("config_files").members()) {
-            if (!m.second.isString())
+        for (const auto &[path, contents] :
+             doc.at("config_files").members()) {
+            if (!contents.isString())
                 badBundle(source, "config_files values must be the "
                                   "file contents as strings");
-            bundle.configFiles[m.first] = m.second.asString();
+            bundle.configFiles[std::string(path)] = contents.asString();
         }
     }
 
@@ -175,7 +176,7 @@ parseBundle(const JsonValue &doc, const std::string &source)
                 if (!ig.isString())
                     badBundle(source, "tolerance.ignore entries must "
                                       "be strings");
-                bundle.tolerance.ignore.push_back(ig.asString());
+                bundle.tolerance.ignore.emplace_back(ig.asString());
             }
         }
     }
@@ -184,7 +185,8 @@ parseBundle(const JsonValue &doc, const std::string &source)
         if (!doc.at("report").isObject())
             badBundle(source, "report must be an object");
         bundle.hasReport = true;
-        bundle.report = doc.at("report");
+        // The bundle outlives the caller's document: own it.
+        bundle.report = doc.at("report").owned();
     }
     return bundle;
 }

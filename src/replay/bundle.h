@@ -87,7 +87,8 @@ struct ReplayBundle {
     /** True when the recorded run wrote a RunReport. */
     bool hasReport = false;
 
-    /** The recorded RunReport document (Null when !hasReport). */
+    /** The recorded RunReport document (Null when !hasReport); it
+     * owns its parsed document, so it outlives the one it came from. */
     JsonValue report;
 
     /** @return argv[1], or "" for a (malformed) short argv. */

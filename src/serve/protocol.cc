@@ -1,6 +1,6 @@
 #include "serve/protocol.h"
 
-#include <sstream>
+#include <string_view>
 
 #include "util/json_reader.h"
 #include "util/json_writer.h"
@@ -31,33 +31,32 @@ errorCode(ErrorKind kind)
 }
 
 std::string
-renderId(const JsonValue *id)
+renderId(const JsonValue &id)
 {
-    if (id == nullptr)
-        return "null";
-    std::ostringstream out;
+    std::string out;
     JsonWriter json(out, false);
-    switch (id->type()) {
+    switch (id.type()) {
       case JsonValue::Type::String:
-        json.value(id->asString());
+        json.value(id.asString());
         break;
       case JsonValue::Type::Number:
-        json.value(id->asNumber());
+        json.value(id.asNumber());
         break;
       case JsonValue::Type::Bool:
-        json.value(id->asBool());
+        json.value(id.asBool());
         break;
       default:
         return "null";
     }
-    return out.str();
+    return out;
 }
 
 std::string
 errorResponse(const std::string &id_json, const ServeError &error)
 {
-    std::ostringstream out;
-    out << "{\"id\": " << id_json << ", \"ok\": false, \"error\": ";
+    std::string out = "{\"id\": ";
+    out += id_json;
+    out += ", \"ok\": false, \"error\": ";
     {
         JsonWriter json(out, false);
         json.beginObject();
@@ -66,17 +65,24 @@ errorResponse(const std::string &id_json, const ServeError &error)
         json.kv("message", error.message);
         json.endObject();
     }
-    out << "}";
-    return out.str();
+    out += '}';
+    return out;
 }
 
 std::string
 okResponse(const std::string &id_json, const std::string &result_json)
 {
-    std::ostringstream out;
-    out << "{\"id\": " << id_json << ", \"ok\": true, \"result\": "
-        << result_json << "}";
-    return out.str();
+    static constexpr std::string_view kHead = "{\"id\": ";
+    static constexpr std::string_view kOk = ", \"ok\": true, \"result\": ";
+    std::string out;
+    out.reserve(kHead.size() + id_json.size() + kOk.size() +
+                result_json.size() + 1);
+    out += kHead;
+    out += id_json;
+    out += kOk;
+    out += result_json;
+    out += '}';
+    return out;
 }
 
 } // namespace serve

@@ -64,9 +64,9 @@ struct ServeError {
 /**
  * Render a request "id" value for echoing. Only scalar ids make
  * sense on the wire; strings, numbers, bools and null round-trip,
- * anything else (and an absent id) echoes as null.
+ * anything else echoes as null (as an absent id does).
  */
-std::string renderId(const JsonValue *id);
+std::string renderId(const JsonValue &id);
 
 /**
  * Build a complete error response line (no trailing newline).

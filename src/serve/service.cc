@@ -4,7 +4,7 @@
 #include <initializer_list>
 #include <limits>
 #include <optional>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "analysis/advisor.h"
@@ -15,6 +15,7 @@
 #include "serve/protocol.h"
 #include "soc/config.h"
 #include "telemetry/report.h"
+#include "telemetry/span.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
@@ -51,13 +52,13 @@ class Deadline
     Deadline(const JsonValue &req, Clock::time_point start)
         : start_(start)
     {
-        if (!req.has("deadline_ms"))
+        std::optional<JsonValue> v = req.find("deadline_ms");
+        if (!v)
             return;
-        const JsonValue &v = req.at("deadline_ms");
-        if (!v.isNumber() || v.asNumber() < 0)
+        if (!v->isNumber() || v->asNumber() < 0)
             badRequest(
                 "\"deadline_ms\" must be a non-negative number");
-        ms_ = v.asNumber();
+        ms_ = v->asNumber();
     }
 
     bool expired() const
@@ -73,23 +74,36 @@ class Deadline
 
 /** @return Object member @p key, shape-checked as a number. */
 double
-numberField(const JsonValue &obj, const std::string &key)
+numberField(const JsonValue &obj, std::string_view key)
 {
-    if (!obj.has(key) || !obj.at(key).isNumber())
-        badRequest("missing or non-numeric \"" + key + "\"");
-    return obj.at(key).asNumber();
+    std::optional<JsonValue> v = obj.find(key);
+    if (!v || !v->isNumber())
+        badRequest("missing or non-numeric \"" + std::string(key) +
+                   "\"");
+    return v->asNumber();
 }
 
 /** @return Optional string member @p key, or @p fallback. */
 std::string
-stringField(const JsonValue &obj, const std::string &key,
-            const std::string &fallback)
+stringField(const JsonValue &obj, std::string_view key,
+            std::string_view fallback)
 {
-    if (!obj.has(key))
-        return fallback;
-    if (!obj.at(key).isString())
-        badRequest("\"" + key + "\" must be a string");
-    return obj.at(key).asString();
+    std::optional<JsonValue> v = obj.find(key);
+    if (!v)
+        return std::string(fallback);
+    if (!v->isString())
+        badRequest("\"" + std::string(key) + "\" must be a string");
+    return std::string(v->asString());
+}
+
+/** @return Member @p key when it is a non-empty array, else nothing. */
+std::optional<JsonValue>
+nonEmptyArray(const JsonValue &obj, std::string_view key)
+{
+    std::optional<JsonValue> v = obj.find(key);
+    if (v && v->isArray() && v->size() > 0)
+        return v;
+    return std::nullopt;
 }
 
 /** Parse an inline SoC in the shape core/serialize.h emits. */
@@ -100,11 +114,11 @@ socFromJson(const JsonValue &v)
         badRequest("\"soc\" must be an object");
     double ppeak = numberField(v, "ppeak_ops_per_sec");
     double bpeak = numberField(v, "bpeak_bytes_per_sec");
-    if (!v.has("ips") || !v.at("ips").isArray() ||
-        v.at("ips").size() == 0)
+    std::optional<JsonValue> ip_list = nonEmptyArray(v, "ips");
+    if (!ip_list)
         badRequest("\"soc\" needs a non-empty \"ips\" array");
     std::vector<IpSpec> ips;
-    for (const JsonValue &ip : v.at("ips").items()) {
+    for (const JsonValue &ip : ip_list->items()) {
         if (!ip.isObject())
             badRequest("each \"ips\" entry must be an object");
         IpSpec spec;
@@ -125,17 +139,18 @@ usecaseFromJson(const JsonValue &v)
 {
     if (!v.isObject())
         badRequest("\"usecase\" must be an object");
-    if (!v.has("work") || !v.at("work").isArray() ||
-        v.at("work").size() == 0)
+    std::optional<JsonValue> work_list = nonEmptyArray(v, "work");
+    if (!work_list)
         badRequest("\"usecase\" needs a non-empty \"work\" array");
     std::vector<IpWork> work;
-    for (const JsonValue &w : v.at("work").items()) {
+    for (const JsonValue &w : work_list->items()) {
         if (!w.isObject())
             badRequest("each \"work\" entry must be an object");
         IpWork item;
         item.fraction = numberField(w, "fraction");
-        if (w.has("intensity_ops_per_byte") &&
-            w.at("intensity_ops_per_byte").isNull()) {
+        std::optional<JsonValue> intensity =
+            w.find("intensity_ops_per_byte");
+        if (intensity && intensity->isNull()) {
             item.intensity = std::numeric_limits<double>::infinity();
         } else {
             item.intensity =
@@ -155,46 +170,47 @@ usecaseFromJson(const JsonValue &v)
 std::pair<SocSpec, Usecase>
 resolvePair(const JsonValue &req)
 {
-    if (req.has("config")) {
-        if (!req.at("config").isString())
+    std::optional<JsonValue> usecase = req.find("usecase");
+    if (std::optional<JsonValue> config = req.find("config")) {
+        if (!config->isString())
             badRequest("\"config\" must be a file-path string");
-        SocConfig cfg = loadSocConfig(req.at("config").asString());
+        SocConfig cfg = loadSocConfig(std::string(config->asString()));
         if (cfg.usecases.empty())
             throw RequestError{ServeError{
                 ErrorKind::Config,
                 "config file declares no usecases"}};
-        if (req.has("usecase")) {
-            if (!req.at("usecase").isString())
+        if (usecase) {
+            if (!usecase->isString())
                 badRequest("with \"config\", \"usecase\" must be a "
                            "usecase name");
             return {cfg.soc,
-                    cfg.usecase(req.at("usecase").asString())};
+                    cfg.usecase(std::string(usecase->asString()))};
         }
         return {cfg.soc, cfg.usecases.front()};
     }
-    if (!req.has("soc") || !req.has("usecase"))
+    std::optional<JsonValue> soc = req.find("soc");
+    if (!soc || !usecase)
         badRequest("request needs inline \"soc\" and \"usecase\" "
                    "objects or a \"config\" path");
-    return {socFromJson(req.at("soc")),
-            usecaseFromJson(req.at("usecase"))};
+    return {socFromJson(*soc), usecaseFromJson(*usecase)};
 }
 
 /** Resolve a sweep/advise "ip" field (index or name) to an index. */
 size_t
 resolveIp(const JsonValue &req, const SocSpec &soc)
 {
-    if (!req.has("ip"))
+    std::optional<JsonValue> v = req.find("ip");
+    if (!v)
         badRequest("missing \"ip\" (index or IP name)");
-    const JsonValue &v = req.at("ip");
-    if (v.isNumber()) {
-        double d = v.asNumber();
+    if (v->isNumber()) {
+        double d = v->asNumber();
         if (d < 0 || d >= static_cast<double>(soc.numIps()) ||
             d != static_cast<double>(static_cast<size_t>(d)))
             badRequest("\"ip\" index out of range");
         return static_cast<size_t>(d);
     }
-    if (v.isString())
-        return soc.ipIndex(v.asString());
+    if (v->isString())
+        return soc.ipIndex(std::string(v->asString()));
     badRequest("\"ip\" must be an index or an IP name");
 }
 
@@ -203,13 +219,14 @@ handleEval(const EvaluatorCache::Entry &entry, bool hit,
            const JsonValue &req)
 {
     bool detail = false;
-    if (req.has("detail")) {
-        if (!req.at("detail").isBool())
+    if (std::optional<JsonValue> v = req.find("detail")) {
+        if (!v->isBool())
             badRequest("\"detail\" must be a boolean");
-        detail = req.at("detail").asBool();
+        detail = v->asBool();
     }
     const GablesResult &result = entry.result;
-    std::ostringstream out;
+    std::string out;
+    out.reserve(256);
     JsonWriter json(out, false);
     json.beginObject();
     json.kv("attainable_ops_per_sec", result.attainable);
@@ -237,7 +254,7 @@ handleEval(const EvaluatorCache::Entry &entry, bool hit,
         json.endArray();
     }
     json.endObject();
-    return out.str();
+    return out;
 }
 
 /** Sweep one input over @p values, kGridWidth values per pass. */
@@ -307,12 +324,12 @@ parseSweep(const JsonValue &req, const SocSpec &soc)
     if (!kind)
         badRequest("\"axis\" must be \"intensity\", \"fraction\", "
                    "or \"bpeak\"");
-    if (!req.has("values") || !req.at("values").isArray() ||
-        req.at("values").size() == 0)
+    std::optional<JsonValue> values = nonEmptyArray(req, "values");
+    if (!values)
         badRequest("missing non-empty \"values\" array");
     SweepArgs args;
-    args.values.reserve(req.at("values").size());
-    for (const JsonValue &v : req.at("values").items()) {
+    args.values.reserve(values->size());
+    for (const JsonValue &v : values->items()) {
         if (!v.isNumber())
             badRequest("\"values\" entries must be numbers");
         args.values.push_back(v.asNumber());
@@ -332,14 +349,14 @@ handleSweep(const EvaluatorCache::Entry &entry, bool hit,
     sweepPacked(pack, args.param, args.values, deadline, attainable);
     *sweep_points = attainable.size();
 
-    std::ostringstream out;
+    std::string out;
     JsonWriter json(out, false);
     json.beginObject();
     json.numberArray("attainable_ops_per_sec", attainable);
     json.kv("points", attainable.size());
     json.kv("cache_hit", hit);
     json.endObject();
-    return out.str();
+    return out;
 }
 
 std::string
@@ -347,33 +364,32 @@ handleExplore(const JsonValue &req, uint64_t *model_evals)
 {
     auto [soc, usecase] = resolvePair(req);
     CostModel cost;
-    if (req.has("cost")) {
-        const JsonValue &c = req.at("cost");
-        if (!c.isObject())
+    if (std::optional<JsonValue> c = req.find("cost")) {
+        if (!c->isObject())
             badRequest("\"cost\" must be an object");
-        if (c.has("per_acceleration"))
+        if (c->has("per_acceleration"))
             cost.costPerAcceleration =
-                numberField(c, "per_acceleration");
-        if (c.has("per_bpeak"))
-            cost.costPerBpeak = numberField(c, "per_bpeak");
-        if (c.has("per_ip_bandwidth"))
+                numberField(*c, "per_acceleration");
+        if (c->has("per_bpeak"))
+            cost.costPerBpeak = numberField(*c, "per_bpeak");
+        if (c->has("per_ip_bandwidth"))
             cost.costPerIpBandwidth =
-                numberField(c, "per_ip_bandwidth");
+                numberField(*c, "per_ip_bandwidth");
     }
     DesignExplorer explorer(soc, {usecase}, cost);
-    if (!req.has("sweep") || !req.at("sweep").isArray() ||
-        req.at("sweep").size() == 0)
+    std::optional<JsonValue> sweeps = nonEmptyArray(req, "sweep");
+    if (!sweeps)
         badRequest("missing non-empty \"sweep\" array");
-    for (const JsonValue &s : req.at("sweep").items()) {
+    for (const JsonValue &s : sweeps->items()) {
         if (!s.isObject())
             badRequest("each \"sweep\" entry must be an object");
         std::string knob = stringField(s, "knob", "");
-        if (!s.has("values") || !s.at("values").isArray() ||
-            s.at("values").size() == 0)
+        std::optional<JsonValue> knob_values = nonEmptyArray(s, "values");
+        if (!knob_values)
             badRequest("sweep entries need a non-empty \"values\" "
                        "array");
         std::vector<double> values;
-        for (const JsonValue &v : s.at("values").items()) {
+        for (const JsonValue &v : knob_values->items()) {
             if (!v.isNumber())
                 badRequest("sweep \"values\" must be numbers");
             values.push_back(v.asNumber());
@@ -399,7 +415,7 @@ handleExplore(const JsonValue &req, uint64_t *model_evals)
         explorer.exploreFrontier(opts, &stats);
     *model_evals = stats.evals;
 
-    std::ostringstream out;
+    std::string out;
     JsonWriter json(out, false);
     json.beginObject();
     json.kv("grid_size", explorer.gridSize());
@@ -425,7 +441,7 @@ handleExplore(const JsonValue &req, uint64_t *model_evals)
     }
     json.endArray();
     json.endObject();
-    return out.str();
+    return out;
 }
 
 std::string
@@ -443,7 +459,7 @@ handleAdvise(const JsonValue &req)
     std::vector<Advice> advice =
         Advisor::advise(soc, usecase, options);
 
-    std::ostringstream out;
+    std::string out;
     JsonWriter json(out, false);
     json.beginObject();
     json.key("advice");
@@ -461,7 +477,7 @@ handleAdvise(const JsonValue &req)
     }
     json.endArray();
     json.endObject();
-    return out.str();
+    return out;
 }
 
 } // namespace
@@ -564,12 +580,12 @@ ServeService::ops()
          [](ServeService &, Staged &s) { return handleAdvise(s.req); }},
         {"stats", false,
          [](ServeService &service, Staged &) {
-             std::ostringstream out;
+             std::string out;
              JsonWriter json(out, false);
              service.writeStats([&](const telemetry::RunReport &report) {
                  report.write(json);
              });
-             return out.str();
+             return out;
          }},
         {"shutdown", false,
          [](ServeService &, Staged &s) -> std::string {
@@ -661,6 +677,7 @@ ServeService::parseStage(Staged &s, const std::string &line)
 {
     s.t0 = Clock::now();
     guard(s, [&] {
+        GABLES_SPAN("serve.parse");
         try {
             s.req = parseJson(line);
         } catch (const FatalError &err) {
@@ -669,8 +686,8 @@ ServeService::parseStage(Staged &s, const std::string &line)
         }
         if (!s.req.isObject())
             badRequest("request must be a JSON object");
-        if (s.req.has("id"))
-            s.id = renderId(&s.req.at("id"));
+        if (std::optional<JsonValue> id = s.req.find("id"))
+            s.id = renderId(*id);
         std::string op = stringField(s.req, "op", "");
         if (op.empty())
             badRequest("missing \"op\" string");
@@ -693,9 +710,13 @@ ServeService::parseStage(Staged &s, const std::string &line)
             throw RequestError{ServeError{
                 ErrorKind::Deadline,
                 "deadline expired before processing began"}};
-        if (s.op->resolvesPair)
-            s.pair = resolvePair(s.req);
-        if (op == "sweep")
+    });
+    if (s.failed || !s.op->resolvesPair)
+        return;
+    guard(s, [&] {
+        GABLES_SPAN("serve.resolve");
+        s.pair = resolvePair(s.req);
+        if (s.outcome.op == "sweep")
             s.sweep = parseSweep(s.req, s.pair->first);
     });
 }
@@ -703,10 +724,11 @@ ServeService::parseStage(Staged &s, const std::string &line)
 void
 ServeService::acquireStage(Staged &s)
 {
+    if (!s.pair)
+        return;
     guard(s, [&] {
-        if (s.pair)
-            s.entry = cache_.acquire(s.pair->first, s.pair->second,
-                                     &s.hit);
+        GABLES_SPAN("serve.cache");
+        s.entry = cache_.acquire(s.pair->first, s.pair->second, &s.hit);
     });
 }
 
@@ -714,6 +736,7 @@ void
 ServeService::runStage(Staged &s)
 {
     guard(s, [&] {
+        GABLES_SPAN("serve.run");
         std::string result = s.op->run(*this, s);
         if (s.deadline->expired())
             throw RequestError{ServeError{
@@ -777,9 +800,8 @@ std::string
 ServeService::handleLine(const std::string &line)
 {
     Outcome outcome = process(line);
-    std::string response = outcome.response;
     commit(line, outcome);
-    return response;
+    return std::move(outcome.response);
 }
 
 std::vector<std::string>
@@ -815,10 +837,13 @@ ServeService::handleBatch(const std::vector<std::string> &lines)
 std::string
 ServeService::statsReportJson()
 {
-    std::ostringstream out;
-    writeStats(
-        [&](const telemetry::RunReport &report) { report.write(out); });
-    return out.str();
+    std::string out;
+    writeStats([&](const telemetry::RunReport &report) {
+        JsonWriter json(out, true);
+        report.write(json);
+    });
+    out += '\n';
+    return out;
 }
 
 } // namespace serve

@@ -1,6 +1,9 @@
 #include "telemetry/report_diff.h"
 
+#include <charconv>
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "util/decimal.h"
 #include "util/json_reader.h"
@@ -23,8 +26,12 @@ render(const JsonValue &v)
         char buf[kGeneralChars];
         return std::string(buf, writeGeneral17(buf, v.asNumber()));
     }
-    case JsonValue::Type::String:
-        return "\"" + v.asString() + "\"";
+    case JsonValue::Type::String: {
+        std::string out = "\"";
+        out += v.asString();
+        out += '"';
+        return out;
+    }
     case JsonValue::Type::Array:
         return "[array of " + std::to_string(v.size()) + "]";
     case JsonValue::Type::Object:
@@ -53,13 +60,19 @@ typeName(JsonValue::Type t)
     return "?";
 }
 
+/**
+ * Walks two documents in step. The dotted path of the current field
+ * is one buffer, extended on the way down and cut back on the way up,
+ * so a field costs no allocation unless it is reported.
+ */
 struct Walker {
     const ReportDiffOptions &opts;
     ReportDiffResult &result;
+    std::string path;
 
     void
-    report(const std::string &path, const std::string &reason,
-           const std::string &a, const std::string &b)
+    report(const std::string &reason, const std::string &a,
+           const std::string &b)
     {
         if (result.diffs.size() >= opts.maxDiffs) {
             result.truncated = true;
@@ -68,17 +81,37 @@ struct Walker {
         result.diffs.push_back(FieldDiff{path, reason, a, b});
     }
 
-    /** True when @p key (a whole member key) or the path formed by
-     * appending it is on the ignore list. */
+    /** Extend the path by member @p key. */
+    void
+    enterMember(std::string_view key)
+    {
+        if (!path.empty())
+            path += '.';
+        path += key;
+    }
+
+    /** Extend the path by array element @p i. */
+    void
+    enterItem(size_t i)
+    {
+        char digits[24];
+        std::to_chars_result res =
+            std::to_chars(digits, digits + sizeof digits, i);
+        path += '[';
+        path.append(digits, res.ptr);
+        path += ']';
+    }
+
+    /** True when @p key (a whole member key) or the current path
+     * (which ends in it) is on the ignore list. */
     bool
-    ignored(const std::string &path, const std::string &key) const
+    ignored(std::string_view key) const
     {
         for (const std::string &ig : opts.ignore) {
-            if (ig == key)
-                return true;
-            std::string full =
-                path.empty() ? key : path + "." + key;
-            if (ig == full || startsWith(full, ig + "."))
+            if (ig == key || ig == path ||
+                (path.size() > ig.size() &&
+                 path.compare(0, ig.size(), ig) == 0 &&
+                 path[ig.size()] == '.'))
                 return true;
         }
         return false;
@@ -102,74 +135,76 @@ struct Walker {
     /** @param exact True inside the "schema" subtree, where the
      * tolerances never apply. */
     void
-    walk(const std::string &path, const JsonValue &a,
-         const JsonValue &b, bool exact)
+    walk(const JsonValue &a, const JsonValue &b, bool exact)
     {
         if (a.type() != b.type()) {
             ++result.fieldsCompared;
-            report(path,
-                   std::string("type (") + typeName(a.type()) +
-                       " vs " + typeName(b.type()) + ")",
+            report(std::string("type (") + typeName(a.type()) + " vs " +
+                       typeName(b.type()) + ")",
                    render(a), render(b));
             return;
         }
+        const size_t mark = path.size();
         switch (a.type()) {
         case JsonValue::Type::Object: {
-            for (const auto &m : a.members()) {
-                if (ignored(path, m.first))
-                    continue;
-                std::string child =
-                    path.empty() ? m.first : path + "." + m.first;
-                bool child_exact =
-                    exact || (path.empty() && m.first == "schema");
-                if (!b.has(m.first)) {
-                    ++result.fieldsCompared;
-                    report(child, "missing in B", render(m.second),
-                           "-");
-                    continue;
+            const bool root = path.empty();
+            for (const auto &[key, value] : a.members()) {
+                enterMember(key);
+                if (!ignored(key)) {
+                    std::optional<JsonValue> other = b.find(key);
+                    if (other) {
+                        walk(value, *other,
+                             exact || (root && key == "schema"));
+                    } else {
+                        ++result.fieldsCompared;
+                        report("missing in B", render(value), "-");
+                    }
                 }
-                walk(child, m.second, b.at(m.first), child_exact);
+                path.resize(mark);
             }
-            for (const auto &m : b.members()) {
-                if (ignored(path, m.first))
-                    continue;
-                if (!a.has(m.first)) {
-                    std::string child =
-                        path.empty() ? m.first : path + "." + m.first;
+            for (const auto &[key, value] : b.members()) {
+                enterMember(key);
+                if (!ignored(key) && !a.has(key)) {
                     ++result.fieldsCompared;
-                    report(child, "missing in A", "-",
-                           render(m.second));
+                    report("missing in A", "-", render(value));
                 }
+                path.resize(mark);
             }
             break;
         }
         case JsonValue::Type::Array: {
             if (a.size() != b.size()) {
                 ++result.fieldsCompared;
-                report(path, "array length",
-                       std::to_string(a.size()),
+                report("array length", std::to_string(a.size()),
                        std::to_string(b.size()));
                 return;
             }
-            for (size_t i = 0; i < a.size(); ++i)
-                walk(path + "[" + std::to_string(i) + "]", a.at(i),
-                     b.at(i), exact);
+            // Walk both arrays in step: element i of a flat document
+            // is a walk from the first, so at(i) would be quadratic.
+            size_t i = 0;
+            auto bi = b.items().begin();
+            for (const JsonValue &item : a.items()) {
+                enterItem(i++);
+                walk(item, *bi, exact);
+                ++bi;
+                path.resize(mark);
+            }
             break;
         }
         case JsonValue::Type::Number:
             ++result.fieldsCompared;
             if (!numbersMatch(a.asNumber(), b.asNumber(), exact))
-                report(path, "value", render(a), render(b));
+                report("value", render(a), render(b));
             break;
         case JsonValue::Type::String:
             ++result.fieldsCompared;
             if (a.asString() != b.asString())
-                report(path, "value", render(a), render(b));
+                report("value", render(a), render(b));
             break;
         case JsonValue::Type::Bool:
             ++result.fieldsCompared;
             if (a.asBool() != b.asBool())
-                report(path, "value", render(a), render(b));
+                report("value", render(a), render(b));
             break;
         case JsonValue::Type::Null:
             ++result.fieldsCompared;
@@ -185,8 +220,8 @@ diffReports(const JsonValue &a, const JsonValue &b,
             const ReportDiffOptions &opts)
 {
     ReportDiffResult result;
-    Walker walker{opts, result};
-    walker.walk("", a, b, false);
+    Walker walker{opts, result, {}};
+    walker.walk(a, b, false);
     return result;
 }
 

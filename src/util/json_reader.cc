@@ -1,111 +1,169 @@
 #include "util/json_reader.h"
 
-#include <cctype>
+#include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/parse.h"
 
 namespace gables {
 
+namespace {
+
+/** The document a default-constructed JsonValue (null) points at. */
+const JsonDocument &
+nullDocument()
+{
+    static const JsonDocument doc = [] {
+        JsonDocument d;
+        d.nodes.emplace_back();
+        return d;
+    }();
+    return doc;
+}
+
+} // namespace
+
+JsonValue::JsonValue() : doc_(&nullDocument()) {}
+
+void
+JsonValue::typeMismatch(const char *want)
+{
+    fatal(std::string("JSON value is not ") + want);
+}
+
+std::string_view
+JsonValue::text(uint32_t index) const
+{
+    const JsonNode &n = doc_->nodes[index];
+    return std::string_view(doc_->arena.data() + n.text.offset,
+                            n.text.length);
+}
+
 bool
 JsonValue::asBool() const
 {
-    if (type_ != Type::Bool)
-        fatal("JSON value is not a bool");
-    return bool_;
+    const JsonNode &n = node();
+    if (n.type != Type::Bool)
+        typeMismatch("a bool");
+    return n.boolean;
 }
 
-double
-JsonValue::asNumber() const
-{
-    if (type_ != Type::Number)
-        fatal("JSON value is not a number");
-    return number_;
-}
-
-const std::string &
+std::string_view
 JsonValue::asString() const
 {
-    if (type_ != Type::String)
-        fatal("JSON value is not a string");
-    return string_;
+    if (type() != Type::String)
+        typeMismatch("a string");
+    return text(index_);
 }
 
 size_t
 JsonValue::size() const
 {
-    if (type_ == Type::Array)
-        return items_.size();
-    if (type_ == Type::Object)
-        return members_.size();
-    fatal("JSON value is not a container");
+    const JsonNode &n = node();
+    if (n.type != Type::Array && n.type != Type::Object)
+        typeMismatch("a container");
+    return n.count;
 }
 
-const JsonValue &
+JsonValue
 JsonValue::at(size_t i) const
 {
-    if (type_ != Type::Array)
-        fatal("JSON value is not an array");
-    if (i >= items_.size())
+    const JsonNode &n = node();
+    if (n.type != Type::Array)
+        typeMismatch("an array");
+    if (i >= n.count)
         fatal("JSON array index out of range");
-    return items_[i];
+    // An array of scalars is contiguous: element i is node i + 1.
+    if (n.extent == n.count + 1)
+        return JsonValue(doc_, index_ + 1 + static_cast<uint32_t>(i));
+    uint32_t at = index_ + 1;
+    for (; i > 0; --i)
+        at += doc_->nodes[at].extent;
+    return JsonValue(doc_, at);
 }
 
-bool
-JsonValue::has(const std::string &key) const
+std::optional<JsonValue>
+JsonValue::find(std::string_view key) const
 {
-    if (type_ != Type::Object)
-        return false;
-    for (const auto &[k, v] : members_) {
-        if (k == key)
-            return true;
+    const JsonNode &n = node();
+    if (n.type != Type::Object)
+        return std::nullopt;
+    const uint32_t end = index_ + n.extent;
+    for (uint32_t k = index_ + 1; k < end;
+         k += 1 + doc_->nodes[k + 1].extent) {
+        if (text(k) == key)
+            return JsonValue(doc_, k + 1);
     }
-    return false;
+    return std::nullopt;
 }
 
-const JsonValue &
-JsonValue::at(const std::string &key) const
+JsonValue
+JsonValue::at(std::string_view key) const
 {
-    if (type_ != Type::Object)
-        fatal("JSON value is not an object");
-    for (const auto &[k, v] : members_) {
-        if (k == key)
-            return v;
-    }
-    fatal("JSON object has no member '" + key + "'");
+    if (type() != Type::Object)
+        typeMismatch("an object");
+    std::optional<JsonValue> v = find(key);
+    if (!v)
+        fatal("JSON object has no member '" + std::string(key) + "'");
+    return *v;
 }
 
-const std::vector<JsonValue> &
+JsonValue::Items
 JsonValue::items() const
 {
-    if (type_ != Type::Array)
-        fatal("JSON value is not an array");
-    return items_;
+    const JsonNode &n = node();
+    if (n.type != Type::Array)
+        typeMismatch("an array");
+    return Items(doc_, index_ + 1, index_ + n.extent);
 }
 
-const std::vector<std::pair<std::string, JsonValue>> &
+JsonValue::Members
 JsonValue::members() const
 {
-    if (type_ != Type::Object)
-        fatal("JSON value is not an object");
-    return members_;
+    const JsonNode &n = node();
+    if (n.type != Type::Object)
+        typeMismatch("an object");
+    return Members(doc_, index_ + 1, index_ + n.extent);
 }
 
-/** Recursive-descent parser over an in-memory document; nesting is
- * capped at kJsonMaxDepth so recursion depth is bounded. */
+JsonValue
+JsonValue::owned() const
+{
+    JsonValue v = *this;
+    if (!v.owner_)
+        v.owner_ = doc_->weak_from_this().lock();
+    return v;
+}
+
+namespace {
+
+/** Recursive-descent parser that appends to one flat document;
+ * nesting is capped at kJsonMaxDepth so recursion depth is bounded. */
 class JsonParser
 {
   public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
+    JsonParser(std::string_view text, JsonDocument &doc)
+        : text_(text), doc_(doc)
+    {}
 
-    JsonValue
+    void
     parse()
     {
-        JsonValue root = parseValue();
+        // Offsets, lengths and node indices are 32-bit, and no
+        // document yields more nodes or arena bytes than it has
+        // bytes of text.
+        if (text_.size() > std::numeric_limits<uint32_t>::max())
+            fail("document larger than 4 GiB");
+        // Within a small multiple of the text: a node per 8 bytes
+        // covers number-heavy documents, and the arena never
+        // outgrows the text.
+        doc_.nodes.reserve(text_.size() / 8 + 2);
+        doc_.arena.reserve(text_.size());
+        parseValue();
         skipWs();
         if (pos_ != text_.size())
             fail("trailing characters after JSON document");
-        return root;
     }
 
   private:
@@ -142,18 +200,32 @@ class JsonParser
     }
 
     bool
-    consumeLiteral(const char *lit)
+    consumeLiteral(std::string_view lit)
     {
-        size_t n = 0;
-        while (lit[n] != '\0')
-            ++n;
-        if (text_.compare(pos_, n, lit) != 0)
+        if (text_.compare(pos_, lit.size(), lit) != 0)
             return false;
-        pos_ += n;
+        pos_ += lit.size();
         return true;
     }
 
-    JsonValue
+    /** Append a node of type @p type; @return its index. */
+    uint32_t
+    push(JsonType type)
+    {
+        doc_.nodes.emplace_back().type = type;
+        return static_cast<uint32_t>(doc_.nodes.size() - 1);
+    }
+
+    /** Record container @p self's member count and extent. */
+    void
+    close(uint32_t self, uint32_t count)
+    {
+        JsonNode &n = doc_.nodes[self];
+        n.count = count;
+        n.extent = static_cast<uint32_t>(doc_.nodes.size()) - self;
+    }
+
+    void
     parseValue()
     {
         skipWs();
@@ -163,127 +235,138 @@ class JsonParser
                 fail("nesting deeper than " +
                      std::to_string(kJsonMaxDepth) + " levels");
             ++depth_;
-            JsonValue v = c == '{' ? parseObject() : parseArray();
+            if (c == '{')
+                parseObject();
+            else
+                parseArray();
             --depth_;
-            return v;
+            return;
         }
         if (c == '"') {
-            JsonValue v;
-            v.type_ = JsonValue::Type::String;
-            v.string_ = parseString();
-            return v;
+            parseString(push(JsonType::String));
+            return;
         }
         if (c == 't' || c == 'f') {
-            JsonValue v;
-            v.type_ = JsonValue::Type::Bool;
+            bool value = false;
             if (consumeLiteral("true"))
-                v.bool_ = true;
-            else if (consumeLiteral("false"))
-                v.bool_ = false;
-            else
+                value = true;
+            else if (!consumeLiteral("false"))
                 fail("bad literal");
-            return v;
+            doc_.nodes[push(JsonType::Bool)].boolean = value;
+            return;
         }
         if (c == 'n') {
             if (!consumeLiteral("null"))
                 fail("bad literal");
-            return JsonValue{};
+            push(JsonType::Null);
+            return;
         }
-        return parseNumber();
+        parseNumber();
     }
 
-    JsonValue
+    void
     parseObject()
     {
         expect('{');
-        JsonValue v;
-        v.type_ = JsonValue::Type::Object;
+        const uint32_t self = push(JsonType::Object);
+        uint32_t count = 0;
         skipWs();
         if (peek() == '}') {
             ++pos_;
-            return v;
+            close(self, count);
+            return;
         }
         while (true) {
             skipWs();
-            std::string key = parseString();
+            parseString(push(JsonType::String));
             skipWs();
             expect(':');
-            v.members_.emplace_back(std::move(key), parseValue());
+            parseValue();
+            ++count;
             skipWs();
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect('}');
-            return v;
+            close(self, count);
+            return;
         }
     }
 
-    JsonValue
+    void
     parseArray()
     {
         expect('[');
-        JsonValue v;
-        v.type_ = JsonValue::Type::Array;
+        const uint32_t self = push(JsonType::Array);
+        uint32_t count = 0;
         skipWs();
         if (peek() == ']') {
             ++pos_;
-            return v;
+            close(self, count);
+            return;
         }
         while (true) {
-            v.items_.push_back(parseValue());
+            parseValue();
+            ++count;
             skipWs();
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect(']');
-            return v;
+            close(self, count);
+            return;
         }
     }
 
-    JsonValue
+    static bool
+    isNumberChar(char c)
+    {
+        return (c >= '0' && c <= '9') || c == '.' || c == 'e' ||
+               c == 'E' || c == '+' || c == '-';
+    }
+
+    /** Scan the token in place with the strict parsers' scanner: the
+     * whole token must be one finite decimal. */
+    void
     parseNumber()
     {
-        size_t start = pos_;
+        const size_t start = pos_;
         if (peek() == '-')
             ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
+        while (pos_ < text_.size() && isNumberChar(text_[pos_]))
             ++pos_;
         if (pos_ == start)
             fail("expected a value");
-        const std::string token = text_.substr(start, pos_ - start);
-        double d = 0.0;
-        try {
-            d = parseDoubleStrict(token, "JSON number");
-        } catch (const FatalError &) {
-            fail("malformed number '" + token + "'");
-        }
-        JsonValue v;
-        v.type_ = JsonValue::Type::Number;
-        v.number_ = d;
-        return v;
+        const char *begin = text_.data() + start;
+        const char *end = text_.data() + pos_;
+        double value = 0.0;
+        bool out_of_range = false;
+        if (scanDouble(begin, end, &value, &out_of_range) != end ||
+            out_of_range || !std::isfinite(value))
+            fail("malformed number '" + std::string(begin, end) + "'");
+        doc_.nodes[push(JsonType::Number)].number = value;
     }
 
-    std::string
-    parseString()
+    /** Decode a string into the arena as node @p self's text. */
+    void
+    parseString(uint32_t self)
     {
         expect('"');
-        std::string out;
+        std::string &out = doc_.arena;
+        const size_t offset = out.size();
         while (true) {
+            // Copy a run of plain bytes in one append.
+            const size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' &&
+                   text_[pos_] != '\\')
+                ++pos_;
+            out.append(text_.data() + run, pos_ - run);
             if (pos_ >= text_.size())
                 fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
+            if (text_[pos_++] == '"')
+                break;
             if (pos_ >= text_.size())
                 fail("unterminated escape");
             char e = text_[pos_++];
@@ -300,6 +383,9 @@ class JsonParser
               default: fail("bad escape character");
             }
         }
+        JsonNode &n = doc_.nodes[self];
+        n.text.offset = static_cast<uint32_t>(offset);
+        n.text.length = static_cast<uint32_t>(out.size() - offset);
     }
 
     void
@@ -335,15 +421,22 @@ class JsonParser
         }
     }
 
-    const std::string &text_;
+    std::string_view text_;
+    JsonDocument &doc_;
     size_t pos_ = 0;
     size_t depth_ = 0;
 };
 
+} // namespace
+
 JsonValue
-parseJson(const std::string &text)
+parseJson(std::string_view text)
 {
-    return JsonParser(text).parse();
+    auto doc = std::make_shared<JsonDocument>();
+    JsonParser(text, *doc).parse();
+    JsonValue root(doc.get(), 0);
+    root.owner_ = std::move(doc);
+    return root;
 }
 
 } // namespace gables

@@ -24,7 +24,11 @@ appendInt(std::string &buf, Int v)
 } // namespace
 
 JsonWriter::JsonWriter(std::ostream &out, bool pretty)
-    : out_(out), pretty_(pretty)
+    : out_(&out), pretty_(pretty), buf_(chunk_)
+{}
+
+JsonWriter::JsonWriter(std::string &out, bool pretty)
+    : out_(nullptr), pretty_(pretty), buf_(out)
 {}
 
 JsonWriter::~JsonWriter()
@@ -40,9 +44,9 @@ JsonWriter::~JsonWriter()
 void
 JsonWriter::flush()
 {
-    if (buf_.empty())
+    if (out_ == nullptr || buf_.empty())
         return;
-    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     buf_.clear();
 }
 
@@ -163,7 +167,7 @@ JsonWriter::endContainer(char close)
 }
 
 void
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     GABLES_ASSERT(!stack_.empty() && stack_.back() == Ctx::Object,
                   "key() outside an object");
@@ -180,7 +184,7 @@ JsonWriter::key(const std::string &name)
 }
 
 void
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     beforeValue();
     appendString(v);
@@ -254,7 +258,7 @@ JsonWriter::valueNull()
 }
 
 void
-JsonWriter::numberArray(const std::string &name,
+JsonWriter::numberArray(std::string_view name,
                         const std::vector<double> &values)
 {
     key(name);

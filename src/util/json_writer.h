@@ -26,11 +26,12 @@ namespace gables {
  * misuse (writing a bare value inside an object without a key, or
  * unbalanced begin/end).
  *
- * Output is assembled in an internal buffer and handed to the stream
- * in chunks of about kChunkBytes, and always in full when the root
- * value closes and in the destructor. So once done() is true the
- * whole document is in the stream, and bytes the caller writes to
- * the stream after that follow it.
+ * A stream sink is fed from an internal buffer, in chunks of about
+ * kChunkBytes and always in full when the root value closes and in
+ * the destructor. So once done() is true the whole document is in
+ * the stream, and bytes the caller writes to the stream after that
+ * follow it. A string sink is appended to directly, with no stream
+ * and no buffer between.
  */
 class JsonWriter
 {
@@ -40,6 +41,8 @@ class JsonWriter
 
     /** Write JSON to @p out; the stream must outlive the writer. */
     explicit JsonWriter(std::ostream &out, bool pretty = true);
+    /** Append JSON to @p out; the string must outlive the writer. */
+    explicit JsonWriter(std::string &out, bool pretty = true);
     /** Hands any buffered bytes to the stream. */
     ~JsonWriter();
 
@@ -56,11 +59,11 @@ class JsonWriter
     void endArray();
 
     /** Emit a key inside an object; must be followed by a value. */
-    void key(const std::string &name);
+    void key(std::string_view name);
 
     /** @name Value emitters (object values after key(), or array items). */
     /** @{ */
-    void value(const std::string &v);
+    void value(std::string_view v);
     void value(const char *v);
     void value(double v);
     void value(int v);
@@ -73,14 +76,14 @@ class JsonWriter
     /** Convenience: key() then value(). */
     template <typename T>
     void
-    kv(const std::string &name, const T &v)
+    kv(std::string_view name, const T &v)
     {
         key(name);
         value(v);
     }
 
     /** Emit a whole numeric array under @p name. */
-    void numberArray(const std::string &name,
+    void numberArray(std::string_view name,
                      const std::vector<double> &values);
 
     /** @return True once the root value has been closed. */
@@ -99,9 +102,13 @@ class JsonWriter
     void appendString(std::string_view s);
     void flush();
 
-    std::ostream &out_;
+    /** The stream sink, or null for a string sink. */
+    std::ostream *out_;
     bool pretty_;
-    std::string buf_;
+    /** A stream sink's chunk buffer. */
+    std::string chunk_;
+    /** Where values are appended: chunk_, or a string sink. */
+    std::string &buf_;
     std::vector<Ctx> stack_;
     std::vector<bool> hasItems_;
     bool pendingKey = false;

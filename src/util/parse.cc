@@ -44,17 +44,18 @@ badToken(const std::string &what, const std::string &text,
     fatal("cannot parse " + what + " '" + text + "': " + why);
 }
 
-/**
- * Locale-independent decimal-double scan via std::from_chars, with
- * the two strtod conveniences the callers relied on: an optional
- * leading '+' and (for the strict parser) surrounding whitespace.
- * Unlike strtod this never honors LC_NUMERIC — "1.5" parses as 1.5
- * even under de_DE, and "1,5" is a comma, not a decimal point.
- *
- * @return One past the last consumed character, or @p begin when no
- *         number could be parsed. Overflow/underflow reports through
- *         @p out_of_range with the value left at +-inf / 0.
- */
+/** @return True when the token spells a hex-float ("0x1p3"). */
+bool
+looksHex(const char *begin, const char *end)
+{
+    const char *p = begin;
+    if (p != end && (*p == '+' || *p == '-'))
+        ++p;
+    return end - p >= 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X');
+}
+
+} // namespace
+
 const char *
 scanDouble(const char *begin, const char *end, double *value,
            bool *out_of_range)
@@ -87,18 +88,6 @@ scanDouble(const char *begin, const char *end, double *value,
     *value = parsed;
     return res.ptr;
 }
-
-/** @return True when the token spells a hex-float ("0x1p3"). */
-bool
-looksHex(const char *begin, const char *end)
-{
-    const char *p = begin;
-    if (p != end && (*p == '+' || *p == '-'))
-        ++p;
-    return end - p >= 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X');
-}
-
-} // namespace
 
 double
 parseDoubleStrict(const std::string &text, const std::string &what)

@@ -74,6 +74,21 @@ class ConfigError : public FatalError
                               const std::string &msg);
 
 /**
+ * Locale-independent decimal-double scan via std::from_chars, with
+ * the two strtod conveniences the callers relied on: an optional
+ * leading '+' and (for the strict parser) surrounding whitespace.
+ * Unlike strtod this never honors LC_NUMERIC — "1.5" parses as 1.5
+ * even under de_DE, and "1,5" is a comma, not a decimal point. The
+ * strict parsers and the JSON reader scan every number with it.
+ *
+ * @return One past the last consumed character, or @p begin when no
+ *         number could be parsed. Overflow/underflow reports through
+ *         @p out_of_range with the value left at +-inf / 0.
+ */
+const char *scanDouble(const char *begin, const char *end, double *value,
+                       bool *out_of_range);
+
+/**
  * Parse a full-token floating-point number: the entire (trimmed) text
  * must be consumed and the value must be a finite decimal — hex
  * floats and "inf"/"nan" tokens are rejected.

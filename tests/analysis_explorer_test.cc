@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -433,6 +434,116 @@ TEST(ExploreFrontier, CandidatesMatchModelOracle)
         expectMatchesOracle(ex.exploreFrontier(opts), gridUsecases(),
                             simpleCost(), prune ? "pruned" : "unpruned");
     }
+}
+
+// ---------------------------------------------------------------
+// Ties: a memory-bound usecase priced on Bpeak alone scores every
+// design of one Bpeak identically, so the whole grid is the frontier.
+// The Pareto merge must stay near-linear in the frontier there.
+// ---------------------------------------------------------------
+
+/** Four knobs of @p n values each; only the first (Bpeak) moves the
+ * score or the cost, and the IP links never bind. */
+DesignExplorer
+tieExplorer(int n)
+{
+    SocSpec base = SocCatalog::paperTwoIp();
+    Usecase memory_bound = Usecase::twoIp("mem", 0.5, 1e-3, 1e-3);
+    CostModel cost;
+    cost.costPerAcceleration = 0.0;
+    cost.costPerBpeak = 1e-9;
+    cost.costPerIpBandwidth = 0.0;
+    DesignExplorer ex(base, {memory_bound}, cost);
+    std::vector<double> bpeaks, accels, links;
+    for (int i = 0; i < n; ++i) {
+        bpeaks.push_back((i + 1) * 1e9);
+        accels.push_back(1.0 + i);
+        links.push_back((n + 2 + i) * 1e9);
+    }
+    ex.sweep(Param::bpeak(), bpeaks);
+    ex.sweep(Param::acceleration(1), accels);
+    ex.sweep(Param::ipBandwidth(0), links);
+    ex.sweep(Param::ipBandwidth(1), links);
+    return ex;
+}
+
+TEST(ExploreFrontier, TieGridMatchesUnpruned)
+{
+    DesignExplorer ex = tieExplorer(8);
+    auto reference = DesignExplorer::frontier(ex.explore());
+    ASSERT_EQ(reference.size(), 8u * 8 * 8 * 8);
+    expectSameFrontier(ex.exploreFrontier(), reference, "8^4 ties");
+}
+
+// ctest runs this binary under a 5 s TIMEOUT; a merge that rescans
+// every incumbent per design takes over 10 s here.
+TEST(ExploreFrontier, LargeTieGridKeepsEveryDesignInOrder)
+{
+    const int n = 18;
+    DesignExplorer ex = tieExplorer(n);
+    auto frontier = ex.exploreFrontier();
+    ASSERT_EQ(frontier.size(), 104976u);
+    // Recover each member's flat enumeration index from its knob
+    // values (knob 0 varies fastest).
+    auto digit = [](double v, double first, double step) {
+        return static_cast<size_t>((v - first) / step + 0.5);
+    };
+    size_t prev_flat = 0;
+    for (size_t i = 0; i < frontier.size(); ++i) {
+        const SocSpec &soc = frontier[i].soc;
+        size_t flat = digit(soc.bpeak(), 1e9, 1e9) +
+                      n * (digit(soc.ip(1).acceleration, 1.0, 1.0) +
+                           n * (digit(soc.ip(0).bandwidth, (n + 2) * 1e9,
+                                      1e9) +
+                                n * digit(soc.ip(1).bandwidth,
+                                          (n + 2) * 1e9, 1e9)));
+        if (i > 0) {
+            // By cost, then by enumeration order among equal costs.
+            ASSERT_LE(frontier[i - 1].cost, frontier[i].cost) << i;
+            if (frontier[i - 1].cost == frontier[i].cost) {
+                ASSERT_LT(prev_flat, flat) << i;
+            }
+        }
+        prev_flat = flat;
+    }
+    EXPECT_EQ(frontier.front().soc.bpeak(), 1e9);
+    EXPECT_EQ(frontier.back().soc.bpeak(), n * 1e9);
+}
+
+TEST(ExploreFrontier, OverflowingCostModelIsRefused)
+{
+    SocSpec base = SocCatalog::paperTwoIp();
+    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
+    CostModel cost;
+    cost.costPerBpeak = 1e300;
+    cost.costPerIpBandwidth = -1e300;
+    DesignExplorer ex(base, {u}, cost);
+    ex.sweep(Param::bpeak(), {1e9, 2e9, 3e9});
+    ex.sweep(Param::ipBandwidth(1), {1e9, 2e9, 3e9});
+    for (int frontier_only = 0; frontier_only < 2; ++frontier_only) {
+        try {
+            if (frontier_only)
+                ex.exploreFrontier();
+            else
+                ex.explore();
+            ADD_FAILURE() << "overflowing cost accepted";
+        } catch (const FatalError &err) {
+            EXPECT_EQ(std::string(err.what()),
+                      "cost model overflows on this grid: the costs of "
+                      "its largest designs are not finite");
+        }
+    }
+
+    // Large but finite everywhere: accepted, every cost finite.
+    CostModel big;
+    big.costPerAcceleration = 0.0;
+    big.costPerBpeak = 1e290;
+    big.costPerIpBandwidth = -1e290;
+    DesignExplorer ok(base, {u}, big);
+    ok.sweep(Param::bpeak(), {1e9, 2e9, 3e9});
+    ok.sweep(Param::ipBandwidth(1), {1e9, 2e9, 3e9});
+    for (const Candidate &c : ok.exploreFrontier())
+        EXPECT_TRUE(std::isfinite(c.cost));
 }
 
 TEST(ExploreFrontier, StatsAccounting)

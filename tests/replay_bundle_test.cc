@@ -17,6 +17,7 @@
 
 #include "replay/bundle.h"
 #include "replay/replayer.h"
+#include "telemetry/report_diff.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
@@ -71,6 +72,25 @@ TEST(ReplayBundle, WriteParseRoundTrip)
         back.report.at("gauges").at("eval.attainable").asNumber(),
         1.328e9);
     EXPECT_EQ(back.subcommand(), "eval");
+}
+
+// The report handle keeps its parsed document alive: the bundle is
+// read from a document and a text that are both gone before it is
+// used (ASan reports any read of the freed document).
+TEST(ReplayBundle, ReportOutlivesTheParsedDocument)
+{
+    ReplayBundle b = sampleBundle();
+    ReplayBundle back;
+    {
+        std::string text = serialize(b);
+        JsonValue doc = parseJson(text);
+        back = parseBundle(doc, "bundle.json");
+    }
+    ASSERT_TRUE(back.hasReport);
+    telemetry::ReportDiffResult diff =
+        telemetry::diffReports(back.report, b.report);
+    EXPECT_TRUE(diff.identical()) << telemetry::formatDiff(diff);
+    EXPECT_GT(diff.fieldsCompared, 0u);
 }
 
 TEST(ReplayBundle, ReportlessBundleRoundTrips)
@@ -191,8 +211,12 @@ TEST(ReplayBundle, WriteJsonValuePreservesEveryValueType)
     EXPECT_EQ(back.at("arr").at(2).size(), 0u);
     EXPECT_EQ(back.at("obj").at("nested").at("empty").size(), 0u);
     // Member order is part of the document contract.
-    EXPECT_EQ(back.members().front().first, "null");
-    EXPECT_EQ(back.members().back().first, "obj");
+    std::vector<std::string_view> keys;
+    for (const auto &member : back.members())
+        keys.push_back(member.first);
+    ASSERT_FALSE(keys.empty());
+    EXPECT_EQ(keys.front(), "null");
+    EXPECT_EQ(keys.back(), "obj");
 }
 
 // A recorded `serve` would start a daemon that runs until signalled,

@@ -43,7 +43,7 @@ flagValue(const JsonValue &argv, const std::string &flag,
 {
     for (size_t i = 0; i + 1 < argv.size(); ++i)
         if (argv.at(i).asString() == flag)
-            return argv.at(i + 1).asString();
+            return std::string(argv.at(i + 1).asString());
     return fallback;
 }
 
@@ -62,8 +62,9 @@ seedRequests()
         std::ifstream in(path);
         std::stringstream text;
         text << in.rdbuf();
-        const JsonValue command = parseJson(text.str()).at("command");
-        std::string op = command.at("subcommand").asString();
+        const JsonValue bundle = parseJson(text.str());
+        const JsonValue command = bundle.at("command");
+        std::string op(command.at("subcommand").asString());
         if (op != "sweep" && op != "explore" && op != "advise")
             op = "eval";
         const JsonValue &argv = command.at("argv");

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "soc/catalog.h"
+#include "telemetry/span.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
@@ -91,7 +93,8 @@ statsDoc(serve::ServeService &service)
     JsonValue response = parseResponse(
         service.handleLine("{\"id\": 99, \"op\": \"stats\"}"));
     EXPECT_TRUE(response.at("ok").asBool());
-    return response.at("result");
+    // The result outlives this function's parse: own the document.
+    return response.at("result").owned();
 }
 
 TEST(ServeProtocol, PingAndEnvelope)
@@ -367,7 +370,7 @@ TEST(ServeProtocol, MalformedConfigCarriesLocatedDiagnostic)
     EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
     // The PR 3 diagnostics carry file:line and a suggestion; both
     // must survive into the wire error.
-    std::string message = doc.at("error").at("message").asString();
+    std::string message(doc.at("error").at("message").asString());
     EXPECT_NE(message.find(":3:"), std::string::npos) << message;
     EXPECT_NE(message.find("bpeak"), std::string::npos) << message;
     std::remove(path.c_str());
@@ -394,6 +397,69 @@ TEST(ServeProtocol, ExploreAndEvalGiveThePairRuleText)
         EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
         EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
         EXPECT_EQ(doc.at("error").at("message").asString(), want);
+    }
+}
+
+TEST(ServeProtocol, OverflowingExploreCostIsConfigError)
+{
+    // Mixed-sign coefficients whose products overflow would give NaN
+    // costs; the explorer refuses the cost model before the grid.
+    serve::ServeService service{serve::ServeOptions{}};
+    const SocSpec soc = SocCatalog::paperTwoIp();
+    JsonValue doc = parseResponse(service.handleLine(modelRequest(
+        1, "explore", soc, paperUsecase(0.75, 8.0, 0.1),
+        "\"cost\": {\"per_acceleration\": 0, \"per_bpeak\": 1e300, "
+        "\"per_ip_bandwidth\": -1e300}, \"sweep\": ["
+        "{\"knob\": \"bpeak\", \"values\": [1e9, 2e9, 3e9]}, "
+        "{\"knob\": \"ip_bandwidth\", \"ip\": 1, "
+        "\"values\": [1e9, 2e9, 3e9]}]")));
+    EXPECT_FALSE(doc.at("ok").asBool());
+    EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
+    EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
+    EXPECT_EQ(doc.at("error").at("message").asString(),
+              "cost model overflows on this grid: the costs of its "
+              "largest designs are not finite");
+}
+
+/** @return How often each span under the root of @p node ran. */
+void
+spanCounts(const telemetry::ProfileNode &node,
+           std::map<std::string, uint64_t> &counts)
+{
+    for (const telemetry::ProfileNode &child : node.children) {
+        counts[child.name] += child.count;
+        spanCounts(child, counts);
+    }
+}
+
+TEST(ServeProtocol, PhaseSpansCoverTheRequest)
+{
+    const SocSpec soc = SocCatalog::paperTwoIp();
+    const std::string eval = evalRequest(1, soc, paperUsecase(0.75, 8, 0.1));
+    {
+        serve::ServeService service{serve::ServeOptions{}};
+        telemetry::SpanTracer tracer;
+        telemetry::SpanTracer::setActive(&tracer);
+        service.handleLine(eval);
+        telemetry::SpanTracer::setActive(nullptr);
+        std::map<std::string, uint64_t> counts;
+        spanCounts(tracer.snapshot(), counts);
+        for (const char *span :
+             {"serve.parse", "serve.resolve", "serve.cache", "serve.run"})
+            EXPECT_EQ(counts[span], 1u) << span;
+    }
+    {
+        serve::ServeService service{serve::ServeOptions{}};
+        telemetry::SpanTracer tracer;
+        telemetry::SpanTracer::setActive(&tracer);
+        service.handleLine("{\"op\": \"eval\", ");
+        telemetry::SpanTracer::setActive(nullptr);
+        std::map<std::string, uint64_t> counts;
+        spanCounts(tracer.snapshot(), counts);
+        EXPECT_EQ(counts["serve.parse"], 1u);
+        EXPECT_EQ(counts.count("serve.resolve"), 0u);
+        EXPECT_EQ(counts.count("serve.cache"), 0u);
+        EXPECT_EQ(counts.count("serve.run"), 0u);
     }
 }
 
@@ -583,7 +649,8 @@ TEST(ServeProtocol, StatsListEveryStatByNameAndKindInOrder)
     const JsonValue report = statsDoc(service);
     std::vector<std::string> stats;
     for (const auto &[name, stat] : report.at("stats").members())
-        stats.push_back(name + " " + stat.at("kind").asString());
+        stats.push_back(std::string(name) + " " +
+                        std::string(stat.at("kind").asString()));
     const std::vector<std::string> expected = {
         "serve.requests counter",
         "serve.responses_ok counter",

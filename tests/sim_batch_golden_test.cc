@@ -210,21 +210,27 @@ expectJsonEqual(const JsonValue &a, const JsonValue &b,
         break;
       case JsonValue::Type::Array: {
         ASSERT_EQ(a.size(), b.size()) << path;
-        for (size_t i = 0; i < a.size(); ++i)
-            expectJsonEqual(a.at(i), b.at(i),
+        size_t i = 0;
+        auto bi = b.items().begin();
+        for (const JsonValue &item : a.items()) {
+            expectJsonEqual(item, *bi,
                             path + "[" + std::to_string(i) + "]");
+            ++i;
+            ++bi;
+        }
         break;
       }
       case JsonValue::Type::Object: {
         ASSERT_EQ(a.size(), b.size()) << path;
-        const auto &am = a.members();
-        const auto &bm = b.members();
-        for (size_t i = 0; i < am.size(); ++i) {
-            ASSERT_EQ(am[i].first, bm[i].first) << path;
-            if (isEventAccountingStat(am[i].first))
+        auto bm = b.members().begin();
+        for (const auto &[key, value] : a.members()) {
+            const auto [b_key, b_value] = *bm;
+            ++bm;
+            ASSERT_EQ(key, b_key) << path;
+            if (isEventAccountingStat(std::string(key)))
                 continue;
-            expectJsonEqual(am[i].second, bm[i].second,
-                            path + "." + am[i].first);
+            expectJsonEqual(value, b_value,
+                            path + "." + std::string(key));
         }
         break;
       }

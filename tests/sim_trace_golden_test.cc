@@ -97,9 +97,8 @@ TEST(TraceGolden, FullSimTraceIsValidTraceEventJson)
 
     std::map<std::string, size_t> phases;
     std::set<std::string> counter_tracks;
-    for (size_t i = 0; i < events.size(); ++i) {
-        const JsonValue &e = events.at(i);
-        const std::string ph = e.at("ph").asString();
+    for (const JsonValue &e : events.items()) {
+        const std::string ph(e.at("ph").asString());
         ++phases[ph];
         ASSERT_TRUE(e.has("name"));
         ASSERT_TRUE(e.has("pid"));
@@ -110,7 +109,7 @@ TEST(TraceGolden, FullSimTraceIsValidTraceEventJson)
         } else if (ph == "C") {
             EXPECT_GE(e.at("ts").asNumber(), 0.0);
             ASSERT_TRUE(e.at("args").has("value"));
-            counter_tracks.insert(e.at("name").asString());
+            counter_tracks.emplace(e.at("name").asString());
         } else {
             EXPECT_EQ(ph, "M");
         }

@@ -88,7 +88,7 @@ TEST(RunReportRoundTrip, SchemaHeaderAndSectionOrder)
     // Section order is part of the artifact contract.
     std::vector<std::string> keys;
     for (const auto &member : doc.members())
-        keys.push_back(member.first);
+        keys.emplace_back(member.first);
     const std::vector<std::string> expected = {
         "schema",  "generator", "subject",      "config",
         "duration_s", "engines", "resources", "model_vs_sim",
@@ -152,10 +152,12 @@ TEST(RunReportRoundTrip, ProfileSubtreeSurvivesWhenTracerAttached)
     JsonValue doc = parseJson(writeToString(report));
     ASSERT_TRUE(doc.has("profile"));
     // "profile" sits immediately before "stats".
-    const auto &members = doc.members();
+    std::vector<std::string_view> members;
+    for (const auto &member : doc.members())
+        members.push_back(member.first);
     ASSERT_GE(members.size(), 2u);
-    EXPECT_EQ(members[members.size() - 2].first, "profile");
-    EXPECT_EQ(members[members.size() - 1].first, "stats");
+    EXPECT_EQ(members[members.size() - 2], "profile");
+    EXPECT_EQ(members[members.size() - 1], "stats");
 
     const JsonValue &prof = doc.at("profile");
     EXPECT_GE(prof.at("wall_s").asNumber(), 0.0);
