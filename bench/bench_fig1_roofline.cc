@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
@@ -44,10 +43,8 @@ reproduce()
 
     RooflinePlot plot("Figure 1: Roofline model", 0.1, 128.0);
     plot.addRoofline(chip);
-    std::ofstream out("fig1_roofline.svg");
-    out << plot.renderSvg();
-    std::cout << "wrote fig1_roofline.svg\n"
-              << plot.renderAscii();
+    bench::writeFigure("fig1_roofline.svg", plot.renderSvg());
+    std::cout << plot.renderAscii();
 }
 
 void

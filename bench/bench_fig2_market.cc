@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "analysis/sweep.h"
@@ -47,10 +46,8 @@ reproduce()
     SeriesPlot pa("Figure 2a: SoC chipsets per year", "year",
                   "chipsets");
     pa.addSeries(toSeries(MarketData::chipsetsPerYear(), "chipsets"));
-    std::ofstream fa("fig2a_chipsets.svg");
-    fa << pa.renderSvg();
-    std::cout << "wrote fig2a_chipsets.svg\n"
-              << pa.renderAscii();
+    bench::writeFigure("fig2a_chipsets.svg", pa.renderSvg());
+    std::cout << pa.renderAscii();
 
     bench::banner("Figure 2b",
                   "IP blocks per SoC generation (after Shao et al.)");
@@ -65,9 +62,7 @@ reproduce()
                   "IP blocks");
     pb.addSeries(
         toSeries(MarketData::ipBlocksPerGeneration(), "IP blocks"));
-    std::ofstream fb("fig2b_ipblocks.svg");
-    fb << pb.renderSvg();
-    std::cout << "wrote fig2b_ipblocks.svg\n";
+    bench::writeFigure("fig2b_ipblocks.svg", pb.renderSvg());
 }
 
 void

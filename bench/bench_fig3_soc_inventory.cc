@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
@@ -44,9 +43,7 @@ reproduce()
                       128.0);
     for (size_t i = 0; i < soc.numIps(); ++i)
         plot.addRoofline(soc.ipRoofline(i));
-    std::ofstream svg("fig3_all_ips.svg");
-    svg << plot.renderSvg(900.0, 560.0);
-    std::cout << "wrote fig3_all_ips.svg\n";
+    bench::writeFigure("fig3_all_ips.svg", plot.renderSvg(900.0, 560.0));
 
     bench::banner("Figure 3 (fabrics)",
                   "interconnect hierarchy of the simulated chip");

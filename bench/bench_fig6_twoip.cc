@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
@@ -69,11 +68,8 @@ reproduce()
         RooflinePlot plot(std::string(s.name) + " scaled rooflines",
                           0.01, 100.0);
         plot.addGables(s.soc, s.usecase);
-        std::string path = std::string("fig6_") +
-                           std::string(s.name).substr(4, 2) + ".svg";
-        std::ofstream out(path);
-        out << plot.renderSvg();
-        std::cout << "wrote " << path << '\n';
+        std::string id = std::string(s.name).substr(4, 2);
+        bench::writeFigure("fig6_" + id + ".svg", plot.renderSvg());
     }
 }
 

@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
@@ -58,10 +57,8 @@ reproduceEngine(const char *engine, const char *figure,
                           " roofline (sim)",
                       0.015, 128.0);
     plot.addRoofline(fit.roofline(engine));
-    std::string path = std::string("fig7_") + engine + ".svg";
-    std::ofstream out(path);
-    out << plot.renderSvg();
-    std::cout << "wrote " << path << '\n';
+    bench::writeFigure(std::string("fig7_") + engine + ".svg",
+                       plot.renderSvg());
 }
 
 void

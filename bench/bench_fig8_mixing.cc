@@ -12,7 +12,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "analysis/sweep.h"
@@ -106,9 +105,7 @@ reproduce()
     plot.setScales(Scale::Linear, Scale::Log);
     for (const Series &s : sim_series)
         plot.addSeries(s);
-    std::ofstream out("fig8_mixing.svg");
-    out << plot.renderSvg();
-    std::cout << "wrote fig8_mixing.svg\n";
+    bench::writeFigure("fig8_mixing.svg", plot.renderSvg());
 
     // Analytic counterpart from the base model (no coordination).
     bench::banner("Figure 8 (model)",
@@ -143,10 +140,8 @@ reproduce()
                     "fraction f at GPU", "operational intensity");
     map.setGrid(x_ticks, y_ticks, grid);
     map.setLogScale(true);
-    std::ofstream hm("fig8_heatmap.svg");
-    hm << map.renderSvg();
-    std::cout << "wrote fig8_heatmap.svg\n"
-              << map.renderAscii();
+    bench::writeFigure("fig8_heatmap.svg", map.renderSvg());
+    std::cout << map.renderAscii();
 }
 
 void

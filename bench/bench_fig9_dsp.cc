@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
@@ -57,9 +56,7 @@ reproduce()
 
     RooflinePlot plot("Figure 9 DSP roofline (sim)", 0.015, 128.0);
     plot.addRoofline(fit.roofline("DSP"));
-    std::ofstream out("fig9_dsp.svg");
-    out << plot.renderSvg();
-    std::cout << "wrote fig9_dsp.svg\n";
+    bench::writeFigure("fig9_dsp.svg", plot.renderSvg());
 }
 
 void

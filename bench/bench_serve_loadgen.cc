@@ -41,7 +41,6 @@
 #include <vector>
 
 #include <cmath>
-#include <fstream>
 
 #include "core/gables.h"
 #include "core/serialize.h"
@@ -282,12 +281,7 @@ corpusMix(const std::string &dir)
     std::sort(files.begin(), files.end());
     std::vector<MixRequest> mix;
     for (const std::string &path : files) {
-        std::ifstream in(path);
-        if (!in)
-            fatal("cannot open corpus bundle '" + path + "'");
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        JsonValue doc = parseJson(buf.str());
+        JsonValue doc = parseJson(readWholeFile(path, "corpus bundle"));
         if (!doc.has("command"))
             continue;
         const JsonValue &command = doc.at("command");

@@ -10,7 +10,6 @@
 
 #include <iostream>
 
-#include <fstream>
 
 #include "bench_util.h"
 #include "plot/heatmap.h"
@@ -102,10 +101,8 @@ analyzeUsecases()
     HeatmapPlot map("IP occupancy across usecases", "IP",
                     "usecase");
     map.setGrid(x_ticks, y_ticks, grid);
-    std::ofstream hm("table1_occupancy.svg");
-    hm << map.renderSvg(52.0);
-    std::cout << "wrote table1_occupancy.svg\n"
-              << map.renderAscii();
+    bench::writeFigure("table1_occupancy.svg", map.renderSvg(52.0));
+    std::cout << map.renderAscii();
 }
 
 void

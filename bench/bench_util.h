@@ -9,9 +9,12 @@
 #ifndef GABLES_BENCH_BENCH_UTIL_H
 #define GABLES_BENCH_BENCH_UTIL_H
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "util/atomic_file.h"
+#include "util/logging.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -23,6 +26,23 @@ inline void
 banner(const std::string &experiment, const std::string &what)
 {
     std::cout << "\n=== " << experiment << ": " << what << " ===\n";
+}
+
+/**
+ * Write figure @p svg to @p path atomically, then print "wrote
+ * <path>". A write that fails prints its reason (naming the path) on
+ * stderr and exits 1, so an unwritten figure never reads as written.
+ */
+inline void
+writeFigure(const std::string &path, const std::string &svg)
+{
+    try {
+        writeFileAtomic(path, svg);
+    } catch (const FatalError &err) {
+        std::cerr << "error: " << err.what() << '\n';
+        std::exit(1);
+    }
+    std::cout << "wrote " << path << '\n';
 }
 
 /**

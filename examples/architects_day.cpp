@@ -74,8 +74,7 @@ main()
               << "%\n   bottleneck shares:";
     for (const auto &[ip, share] : rob.bottleneckShare) {
         std::cout << ' '
-                  << (ip < 0 ? "memory"
-                             : soc.ip(static_cast<size_t>(ip)).name)
+                  << (ip < 0 ? "memory" : soc.ipLabel(static_cast<size_t>(ip)))
                   << "=" << formatDouble(share * 100.0, 0) << "%";
     }
     std::cout << "\n\n";

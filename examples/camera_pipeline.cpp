@@ -24,15 +24,13 @@ using namespace gables;
 namespace {
 
 void
-report(const char *label, const SocSpec &soc,
-       const UsecaseEntry &entry, double max_fps)
+report(const char *label, const UsecaseEntry &entry, double max_fps)
 {
     std::cout << "  " << label << ": max "
               << formatDouble(max_fps, 1) << " fps vs target "
               << formatDouble(entry.targetFps, 0) << " -> "
               << (max_fps >= entry.targetFps ? "OK" : "MISSES")
               << '\n';
-    (void)soc;
 }
 
 } // namespace
@@ -60,13 +58,12 @@ main()
               << formatByteRate(base.dramBytesPerFrame *
                                 hfr.targetFps)
               << " vs Bpeak " << formatByteRate(soc.bpeak()) << '\n';
-    report("stock SoC", soc, hfr, base.maxFps);
+    report("stock SoC", hfr, base.maxFps);
 
     // Lever 1: widen DRAM. How much would 240 fps need?
     double needed = base.dramBytesPerFrame * hfr.targetFps;
     SocSpec wide = soc.with(Param::bpeak(), needed);
-    report("Bpeak -> 61.5 GB/s", wide, hfr,
-           hfr.graph.analyze(wide).maxFps);
+    report("Bpeak -> 61.5 GB/s", hfr, hfr.graph.analyze(wide).maxFps);
 
     // Lever 2: a memory-side SRAM holding the TNR reference frames.
     // The ISP's reference traffic (5 frames, ~62 MB) gets reuse; the

@@ -10,13 +10,14 @@
  * Run: build/examples/empirical_roofline
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "ert/ert.h"
 #include "ert/fitter.h"
 #include "plot/roofline_plot.h"
 #include "soc/catalog.h"
+#include "util/atomic_file.h"
+#include "util/logging.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -25,7 +26,7 @@ using namespace gables;
 
 int
 main()
-{
+try {
     auto soc = SocCatalog::snapdragon835Sim();
 
     ErtConfig config;
@@ -48,8 +49,7 @@ main()
     }
     std::cout << t.render();
 
-    std::ofstream out("soc_rooflines.svg");
-    out << all.renderSvg();
+    writeFileAtomic("soc_rooflines.svg", all.renderSvg());
     std::cout << "wrote soc_rooflines.svg\n\n"
               << all.renderAscii() << '\n';
 
@@ -70,4 +70,7 @@ main()
     }
     std::cout << ws.render();
     return 0;
+} catch (const FatalError &err) {
+    std::cerr << "error: " << err.what() << '\n';
+    return 1;
 }

@@ -44,10 +44,7 @@ describe(const SocSpec &soc, const Advice &a)
     if (a.kind == AdviceKind::RaiseBpeak)
         return "raise Bpeak from " + formatByteRate(a.before) + " to " +
                formatByteRate(a.after);
-    const size_t i = static_cast<size_t>(a.ip);
-    const std::string &name = soc.ip(i).name;
-    const std::string who =
-        name.empty() ? "IP[" + std::to_string(i) + "]" : name;
+    const std::string who = soc.ipLabel(static_cast<size_t>(a.ip));
     switch (a.kind) {
     case AdviceKind::RaiseIpBandwidth:
         return "widen " + who + " link from " +

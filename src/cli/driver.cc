@@ -15,11 +15,9 @@
 #include <atomic>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -156,18 +154,6 @@ artifactPath(const std::string &path)
     return rooted.string();
 }
 
-/** Read a whole file, fataling with the path on failure. */
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 /**
  * Write one CLI artifact atomically (see artifactPath() for where it
  * lands), streaming what @p write produces straight into the
@@ -207,7 +193,7 @@ writeReport(telemetry::RunReport &report,
         report.write(out);
     });
     if (g_session != nullptr)
-        g_session->report = slurpFile(landed);
+        g_session->report = readWholeFile(landed, "report");
 }
 
 /**
@@ -1028,7 +1014,7 @@ cmdReport(int argc, const char *const *argv)
                                     "exactly one report path");
         // Malformed JSON escapes as FatalError and exits 1 through
         // the top-level handler, mirroring `gables validate`.
-        showReport(pos[1], parseJson(slurpFile(pos[1])));
+        showReport(pos[1], parseJson(readWholeFile(pos[1], "report")));
         return kExitOk;
     }
     if (verb == "diff") {
@@ -1052,8 +1038,8 @@ cmdReport(int argc, const char *const *argv)
         }
         opts.maxDiffs = static_cast<size_t>(max_diffs);
 
-        JsonValue a = parseJson(slurpFile(pos[1]));
-        JsonValue b = parseJson(slurpFile(pos[2]));
+        JsonValue a = parseJson(readWholeFile(pos[1], "report"));
+        JsonValue b = parseJson(readWholeFile(pos[2], "report"));
         telemetry::addIgnoreSpecs(opts, args.getStrings("ignore"));
 
         telemetry::ReportDiffResult result =
@@ -1411,11 +1397,11 @@ cmdReplay(int argc, const char *const *argv)
                    "write each fresh RunReport into this directory "
                    "as <bundle>.fresh.json (for offline diffing)");
     args.addOption("out-dir",
-                   "directory for artifacts the replayed command "
-                   "writes to relative paths (recorded --metrics "
-                   "files and the like); pass an empty value to "
-                   "write them into the current directory as the "
-                   "original run did",
+                   "directory every artifact of the replayed command "
+                   "lands under (recorded --metrics files and the "
+                   "like; absolute paths are re-rooted here, '..' "
+                   "paths fail); pass an empty value to write them "
+                   "to their recorded paths as the original run did",
                    "out/replay");
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
@@ -1424,6 +1410,7 @@ cmdReplay(int argc, const char *const *argv)
                                 "bundle path (or a directory with --all)");
 
     replay::ReplayOptions opts;
+    opts.commands = replayableCommands();
     opts.saveFreshDir = args.getString("save-fresh");
     opts.artifactDir = args.getString("out-dir");
     {
@@ -1504,9 +1491,7 @@ cmdServe(int argc, const char *const *argv)
                       "-1");
     addJobsOption(args);
     args.addIntOption("cache",
-                      "compiled-evaluator LRU cache capacity "
-                      "(entries)",
-                      "64");
+                      "model-result LRU cache capacity (entries)", "64");
     args.addOption("stats-out",
                    "write the final telemetry RunReport to this path "
                    "on shutdown (atomic temp+rename)");
@@ -1565,13 +1550,17 @@ cmdServe(int argc, const char *const *argv)
     return kExitOk;
 }
 
-/** One `gables` command: its name, its `gables help` line and its
- * entry point. */
+/** One `gables` command: its name, its `gables help` line, its entry
+ * point, and whether `--record` may wrap it and `gables replay` run
+ * it. */
 struct Command {
     const char *name;
     /** Lines after the first continue under the summary column. */
     const char *summary;
     int (*run)(int argc, const char *const *argv);
+    /** False for the daemon, which runs until signalled, and for
+     * replay itself: a bundle must capture one real run. */
+    bool replayable = true;
 };
 
 /** Every command, in the order `gables help` lists them. */
@@ -1596,11 +1585,11 @@ const Command kCommands[] = {
      cmdProvision},
     {"report", "show or diff run-report JSON artifacts", cmdReport},
     {"replay", "re-run a recorded bundle and diff its RunReport",
-     cmdReplay},
+     cmdReplay, false},
     {"serve",
      "evaluation daemon speaking JSON lines over\n"
      "a unix socket or loopback TCP",
-     cmdServe},
+     cmdServe, false},
     {"validate", "lint a config file without running anything",
      cmdValidate},
     {"glossary", "the Gables parameter glossary (Table II)", cmdGlossary},
@@ -1637,6 +1626,16 @@ usage(std::ostream &out)
            "exit codes: 0 success, 1 data/config error, 2 usage "
            "error (see docs/ERRORS.md)\n"
            "run 'gables <command> --help' for per-command options\n";
+}
+
+std::vector<std::string>
+replayableCommands()
+{
+    std::vector<std::string> names;
+    for (const Command &c : kCommands)
+        if (c.replayable)
+            names.push_back(c.name);
+    return names;
 }
 
 int

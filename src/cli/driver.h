@@ -37,6 +37,12 @@ constexpr int kExitUsage = 2;
 void usage(std::ostream &out);
 
 /**
+ * @return The commands `--record` may wrap and `gables replay` may
+ * run, in `gables help` order: all but `replay` and `serve`.
+ */
+std::vector<std::string> replayableCommands();
+
+/**
  * Dispatch one invocation: argv[0] is the program name ("gables"),
  * argv[1] the subcommand. Global flags (--log-level, --profile,
  * --record) must already be stripped — main() owns those. Never

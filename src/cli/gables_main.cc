@@ -9,6 +9,7 @@
  * dispatch in-process through gables::cli::runCommand().
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -97,12 +98,11 @@ main(int argc, char **argv)
 
     // The session only keeps copies of what the command reads and
     // writes, so a run under --record is byte-identical to one
-    // without. A bundle must capture a real run, so a replay is not
-    // recorded.
+    // without. Only a command replay would run is recorded.
     const bool recording = !record_path.empty();
-    if (recording && std::string(fargv[1]) == "replay") {
-        std::cerr << "gables: --record cannot wrap 'replay' "
-                     "(replay bundles must capture a real run)\n";
+    if (recording && std::ranges::count(replayableCommands(), fargv[1]) == 0) {
+        std::cerr << "gables: --record cannot wrap '" << fargv[1]
+                  << "': not a replayable command\n";
         return kExitUsage;
     }
     gables::replay::Session session;

@@ -47,13 +47,10 @@ GablesResult::bottleneckLabel(const SocSpec &soc,
     }
     if (bottleneckIp < 0)
         return "memory interface (Bpeak)";
-    const IpSpec &ip = soc.ip(static_cast<size_t>(bottleneckIp));
-    std::string who = ip.name.empty()
-                          ? "IP[" + std::to_string(bottleneckIp) + "]"
-                          : ip.name;
-    return who + (bottleneck == BottleneckKind::IpCompute
-                      ? " compute (Ai*Ppeak)"
-                      : " link bandwidth (Bi)");
+    std::string label = soc.ipLabel(static_cast<size_t>(bottleneckIp));
+    label += bottleneck == BottleneckKind::IpCompute ? " compute (Ai*Ppeak)"
+                                                     : " link bandwidth (Bi)";
+    return label;
 }
 
 GablesResult
@@ -176,24 +173,6 @@ GablesModel::attainablePerfForm(const SocSpec &soc, const Usecase &usecase)
     GABLES_ASSERT(std::isfinite(bound),
                   "performance-form bound is not finite");
     return bound;
-}
-
-double
-GablesModel::scaledIpRoofline(const SocSpec &soc, const Usecase &usecase,
-                              size_t i, double intensity)
-{
-    checkPair(soc, usecase);
-    double f = usecase.fraction(i);
-    if (f == 0.0)
-        return kInf;
-    return std::min(soc.ip(i).bandwidth * intensity, soc.ipPeakPerf(i)) /
-           f;
-}
-
-double
-GablesModel::memoryRoofline(const SocSpec &soc, double intensity)
-{
-    return soc.bpeak() * intensity;
 }
 
 } // namespace gables

@@ -157,23 +157,6 @@ class GablesModel
      */
     static double attainablePerfForm(const SocSpec &soc,
                                      const Usecase &usecase);
-
-    /**
-     * The scaled roofline of IP @p i under @p usecase as a function
-     * of a free intensity variable x (paper Section III-C):
-     * min(Bi * x, Ai * Ppeak) / fi.
-     *
-     * @return The bound in ops/s; +inf if fi == 0.
-     */
-    static double scaledIpRoofline(const SocSpec &soc,
-                                   const Usecase &usecase, size_t i,
-                                   double intensity);
-
-    /**
-     * The memory roofline as a function of a free intensity variable
-     * x: Bpeak * x (slanted only, no flat part).
-     */
-    static double memoryRoofline(const SocSpec &soc, double intensity);
 };
 
 } // namespace gables

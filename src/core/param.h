@@ -106,6 +106,13 @@ struct InputOwner {
     std::string str() const;
 };
 
+/** @return "IP[i]": how IP @p i is named by its position. */
+inline std::string
+ipTag(size_t i)
+{
+    return "IP[" + std::to_string(i) + "]";
+}
+
 /**
  * Throw FatalError "<owner>: <msg()>". Cold and out of line, so an
  * inlined rule costs a compare and a branch.
@@ -157,12 +164,11 @@ checkAcceleration(const InputOwner &owner, size_t i, double acceleration,
         });
     if (!(acceleration > 0.0) || std::isinf(acceleration))
         rejectInput(owner, [i] {
-            return "IP[" + std::to_string(i) +
-                   "] acceleration must be positive and finite";
+            return ipTag(i) + " acceleration must be positive and finite";
         });
     if (!std::isfinite(acceleration * ppeak))
         rejectInput(owner, [i, ipName] {
-            std::string ip = "IP[" + std::to_string(i) + "] ";
+            std::string ip = ipTag(i) + " ";
             if (ipName != nullptr)
                 ip += "'" + *ipName + "' ";
             return ip + "peak Ai * Ppeak must be finite";
@@ -175,8 +181,7 @@ checkIpBandwidth(const InputOwner &owner, size_t i, double bandwidth)
 {
     if (!(bandwidth > 0.0) || std::isinf(bandwidth))
         rejectInput(owner, [i] {
-            return "IP[" + std::to_string(i) +
-                   "] bandwidth must be positive and finite";
+            return ipTag(i) + " bandwidth must be positive and finite";
         });
 }
 

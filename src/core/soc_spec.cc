@@ -38,6 +38,13 @@ SocSpec::ip(size_t i) const
     return ips_[i];
 }
 
+std::string
+SocSpec::ipLabel(size_t i) const
+{
+    const std::string &name = ip(i).name;
+    return name.empty() ? ipTag(i) : name;
+}
+
 double
 SocSpec::ipPeakPerf(size_t i) const
 {
@@ -49,9 +56,7 @@ SocSpec::ipRoofline(size_t i) const
 {
     const IpSpec &spec = ip(i);
     return Roofline(spec.acceleration * ppeak_,
-                    std::min(spec.bandwidth, bpeak_),
-                    spec.name.empty() ? ("IP[" + std::to_string(i) + "]")
-                                      : spec.name);
+                    std::min(spec.bandwidth, bpeak_), ipLabel(i));
 }
 
 size_t

@@ -75,6 +75,9 @@ class SocSpec
     /** @return IP descriptor @p i (bounds-checked). */
     const IpSpec &ip(size_t i) const;
 
+    /** @return IP @p i's display name: its name, else IP[i]. */
+    std::string ipLabel(size_t i) const;
+
     /** @return Peak performance of IP @p i: Ai * Ppeak (ops/s). */
     double ipPeakPerf(size_t i) const;
 

@@ -1,6 +1,7 @@
 #include "plot/ascii.h"
 
 #include <cstdlib>
+#include <iterator>
 
 #include "util/logging.h"
 
@@ -64,6 +65,41 @@ AsciiCanvas::render() const
         out += '\n';
     }
     return out;
+}
+
+// Chart frame margins (cells): the y axis's column, the rows from the
+// x axis down, and the title row.
+constexpr long kLeft = 9, kBottom = 2, kTop = 1;
+
+char
+curveGlyph(size_t i)
+{
+    static const char kGlyphs[] = {'*', 'o', '#', '%', '@', '+', 'x', '='};
+    return kGlyphs[i % std::size(kGlyphs)];
+}
+
+AsciiFrame::AsciiFrame(size_t cols, size_t rows, const std::string &title,
+                       const std::string &x_label, AxisRange x_range,
+                       AxisRange y_range, const std::string &y_hi_label,
+                       const std::string &y_lo_label)
+    : canvas(cols, rows),
+      x(x_range.scale, x_range.lo, x_range.hi, kLeft + 1,
+        static_cast<double>(cols) - 2),
+      y(y_range.scale, y_range.lo, y_range.hi,
+        static_cast<double>(rows) - kBottom - 1, kTop)
+{
+    const long axis = static_cast<long>(rows) - kBottom;
+    for (long r = kTop; r < axis; ++r)
+        canvas.put(kLeft, r, '|');
+    for (long c = kLeft; c < static_cast<long>(cols) - 1; ++c)
+        canvas.put(c, axis, '-');
+    canvas.put(kLeft, axis, '+');
+    canvas.write(0, 0, title.substr(0, cols));
+    canvas.write(0, kTop, y_hi_label);
+    canvas.write(0, axis - 1, y_lo_label);
+    canvas.write(kLeft, static_cast<long>(rows) - 1,
+                 Axis::formatTick(x_range.lo) + " .. " + x_label + " .. " +
+                     Axis::formatTick(x_range.hi));
 }
 
 } // namespace gables

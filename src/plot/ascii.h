@@ -7,8 +7,11 @@
 #ifndef GABLES_PLOT_ASCII_H
 #define GABLES_PLOT_ASCII_H
 
+#include <cmath>
 #include <string>
 #include <vector>
+
+#include "plot/axes.h"
 
 namespace gables {
 
@@ -23,12 +26,6 @@ class AsciiCanvas
      * @param rows Canvas height in characters.
      */
     AsciiCanvas(size_t cols, size_t rows);
-
-    /** @return Width in characters. */
-    size_t cols() const { return cols_; }
-
-    /** @return Height in characters. */
-    size_t rows() const { return rows_; }
 
     /** Set one cell; out-of-range coordinates are ignored. */
     void put(long col, long row, char c);
@@ -49,6 +46,46 @@ class AsciiCanvas
     size_t cols_;
     size_t rows_;
     std::vector<std::string> grid_;
+};
+
+/** @return The glyph of curve @p i in an ASCII chart. */
+char curveGlyph(size_t i);
+
+/**
+ * The frame of an ASCII line chart (RooflinePlot, SeriesPlot), drawn
+ * when it is built: the axes, the title, the y range labels left of
+ * the y axis and the x range line under the x axis. render() adds
+ * the legend.
+ */
+struct AsciiFrame {
+    /** @param y_hi_label, y_lo_label Labels of the y axis's top and
+     * bottom, at most 8 columns. */
+    AsciiFrame(size_t cols, size_t rows, const std::string &title,
+               const std::string &x_label, AxisRange x_range,
+               AxisRange y_range, const std::string &y_hi_label,
+               const std::string &y_lo_label);
+
+    /** @return The cell column of data value @p v. */
+    long col(double v) const { return std::lround(x.toPixel(v)); }
+    /** @return The cell row of data value @p v. */
+    long row(double v) const { return std::lround(y.toPixel(v)); }
+
+    /** @return The canvas, then the glyph and label of each of
+     * @p curves (anything with a label). */
+    template <typename Curve>
+    std::string
+    render(const std::vector<Curve> &curves) const
+    {
+        std::string out = canvas.render();
+        for (size_t i = 0; i < curves.size(); ++i)
+            out += std::string("  ") + curveGlyph(i) + " " +
+                   curves[i].label + "\n";
+        return out;
+    }
+
+    AsciiCanvas canvas;
+    Axis x;
+    Axis y;
 };
 
 } // namespace gables

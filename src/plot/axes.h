@@ -15,6 +15,13 @@ namespace gables {
 /** Axis scale type. */
 enum class Scale { Linear, Log };
 
+/** One axis of a chart in data space: its scale and range. */
+struct AxisRange {
+    Scale scale;
+    double lo;
+    double hi;
+};
+
 /**
  * One axis: data range, scale, and mapping onto a pixel interval.
  */
@@ -34,15 +41,6 @@ class Axis
     /** @return Pixel coordinate of data value @p v (clamped to the
      * data range). */
     double toPixel(double v) const;
-
-    /** @return Data low bound. */
-    double lo() const { return lo_; }
-
-    /** @return Data high bound. */
-    double hi() const { return hi_; }
-
-    /** @return The axis scale. */
-    Scale scale() const { return scale_; }
 
     /**
      * Tick positions: powers of ten within range for log axes; a

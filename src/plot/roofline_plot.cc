@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "plot/ascii.h"
-#include "plot/axes.h"
 #include "plot/svg.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -14,22 +13,31 @@
 
 namespace gables {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-const char *kPalette[] = {
-    "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-    "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
-};
-
-const char *
-color(size_t i)
+GablesCurves
+gablesCurves(const SocSpec &soc, const Usecase &usecase)
 {
-    return kPalette[i % (sizeof(kPalette) / sizeof(kPalette[0]))];
+    checkPair(soc, usecase);
+    GablesCurves family;
+    for (size_t i = 0; i < soc.numIps(); ++i) {
+        const double f = usecase.fraction(i);
+        if (f == 0.0)
+            continue; // unused IPs are omitted, as in the paper
+        const RooflineCurve &curve = family.curves.emplace_back(RooflineCurve{
+            soc.ipLabel(i) + " (f=" + formatDouble(f, 3) + ")",
+            soc.ip(i).bandwidth, soc.ipPeakPerf(i), f,
+            static_cast<int>(i)});
+        const double x = usecase.intensity(i);
+        if (!std::isinf(x))
+            family.drops.push_back(
+                DropPoint{x, curve.at(x), "I" + std::to_string(i)});
+    }
+    family.curves.push_back(RooflineCurve{
+        "memory", soc.bpeak(), std::numeric_limits<double>::infinity()});
+    const double iavg = usecase.averageIntensity();
+    if (!std::isinf(iavg))
+        family.drops.push_back(DropPoint{iavg, soc.bpeak() * iavg, "Iavg"});
+    return family;
 }
-
-} // namespace
 
 RooflinePlot::RooflinePlot(std::string title, double x_lo, double x_hi)
     : title_(std::move(title)), xLo_(x_lo), xHi_(x_hi)
@@ -41,58 +49,26 @@ RooflinePlot::RooflinePlot(std::string title, double x_lo, double x_hi)
 void
 RooflinePlot::addRoofline(const Roofline &roofline)
 {
-    curves_.push_back(Curve{roofline.name(), roofline.peakBw(),
-                            roofline.peakPerf(), 1.0});
+    curves_.push_back(RooflineCurve{roofline.name(), roofline.peakBw(),
+                                    roofline.peakPerf()});
 }
 
 void
 RooflinePlot::addGables(const SocSpec &soc, const Usecase &usecase)
 {
-    GablesResult result = GablesModel::evaluate(soc, usecase);
-
-    for (size_t i = 0; i < soc.numIps(); ++i) {
-        double f = usecase.fraction(i);
-        if (f == 0.0)
-            continue; // unused IPs are omitted, as in the paper
-        const IpSpec &ip = soc.ip(i);
-        std::string label = (ip.name.empty()
-                                 ? "IP[" + std::to_string(i) + "]"
-                                 : ip.name) +
-                            " (f=" + formatDouble(f, 3) + ")";
-        curves_.push_back(
-            Curve{label, ip.bandwidth, soc.ipPeakPerf(i), f});
-        if (!std::isinf(usecase.intensity(i))) {
-            double x = usecase.intensity(i);
-            addDropLine(x, curveValue(curves_.back(), x),
-                        "I" + std::to_string(i));
-        }
-    }
-
-    curves_.push_back(Curve{"memory", soc.bpeak(), kInf, 1.0});
-    double iavg = result.averageIntensity;
-    if (!std::isinf(iavg))
-        addDropLine(iavg, soc.bpeak() * iavg, "Iavg");
-}
-
-void
-RooflinePlot::addDropLine(double x, double y, const std::string &label)
-{
-    drops_.push_back(Drop{x, y, label});
-}
-
-double
-RooflinePlot::curveValue(const Curve &c, double x) const
-{
-    return std::min(c.slope * x, c.flat) / c.divisor;
+    GablesCurves family = gablesCurves(soc, usecase);
+    curves_.insert(curves_.end(), family.curves.begin(),
+                   family.curves.end());
+    drops_.insert(drops_.end(), family.drops.begin(), family.drops.end());
 }
 
 double
 RooflinePlot::maxCurveValue() const
 {
     double top = 0.0;
-    for (const Curve &c : curves_)
-        top = std::max(top, curveValue(c, xHi_));
-    for (const Drop &d : drops_)
+    for (const RooflineCurve &c : curves_)
+        top = std::max(top, c.at(xHi_));
+    for (const DropPoint &d : drops_)
         top = std::max(top, d.y);
     return top;
 }
@@ -103,63 +79,40 @@ RooflinePlot::renderSvg(double width, double height) const
     if (curves_.empty())
         fatal("roofline plot has no curves");
 
-    const double ml = 70.0, mr = 20.0, mt = 40.0, mb = 50.0;
-    SvgCanvas svg(width, height);
-
     double y_hi = maxCurveValue() * 2.0;
     double y_lo = y_hi / 1e6;
     // Keep the lowest visible curve point on screen.
-    for (const Curve &c : curves_)
-        y_lo = std::min(y_lo, curveValue(c, xLo_) / 2.0);
+    for (const RooflineCurve &c : curves_)
+        y_lo = std::min(y_lo, c.at(xLo_) / 2.0);
     if (!(y_lo > 0.0))
         y_lo = y_hi / 1e9;
 
-    Axis xaxis(Scale::Log, xLo_, xHi_, ml, width - mr);
-    Axis yaxis(Scale::Log, y_lo, y_hi, height - mb, mt);
-
-    // Frame and ticks.
-    svg.rect(ml, mt, width - ml - mr, height - mt - mb, "#888888");
-    for (double t : xaxis.ticks()) {
-        double px = xaxis.toPixel(t);
-        svg.line(px, height - mb, px, height - mb + 4, "#888888");
-        svg.text(px, height - mb + 18, Axis::formatTick(t), 11,
-                 TextAnchor::Middle);
-    }
-    for (double t : yaxis.ticks()) {
-        double py = yaxis.toPixel(t);
-        svg.line(ml - 4, py, ml, py, "#888888");
-        svg.text(ml - 8, py + 4, Axis::formatTick(t / kGiga), 11,
-                 TextAnchor::End);
-    }
-    svg.text(width / 2, height - 12, "operational intensity (ops/byte)",
-             12, TextAnchor::Middle);
-    svg.text(18, height / 2, "attainable Gops/s", 12, TextAnchor::Middle,
-             "#222222", -90.0);
-    svg.text(width / 2, 22, title_, 14, TextAnchor::Middle);
+    SvgFrame frame(width, height, title_, "operational intensity (ops/byte)",
+                   "attainable Gops/s", {Scale::Log, xLo_, xHi_},
+                   {Scale::Log, y_lo, y_hi}, kGiga);
+    SvgCanvas &svg = frame.svg;
 
     // Curves: sample densely in log space to keep the knee sharp.
     for (size_t ci = 0; ci < curves_.size(); ++ci) {
-        const Curve &c = curves_[ci];
+        const RooflineCurve &c = curves_[ci];
         std::vector<std::pair<double, double>> pts;
-        for (double x : logspace(xLo_, xHi_, 128)) {
-            double y = curveValue(c, x);
-            pts.emplace_back(xaxis.toPixel(x), yaxis.toPixel(y));
-        }
+        for (double x : logspace(xLo_, xHi_, 128))
+            pts.emplace_back(frame.x.toPixel(x), frame.y.toPixel(c.at(x)));
         bool dashed = std::isinf(c.flat); // memory roofline
-        svg.polyline(pts, color(ci), 2.0, dashed);
+        svg.polyline(pts, curveColor(ci), 2.0, dashed);
         // Label near the right end of the curve.
-        double label_y = yaxis.toPixel(curveValue(c, xHi_));
-        svg.text(width - mr - 4, label_y - 5, c.label, 11,
-                 TextAnchor::End, color(ci));
+        double label_y = frame.y.toPixel(c.at(xHi_));
+        svg.text(width - SvgFrame::kRight - 4, label_y - 5, c.label, 11,
+                 TextAnchor::End, curveColor(ci));
     }
 
     // Drop lines and markers.
-    for (const Drop &d : drops_) {
-        double px = xaxis.toPixel(d.x);
-        svg.line(px, yaxis.toPixel(y_lo), px, yaxis.toPixel(d.y),
-                 "#555555", 1.0, true);
-        svg.circle(px, yaxis.toPixel(d.y), 3.5, "#000000");
-        svg.text(px + 4, yaxis.toPixel(d.y) - 6, d.label, 10);
+    for (const DropPoint &d : drops_) {
+        double px = frame.x.toPixel(d.x);
+        double py = frame.y.toPixel(d.y);
+        svg.line(px, frame.y.toPixel(y_lo), px, py, "#555555", 1.0, true);
+        svg.circle(px, py, 3.5, "#000000");
+        svg.text(px + 4, py - 6, d.label, 10);
     }
     return svg.render();
 }
@@ -170,68 +123,37 @@ RooflinePlot::renderAscii(size_t cols, size_t rows) const
     if (curves_.empty())
         fatal("roofline plot has no curves");
 
-    const long ml = 9, mb = 2, mt = 1;
-    AsciiCanvas canvas(cols, rows);
-
     double y_hi = maxCurveValue() * 2.0;
     double y_lo = y_hi;
-    for (const Curve &c : curves_)
-        y_lo = std::min(y_lo, curveValue(c, xLo_));
+    for (const RooflineCurve &c : curves_)
+        y_lo = std::min(y_lo, c.at(xLo_));
     y_lo = std::max(y_lo / 2.0, y_hi / 1e9);
 
-    Axis xaxis(Scale::Log, xLo_, xHi_, ml + 1,
-               static_cast<double>(cols) - 2);
-    Axis yaxis(Scale::Log, y_lo, y_hi,
-               static_cast<double>(rows) - mb - 1, mt);
+    // Y range labels in Gops/s.
+    AsciiFrame frame(cols, rows, title_, "I (ops/B)",
+                     {Scale::Log, xLo_, xHi_}, {Scale::Log, y_lo, y_hi},
+                     padLeft(Axis::formatTick(y_hi / kGiga), 8),
+                     padLeft(Axis::formatTick(y_lo / kGiga), 8));
+    AsciiCanvas &canvas = frame.canvas;
 
-    // Axes.
-    for (long r = mt; r < static_cast<long>(rows) - mb; ++r)
-        canvas.put(ml, r, '|');
-    for (long c = ml; c < static_cast<long>(cols) - 1; ++c)
-        canvas.put(c, static_cast<long>(rows) - mb, '-');
-    canvas.put(ml, static_cast<long>(rows) - mb, '+');
-    canvas.write(0, 0, title_.substr(0, cols));
-
-    // Y labels at top and bottom (Gops/s).
-    canvas.write(0, mt, padLeft(Axis::formatTick(y_hi / kGiga), 8));
-    canvas.write(0, static_cast<long>(rows) - mb - 1,
-                 padLeft(Axis::formatTick(y_lo / kGiga), 8));
-    canvas.write(ml, static_cast<long>(rows) - 1,
-                 Axis::formatTick(xLo_) + " .. I (ops/B) .. " +
-                     Axis::formatTick(xHi_));
-
-    // Curves.
-    const char glyphs[] = {'*', 'o', '#', '%', '@', '+', 'x', '='};
     for (size_t ci = 0; ci < curves_.size(); ++ci) {
-        const Curve &c = curves_[ci];
-        char glyph = glyphs[ci % sizeof(glyphs)];
         for (double x : logspace(xLo_, xHi_, cols * 2)) {
-            double y = curveValue(c, x);
+            double y = curves_[ci].at(x);
             if (y < y_lo || y > y_hi)
                 continue;
-            canvas.put(static_cast<long>(std::lround(xaxis.toPixel(x))),
-                       static_cast<long>(std::lround(yaxis.toPixel(y))),
-                       glyph);
+            canvas.put(frame.col(x), frame.row(y), curveGlyph(ci));
         }
     }
 
     // Drop markers.
-    for (const Drop &d : drops_) {
-        long px = static_cast<long>(std::lround(xaxis.toPixel(d.x)));
-        long py = static_cast<long>(std::lround(yaxis.toPixel(d.y)));
-        for (long r = py + 1; r < static_cast<long>(rows) - mb; ++r)
+    for (const DropPoint &d : drops_) {
+        long px = frame.col(d.x);
+        long py = frame.row(d.y);
+        for (long r = py + 1; r <= frame.row(y_lo); ++r)
             canvas.put(px, r, ':');
         canvas.put(px, py, 'V');
     }
-
-    std::string out = canvas.render();
-    // Legend.
-    for (size_t ci = 0; ci < curves_.size(); ++ci) {
-        out += "  ";
-        out += glyphs[ci % sizeof(glyphs)];
-        out += " " + curves_[ci].label + "\n";
-    }
-    return out;
+    return frame.render(curves_);
 }
 
 } // namespace gables

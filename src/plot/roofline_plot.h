@@ -8,13 +8,55 @@
 #ifndef GABLES_PLOT_ROOFLINE_PLOT_H
 #define GABLES_PLOT_ROOFLINE_PLOT_H
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "core/gables.h"
 #include "core/roofline.h"
+#include "core/soc_spec.h"
+#include "core/usecase.h"
 
 namespace gables {
+
+/** One roofline over intensity x: min(slope * x, flat) / divisor. */
+struct RooflineCurve {
+    std::string label;
+    /** Bandwidth roof (bytes/s). */
+    double slope;
+    /** Compute roof (ops/s); +inf for the memory roofline. */
+    double flat;
+    /** fi for an IP's scaled roofline, else 1. */
+    double divisor = 1.0;
+    /** The IP a scaled roofline belongs to; -1 for any other. */
+    int ip = -1;
+
+    /** @return The roofline's value at intensity @p x. */
+    double at(double x) const { return std::min(slope * x, flat) / divisor; }
+};
+
+/** An operating point, marked with a line dropped to the x axis. */
+struct DropPoint {
+    double x;
+    double y;
+    std::string label;
+};
+
+/** The scaled-roofline picture of one usecase on one SoC (paper
+ * Section III-C, Figure 6): what RooflinePlot::addGables() draws and
+ * writeVisualizationJson() exports. */
+struct GablesCurves {
+    /** The scaled roofline of each IP with work, in IP order and
+     * labelled "<ip label> (f=<fi>)", then the memory roofline
+     * Bpeak * x labelled "memory". */
+    std::vector<RooflineCurve> curves;
+    /** "I<i>" on IP i's scaled roofline for each IP with work and a
+     * finite Ii, then "Iavg" on the memory roofline when Iavg is
+     * finite. */
+    std::vector<DropPoint> drops;
+};
+
+/** @return The picture of @p usecase on @p soc (a checked pair). */
+GablesCurves gablesCurves(const SocSpec &soc, const Usecase &usecase);
 
 /**
  * Builder for roofline charts. Add plain rooflines (classic view) or
@@ -39,18 +81,12 @@ class RooflinePlot
     void addRoofline(const Roofline &roofline);
 
     /**
-     * Add the scaled-roofline family of a Gables evaluation: one
-     * scaled roofline per IP with work (min(Bi x, Ai Ppeak) / fi), the
-     * memory roofline (Bpeak x), a drop line at each operating
-     * intensity (Ii, Iavg), and a marker at the attainable bound.
+     * Add the scaled-roofline picture of a Gables evaluation
+     * (gablesCurves()): one scaled roofline per IP with work, the
+     * memory roofline, and a drop line at each operating intensity
+     * (Ii, Iavg).
      */
     void addGables(const SocSpec &soc, const Usecase &usecase);
-
-    /**
-     * Add a free-standing drop line at intensity @p x up to value
-     * @p y with label.
-     */
-    void addDropLine(double x, double y, const std::string &label);
 
     /** @return The SVG document. */
     std::string renderSvg(double width = 720.0,
@@ -60,28 +96,13 @@ class RooflinePlot
     std::string renderAscii(size_t cols = 76, size_t rows = 24) const;
 
   private:
-    struct Curve {
-        std::string label;
-        // Piecewise description: y = min(slope * x, flat) / divisor;
-        // flat may be +inf for slanted-only (memory) curves.
-        double slope;
-        double flat;
-        double divisor;
-    };
-    struct Drop {
-        double x;
-        double y;
-        std::string label;
-    };
-
-    double curveValue(const Curve &c, double x) const;
     double maxCurveValue() const;
 
     std::string title_;
     double xLo_;
     double xHi_;
-    std::vector<Curve> curves_;
-    std::vector<Drop> drops_;
+    std::vector<RooflineCurve> curves_;
+    std::vector<DropPoint> drops_;
 };
 
 } // namespace gables

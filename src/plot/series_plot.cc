@@ -1,7 +1,6 @@
 #include "plot/series_plot.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "plot/ascii.h"
@@ -9,21 +8,6 @@
 #include "util/logging.h"
 
 namespace gables {
-
-namespace {
-
-const char *kPalette[] = {
-    "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-    "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
-};
-
-const char *
-color(size_t i)
-{
-    return kPalette[i % (sizeof(kPalette) / sizeof(kPalette[0]))];
-}
-
-} // namespace
 
 SeriesPlot::SeriesPlot(std::string title, std::string x_label,
                        std::string y_label)
@@ -48,41 +32,47 @@ SeriesPlot::addSeries(const Series &series)
     series_.push_back(series);
 }
 
-void
-SeriesPlot::dataRange(double &x_lo, double &x_hi, double &y_lo,
-                      double &y_hi) const
+bool
+SeriesPlot::shown(const Series &s, size_t i) const
 {
-    x_lo = y_lo = std::numeric_limits<double>::infinity();
-    x_hi = y_hi = -std::numeric_limits<double>::infinity();
+    // A log axis cannot show a non-positive value.
+    return (xScale_ != Scale::Log || s.x[i] > 0.0) &&
+           (yScale_ != Scale::Log || s.y[i] > 0.0);
+}
+
+std::pair<AxisRange, AxisRange>
+SeriesPlot::dataRange() const
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    AxisRange x{xScale_, kInf, -kInf};
+    AxisRange y{yScale_, kInf, -kInf};
     for (const Series &s : series_) {
         for (size_t i = 0; i < s.x.size(); ++i) {
-            // Skip points a log axis cannot show.
-            if (xScale_ == Scale::Log && !(s.x[i] > 0.0))
+            if (!shown(s, i))
                 continue;
-            if (yScale_ == Scale::Log && !(s.y[i] > 0.0))
-                continue;
-            x_lo = std::min(x_lo, s.x[i]);
-            x_hi = std::max(x_hi, s.x[i]);
-            y_lo = std::min(y_lo, s.y[i]);
-            y_hi = std::max(y_hi, s.y[i]);
+            x.lo = std::min(x.lo, s.x[i]);
+            x.hi = std::max(x.hi, s.x[i]);
+            y.lo = std::min(y.lo, s.y[i]);
+            y.hi = std::max(y.hi, s.y[i]);
         }
     }
-    if (!(x_hi > x_lo)) {
-        x_lo -= 0.5;
-        x_hi += 0.5;
+    if (!(x.hi > x.lo)) {
+        x.lo -= 0.5;
+        x.hi += 0.5;
     }
-    if (!(y_hi > y_lo)) {
+    if (!(y.hi > y.lo)) {
         double pad = yScale_ == Scale::Log ? 0.0 : 0.5;
-        y_lo = yScale_ == Scale::Log ? y_lo / 2.0 : y_lo - pad;
-        y_hi = yScale_ == Scale::Log ? y_hi * 2.0 : y_hi + pad;
+        y.lo = yScale_ == Scale::Log ? y.lo / 2.0 : y.lo - pad;
+        y.hi = yScale_ == Scale::Log ? y.hi * 2.0 : y.hi + pad;
     } else if (yScale_ == Scale::Log) {
-        y_lo /= 1.5;
-        y_hi *= 1.5;
+        y.lo /= 1.5;
+        y.hi *= 1.5;
     } else {
-        double pad = (y_hi - y_lo) * 0.08;
-        y_lo -= pad;
-        y_hi += pad;
+        double pad = (y.hi - y.lo) * 0.08;
+        y.lo -= pad;
+        y.hi += pad;
     }
+    return {x, y};
 }
 
 std::string
@@ -91,51 +81,27 @@ SeriesPlot::renderSvg(double width, double height) const
     if (series_.empty())
         fatal("series plot has no data");
 
-    const double ml = 70.0, mr = 20.0, mt = 40.0, mb = 50.0;
-    SvgCanvas svg(width, height);
-
-    double x_lo, x_hi, y_lo, y_hi;
-    dataRange(x_lo, x_hi, y_lo, y_hi);
-    Axis xaxis(xScale_, x_lo, x_hi, ml, width - mr);
-    Axis yaxis(yScale_, y_lo, y_hi, height - mb, mt);
-
-    svg.rect(ml, mt, width - ml - mr, height - mt - mb, "#888888");
-    for (double t : xaxis.ticks()) {
-        double px = xaxis.toPixel(t);
-        svg.line(px, height - mb, px, height - mb + 4, "#888888");
-        svg.text(px, height - mb + 18, Axis::formatTick(t), 11,
-                 TextAnchor::Middle);
-    }
-    for (double t : yaxis.ticks()) {
-        double py = yaxis.toPixel(t);
-        svg.line(ml - 4, py, ml, py, "#888888");
-        svg.text(ml - 8, py + 4, Axis::formatTick(t), 11,
-                 TextAnchor::End);
-    }
-    svg.text(width / 2, height - 12, xLabel_, 12, TextAnchor::Middle);
-    svg.text(18, height / 2, yLabel_, 12, TextAnchor::Middle, "#222222",
-             -90.0);
-    svg.text(width / 2, 22, title_, 14, TextAnchor::Middle);
+    auto [x, y] = dataRange();
+    SvgFrame frame(width, height, title_, xLabel_, yLabel_, x, y);
+    SvgCanvas &svg = frame.svg;
 
     for (size_t si = 0; si < series_.size(); ++si) {
         const Series &s = series_[si];
         std::vector<std::pair<double, double>> pts;
         for (size_t i = 0; i < s.x.size(); ++i) {
-            if (xScale_ == Scale::Log && !(s.x[i] > 0.0))
-                continue;
-            if (yScale_ == Scale::Log && !(s.y[i] > 0.0))
-                continue;
-            pts.emplace_back(xaxis.toPixel(s.x[i]),
-                             yaxis.toPixel(s.y[i]));
+            if (shown(s, i))
+                pts.emplace_back(frame.x.toPixel(s.x[i]),
+                                 frame.y.toPixel(s.y[i]));
         }
-        svg.polyline(pts, color(si), 2.0);
+        svg.polyline(pts, curveColor(si), 2.0);
         for (const auto &[px, py] : pts)
-            svg.circle(px, py, 2.5, color(si));
+            svg.circle(px, py, 2.5, curveColor(si));
         // Legend entry.
-        double ly = mt + 16.0 * (si + 1);
-        svg.line(ml + 8, ly, ml + 28, ly, color(si), 2.0);
-        svg.text(ml + 34, ly + 4, s.label, 11, TextAnchor::Start,
-                 color(si));
+        double ly = SvgFrame::kTop + 16.0 * (si + 1);
+        svg.line(SvgFrame::kLeft + 8, ly, SvgFrame::kLeft + 28, ly,
+                 curveColor(si), 2.0);
+        svg.text(SvgFrame::kLeft + 34, ly + 4, s.label, 11,
+                 TextAnchor::Start, curveColor(si));
     }
     return svg.render();
 }
@@ -146,59 +112,28 @@ SeriesPlot::renderAscii(size_t cols, size_t rows) const
     if (series_.empty())
         fatal("series plot has no data");
 
-    const long ml = 9, mb = 2, mt = 1;
-    AsciiCanvas canvas(cols, rows);
+    auto [x, y] = dataRange();
+    AsciiFrame frame(cols, rows, title_, xLabel_, x, y,
+                     Axis::formatTick(y.hi).substr(0, 8),
+                     Axis::formatTick(y.lo).substr(0, 8));
 
-    double x_lo, x_hi, y_lo, y_hi;
-    dataRange(x_lo, x_hi, y_lo, y_hi);
-    Axis xaxis(xScale_, x_lo, x_hi, ml + 1,
-               static_cast<double>(cols) - 2);
-    Axis yaxis(yScale_, y_lo, y_hi,
-               static_cast<double>(rows) - mb - 1, mt);
-
-    for (long r = mt; r < static_cast<long>(rows) - mb; ++r)
-        canvas.put(ml, r, '|');
-    for (long c = ml; c < static_cast<long>(cols) - 1; ++c)
-        canvas.put(c, static_cast<long>(rows) - mb, '-');
-    canvas.put(ml, static_cast<long>(rows) - mb, '+');
-    canvas.write(0, 0, title_.substr(0, cols));
-    canvas.write(0, mt, Axis::formatTick(y_hi).substr(0, 8));
-    canvas.write(0, static_cast<long>(rows) - mb - 1,
-                 Axis::formatTick(y_lo).substr(0, 8));
-    canvas.write(ml, static_cast<long>(rows) - 1,
-                 Axis::formatTick(x_lo) + " .. " + xLabel_ + " .. " +
-                     Axis::formatTick(x_hi));
-
-    const char glyphs[] = {'*', 'o', '#', '%', '@', '+', 'x', '='};
     for (size_t si = 0; si < series_.size(); ++si) {
         const Series &s = series_[si];
-        char glyph = glyphs[si % sizeof(glyphs)];
         long prev_c = -1, prev_r = -1;
         for (size_t i = 0; i < s.x.size(); ++i) {
-            if (xScale_ == Scale::Log && !(s.x[i] > 0.0))
+            if (!shown(s, i))
                 continue;
-            if (yScale_ == Scale::Log && !(s.y[i] > 0.0))
-                continue;
-            long c = static_cast<long>(
-                std::lround(xaxis.toPixel(s.x[i])));
-            long r = static_cast<long>(
-                std::lround(yaxis.toPixel(s.y[i])));
+            long c = frame.col(s.x[i]);
+            long r = frame.row(s.y[i]);
             if (prev_c >= 0)
-                canvas.line(prev_c, prev_r, c, r, glyph);
+                frame.canvas.line(prev_c, prev_r, c, r, curveGlyph(si));
             else
-                canvas.put(c, r, glyph);
+                frame.canvas.put(c, r, curveGlyph(si));
             prev_c = c;
             prev_r = r;
         }
     }
-
-    std::string out = canvas.render();
-    for (size_t si = 0; si < series_.size(); ++si) {
-        out += "  ";
-        out += glyphs[si % sizeof(glyphs)];
-        out += " " + series_[si].label + "\n";
-    }
-    return out;
+    return frame.render(series_);
 }
 
 } // namespace gables

@@ -9,6 +9,7 @@
 #define GABLES_PLOT_SERIES_PLOT_H
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/sweep.h"
@@ -44,8 +45,10 @@ class SeriesPlot
     std::string renderAscii(size_t cols = 76, size_t rows = 24) const;
 
   private:
-    void dataRange(double &x_lo, double &x_hi, double &y_lo,
-                   double &y_hi) const;
+    /** @return Whether point @p i of @p s fits the axis scales. */
+    bool shown(const Series &s, size_t i) const;
+    /** @return The x and y ranges that show every point. */
+    std::pair<AxisRange, AxisRange> dataRange() const;
 
     std::string title_;
     std::string xLabel_;

@@ -1,5 +1,7 @@
 #include "plot/svg.h"
 
+#include <iterator>
+
 #include "util/logging.h"
 
 namespace gables {
@@ -104,6 +106,43 @@ SvgCanvas::render() const
         << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n"
         << body_.str() << "</svg>\n";
     return oss.str();
+}
+
+const char *
+curveColor(size_t i)
+{
+    static const char *const kPalette[] = {
+        "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
+        "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
+    };
+    return kPalette[i % std::size(kPalette)];
+}
+
+SvgFrame::SvgFrame(double width, double height, const std::string &title,
+                   const std::string &x_label, const std::string &y_label,
+                   AxisRange x_range, AxisRange y_range, double y_unit)
+    : svg(width, height),
+      x(x_range.scale, x_range.lo, x_range.hi, kLeft, width - kRight),
+      y(y_range.scale, y_range.lo, y_range.hi, height - kBottom, kTop)
+{
+    svg.rect(kLeft, kTop, width - kLeft - kRight, height - kTop - kBottom,
+             "#888888");
+    for (double t : x.ticks()) {
+        double px = x.toPixel(t);
+        svg.line(px, height - kBottom, px, height - kBottom + 4, "#888888");
+        svg.text(px, height - kBottom + 18, Axis::formatTick(t), 11,
+                 TextAnchor::Middle);
+    }
+    for (double t : y.ticks()) {
+        double py = y.toPixel(t);
+        svg.line(kLeft - 4, py, kLeft, py, "#888888");
+        svg.text(kLeft - 8, py + 4, Axis::formatTick(t / y_unit), 11,
+                 TextAnchor::End);
+    }
+    svg.text(width / 2, height - 12, x_label, 12, TextAnchor::Middle);
+    svg.text(18, height / 2, y_label, 12, TextAnchor::Middle, "#222222",
+             -90.0);
+    svg.text(width / 2, 22, title, 14, TextAnchor::Middle);
 }
 
 } // namespace gables

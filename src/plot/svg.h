@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "plot/axes.h"
+
 namespace gables {
 
 /** Text anchor positions, matching the SVG attribute. */
@@ -30,12 +32,6 @@ class SvgCanvas
      * @param height Document height in pixels.
      */
     SvgCanvas(double width, double height);
-
-    /** @return Document width. */
-    double width() const { return width_; }
-
-    /** @return Document height. */
-    double height() const { return height_; }
 
     /** Draw a line segment. */
     void line(double x1, double y1, double x2, double y2,
@@ -75,6 +71,31 @@ class SvgCanvas
     double width_;
     double height_;
     std::ostringstream body_;
+};
+
+/** @return The colour of curve @p i in an SVG chart. */
+const char *curveColor(size_t i);
+
+/**
+ * The frame of an SVG line chart (RooflinePlot, SeriesPlot), drawn
+ * when it is built: the plot box inside the margins, the ticks and
+ * tick labels of both axes, the axis titles and the chart title. The
+ * chart draws its curves on svg through x and y.
+ */
+struct SvgFrame {
+    /** Margins (pixels) around the plot box. */
+    static constexpr double kLeft = 70.0, kRight = 20.0, kTop = 40.0,
+                            kBottom = 50.0;
+
+    /** @param y_unit Y tick labels read value / y_unit (1e9 labels
+     * ops/s in Gops/s). */
+    SvgFrame(double width, double height, const std::string &title,
+             const std::string &x_label, const std::string &y_label,
+             AxisRange x_range, AxisRange y_range, double y_unit = 1.0);
+
+    SvgCanvas svg;
+    Axis x;
+    Axis y;
 };
 
 } // namespace gables

@@ -1,10 +1,10 @@
 #include "plot/viz_export.h"
 
-#include <cmath>
+#include <algorithm>
 
+#include "plot/roofline_plot.h"
 #include "util/json_writer.h"
 #include "util/math_util.h"
-#include "util/strings.h"
 
 namespace gables {
 
@@ -13,8 +13,9 @@ writeVisualizationJson(std::ostream &out, const SocSpec &soc,
                        const Usecase &usecase, double x_lo, double x_hi,
                        size_t samples)
 {
-    GablesResult result = GablesModel::evaluate(soc, usecase);
-    std::vector<double> xs = logspace(x_lo, x_hi, samples);
+    const GablesCurves family = gablesCurves(soc, usecase);
+    const GablesResult result = GablesModel::evaluate(soc, usecase);
+    const std::vector<double> xs = logspace(x_lo, x_hi, samples);
 
     JsonWriter json(out);
     json.beginObject();
@@ -24,31 +25,15 @@ writeVisualizationJson(std::ostream &out, const SocSpec &soc,
 
     json.key("curves");
     json.beginArray();
-    for (size_t i = 0; i < soc.numIps(); ++i) {
-        if (usecase.fraction(i) == 0.0)
-            continue; // omitted, as in the paper's plots
+    std::vector<double> ys(xs.size());
+    for (const RooflineCurve &curve : family.curves) {
         json.beginObject();
-        json.kv("label", soc.ip(i).name + " (f=" +
-                             formatDouble(usecase.fraction(i), 3) +
-                             ")");
-        json.kv("kind", "ip");
-        json.kv("ip", static_cast<int>(i));
-        std::vector<double> ys;
-        ys.reserve(xs.size());
-        for (double x : xs)
-            ys.push_back(
-                GablesModel::scaledIpRoofline(soc, usecase, i, x));
-        json.numberArray("y", ys);
-        json.endObject();
-    }
-    {
-        json.beginObject();
-        json.kv("label", "memory");
-        json.kv("kind", "memory");
-        std::vector<double> ys;
-        ys.reserve(xs.size());
-        for (double x : xs)
-            ys.push_back(GablesModel::memoryRoofline(soc, x));
+        json.kv("label", curve.label);
+        json.kv("kind", curve.ip >= 0 ? "ip" : "memory");
+        if (curve.ip >= 0)
+            json.kv("ip", curve.ip);
+        std::transform(xs.begin(), xs.end(), ys.begin(),
+                       [&](double x) { return curve.at(x); });
         json.numberArray("y", ys);
         json.endObject();
     }
@@ -56,24 +41,11 @@ writeVisualizationJson(std::ostream &out, const SocSpec &soc,
 
     json.key("drops");
     json.beginArray();
-    for (size_t i = 0; i < soc.numIps(); ++i) {
-        double f = usecase.fraction(i);
-        double intensity = usecase.intensity(i);
-        if (f == 0.0 || std::isinf(intensity))
-            continue;
+    for (const DropPoint &drop : family.drops) {
         json.beginObject();
-        json.kv("label", "I" + std::to_string(i));
-        json.kv("x", intensity);
-        json.kv("y", GablesModel::scaledIpRoofline(soc, usecase, i,
-                                                   intensity));
-        json.endObject();
-    }
-    if (!std::isinf(result.averageIntensity)) {
-        json.beginObject();
-        json.kv("label", "Iavg");
-        json.kv("x", result.averageIntensity);
-        json.kv("y", GablesModel::memoryRoofline(
-                         soc, result.averageIntensity));
+        json.kv("label", drop.label);
+        json.kv("x", drop.x);
+        json.kv("y", drop.y);
         json.endObject();
     }
     json.endArray();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "telemetry/report_diff.h"
 #include "util/atomic_file.h"
@@ -14,18 +12,6 @@ namespace gables {
 namespace replay {
 
 namespace {
-
-/** Read a whole file, fataling with the path on failure. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open replay bundle '" + path + "'");
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return oss.str();
-}
 
 /** Write the fresh report next to the recorded ones for offline
  * diffing (CI uploads the directory as an artifact on mismatch). */
@@ -72,22 +58,17 @@ replayBundle(const std::string &path, const CommandRunner &run,
     // mirroring how the CLI treats malformed command lines.
     ReplayBundle bundle;
     try {
-        bundle = parseBundle(parseJson(slurp(path)), path);
+        bundle = parseBundle(
+            parseJson(readWholeFile(path, "replay bundle")), path);
     } catch (const ConfigError &err) {
         return fail(2, "bad-bundle", err.what());
     } catch (const FatalError &err) {
         return fail(2, "bad-bundle", err.what());
     }
-    if (bundle.subcommand() == "replay")
+    if (std::ranges::count(opts.commands, bundle.subcommand()) == 0)
         return fail(2, "bad-bundle",
-                    path + ": refusing to replay a nested 'replay' "
-                           "invocation");
-    // A daemon runs until it is signalled, so its replay would never
-    // return.
-    if (bundle.subcommand() == "serve")
-        return fail(2, "bad-bundle",
-                    path + ": refusing to replay a 'serve' invocation "
-                           "(the daemon would not exit)");
+                    path + ": refusing to replay '" + bundle.subcommand() +
+                        "': not a replayable command");
 
     ReplayOutcome outcome;
     outcome.subcommand = bundle.subcommand();

@@ -34,6 +34,10 @@ using CommandRunner = std::function<int(
 
 /** Knobs for a replay run. */
 struct ReplayOptions {
+    /** The subcommands a bundle may name; any other is refused as
+     * bad-bundle before it runs. The CLI passes its own list,
+     * cli::replayableCommands(). */
+    std::vector<std::string> commands;
     /**
      * Extra report fields/paths to skip, appended to the bundle's
      * own tolerance.ignore list (for host-dependent fields a bundle
@@ -84,8 +88,8 @@ struct ReplayOutcome {
  * through @p run with a Session serving the bundle's inlined config
  * files and rooting artifacts at ReplayOptions::artifactDir, then
  * compare exit codes and diff the report the Session gathered
- * against the recorded one. A bundle that records `replay`
- * or `serve` is refused as bad-bundle (exit 2) without running it.
+ * against the recorded one. A subcommand not in ReplayOptions::commands
+ * is refused as bad-bundle (exit 2) without running it.
  * Never throws; failures are reported through the outcome.
  */
 ReplayOutcome replayBundle(const std::string &path,

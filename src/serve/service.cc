@@ -524,7 +524,7 @@ ServeService::writeStats(Write &&write)
         .set(static_cast<double>(cache_.hits()));
     registry_
         .gauge("serve.cache_misses",
-               "evaluator-cache compilations to date")
+               "evaluator-cache misses (model evaluations) to date")
         .set(static_cast<double>(cache_.misses()));
     registry_
         .gauge("serve.cache_evictions",

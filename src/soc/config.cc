@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "core/param.h"
 #include "telemetry/span.h"
+#include "util/atomic_file.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/strings.h"
@@ -297,12 +297,7 @@ parseSocConfig(const std::string &text, const std::string &source)
 std::string
 readConfigFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open config file '" + path + "'");
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return oss.str();
+    return readWholeFile(path, "config file");
 }
 
 SocConfig

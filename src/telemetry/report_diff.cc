@@ -61,6 +61,26 @@ typeName(JsonValue::Type t)
 }
 
 /**
+ * @return The member of object @p to that pairs with member @p pos of
+ * object @p from, named @p key: the k-th member named @p key in each.
+ */
+std::optional<JsonValue>
+counterpart(const JsonValue &from, size_t pos, std::string_view key,
+            const JsonValue &to)
+{
+    size_t k = 0;
+    for (const auto &member : from.members()) {
+        if (pos-- == 0)
+            break;
+        k += member.first == key;
+    }
+    for (const auto &[name, value] : to.members())
+        if (name == key && k-- == 0)
+            return value;
+    return std::nullopt;
+}
+
+/**
  * Walks two documents in step. The dotted path of the current field
  * is one buffer, extended on the way down and cut back on the way up,
  * so a field costs no allocation unless it is reported.
@@ -147,11 +167,13 @@ struct Walker {
         const size_t mark = path.size();
         switch (a.type()) {
         case JsonValue::Type::Object: {
+            // A key that repeats pairs by occurrence: the k-th member
+            // named k in A with the k-th named k in B.
             const bool root = path.empty();
-            for (const auto &[key, value] : a.members()) {
+            for (size_t pos = 0; const auto &[key, value] : a.members()) {
                 enterMember(key);
                 if (!ignored(key)) {
-                    std::optional<JsonValue> other = b.find(key);
+                    auto other = counterpart(a, pos, key, b);
                     if (other) {
                         walk(value, *other,
                              exact || (root && key == "schema"));
@@ -161,14 +183,16 @@ struct Walker {
                     }
                 }
                 path.resize(mark);
+                ++pos;
             }
-            for (const auto &[key, value] : b.members()) {
+            for (size_t pos = 0; const auto &[key, value] : b.members()) {
                 enterMember(key);
-                if (!ignored(key) && !a.has(key)) {
+                if (!ignored(key) && !counterpart(b, pos, key, a)) {
                     ++result.fieldsCompared;
                     report("missing in A", "-", render(value));
                 }
                 path.resize(mark);
+                ++pos;
             }
             break;
         }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 
 #include "util/logging.h"
 
@@ -53,6 +54,29 @@ writeFileAtomic(const std::string &path, const std::string &contents)
         out.write(contents.data(),
                   static_cast<std::streamsize>(contents.size()));
     });
+}
+
+std::string
+readWholeFile(const std::string &path, const std::string &noun)
+{
+    struct Close {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
+    std::unique_ptr<std::FILE, Close> file(std::fopen(path.c_str(), "rb"));
+    if (!file)
+        fatal("cannot open " + noun + " '" + path + "'");
+    std::string text;
+    char chunk[64 * 1024];
+    size_t n;
+    while ((n = std::fread(chunk, 1, sizeof chunk, file.get())) > 0)
+        text.append(chunk, n);
+    // A directory opens, and its read fails here with EISDIR.
+    if (std::ferror(file.get()) != 0) {
+        const int error = errno;
+        fatal("cannot read " + noun + " '" + path +
+              "': " + std::strerror(error));
+    }
+    return text;
 }
 
 } // namespace gables

@@ -1,6 +1,6 @@
 /**
  * @file
- * Crash-safe whole-file writes.
+ * Whole-file I/O: checked reads and crash-safe writes.
  *
  * Replay bundles, RunReports, and bench baselines are consumed by
  * other processes (CI diff gates, the replay corpus, dashboards), so
@@ -43,6 +43,15 @@ void writeFileAtomic(const std::string &path,
 /** Atomically replace @p path with @p contents (see above). */
 void writeFileAtomic(const std::string &path,
                      const std::string &contents);
+
+/**
+ * @return The bytes of the file at @p path, a @p noun ("config file").
+ * @throws FatalError "cannot open <noun> '<path>'", or "cannot read
+ *         <noun> '<path>': <reason>" when it opens but cannot be read
+ *         (a directory).
+ */
+std::string readWholeFile(const std::string &path,
+                          const std::string &noun);
 
 } // namespace gables
 

@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -218,10 +219,34 @@ INSTANTIATE_TEST_SUITE_P(
         StdoutCase{"pipeline_hfr_48",
                    {"gables", "pipeline", "--usecase", "hfr", "--frames",
                     "48"}},
-        StdoutCase{"glossary", {"gables", "glossary"}}),
+        StdoutCase{"glossary", {"gables", "glossary"}},
+        // The plot backends: the scaled-roofline chart and the series
+        // chart, ASCII.
+        StdoutCase{"eval_sd835_ascii",
+                   {"gables", "eval", "--soc", "sd835", "--ascii"}},
+        StdoutCase{"sweep_sd835_41_ascii",
+                   {"gables", "sweep", "--soc", "sd835", "--points", "41",
+                    "--jobs", "1", "--ascii"}}),
     [](const ::testing::TestParamInfo<StdoutCase> &info) {
         return info.param.golden;
     });
+
+/**
+ * The plot files eval writes: the scaled-roofline SVG and the
+ * visualizer JSON.
+ */
+TEST(CliOutputGolden, PlotFiles)
+{
+    const std::string svg = ::testing::TempDir() + "golden_eval.svg";
+    runCaptured({"gables", "eval", "--soc", "paper", "--svg", svg});
+    EXPECT_EQ(readFile(svg), golden("eval_paper.svg"));
+    std::remove(svg.c_str());
+
+    const std::string viz = ::testing::TempDir() + "golden_viz.json";
+    runCaptured({"gables", "eval", "--soc", "sd835", "--viz-json", viz});
+    EXPECT_EQ(readFile(viz), golden("eval_sd835_viz.json"));
+    std::remove(viz.c_str());
+}
 
 /**
  * `gables help` (stdout), then every command's --help (stderr, exit
@@ -303,6 +328,38 @@ TEST(CliOutputGolden, OverflowingIpPeakIsADataError)
             << run.err;
     }
     std::remove(config.c_str());
+}
+
+/**
+ * A directory where a file belongs is a read error naming the path,
+ * with each command's own exit code: 1 for a config file or a report,
+ * 2 for a replay bundle (bad-bundle).
+ */
+TEST(CliOutputGolden, DirectoryInputIsAReadError)
+{
+    const std::string dir = ::testing::TempDir() + "golden_dir_input";
+    std::filesystem::create_directories(dir);
+    const std::string config = "cannot read config file '" + dir + "': ";
+    const std::string report = "cannot read report '" + dir + "': ";
+    const std::string bundle = "cannot read replay bundle '" + dir + "': ";
+    const struct {
+        std::vector<std::string> argv;
+        int code;
+        std::string message;
+    } cases[] = {
+        {{"gables", "validate", dir}, 1, config},
+        {{"gables", "eval", "--file", dir}, 1, config},
+        {{"gables", "report", "show", dir}, 1, report},
+        {{"gables", "replay", dir}, 2, bundle},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.argv[1]);
+        Outcome run = runBoth(c.argv);
+        EXPECT_EQ(run.code, c.code);
+        EXPECT_NE((run.out + run.err).find(c.message), std::string::npos)
+            << run.out << run.err;
+    }
+    std::filesystem::remove(dir);
 }
 
 /**

@@ -127,28 +127,6 @@ TEST(Gables, TimingDetailFieldsConsistent)
     EXPECT_DOUBLE_EQ(r.memoryTime, r.totalDataBytes / soc.bpeak());
 }
 
-TEST(Gables, ScaledRooflineMatchesDefinition)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    // IP[1]: min(15 * x, 200) / 0.75.
-    EXPECT_DOUBLE_EQ(GablesModel::scaledIpRoofline(soc, u, 1, 1.0),
-                     15e9 / 0.75);
-    EXPECT_DOUBLE_EQ(GablesModel::scaledIpRoofline(soc, u, 1, 1000.0),
-                     200e9 / 0.75);
-    // IP with no work: unbounded.
-    Usecase idle1 = Usecase::twoIp("i", 0.0, 8.0, 0.1);
-    EXPECT_TRUE(std::isinf(
-        GablesModel::scaledIpRoofline(soc, idle1, 1, 1.0)));
-}
-
-TEST(Gables, MemoryRooflineIsSlantedOnly)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    EXPECT_DOUBLE_EQ(GablesModel::memoryRoofline(soc, 2.0), 20e9);
-    EXPECT_DOUBLE_EQ(GablesModel::memoryRoofline(soc, 200.0), 2000e9);
-}
-
 TEST(Gables, BottleneckLabels)
 {
     SocSpec soc = SocCatalog::paperTwoIp();

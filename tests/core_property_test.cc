@@ -160,9 +160,15 @@ TEST_P(GablesProperty, AttainableEqualsMinOfSelectedBounds)
         GablesResult r = GablesModel::evaluate(soc, u);
         double min_bound = r.memoryPerfBound;
         for (size_t i = 0; i < soc.numIps(); ++i) {
-            double b = GablesModel::scaledIpRoofline(soc, u, i,
-                                                     u.intensity(i));
-            min_bound = std::min(min_bound, b);
+            // IP i's scaled roofline at Ii (Eq. 12); an idle IP
+            // bounds nothing.
+            double f = u.fraction(i);
+            if (f > 0.0)
+                min_bound = std::min(
+                    min_bound,
+                    std::min(soc.ip(i).bandwidth * u.intensity(i),
+                             soc.ipPeakPerf(i)) /
+                        f);
         }
         EXPECT_NEAR(r.attainable / min_bound, 1.0, 1e-9);
     }

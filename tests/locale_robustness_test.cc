@@ -134,9 +134,11 @@ TEST_F(GermanLocaleTest, CorpusReplaysByteIdentically)
            replay::Session &session) {
             return cli::runCommand(argv, &session);
         };
+    replay::ReplayOptions opts;
+    opts.commands = cli::replayableCommands();
     for (const std::string &path : bundles) {
         replay::ReplayOutcome outcome =
-            replay::replayBundle(path, runner, {});
+            replay::replayBundle(path, runner, opts);
         EXPECT_TRUE(outcome.matched())
             << path << ": " << outcome.status << "\n"
             << outcome.detail;

@@ -150,6 +150,40 @@ TEST(Axis, FormatTick)
     EXPECT_EQ(Axis::formatTick(100.0), "100");
 }
 
+TEST(GablesCurves, ScaledRooflineMatchesDefinition)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    GablesCurves family =
+        gablesCurves(soc, Usecase::twoIp("u", 0.75, 8.0, 0.1));
+    ASSERT_EQ(family.curves.size(), 3u);
+    // IP[1]: min(15 * x, 200) / 0.75.
+    const RooflineCurve &gpu = family.curves[1];
+    EXPECT_EQ(gpu.ip, 1);
+    EXPECT_EQ(gpu.label, "GPU (f=0.75)");
+    EXPECT_DOUBLE_EQ(gpu.at(1.0), 15e9 / 0.75);
+    EXPECT_DOUBLE_EQ(gpu.at(1000.0), 200e9 / 0.75);
+    // An IP with no work has no curve and no drop point.
+    GablesCurves idle1 =
+        gablesCurves(soc, Usecase::twoIp("i", 0.0, 8.0, 0.1));
+    ASSERT_EQ(idle1.curves.size(), 2u);
+    EXPECT_EQ(idle1.curves[0].ip, 0);
+    EXPECT_EQ(idle1.curves[1].ip, -1);
+    ASSERT_EQ(idle1.drops.size(), 2u);
+    EXPECT_EQ(idle1.drops[0].label, "I0");
+    EXPECT_EQ(idle1.drops[1].label, "Iavg");
+}
+
+TEST(GablesCurves, MemoryRooflineIsSlantedOnly)
+{
+    SocSpec soc = SocCatalog::paperTwoIp();
+    GablesCurves family =
+        gablesCurves(soc, Usecase::twoIp("u", 0.75, 8.0, 0.1));
+    const RooflineCurve &memory = family.curves.back();
+    EXPECT_EQ(memory.label, "memory");
+    EXPECT_DOUBLE_EQ(memory.at(2.0), 20e9);
+    EXPECT_DOUBLE_EQ(memory.at(200.0), 2000e9);
+}
+
 TEST(RooflinePlot, ClassicRooflineSvg)
 {
     RooflinePlot plot("Figure 7a", 0.01, 100.0);

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the visualization JSON export.
+ * Tests for the visualization JSON export, and that it labels the
+ * curves as the SVG and ASCII charts do.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "plot/roofline_plot.h"
 #include "plot/viz_export.h"
 #include "soc/catalog.h"
 
@@ -72,6 +74,27 @@ TEST(VizExport, SampleCountRespected)
     for (size_t p = start; p < end; ++p)
         commas += json[p] == ',' ? 1 : 0;
     EXPECT_EQ(commas, 15);
+}
+
+// An IP without a name is IP[i] in every view of the picture.
+TEST(VizExport, UnnamedIpLabelsMatchThePlots)
+{
+    SocSpec soc("anon", 40e9, 10e9,
+                {IpSpec{"", 1.0, 6e9}, IpSpec{"", 5.0, 15e9}});
+    Usecase usecase = Usecase::twoIp("u", 0.75, 8.0, 0.1);
+    RooflinePlot plot("anon", 0.01, 100.0);
+    plot.addGables(soc, usecase);
+    const std::string svg = plot.renderSvg();
+    const std::string ascii = plot.renderAscii();
+    std::ostringstream viz;
+    writeVisualizationJson(viz, soc, usecase);
+    for (const std::string label : {"IP[0] (f=0.25)", "IP[1] (f=0.75)"}) {
+        EXPECT_NE(svg.find(label), std::string::npos) << label;
+        EXPECT_NE(ascii.find(label), std::string::npos) << label;
+        EXPECT_NE(viz.str().find("\"label\": \"" + label + "\""),
+                  std::string::npos)
+            << label;
+    }
 }
 
 } // namespace

@@ -42,6 +42,16 @@ cliRunner()
     };
 }
 
+/** Replay options as `gables replay` sets them: the CLI's
+ * replayable commands. */
+replay::ReplayOptions
+cliOptions()
+{
+    replay::ReplayOptions opts;
+    opts.commands = cli::replayableCommands();
+    return opts;
+}
+
 void
 writeFile(const std::string &path, const std::string &text)
 {
@@ -132,7 +142,7 @@ TEST(ReplayRoundTrip, RandomizedEvalReplaysClean)
 
         testing::internal::CaptureStdout();
         replay::ReplayOutcome outcome =
-            replay::replayBundle(bundle, cliRunner());
+            replay::replayBundle(bundle, cliRunner(), cliOptions());
         testing::internal::GetCapturedStdout();
         EXPECT_EQ(outcome.exitCode, 0) << outcome.detail;
         EXPECT_EQ(outcome.status, "match");
@@ -175,7 +185,7 @@ TEST(ReplayRoundTrip, PerturbedBundlesFailWithContractExitCodes)
     writeBundleFile(path, spliced);
     testing::internal::CaptureStdout();
     replay::ReplayOutcome mismatch =
-        replay::replayBundle(path, cliRunner());
+        replay::replayBundle(path, cliRunner(), cliOptions());
     testing::internal::GetCapturedStdout();
     EXPECT_EQ(mismatch.exitCode, 1);
     EXPECT_EQ(mismatch.status, "report-mismatch");
@@ -185,7 +195,8 @@ TEST(ReplayRoundTrip, PerturbedBundlesFailWithContractExitCodes)
     replay::ReplayBundle future = a;
     future.schemaVersion = 99;
     writeBundleFile(path, future);
-    replay::ReplayOutcome bad = replay::replayBundle(path, cliRunner());
+    replay::ReplayOutcome bad =
+        replay::replayBundle(path, cliRunner(), cliOptions());
     EXPECT_EQ(bad.exitCode, 2);
     EXPECT_EQ(bad.status, "bad-bundle");
 
@@ -196,7 +207,7 @@ TEST(ReplayRoundTrip, PerturbedBundlesFailWithContractExitCodes)
     writeBundleFile(path, wrongExit);
     testing::internal::CaptureStdout();
     replay::ReplayOutcome exitMismatch =
-        replay::replayBundle(path, cliRunner());
+        replay::replayBundle(path, cliRunner(), cliOptions());
     testing::internal::GetCapturedStdout();
     EXPECT_EQ(exitMismatch.exitCode, 1);
     EXPECT_EQ(exitMismatch.status, "exit-code-mismatch");
@@ -205,7 +216,7 @@ TEST(ReplayRoundTrip, PerturbedBundlesFailWithContractExitCodes)
 TEST(ReplayRoundTrip, UnreadableAndNestedBundlesAreBad)
 {
     replay::ReplayOutcome missing = replay::replayBundle(
-        "replay_rt_no_such_bundle.json", cliRunner());
+        "replay_rt_no_such_bundle.json", cliRunner(), cliOptions());
     EXPECT_EQ(missing.exitCode, 2);
     EXPECT_EQ(missing.status, "bad-bundle");
 
@@ -215,9 +226,37 @@ TEST(ReplayRoundTrip, UnreadableAndNestedBundlesAreBad)
     nested.argv = {"gables", "replay", "inner.json"};
     writeBundleFile("replay_rt_nested.json", nested);
     replay::ReplayOutcome outcome =
-        replay::replayBundle("replay_rt_nested.json", cliRunner());
+        replay::replayBundle("replay_rt_nested.json", cliRunner(),
+                             cliOptions());
     EXPECT_EQ(outcome.exitCode, 2);
     EXPECT_EQ(outcome.status, "bad-bundle");
+}
+
+// A bundle naming a subcommand the CLI does not mark replayable, a
+// misspelled one included, is refused before anything runs.
+TEST(ReplayRoundTrip, UnreplayableSubcommandIsRefusedWithoutRunning)
+{
+    for (const char *name : {"evl", "serve", "replay"}) {
+        SCOPED_TRACE(name);
+        replay::ReplayBundle bundle;
+        bundle.argv = {"gables", name, "--soc", "paper"};
+        writeBundleFile("replay_rt_unreplayable.json", bundle);
+        bool ran = false;
+        replay::ReplayOutcome outcome = replay::replayBundle(
+            "replay_rt_unreplayable.json",
+            [&ran](const std::vector<std::string> &, replay::Session &) {
+                ran = true;
+                return 0;
+            },
+            cliOptions());
+        EXPECT_FALSE(ran);
+        EXPECT_EQ(outcome.exitCode, 2);
+        EXPECT_EQ(outcome.status, "bad-bundle");
+        EXPECT_NE(outcome.detail.find(std::string("'") + name + "'"),
+                  std::string::npos)
+            << outcome.detail;
+    }
+    std::remove("replay_rt_unreplayable.json");
 }
 
 // Artifacts the replayed command writes to relative paths (here the
@@ -242,7 +281,7 @@ TEST(ReplayRoundTrip, RelativeArtifactsRedirectToOutDir)
     writeBundleFile(bundlePath, b);
     std::remove(metrics.c_str());
 
-    replay::ReplayOptions opts;
+    replay::ReplayOptions opts = cliOptions();
     opts.artifactDir = "replay_rt_outdir";
     testing::internal::CaptureStdout();
     replay::ReplayOutcome outcome =
@@ -319,7 +358,7 @@ TEST(ReplayRoundTrip, AbsoluteArtifactPathIsReRootedUnderTheOutDir)
     std::filesystem::remove(svg);
     std::filesystem::remove_all(outDir);
 
-    replay::ReplayOptions opts;
+    replay::ReplayOptions opts = cliOptions();
     opts.artifactDir = outDir;
     testing::internal::CaptureStdout();
     replay::ReplayOutcome outcome =
@@ -353,7 +392,7 @@ TEST(ReplayRoundTrip, ArtifactPathLeavingTheOutDirIsRefused)
     b.argv = {"gables", "eval", "--soc", "paper", "--svg", recorded};
     writeBundleFile(bundlePath, b);
 
-    replay::ReplayOptions opts;
+    replay::ReplayOptions opts = cliOptions();
     opts.artifactDir = outDir;
     testing::internal::CaptureStdout();
     testing::internal::CaptureStderr();
@@ -398,7 +437,7 @@ TEST(ReplayRoundTrip, UnparseableConfigIsInlinedAndReplays)
 
     testing::internal::CaptureStderr();
     replay::ReplayOutcome outcome =
-        replay::replayBundle(bundlePath, cliRunner());
+        replay::replayBundle(bundlePath, cliRunner(), cliOptions());
     std::string replayedErr = testing::internal::GetCapturedStderr();
     EXPECT_EQ(outcome.exitCode, 0) << outcome.detail;
     EXPECT_EQ(outcome.status, "match");

@@ -141,6 +141,32 @@ TEST(ReportDiff, MissingMembersReportedBothWays)
     EXPECT_EQ(added.diffs[0].path, "z");
 }
 
+// A repeated key pairs by occurrence: the k-th "k" of A with the k-th
+// of B. An occurrence the other side lacks is missing there.
+TEST(ReportDiff, RepeatedKeysPairByOccurrence)
+{
+    const std::string two = R"({"k": 1, "x": true, "k": "two"})";
+    EXPECT_TRUE(diffText(two, two).identical());
+
+    const std::string three = R"({"k": 1, "x": true, "k": "two", "k": 3})";
+    ReportDiffResult added = diffText(two, three);
+    ASSERT_EQ(added.diffs.size(), 1u);
+    EXPECT_EQ(added.diffs[0].path, "k");
+    EXPECT_EQ(added.diffs[0].reason, "missing in A");
+    EXPECT_EQ(added.diffs[0].b, "3");
+
+    ReportDiffResult gone = diffText(three, two);
+    ASSERT_EQ(gone.diffs.size(), 1u);
+    EXPECT_EQ(gone.diffs[0].reason, "missing in B");
+    EXPECT_EQ(gone.diffs[0].a, "3");
+
+    ReportDiffResult changed =
+        diffText(two, R"({"k": 1, "x": true, "k": "2"})");
+    ASSERT_EQ(changed.diffs.size(), 1u);
+    EXPECT_EQ(changed.diffs[0].reason, "value");
+    EXPECT_EQ(changed.diffs[0].a, "\"two\"");
+}
+
 TEST(ReportDiff, TypeMismatchIsOneDiffNotARecursion)
 {
     ReportDiffResult result =
