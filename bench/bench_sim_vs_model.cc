@@ -62,8 +62,7 @@ reproduce()
             trial.sim = soc->run({{"IP0", job}})
                             .engine("IP0")
                             .achievedOpsRate();
-        },
-        parallel::ForOptions{});
+        });
 
     TextTable t({"peak Gops/s", "link GB/s", "DRAM GB/s", "I",
                  "model Gops/s", "sim Gops/s", "sim/model"});

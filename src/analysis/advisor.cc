@@ -208,7 +208,7 @@ Advisor::advise(const SocSpec &soc, const Usecase &usecase,
             a.newAttainable = base;
             a.gain = 1.0;
             a.description =
-                soc.ip(i).name + " link of " +
+                soc.ipLabel(i) + " link of " +
                 formatByteRate(soc.ip(i).bandwidth) +
                 " is over-provisioned; " + formatByteRate(sufficient) +
                 " suffices";

@@ -275,9 +275,7 @@ DesignExplorer::explore(int jobs, parallel::ForStats *stats) const
     constexpr size_t W = kGridWidth;
     const size_t packs = (candidates.size() + W - 1) / W;
 
-    parallel::ForOptions opts;
-    opts.jobs = jobs;
-    int workers = parallel::plannedWorkers(packs, opts);
+    int workers = parallel::plannedWorkers(packs, jobs);
     std::vector<Lanes<W>> states;
     states.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w)
@@ -297,7 +295,7 @@ DesignExplorer::explore(int jobs, parallel::ForStats *stats) const
                 for (size_t w = 0; w < cnt; ++w)
                     materialize(ls, w, points[w], candidates[p0 + w]);
             },
-            opts);
+            jobs);
     }
     if (stats)
         *stats = st;
@@ -320,7 +318,7 @@ DesignExplorer::explore(int jobs, parallel::ForStats *stats) const
             }
             candidates[i].pareto = !dominated;
         },
-        opts);
+        jobs);
 
     // Stable: equal-minPerf candidates keep enumeration order, which
     // is what makes the pruned frontier ordering reproducible.
@@ -341,9 +339,7 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     const size_t n_knobs = knobs_.size();
     constexpr size_t W = kGridWidth;
 
-    parallel::ForOptions opts;
-    opts.jobs = options.jobs;
-    const int workers = parallel::plannedWorkers(total, opts);
+    const int workers = parallel::plannedWorkers(total, options.jobs);
 
     // Per-knob bounds assume each knob drives its own model term;
     // two sweeps on the same term make the later one override the

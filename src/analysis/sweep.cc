@@ -44,8 +44,6 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
     // pre-sized slots, so the output is the same for any job count.
     constexpr size_t W = kGridWidth;
     const size_t packs = (xs.size() + W - 1) / W;
-    parallel::ForOptions opts;
-    opts.jobs = jobs;
     // One pack per pool worker: packs are stateful, and worker
     // indices are stable for the duration of one loop. An empty grid
     // never calls the body, so compile nothing.
@@ -53,7 +51,7 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
     if (packs != 0) {
         GABLES_SPAN("sweep.compile");
         lanes.assign(
-            static_cast<size_t>(parallel::plannedWorkers(packs, opts)),
+            static_cast<size_t>(parallel::plannedWorkers(packs, jobs)),
             GablesPack<W>(soc, usecase_for(xs[0])));
     }
 
@@ -74,7 +72,7 @@ Sweep::mixing(const SocSpec &soc, double i0, double i1,
             for (size_t w = 0; w < cnt; ++w)
                 series.y[p0 + w] = pack.attainable(w) / base;
         },
-        opts);
+        jobs);
     if (stats)
         *stats = st;
     return series;

@@ -56,12 +56,6 @@ class EnergyModel
     EnergyModel(std::vector<double> energy_per_op,
                 double energy_per_byte, double static_power);
 
-    /** @return DRAM energy per byte (J/byte). */
-    double energyPerByte() const { return energyPerByte_; }
-
-    /** @return Static power (W). */
-    double staticPower() const { return staticPower_; }
-
     /**
      * Energy per operation of a usecase: sum(fi * e_i) plus DRAM
      * energy for its per-op traffic.

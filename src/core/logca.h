@@ -78,9 +78,6 @@ class LogCAModel
      */
     double asymptoticSpeedup() const;
 
-    /** @return The parameters. */
-    const Params &params() const { return params_; }
-
   private:
     Params params_;
 };

@@ -12,20 +12,21 @@ constexpr double kShareSumTol = 1e-9;
 
 } // namespace
 
-PhasedUsecase::PhasedUsecase(std::string name, std::vector<Phase> phases)
-    : name_(std::move(name)), phases_(std::move(phases))
+PhasedUsecase::PhasedUsecase(const std::string &name,
+                             std::vector<Phase> phases)
+    : phases_(std::move(phases))
 {
     if (phases_.empty())
-        fatal("phased usecase '" + name_ + "': needs at least one phase");
+        fatal("phased usecase '" + name + "': needs at least one phase");
     double sum = 0.0;
     for (const Phase &p : phases_) {
         if (!(p.workShare >= 0.0))
-            fatal("phased usecase '" + name_ + "': phase '" + p.name +
+            fatal("phased usecase '" + name + "': phase '" + p.name +
                   "' has negative work share");
         sum += p.workShare;
     }
     if (std::fabs(sum - 1.0) > kShareSumTol)
-        fatal("phased usecase '" + name_ + "': phase work shares sum to " +
+        fatal("phased usecase '" + name + "': phase work shares sum to " +
               std::to_string(sum) + ", expected 1");
 }
 

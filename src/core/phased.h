@@ -66,14 +66,11 @@ class PhasedUsecase
 {
   public:
     /**
-     * @param name   Display name.
+     * @param name   Display name, for diagnostics.
      * @param phases Phase list; workShares must be non-negative and
      *               sum to 1, and every phase's usecase must be valid.
      */
-    PhasedUsecase(std::string name, std::vector<Phase> phases);
-
-    /** @return Display name. */
-    const std::string &name() const { return name_; }
+    PhasedUsecase(const std::string &name, std::vector<Phase> phases);
 
     /** @return The phases. */
     const std::vector<Phase> &phases() const { return phases_; }
@@ -85,7 +82,6 @@ class PhasedUsecase
     PhasedResult evaluate(const SocSpec &soc) const;
 
   private:
-    std::string name_;
     std::vector<Phase> phases_;
 };
 

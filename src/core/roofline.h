@@ -79,12 +79,6 @@ class Roofline
         return computeCeilings_;
     }
 
-    /** @return Bandwidth ceilings, sorted descending by value. */
-    const std::vector<Ceiling> &bandwidthCeilings() const
-    {
-        return bandwidthCeilings_;
-    }
-
     /**
      * Attainable performance at operational intensity @p intensity,
      * against the full roof (ceilings ignored):

@@ -28,6 +28,22 @@ measure(sim::SimSoc &soc, const std::string &engine_name,
     return sample;
 }
 
+/** @return One kernel job per intensity of @p config, in order. */
+std::vector<sim::KernelJob>
+trialJobs(const ErtConfig &config)
+{
+    if (config.intensities.empty())
+        fatal("ERT sweep needs at least one intensity");
+    std::vector<sim::KernelJob> jobs;
+    jobs.reserve(config.intensities.size());
+    for (double intensity : config.intensities)
+        jobs.push_back({.workingSetBytes = config.workingSetBytes,
+                        .totalBytes = config.totalBytes,
+                        .opsPerByte = intensity,
+                        .coordinationTime = config.coordinationTime});
+    return jobs;
+}
+
 /**
  * Run one trial per job on per-worker simulators built by
  * @p make_soc; samples land in job-order slots.
@@ -45,8 +61,6 @@ runBatch(const ErtSweep::SocFactory &make_soc,
     std::vector<std::unique_ptr<sim::SimSoc>> socs(
         static_cast<size_t>(std::max(parallel::defaultJobs(),
                                      std::max(pool_jobs, 1))));
-    parallel::ForOptions opts;
-    opts.jobs = pool_jobs;
     parallel::ForStats st = parallel::parallelFor(
         jobs.size(),
         [&](size_t i, int worker) {
@@ -59,7 +73,7 @@ runBatch(const ErtSweep::SocFactory &make_soc,
             }
             samples[i] = measure(*soc, engine_name, jobs[i]);
         },
-        opts);
+        pool_jobs);
     if (stats)
         *stats = st;
     return samples;
@@ -80,19 +94,10 @@ std::vector<ErtSample>
 ErtSweep::run(sim::SimSoc &soc, const std::string &engine_name,
               const ErtConfig &config)
 {
-    if (config.intensities.empty())
-        fatal("ERT sweep needs at least one intensity");
-
     std::vector<ErtSample> samples;
     samples.reserve(config.intensities.size());
-    for (double intensity : config.intensities) {
-        sim::KernelJob job;
-        job.workingSetBytes = config.workingSetBytes;
-        job.totalBytes = config.totalBytes;
-        job.opsPerByte = intensity;
-        job.coordinationTime = config.coordinationTime;
+    for (const sim::KernelJob &job : trialJobs(config))
         samples.push_back(measure(soc, engine_name, job));
-    }
     return samples;
 }
 
@@ -101,20 +106,8 @@ ErtSweep::run(const SocFactory &make_soc,
               const std::string &engine_name, const ErtConfig &config,
               int jobs, parallel::ForStats *stats)
 {
-    if (config.intensities.empty())
-        fatal("ERT sweep needs at least one intensity");
-
-    std::vector<sim::KernelJob> batch;
-    batch.reserve(config.intensities.size());
-    for (double intensity : config.intensities) {
-        sim::KernelJob job;
-        job.workingSetBytes = config.workingSetBytes;
-        job.totalBytes = config.totalBytes;
-        job.opsPerByte = intensity;
-        job.coordinationTime = config.coordinationTime;
-        batch.push_back(job);
-    }
-    return runBatch(make_soc, engine_name, batch, jobs, stats);
+    return runBatch(make_soc, engine_name, trialJobs(config), jobs,
+                    stats);
 }
 
 std::vector<ErtSample>

@@ -187,12 +187,13 @@ ThreadPool::forEach(size_t n,
 }
 
 int
-plannedWorkers(size_t n, const ForOptions &opts)
+plannedWorkers(size_t n, int jobs)
 {
-    if (opts.jobs < 0)
+    if (jobs < 0)
         fatal("parallelFor: jobs must be >= 0 (0 = hardware "
               "concurrency)");
-    int jobs = opts.jobs == 0 ? defaultJobs() : opts.jobs;
+    if (jobs == 0)
+        jobs = defaultJobs();
     jobs = static_cast<int>(
         std::min<size_t>(static_cast<size_t>(jobs), std::max<size_t>(n, 1)));
     // A loop launched from inside another loop's body runs inline on
@@ -204,11 +205,9 @@ plannedWorkers(size_t n, const ForOptions &opts)
 
 ForStats
 parallelFor(size_t n, const std::function<void(size_t, int)> &body,
-            const ForOptions &opts)
+            int jobs)
 {
-    int jobs = plannedWorkers(n, opts);
-
-    ThreadPool pool(jobs);
+    ThreadPool pool(plannedWorkers(n, jobs));
     pool.forEach(n, body);
 
     ForStats stats;
@@ -219,10 +218,10 @@ parallelFor(size_t n, const std::function<void(size_t, int)> &body,
 
 ForStats
 parallelFor(size_t n, const std::function<void(size_t)> &body,
-            const ForOptions &opts)
+            int jobs)
 {
     return parallelFor(
-        n, [&body](size_t i, int) { body(i); }, opts);
+        n, [&body](size_t i, int) { body(i); }, jobs);
 }
 
 } // namespace parallel

@@ -40,22 +40,16 @@ namespace parallel {
 /** @return max(1, std::thread::hardware_concurrency()). */
 int defaultJobs();
 
-struct ForOptions;
-
 /**
- * The worker count parallelFor(n, ..., opts) will actually use,
+ * The worker count parallelFor(n, ..., jobs) will actually use,
  * including the clamp to n and the nested-loop inline fallback.
  * Callers that keep per-worker state (e.g. one model evaluator per
  * worker) size their state arrays with this before dispatching; the
  * worker index passed to the body is always below it.
+ *
+ * @param jobs Worker count: 0 = defaultJobs(), 1 = the serial path.
  */
-int plannedWorkers(size_t n, const ForOptions &opts);
-
-/** Tuning knobs for a parallel loop. */
-struct ForOptions {
-    /** Worker count: 0 = defaultJobs(), 1 = legacy serial path. */
-    int jobs = 0;
-};
+int plannedWorkers(size_t n, int jobs);
 
 /** Measured footprint of one loop, for telemetry RunReports. */
 struct ForStats {
@@ -132,16 +126,16 @@ class ThreadPool
 
 /**
  * Run body(index, worker) for index in [0, n) on a transient pool of
- * opts.jobs workers (0 = hardware concurrency). Deterministic: see
- * the file comment. @return worker count and per-worker busy time.
+ * @p jobs workers (0 = hardware concurrency). Deterministic: see the
+ * file comment. @return worker count and per-worker busy time.
  */
 ForStats parallelFor(size_t n,
                      const std::function<void(size_t, int)> &body,
-                     const ForOptions &opts = {});
+                     int jobs = 0);
 
 /** Convenience overload for bodies that ignore the worker index. */
 ForStats parallelFor(size_t n, const std::function<void(size_t)> &body,
-                     const ForOptions &opts);
+                     int jobs = 0);
 
 } // namespace parallel
 } // namespace gables

@@ -65,13 +65,16 @@ replayBundle(const std::string &path, const CommandRunner &run,
     } catch (const FatalError &err) {
         return fail(2, "bad-bundle", err.what());
     }
-    if (std::ranges::count(opts.commands, bundle.subcommand()) == 0)
-        return fail(2, "bad-bundle",
-                    path + ": refusing to replay '" + bundle.subcommand() +
-                        "': not a replayable command");
-
     ReplayOutcome outcome;
     outcome.subcommand = bundle.subcommand();
+    if (std::ranges::count(opts.commands, outcome.subcommand) == 0) {
+        outcome.exitCode = 2;
+        outcome.status = "bad-bundle";
+        outcome.detail = path + ": refusing to replay '" +
+                         outcome.subcommand +
+                         "': not a replayable command";
+        return outcome;
+    }
 
     Session session;
     session.configFiles = std::move(bundle.configFiles);

@@ -73,9 +73,6 @@ class EvaluatorCache
                                    const Usecase &usecase,
                                    bool *hit = nullptr);
 
-    /** @return Maximum resident entries. */
-    size_t capacity() const { return capacity_; }
-
     /** @return Current resident entries. */
     size_t size() const;
 

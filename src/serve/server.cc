@@ -143,7 +143,7 @@ ServeServer::start()
 bool
 ServeServer::stopRequested() const
 {
-    return stop_.load() || service_.shutdownRequested() ||
+    return service_.shutdownRequested() ||
            (options_.stopFlag != nullptr && options_.stopFlag->load());
 }
 

@@ -7,10 +7,10 @@
  * worker pool). Responses stream back in request order.
  *
  * The loop exits when the service has handled a "shutdown" request,
- * when stop() is called, or when the configured stop flag (typically
- * set by a SIGINT/SIGTERM handler) becomes true; on exit the final
- * telemetry snapshot is written atomically to the configured stats
- * path, so a killed daemon never leaves truncated JSON behind.
+ * or when the configured stop flag (typically set by a SIGINT/SIGTERM
+ * handler) becomes true; on exit the final telemetry snapshot is
+ * written atomically to the configured stats path, so a killed daemon
+ * never leaves truncated JSON behind.
  */
 
 #ifndef GABLES_SERVE_SERVER_H
@@ -84,9 +84,6 @@ class ServeServer
      */
     size_t run();
 
-    /** Ask a running run() loop to exit (safe from other threads). */
-    void stop() { stop_.store(true); }
-
     /** @return The most unsent response bytes any one connection has
      * held (safe from other threads). */
     size_t peakPendingBytes() const { return peakPending_.load(); }
@@ -121,7 +118,6 @@ class ServeServer
     dev_t socketDev_ = 0;
     ino_t socketIno_ = 0;
     std::vector<Connection> connections_;
-    std::atomic<bool> stop_{false};
     std::atomic<size_t> peakPending_{0};
     size_t accepted_ = 0;
 };

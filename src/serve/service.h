@@ -110,9 +110,6 @@ class ServeService
     /** @return The evaluator cache (counters for tests/telemetry). */
     const EvaluatorCache &cache() const { return cache_; }
 
-    /** @return The configuration the service was built with. */
-    const ServeOptions &options() const { return options_; }
-
   private:
     struct Outcome {
         std::string response;

@@ -40,7 +40,8 @@ IpEngine::chunkBytes(uint64_t index) const
 
 void
 IpEngine::start(const KernelJob &job,
-                std::function<void(const EngineRunStats &)> on_done)
+                std::function<void(const EngineRunStats &)> on_done,
+                bool alone)
 {
     if (running_)
         fatal("engine '" + config_.name + "' is already running a job");
@@ -69,117 +70,97 @@ IpEngine::start(const KernelJob &job,
     if (local_ != nullptr)
         local_->setWorkingSet(job.workingSetBytes);
 
-    if (batchingAllowed_)
+    if (alone)
         runBatched();
     else
         issueRequests();
 }
 
-double
-IpEngine::issueOneChunk(double now, double &bytes, bool &was_miss)
+/**
+ * Issue chunks at @p now while a request slot is free, handing each
+ * issued chunk to @p sink. Both run paths issue through this loop;
+ * only the sink differs.
+ */
+template <typename Sink>
+inline void
+IpEngine::issueChunks(double now, Sink &&sink)
 {
-    bytes = chunkBytes(chunksIssued_);
+    while (inFlight_ < config_.maxOutstanding &&
+           chunksIssued_ < chunksTotal_)
+        sink(issueChunk(now));
+}
+
+IpEngine::Arrival
+IpEngine::issueChunk(double now)
+{
+    Arrival chunk{now, chunksIssued_, chunkBytes(chunksIssued_), false};
     ++chunksIssued_;
     ++inFlight_;
 
     bool hit = local_ != nullptr && local_->nextIsHit();
-    was_miss = !hit;
+    chunk.miss = !hit;
     if (issuedCount_ != nullptr) {
         issuedCount_->add(1.0);
         (hit ? hitRequests_ : missRequests_)->add(1.0);
     }
-    double completion;
     if (hit) {
-        completion = local_->resource().acquire(now, bytes);
+        chunk.when = local_->resource().acquire(now, chunk.bytes);
     } else {
         // Misses traverse the private link then the shared path.
-        completion = link_->acquire(now, bytes);
-        completion = path_.request(completion, bytes);
+        chunk.when = link_->acquire(now, chunk.bytes);
+        chunk.when = path_.request(chunk.when, chunk.bytes);
         if (job_.coordinationTime > 0.0) {
             // The coordinator must service the request's completion
             // interrupt before the data is usable.
             double coord = coordinator_->acquireService(
                 now, job_.coordinationTime);
-            completion = std::max(completion, coord);
+            chunk.when = std::max(chunk.when, coord);
             if (coordInterrupts_ != nullptr)
                 coordInterrupts_->add(1.0);
         }
     }
-    return completion;
+    return chunk;
 }
 
 void
 IpEngine::issueRequests()
 {
     // No events fire while this loop runs, so now() is invariant.
-    double now = eq_->now();
-    while (running_ && inFlight_ < config_.maxOutstanding &&
-           chunksIssued_ < chunksTotal_) {
-        double bytes;
-        bool was_miss;
-        double completion = issueOneChunk(now, bytes, was_miss);
-        eq_->scheduleDataArrived(completion, this, bytes, was_miss);
-    }
+    issueChunks(eq_->now(), [this](const Arrival &chunk) {
+        eq_->scheduleDataArrived(chunk.when, this, chunk.bytes,
+                                 chunk.miss);
+    });
 }
 
 void
 IpEngine::runBatched()
 {
     // Replay the event-driven run in a tight loop. Because this
-    // engine is the sole requester (see setBatchingAllowed), the only
-    // events the queue would process are this engine's own arrivals,
-    // so their firing order is fully known: (completion, issue-index)
-    // order, a min-heap over in-flight chunks. Each arrival is handled
-    // as onDataArrived handles it, so every acquire call, stats
+    // engine is the sole requester (see start()), the only events the
+    // queue would process are this engine's own arrivals, so their
+    // firing order is fully known: (completion, issue-index) order, a
+    // min-heap over in-flight chunks (arrival seq order equals issue
+    // order). Each arrival goes through the same chunkArrived and
+    // issueChunks as the arrival event, so every acquire call, stats
     // accumulation, telemetry bump, and trace record runs in the
-    // exact order — and therefore bit pattern — of the unbatched run.
-    //
-    // Min-heap order: earliest (completion, issue index) first, the
-    // order the queue would fire these arrivals (arrival seq order
-    // equals issue order).
-    auto later_arrival = [](const BatchArrival &a,
-                            const BatchArrival &b) {
+    // exact order, and therefore bit pattern, of the event-driven run.
+    auto later = [](const Arrival &a, const Arrival &b) {
         if (a.when != b.when)
             return a.when > b.when;
         return a.idx > b.idx;
     };
+    auto push = [&](const Arrival &chunk) {
+        batchHeap_.push_back(chunk);
+        std::push_heap(batchHeap_.begin(), batchHeap_.end(), later);
+    };
     batchHeap_.clear();
-    double now = stats_.startTime;
-    while (inFlight_ < config_.maxOutstanding &&
-           chunksIssued_ < chunksTotal_) {
-        uint64_t idx = chunksIssued_;
-        double bytes;
-        bool was_miss;
-        double completion = issueOneChunk(now, bytes, was_miss);
-        batchHeap_.push_back({completion, idx, bytes, was_miss});
-        std::push_heap(batchHeap_.begin(), batchHeap_.end(),
-                       later_arrival);
-    }
-
+    issueChunks(stats_.startTime, push);
     while (!batchHeap_.empty()) {
-        std::pop_heap(batchHeap_.begin(), batchHeap_.end(),
-                      later_arrival);
-        BatchArrival arr = batchHeap_.back();
+        std::pop_heap(batchHeap_.begin(), batchHeap_.end(), later);
+        Arrival chunk = batchHeap_.back();
         batchHeap_.pop_back();
-
-        --inFlight_;
-        stats_.bytes += arr.bytes;
-        if (arr.miss)
-            stats_.missBytes += arr.bytes;
-        double ops = arr.bytes * job_.opsPerByte;
-        chunkComputed(ops, compute_.acquire(arr.when, ops));
-
-        while (inFlight_ < config_.maxOutstanding &&
-               chunksIssued_ < chunksTotal_) {
-            uint64_t idx = chunksIssued_;
-            double bytes;
-            bool was_miss;
-            double completion =
-                issueOneChunk(arr.when, bytes, was_miss);
-            batchHeap_.push_back({completion, idx, bytes, was_miss});
-            std::push_heap(batchHeap_.begin(), batchHeap_.end(),
-                           later_arrival);
-        }
+        chunkArrived(chunk.when, chunk.bytes, chunk.miss);
+        issueChunks(chunk.when, push);
     }
     GABLES_ASSERT(chunksComputed_ == chunksTotal_,
                   "batched replay lost chunks");
@@ -228,7 +209,6 @@ IpEngine::reset()
     compute_.reset();
     chunksTotal_ = chunksIssued_ = chunksComputed_ = 0;
     batchedChunks_ = 0;
-    batchingAllowed_ = false;
     inFlight_ = 0;
     stats_ = EngineRunStats{};
 }

@@ -12,15 +12,19 @@
  * IP — typically the CPU — which charges a fixed interrupt-handling
  * service time on the coordinator for every off-IP request.
  *
- * Hot path: a chunk costs one typed event, its data arrival,
- * dispatched by the EventQueue switch (no closures). The arrival
- * books the chunk's compute and accounts for its completion there,
- * and the last chunk schedules the run's one done event at its
- * completion time. When the SoC marks the engine as the sole active
- * requester on every hop of its path, start() books the whole job in
- * one analytic batch — the same per-chunk acquire arithmetic
- * replayed in a tight loop, so results stay bit-identical — and the
- * done event is the run's only event (DESIGN.md section 10).
+ * Hot path: a chunk's life is two steps, each written once and
+ * shared by both ways of running a job. issueChunks() books chunks
+ * while a request slot is free and hands each to a sink;
+ * chunkArrived() accounts for a chunk whose data arrived: it books
+ * the chunk's compute and counts it, and the last chunk schedules the
+ * run's one done event at its completion time. In an event-driven run
+ * the sink schedules a typed DataArrived event (no closures), whose
+ * handler runs the two steps. When start() is told the engine is
+ * alone on every hop of its path, the sink pushes onto a min-heap
+ * instead and runBatched() drains it in the order the event queue
+ * would fire those arrivals, through the same two steps, so results
+ * stay bit-identical and the done event is the run's only event
+ * (DESIGN.md section 10).
  */
 
 #ifndef GABLES_SIM_IP_ENGINE_H
@@ -143,28 +147,20 @@ class IpEngine
     /**
      * Begin executing @p job; @p on_done fires (once) with the run's
      * stats when the last chunk completes. The engine must be idle.
+     *
+     * @p alone is the caller's promise that the engine is the sole
+     * requester: between this call and the run's completion, no other
+     * requester touches any hop of its path (link, fabrics, DRAM),
+     * its local memory or its coordinator. SimSoc::run passes it
+     * exactly when the engine runs the only job of the run. The job
+     * is then booked in one pass without per-chunk events; it runs
+     * the same per-chunk steps in the same order, so all stats,
+     * telemetry and traces are bit-identical, and only the event
+     * count changes.
      */
     void start(const KernelJob &job,
-               std::function<void(const EngineRunStats &)> on_done);
-
-    /** @return True if a job is in flight. */
-    bool busy() const { return running_; }
-
-    /**
-     * Permit analytic chunk batching for subsequent start() calls.
-     * Legality is the caller's contract: between this engine's
-     * start() and its completion, no other requester may touch any
-     * hop of its path (link, fabrics, DRAM), its local memory, or
-     * its coordinator — SimSoc::run grants this exactly when the
-     * engine runs the only job of the run. Batched runs replay the
-     * identical per-chunk booking arithmetic without per-chunk
-     * events, so all stats, telemetry, and traces are bit-identical;
-     * only the event count changes. Default off.
-     */
-    void setBatchingAllowed(bool allowed)
-    {
-        batchingAllowed_ = allowed;
-    }
+               std::function<void(const EngineRunStats &)> on_done,
+               bool alone);
 
     /** @return Chunks booked analytically in the latest run (0 when
      * the run was event-driven). */
@@ -185,14 +181,29 @@ class IpEngine
   private:
     friend class EventQueue; // dispatches the typed events below
 
+    /** One issued chunk: its data arrives at `when`; `idx` is its
+     * issue order. */
+    struct Arrival {
+        double when;
+        uint64_t idx;
+        double bytes;
+        bool miss;
+    };
+
+    // Forced inline: GCC kept the batched instance out of line, and a
+    // call per arrival slowed single-job runs (gables ert) measurably.
+    template <typename Sink>
+    [[gnu::always_inline]] inline void issueChunks(double now,
+                                                   Sink &&sink);
+    Arrival issueChunk(double now);
     void issueRequests();
-    // The per-chunk handler is defined inline below the class: the
-    // EventQueue dispatch switch folds it into its drain loop.
-    inline void onDataArrived(double chunk_bytes, bool was_miss);
-    inline void chunkComputed(double ops, double done_at);
-    void onRunDone();
     void runBatched();
-    double issueOneChunk(double now, double &bytes, bool &was_miss);
+    // The per-chunk handlers are defined inline below the class: the
+    // EventQueue dispatch switch folds them into its drain loop.
+    inline void onDataArrived(double chunk_bytes, bool was_miss);
+    inline void chunkArrived(double now, double chunk_bytes,
+                             bool was_miss);
+    void onRunDone();
     double chunkBytes(uint64_t index) const;
 
     IpEngineConfig config_;
@@ -205,7 +216,6 @@ class IpEngine
 
     // Per-run state.
     bool running_ = false;
-    bool batchingAllowed_ = false;
     KernelJob job_;
     std::function<void(const EngineRunStats &)> onDone_;
     uint64_t chunksTotal_ = 0;
@@ -215,15 +225,8 @@ class IpEngine
     int inFlight_ = 0;
     EngineRunStats stats_;
 
-    /** One in-flight arrival in a batched replay, ordered by
-     * (when, issue order) exactly as the event queue would fire. */
-    struct BatchArrival {
-        double when;
-        uint64_t idx;
-        double bytes;
-        bool miss;
-    };
-    std::vector<BatchArrival> batchHeap_; // reused across runs
+    // A batched run's in-flight chunks (reused across runs).
+    std::vector<Arrival> batchHeap_;
 
     // Telemetry bindings (all null when detached).
     telemetry::Counter *issuedCount_ = nullptr;
@@ -236,6 +239,22 @@ class IpEngine
 inline void
 IpEngine::onDataArrived(double chunk_bytes, bool was_miss)
 {
+    chunkArrived(eq_->now(), chunk_bytes, was_miss);
+    issueRequests();
+}
+
+/**
+ * Account for a chunk of @p chunk_bytes whose data arrived at @p now:
+ * book its compute and count it as computed. The compute resource is
+ * FIFO with a constant latency, so this engine's completions come in
+ * booking order (coordination bookings from other engines keep it):
+ * ops add up in the order the completions would fire, and the last
+ * chunk booked is the last to finish, so the run ends at its
+ * completion.
+ */
+inline void
+IpEngine::chunkArrived(double now, double chunk_bytes, bool was_miss)
+{
     GABLES_ASSERT(inFlight_ > 0, "data arrival with nothing in flight");
     --inFlight_;
     stats_.bytes += chunk_bytes;
@@ -243,22 +262,7 @@ IpEngine::onDataArrived(double chunk_bytes, bool was_miss)
         stats_.missBytes += chunk_bytes;
 
     double ops = chunk_bytes * job_.opsPerByte;
-    chunkComputed(ops, compute_.acquire(eq_->now(), ops));
-
-    issueRequests();
-}
-
-/**
- * Account for a chunk whose compute was just booked to finish at
- * @p done_at. The compute resource is FIFO with a constant latency,
- * so this engine's completions come in booking order (coordination
- * bookings from other engines keep it): ops add up in the order the
- * completions would fire, and the last chunk booked is the last to
- * finish, so the run ends at its completion.
- */
-inline void
-IpEngine::chunkComputed(double ops, double done_at)
-{
+    double done_at = compute_.acquire(now, ops);
     stats_.ops += ops;
     ++chunksComputed_;
     if (computedCount_ != nullptr)

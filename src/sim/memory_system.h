@@ -40,9 +40,6 @@ class MemoryPath
      */
     void addHop(BandwidthResource *hop);
 
-    /** @return The hops in traversal order. */
-    const std::vector<BandwidthResource *> &hops() const { return hops_; }
-
     /**
      * Book a transfer of @p bytes arriving at @p arrival through all
      * hops in order. Inline so the per-hop acquire() bookings fold
@@ -85,10 +82,6 @@ class LocalMemory
 
     /** @return The hit-side bandwidth resource (for stats). */
     BandwidthResource &resource() { return resource_; }
-    const BandwidthResource &resource() const { return resource_; }
-
-    /** @return Capacity in bytes. */
-    double capacity() const { return capacity_; }
 
     /**
      * Set the working-set size of the running kernel; determines the

@@ -145,12 +145,6 @@ class BandwidthResource
     /** @return Display name. */
     const std::string &name() const { return name_; }
 
-    /** @return Service rate (bytes/s). */
-    double bandwidth() const { return bandwidth_; }
-
-    /** @return Per-request latency (s). */
-    double latency() const { return latency_; }
-
     /**
      * Book a transfer of @p bytes arriving at @p arrival.
      *

@@ -21,12 +21,16 @@ SocRunStats::aggregateOpsRate() const
     return ops / duration;
 }
 
+ResourceStats
+ResourceStats::of(const BandwidthResource &r, double end_time)
+{
+    return {r.name(), r.bytesServed(), r.busyTime(),
+            r.utilization(end_time)};
+}
+
 const EngineRunStats &
 SocRunStats::engine(const std::string &name) const
 {
-    auto it = engineIndex.find(name);
-    if (it != engineIndex.end() && it->second < engines.size())
-        return engines[it->second];
     for (const EngineRunStats &e : engines) {
         if (e.name == name)
             return e;
@@ -77,8 +81,8 @@ SimSoc::addEngine(const IpEngineConfig &config,
         fatal("SimSoc '" + name_ + "': configure DRAM before engines");
     if (!(attach.linkBandwidth > 0.0))
         fatal("engine '" + config.name + "': link bandwidth must be > 0");
-    for (const std::string &existing : engineNames_) {
-        if (existing == config.name)
+    for (const auto &e : engines_) {
+        if (e->config().name == config.name)
             fatal("duplicate engine name '" + config.name + "'");
     }
 
@@ -125,20 +129,18 @@ SimSoc::addEngine(const IpEngineConfig &config,
         if (local != nullptr)
             local->attachTelemetry(registry_);
     }
-    engineNames_.push_back(config.name);
-    engineIndex_[config.name] = engines_.size() - 1;
-    coordinators_.push_back(coordinator);
     return engines_.back().get();
 }
 
 IpEngine *
 SimSoc::engine(const std::string &engine_name)
 {
-    auto it = engineIndex_.find(engine_name);
-    if (it == engineIndex_.end())
-        fatal("SimSoc '" + name_ + "': no engine named '" +
-              engine_name + "'");
-    return engines_[it->second].get();
+    for (const auto &e : engines_) {
+        if (e->config().name == engine_name)
+            return e.get();
+    }
+    fatal("SimSoc '" + name_ + "': no engine named '" + engine_name +
+          "'");
 }
 
 void
@@ -184,12 +186,6 @@ SimSoc::resetAll()
 }
 
 SocRunStats
-SimSoc::run(const std::vector<JobSubmission> &jobs)
-{
-    return run(jobs, 0);
-}
-
-SocRunStats
 SimSoc::run(const std::vector<JobSubmission> &jobs, int epochs)
 {
     if (jobs.empty())
@@ -231,38 +227,33 @@ SimSoc::run(const std::vector<JobSubmission> &jobs, int epochs)
 
     // With a single job the engine is the sole requester on every
     // hop it can touch, so its chunks may be booked analytically.
-    const bool batch = chunkBatching_ && jobs.size() == 1;
+    const bool alone = chunkBatching_ && jobs.size() == 1;
     for (size_t j = 0; j < jobs.size(); ++j) {
-        IpEngine *eng = engine(jobs[j].engineName);
-        eng->setBatchingAllowed(batch);
-        eng->start(jobs[j].job,
-                   [&stats, j, &remaining](const EngineRunStats &s) {
-                       stats.engines[j] = s;
-                       --remaining;
-                   });
+        engine(jobs[j].engineName)
+            ->start(jobs[j].job,
+                    [&stats, j, &remaining](const EngineRunStats &s) {
+                        stats.engines[j] = s;
+                        --remaining;
+                    },
+                    alone);
     }
     stats.duration = eq_.run();
     GABLES_ASSERT(remaining == 0, "a job never completed");
-    for (size_t j = 0; j < jobs.size(); ++j)
-        stats.engineIndex[stats.engines[j].name] = j;
 
+    const double end = stats.duration;
     stats.resources.reserve((dram_ ? 1 : 0) + fabrics_.size() +
                             links_.size() + engines_.size());
-    auto snapshot = [&](const BandwidthResource &r) {
-        stats.resources.push_back(
-            ResourceStats{r.name(), r.bytesServed(), r.busyTime(),
-                          r.utilization(stats.duration)});
-    };
     if (dram_) {
-        snapshot(*dram_);
+        stats.resources.push_back(ResourceStats::of(*dram_, end));
         stats.dramBytes = dram_->bytesServed();
     }
     for (const auto &f : fabrics_)
-        snapshot(*f);
+        stats.resources.push_back(ResourceStats::of(*f, end));
     for (const auto &l : links_)
-        snapshot(*l);
+        stats.resources.push_back(ResourceStats::of(*l, end));
     for (const auto &e : engines_)
-        snapshot(e->computeResource());
+        stats.resources.push_back(
+            ResourceStats::of(e->computeResource(), end));
 
     if (registry_ != nullptr) {
         uint64_t batched = 0;
@@ -379,17 +370,15 @@ SimSoc::sampleEpochSeries(const SocRunStats &stats, int epochs)
         sample(*l);
     for (const auto &m : locals_)
         sample(m->resource());
-    for (size_t i = 0; i < engines_.size(); ++i) {
-        const BandwidthResource &compute =
-            engines_[i]->computeResource();
-        std::vector<double> ops = sample(compute);
+    for (const auto &e : engines_) {
+        const std::string &name = e->config().name;
+        std::vector<double> ops = sample(e->computeResource());
         telemetry::TimeSeries &rate = registry_->timeSeries(
-            engineNames_[i] + ".ops_rate",
-            "per-epoch achieved compute rate (ops/s)");
+            name + ".ops_rate", "per-epoch achieved compute rate (ops/s)");
         for (int k = 0; k < epochs; ++k) {
             rate.sample((k + 0.5) * dt, ops[k] / dt);
             if (tracer_ != nullptr)
-                tracer_->counter(engineNames_[i] + ".gops", k * dt,
+                tracer_->counter(name + ".gops", k * dt,
                                  ops[k] / dt / 1e9);
         }
     }

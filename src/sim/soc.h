@@ -12,7 +12,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -35,6 +34,9 @@ struct ResourceStats {
     double bytesServed = 0.0;
     double busyTime = 0.0;
     double utilization = 0.0;
+
+    /** @return The snapshot of @p r over a run ending at @p end_time. */
+    static ResourceStats of(const BandwidthResource &r, double end_time);
 };
 
 /** Results of one SimSoc::run(). */
@@ -47,10 +49,6 @@ struct SocRunStats {
     std::vector<ResourceStats> resources;
     /** Total bytes served by the DRAM controller. */
     double dramBytes = 0.0;
-    /** Name → index into engines, filled by SimSoc::run so engine()
-     * is a map lookup; hand-built stats may leave it empty (engine()
-     * then falls back to a linear scan). */
-    std::map<std::string, size_t> engineIndex;
 
     /** @return Aggregate ops/s across all engines over the run. */
     double aggregateOpsRate() const;
@@ -115,7 +113,7 @@ class SimSoc
         /** Engine whose compute resource coordinates this engine's
          * misses (per IpEngineConfig::coordinationTime); by name,
          * empty = none. The coordinator must already be added. */
-        std::string coordinatorEngine;
+        std::string coordinatorEngine{};
     };
 
     /**
@@ -141,13 +139,10 @@ class SimSoc
      * Run all submitted jobs concurrently from time zero and return
      * measured statistics. Resets all resource state first, so runs
      * are independent.
-     */
-    SocRunStats run(const std::vector<JobSubmission> &jobs);
-
-    /**
-     * Like run(jobs), but with @p epochs > 0 the run is divided into
-     * that many equal time slices and each resource's utilization is
-     * sampled per slice into the attached telemetry registry as a
+     *
+     * With @p epochs > 0 the run is divided into that many equal time
+     * slices and each resource's utilization is sampled per slice
+     * into the attached telemetry registry as a
      * "<resource>.utilization" time series (plus "DRAM.bw_bytes" for
      * the DRAM byte rate and "<engine>.ops_rate" for each engine).
      * When a tracer is also attached, the same series are emitted as
@@ -155,7 +150,7 @@ class SimSoc
      * "<engine>.gops"). Requires attachTelemetry() when epochs > 0.
      */
     SocRunStats run(const std::vector<JobSubmission> &jobs,
-                    int epochs);
+                    int epochs = 0);
 
     /** @return The event queue (for tests and custom scenarios). */
     EventQueue &eventQueue() { return eq_; }
@@ -165,8 +160,8 @@ class SimSoc
      * When a run has exactly one job, the engine is the sole
      * requester on every resource it touches, so run() lets it book
      * all chunks in one pass instead of one event per chunk —
-     * results are bit-identical either way (see
-     * IpEngine::setBatchingAllowed); only event counts differ.
+     * results are bit-identical either way (see IpEngine::start);
+     * only event counts differ.
      * Disable to force the fully event-driven path, e.g. to
      * cross-check the batched one.
      */
@@ -186,12 +181,6 @@ class SimSoc
      * run. Pass nullptr to detach; detached runs are bit-identical.
      */
     void attachTelemetry(telemetry::StatsRegistry *registry);
-
-    /** @return The attached registry, or nullptr. */
-    telemetry::StatsRegistry *telemetryRegistry()
-    {
-        return registry_;
-    }
 
   private:
     void resetAll();
@@ -225,14 +214,7 @@ class SimSoc
     std::vector<std::unique_ptr<BandwidthResource>> links_;
     std::vector<std::unique_ptr<LocalMemory>> locals_;
     std::vector<std::unique_ptr<IpEngine>> engines_;
-    std::vector<std::string> engineNames_;
-    // Name → index into engines_, maintained by addEngine.
-    std::unordered_map<std::string, size_t> engineIndex_;
     bool chunkBatching_ = true;
-    // Per-engine coordination-target compute resources (parallel to
-    // engines_; nullptr where none). The coordinator's own compute
-    // resource is shared, so interrupt handling steals its cycles.
-    std::vector<BandwidthResource *> coordinators_;
 };
 
 } // namespace sim

@@ -158,53 +158,38 @@ buildSnapdragonSim(const std::string &name, const Calibration &c)
     sim::BandwidthResource *sys_fabric =
         soc->addFabric("system fabric", 12.5e9, 40e-9);
 
-    {
-        sim::IpEngineConfig cfg;
-        cfg.name = "CPU";
-        cfg.opsPerSec = c.cpuOps;
-        cfg.requestBytes = 4096.0;
-        cfg.maxOutstanding = 8;
-        sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = c.cpuBw;
-        at.linkLatency = 10e-9;
-        at.fabric = hb_fabric;
-        at.localCapacity = 2.0 * kMiB; // L2
-        at.localBandwidth = 60.0e9;
-        at.localLatency = 20e-9;
-        soc->addEngine(cfg, at);
-    }
-    {
-        sim::IpEngineConfig cfg;
-        cfg.name = "GPU";
-        cfg.opsPerSec = c.gpuOps;
-        cfg.requestBytes = 4096.0;
-        cfg.maxOutstanding = 16;
-        sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = c.gpuBw;
-        at.linkLatency = 10e-9;
-        at.fabric = hb_fabric;
-        at.localCapacity = 1.0 * kMiB; // shader-core caches
-        at.localBandwidth = 120.0e9;
-        at.localLatency = 15e-9;
-        at.coordinatorEngine = "CPU";
-        soc->addEngine(cfg, at);
-    }
-    {
-        sim::IpEngineConfig cfg;
-        cfg.name = "DSP";
-        cfg.opsPerSec = c.dspOps;
-        cfg.requestBytes = 4096.0;
-        cfg.maxOutstanding = 4;
-        sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = c.dspBw;
-        at.linkLatency = 20e-9;
-        at.fabric = sys_fabric;
-        at.localCapacity = 512.0 * kKiB; // TCM/SRAM
-        at.localBandwidth = 25.0e9;
-        at.localLatency = 10e-9;
-        at.coordinatorEngine = "CPU";
-        soc->addEngine(cfg, at);
-    }
+    // Every engine issues 4 KiB requests (the IpEngineConfig default).
+    struct EngineRow {
+        sim::IpEngineConfig config;
+        sim::SimSoc::EngineAttachment attach;
+    };
+    const EngineRow rows[] = {
+        {{.name = "CPU", .opsPerSec = c.cpuOps, .maxOutstanding = 8},
+         {.linkBandwidth = c.cpuBw,
+          .linkLatency = 10e-9,
+          .fabric = hb_fabric,
+          .localCapacity = 2.0 * kMiB, // L2
+          .localBandwidth = 60.0e9,
+          .localLatency = 20e-9}},
+        {{.name = "GPU", .opsPerSec = c.gpuOps, .maxOutstanding = 16},
+         {.linkBandwidth = c.gpuBw,
+          .linkLatency = 10e-9,
+          .fabric = hb_fabric,
+          .localCapacity = 1.0 * kMiB, // shader-core caches
+          .localBandwidth = 120.0e9,
+          .localLatency = 15e-9,
+          .coordinatorEngine = "CPU"}},
+        {{.name = "DSP", .opsPerSec = c.dspOps, .maxOutstanding = 4},
+         {.linkBandwidth = c.dspBw,
+          .linkLatency = 20e-9,
+          .fabric = sys_fabric,
+          .localCapacity = 512.0 * kKiB, // TCM/SRAM
+          .localBandwidth = 25.0e9,
+          .localLatency = 10e-9,
+          .coordinatorEngine = "CPU"}},
+    };
+    for (const EngineRow &row : rows)
+        soc->addEngine(row.config, row.attach);
     return soc;
 }
 
@@ -236,18 +221,13 @@ SocCatalog::simFromSpec(const SocSpec &spec)
         soc->addFabric("fabric", 8.0 * fabric_bw, 10e-9);
 
     for (size_t i = 0; i < spec.numIps(); ++i) {
-        sim::IpEngineConfig cfg;
-        cfg.name = spec.ip(i).name.empty()
-                       ? "IP" + std::to_string(i)
-                       : spec.ip(i).name;
-        cfg.opsPerSec = spec.ipPeakPerf(i);
-        cfg.requestBytes = 4096.0;
-        cfg.maxOutstanding = 8;
-        sim::SimSoc::EngineAttachment at;
-        at.linkBandwidth = spec.ip(i).bandwidth;
-        at.linkLatency = 10e-9;
-        at.fabric = fabric;
-        soc->addEngine(cfg, at);
+        const IpSpec &ip = spec.ip(i);
+        soc->addEngine(
+            {.name = ip.name.empty() ? "IP" + std::to_string(i) : ip.name,
+             .opsPerSec = spec.ipPeakPerf(i)},
+            {.linkBandwidth = ip.bandwidth,
+             .linkLatency = 10e-9,
+             .fabric = fabric});
     }
     return soc;
 }
@@ -260,16 +240,9 @@ SocCatalog::simpleSim(double ops_per_sec, double link_bw, double dram_bw)
     sim::BandwidthResource *fabric =
         soc->addFabric("fabric", 4.0 * dram_bw, 20e-9);
 
-    sim::IpEngineConfig cfg;
-    cfg.name = "IP0";
-    cfg.opsPerSec = ops_per_sec;
-    cfg.requestBytes = 4096.0;
-    cfg.maxOutstanding = 8;
-    sim::SimSoc::EngineAttachment at;
-    at.linkBandwidth = link_bw;
-    at.linkLatency = 10e-9;
-    at.fabric = fabric;
-    soc->addEngine(cfg, at);
+    soc->addEngine(
+        {.name = "IP0", .opsPerSec = ops_per_sec},
+        {.linkBandwidth = link_bw, .linkLatency = 10e-9, .fabric = fabric});
     return soc;
 }
 

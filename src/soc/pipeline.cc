@@ -286,16 +286,11 @@ PipelineSim::run(int frames, double source_fps, int slices)
     GABLES_ASSERT(span > 0.0, "pipeline produced non-increasing times");
     stats.steadyFps = static_cast<double>(end - half + 1) / span;
 
-    auto snapshot = [&](const BandwidthResource &r) {
-        stats.resources.push_back(
-            ResourceStats{r.name(), r.bytesServed(), r.busyTime(),
-                          r.utilization(stats.makespan)});
-    };
-    snapshot(dram);
+    stats.resources.push_back(ResourceStats::of(dram, stats.makespan));
     for (const auto &l : links)
-        snapshot(*l);
+        stats.resources.push_back(ResourceStats::of(*l, stats.makespan));
     for (const auto &c : computes)
-        snapshot(*c);
+        stats.resources.push_back(ResourceStats::of(*c, stats.makespan));
     return stats;
 }
 

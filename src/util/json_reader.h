@@ -187,7 +187,6 @@ class JsonValue::Items
             return *this;
         }
         bool operator==(const iterator &o) const { return index_ == o.index_; }
-        bool operator!=(const iterator &o) const { return index_ != o.index_; }
 
       private:
         const JsonDocument *doc_;
@@ -241,7 +240,6 @@ class JsonValue::Members
             return *this;
         }
         bool operator==(const iterator &o) const { return index_ == o.index_; }
-        bool operator!=(const iterator &o) const { return index_ != o.index_; }
 
       private:
         const JsonDocument *doc_;

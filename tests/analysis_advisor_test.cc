@@ -62,6 +62,20 @@ TEST(Advisor, Figure6cFlagsOverProvisionedBpeak)
     EXPECT_DOUBLE_EQ(shrink->gain, 1.0);
 }
 
+TEST(Advisor, UnnamedIpSlackNamesTheIpByLabel)
+{
+    // An inline SoC may leave an IP unnamed; the link-slack text must
+    // still name its subject, by the label every other move uses.
+    SocSpec soc("unnamed", 40.0e9, 20.0e9,
+                {IpSpec{"CPU", 1.0, 6.0e9}, IpSpec{"", 5.0, 150.0e9}});
+    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 8.0);
+    auto advice = Advisor::advise(soc, u);
+    const Advice *slack = findKind(advice, AdviceKind::ShrinkSlack, 1);
+    ASSERT_NE(slack, nullptr);
+    EXPECT_EQ(slack->description.rfind("IP[1] link of ", 0), 0u)
+        << slack->description;
+}
+
 TEST(Advisor, BalancedDesignGetsNoBigSingleKnobWin)
 {
     // Figure 6d is balanced: no single hardware knob within 4x gives

@@ -21,14 +21,6 @@
 namespace gables {
 namespace {
 
-parallel::ForOptions
-withJobs(int jobs)
-{
-    parallel::ForOptions opts;
-    opts.jobs = jobs;
-    return opts;
-}
-
 TEST(ParallelFor, DefaultJobsIsPositive)
 {
     EXPECT_GE(parallel::defaultJobs(), 1);
@@ -38,7 +30,7 @@ TEST(ParallelFor, EmptyRangeNeverCallsBody)
 {
     std::atomic<int> calls{0};
     parallel::ForStats stats = parallel::parallelFor(
-        0, [&](size_t) { ++calls; }, withJobs(8));
+        0, [&](size_t) { ++calls; }, 8);
     EXPECT_EQ(calls.load(), 0);
     EXPECT_EQ(stats.workers, 1); // nothing to do => no pool
     ASSERT_EQ(stats.busySeconds.size(), 1u);
@@ -48,7 +40,7 @@ TEST(ParallelFor, RangeSmallerThanWorkerCount)
 {
     std::vector<int> hits(3, 0);
     parallel::ForStats stats = parallel::parallelFor(
-        hits.size(), [&](size_t i) { hits[i] += 1; }, withJobs(8));
+        hits.size(), [&](size_t i) { hits[i] += 1; }, 8);
     EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
     // The pool never allocates more workers than indices.
     EXPECT_LE(stats.workers, 3);
@@ -61,7 +53,7 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnce)
     const size_t n = 1000;
     std::vector<int> counts(n, 0);
     parallel::parallelFor(
-        n, [&](size_t i) { counts[i] += 1; }, withJobs(8));
+        n, [&](size_t i) { counts[i] += 1; }, 8);
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0),
               static_cast<int>(n));
     EXPECT_EQ(*std::min_element(counts.begin(), counts.end()), 1);
@@ -76,7 +68,7 @@ TEST(ParallelFor, ExceptionFromWorkerPropagates)
                          if (i == 41)
                              fatal("boom at 41");
                      },
-                     withJobs(4)),
+                     4),
                  FatalError);
 }
 
@@ -90,7 +82,7 @@ TEST(ParallelFor, LowestFailingIndexWinsLikeSerial)
     };
     for (int jobs : {1, 2, 8}) {
         try {
-            parallel::parallelFor(200, body, withJobs(jobs));
+            parallel::parallelFor(200, body, jobs);
             FAIL() << "expected FatalError with jobs=" << jobs;
         } catch (const FatalError &err) {
             EXPECT_STREQ(err.what(), "failed at index 17")
@@ -112,11 +104,11 @@ TEST(ParallelFor, NestedLoopRunsInlineWithoutDeadlock)
                 [&](size_t j) {
                     grid[i][j] = static_cast<double>(i * inner + j);
                 },
-                withJobs(4));
+                4);
             // The inner loop degrades to the calling worker alone.
             EXPECT_EQ(stats.workers, 1);
         },
-        withJobs(4));
+        4);
     for (size_t i = 0; i < outer; ++i)
         for (size_t j = 0; j < inner; ++j)
             EXPECT_EQ(grid[i][j], static_cast<double>(i * inner + j));
@@ -127,7 +119,7 @@ TEST(ParallelFor, SingleJobNeverSpawnsThreads)
     std::set<std::thread::id> ids;
     parallel::ForStats stats = parallel::parallelFor(
         64, [&](size_t) { ids.insert(std::this_thread::get_id()); },
-        withJobs(1));
+        1);
     EXPECT_EQ(stats.workers, 1);
     ASSERT_EQ(ids.size(), 1u);
     EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
@@ -139,7 +131,7 @@ TEST(ParallelFor, WorkerIndexIsStableAndInRange)
     std::vector<int> worker_of(n, -1);
     parallel::ForStats stats = parallel::parallelFor(
         n, [&](size_t i, int worker) { worker_of[i] = worker; },
-        withJobs(4));
+        4);
     for (size_t i = 0; i < n; ++i) {
         EXPECT_GE(worker_of[i], 0);
         EXPECT_LT(worker_of[i], stats.workers);
@@ -149,7 +141,7 @@ TEST(ParallelFor, WorkerIndexIsStableAndInRange)
 TEST(ParallelFor, RejectsNegativeJobs)
 {
     EXPECT_THROW(parallel::parallelFor(
-                     4, [](size_t) {}, withJobs(-1)),
+                     4, [](size_t) {}, -1),
                  FatalError);
 }
 

@@ -9,6 +9,15 @@
 # no program runs: delete it with its tests, or say which test needs it
 # (an oracle, a generator, an inspection helper, a test seam).
 #
+# -fkeep-inline-functions makes every object define the inline
+# functions its headers declare, so an inline function that no src/
+# file calls is listed too. The names the compiler makes are dropped:
+# a lambda's conversion to a function pointer and its static thunk
+# (_FUN), std templates instantiated for a gables type (listed under
+# their gables:: return type), and the special members (constructors
+# without arguments or from their own class, assignments from their
+# own class, and destructors).
+#
 # Demangled names (ABI tags, lambda numbering) differ between
 # compilers, so compare two listings only when one compiler made both.
 #
@@ -26,7 +35,7 @@ build=${1:-"$root/build-reach"}
 cmake -S "$root/e2ebench" -B "$build" \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
-    -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
+    -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections -fkeep-inline-functions" \
     -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" >/dev/null
 
 benches=$(cd "$root/bench" && ls bench_*.cc | sed 's/\.cc$//')
@@ -56,4 +65,9 @@ trap 'rm -f "$defined" "$reached"' EXIT
 functions $(find "$build/gables/src" -name '*.o') >"$defined"
 # shellcheck disable=SC2086 # one argument per program
 functions $programs >"$reached"
-comm -23 "$defined" "$reached"
+# One class name (group 1) with optional template arguments.
+cls='([A-Za-z_][A-Za-z0-9_]*)(<[^()]*>)?'
+comm -23 "$defined" "$reached" |
+    grep -v -e '::_FUN(' -e 'operator [^(]* (\*)(' -e '^[^(]* std::' |
+    grep -Ev "::$cls::(~?\\1\\(\\)|(\\1|operator=)\\((.*::)?\\1(<.*>)?( const&|&&)\\))\$" ||
+    true

@@ -252,6 +252,7 @@ TEST(ReplayRoundTrip, UnreplayableSubcommandIsRefusedWithoutRunning)
         EXPECT_FALSE(ran);
         EXPECT_EQ(outcome.exitCode, 2);
         EXPECT_EQ(outcome.status, "bad-bundle");
+        EXPECT_EQ(outcome.subcommand, name);
         EXPECT_NE(outcome.detail.find(std::string("'") + name + "'"),
                   std::string::npos)
             << outcome.detail;
