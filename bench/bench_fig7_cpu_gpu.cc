@@ -27,12 +27,12 @@ void
 reproduceEngine(const char *engine, const char *figure,
                 double paper_peak_gops, double paper_bw_gbs)
 {
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
     config.workingSetBytes = 64e6;
     config.totalBytes = 128e6;
-    auto samples = ErtSweep::run(*soc, engine, config);
+    auto samples =
+        ErtSweep::run(SocCatalog::snapdragon835Sim, engine, config);
     RooflineFit fit = RooflineFitter::fitDram(samples);
 
     bench::banner(figure, std::string(engine) +
@@ -64,13 +64,13 @@ reproduceEngine(const char *engine, const char *figure,
 void
 BM_ErtSweepCpu(benchmark::State &state)
 {
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = {0.125, 1.0, 8.0};
     config.workingSetBytes = 16e6;
     config.totalBytes = 16e6;
     for (auto _ : state) {
-        auto samples = ErtSweep::run(*soc, "CPU", config);
+        auto samples =
+            ErtSweep::run(SocCatalog::snapdragon835Sim, "CPU", config);
         benchmark::DoNotOptimize(samples.back().opsRate);
     }
 }
@@ -85,14 +85,14 @@ reproduceSd821()
     // same harness traces the previous-generation chip's rooflines.
     bench::banner("Section IV-A",
                   "the same sweep on the Snapdragon 821 (sim)");
-    auto soc = SocCatalog::snapdragon821Sim();
     ErtConfig config;
     config.intensities = {0.0625, 0.25, 1.0, 4.0, 64.0, 1024.0};
     config.workingSetBytes = 64e6;
     config.totalBytes = 64e6;
     TextTable t({"engine", "peak Gops/s", "DRAM GB/s"});
     for (const char *engine : {"CPU", "GPU", "DSP"}) {
-        auto samples = ErtSweep::run(*soc, engine, config);
+        auto samples =
+            ErtSweep::run(SocCatalog::snapdragon821Sim, engine, config);
         RooflineFit fit = RooflineFitter::fitDram(samples);
         t.addRow({engine, formatDouble(fit.peakOps / 1e9, 2),
                   formatDouble(fit.peakBw / 1e9, 2)});

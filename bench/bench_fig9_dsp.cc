@@ -24,12 +24,12 @@ using namespace gables;
 void
 reproduce()
 {
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
     config.workingSetBytes = 64e6;
     config.totalBytes = 64e6;
-    auto samples = ErtSweep::run(*soc, "DSP", config);
+    auto samples =
+        ErtSweep::run(SocCatalog::snapdragon835Sim, "DSP", config);
     RooflineFit fit = RooflineFitter::fitDram(samples);
 
     bench::banner("Figure 9",
@@ -62,13 +62,13 @@ reproduce()
 void
 BM_ErtSweepDsp(benchmark::State &state)
 {
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = {0.125, 1.0, 8.0};
     config.workingSetBytes = 16e6;
     config.totalBytes = 16e6;
     for (auto _ : state) {
-        auto samples = ErtSweep::run(*soc, "DSP", config);
+        auto samples =
+            ErtSweep::run(SocCatalog::snapdragon835Sim, "DSP", config);
         benchmark::DoNotOptimize(samples.back().opsRate);
     }
 }

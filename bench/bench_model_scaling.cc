@@ -160,8 +160,11 @@ BM_Explorer1kDesigns(benchmark::State &state)
         accels.push_back(1.0 + i);
     ex.sweep(Param::bpeak(), bpeaks);
     ex.sweep(Param::acceleration(1), accels);
+    // Unpruned, so every one of the 1024 designs is evaluated.
+    ExploreOptions opts;
+    opts.prune = false;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ex.explore().size()); // 1024 designs
+        benchmark::DoNotOptimize(ex.exploreFrontier(opts).size());
     }
 }
 BENCHMARK(BM_Explorer1kDesigns)->Unit(benchmark::kMillisecond);

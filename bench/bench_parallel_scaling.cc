@@ -2,11 +2,11 @@
  * @file
  * Scaling study of the parallel evaluation engine on the explorer
  * grid: the same three-knob cross product of Snapdragon-835-like
- * designs is evaluated with 1, 2, 4, and 8 pool workers, verifying
- * byte-identical output along the way and reporting the speedup
- * curve. Near-linear scaling is expected up to the machine's core
- * count (the grid is embarrassingly parallel); on fewer cores the
- * curve flattens at the hardware limit.
+ * designs is evaluated whole (the unpruned frontier) with 1, 2, 4,
+ * and 8 pool workers, verifying that the frontiers agree member by
+ * member and reporting the speedup curve. Near-linear scaling is
+ * expected up to the machine's core count (the grid is embarrassingly
+ * parallel); on fewer cores the curve flattens at the hardware limit.
  */
 
 #include <benchmark/benchmark.h>
@@ -55,12 +55,23 @@ makeExplorer(int points_per_knob)
     return explorer;
 }
 
+/** The unpruned frontier with @p jobs workers: every design of the
+ * grid is evaluated. */
+std::vector<Candidate>
+frontierOf(const DesignExplorer &explorer, int jobs)
+{
+    ExploreOptions opts;
+    opts.jobs = jobs;
+    opts.prune = false;
+    return explorer.exploreFrontier(opts);
+}
+
 double
 timeExplore(const DesignExplorer &explorer, int jobs,
             std::vector<Candidate> &out)
 {
     auto start = std::chrono::steady_clock::now();
-    out = explorer.explore(jobs);
+    out = frontierOf(explorer, jobs);
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
@@ -91,7 +102,6 @@ reproduce()
         for (size_t i = 0; identical && i < result.size(); ++i) {
             identical = result[i].minPerf == serial[i].minPerf &&
                         result[i].cost == serial[i].cost &&
-                        result[i].pareto == serial[i].pareto &&
                         result[i].perUsecase == serial[i].perUsecase;
         }
         t.addRow({std::to_string(jobs), formatDouble(tj * 1e3, 1),
@@ -114,7 +124,7 @@ BM_ExplorerGrid(benchmark::State &state)
     DesignExplorer explorer = makeExplorer(8);
     int jobs = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(explorer.explore(jobs).size());
+        benchmark::DoNotOptimize(frontierOf(explorer, jobs).size());
     }
     state.counters["designs/s"] = benchmark::Counter(
         static_cast<double>(explorer.gridSize() *

@@ -27,8 +27,6 @@ using namespace gables;
 int
 main()
 try {
-    auto soc = SocCatalog::snapdragon835Sim();
-
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
     config.workingSetBytes = 64e6; // defeat the local memories
@@ -39,7 +37,8 @@ try {
     TextTable t({"engine", "peak Gops/s", "DRAM GB/s",
                  "ridge ops/B", "fit residual"});
     for (const char *engine : {"CPU", "GPU", "DSP"}) {
-        auto samples = ErtSweep::run(*soc, engine, config);
+        auto samples =
+            ErtSweep::run(SocCatalog::snapdragon835Sim, engine, config);
         RooflineFit fit = RooflineFitter::fitDram(samples);
         t.addRow({engine, formatDouble(fit.peakOps / 1e9, 2),
                   formatDouble(fit.peakBw / 1e9, 2),
@@ -57,6 +56,7 @@ try {
     // sets. Paper: "the CPU can obtain higher bandwidth from its
     // internal L1 and L2 caches by using smaller array sizes."
     std::cout << "CPU bandwidth vs working-set size (I = 0.01):\n";
+    auto soc = SocCatalog::snapdragon835Sim();
     TextTable ws({"working set", "GB/s", "served by"});
     for (double set : {256.0 * 1024, 1.0 * kMiB, 2.0 * kMiB,
                        8.0 * kMiB, 64.0 * kMiB}) {

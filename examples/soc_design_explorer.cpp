@@ -55,10 +55,9 @@ main()
     explorer.sweep(Param::acceleration(1), {10.0, 20.0, 40.0, 80.0});
     explorer.sweep(Param::acceleration(2), {2.0, 4.0, 8.0});
 
-    auto candidates = explorer.explore();
-    auto frontier = DesignExplorer::frontier(candidates);
+    auto frontier = explorer.exploreFrontier();
 
-    std::cout << "explored " << candidates.size()
+    std::cout << "explored " << explorer.gridSize()
               << " designs; Pareto frontier has " << frontier.size()
               << ":\n";
     TextTable t({"Bpeak GB/s", "A_GPU", "A_DSP", "worst-case Gops/s",

@@ -26,6 +26,17 @@ dominatesPoint(double a_perf, double a_cost, double b_perf,
            (a_perf > b_perf || a_cost < b_cost);
 }
 
+/** @return The term of (@p bpeak, @p ips) that input @p p, one of
+ * the inputs the cost model prices, sets: Bpeak, or A[i] or B[i] of
+ * IP p.ip. */
+double &
+pricedTerm(Param p, double &bpeak, std::vector<IpSpec> &ips)
+{
+    return p.kind == Param::Kind::Bpeak          ? bpeak
+           : p.kind == Param::Kind::Acceleration ? ips[p.ip].acceleration
+                                                 : ips[p.ip].bandwidth;
+}
+
 } // namespace
 
 double
@@ -88,6 +99,18 @@ DesignExplorer::sweep(Param p, std::vector<double> values)
         fatal("sweep targets IP " + std::to_string(p.ip) +
               " but the base design has only " +
               std::to_string(base_.numIps()) + " IPs");
+    // The rule GablesPack::set() applies when a lane takes the value.
+    static constexpr InputOwner kOwner{"evaluator"};
+    for (double v : values) {
+        if (p.kind == Param::Kind::Bpeak)
+            checkBpeak(kOwner, v);
+        else if (p.kind == Param::Kind::Acceleration)
+            checkAcceleration(kOwner, p.ip, v, base_.ppeak());
+        else
+            checkIpBandwidth(kOwner, p.ip, v);
+    }
+    for (const Knob &knob : knobs_)
+        sharedTargets_ = sharedTargets_ || knob.param == p;
     knobs_.push_back({p, std::move(values)});
 }
 
@@ -119,12 +142,7 @@ DesignExplorer::checkCostFinite() const
         double largest = 0.0;
         for (double v : knob.values)
             largest = std::max(largest, std::fabs(v));
-        const Param p = knob.param;
-        double &slot = p.kind == Param::Kind::Bpeak ? bpeak
-                       : p.kind == Param::Kind::Acceleration
-                           ? ips[p.ip].acceleration
-                           : ips[p.ip].bandwidth;
-        slot = largest;
+        pricedTerm(knob.param, bpeak, ips) = largest;
     }
     const CostModel magnitude{std::fabs(cost_.costPerAcceleration),
                               std::fabs(cost_.costPerBpeak),
@@ -132,18 +150,6 @@ DesignExplorer::checkCostFinite() const
     if (!std::isfinite(magnitude.cost(bpeak, ips)))
         fatal("cost model overflows on this grid: the costs of its "
               "largest designs are not finite");
-}
-
-bool
-DesignExplorer::hasDuplicateKnobTargets() const
-{
-    for (size_t i = 0; i < knobs_.size(); ++i) {
-        for (size_t j = i + 1; j < knobs_.size(); ++j) {
-            if (knobs_[i].param == knobs_[j].param)
-                return true;
-        }
-    }
-    return false;
 }
 
 /**
@@ -161,11 +167,6 @@ struct DesignExplorer::Lanes {
     /** Digits of the lane being staged. */
     std::vector<size_t> cur;
     std::vector<IpSpec> ips;
-    /** False when knobs share a model term: the term's value then
-     * depends on applying every knob in registration order (later
-     * wins), so the unchanged-digit skip would make a design's value
-     * depend on traversal history. */
-    bool incremental = true;
 };
 
 template <size_t W>
@@ -182,7 +183,6 @@ DesignExplorer::makeLanes() const
                      std::numeric_limits<size_t>::max());
     ls.cur.assign(knobs_.size(), 0);
     ls.ips = base_.ips();
-    ls.incremental = !hasDuplicateKnobTargets();
     return ls;
 }
 
@@ -208,11 +208,14 @@ DesignExplorer::runLanes(Lanes<W> &ls, size_t p0, size_t cnt,
             }
         }
         // Stage each knob in registration order, skipping digits the
-        // lane already carries.
+        // lane already carries. When two knobs share a model term,
+        // every knob is restaged: the term's value depends on applying
+        // them all in order (later wins), so the skip would make a
+        // design's value depend on traversal history.
         size_t *lane_digits = ls.digits.data() + w * n_knobs;
         for (size_t k = 0; k < n_knobs; ++k) {
             const size_t digit = ls.cur[k];
-            if (!ls.incremental || lane_digits[k] != digit) {
+            if (sharedTargets_ || lane_digits[k] != digit) {
                 for (GablesPack<W> &pack : ls.packs)
                     pack.set(w, knobs_[k].param, knobs_[k].values[digit]);
                 lane_digits[k] = digit;
@@ -254,79 +257,10 @@ DesignExplorer::materialize(Lanes<W> &ls, size_t w, const Point &p,
                       hw.get(w, Param::bpeak()), ls.ips);
     out.minPerf = p.minPerf;
     out.cost = p.cost;
-    out.pareto = false;
     out.perUsecase.clear();
     out.perUsecase.reserve(ls.packs.size());
     for (const GablesPack<W> &pack : ls.packs)
         out.perUsecase.push_back(pack.attainable(w));
-}
-
-std::vector<Candidate>
-DesignExplorer::explore(int jobs, parallel::ForStats *stats) const
-{
-    // The cross product is enumerated odometer-style with knob 0
-    // fastest-varying; flat index i decomposes into per-knob digits
-    // so candidates land in pre-sized slots in enumeration order
-    // regardless of how many workers evaluate them. One loop index is
-    // one pack of consecutive flat indices.
-    checkCostFinite();
-    std::vector<Candidate> candidates(
-        gridSize(), Candidate{base_, 0.0, {}, 0.0, false});
-    constexpr size_t W = kGridWidth;
-    const size_t packs = (candidates.size() + W - 1) / W;
-
-    int workers = parallel::plannedWorkers(packs, jobs);
-    std::vector<Lanes<W>> states;
-    states.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-        states.push_back(makeLanes<W>());
-
-    parallel::ForStats st;
-    {
-        GABLES_SPAN("explore.grid");
-        st = parallel::parallelFor(
-            packs,
-            [&](size_t pi, int worker) {
-                Lanes<W> &ls = states[static_cast<size_t>(worker)];
-                const size_t p0 = pi * W;
-                const size_t cnt = std::min(W, candidates.size() - p0);
-                Point points[W] = {};
-                runLanes(ls, p0, cnt, points);
-                for (size_t w = 0; w < cnt; ++w)
-                    materialize(ls, w, points[w], candidates[p0 + w]);
-            },
-            jobs);
-    }
-    if (stats)
-        *stats = st;
-
-    // Pareto marking: candidate c is dominated if another candidate
-    // has >= perf and <= cost with at least one strict. Each index
-    // only writes its own flag, so the scan parallelizes cleanly.
-    GABLES_SPAN("explore.pareto");
-    parallel::parallelFor(
-        candidates.size(),
-        [&](size_t i) {
-            bool dominated = false;
-            for (size_t j = 0;
-                 j < candidates.size() && !dominated; ++j) {
-                if (i == j)
-                    continue;
-                dominated = dominatesPoint(
-                    candidates[j].minPerf, candidates[j].cost,
-                    candidates[i].minPerf, candidates[i].cost);
-            }
-            candidates[i].pareto = !dominated;
-        },
-        jobs);
-
-    // Stable: equal-minPerf candidates keep enumeration order, which
-    // is what makes the pruned frontier ordering reproducible.
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate &a, const Candidate &b) {
-                         return a.minPerf > b.minPerf;
-                     });
-    return candidates;
 }
 
 std::vector<Candidate>
@@ -344,7 +278,7 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     // Per-knob bounds assume each knob drives its own model term;
     // two sweeps on the same term make the later one override the
     // earlier in enumeration order, so fall back to full evaluation.
-    const bool prune = options.prune && !hasDuplicateKnobTargets();
+    const bool prune = options.prune && !sharedTargets_;
     const size_t chunk = std::max<size_t>(1, options.subgridSize);
 
     ExploreStats st;
@@ -425,15 +359,10 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     };
     std::vector<CornerTerm> corner_terms;
     corner_terms.reserve(n_knobs);
-    for (const Knob &knob : knobs_) {
-        const Param p = knob.param;
-        IpSpec &ip = corner_ips[p.ip];
-        double *slot = p.kind == Param::Kind::Bpeak ? &corner_bpeak
-                       : p.kind == Param::Kind::Acceleration
-                           ? &ip.acceleration
-                           : &ip.bandwidth;
-        corner_terms.push_back({*cost_.per(p) >= 0.0, slot});
-    }
+    for (const Knob &knob : knobs_)
+        corner_terms.push_back(
+            {*cost_.per(knob.param) >= 0.0,
+             &pricedTerm(knob.param, corner_bpeak, corner_ips)});
     auto subgridBounds = [&](size_t lo, size_t hi, double &p_max,
                              double &c_min) {
         // Max-performance corner: largest covered value per knob,
@@ -536,17 +465,16 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     // per-usecase detail (deterministic, so bit-identical to the
     // values that earned it frontier membership).
     GABLES_SPAN("explore.materialize");
-    // The incumbents are already in frontier(explore()) order: by
-    // cost, equal costs (which tie on minPerf too, else one would
-    // dominate the other) in enumeration order.
+    // The incumbents are already in frontier order: by cost, equal
+    // costs (which tie on minPerf too, else one would dominate the
+    // other) in enumeration order.
     std::vector<Candidate> out;
     out.reserve(incumbents.size());
     for (const auto &[cost, p] : incumbents) {
-        Candidate c{base_, 0.0, {}, 0.0, false};
+        Candidate c{base_, 0.0, {}, 0.0};
         Point again{};
         runLanes(single, p.flat, 1, &again);
         materialize(single, 0, again, c);
-        c.pareto = true;
         out.push_back(std::move(c));
     }
 
@@ -560,25 +488,6 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     }
     if (stats)
         *stats = st;
-    return out;
-}
-
-std::vector<Candidate>
-DesignExplorer::frontier(const std::vector<Candidate> &candidates)
-{
-    std::vector<Candidate> out;
-    size_t members = 0;
-    for (const Candidate &c : candidates)
-        members += c.pareto ? 1 : 0;
-    out.reserve(members);
-    for (const Candidate &c : candidates) {
-        if (c.pareto)
-            out.push_back(c);
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Candidate &a, const Candidate &b) {
-                         return a.cost < b.cost;
-                     });
     return out;
 }
 

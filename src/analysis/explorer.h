@@ -8,18 +8,21 @@
  * MINIMUM attainable performance across usecases), attaches a simple
  * cost model, and extracts the Pareto frontier.
  *
- * Evaluation runs on per-worker GablesPack<kGridWidth> instances
- * (one per usecase): each pass stages kGridWidth designs, and a lane
- * only restages the knobs whose digit changed, instead of rebuilding a
- * SocSpec per knob per design. exploreFrontier() additionally prunes
- * with monotonicity bounds: Pattainable is nondecreasing in Ai, Bi,
- * and Bpeak, so one evaluation at a subgrid's max corner upper-bounds
- * every design inside it, and the linear cost model's min corner
- * lower-bounds their cost — a subgrid whose best possible point is
- * strictly dominated by the incumbent frontier is skipped without
- * evaluating its designs. The frontier is provably identical to the
+ * exploreFrontier() is the one grid path. Evaluation runs on
+ * per-worker GablesPack<kGridWidth> instances (one per usecase): each
+ * pass stages kGridWidth designs, and a lane only restages the knobs
+ * whose digit changed, instead of rebuilding a SocSpec per knob per
+ * design. By default it also prunes with monotonicity bounds:
+ * Pattainable is nondecreasing in Ai, Bi, and Bpeak, so one
+ * evaluation at a subgrid's max corner upper-bounds every design
+ * inside it, and the linear cost model's min corner lower-bounds
+ * their cost — a subgrid whose best possible point is strictly
+ * dominated by the incumbent frontier is skipped without evaluating
+ * its designs. The pruned frontier is provably identical to the
  * unpruned one (skipped designs are strictly dominated, and strict
- * domination is inherited through the incumbent set).
+ * domination is inherited through the incumbent set); the tests
+ * check both, member by member, against a brute-force oracle that
+ * builds and scores every design with GablesModel::evaluate().
  */
 
 #ifndef GABLES_ANALYSIS_EXPLORER_H
@@ -65,7 +68,7 @@ struct CostModel {
     double cost(double bpeak, const std::vector<IpSpec> &ips) const;
 };
 
-/** One evaluated candidate design. */
+/** One evaluated design: a member of the Pareto frontier. */
 struct Candidate {
     /** The design. */
     SocSpec soc;
@@ -75,8 +78,6 @@ struct Candidate {
     std::vector<double> perUsecase;
     /** Cost under the explorer's cost model. */
     double cost = 0.0;
-    /** True if no other candidate dominates it (set by explore()). */
-    bool pareto = false;
 };
 
 /** Tuning knobs for exploreFrontier(). */
@@ -84,7 +85,8 @@ struct ExploreOptions {
     /** Worker count (1 = serial, 0 = hardware concurrency). */
     int jobs = 1;
     /** Enable bound-based subgrid pruning (the frontier is identical
-     * either way; pruning only skips work). */
+     * either way; pruning only skips work). False evaluates every
+     * design. */
     bool prune = true;
     /** Flat enumeration indices per pruning subgrid. */
     size_t subgridSize = 256;
@@ -125,10 +127,15 @@ class DesignExplorer
     /**
      * Enumerate input @p p over @p values. The bounds and the cost
      * model cover the inputs the cost model prices: Bpeak, A[i] for
-     * i >= 1 (the paper fixes A0 = 1) and B[i].
+     * i >= 1 (the paper fixes A0 = 1) and B[i]. Each value must obey
+     * the input's rule (core/param.h; Ai with the base design's
+     * Ppeak), checked here as the packs would check it (owner
+     * "evaluator"), so a bad value is refused whatever the run's
+     * options.
      *
-     * @throws FatalError for an empty list, any other input, or an IP
-     *         the base design does not have.
+     * @throws FatalError for an empty list, any other input, an IP
+     *         the base design does not have, or a value its rule
+     *         refuses; nothing is registered then.
      */
     void sweep(Param p, std::vector<double> values);
 
@@ -149,52 +156,30 @@ class DesignExplorer
     /** @} */
 
     /**
-     * Evaluate the full cross product of all registered sweeps and
-     * mark the Pareto-optimal (max perf, min cost) candidates.
+     * The Pareto frontier (max minPerf, min cost) of the full cross
+     * product of all registered sweeps, knob 0 varying fastest. With
+     * pruning (the default), dominated regions of the grid are
+     * skipped without evaluating their designs, so only a fraction of
+     * the cross product is ever computed on large grids. The returned
+     * frontier — member set, every Candidate field, and order — is
+     * the same for any options; pruning and workers only change how
+     * much work is done and where.
      *
-     * Candidate evaluation and Pareto marking run on the parallel
-     * worker-pool layer; results are byte-identical for any @p jobs
-     * (candidates land in enumeration-order slots before sorting).
-     *
-     * @param jobs  Worker count (1 = legacy serial, 0 = hardware).
-     * @param stats Optional out: worker count and busy time of the
-     *              candidate-evaluation loop.
-     * @return All candidates, Pareto members flagged, sorted by
-     *         descending minPerf (stable: enumeration order breaks
-     *         ties).
+     * @param options Worker count and pruning knobs.
+     * @param stats   Optional out: evaluation/pruning work counters.
+     * @return Pareto frontier, sorted by ascending cost (equal costs
+     *         in enumeration order).
      * @throws FatalError when the cost model can overflow on this
      *         grid: with every priced term at its largest value, the
      *         sum of |coefficient| x term is not finite.
      */
     std::vector<Candidate>
-    explore(int jobs = 1, parallel::ForStats *stats = nullptr) const;
-
-    /**
-     * The Pareto frontier only, with bound-based subgrid pruning:
-     * dominated regions of the grid are skipped without evaluating
-     * their designs, so only a fraction of the cross product is ever
-     * computed on large grids. The returned frontier — member set,
-     * every Candidate field, and order — is identical to
-     * frontier(explore(jobs)) for any options (verified by golden
-     * and property tests); pruning only changes how much work is
-     * done.
-     *
-     * @param options Worker count and pruning knobs.
-     * @param stats   Optional out: evaluation/pruning work counters.
-     * @return Pareto frontier, sorted by ascending cost.
-     * @throws FatalError when the cost model can overflow, as
-     *         explore() does.
-     */
-    std::vector<Candidate>
     exploreFrontier(const ExploreOptions &options = {},
                     ExploreStats *stats = nullptr) const;
 
-    /** @return Number of candidate designs explore() will evaluate. */
+    /** @return Number of designs in the cross product of the
+     * registered sweeps. */
     size_t gridSize() const;
-
-    /** @return Only the Pareto frontier, sorted by ascending cost. */
-    static std::vector<Candidate>
-    frontier(const std::vector<Candidate> &candidates);
 
   private:
     /** A swept input and the grid values it takes (knob 0 varies
@@ -226,9 +211,6 @@ class DesignExplorer
     template <size_t W>
     void materialize(Lanes<W> &ls, size_t w, const Point &p,
                      Candidate &out) const;
-    /** @return True if two knobs drive the same input (later
-     * application overrides earlier; bounds would be wrong). */
-    bool hasDuplicateKnobTargets() const;
     /** @throws FatalError when some design's cost can overflow (the
      * Pareto order needs every cost finite). */
     void checkCostFinite() const;
@@ -237,6 +219,11 @@ class DesignExplorer
     std::vector<Usecase> usecases_;
     CostModel cost_;
     std::vector<Knob> knobs_;
+    /** True when two knobs drive the same input: the later one
+     * overrides the earlier per design, so the term's value depends
+     * on applying every knob in order. Per-knob bounds and the
+     * unchanged-digit skip are both off then. */
+    bool sharedTargets_ = false;
 };
 
 } // namespace gables

@@ -39,44 +39,8 @@ trialJobs(const ErtConfig &config)
     for (double intensity : config.intensities)
         jobs.push_back({.workingSetBytes = config.workingSetBytes,
                         .totalBytes = config.totalBytes,
-                        .opsPerByte = intensity,
-                        .coordinationTime = config.coordinationTime});
+                        .opsPerByte = intensity});
     return jobs;
-}
-
-/**
- * Run one trial per job on per-worker simulators built by
- * @p make_soc; samples land in job-order slots.
- */
-std::vector<ErtSample>
-runBatch(const ErtSweep::SocFactory &make_soc,
-         const std::string &engine_name,
-         const std::vector<sim::KernelJob> &jobs, int pool_jobs,
-         parallel::ForStats *stats)
-{
-    std::vector<ErtSample> samples(jobs.size());
-    // Sized up front for the widest pool parallelFor may use; each
-    // worker lazily builds its simulator on first use and is the
-    // only thread that ever touches its slot.
-    std::vector<std::unique_ptr<sim::SimSoc>> socs(
-        static_cast<size_t>(std::max(parallel::defaultJobs(),
-                                     std::max(pool_jobs, 1))));
-    parallel::ForStats st = parallel::parallelFor(
-        jobs.size(),
-        [&](size_t i, int worker) {
-            std::unique_ptr<sim::SimSoc> &soc =
-                socs[static_cast<size_t>(worker)];
-            if (!soc) {
-                soc = make_soc();
-                if (!soc)
-                    fatal("ERT sweep: the SoC factory returned null");
-            }
-            samples[i] = measure(*soc, engine_name, jobs[i]);
-        },
-        pool_jobs);
-    if (stats)
-        *stats = st;
-    return samples;
 }
 
 } // namespace
@@ -91,23 +55,34 @@ ErtConfig::defaultIntensities()
 }
 
 std::vector<ErtSample>
-ErtSweep::run(sim::SimSoc &soc, const std::string &engine_name,
-              const ErtConfig &config)
-{
-    std::vector<ErtSample> samples;
-    samples.reserve(config.intensities.size());
-    for (const sim::KernelJob &job : trialJobs(config))
-        samples.push_back(measure(soc, engine_name, job));
-    return samples;
-}
-
-std::vector<ErtSample>
 ErtSweep::run(const SocFactory &make_soc,
               const std::string &engine_name, const ErtConfig &config,
               int jobs, parallel::ForStats *stats)
 {
-    return runBatch(make_soc, engine_name, trialJobs(config), jobs,
-                    stats);
+    const std::vector<sim::KernelJob> trials = trialJobs(config);
+    std::vector<ErtSample> samples(trials.size());
+    // Sized up front for the widest pool parallelFor may use; each
+    // worker lazily builds its simulator on first use and is the
+    // only thread that ever touches its slot. Samples land in
+    // trial-order slots.
+    std::vector<std::unique_ptr<sim::SimSoc>> socs(static_cast<size_t>(
+        std::max(parallel::defaultJobs(), std::max(jobs, 1))));
+    parallel::ForStats st = parallel::parallelFor(
+        trials.size(),
+        [&](size_t i, int worker) {
+            std::unique_ptr<sim::SimSoc> &soc =
+                socs[static_cast<size_t>(worker)];
+            if (!soc) {
+                soc = make_soc();
+                if (!soc)
+                    fatal("ERT sweep: the SoC factory returned null");
+            }
+            samples[i] = measure(*soc, engine_name, trials[i]);
+        },
+        jobs);
+    if (stats)
+        *stats = st;
+    return samples;
 }
 
 std::vector<ErtSample>

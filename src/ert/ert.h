@@ -42,11 +42,6 @@ struct ErtConfig {
     double workingSetBytes = 64.0 * 1024 * 1024;
     /** Total bytes streamed per point (more = less startup skew). */
     double totalBytes = 256.0 * 1024 * 1024;
-    /**
-     * Per-request coordination time (s) charged on the engine's
-     * coordinator; 0 for isolated roofline runs.
-     */
-    double coordinationTime = 0.0;
 
     /** @return The paper's default intensity ladder: powers of two
      * from 2^-6 to 2^10 ops/byte. */
@@ -56,11 +51,11 @@ struct ErtConfig {
 /**
  * ERT sweep driver.
  *
- * A SimSoc is single-threaded state, so the parallel overload takes
- * a factory instead of a live simulator: each worker of the pool
- * builds (lazily, once) its own SimSoc and runs a share of the trial
- * batch on it. Every trial resets the simulator, so samples are
- * byte-identical for any job count.
+ * A SimSoc is single-threaded state, so run() takes a factory instead
+ * of a live simulator: each worker of the pool builds (lazily, once)
+ * its own SimSoc and runs a share of the trial batch on it. Every
+ * trial resets the simulator, so samples are byte-identical for any
+ * job count.
  */
 class ErtSweep
 {
@@ -70,16 +65,9 @@ class ErtSweep
         std::function<std::unique_ptr<sim::SimSoc>()>;
 
     /**
-     * Run the kernel on engine @p engine_name of @p soc, alone on
-     * the chip, once per intensity in @p config (serial path).
-     */
-    static std::vector<ErtSample> run(sim::SimSoc &soc,
-                                      const std::string &engine_name,
-                                      const ErtConfig &config);
-
-    /**
-     * Parallel trial batch: like run(soc, ...) but with @p jobs pool
-     * workers, each running trials on its own @p make_soc instance.
+     * Run the kernel on engine @p engine_name, alone on the chip,
+     * once per intensity in @p config, on simulators built by
+     * @p make_soc.
      *
      * @param jobs  Worker count (1 = serial, 0 = hardware).
      * @param stats Optional out: worker count and busy time.

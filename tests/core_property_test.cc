@@ -296,12 +296,17 @@ TEST_P(GablesProperty, ExplorerMinPerfIsWorstUsecase)
         }
         DesignExplorer ex =
             randomExplorer(rng, soc, bpeaks, accels);
-        for (const Candidate &c : ex.explore()) {
-            ASSERT_FALSE(c.perUsecase.empty());
-            EXPECT_EQ(c.minPerf,
-                      *std::min_element(c.perUsecase.begin(),
-                                        c.perUsecase.end()))
-                << "seed " << GetParam() << " trial " << trial;
+        for (bool prune : {true, false}) {
+            ExploreOptions opts;
+            opts.prune = prune;
+            for (const Candidate &c : ex.exploreFrontier(opts)) {
+                ASSERT_FALSE(c.perUsecase.empty());
+                EXPECT_EQ(c.minPerf,
+                          *std::min_element(c.perUsecase.begin(),
+                                            c.perUsecase.end()))
+                    << "seed " << GetParam() << " trial " << trial
+                    << " prune " << prune;
+            }
         }
     }
 }
@@ -309,7 +314,7 @@ TEST_P(GablesProperty, ExplorerMinPerfIsWorstUsecase)
 TEST_P(GablesProperty, ExplorerParetoOrderIndependent)
 {
     // Permuting the enumeration order of the knob grids must not
-    // change which designs are Pareto-optimal.
+    // change which designs are on the Pareto frontier.
     Rng rng(GetParam() ^ 0x9999);
     for (int trial = 0; trial < 5; ++trial) {
         SocSpec soc = randomMultiIpSoc(rng);
@@ -336,22 +341,21 @@ TEST_P(GablesProperty, ExplorerParetoOrderIndependent)
         DesignExplorer ex_p =
             randomExplorer(rng_b, soc, bpeaks_p, accels_p);
 
-        // Key each candidate by its knob values; the Pareto flag
-        // must agree between the two enumerations.
+        // Key each frontier member by its knob values; the two
+        // enumerations must give the same members with the same
+        // scores and costs.
         using Key = std::tuple<double, double>;
-        std::map<Key, bool> pareto;
-        auto candidates = ex.explore();
-        for (const Candidate &c : candidates)
-            pareto[{c.soc.bpeak(), c.soc.ip(1).acceleration}] =
-                c.pareto;
-        auto permuted = ex_p.explore();
-        ASSERT_EQ(permuted.size(), candidates.size());
-        for (const Candidate &c : permuted) {
-            Key key{c.soc.bpeak(), c.soc.ip(1).acceleration};
-            ASSERT_TRUE(pareto.count(key));
-            EXPECT_EQ(c.pareto, pareto[key])
-                << "seed " << GetParam() << " trial " << trial;
-        }
+        auto members = [](const std::vector<Candidate> &frontier) {
+            std::map<Key, std::pair<double, double>> out;
+            for (const Candidate &c : frontier)
+                out[{c.soc.bpeak(), c.soc.ip(1).acceleration}] = {
+                    c.minPerf, c.cost};
+            return out;
+        };
+        auto frontier = members(ex.exploreFrontier());
+        ASSERT_FALSE(frontier.empty());
+        EXPECT_EQ(members(ex_p.exploreFrontier()), frontier)
+            << "seed " << GetParam() << " trial " << trial;
     }
 }
 

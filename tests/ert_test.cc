@@ -28,12 +28,19 @@ TEST(ErtConfig, DefaultIntensityLadder)
         EXPECT_DOUBLE_EQ(ladder[i], 2.0 * ladder[i - 1]);
 }
 
+/** The one-engine simulator of the ERT sweep tests: 10 Gops/s, a
+ * 20 GB/s link, 40 GB/s DRAM. */
+std::unique_ptr<sim::SimSoc>
+simpleChip()
+{
+    return SocCatalog::simpleSim(10e9, 20e9, 40e9);
+}
+
 TEST(ErtSweep, RecoversConfiguredRoofline)
 {
-    auto soc = SocCatalog::simpleSim(10e9, 20e9, 40e9);
     ErtConfig config;
     config.intensities = {0.0625, 0.25, 0.5, 2.0, 8.0, 64.0};
-    auto samples = ErtSweep::run(*soc, "IP0", config);
+    auto samples = ErtSweep::run(simpleChip, "IP0", config);
     ASSERT_EQ(samples.size(), config.intensities.size());
     RooflineFit fit = RooflineFitter::fitDram(samples);
     EXPECT_NEAR(fit.peakOps, 10e9, 10e9 * 0.02);
@@ -44,10 +51,9 @@ TEST(ErtSweep, RecoversConfiguredRoofline)
 
 TEST(ErtSweep, SamplesMonotoneInIntensityUntilPlateau)
 {
-    auto soc = SocCatalog::simpleSim(10e9, 20e9, 40e9);
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
-    auto samples = ErtSweep::run(*soc, "IP0", config);
+    auto samples = ErtSweep::run(simpleChip, "IP0", config);
     for (size_t i = 1; i < samples.size(); ++i)
         EXPECT_GE(samples[i].opsRate,
                   samples[i - 1].opsRate * (1.0 - 1e-6));
@@ -55,9 +61,8 @@ TEST(ErtSweep, SamplesMonotoneInIntensityUntilPlateau)
 
 TEST(ErtSweep, EmptyIntensitiesRejected)
 {
-    auto soc = SocCatalog::simpleSim(10e9, 20e9, 40e9);
     ErtConfig config;
-    EXPECT_THROW(ErtSweep::run(*soc, "IP0", config), FatalError);
+    EXPECT_THROW(ErtSweep::run(simpleChip, "IP0", config), FatalError);
 }
 
 TEST(ErtSweep, WorkingSetSweepShowsCacheTiers)
@@ -83,12 +88,12 @@ TEST(ErtSweep, WorkingSetSweepShowsCacheTiers)
 
 TEST(Fitter, TotalVersusDramRates)
 {
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = {0.0625, 0.125, 64.0};
     config.workingSetBytes = 1.0 * kMiB; // fits the CPU L2
     config.totalBytes = 64e6;
-    auto samples = ErtSweep::run(*soc, "CPU", config);
+    auto samples =
+        ErtSweep::run(SocCatalog::snapdragon835Sim, "CPU", config);
     // In-cache streaming: the total rate is the 60 GB/s L2, while the
     // DRAM-rate fit would see ~0 traffic; it must reject that.
     EXPECT_NEAR(samples.front().byteRate, 60e9, 60e9 * 0.05);

@@ -177,12 +177,12 @@ TEST(EndToEnd, Figure6PlotsRenderFromCatalog)
 
 TEST(EndToEnd, ErtToRooflineToPlot)
 {
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = {0.0625, 0.5, 4.0, 64.0};
     config.workingSetBytes = 64e6;
     config.totalBytes = 64e6;
-    auto samples = ErtSweep::run(*soc, "CPU", config);
+    auto samples =
+        ErtSweep::run(SocCatalog::snapdragon835Sim, "CPU", config);
     RooflineFit fit = RooflineFitter::fitDram(samples);
     RooflinePlot plot("Figure 7a (sim)", 0.01, 100.0);
     plot.addRoofline(fit.roofline("CPU"));

@@ -421,6 +421,30 @@ TEST(ServeProtocol, OverflowingExploreCostIsConfigError)
               "largest designs are not finite");
 }
 
+TEST(ServeProtocol, ExploreRefusesABadKnobValueInAPrunedSubgrid)
+{
+    // A negative Bpeak in the third subgrid of a 600-value knob. With
+    // Bpeak priced negatively, more bandwidth is cheaper and faster,
+    // so the first subgrid's best design dominates the rest and
+    // pruning skips the subgrid that holds the bad value; the value
+    // is refused all the same, with the pack's text.
+    serve::ServeService service{serve::ServeOptions{}};
+    std::ostringstream knob;
+    knob << "\"sweep\": [{\"knob\": \"bpeak\", \"values\": [";
+    for (int i = 0; i < 600; ++i)
+        knob << (i ? ", " : "") << (i == 400 ? -1.0 : (600 - i) * 1e9);
+    knob << "]}], \"cost\": {\"per_acceleration\": 1, "
+            "\"per_bpeak\": -1e-9}";
+    JsonValue doc = parseResponse(service.handleLine(
+        modelRequest(1, "explore", SocCatalog::paperTwoIp(),
+                     paperUsecase(0.75, 8.0, 0.1), knob.str())));
+    EXPECT_FALSE(doc.at("ok").asBool());
+    EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
+    EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
+    EXPECT_EQ(doc.at("error").at("message").asString(),
+              "evaluator: Bpeak must be positive and finite");
+}
+
 /** @return How often each span under the root of @p node ran. */
 void
 spanCounts(const telemetry::ProfileNode &node,

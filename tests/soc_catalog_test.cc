@@ -124,12 +124,12 @@ class Sd835Calibration
 TEST_P(Sd835Calibration, ErtReproducesMeasuredRoofline)
 {
     const CalibrationCase &c = GetParam();
-    auto soc = SocCatalog::snapdragon835Sim();
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
     config.workingSetBytes = 64e6; // defeats the local memories
     config.totalBytes = 128e6;
-    auto samples = ErtSweep::run(*soc, c.engine, config);
+    auto samples =
+        ErtSweep::run(SocCatalog::snapdragon835Sim, c.engine, config);
     RooflineFit fit = RooflineFitter::fitDram(samples);
     EXPECT_NEAR(fit.peakOps, c.peakOps, c.peakOps * 0.03) << c.engine;
     EXPECT_NEAR(fit.peakBw, c.peakBw, c.peakBw * 0.03) << c.engine;
@@ -147,12 +147,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Catalog, Sd821SimAlsoTracesRooflines)
 {
     // The paper reports its findings hold on the 821 as well.
-    auto soc = SocCatalog::snapdragon821Sim();
     ErtConfig config;
     config.intensities = {0.125, 64.0};
     config.workingSetBytes = 64e6;
     config.totalBytes = 64e6;
-    auto samples = ErtSweep::run(*soc, "CPU", config);
+    auto samples =
+        ErtSweep::run(SocCatalog::snapdragon821Sim, "CPU", config);
     RooflineFit fit = RooflineFitter::fitDram(samples);
     EXPECT_NEAR(fit.peakOps, 6.4e9, 6.4e9 * 0.03);
     EXPECT_NEAR(fit.peakBw, 14.0e9, 14.0e9 * 0.03);
